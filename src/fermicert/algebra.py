@@ -422,8 +422,3 @@ def random_expansion(shape: SystemShape, rng, n_terms: int = 5,
         coeff = complex(rng.standard_normal(), rng.standard_normal())
         terms[mask] = terms.get(mask, 0.0) + coeff
     return OperatorExpansion(shape, terms)
-
-
-def hermitian_part(op: OperatorExpansion) -> OperatorExpansion:
-    """(A + A†)/2."""
-    return 0.5 * (op + op.adjoint())

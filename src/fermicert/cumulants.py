@@ -97,16 +97,6 @@ def partition_sign(partition: Sequence[Sequence[int]]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def count_even_partitions(w: int) -> int:
-    """Independent recurrence for the number of even partitions."""
-    if w == 0:
-        return 1
-    total = 0
-    for block in range(2, w + 1, 2):
-        total += math.comb(w - 1, block - 1) * count_even_partitions(w - block)
-    return total
-
-
 # -- moment / cumulant engine --------------------------------------------------
 
 def cumulant_from_moment_fn(moment_fn: Callable[[Tuple[int, ...]], complex],
@@ -345,14 +335,15 @@ def gaussian_mixture_deviation(rho_k: DenseOperator, mixture: ProductMixture,
     mats = [fourier_ladder_matrix(shape, o.c, o.mode, o.q) for o in ops]
     direct = cumulant_mats(rho_k.matrix, mats)
 
+    # tr(P A_i A_j) = sum_ab P[a, b] (A_i A_j)^T[a, b]: each pair product is
+    # formed once and shared by every component.
+    pair_products = {(i, j): (mats[i] @ mats[j]).T.ravel()
+                     for i in range(len(ops)) for j in range(i + 1, len(ops))}
     comp_pairs: List[Dict[Tuple[int, int], complex]] = []
     for xi in mixture.components:
-        power = product_power(xi, shape.sites).matrix
-        pairs: Dict[Tuple[int, int], complex] = {}
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                pairs[(i, j)] = complex(np.trace(power @ mats[i] @ mats[j]))
-        comp_pairs.append(pairs)
+        power = product_power(xi, shape.sites).matrix.ravel()
+        comp_pairs.append({ij: complex(np.dot(power, prod))
+                           for ij, prod in pair_products.items()})
 
     weights = np.asarray(mixture.weights, dtype=float)
 

@@ -12,6 +12,16 @@ the even (parity-superselected) sector by construction, diagonal occupation
 for one mode per site and a Gibbs form over even Hermitian generators
 otherwise, so every witness is automatically a physical state.
 
+The search works on the even and odd global-parity blocks of the target.
+Every component is exactly even, so every mixture commutes with global
+parity and its distance to a target that does too is the sum of two
+half-size block trace norms.  The target must have exactly zero entries
+between the two sectors; :func:`best_mixture_approx` raises otherwise,
+because blockwise norms would understate the distance.  At one mode per
+site a k-fold power is diagonal with the closed-form entries
+alpha^(k-h) (1-alpha)^h at Hamming weight h (:func:`hamming_power`), so the
+search builds no tensor powers there.
+
 The optimizer returns an upper bound on the true minimum, which is the
 right direction for certification: a pass is a genuine certificate.
 """
@@ -127,7 +137,10 @@ def component_state(p: int, params: np.ndarray) -> SingleSiteState:
     w, v = np.linalg.eigh(gen)
     boltz = np.exp(w - w.max())
     boltz /= boltz.sum()
-    mat = (v * boltz) @ v.conj().T
+    # Pinching zeroes the roundoff left between the parity sectors and keeps
+    # the entries inside each sector bit for bit: the component is exactly
+    # even, as the parity-block search needs.
+    mat = even_projection((v * boltz) @ v.conj().T, p)
     return SingleSiteState(mat, True)
 
 
@@ -174,6 +187,16 @@ def product_power(xi: SingleSiteState, k: int,
     return DenseOperator(shape, out)
 
 
+def hamming_power(alpha: float, k: int) -> np.ndarray:
+    """Diagonal entries of diag(alpha, 1 - alpha)^(x k) by Hamming weight.
+
+    Entry h is alpha^(k-h) (1-alpha)^h, the diagonal entry of the k-fold
+    power at every basis state with h occupied modes.
+    """
+    h = np.arange(k + 1)
+    return alpha ** (k - h) * (1.0 - alpha) ** h
+
+
 def mixture_matrix(mixture: ProductMixture, k: int) -> DenseOperator:
     """Dense matrix of sum_l a_l xi_l^(x k)."""
     powers = [product_power(xi, k) for xi in mixture.components]
@@ -194,21 +217,58 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _tracenorm_and_sign(delta: np.ndarray):
-    herm = 0.5 * (delta + delta.conj().T)
-    w, v = np.linalg.eigh(herm)
-    dist = float(np.sum(np.abs(w)))
-    sign = (v * np.sign(w)) @ v.conj().T
-    return dist, sign
+def parity_sectors(shape: SystemShape) -> Tuple[np.ndarray, np.ndarray]:
+    """Fock-basis indices of the even and the odd global-parity sector."""
+    signs = global_parity_signs(shape)
+    return np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
+
+
+def parity_blocks(dense: DenseOperator) -> Tuple[np.ndarray, np.ndarray]:
+    """Even and odd global-parity blocks of an operator.
+
+    Raises ``ValueError`` when any entry between the two sectors is nonzero.
+    The check is exact: the blocks would drop such an entry, and a trace
+    norm summed over the blocks would understate the true one.
+    """
+    even, odd = parity_sectors(dense.shape)
+    m = dense.matrix
+    if np.any(m[np.ix_(even, odd)]) or np.any(m[np.ix_(odd, even)]):
+        raise ValueError("operator has nonzero entries between the even "
+                         "and odd global-parity sectors")
+    return m[np.ix_(even, even)], m[np.ix_(odd, odd)]
+
+
+def _minus(block: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """block - x, for x a matrix or the diagonal of one."""
+    if x.ndim == 2:
+        return block - x
+    out = block.copy()
+    out.flat[::len(x) + 1] -= x
+    return out
 
 
 class _MixtureOptimizer:
-    """Alternating minimization of || R - sum_l a_l xi_l^(x k) ||_1."""
+    """Alternating minimization of || R - sum_l a_l xi_l^(x k) ||_1.
 
-    def __init__(self, target: np.ndarray, k: int, p: int, r: int,
+    Works on the even and odd global-parity blocks of R, which must have
+    exactly zero entries between the sectors (:func:`parity_blocks`).  The
+    components are exactly even, so the distance is the sum of the two
+    block trace norms, and the sign matrix and the weight gradient are
+    formed per block.  A power is held as its pair of blocks: at p = 1 as
+    their diagonals, from the closed form :func:`hamming_power` indexed by
+    Hamming weight, at p > 1 as the dense blocks of the tensor power.  A
+    coordinate sweep forms the residual without the component it moves
+    once, so each trial point costs one update and one eigenvalue solve
+    per block; only the weight steps need eigenvectors, for the sign
+    matrix.  The eigensolvers read the lower triangle of each residual:
+    the target blocks are made Hermitian once, and the powers are
+    Hermitian up to roundoff.
+    """
+
+    def __init__(self, blocks: Sequence[np.ndarray], k: int, p: int, r: int,
                  iters: int, component_every: int = 25,
                  grid_points: int = 9, golden_iters: int = 22):
-        self.target = target
+        self.blocks = [0.5 * (b + b.conj().T) for b in blocks]
         self.k = k
         self.p = p
         self.r = r
@@ -216,35 +276,61 @@ class _MixtureOptimizer:
         self.component_every = component_every
         self.grid_points = grid_points
         self.golden_iters = golden_iters
+        self.sectors = parity_sectors(SystemShape(k, p))
         if p == 1:
             self.lo, self.hi = 0.0, 1.0
+            self.hamming = [np.bitwise_count(s) for s in self.sectors]
         else:
             self.lo, self.hi = -GENERATOR_BOX, GENERATOR_BOX
         self.n_params = n_component_params(p)
 
-    def _power(self, params: np.ndarray) -> np.ndarray:
-        xi = component_state(self.p, params)
-        return product_power(xi, self.k).matrix
+    def _power(self, params: np.ndarray) -> List[np.ndarray]:
+        if self.p == 1:
+            alpha = min(max(float(params[0]), 0.0), 1.0)
+            by_weight = hamming_power(alpha, self.k)
+            return [by_weight[h] for h in self.hamming]
+        full = product_power(component_state(self.p, params), self.k).matrix
+        return [full[np.ix_(s, s)] for s in self.sectors]
 
-    def _distance(self, weights, powers):
-        mix = np.zeros_like(self.target)
-        for a, x in zip(weights, powers):
-            mix += a * x
-        return _tracenorm_and_sign(self.target - mix)
+    def _residual(self, weights, powers, skip: Optional[int] = None):
+        """Blocks of R - sum_l a_l P_l, leaving out component ``skip``."""
+        out = []
+        for b, target in enumerate(self.blocks):
+            mix = np.zeros_like(powers[0][b])
+            for l, (a, x) in enumerate(zip(weights, powers)):
+                if l != skip:
+                    mix += a * x[b]
+            out.append(_minus(target, mix))
+        return out
+
+    def _distance_and_sign(self, weights, powers):
+        """Distance and the per-block sign matrices V sign(w) V^dagger, held
+        as diagonals at p = 1, where the powers are diagonal."""
+        dist = 0.0
+        signs = []
+        for delta in self._residual(weights, powers):
+            w, v = np.linalg.eigh(delta)
+            dist += float(np.sum(np.abs(w)))
+            sw = np.sign(w)
+            if self.p == 1:
+                signs.append((np.abs(v) ** 2) @ sw)
+            else:
+                signs.append((v * sw) @ v.conj().T)
+        return dist, signs
 
     def _coordinate_sweep(self, weights, params, powers, best):
         for l in range(self.r):
+            rest = self._residual(weights, powers, skip=l)
+            a_l = weights[l]
             for j in range(self.n_params):
                 base = params[l][j]
 
                 def value(x: float) -> float:
                     trial = params[l].copy()
                     trial[j] = x
-                    saved = powers[l]
-                    powers[l] = self._power(trial)
-                    d, _ = self._distance(weights, powers)
-                    powers[l] = saved
-                    return d
+                    return sum(float(np.sum(np.abs(np.linalg.eigvalsh(
+                        _minus(res, a_l * xb)))))
+                        for res, xb in zip(rest, self._power(trial)))
 
                 grid = np.linspace(self.lo, self.hi, self.grid_points)
                 cand = list(grid) + [base]
@@ -278,17 +364,18 @@ class _MixtureOptimizer:
         weights = project_simplex(np.asarray(weights, dtype=float))
         params = [np.asarray(q, dtype=float).copy() for q in params]
         powers = [self._power(q) for q in params]
-        dist, sign = self._distance(weights, powers)
+        dist, sign = self._distance_and_sign(weights, powers)
         best = dist
         best_state = (weights.copy(), [q.copy() for q in params])
         if best < 5e-12:
             return best, best_state
         stall = 0
         for t in range(1, self.iters + 1):
-            grad = np.array([-float(np.real(np.sum(sign.conj() * x)))
+            grad = np.array([-sum(float(np.real(np.vdot(sb, xb)))
+                                  for sb, xb in zip(sign, x))
                              for x in powers])
             weights = project_simplex(weights - (STEP_SCALE / math.sqrt(t)) * grad)
-            dist, sign = self._distance(weights, powers)
+            dist, sign = self._distance_and_sign(weights, powers)
             if dist < best - 1e-13:
                 best = dist
                 best_state = (weights.copy(), [q.copy() for q in params])
@@ -297,7 +384,7 @@ class _MixtureOptimizer:
                 best = self._coordinate_sweep(weights, params, powers, best)
                 if best < before - 1e-13:
                     best_state = (weights.copy(), [q.copy() for q in params])
-                    dist, sign = self._distance(weights, powers)
+                    dist, sign = self._distance_and_sign(weights, powers)
                     stall = 0
                 else:
                     stall += 1
@@ -316,6 +403,10 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
     Deterministic for a fixed seed.  The first two starts are structured
     (single-site marginal of the target, maximally mixed); the rest are
     random.  The returned distance upper-bounds the true minimum.
+
+    Raises ``ValueError`` when the target has a nonzero entry between the
+    even and odd global-parity sectors, and, with ``require_state``, when it
+    is not a valid state.
     """
     shape = rho_k.shape
     k, p = shape.sites, shape.modes_per_site
@@ -329,7 +420,7 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
         r = 2 * p + 2
     n_par = n_component_params(p)
     rng = np.random.default_rng(seed)
-    opt = _MixtureOptimizer(rho_k.matrix, k, p, r, iters)
+    opt = _MixtureOptimizer(parity_blocks(rho_k), k, p, r, iters)
 
     marginal = partial_trace_sites(rho_k, [1]).matrix
     seed_params = params_from_state(p, marginal)

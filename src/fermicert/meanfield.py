@@ -395,8 +395,6 @@ def verify_gs_bound(spec: HamiltonianSpec, restarts: int = 8, iters: int = 3,
                          {"family": spec.name, "V": V, "p": p, "k": spec.k,
                           "seed": seed},
                          gap, bound, tol, time.perf_counter() - start, notes)
-    if not precondition_ok:
-        report.notes = list(notes)
     return result, report
 
 

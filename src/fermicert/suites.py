@@ -19,7 +19,7 @@ from .cumulants import (LadderIndex, corollary_index_sets, cumulant,
                         fourier_cumulant, fourier_q_range,
                         gaussian_mixture_deviation, lemma4_equality_report,
                         verify_corollary, verify_suppression)
-from .definetti import (ProductMixture, SingleSiteState, best_mixture_approx,
+from .definetti import (SingleSiteState, best_mixture_approx,
                         mixture_diagnostics, product_power, theorem1_bound,
                         verify_theorem1)
 from .fock import (DenseOperator, check_state, operator_norm,
@@ -248,7 +248,6 @@ def run_verify_theorem1(seed: int = 3, restarts: int = 3, iters: int = 120
     """
     reports = []
     rows = []
-    mixtures: Dict[Tuple[int, float, int], ProductMixture] = {}
     for V in V_SWEEP:
         for mu in MU_SWEEP:
             state = _mu_state(V, mu)
@@ -266,13 +265,11 @@ def run_verify_theorem1(seed: int = 3, restarts: int = 3, iters: int = 120
                 if diag["max_offdiagonal"] > 1e-8:
                     rep.passed = False
                     rep.notes.append("single-mode components must be diagonal")
-                mixtures[(V, mu, k)] = mixture
                 reports.append(rep)
                 rows.append([V, 1, mu, k, len(mixture.weights), rep.lhs,
                              rep.rhs, diag["max_offdiagonal"], rep.passed])
     header = ["V", "p", "mu", "k", "r", "distance", "bound", "max_offdiag",
               "passed"]
-    run_verify_theorem1.last_mixtures = mixtures
     return reports, {"theorem1": (header, rows)}
 
 

@@ -144,9 +144,9 @@ def test_criterion_5_runtime():
 
 @pytest.mark.xfail(strict=True,
                    reason="stated ratio is 0/0: every single-mode fermionic "
-                          "state is Gaussian, so K_4 vanishes identically "
-                          "(see notes/decisions.md); the equality-case "
-                          "content is certified by the companion tests")
+                          "state is Gaussian, so K_4 vanishes identically; "
+                          "the equality-case content is certified by the "
+                          "companion tests")
 def test_criterion_6_literal_ratio_form():
     for V in range(2, 9):
         q = V // 2

@@ -283,6 +283,38 @@ class TestWick:
         direct, predicted = gaussian_mixture_deviation(rho2, mixture, ops)
         assert abs(direct - predicted) < 1e-10
 
+    def test_gaussian_mixture_deviation_matches_naive_traces(self, rng):
+        # Oracle: pair values as one trace of a matrix product per component
+        # and pair, the Wick moments and cumulant extraction written out.
+        sh12 = SystemShape(1, 2)
+        comps = tuple(SingleSiteState(random_even_density_matrix(sh12, rng),
+                                      True) for _ in range(3))
+        mixture = ProductMixture(np.array([0.5, 0.3, 0.2]), comps)
+        k = 3
+        rho_k = DenseOperator(SystemShape(k, 2),
+                              random_even_density_matrix(SystemShape(k, 2),
+                                                         rng))
+        # One index set beyond the corollary sample.
+        generic = (LadderIndex(1, 1, 1, 1), LadderIndex(-1, 1, 2, 0),
+                   LadderIndex(1, 1, 2, -1), LadderIndex(-1, 1, 1, 0))
+        for ops in corollary_index_sets(k, 2) + [generic]:
+            mats = [fourier_ladder_matrix(rho_k.shape, o.c, o.mode, o.q)
+                    for o in ops]
+            pairs = []
+            for xi in comps:
+                power = product_power(xi, k).matrix
+                pairs.append({(i, j): complex(np.trace(power @ mats[i]
+                                                       @ mats[j]))
+                              for i in range(4) for j in range(i + 1, 4)})
+
+            def naive_moment(positions):
+                return sum(a * wick_moment(lambda i, j: pv[(i, j)], positions)
+                           for a, pv in zip(mixture.weights, pairs))
+
+            want = cumulant_from_moment_fn(naive_moment, 4)
+            _, predicted = gaussian_mixture_deviation(rho_k, mixture, ops)
+            assert abs(predicted - want) < 1e-12
+
     def test_corollary_metric_scales_inverse_k(self):
         xi = SingleSiteState(CORRELATED.matrix, True)
         metrics = {}

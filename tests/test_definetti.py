@@ -9,15 +9,18 @@ from conftest import random_even_density_matrix
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import LadderIndex, cumulant
 from fermicert.definetti import (ProductMixture, SingleSiteState,
-                                 best_mixture_approx, component_state,
-                                 even_hermitian_basis, is_even_operator,
+                                 _MixtureOptimizer, best_mixture_approx,
+                                 component_state, even_hermitian_basis,
+                                 hamming_power, is_even_operator,
                                  mixture_diagnostics, mixture_from_text,
                                  mixture_matrix, mixture_to_text,
                                  n_component_params, params_from_state,
-                                 product_power, project_simplex,
-                                 theorem1_bound, verify_theorem1)
+                                 parity_blocks, product_power,
+                                 project_simplex, theorem1_bound,
+                                 verify_theorem1)
 from fermicert.errors import ResourceCapError
-from fermicert.fock import DenseOperator, check_state, expectation_word_dense
+from fermicert.fock import (DenseOperator, check_state, expectation_word_dense,
+                            global_parity_signs, trace_norm)
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
 
 TAN6 = math.tan(math.pi / 12.0)
@@ -57,6 +60,16 @@ class TestProductPower:
         xi = SingleSiteState(np.eye(2, dtype=complex) / 2, True)
         with pytest.raises(ValueError):
             product_power(xi, 0)
+
+    def test_hamming_power_matches_kron(self):
+        for k in range(1, 6):
+            weight = [bin(b).count("1") for b in range(1 << k)]
+            for alpha in (0.0, 0.3, 0.5, 0.85, 1.0):
+                power = product_power(component_state(1, np.array([alpha])),
+                                      k).matrix
+                got = hamming_power(alpha, k)[weight]
+                assert np.max(np.abs(np.diag(power) - got)) < 1e-15
+                assert np.count_nonzero(power - np.diag(np.diag(power))) == 0
 
 
 class TestComponentParametrization:
@@ -156,6 +169,63 @@ class TestBestMixture:
         _, d1 = best_mixture_approx(target, restarts=3, iters=50, seed=9)
         _, d2 = best_mixture_approx(target, restarts=3, iters=50, seed=9)
         assert d1 == d2
+
+
+class TestParityBlocks:
+    @staticmethod
+    def oracle_distance(target, mixture):
+        mix = mixture_matrix(mixture, target.shape.sites).matrix
+        return trace_norm(DenseOperator(target.shape, target.matrix - mix))
+
+    @pytest.mark.parametrize("shape", [SystemShape(3, 1), SystemShape(2, 2)])
+    def test_distance_matches_dense_trace_norm(self, shape, rng):
+        k, p = shape.sites, shape.modes_per_site
+        for trial in range(3):
+            target = DenseOperator(shape,
+                                   random_even_density_matrix(shape, rng))
+            mixture, dist = best_mixture_approx(target, r=2, restarts=2,
+                                                iters=30, seed=trial)
+            assert dist == pytest.approx(self.oracle_distance(target, mixture),
+                                         abs=1e-12)
+            # Any mixture, not only the returned one.
+            opt = _MixtureOptimizer(parity_blocks(target), k, p, 3, iters=1)
+            weights = project_simplex(rng.random(3))
+            if p == 1:
+                params = [rng.random(1) for _ in range(3)]
+            else:
+                params = [rng.uniform(-1, 1, n_component_params(p))
+                          for _ in range(3)]
+            got, signs = opt._distance_and_sign(
+                weights, [opt._power(q) for q in params])
+            comps = tuple(component_state(p, q) for q in params)
+            mixture = ProductMixture(weights, comps)
+            assert got == pytest.approx(self.oracle_distance(target, mixture),
+                                        abs=1e-12)
+            # The blocks of the dense sign matrix V sign(w) V^dagger.
+            delta = target.matrix - mixture_matrix(mixture, k).matrix
+            w, v = np.linalg.eigh(0.5 * (delta + delta.conj().T))
+            full_sign = (v * np.sign(w)) @ v.conj().T
+            even = global_parity_signs(shape) > 0
+            for block, sector in zip(signs, (even, ~even)):
+                want = full_sign[np.ix_(sector, sector)]
+                if p == 1:
+                    want = np.diag(want)
+                assert np.max(np.abs(block - want)) < 1e-10
+
+    def test_gibbs_components_exactly_even(self, rng):
+        signs = global_parity_signs(SystemShape(1, 3))
+        cross = signs[:, None] != signs[None, :]
+        for _ in range(5):
+            theta = rng.uniform(-2, 2, n_component_params(3))
+            assert not np.any(component_state(3, theta).matrix[cross])
+
+    def test_cross_parity_entry_raises(self, rng):
+        shape = SystemShape(2, 1)
+        mat = random_even_density_matrix(shape, rng)
+        mat[0, 1] = 1e-18  # basis states 00 (even) and 01 (odd)
+        with pytest.raises(ValueError, match="parity"):
+            best_mixture_approx(DenseOperator(shape, mat), restarts=1,
+                                iters=10, seed=0)
 
 
 class TestVerifyTheorem1:
