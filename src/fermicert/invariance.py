@@ -9,6 +9,14 @@ permutations.  A state is *fully* invariant when condition (1) holds for
 all permutations; the anti-commutation relations then force mixed odd-odd
 correlators to vanish, which the weaker definition deliberately avoids.
 
+The checks are exact and enumerate no permutation.  A site permutation
+moves a word's nonzero per-site Majorana blocks between sites, so each
+condition says that the expectation is constant on a class of words: the
+words with the same block sequence (1), the even-on-every-site words with
+the same block multiset (2), and for full invariance all words with the
+same block multiset, up to the sign of reordering the odd blocks.  One
+pass over the words up to a degree cap collects the classes.
+
 The mu family built here is the standard witness separating the two
 notions: it is permutation invariant for every mu in [-1, 1] but fully
 invariant only at mu = 0.
@@ -24,10 +32,9 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (OperatorExpansion, SystemShape, canonicalize_positions,
-                      even_on_all_sites, validate_permutation)
-from .fock import (DenseOperator, expectation_word_dense, reduce_expansion,
-                   to_matrix, trace_norm)
+from .algebra import OperatorExpansion, SystemShape, validate_permutation
+from .fock import (DenseOperator, reduce_expansion, to_matrix, trace_norm,
+                   word_expectations_dense)
 from .report import INEQUALITY, VerificationReport, make_report
 
 
@@ -56,10 +63,15 @@ class MuFamilyParams:
 class InvarianceReport:
     """Maximum violations of the two invariance conditions.
 
-    Violations are max over checked (word, permutation) pairs of
-    |tr(rho w) - tr(rho pi(w))|.  ``full_max_violation`` additionally
-    tests condition-(1)-style equality under *all* permutations, which
-    detects states that are invariant but not fully invariant.
+    Violations are max over (word, permutation) pairs, for every word up
+    to the degree cap and every site permutation, of
+    |tr(rho w) - tr(rho pi(w))|, computed exactly as the largest diameter
+    of a word class (see the module docstring).  ``full_max_violation``
+    additionally tests condition-(1)-style equality under *all*
+    permutations, which detects states that are invariant but not fully
+    invariant.  ``checked_words`` counts the words up to the cap.
+    ``sampled`` is always false: the check is exact, and the field stays
+    because ``invariance.csv`` has a column for it.
     """
 
     condition1_max_violation: float
@@ -67,7 +79,7 @@ class InvarianceReport:
     checked_words: int
     fully_invariant: bool
     full_max_violation: float
-    sampled: bool
+    sampled: bool = False
 
     def max_violation(self) -> float:
         return max(self.condition1_max_violation,
@@ -144,151 +156,97 @@ def words_up_to_degree(shape: SystemShape, cap: int) -> Iterable[int]:
             yield mask
 
 
-def _mapped_word(pi: Tuple[int, ...], mask: int, width: int):
-    """Mapped bit positions of a word (in original written order) plus the
-    resulting mask and whether the order was preserved."""
-    mapped = []
-    mapped_mask = 0
-    ordered = True
-    prev = -1
-    rem = mask
-    while rem:
-        low = rem & -rem
-        g = low.bit_length() - 1
-        site, r = divmod(g, width)
-        pos = (pi[site] - 1) * width + r
-        mapped.append(pos)
-        mapped_mask |= 1 << pos
-        if pos <= prev:
-            ordered = False
-        prev = pos
-        rem ^= low
-    return mapped, mapped_mask, ordered
+def _site_blocks(mask: int, width: int) -> Tuple[int, ...]:
+    """The word's nonzero per-site Majorana blocks, in site order."""
+    full = (1 << width) - 1
+    blocks = []
+    while mask:
+        block = mask & full
+        if block:
+            blocks.append(block)
+        mask >>= width
+    return tuple(blocks)
+
+
+def _diameter(values: Iterable[complex]) -> float:
+    """max |a - b| over all pairs of the given values (0 for fewer than 2).
+
+    ``np.hypot`` is libm's hypot, as is Python's ``abs`` of a complex, so
+    the result is bit-identical to a scalar loop; ``np.abs`` of complex
+    values is not (it rounds differently in the last place).
+    """
+    vals = np.array(list(values), dtype=np.complex128)
+    diff = vals[:, None] - vals[None, :]
+    return float(np.hypot(diff.real, diff.imag).max())
+
+
+def _class_report(shape: SystemShape, values: Dict[int, complex],
+                  tol: float) -> InvarianceReport:
+    """Invariance violations from the expectation of every word up to a
+    degree cap (``values`` maps word mask -> tr(rho w)).
+
+    Permutations relabel the sites of a word's nonzero blocks, so:
+
+    * condition (1): order-preserving maps carry no sign and reach exactly
+      the words with the same block sequence;
+    * condition (2): words even on every site reach, with no sign, exactly
+      the words with the same block multiset;
+    * full invariance: any word reaches its block multiset, with the sign
+      (-1)^(inversions among odd blocks).  Values are normalised to the
+      block-sorted order; a class with two equal odd blocks has a
+      stabilizer of sign -1, so it holds both signs of every value.
+
+    Each violation is the largest class diameter, which equals the maximum
+    of |tr(rho w) - tr(rho pi(w))| over all (word, permutation) pairs.
+    """
+    width = 2 * shape.modes_per_site
+    by_sequence: Dict[Tuple[int, ...], set] = {}
+    by_multiset: Dict[Tuple[int, ...], set] = {}
+    for mask, val in values.items():
+        blocks = _site_blocks(mask, width)
+        by_sequence.setdefault(blocks, set()).add(val)
+        odd = [b for b in blocks if b.bit_count() & 1]
+        normalised = by_multiset.setdefault(tuple(sorted(blocks)), set())
+        if len(set(odd)) < len(odd):
+            normalised.update((val, -val))
+        else:
+            inversions = sum(a > b for i, a in enumerate(odd)
+                             for b in odd[i + 1:])
+            normalised.add(-val if inversions & 1 else val)
+    cond1 = max(map(_diameter, by_sequence.values()))
+    cond2 = full = 0.0
+    for key, vals in by_multiset.items():
+        diam = _diameter(vals)
+        full = max(full, diam)
+        if all(b.bit_count() % 2 == 0 for b in key):
+            cond2 = max(cond2, diam)
+    return InvarianceReport(cond1, cond2, len(values), full < tol, full)
 
 
 def check_invariance(rho: OperatorExpansion, word_degree_cap: int = 4,
-                     tol: float = 1e-9, exhaustive: Optional[bool] = None,
-                     n_samples: int = 20000, seed: int = 7) -> InvarianceReport:
-    """Check both invariance conditions on an expansion.
+                     tol: float = 1e-9) -> InvarianceReport:
+    """Exact check of both invariance conditions on an expansion.
 
-    Exhaustive mode enumerates every word up to the degree cap against
-    every site permutation; it is the default up to 6 sites.  Larger
-    systems fall back to seeded random sampling of (word, permutation)
-    pairs, always including the words actually present in ``rho``.
+    One pass over every word up to the degree cap, grouped into the
+    classes of :func:`_class_report`; no permutation is enumerated.
     """
-    shape = rho.shape
-    V = shape.sites
-    width = 2 * shape.modes_per_site
-    if exhaustive is None:
-        exhaustive = V <= 6
-    support = rho.terms.keys()
-
-    if exhaustive:
-        perms = [tuple(q + 1 for q in perm)
-                 for perm in itertools.permutations(range(V))]
-        words = list(words_up_to_degree(shape, word_degree_cap))
-        pairs: Iterable[Tuple[int, Tuple[int, ...]]] = (
-            (w, pi) for w in words for pi in perms)
-        checked_words = len(words)
-    else:
-        rng = np.random.default_rng(seed)
-        nbits = shape.majorana_count
-        sampled_words = set(support)
-        while len(sampled_words) < max(n_samples // 20, 50):
-            degree = int(rng.integers(1, word_degree_cap + 1))
-            mask = 0
-            for pos in rng.choice(nbits, size=degree, replace=False):
-                mask |= 1 << int(pos)
-            sampled_words.add(mask)
-        words = sorted(sampled_words)
-        pair_list = []
-        for _ in range(n_samples):
-            w = words[int(rng.integers(0, len(words)))]
-            pi = tuple(int(x) + 1 for x in rng.permutation(V))
-            pair_list.append((w, pi))
-        # Every support word against a fixed batch of permutations.
-        for w in sorted(support):
-            for _ in range(200):
-                pi = tuple(int(x) + 1 for x in rng.permutation(V))
-                pair_list.append((w, pi))
-        pairs = pair_list
-        checked_words = len(words)
-
-    cond1 = 0.0
-    cond2 = 0.0
-    full = 0.0
-    expect_cache: Dict[int, complex] = {}
-
-    def expect(mask: int) -> complex:
-        val = expect_cache.get(mask)
-        if val is None:
-            val = rho.expectation(mask)
-            expect_cache[mask] = val
-        return val
-
-    for w, pi in pairs:
-        e_w = expect(w)
-        mapped, mapped_mask, ordered = _mapped_word(pi, w, width)
-        if e_w == 0.0 and mapped_mask not in support:
-            continue
-        sign, canon = canonicalize_positions(mapped)
-        assert canon == mapped_mask
-        diff = abs(e_w - sign * expect(mapped_mask))
-        if diff > full:
-            full = diff
-        if ordered and diff > cond1:
-            cond1 = diff
-        if diff > cond2 and even_on_all_sites(w, shape):
-            cond2 = diff
-
-    return InvarianceReport(cond1, cond2, checked_words, full < tol, full,
-                            not exhaustive)
+    words = words_up_to_degree(rho.shape, word_degree_cap)
+    return _class_report(rho.shape, {w: rho.expectation(w) for w in words},
+                         tol)
 
 
 def check_invariance_dense(rho: DenseOperator, word_degree_cap: int = 4,
-                           n_samples: int = 4000, seed: int = 11,
                            tol: float = 1e-8) -> InvarianceReport:
-    """Sampled invariance check driven by matrix expectation values.
+    """The exact class check of :func:`check_invariance` on a dense state.
 
-    Used for states only available as dense matrices (exact ground states),
-    where converting to a full expansion would be wasteful.
+    Used for states only available as dense matrices (exact ground
+    states); the word expectations come from
+    :func:`word_expectations_dense`, one Walsh-Hadamard transform per X
+    pattern.
     """
-    shape = rho.shape
-    V = shape.sites
-    width = 2 * shape.modes_per_site
-    nbits = shape.majorana_count
-    rng = np.random.default_rng(seed)
-    expect_cache: Dict[int, complex] = {}
-
-    def expect(mask: int) -> complex:
-        val = expect_cache.get(mask)
-        if val is None:
-            val = expectation_word_dense(rho.matrix, mask, shape)
-            expect_cache[mask] = val
-        return val
-
-    cond1 = 0.0
-    cond2 = 0.0
-    full = 0.0
-    words_seen = set()
-    for _ in range(n_samples):
-        degree = int(rng.integers(1, word_degree_cap + 1))
-        mask = 0
-        for pos in rng.choice(nbits, size=degree, replace=False):
-            mask |= 1 << int(pos)
-        words_seen.add(mask)
-        pi = tuple(int(x) + 1 for x in rng.permutation(V))
-        mapped, mapped_mask, ordered = _mapped_word(pi, mask, width)
-        sign, _ = canonicalize_positions(mapped)
-        diff = abs(expect(mask) - sign * expect(mapped_mask))
-        if diff > full:
-            full = diff
-        if ordered and diff > cond1:
-            cond1 = diff
-        if diff > cond2 and even_on_all_sites(mask, shape):
-            cond2 = diff
-    return InvarianceReport(cond1, cond2, len(words_seen), full < tol, full,
-                            True)
+    words = words_up_to_degree(rho.shape, word_degree_cap)
+    return _class_report(
+        rho.shape, word_expectations_dense(rho.matrix, words, rho.shape), tol)
 
 
 def lemma3_bound(V: int, p: int, k: int) -> float:
@@ -332,11 +290,8 @@ def verify_lemma3(rho: OperatorExpansion, k: int, tol: float = 1e-9,
     else:
         lhs = trace_norm(to_matrix(diff))
     rhs = lemma3_bound(V, p, k)
-    notes = []
-    if inv_report.sampled:
-        notes.append("invariance checked by sampling")
     info: Dict[str, object] = {"V": V, "p": p, "k": k}
     if inputs:
         info.update(inputs)
     return make_report("lemma3", INEQUALITY, info, lhs, rhs, tol,
-                       time.perf_counter() - start, notes)
+                       time.perf_counter() - start)

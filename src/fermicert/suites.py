@@ -25,8 +25,8 @@ from .definetti import (SingleSiteState, best_mixture_approx,
 from .fock import (DenseOperator, check_state, operator_norm,
                    permutation_unitary, reduce_expansion, to_matrix,
                    trace_norm)
-from .invariance import (InvarianceReport, MuFamilyParams, check_invariance,
-                         mu_family_state, verify_lemma3)
+from .invariance import (MuFamilyParams, check_invariance, mu_family_state,
+                         verify_lemma3)
 from .meanfield import (BUILTIN_FAMILIES, ProductEnergyEvaluator,
                         build_hamiltonian_expansion, builtin_family,
                         min_product_energy, verify_gs_bound)
@@ -55,10 +55,6 @@ def _mu_state(V: int, mu: float) -> OperatorExpansion:
     # |mu| close to 1 exceeds the positivity range of the family; the
     # bound certifications run on the Hermitian unit-trace operator.
     return mu_family_state(MuFamilyParams(V, 1, mu), validate=False)
-
-
-def _mu_invariance(V: int, mu: float, seed: int = 7) -> InvarianceReport:
-    return check_invariance(_mu_state(V, mu), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ def run_lemma_properties(seed: int = 1, instances: int = 200
 # check-invariance
 # ---------------------------------------------------------------------------
 
-def run_check_invariance(seed: int = 7) -> Tuple[List[VerificationReport], Dict[str, Table]]:
+def run_check_invariance() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Definition checks on the mu family and full invariance of its
     even-channel image."""
     reports = []
@@ -171,7 +167,7 @@ def run_check_invariance(seed: int = 7) -> Tuple[List[VerificationReport], Dict[
         for mu in MU_SWEEP:
             start = time.perf_counter()
             state = _mu_state(V, mu)
-            rep = check_invariance(state, seed=seed)
+            rep = check_invariance(state)
             elapsed = time.perf_counter() - start
             rows.append([V, mu, rep.condition1_max_violation,
                          rep.condition2_max_violation, rep.full_max_violation,
@@ -191,7 +187,7 @@ def run_check_invariance(seed: int = 7) -> Tuple[List[VerificationReport], Dict[
     start = time.perf_counter()
     state = _mu_state(6, 1.0)
     channel = state.even_channel()
-    rep = check_invariance(channel, seed=seed)
+    rep = check_invariance(channel)
     shape = channel.shape
     pair = (1 << shape.bit_position(1, 1)) | (1 << shape.bit_position(2, 1))
     pair_val = abs(channel.expectation(pair))
@@ -210,14 +206,14 @@ def run_check_invariance(seed: int = 7) -> Tuple[List[VerificationReport], Dict[
 # verify-lemma3
 # ---------------------------------------------------------------------------
 
-def run_verify_lemma3(seed: int = 7) -> Tuple[List[VerificationReport], Dict[str, Table]]:
+def run_verify_lemma3() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Trace-norm suppression sweep over the mu family."""
     reports = []
     rows = []
     for V in V_SWEEP:
         for mu in MU_SWEEP:
             state = _mu_state(V, mu)
-            inv = check_invariance(state, seed=seed)
+            inv = check_invariance(state)
             prev = -1.0
             for k in range(1, V):
                 rep = verify_lemma3(state, k, inv_report=inv,
@@ -251,7 +247,7 @@ def run_verify_theorem1(seed: int = 3, restarts: int = 3, iters: int = 120
     for V in V_SWEEP:
         for mu in MU_SWEEP:
             state = _mu_state(V, mu)
-            inv = check_invariance(state, seed=seed)
+            inv = check_invariance(state)
             for k in range(1, V):
                 rep, mixture = verify_theorem1(
                     state, k, restarts=restarts, iters=iters, seed=seed,
@@ -448,7 +444,7 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
     # Correlated family: report the metric against the reference rate.
     V = 6
     state = _mu_state(V, 1.0)
-    inv = check_invariance(state, seed=seed)
+    inv = check_invariance(state)
     for k in (2, 3, 4):
         start = time.perf_counter()
         _, mixture = verify_theorem1(state, k, restarts=2, iters=80,
@@ -582,8 +578,8 @@ def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Ta
 
 SUITES = {
     "check-algebra": lambda seed: run_check_algebra(seed=seed),
-    "check-invariance": lambda seed: run_check_invariance(seed=seed),
-    "verify-lemma3": lambda seed: run_verify_lemma3(seed=seed),
+    "check-invariance": lambda seed: run_check_invariance(),
+    "verify-lemma3": lambda seed: run_verify_lemma3(),
     "verify-theorem1": lambda seed: run_verify_theorem1(seed=seed),
     "verify-clt": lambda seed: run_verify_clt(seed=seed),
     "verify-corollary": lambda seed: run_verify_corollary(seed=seed),

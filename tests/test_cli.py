@@ -1,6 +1,10 @@
 """CLI behaviour: exit codes, outputs, determinism of CSV bytes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,3 +146,20 @@ class TestCliSuites:
                 == (out_b / "summary.csv").read_bytes())
         assert ((out_a / "algebra.csv").read_bytes()
                 == (out_b / "algebra.csv").read_bytes())
+
+    @pytest.mark.parametrize("command", ["check-invariance", "verify-lemma3"])
+    def test_suite_csv_independent_of_blas_threads(self, tmp_path, command):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "fermicert.cli", "--out",
+                            str(out), command, "--seed", "0"],
+                           env=env, check=True, capture_output=True)
+            outputs[threads] = {p.name: p.read_bytes()
+                                for p in sorted(out.glob("*.csv"))}
+        assert len(outputs["1"]) == 2
+        assert outputs["1"] == outputs["2"]

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fermicert.algebra import OperatorExpansion, SystemShape
+from fermicert.algebra import (OperatorExpansion, SystemShape,
+                               canonicalize_positions, random_expansion)
 from fermicert.fock import (DenseOperator, partial_trace_sites,
                             reduce_expansion, to_matrix, trace_norm)
 from fermicert.invariance import (InvarianceReport, MuFamilyParams,
@@ -34,6 +36,69 @@ def order_preserving_reference(pi, mask, shape):
             site, rem = divmod(g, 2 * shape.modes_per_site)
             pairs.append((pi[site], rem))
     return all(pairs[i] < pairs[i + 1] for i in range(len(pairs) - 1))
+
+
+def pairwise_violations(rho, cap=4):
+    """Independent oracle for the invariance checker: every word up to the
+    degree cap against every site permutation, comparing tr(rho w) with
+    tr(rho pi(w)) pair by pair.  Returns (cond1, cond2, full)."""
+    shape = rho.shape
+    width = 2 * shape.modes_per_site
+    site_mask = (1 << width) - 1
+    perms = list(itertools.permutations(range(shape.sites)))
+    support = rho.terms.keys()
+    cond1 = cond2 = full = 0.0
+    for degree in range(cap + 1):
+        for combo in itertools.combinations(range(shape.majorana_count),
+                                            degree):
+            w = sum(1 << g for g in combo)
+            e_w = rho.expectation(w)
+            even = all(((w >> (s * width)) & site_mask).bit_count() % 2 == 0
+                       for s in range(shape.sites))
+            for pi in perms:
+                mapped = [pi[g // width] * width + g % width for g in combo]
+                ordered = all(a < b for a, b in zip(mapped, mapped[1:]))
+                sign, mapped_mask = canonicalize_positions(mapped)
+                if e_w == 0.0 and mapped_mask not in support:
+                    continue
+                diff = abs(e_w - sign * rho.expectation(mapped_mask))
+                full = max(full, diff)
+                if ordered:
+                    cond1 = max(cond1, diff)
+                if even:
+                    cond2 = max(cond2, diff)
+    return cond1, cond2, full
+
+
+def symmetrised(rho, ordered_only):
+    """Sum of the images of rho under all site permutations, or of each
+    of its words under the permutations that preserve that word's order."""
+    shape = rho.shape
+    out = OperatorExpansion(shape, {})
+    for pi in itertools.permutations(range(1, shape.sites + 1)):
+        for mask, coeff in rho.terms.items():
+            if not ordered_only or is_order_preserving(pi, mask, shape):
+                out = out + OperatorExpansion(shape, {mask: coeff}
+                                              ).apply_permutation(pi)
+    return out
+
+
+ORACLE_SHAPES = [SystemShape(V, p) for V, p in
+                 ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2))]
+
+
+@st.composite
+def oracle_states(draw):
+    shape = draw(st.sampled_from(ORACLE_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rho = random_expansion(shape, rng, n_terms=draw(st.integers(1, 8)),
+                           max_degree=5)
+    rho = (1.0 / shape.fock_dim) * rho
+    kind = draw(st.sampled_from(["raw", "all-permutations",
+                                 "order-preserving"]))
+    if kind != "raw":
+        rho = symmetrised(rho, kind == "order-preserving")
+    return rho
 
 
 class TestOrderPreserving:
@@ -128,19 +193,82 @@ class TestCheckInvariance:
         # The sign swap costs exactly 2 tan(pi/12).
         assert abs(rep.full_max_violation - 2.0 * TAN6) < 1e-12
 
-    def test_sampled_path_agrees(self):
-        state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
-        rep = check_invariance(state, exhaustive=False, n_samples=4000,
-                               seed=3)
-        assert rep.sampled
+    def test_v8_exact(self):
+        state = mu_family_state(MuFamilyParams(8, 1, 1.0), validate=False)
+        rep = check_invariance(state)
+        # Every word of degree <= 4 over 16 Majoranas.
+        assert rep.checked_words == 2517
+        assert not rep.sampled
         assert rep.max_violation() < 1e-10
         assert not rep.fully_invariant
+        assert rep.full_max_violation == pytest.approx(
+            2.0 * math.tan(math.pi / 16.0), abs=1e-12)
 
     def test_dense_checker_matches(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
-        rep = check_invariance_dense(to_matrix(state), n_samples=3000, seed=5)
+        rep = check_invariance_dense(to_matrix(state))
         assert rep.max_violation() < 1e-10
         assert not rep.fully_invariant
+        assert rep.checked_words == 794
+        assert rep.full_max_violation == pytest.approx(2.0 * TAN6, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(oracle_states())
+    def test_matches_pairwise_oracle(self, rho):
+        cond1, cond2, full = pairwise_violations(rho)
+        rep = check_invariance(rho)
+        assert (rep.condition1_max_violation, rep.condition2_max_violation,
+                rep.full_max_violation) == (cond1, cond2, full)
+        assert rep.fully_invariant == (full < 1e-9)
+        dense = check_invariance_dense(to_matrix(rho))
+        assert (dense.condition1_max_violation,
+                dense.condition2_max_violation,
+                dense.full_max_violation) == pytest.approx(
+                    (cond1, cond2, full), abs=1e-12)
+
+    def test_equal_odd_blocks_force_zero(self):
+        # m_1^1 m_2^1 at V = 2: the swap of its two equal odd blocks maps
+        # the word to minus itself, so full invariance needs e = -e.
+        sh = SystemShape(2, 1)
+        rho = OperatorExpansion(sh, {0: 0.25,
+                                     mask_of(sh, (1, 1), (2, 1)): 0.1j})
+        e = rho.expectation(mask_of(sh, (1, 1), (2, 1)))
+        rep = check_invariance(rho)
+        assert rep.max_violation() == 0.0
+        assert rep.full_max_violation == pytest.approx(2.0 * abs(e),
+                                                       rel=1e-15)
+        assert rep.full_max_violation == pairwise_violations(rho)[2]
+
+    def test_odd_block_reordering_sign(self):
+        # Swapping sites 1 and 2 maps m_1^1 m_2^2 to m_2^1 m_1^2
+        # = -m_1^2 m_2^1, so full invariance pairs the two words with
+        # opposite expectations.
+        sh = SystemShape(2, 1)
+        w12 = mask_of(sh, (1, 1), (2, 2))
+        w21 = mask_of(sh, (1, 2), (2, 1))
+        opposite = OperatorExpansion(sh, {0: 0.25, w12: 0.1j, w21: -0.1j})
+        assert check_invariance(opposite).full_max_violation == 0.0
+        same = OperatorExpansion(sh, {0: 0.25, w12: 0.1j, w21: 0.1j})
+        rep = check_invariance(same)
+        assert rep.full_max_violation == pytest.approx(
+            2.0 * abs(same.expectation(w12)), rel=1e-15)
+        assert rep.max_violation() == 0.0
+
+    def test_even_block_multiset_condition2(self):
+        # Even blocks A = m^1 m^2 and B = m^3 m^4: condition (1) never
+        # relates A-then-B to B-then-A, condition (2) does.
+        sh = SystemShape(2, 2)
+        ab = mask_of(sh, (1, 1), (1, 2), (2, 3), (2, 4))
+        ba = mask_of(sh, (1, 3), (1, 4), (2, 1), (2, 2))
+        rho = OperatorExpansion(sh, {0: 1.0 / 16.0, ab: 0.1, ba: 0.3})
+        rep = check_invariance(rho)
+        assert rep.condition1_max_violation == 0.0
+        assert rep.condition2_max_violation == pytest.approx(
+            abs(rho.expectation(ab) - rho.expectation(ba)), rel=1e-15)
+        assert rep.condition2_max_violation > 0.0
+        assert (rep.condition1_max_violation, rep.condition2_max_violation,
+                rep.full_max_violation) == pairwise_violations(rho)
 
     def test_channel_output_fully_invariant(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
@@ -224,6 +352,11 @@ class TestVerifyLemma3:
         lopsided = OperatorExpansion(sh, terms)
         with pytest.raises(ValueError, match="not permutation invariant"):
             verify_lemma3(lopsided, 2)
+        # The pair correlator sits on sites (1, 2) only, so condition (1)
+        # is broken by |tr(rho m_1^1 m_2^1)| = 0.01 * 64.
+        rep = check_invariance(lopsided)
+        assert rep.condition1_max_violation == pytest.approx(0.64, rel=1e-14)
+        assert rep.condition2_max_violation == 0.0
 
     def test_reduction_site_choice_immaterial(self, mu1):
         # Permutation invariance makes the reduced-site choice irrelevant.
