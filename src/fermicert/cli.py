@@ -129,26 +129,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory for reports and CSV tables")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, seed_required=False):
+    def add(name, help_text, seed=None):
+        """``seed``: "required" for optimizer commands, "optional" for
+        randomized checks, None for deterministic commands (no --seed)."""
         sub = subs.add_parser(
             name, help=help_text,
             formatter_class=argparse.RawDescriptionHelpFormatter,
             epilog=_CSV_DOC + _TABLE_DOCS.get(name, ""))
-        if seed_required:
+        if seed == "required":
             sub.add_argument("--seed", type=int, required=True,
                              help="RNG seed (required: optimizer command)")
-        else:
+        elif seed == "optional":
             sub.add_argument("--seed", type=int, default=0, help="RNG seed")
+        else:
+            sub.set_defaults(seed=None)
         return sub
 
-    add("check-algebra", "symbolic algebra against the dense oracle")
+    add("check-algebra", "symbolic algebra against the dense oracle",
+        seed="optional")
     add("check-invariance", "permutation-invariance definition checks")
 
     lem = add("verify-lemma3", "trace-norm suppression certification")
     _add_state_args(lem)
 
     th = add("verify-theorem1", "product-mixture approximation certification",
-             seed_required=True)
+             seed="required")
     _add_state_args(th)
     th.add_argument("--restarts", type=int, default=8)
     th.add_argument("--iters", type=int, default=500)
@@ -157,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("verify-clt", "Fourier-cumulant factorization and suppression")
     add("verify-corollary", "Gaussian-mixture deviation scaling",
-        seed_required=True)
+        seed="required")
 
     rdm = add("rdm-spectrum", "closed-form 1-RDM spectra against the "
                               "eigensolver")
@@ -168,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     rdm.add_argument("--b-im", type=float, default=0.0)
 
     gs = add("gs-bound", "mean-field energy-gap certification",
-             seed_required=True)
+             seed="required")
     gs.add_argument("--hamiltonian", default=None,
                     choices=list(BUILTIN_FAMILIES),
                     help="built-in family (omit to sweep all at V=6)")
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--restarts", type=int, default=8)
     gs.add_argument("--iters", type=int, default=3)
 
-    add("all", "every suite, fixed order", seed_required=True)
+    add("all", "every suite, fixed order", seed="required")
     return parser
 
 

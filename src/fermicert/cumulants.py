@@ -17,11 +17,22 @@ definition, and certifies:
 * the V^{(2-w)/2} suppression of higher Fourier cumulants,
 * the Gaussian-mixture deviation metric used by the correlated-state
   central limit corollary.
+
+Ladder operators are never formed as dense matrices.  A site ladder
+f = (m^(2a-1) + i c m^(2a))/2 is a signed XOR permutation: its two
+Majorana strings flip the same Fock-basis bit, so row a holds one entry,
+at column cols[a] = a ^ x, with value vals[a] in {0, +-1, +-i}.  A
+Fourier ladder is the sum of V such phased terms.  A moment
+tr(rho L_1 ... L_w) multiplies rho by each ladder with an O(dim^2) column
+gather and takes the last factor into the trace at O(dim);
+:func:`ladder_matrix` and :func:`fourier_ladder_matrix` are dense views
+of the same terms.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import time
@@ -31,9 +42,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import SystemShape
-from .definetti import ProductMixture, SingleSiteState, product_power
+from .definetti import (ProductMixture, SingleSiteState, product_power,
+                        site_parity_diagonal)
 from .errors import ResourceCapError
-from .fock import DenseOperator, jw_matrix, mode_cap
+from .fock import (DenseOperator, ensure_within_cap, mode_cap,
+                   word_string_entries)
 from .report import (EQUALITY, INEQUALITY, PROPERTY, VerificationReport,
                      make_report)
 
@@ -140,7 +153,83 @@ def moment_from_cumulant_fn(cumulant_fn: Callable[[Tuple[int, ...]], complex],
     return total
 
 
-def _matrix_moment_fn(rho: np.ndarray, mats: Sequence[np.ndarray]):
+#: A ladder operator as signed XOR-permutation terms (cols, vals): the
+#: matrix sum over terms of the entries [a, cols[a]] = vals[a].
+LadderTerms = Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=512)
+def ladder_terms(shape: SystemShape, c: int, site: int, mode: int
+                 ) -> LadderTerms:
+    """Site ladder f (c = +1) or f-dagger (c = -1) as one signed XOR
+    permutation: f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings
+    share their column indices.  Cached; the arrays are read-only."""
+    if c not in (1, -1):
+        raise ValueError(f"c must be +1 or -1, got {c}")
+    cols, v1 = word_string_entries(1 << shape.bit_position(site, 2 * mode - 1),
+                                   shape)
+    _, v2 = word_string_entries(1 << shape.bit_position(site, 2 * mode), shape)
+    vals = 0.5 * (v1 + 1j * v2) if c == 1 else 0.5 * (v1 - 1j * v2)
+    _read_only(cols, vals)
+    return ((cols, vals),)
+
+
+@functools.lru_cache(maxsize=256)
+def fourier_ladder_terms(shape: SystemShape, c: int, mode: int,
+                         q: int) -> LadderTerms:
+    """Fourier ladder (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c as V
+    phased site-ladder terms.  Cached; the arrays are read-only."""
+    V = shape.sites
+    if q not in fourier_q_range(V):
+        raise ValueError(f"q = {q} outside {fourier_q_range(V)} for V = {V}")
+    terms = []
+    for j in range(1, V + 1):
+        ((cols, vals),) = ladder_terms(shape, c, j, mode)
+        phased = cmath.exp(2j * math.pi * c * q * j / V) * vals / math.sqrt(V)
+        _read_only(phased)
+        terms.append((cols, phased))
+    return tuple(terms)
+
+
+def _dense(shape: SystemShape, terms: LadderTerms) -> np.ndarray:
+    ensure_within_cap(shape)
+    dim = shape.fock_dim
+    rows = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for cols, vals in terms:
+        out[rows, cols] += vals
+    return out
+
+
+def _times_ladder(acc: np.ndarray, terms: LadderTerms) -> np.ndarray:
+    """acc @ L.  Column b of a term's matrix holds vals[cols[b]] in row
+    cols[b] (cols is an involution), so (acc @ L)[:, b] sums
+    acc[:, cols[b]] * vals[cols[b]] over the terms."""
+    out = None
+    for cols, vals in terms:
+        part = np.take(acc, cols, axis=1)
+        part *= vals[cols]
+        if out is None:
+            out = part
+        else:
+            out += part
+    return out
+
+
+def _trace_times_ladder(acc: np.ndarray, terms: LadderTerms) -> complex:
+    """tr(acc @ L) = sum over terms and rows a of acc[a, cols[a]] *
+    vals[cols[a]], at O(dim) per term."""
+    rows = np.arange(len(acc))
+    return sum(complex(np.dot(acc[rows, cols], vals[cols]))
+               for cols, vals in terms)
+
+
+def _matrix_moment_fn(rho: np.ndarray, ladders: Sequence[LadderTerms]):
     cache: Dict[Tuple[int, ...], complex] = {}
 
     def moment(positions: Tuple[int, ...]) -> complex:
@@ -148,9 +237,9 @@ def _matrix_moment_fn(rho: np.ndarray, mats: Sequence[np.ndarray]):
         if hit is not None:
             return hit
         acc = rho
-        for i in positions:
-            acc = acc @ mats[i]
-        val = complex(np.trace(acc))
+        for i in positions[:-1]:
+            acc = _times_ladder(acc, ladders[i])
+        val = _trace_times_ladder(acc, ladders[positions[-1]])
         cache[positions] = val
         return val
 
@@ -160,49 +249,38 @@ def _matrix_moment_fn(rho: np.ndarray, mats: Sequence[np.ndarray]):
 def ladder_matrix(shape: SystemShape, c: int, site: int, mode: int) -> np.ndarray:
     """Dense ladder operator f (c = +1) or f-dagger (c = -1) from the two
     Majoranas of the mode: f = (m^(2a-1) + i m^(2a))/2."""
-    g1 = shape.bit_position(site, 2 * mode - 1)
-    g2 = shape.bit_position(site, 2 * mode)
-    m1 = jw_matrix(1 << g1, shape).matrix
-    m2 = jw_matrix(1 << g2, shape).matrix
-    if c == 1:
-        return 0.5 * (m1 + 1j * m2)
-    return 0.5 * (m1 - 1j * m2)
+    return _dense(shape, ladder_terms(shape, c, site, mode))
 
 
 def fourier_ladder_matrix(shape: SystemShape, c: int, mode: int,
                           q: int) -> np.ndarray:
     """Fourier ladder mode (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c."""
-    V = shape.sites
-    if q not in fourier_q_range(V):
-        raise ValueError(f"q = {q} outside {fourier_q_range(V)} for V = {V}")
-    out = np.zeros((shape.fock_dim, shape.fock_dim), dtype=np.complex128)
-    for j in range(1, V + 1):
-        phase = cmath.exp(2j * math.pi * c * q * j / V)
-        out += phase * ladder_matrix(shape, c, j, mode)
-    return out / math.sqrt(V)
+    return _dense(shape, fourier_ladder_terms(shape, c, mode, q))
+
+
+def _site_ladders(shape: SystemShape,
+                  ops: Sequence[LadderIndex]) -> List[LadderTerms]:
+    return [ladder_terms(shape, o.c, o.site, o.mode) for o in ops]
 
 
 def moment(rho: DenseOperator, ops: Sequence[LadderIndex]) -> complex:
     """tr(rho f^{c_1} ... f^{c_w}) for site-local ladder operators."""
-    mats = [ladder_matrix(rho.shape, o.c, o.site, o.mode) for o in ops]
-    fn = _matrix_moment_fn(rho.matrix, mats)
+    fn = _matrix_moment_fn(rho.matrix, _site_ladders(rho.shape, ops))
     return fn(tuple(range(len(ops))))
 
 
 def cumulant(rho: DenseOperator, ops: Sequence[LadderIndex]) -> complex:
     """Order-|ops| joint cumulant of site-local ladder operators."""
-    if len(ops) % 2:
-        raise ValueError("cumulants need an even number of operators")
-    mats = [ladder_matrix(rho.shape, o.c, o.site, o.mode) for o in ops]
-    return cumulant_from_moment_fn(_matrix_moment_fn(rho.matrix, mats),
-                                   len(ops))
+    return cumulant_mats(rho.matrix, _site_ladders(rho.shape, ops))
 
 
-def cumulant_mats(rho: np.ndarray, mats: Sequence[np.ndarray]) -> complex:
-    """Joint cumulant for explicitly given operator matrices."""
-    if len(mats) % 2:
+def cumulant_mats(rho: np.ndarray, ladders: Sequence[LadderTerms]) -> complex:
+    """Joint cumulant of ladder operators given as signed XOR-permutation
+    terms (:func:`ladder_terms`, :func:`fourier_ladder_terms`)."""
+    if len(ladders) % 2:
         raise ValueError("cumulants need an even number of operators")
-    return cumulant_from_moment_fn(_matrix_moment_fn(rho, mats), len(mats))
+    return cumulant_from_moment_fn(_matrix_moment_fn(rho, ladders),
+                                   len(ladders))
 
 
 # -- Fourier cumulants of product states ---------------------------------------
@@ -217,6 +295,12 @@ class FourierCumulantResult:
     phase_sum: complex
     distinct_triples: bool
     resonant: bool
+
+
+def _phase_sum(total_q: int, V: int) -> complex:
+    """sum_{j=1..V} exp(2 pi i total_q j / V)."""
+    return sum(cmath.exp(2j * math.pi * total_q * j / V)
+               for j in range(1, V + 1))
 
 
 def _require_single_site(rho_single: DenseOperator) -> int:
@@ -248,8 +332,7 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
     site_ops = [LadderIndex(o.c, 1, o.mode) for o in ops]
     k_single = cumulant(rho_single, site_ops)
     total_q = sum(o.c * o.q for o in ops)
-    phase_sum = sum(cmath.exp(2j * math.pi * total_q * j / V)
-                    for j in range(1, V + 1))
+    phase_sum = _phase_sum(total_q, V)
     closed = (V ** (-w / 2.0)) * k_single * phase_sum
     resonant = total_q % V == 0
 
@@ -257,9 +340,9 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
     if V * p <= mode_cap() or override_cap:
         xi = SingleSiteState(rho_single.matrix, True)
         big = product_power(xi, V, override_cap=override_cap)
-        mats = [fourier_ladder_matrix(big.shape, o.c, o.mode, o.q)
-                for o in ops]
-        direct = cumulant_mats(big.matrix, mats)
+        ladders = [fourier_ladder_terms(big.shape, o.c, o.mode, o.q)
+                   for o in ops]
+        direct = cumulant_mats(big.matrix, ladders)
 
     triples = [o.triple() for o in ops]
     return FourierCumulantResult(direct, complex(closed), complex(k_single),
@@ -268,15 +351,20 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
 
 
 def verify_suppression(rho_single: DenseOperator, V: int,
-                       ops: Sequence[LadderIndex],
-                       tol: float = 1e-9) -> VerificationReport:
+                       ops: Sequence[LadderIndex], tol: float = 1e-9,
+                       result: Optional[FourierCumulantResult] = None
+                       ) -> VerificationReport:
     """Certify |K_w(Fourier modes of the V-fold copy)| <=
-    V^((2-w)/2) |K_w(single site)|."""
+    V^((2-w)/2) |K_w(single site)|.
+
+    ``result`` is ``fourier_cumulant(rho_single, V, ops)`` when the caller
+    already has it; otherwise it is computed here."""
     start = time.perf_counter()
     w = len(ops)
     if w <= 2:
         raise ValueError("suppression concerns cumulant orders w > 2")
-    result = fourier_cumulant(rho_single, V, ops)
+    if result is None:
+        result = fourier_cumulant(rho_single, V, ops)
     lhs = abs(result.direct if result.direct is not None else result.closed_form)
     rhs = (V ** ((2.0 - w) / 2.0)) * abs(result.single_site_cumulant)
     notes = ["closed form used (over mode cap)"] if result.direct is None else []
@@ -329,21 +417,34 @@ def gaussian_mixture_deviation(rho_k: DenseOperator, mixture: ProductMixture,
 
     Each mixture component is replaced by the Gaussian state with the same
     second Fourier moments; the predicted cumulant is extracted from the
-    weighted Wick moments.  Returns (direct, predicted).
+    weighted Wick moments.  Returns (direct, predicted).  Raises
+    ``ValueError`` when a component has a nonzero odd entry.
     """
     shape = rho_k.shape
-    mats = [fourier_ladder_matrix(shape, o.c, o.mode, o.q) for o in ops]
-    direct = cumulant_mats(rho_k.matrix, mats)
+    k, p = shape.sites, shape.modes_per_site
+    ladders = [fourier_ladder_terms(shape, o.c, o.mode, o.q) for o in ops]
+    direct = cumulant_mats(rho_k.matrix, ladders)
 
-    # tr(P A_i A_j) = sum_ab P[a, b] (A_i A_j)^T[a, b]: each pair product is
-    # formed once and shared by every component.
-    pair_products = {(i, j): (mats[i] @ mats[j]).T.ravel()
-                     for i in range(len(ops)) for j in range(i + 1, len(ops))}
+    # For an even site state xi the cross-site terms of tr(xi^(x k) A_i A_j)
+    # vanish and the Jordan-Wigner strings cancel, leaving one site:
+    # (1/k) sum_s exp(2 pi i (c_i q_i + c_j q_j) s / k) tr(xi f_i f_j).
+    site = SystemShape(1, p)
+    signs = site_parity_diagonal(p)
+    odd = signs[:, None] != signs[None, :]
+    index_pairs = [(i, j) for i in range(len(ops))
+                   for j in range(i + 1, len(ops))]
+    phases = {(i, j): _phase_sum(ops[i].c * ops[i].q + ops[j].c * ops[j].q,
+                                 k) / k
+              for i, j in index_pairs}
+    site_ops = [LadderIndex(o.c, 1, o.mode) for o in ops]
     comp_pairs: List[Dict[Tuple[int, int], complex]] = []
     for xi in mixture.components:
-        power = product_power(xi, shape.sites).matrix.ravel()
-        comp_pairs.append({ij: complex(np.dot(power, prod))
-                           for ij, prod in pair_products.items()})
+        if np.any(xi.matrix[odd]):
+            raise ValueError("Gaussian-mixture pair values need even "
+                             "mixture components")
+        xi_site = DenseOperator(site, xi.matrix)
+        comp_pairs.append({(i, j): phases[i, j] * moment(
+            xi_site, [site_ops[i], site_ops[j]]) for i, j in index_pairs})
 
     weights = np.asarray(mixture.weights, dtype=float)
 

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .algebra import SystemShape
-from .cumulants import LadderIndex, ladder_matrix
+from .cumulants import ladder_terms
 from .errors import SingularSpectrumError
 from .fock import DenseOperator, check_state
 from .report import INEQUALITY, VerificationReport, make_report
@@ -67,7 +67,13 @@ class CirculantParams:
 
 def one_rdm(rho: DenseOperator, require_state: bool = True) -> OneRDM:
     """Compute Gamma[j, k] = tr(rho f_j† f_k) over the site-major flattened
-    modes, symmetrized with the residual reported."""
+    modes, symmetrized with the residual reported.
+
+    Each ladder is a signed XOR permutation (:func:`cumulants.ladder_terms`):
+    f_j† maps row a to column cj[a] with value dj[a], and f_k maps row b to
+    ck[b] with vk[b].  So f_j† f_k has the single entry dj[a] vk[cj[a]] at
+    column ck[cj[a]] of row a, and Gamma[j, k] is one O(dim) gather on rho.
+    No dense ladder or matrix product is formed."""
     shape = rho.shape
     if require_state:
         validity = check_state(rho)
@@ -76,20 +82,16 @@ def one_rdm(rho: DenseOperator, require_state: bool = True) -> OneRDM:
                 "one_rdm needs a valid state: trace="
                 f"{validity.trace_value}, min eig {validity.min_eigenvalue:.3e}")
     n = shape.total_modes
-    p = shape.modes_per_site
-    creators = []
-    annihilators = []
-    for site in range(1, shape.sites + 1):
-        for mode in range(1, p + 1):
-            creators.append(ladder_matrix(shape, -1, site, mode))
-            annihilators.append(ladder_matrix(shape, 1, site, mode))
+    modes = [(site, mode) for site in range(1, shape.sites + 1)
+             for mode in range(1, shape.modes_per_site + 1)]
+    creators = [ladder_terms(shape, -1, *sm)[0] for sm in modes]
+    annihilators = [ladder_terms(shape, 1, *sm)[0] for sm in modes]
+    rows = np.arange(shape.fock_dim)
     gamma = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        left = rho.matrix @ creators[j]
-        left_t = left.T
-        for k in range(n):
-            # tr(rho f_j† f_k) without a second matrix product
-            gamma[j, k] = np.sum(left_t * annihilators[k])
+    for j, (cj, dj) in enumerate(creators):
+        for k, (ck, vk) in enumerate(annihilators):
+            # tr(rho M) = sum_a M[a, col(a)] rho[col(a), a]
+            gamma[j, k] = np.dot(dj * vk[cj], rho.matrix[ck[cj], rows])
     residual = float(np.max(np.abs(gamma - gamma.conj().T)))
     gamma = 0.5 * (gamma + gamma.conj().T)
     return OneRDM(gamma, shape, residual)

@@ -13,6 +13,11 @@ from fermicert.cli import main
 from fermicert.report import (INEQUALITY, EQUALITY, make_report,
                               render_reports, reports_to_rows, write_csv)
 
+#: Deterministic suites (no --seed) and the CSV tables each one writes,
+#: summary.csv included.
+SEED_FREE_CSV_COUNT = {"check-invariance": 2, "verify-lemma3": 2,
+                       "verify-clt": 4, "rdm-spectrum": 3}
+
 
 class TestReports:
     def test_inequality_verdict(self):
@@ -147,7 +152,13 @@ class TestCliSuites:
         assert ((out_a / "algebra.csv").read_bytes()
                 == (out_b / "algebra.csv").read_bytes())
 
-    @pytest.mark.parametrize("command", ["check-invariance", "verify-lemma3"])
+    @pytest.mark.parametrize("command", list(SEED_FREE_CSV_COUNT))
+    def test_seed_free_commands_reject_seed(self, tmp_path, command):
+        with pytest.raises(SystemExit) as err:
+            main(["--out", str(tmp_path), command, "--seed", "0"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", list(SEED_FREE_CSV_COUNT))
     def test_suite_csv_independent_of_blas_threads(self, tmp_path, command):
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = {}
@@ -157,9 +168,9 @@ class TestCliSuites:
                            filter(None, [src, os.environ.get("PYTHONPATH")])))
             out = tmp_path / f"threads{threads}"
             subprocess.run([sys.executable, "-m", "fermicert.cli", "--out",
-                            str(out), command, "--seed", "0"],
+                            str(out), command],
                            env=env, check=True, capture_output=True)
             outputs[threads] = {p.name: p.read_bytes()
                                 for p in sorted(out.glob("*.csv"))}
-        assert len(outputs["1"]) == 2
+        assert len(outputs["1"]) == SEED_FREE_CSV_COUNT[command]
         assert outputs["1"] == outputs["2"]

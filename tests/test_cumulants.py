@@ -1,17 +1,20 @@
 """Even-partition combinatorics, cumulant extraction, and the Fourier-mode
 central-limit machinery."""
 
+import cmath
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_even_density_matrix
+from conftest import independent_ladder, random_even_density_matrix
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import (LadderIndex, corollary_index_sets, cumulant,
-                                 cumulant_from_moment_fn, even_partitions,
-                                 fourier_cumulant, fourier_ladder_matrix,
+                                 cumulant_from_moment_fn, cumulant_mats,
+                                 even_partitions, fourier_cumulant,
+                                 fourier_ladder_matrix, fourier_ladder_terms,
                                  fourier_q_range, gaussian_mixture_deviation,
                                  ladder_matrix, lemma4_equality_report,
                                  moment, moment_from_cumulant_fn,
@@ -28,6 +31,46 @@ CORRELATED = DenseOperator(SH12, np.diag([0.5, 0.1, 0.1, 0.3]).astype(complex))
 
 F = LadderIndex(1, 1, 1)
 FDAG = LadderIndex(-1, 1, 1)
+
+#: Shapes of the kron-chain oracle tests: three modes split over sites.
+ORACLE_SHAPES = (SystemShape(3, 1), SystemShape(2, 2), SystemShape(1, 3))
+
+
+def oracle_ladder(shape, c, site, mode):
+    """f (c = +1) or f-dagger (c = -1) from the explicit kron chain."""
+    f = independent_ladder(shape.total_modes,
+                           (site - 1) * shape.modes_per_site + mode - 1)
+    return f if c == 1 else f.conj().T
+
+
+def oracle_fourier(shape, c, mode, q):
+    """(1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c as a dense kron sum."""
+    V = shape.sites
+    return sum(cmath.exp(2j * math.pi * c * q * j / V)
+               * oracle_ladder(shape, c, j, mode)
+               for j in range(1, V + 1)) / math.sqrt(V)
+
+
+def dense_moment(rho, mats):
+    return complex(np.trace(rho @ functools.reduce(np.matmul, mats)))
+
+
+def dense_cumulant(rho, mats):
+    """K_2 and K_4 written out over the even partitions."""
+    def m(*idx):
+        return dense_moment(rho, [mats[i] for i in idx])
+
+    if len(mats) == 2:
+        return m(0, 1)
+    return (m(0, 1, 2, 3) - m(0, 1) * m(2, 3) + m(0, 2) * m(1, 3)
+            - m(0, 3) * m(1, 2))
+
+
+def random_site_ops(shape, w, rng):
+    return [LadderIndex(1 if rng.random() < 0.5 else -1,
+                        int(rng.integers(1, shape.sites + 1)),
+                        int(rng.integers(1, shape.modes_per_site + 1)))
+            for _ in range(w)]
 
 
 def independent_even_partition_count(w: int) -> int:
@@ -107,6 +150,24 @@ class TestMoments:
         assert np.allclose(f, [[0, 1], [0, 0]])
         assert np.allclose(ladder_matrix(SH1, -1, 1, 1), f.conj().T)
 
+    def test_ladder_matrix_matches_kron_oracle(self):
+        for sh in ORACLE_SHAPES:
+            for site in range(1, sh.sites + 1):
+                for mode in range(1, sh.modes_per_site + 1):
+                    for c in (1, -1):
+                        assert np.array_equal(
+                            ladder_matrix(sh, c, site, mode),
+                            oracle_ladder(sh, c, site, mode))
+
+    def test_moments_match_kron_oracle(self, rng):
+        for sh in ORACLE_SHAPES:
+            rho = random_even_density_matrix(sh, rng)
+            dense = DenseOperator(sh, rho)
+            for w in (1, 2, 3, 4, 4, 4):
+                ops = random_site_ops(sh, w, rng)
+                mats = [oracle_ladder(sh, o.c, o.site, o.mode) for o in ops]
+                assert abs(moment(dense, ops) - dense_moment(rho, mats)) < 1e-12
+
 
 class TestCumulants:
     def test_k2_equals_moment(self, rng):
@@ -167,6 +228,16 @@ class TestCumulants:
         with pytest.raises(ValueError):
             cumulant(VACUUM, [F])
 
+    def test_cumulants_match_kron_oracle(self, rng):
+        for sh in ORACLE_SHAPES:
+            rho = random_even_density_matrix(sh, rng)
+            dense = DenseOperator(sh, rho)
+            for w in (2, 4, 4, 4):
+                ops = random_site_ops(sh, w, rng)
+                mats = [oracle_ladder(sh, o.c, o.site, o.mode) for o in ops]
+                assert abs(cumulant(dense, ops)
+                           - dense_cumulant(rho, mats)) < 1e-12
+
 
 class TestFourierCumulants:
     def test_q_range(self):
@@ -215,12 +286,28 @@ class TestFourierCumulants:
             fourier_cumulant(DIAG_THIRDS, 3, [FDAG, F])
 
     def test_fourier_op_matrix(self):
-        # a_0 is the uniform ladder combination.
-        sh = SystemShape(2, 1)
-        a0 = fourier_ladder_matrix(sh, 1, 1, 0)
-        manual = (ladder_matrix(sh, 1, 1, 1)
-                  + ladder_matrix(sh, 1, 2, 1)) / math.sqrt(2.0)
-        assert np.allclose(a0, manual)
+        for sh in ORACLE_SHAPES:
+            for mode in range(1, sh.modes_per_site + 1):
+                for q in fourier_q_range(sh.sites):
+                    for c in (1, -1):
+                        assert np.allclose(
+                            fourier_ladder_matrix(sh, c, mode, q),
+                            oracle_fourier(sh, c, mode, q), atol=1e-15)
+
+    def test_fourier_moments_match_kron_oracle(self, rng):
+        # Several phased terms per ladder: the multi-term gather and trace.
+        for sh in ORACLE_SHAPES:
+            rho = random_even_density_matrix(sh, rng)
+            qs = list(fourier_q_range(sh.sites))
+            for _ in range(4):
+                ops = [LadderIndex(int(c), 1, int(rng.integers(
+                           1, sh.modes_per_site + 1)), int(rng.choice(qs)))
+                       for c in rng.choice([1, -1], size=4)]
+                ladders = [fourier_ladder_terms(sh, o.c, o.mode, o.q)
+                           for o in ops]
+                mats = [oracle_fourier(sh, o.c, o.mode, o.q) for o in ops]
+                assert abs(cumulant_mats(rho, ladders)
+                           - dense_cumulant(rho, mats)) < 1e-12
 
 
 class TestSuppression:
@@ -314,6 +401,17 @@ class TestWick:
             want = cumulant_from_moment_fn(naive_moment, 4)
             _, predicted = gaussian_mixture_deviation(rho_k, mixture, ops)
             assert abs(predicted - want) < 1e-12
+
+    def test_gaussian_mixture_deviation_rejects_odd_component(self):
+        # The closed-form pair values hold for even components only.
+        odd = np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex)
+        odd[0, 1] = odd[1, 0] = 1e-18
+        mixture = ProductMixture(np.array([1.0]),
+                                 (SingleSiteState(odd, True),))
+        rho2 = product_power(SingleSiteState(CORRELATED.matrix, True), 2)
+        with pytest.raises(ValueError, match="even"):
+            gaussian_mixture_deviation(rho2, mixture,
+                                       corollary_index_sets(2, 2)[0])
 
     def test_corollary_metric_scales_inverse_k(self):
         xi = SingleSiteState(CORRELATED.matrix, True)

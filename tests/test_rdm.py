@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
+from conftest import (independent_ladder, random_density_matrix,
+                      random_even_density_matrix)
 from fermicert.algebra import SystemShape
 from fermicert.definetti import SingleSiteState, product_power
 from fermicert.errors import SingularSpectrumError
@@ -54,6 +55,18 @@ class TestOneRDM:
         rdm = one_rdm(to_matrix(state), require_state=False)
         eigs = np.linalg.eigvalsh(rdm.gamma)
         assert eigs[0] > -1e-10 and eigs[-1] < 1.0 + 1e-10
+
+    def test_matches_kron_oracle(self, rng):
+        # Gamma[j, k] = tr(rho f_j† f_k) with kron-chain ladders.
+        for sh in (SystemShape(3, 1), SystemShape(2, 2), SystemShape(1, 3)):
+            rho = random_even_density_matrix(sh, rng)
+            n = sh.total_modes
+            fs = [independent_ladder(n, mode) for mode in range(n)]
+            want = np.array([[np.trace(rho @ fj.conj().T @ fk) for fk in fs]
+                             for fj in fs])
+            rdm = one_rdm(DenseOperator(sh, rho))
+            assert np.max(np.abs(rdm.gamma - want)) < 1e-12
+            assert rdm.hermiticity_residual < 1e-12
 
     def test_requires_state(self, rng):
         sh = SystemShape(2, 1)
