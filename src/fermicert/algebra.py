@@ -11,6 +11,9 @@ This module implements that algebra exactly:
 * a Majorana monomial ("word") is encoded as an integer bitmask over the
   ``2*p*V`` global positions, with bit ``(site-1)*2p + (a-1)``;
 * products track anti-commutation signs with popcount arithmetic;
+* :func:`relabel_word` moves a word's Majoranas between sites and
+  re-canonicalizes it; site permutations, reductions to a site subset and
+  the placement of k-site templates on site tuples all go through it;
 * :class:`OperatorExpansion` holds sparse complex linear combinations and
   supports products, adjoints, site permutations and parity projections.
 
@@ -143,8 +146,17 @@ def word_indices(mask: int, shape: SystemShape) -> Tuple[ModeIndex, ...]:
     return tuple(out)
 
 
-def word_degree(mask: int) -> int:
-    return mask.bit_count()
+def site_blocks(mask: int, width: int) -> Tuple[int, ...]:
+    """The word's nonzero per-site Majorana blocks (``width`` = 2p bits
+    each), in site order."""
+    full = (1 << width) - 1
+    blocks = []
+    while mask:
+        block = mask & full
+        if block:
+            blocks.append(block)
+        mask >>= width
+    return tuple(blocks)
 
 
 def site_parity_is_even(mask: int, shape: SystemShape, site: int) -> bool:
@@ -153,14 +165,8 @@ def site_parity_is_even(mask: int, shape: SystemShape, site: int) -> bool:
 
 
 def even_on_all_sites(mask: int, shape: SystemShape) -> bool:
-    width = 2 * shape.modes_per_site
-    rem = mask
-    block = (1 << width) - 1
-    while rem:
-        if (rem & block).bit_count() & 1:
-            return False
-        rem >>= width
-    return True
+    return not any(block.bit_count() & 1 for block in
+                   site_blocks(mask, 2 * shape.modes_per_site))
 
 
 def validate_permutation(pi: Sequence[int], sites: int) -> Tuple[int, ...]:
@@ -172,22 +178,27 @@ def validate_permutation(pi: Sequence[int], sites: int) -> Tuple[int, ...]:
     return pi
 
 
-def permute_word(pi: Sequence[int], mask: int, shape: SystemShape) -> Tuple[int, int]:
-    """Apply a site permutation to a canonical word.
+def relabel_word(mask: int, site_map: Sequence[int], shape: SystemShape
+                 ) -> Tuple[int, int, bool]:
+    """Move every Majorana of a canonical word on ``shape`` from site s to
+    site ``site_map[s-1]`` (1-indexed, possibly sites of a larger shape with
+    the same modes per site).
 
-    Site labels are replaced in the written order and the result is
-    re-canonicalized.  Returns ``(sign, mask)``.
+    The mapped positions are taken in the word's written order and
+    re-canonicalized.  Returns ``(sign, mask, order_preserved)``, where
+    ``order_preserved`` says that the mapped positions strictly increase,
+    so that no reordering sign arose.
     """
     width = 2 * shape.modes_per_site
     mapped = []
     rem = mask
     while rem:
         low = rem & -rem
-        pos = low.bit_length() - 1
-        site, r = divmod(pos, width)
-        mapped.append((pi[site] - 1) * width + r)
+        site, r = divmod(low.bit_length() - 1, width)
+        mapped.append((site_map[site] - 1) * width + r)
         rem ^= low
-    return canonicalize_positions(mapped)
+    sign, out = canonicalize_positions(mapped)
+    return sign, out, all(a < b for a, b in zip(mapped, mapped[1:]))
 
 
 class OperatorExpansion:
@@ -221,12 +232,6 @@ class OperatorExpansion:
     @classmethod
     def identity(cls, shape: SystemShape, coeff: complex = 1.0) -> "OperatorExpansion":
         return cls(shape, {0: coeff})
-
-    @classmethod
-    def from_indices(cls, shape: SystemShape, indices: Sequence[ModeIndex],
-                     coeff: complex = 1.0) -> "OperatorExpansion":
-        sign, mask = canonicalize(indices, shape)
-        return cls(shape, {mask: sign * coeff})
 
     # -- linear structure --------------------------------------------------
 
@@ -277,7 +282,7 @@ class OperatorExpansion:
         pi = validate_permutation(pi, self.shape.sites)
         terms: Dict[int, complex] = {}
         for mask, coeff in self.terms.items():
-            sign, new_mask = permute_word(pi, mask, self.shape)
+            sign, new_mask, _ = relabel_word(mask, pi, self.shape)
             terms[new_mask] = terms.get(new_mask, 0.0) + sign * coeff
         return OperatorExpansion(self.shape, terms)
 

@@ -15,21 +15,17 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from .algebra import SystemShape, expansion_from_text
 from .definetti import mixture_diagnostics, verify_theorem1
 from .errors import ResourceCapError, SingularSpectrumError
-from .invariance import (MuFamilyParams, check_invariance, mu_family_state,
-                         verify_lemma3)
+from .invariance import MuFamilyParams, mu_family_state, verify_lemma3
 from .meanfield import (BUILTIN_FAMILIES, HamiltonianSpec, builtin_family,
                         verify_gs_bound)
-from .rdm import (CirculantParams, circulant_matrix,
-                  circulant_spectrum_with_fallback)
-from .report import (INEQUALITY, make_report, render_reports,
-                     reports_to_rows, write_csv)
+from .rdm import CirculantParams, compare_circulant_spectrum
+from .report import (EQUALITY, make_report, render_reports, reports_to_rows,
+                     write_csv)
 from . import suites
 
 _CSV_DOC = """\
@@ -210,18 +206,9 @@ def _single_theorem1(args) -> int:
 
 
 def _single_rdm(args) -> int:
-    params = CirculantParams(args.V, args.a, complex(args.b_re, args.b_im))
-    values, singular = circulant_spectrum_with_fallback(params)
-    direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
-    formula = np.sort(values)
-    rows = []
-    worst = 0.0
-    for k in range(args.V):
-        dev = abs(formula[k] - direct[k])
-        rows.append([args.V, k, formula[k], direct[k], dev])
-        if k not in singular:
-            worst = max(worst, dev)
-    rep = make_report("rdm-spectrum", INEQUALITY,
+    rows, worst, singular = compare_circulant_spectrum(
+        CirculantParams(args.V, args.a, complex(args.b_re, args.b_im)))
+    rep = make_report("rdm-spectrum", EQUALITY,
                       {"V": args.V, "a": args.a,
                        "b": complex(args.b_re, args.b_im)},
                       worst, 0.0, 1e-10, 0.0,

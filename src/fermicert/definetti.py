@@ -31,12 +31,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape, reversal_sign
-from .errors import ResourceCapError
 from .fock import (DenseOperator, check_state, ensure_within_cap,
                    global_parity_signs, jw_matrix, partial_trace_sites,
                    reduce_expansion, to_matrix)
@@ -48,6 +47,12 @@ STEP_SCALE = 0.5
 
 #: Gibbs generator coefficients are searched inside this box.
 GENERATOR_BOX = 6.0
+
+#: Weight steps between two coordinate sweeps over the components.
+COMPONENT_EVERY = 25
+
+#: Points of the coarse grid that brackets each coordinate search.
+GRID_POINTS = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,6 +252,37 @@ def _minus(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def coordinate_search(value: Callable[[float], float], lo: float, hi: float,
+                      start: float, golden_iters: int) -> Tuple[float, float]:
+    """Minimize ``value`` over [lo, hi]; returns ``(x, value(x))``.
+
+    The best of a :data:`GRID_POINTS` grid and ``start`` centres a bracket
+    one grid step wide on either side (clipped to the box), which
+    ``golden_iters`` golden-section steps then shrink.  Derivative free and
+    deterministic.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    cand = list(np.linspace(lo, hi, GRID_POINTS)) + [start]
+    vals = [value(x) for x in cand]
+    center = cand[int(np.argmin(vals))]
+    span = (hi - lo) / (GRID_POINTS - 1)
+    a = max(lo, center - span)
+    b = min(hi, center + span)
+    c1 = b - invphi * (b - a)
+    c2 = a + invphi * (b - a)
+    f1, f2 = value(c1), value(c2)
+    for _ in range(golden_iters):
+        if f1 <= f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - invphi * (b - a)
+            f1 = value(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + invphi * (b - a)
+            f2 = value(c2)
+    return (c1, f1) if f1 <= f2 else (c2, f2)
+
+
 class _MixtureOptimizer:
     """Alternating minimization of || R - sum_l a_l xi_l^(x k) ||_1.
 
@@ -266,16 +302,12 @@ class _MixtureOptimizer:
     """
 
     def __init__(self, blocks: Sequence[np.ndarray], k: int, p: int, r: int,
-                 iters: int, component_every: int = 25,
-                 grid_points: int = 9, golden_iters: int = 22):
+                 iters: int):
         self.blocks = [0.5 * (b + b.conj().T) for b in blocks]
         self.k = k
         self.p = p
         self.r = r
         self.iters = iters
-        self.component_every = component_every
-        self.grid_points = grid_points
-        self.golden_iters = golden_iters
         self.sectors = parity_sectors(SystemShape(k, p))
         if p == 1:
             self.lo, self.hi = 0.0, 1.0
@@ -323,8 +355,6 @@ class _MixtureOptimizer:
             rest = self._residual(weights, powers, skip=l)
             a_l = weights[l]
             for j in range(self.n_params):
-                base = params[l][j]
-
                 def value(x: float) -> float:
                     trial = params[l].copy()
                     trial[j] = x
@@ -332,28 +362,8 @@ class _MixtureOptimizer:
                         _minus(res, a_l * xb)))))
                         for res, xb in zip(rest, self._power(trial)))
 
-                grid = np.linspace(self.lo, self.hi, self.grid_points)
-                cand = list(grid) + [base]
-                vals = [value(x) for x in cand]
-                center = cand[int(np.argmin(vals))]
-                span = (self.hi - self.lo) / (self.grid_points - 1)
-                a = max(self.lo, center - span)
-                b = min(self.hi, center + span)
-                invphi = (math.sqrt(5.0) - 1.0) / 2.0
-                c1 = b - invphi * (b - a)
-                c2 = a + invphi * (b - a)
-                f1, f2 = value(c1), value(c2)
-                for _ in range(self.golden_iters):
-                    if f1 <= f2:
-                        b, c2, f2 = c2, c1, f1
-                        c1 = b - invphi * (b - a)
-                        f1 = value(c1)
-                    else:
-                        a, c1, f1 = c1, c2, f2
-                        c2 = a + invphi * (b - a)
-                        f2 = value(c2)
-                x_best = c1 if f1 <= f2 else c2
-                v_best = min(f1, f2)
+                x_best, v_best = coordinate_search(
+                    value, self.lo, self.hi, params[l][j], golden_iters=22)
                 if v_best < best - 1e-15:
                     params[l][j] = x_best
                     powers[l] = self._power(params[l])
@@ -379,7 +389,7 @@ class _MixtureOptimizer:
             if dist < best - 1e-13:
                 best = dist
                 best_state = (weights.copy(), [q.copy() for q in params])
-            if t % self.component_every == 0:
+            if t % COMPONENT_EVERY == 0:
                 before = best
                 best = self._coordinate_sweep(weights, params, powers, best)
                 if best < before - 1e-13:
@@ -452,7 +462,7 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
 
     best = math.inf
     best_state = None
-    for w0, pars in starts[:max(restarts, len(starts))]:
+    for w0, pars in starts:
         dist, state = opt.run(w0, pars)
         if dist < best - 1e-15:
             best = dist

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import OperatorExpansion, SystemShape
+from .algebra import OperatorExpansion, SystemShape, relabel_word
 from .errors import ResourceCapError
 
 #: Dense work refuses systems with more than this many fermionic modes
@@ -194,23 +194,6 @@ def to_expansion(dense: DenseOperator, override_cap: bool = False) -> OperatorEx
 
 # -- reductions ---------------------------------------------------------------
 
-def _relabel_to_subsystem(mask: int, keep: Sequence[int], shape: SystemShape) -> int:
-    """Rewrite a word supported on ``keep`` in terms of sites 1..len(keep),
-    preserving the site order.  Order-preserving relabelings do not change
-    canonical form, so no sign arises."""
-    width = 2 * shape.modes_per_site
-    pos_of = {site: i for i, site in enumerate(sorted(keep))}
-    out = 0
-    rem = mask
-    while rem:
-        low = rem & -rem
-        g = low.bit_length() - 1
-        site, r = divmod(g, width)
-        out |= 1 << (pos_of[site + 1] * width + r)
-        rem ^= low
-    return out
-
-
 def reduce_expansion(op: OperatorExpansion, keep: Sequence[int]) -> OperatorExpansion:
     """Reduced state of an expansion on the ``keep`` sites.
 
@@ -226,13 +209,16 @@ def reduce_expansion(op: OperatorExpansion, keep: Sequence[int]) -> OperatorExpa
     small = SystemShape(len(keep), shape.modes_per_site)
     scale = 2 ** (shape.modes_per_site * (shape.sites - len(keep)))
     keep_mask = 0
-    for site in keep:
+    site_map = [0] * shape.sites
+    for i, site in enumerate(keep):
         keep_mask |= shape.site_bitmask(site)
+        site_map[site - 1] = i + 1
     terms: Dict[int, complex] = {}
     for mask, coeff in op.terms.items():
         if mask & ~keep_mask:
             continue
-        terms[_relabel_to_subsystem(mask, keep, shape)] = coeff * scale
+        # The kept sites move in order, so no reordering sign arises.
+        terms[relabel_word(mask, site_map, shape)[1]] = coeff * scale
     return OperatorExpansion(small, terms)
 
 
@@ -265,16 +251,8 @@ def partial_trace_sites(dense: DenseOperator, keep: Sequence[int]) -> DenseOpera
     scale = shape.fock_dim // small.fock_dim
     out = np.zeros((small.fock_dim, small.fock_dim), dtype=np.complex128)
     rows = np.arange(small.fock_dim)
-    width = 2 * p
     for small_mask in range(1 << small.majorana_count):
-        big_mask = 0
-        rem = small_mask
-        while rem:
-            low = rem & -rem
-            g = low.bit_length() - 1
-            idx, r = divmod(g, width)
-            big_mask |= 1 << ((keep[idx] - 1) * width + r)
-            rem ^= low
+        big_mask = relabel_word(small_mask, keep, small)[1]
         coeff = word_coefficient(dense.matrix, big_mask, shape) * scale
         if abs(coeff) > 1e-16:
             cols, vals = word_string_entries(small_mask, small)

@@ -32,7 +32,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import OperatorExpansion, SystemShape, validate_permutation
+from .algebra import (OperatorExpansion, SystemShape, relabel_word,
+                      site_blocks, validate_permutation)
 from .fock import (DenseOperator, reduce_expansion, to_matrix, trace_norm,
                    word_expectations_dense)
 from .report import INEQUALITY, VerificationReport, make_report
@@ -129,20 +130,7 @@ def is_order_preserving(pi: Sequence[int], mask: int,
                         shape: SystemShape) -> bool:
     """Whether applying ``pi`` to the word's site labels leaves the index
     sequence strictly increasing."""
-    pi = validate_permutation(pi, shape.sites)
-    width = 2 * shape.modes_per_site
-    prev = -1
-    rem = mask
-    while rem:
-        low = rem & -rem
-        g = low.bit_length() - 1
-        site, r = divmod(g, width)
-        mapped = (pi[site] - 1) * width + r
-        if mapped <= prev:
-            return False
-        prev = mapped
-        rem ^= low
-    return True
+    return relabel_word(mask, validate_permutation(pi, shape.sites), shape)[2]
 
 
 def words_up_to_degree(shape: SystemShape, cap: int) -> Iterable[int]:
@@ -154,18 +142,6 @@ def words_up_to_degree(shape: SystemShape, cap: int) -> Iterable[int]:
             for pos in combo:
                 mask |= 1 << pos
             yield mask
-
-
-def _site_blocks(mask: int, width: int) -> Tuple[int, ...]:
-    """The word's nonzero per-site Majorana blocks, in site order."""
-    full = (1 << width) - 1
-    blocks = []
-    while mask:
-        block = mask & full
-        if block:
-            blocks.append(block)
-        mask >>= width
-    return tuple(blocks)
 
 
 def _diameter(values: Iterable[complex]) -> float:
@@ -203,7 +179,7 @@ def _class_report(shape: SystemShape, values: Dict[int, complex],
     by_sequence: Dict[Tuple[int, ...], set] = {}
     by_multiset: Dict[Tuple[int, ...], set] = {}
     for mask, val in values.items():
-        blocks = _site_blocks(mask, width)
+        blocks = site_blocks(mask, width)
         by_sequence.setdefault(blocks, set()).add(val)
         odd = [b for b in blocks if b.bit_count() & 1]
         normalised = by_multiset.setdefault(tuple(sorted(blocks)), set())

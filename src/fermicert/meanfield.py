@@ -25,10 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (OperatorExpansion, SystemShape, canonicalize_positions,
-                      even_on_all_sites)
-from .definetti import (SingleSiteState, component_state, n_component_params,
-                        GENERATOR_BOX)
+from .algebra import OperatorExpansion, SystemShape, relabel_word, site_blocks
+from .definetti import (GENERATOR_BOX, SingleSiteState, component_state,
+                        coordinate_search, n_component_params)
 from .fock import (DenseOperator, hermiticity_residual, jw_matrix,
                    operator_norm, to_matrix, word_string_entries)
 from .invariance import InvarianceReport, check_invariance_dense
@@ -81,18 +80,9 @@ def transplant(template: OperatorExpansion, subset: Sequence[int],
                shape: SystemShape) -> OperatorExpansion:
     """Rewrite a k-site template on the sites of ``subset`` (written order
     preserved, result re-canonicalized)."""
-    width = 2 * shape.modes_per_site
     terms: Dict[int, complex] = {}
     for mask, coeff in template.terms.items():
-        positions = []
-        rem = mask
-        while rem:
-            low = rem & -rem
-            g = low.bit_length() - 1
-            site_idx, r = divmod(g, width)
-            positions.append((subset[site_idx] - 1) * width + r)
-            rem ^= low
-        sign, new_mask = canonicalize_positions(positions)
+        sign, new_mask, _ = relabel_word(mask, subset, template.shape)
         terms[new_mask] = terms.get(new_mask, 0.0) + sign * coeff
     return OperatorExpansion(shape, terms)
 
@@ -220,26 +210,15 @@ class ProductEnergyEvaluator:
     """
 
     def __init__(self, h_exp: OperatorExpansion):
-        shape = h_exp.shape
-        self.p = shape.modes_per_site
-        width = 2 * self.p
-        block = (1 << width) - 1
+        self.p = h_exp.shape.modes_per_site
         submask_set = set()
         compiled = []
         for mask, coeff in sorted(h_exp.terms.items()):
-            if not even_on_all_sites(mask, shape):
+            subs = site_blocks(mask, 2 * self.p)
+            if any(block.bit_count() & 1 for block in subs):
                 continue
-            subs = []
-            rem = mask
-            site = 0
-            while rem:
-                chunk = rem & block
-                if chunk:
-                    subs.append(chunk)
-                    submask_set.add(chunk)
-                rem >>= width
-                site += 1
-            compiled.append((coeff, tuple(subs)))
+            submask_set.update(subs)
+            compiled.append((coeff, subs))
         self.compiled = compiled
         shape1 = SystemShape(1, self.p)
         self.submasks = sorted(submask_set)
@@ -264,9 +243,10 @@ def min_product_energy(h_exp: OperatorExpansion, restarts: int = 8,
                        ) -> Tuple[SingleSiteState, float]:
     """Minimize tr(H xi^(x V)) over even single-site states.
 
-    Cyclic derivative-free coordinate descent in the component
-    parametrization (occupation for p = 1, even Gibbs generators
-    otherwise); deterministic for a fixed seed.  ``iters`` counts full
+    Cyclic coordinate descent in the component parametrization
+    (occupation for p = 1, even Gibbs generators otherwise), each
+    coordinate by :func:`definetti.coordinate_search`; deterministic for a
+    fixed seed.  ``iters`` counts full
     coordinate sweeps per restart.
     """
     evaluator = ProductEnergyEvaluator(h_exp)
@@ -285,40 +265,20 @@ def min_product_energy(h_exp: OperatorExpansion, restarts: int = 8,
     def value(params: np.ndarray) -> float:
         return evaluator.energy(component_state(p, params).matrix)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     best_params = None
     best = math.inf
-    for start in starts[:max(restarts, len(starts))]:
+    for start in starts:
         params = np.asarray(start, dtype=float).copy()
         current = value(params)
         for _ in range(iters):
             for j in range(n_par):
-                grid = np.linspace(lo, hi, 9)
-                cand = list(grid) + [params[j]]
-
                 def coord(x: float) -> float:
                     trial = params.copy()
                     trial[j] = x
                     return value(trial)
 
-                vals = [coord(x) for x in cand]
-                center = cand[int(np.argmin(vals))]
-                span = (hi - lo) / 8.0
-                a = max(lo, center - span)
-                b = min(hi, center + span)
-                c1 = b - invphi * (b - a)
-                c2 = a + invphi * (b - a)
-                f1, f2 = coord(c1), coord(c2)
-                for _ in range(30):
-                    if f1 <= f2:
-                        b, c2, f2 = c2, c1, f1
-                        c1 = b - invphi * (b - a)
-                        f1 = coord(c1)
-                    else:
-                        a, c1, f1 = c1, c2, f2
-                        c2 = a + invphi * (b - a)
-                        f2 = coord(c2)
-                x_best, v_best = (c1, f1) if f1 <= f2 else (c2, f2)
+                x_best, v_best = coordinate_search(coord, lo, hi, params[j],
+                                                   golden_iters=30)
                 if v_best < current - 1e-15:
                     params[j] = x_best
                     current = v_best

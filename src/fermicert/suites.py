@@ -14,25 +14,23 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (OperatorExpansion, SystemShape, random_expansion)
+from .algebra import OperatorExpansion, SystemShape, random_expansion
 from .cumulants import (LadderIndex, corollary_index_sets, cumulant,
                         fourier_cumulant, fourier_q_range,
-                        gaussian_mixture_deviation, lemma4_equality_report,
-                        verify_corollary, verify_suppression)
+                        lemma4_equality_report, verify_corollary,
+                        verify_suppression)
 from .definetti import (SingleSiteState, best_mixture_approx,
-                        mixture_diagnostics, product_power, theorem1_bound,
-                        verify_theorem1)
-from .fock import (DenseOperator, check_state, operator_norm,
-                   permutation_unitary, reduce_expansion, to_matrix,
-                   trace_norm)
+                        mixture_diagnostics, product_power, verify_theorem1)
+from .fock import (DenseOperator, operator_norm, permutation_unitary,
+                   reduce_expansion, to_matrix)
 from .invariance import (MuFamilyParams, check_invariance, mu_family_state,
                          verify_lemma3)
 from .meanfield import (BUILTIN_FAMILIES, ProductEnergyEvaluator,
                         build_hamiltonian_expansion, builtin_family,
                         min_product_energy, verify_gs_bound)
-from .rdm import (CirculantParams, OFFDIAG_BOUND_CONST, circulant_matrix,
-                  circulant_spectrum_with_fallback, fit_circulant, one_rdm,
-                  verify_pauli_constraints)
+from .rdm import (CirculantParams, OFFDIAG_BOUND_CONST,
+                  circulant_spectrum_with_fallback, compare_circulant_spectrum,
+                  fit_circulant, one_rdm, verify_pauli_constraints)
 from .report import (EQUALITY, INEQUALITY, PROPERTY, VerificationReport,
                      make_report, reports_to_rows)
 
@@ -480,16 +478,11 @@ def run_rdm_spectrum() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     for V in range(2, 13):
         b_list = [b if b is not None else complex(0.3 / V) for b in bs]
         for b in b_list:
-            params = CirculantParams(V, 0.5, b)
-            values, singular = circulant_spectrum_with_fallback(params)
+            rows, dev, singular = compare_circulant_spectrum(
+                CirculantParams(V, 0.5, b))
+            spec_rows.extend(rows)
+            worst = max(worst, dev)
             n_singular += len(singular)
-            direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
-            formula = np.sort(values)
-            for k in range(V):
-                dev = abs(formula[k] - direct[k])
-                spec_rows.append([V, k, formula[k], direct[k], dev])
-                if k not in singular:
-                    worst = max(worst, dev)
     reports.append(make_report(
         "rdm-spectrum", EQUALITY, {"V": "2..12", "branches": "real+complex",
                                    "singular_excluded": n_singular},

@@ -2,13 +2,35 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import word_matrix_oracle
+from conftest import independent_majoranas, word_matrix_oracle
 from fermicert.algebra import (OperatorExpansion, SystemShape, canonicalize,
                                expansion_from_text, expansion_to_text,
                                merge_bitmasks, random_expansion,
-                               reversal_sign, word_indices)
+                               relabel_word, reversal_sign, word_indices)
 from fermicert.fock import jw_matrix, to_matrix
+
+#: Shapes with at most four modes, where the kron oracle is cheap.
+ORACLE_SHAPES = (SystemShape(1, 1), SystemShape(2, 1), SystemShape(3, 1),
+                 SystemShape(4, 1), SystemShape(1, 2), SystemShape(2, 2))
+
+#: (word shape, target shape) pairs for relabel_word: permutations within
+#: a shape, and injective maps into a larger one (template placement).
+RELABEL_SHAPES = (
+    (SystemShape(2, 1), SystemShape(2, 1)),
+    (SystemShape(3, 1), SystemShape(3, 1)),
+    (SystemShape(4, 1), SystemShape(4, 1)),
+    (SystemShape(2, 2), SystemShape(2, 2)),
+    (SystemShape(1, 1), SystemShape(3, 1)),
+    (SystemShape(2, 1), SystemShape(3, 1)),
+    (SystemShape(2, 1), SystemShape(4, 1)),
+    (SystemShape(3, 1), SystemShape(4, 1)),
+    (SystemShape(1, 2), SystemShape(2, 2)),
+)
+
+LAWS = settings(max_examples=60, deadline=None, derandomize=True,
+                database=None)
 
 
 def mask_of(shape, *indices):
@@ -16,6 +38,49 @@ def mask_of(shape, *indices):
     for site, mi in indices:
         out |= 1 << shape.bit_position(site, mi)
     return out
+
+
+def mapped_positions(mask, site_map, shape):
+    """Positions of the word's Majoranas after moving site s to
+    site_map[s-1], in the word's written (increasing) order."""
+    width = 2 * shape.modes_per_site
+    return [(site_map[g // width] - 1) * width + g % width
+            for g in range(shape.majorana_count) if (mask >> g) & 1]
+
+
+def written_product(positions, shape):
+    """Ordered product of the independent Majorana matrices."""
+    ms = independent_majoranas(shape.total_modes)
+    out = np.eye(shape.fock_dim, dtype=np.complex128)
+    for pos in positions:
+        out = out @ ms[pos]
+    return out
+
+
+def oracle_matrix(op):
+    """Dense matrix of an expansion from the kron-chain word oracle."""
+    out = np.zeros((op.shape.fock_dim,) * 2, dtype=np.complex128)
+    for mask, coeff in op.terms.items():
+        out += coeff * word_matrix_oracle(mask, op.shape)
+    return out
+
+
+@st.composite
+def relabel_cases(draw):
+    small, big = draw(st.sampled_from(RELABEL_SHAPES))
+    images = draw(st.permutations(range(1, big.sites + 1)))
+    mask = draw(st.integers(0, (1 << small.majorana_count) - 1))
+    return small, big, tuple(images[:small.sites]), mask
+
+
+@st.composite
+def expansion_triples(draw):
+    shape = draw(st.sampled_from(ORACLE_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = tuple(random_expansion(shape, rng, n_terms=4) for _ in range(3))
+    pi = tuple(draw(st.permutations(range(1, shape.sites + 1))))
+    tau = tuple(draw(st.permutations(range(1, shape.sites + 1))))
+    return ops, pi, tau
 
 
 class TestCanonicalize:
@@ -174,6 +239,75 @@ class TestPermutation:
         a = random_expansion(SystemShape(3, 1), rng)
         with pytest.raises(ValueError):
             a.apply_permutation((1, 1, 2))
+
+
+class TestRelabelWord:
+    @LAWS
+    @given(relabel_cases())
+    def test_matches_written_product_oracle(self, case):
+        small, big, site_map, mask = case
+        sign, new_mask, _ = relabel_word(mask, site_map, small)
+        positions = mapped_positions(mask, site_map, small)
+        assert np.allclose(sign * word_matrix_oracle(new_mask, big),
+                           written_product(positions, big), atol=1e-12)
+
+    @LAWS
+    @given(relabel_cases())
+    def test_order_preserved_flag(self, case):
+        small, _, site_map, mask = case
+        _, _, preserved = relabel_word(mask, site_map, small)
+        positions = mapped_positions(mask, site_map, small)
+        assert preserved == all(a < b for a, b in zip(positions,
+                                                      positions[1:]))
+
+    def test_order_preserving_map_has_no_sign(self):
+        sh = SystemShape(2, 1)
+        mask = mask_of(sh, (1, 1), (2, 2))
+        big = SystemShape(4, 1)
+        assert relabel_word(mask, (2, 4), sh) == (
+            1, mask_of(big, (2, 1), (4, 2)), True)
+        assert relabel_word(mask, (4, 2), sh) == (
+            -1, mask_of(big, (2, 2), (4, 1)), False)
+
+
+class TestAlgebraLaws:
+    """Products, adjoints and site permutations against the kron oracle."""
+
+    @LAWS
+    @given(expansion_triples())
+    def test_associativity(self, case):
+        (a, b, c), _, _ = case
+        want = oracle_matrix(a) @ oracle_matrix(b) @ oracle_matrix(c)
+        assert np.allclose(oracle_matrix((a * b) * c), want, atol=1e-10)
+        assert np.allclose(oracle_matrix(a * (b * c)), want, atol=1e-10)
+
+    @LAWS
+    @given(expansion_triples())
+    def test_adjoint_reverses_products(self, case):
+        (a, b, _), _, _ = case
+        lhs = oracle_matrix((a * b).adjoint())
+        assert np.allclose(lhs, oracle_matrix(b.adjoint() * a.adjoint()),
+                           atol=1e-10)
+        assert np.allclose(lhs, (oracle_matrix(a) @ oracle_matrix(b)
+                                 ).conj().T, atol=1e-10)
+
+    @LAWS
+    @given(expansion_triples())
+    def test_permutation_homomorphism(self, case):
+        (a, b, _), pi, tau = case
+        shape = a.shape
+        moved = oracle_matrix(a.apply_permutation(pi))
+        want = sum(coeff * written_product(mapped_positions(m, pi, shape),
+                                           shape)
+                   for m, coeff in a.terms.items())
+        assert np.allclose(moved, want, atol=1e-10)
+        assert np.allclose(oracle_matrix((a * b).apply_permutation(pi)),
+                           moved @ oracle_matrix(b.apply_permutation(pi)),
+                           atol=1e-10)
+        composed = tuple(pi[t - 1] for t in tau)
+        assert np.allclose(
+            oracle_matrix(a.apply_permutation(tau).apply_permutation(pi)),
+            oracle_matrix(a.apply_permutation(composed)), atol=1e-10)
 
 
 class TestParityProjection:

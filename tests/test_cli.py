@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, outputs, determinism of CSV bytes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -17,6 +18,13 @@ from fermicert.report import (INEQUALITY, EQUALITY, make_report,
 #: summary.csv included.
 SEED_FREE_CSV_COUNT = {"check-invariance": 2, "verify-lemma3": 2,
                        "verify-clt": 4, "rdm-spectrum": 3}
+
+#: Suites whose CSV bytes must not depend on the BLAS thread count, as
+#: (extra arguments, number of CSV tables).  gs-bound runs both optimizers
+#: and the word relabeling.
+BLAS_CHECKED = {command: ([], count)
+                for command, count in SEED_FREE_CSV_COUNT.items()}
+BLAS_CHECKED["gs-bound"] = (["--seed", "0"], 2)
 
 
 class TestReports:
@@ -71,6 +79,10 @@ class TestCliSingleCommands:
         rows = (tmp_path / "rdm_spectrum.csv").read_text().splitlines()[1:]
         values = {float(r.split(",")[2]) for r in rows}
         assert values == {0.5}
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            claims = list(csv.DictReader(fh))
+        assert [(c["claim_id"], c["kind"]) for c in claims] == [
+            ("rdm-spectrum", EQUALITY)]
 
     def test_missing_fixture_exit_2(self, tmp_path):
         code = main(["--out", str(tmp_path), "verify-lemma3", "--fixture",
@@ -158,8 +170,9 @@ class TestCliSuites:
             main(["--out", str(tmp_path), command, "--seed", "0"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("command", list(SEED_FREE_CSV_COUNT))
+    @pytest.mark.parametrize("command", list(BLAS_CHECKED))
     def test_suite_csv_independent_of_blas_threads(self, tmp_path, command):
+        extra, count = BLAS_CHECKED[command]
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = {}
         for threads in ("1", "2"):
@@ -168,9 +181,9 @@ class TestCliSuites:
                            filter(None, [src, os.environ.get("PYTHONPATH")])))
             out = tmp_path / f"threads{threads}"
             subprocess.run([sys.executable, "-m", "fermicert.cli", "--out",
-                            str(out), command],
+                            str(out), command, *extra],
                            env=env, check=True, capture_output=True)
             outputs[threads] = {p.name: p.read_bytes()
                                 for p in sorted(out.glob("*.csv"))}
-        assert len(outputs["1"]) == SEED_FREE_CSV_COUNT[command]
+        assert len(outputs["1"]) == count
         assert outputs["1"] == outputs["2"]

@@ -8,9 +8,10 @@ import pytest
 from conftest import random_even_density_matrix
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import LadderIndex, cumulant
-from fermicert.definetti import (ProductMixture, SingleSiteState,
-                                 _MixtureOptimizer, best_mixture_approx,
-                                 component_state, even_hermitian_basis,
+from fermicert.definetti import (GENERATOR_BOX, ProductMixture,
+                                 SingleSiteState, _MixtureOptimizer,
+                                 best_mixture_approx, component_state,
+                                 coordinate_search, even_hermitian_basis,
                                  hamming_power, is_even_operator,
                                  mixture_diagnostics, mixture_from_text,
                                  mixture_matrix, mixture_to_text,
@@ -114,6 +115,49 @@ class TestSimplexProjection:
             w = project_simplex(v)
             assert np.all(w >= -1e-15)
             assert abs(np.sum(w) - 1.0) < 1e-12
+
+
+class TestCoordinateSearch:
+    """The shared 1-D search on the two boxes it serves: occupations in
+    [0, 1] and Gibbs generator coefficients in +/- GENERATOR_BOX."""
+
+    @pytest.mark.parametrize("lo, hi, target, golden_iters", [
+        (0.0, 1.0, 0.3137, 22), (0.0, 1.0, 0.3137, 30),
+        (-GENERATOR_BOX, GENERATOR_BOX, 1.7071, 22),
+        (-GENERATOR_BOX, GENERATOR_BOX, -4.2, 30)])
+    def test_quadratic_minimizer(self, lo, hi, target, golden_iters):
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            return (x - target) ** 2 + 0.5
+
+        x, fx = coordinate_search(value, lo, hi, 0.5 * (lo + hi),
+                                  golden_iters)
+        # The bracket spans two grid steps and shrinks by 1/phi per step.
+        width = 2.0 * (hi - lo) / 8.0 * ((math.sqrt(5.0) - 1.0) / 2.0) ** (
+            golden_iters + 1)
+        assert abs(x - target) <= width
+        assert fx == value(x)
+        assert lo <= x <= hi
+        assert len(calls) == 9 + 1 + 2 + golden_iters + 1
+
+    def test_minimizer_on_the_boundary(self):
+        x, fx = coordinate_search(lambda x: 1.0 - x, 0.0, 1.0, 0.5, 30)
+        assert x == pytest.approx(1.0, abs=1e-6)
+        assert fx == pytest.approx(0.0, abs=1e-6)
+
+    def test_start_off_the_grid_is_a_candidate(self):
+        # A well between grid points is only found when the start sits in
+        # it: the start is scanned alongside the grid and centres the
+        # golden-section bracket.
+        def value(x):
+            return (x - 0.3) ** 2 - 1.0 if abs(x - 0.3) < 0.04 else x
+
+        x, fx = coordinate_search(value, 0.0, 1.0, 0.29, 22)
+        assert x == pytest.approx(0.3, abs=1e-4) and fx < -0.99
+        x, fx = coordinate_search(value, 0.0, 1.0, 0.9, 22)
+        assert x == pytest.approx(0.0, abs=1e-4) and fx >= 0.0
 
 
 class TestBestMixture:
