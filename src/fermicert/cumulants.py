@@ -311,13 +311,16 @@ def _require_single_site(rho_single: DenseOperator) -> int:
 
 def fourier_cumulant(rho_single: DenseOperator, V: int,
                      ops: Sequence[LadderIndex],
-                     override_cap: bool = False) -> FourierCumulantResult:
+                     override_cap: bool = False,
+                     power: Optional[DenseOperator] = None
+                     ) -> FourierCumulantResult:
     """Cumulant of the V-fold copy of a single-site state in Fourier modes.
 
     Computes the direct value on the full 2^(pV) space when within the mode
     cap (otherwise ``direct`` is None) and always the closed factorized
     prediction V^(-w/2) * K_w(single site) * sum_j exp(2 pi i sum_l c_l q_l
-    j / V).
+    j / V).  ``power`` is the V-fold copy ``product_power(rho_single, V)``
+    when the caller already has it; otherwise it is built here.
     """
     p = _require_single_site(rho_single)
     w = len(ops)
@@ -338,11 +341,15 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
 
     direct = None
     if V * p <= mode_cap() or override_cap:
-        xi = SingleSiteState(rho_single.matrix, True)
-        big = product_power(xi, V, override_cap=override_cap)
-        ladders = [fourier_ladder_terms(big.shape, o.c, o.mode, o.q)
+        if power is None:
+            xi = SingleSiteState(rho_single.matrix, True)
+            power = product_power(xi, V, override_cap=override_cap)
+        elif power.shape != SystemShape(V, p):
+            raise ValueError(f"power has shape {power.shape}, expected "
+                             f"{V} sites of {p} modes")
+        ladders = [fourier_ladder_terms(power.shape, o.c, o.mode, o.q)
                    for o in ops]
-        direct = cumulant_mats(big.matrix, ladders)
+        direct = cumulant_mats(power.matrix, ladders)
 
     triples = [o.triple() for o in ops]
     return FourierCumulantResult(direct, complex(closed), complex(k_single),
@@ -512,12 +519,14 @@ def verify_corollary(rho_k: DenseOperator, mixture: ProductMixture, V: int,
 
 
 def lemma4_equality_report(rho_single: DenseOperator, V: int,
-                           ops: Sequence[LadderIndex],
-                           tol: float = 1e-9) -> Optional[VerificationReport]:
+                           ops: Sequence[LadderIndex], tol: float = 1e-9,
+                           power: Optional[DenseOperator] = None
+                           ) -> Optional[VerificationReport]:
     """Equality of the direct Fourier cumulant with the closed factorized
-    form; None (skip) when the distinct-triples hypothesis fails."""
+    form; None (skip) when the distinct-triples hypothesis fails.
+    ``power`` is passed on to :func:`fourier_cumulant`."""
     start = time.perf_counter()
-    result = fourier_cumulant(rho_single, V, ops)
+    result = fourier_cumulant(rho_single, V, ops, power=power)
     if not result.distinct_triples:
         return None
     if result.direct is None:

@@ -22,8 +22,17 @@ site a k-fold power is diagonal with the closed-form entries
 alpha^(k-h) (1-alpha)^h at Hamming weight h (:func:`hamming_power`), so the
 search builds no tensor powers there.
 
-The optimizer returns an upper bound on the true minimum, which is the
-right direction for certification: a pass is a genuine certificate.
+The certificate is two-sided.  The witness distance is an upper bound on
+the true minimum over product mixtures, the right direction for
+certification: a pass is a genuine certificate.  Trace-norm duality gives
+the matching lower bound (:func:`dual_lower_bound`): the per-site parity
+twirl C fixes every mixture of even product states, so for the residual's
+sign matrix S and Y = S - C(S), every mixture M' has
+||R - M'||_1 >= |tr(Y R)| / ||Y||_inf.  The search stops as soon as the two
+bounds meet to :data:`STOP_GAP`, which proves the witness optimal, and a
+lower bound above the stated bound refutes it whatever the search found.
+The lower bound is 0 when C fixes the target (a diagonal target at one
+mode per site); the search then runs its full course.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +62,10 @@ COMPONENT_EVERY = 25
 
 #: Points of the coarse grid that brackets each coordinate search.
 GRID_POINTS = 9
+
+#: The witness search stops once its distance is within this gap of the
+#: dual lower bound: the witness is then proven optimal.
+STOP_GAP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +256,43 @@ def parity_blocks(dense: DenseOperator) -> Tuple[np.ndarray, np.ndarray]:
     return m[np.ix_(even, even)], m[np.ix_(odd, odd)]
 
 
+def site_parity_patterns(shape: SystemShape) -> np.ndarray:
+    """Per-site parity pattern of every Fock basis state, one bit per site.
+
+    Each site owns a contiguous run of ``modes_per_site`` basis-index bits;
+    at one mode per site the pattern is the occupation itself.
+    """
+    p = shape.modes_per_site
+    idx = np.arange(shape.fock_dim)
+    out = np.zeros_like(idx)
+    for site in range(shape.sites):
+        chunk = (idx >> (site * p)) & ((1 << p) - 1)
+        out |= (np.bitwise_count(chunk).astype(idx.dtype) & 1) << site
+    return out
+
+
+def dual_lower_bound(blocks: Sequence[np.ndarray], signs: Sequence[np.ndarray],
+                     twirled: Sequence[np.ndarray]) -> float:
+    """Trace-norm dual lower bound on min ||R - M'||_1 over every mixture M'
+    of even product states.
+
+    ``blocks`` are the parity blocks of R, ``signs`` Hermitian matrices S
+    on the same blocks (the sign of a residual R - M) and ``twirled`` the
+    masks of the entries that the per-site parity twirl C keeps: those
+    between basis states with equal :func:`site_parity_patterns`.  C fixes
+    every such M', so Y = S - C(S) has tr(Y M') = 0, and duality gives
+    ||R - M'||_1 >= |tr(Y R)| / ||Y||_inf.  Returns 0, with no eigensolve,
+    when tr(Y R) = 0, as it is whenever C fixes R.
+    """
+    ys = [np.where(keep, 0.0, s) for s, keep in zip(signs, twirled)]
+    overlap = abs(sum(float(np.real(np.vdot(y, r)))
+                      for y, r in zip(ys, blocks)))
+    if overlap == 0.0:
+        return 0.0
+    norm = max(float(np.max(np.abs(np.linalg.eigvalsh(y)))) for y in ys)
+    return overlap / norm
+
+
 def _minus(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     """block - x, for x a matrix or the diagonal of one."""
     if x.ndim == 2:
@@ -299,6 +349,11 @@ class _MixtureOptimizer:
     matrix.  The eigensolvers read the lower triangle of each residual:
     the target blocks are made Hermitian once, and the powers are
     Hermitian up to roundoff.
+
+    Every start and every improving coordinate sweep also evaluates
+    :func:`dual_lower_bound` at the current sign matrix; the largest value
+    seen is kept in ``lower``, and a start ends as soon as its distance is
+    within :data:`STOP_GAP` of it.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray], k: int, p: int, r: int,
@@ -315,6 +370,10 @@ class _MixtureOptimizer:
         else:
             self.lo, self.hi = -GENERATOR_BOX, GENERATOR_BOX
         self.n_params = n_component_params(p)
+        patterns = site_parity_patterns(SystemShape(k, p))
+        self.twirled = [patterns[s][:, None] == patterns[s][None, :]
+                        for s in self.sectors]
+        self.lower = 0.0
 
     def _power(self, params: np.ndarray) -> List[np.ndarray]:
         if self.p == 1:
@@ -336,19 +395,37 @@ class _MixtureOptimizer:
         return out
 
     def _distance_and_sign(self, weights, powers):
-        """Distance and the per-block sign matrices V sign(w) V^dagger, held
-        as diagonals at p = 1, where the powers are diagonal."""
+        """Distance and the per-block sign matrices V sign(w) V^dagger of
+        the residual, each held as its pair (sign(w), V)."""
         dist = 0.0
         signs = []
         for delta in self._residual(weights, powers):
             w, v = np.linalg.eigh(delta)
             dist += float(np.sum(np.abs(w)))
-            sw = np.sign(w)
-            if self.p == 1:
-                signs.append((np.abs(v) ** 2) @ sw)
-            else:
-                signs.append((v * sw) @ v.conj().T)
+            signs.append((np.sign(w), v))
         return dist, signs
+
+    def _gradient(self, signs, powers) -> np.ndarray:
+        """Weight gradient -tr(S P_l) of the distance; at p = 1 it reads
+        only the diagonal of S, since the powers are diagonal."""
+        if self.p == 1:
+            mats = [(np.abs(v) ** 2) @ sw for sw, v in signs]
+        else:
+            mats = [(v * sw) @ v.conj().T for sw, v in signs]
+        return np.array([-sum(float(np.real(np.vdot(sb, xb)))
+                              for sb, xb in zip(mats, x))
+                         for x in powers])
+
+    def _lower_bound(self, signs) -> float:
+        """:func:`dual_lower_bound` at the sign matrices ``signs``."""
+        mats = [(v * sw) @ v.conj().T for sw, v in signs]
+        return dual_lower_bound(self.blocks, mats, self.twirled)
+
+    def _proven(self, best: float, signs) -> bool:
+        """Raise ``lower`` by the bound at ``signs``; whether ``best`` is
+        now within :data:`STOP_GAP` of it."""
+        self.lower = max(self.lower, self._lower_bound(signs))
+        return best - self.lower <= STOP_GAP
 
     def _coordinate_sweep(self, weights, params, powers, best):
         for l in range(self.r):
@@ -377,13 +454,11 @@ class _MixtureOptimizer:
         dist, sign = self._distance_and_sign(weights, powers)
         best = dist
         best_state = (weights.copy(), [q.copy() for q in params])
-        if best < 5e-12:
+        if best < 5e-12 or self._proven(best, sign):
             return best, best_state
         stall = 0
         for t in range(1, self.iters + 1):
-            grad = np.array([-sum(float(np.real(np.vdot(sb, xb)))
-                                  for sb, xb in zip(sign, x))
-                             for x in powers])
+            grad = self._gradient(sign, powers)
             weights = project_simplex(weights - (STEP_SCALE / math.sqrt(t)) * grad)
             dist, sign = self._distance_and_sign(weights, powers)
             if dist < best - 1e-13:
@@ -396,6 +471,8 @@ class _MixtureOptimizer:
                     best_state = (weights.copy(), [q.copy() for q in params])
                     dist, sign = self._distance_and_sign(weights, powers)
                     stall = 0
+                    if self._proven(best, sign):
+                        break
                 else:
                     stall += 1
                 if best < 5e-12 or stall >= 2:
@@ -403,16 +480,30 @@ class _MixtureOptimizer:
         return best, best_state
 
 
+class MixtureFit(NamedTuple):
+    """A witness mixture with the two sides of its certificate."""
+
+    mixture: ProductMixture
+    #: ||R - mixture||_1, an upper bound on the minimum over mixtures.
+    distance: float
+    #: :func:`dual_lower_bound` on that minimum.
+    lower_bound: float
+
+
 def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
                         restarts: int = 8, iters: int = 500, seed: int = 0,
                         warm: Optional[ProductMixture] = None,
-                        require_state: bool = True
-                        ) -> Tuple[ProductMixture, float]:
-    """Best found convex product-power mixture and its trace-norm distance.
+                        require_state: bool = True) -> MixtureFit:
+    """Best found convex product-power mixture with its trace-norm distance
+    and the dual lower bound on the minimum distance.
 
     Deterministic for a fixed seed.  The first two starts are structured
     (single-site marginal of the target, maximally mixed); the rest are
-    random.  The returned distance upper-bounds the true minimum.
+    random.  The distance upper-bounds the true minimum over mixtures and
+    the lower bound, the largest :func:`dual_lower_bound` seen at the start
+    of each start and after each improving coordinate sweep, bounds it from
+    below.  The search ends, skipping the remaining starts, once the two
+    are within :data:`STOP_GAP`: the witness is then optimal.
 
     Raises ``ValueError`` when the target has a nonzero entry between the
     even and odd global-parity sectors, and, with ``require_state``, when it
@@ -467,13 +558,13 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
         if dist < best - 1e-15:
             best = dist
             best_state = state
-        if best < 5e-12:
+        if best < 5e-12 or best - opt.lower <= STOP_GAP:
             break
 
     weights, params = best_state
     comps = tuple(component_state(p, q) for q in params)
     weights = weights / weights.sum()
-    return ProductMixture(weights, comps), float(best)
+    return MixtureFit(ProductMixture(weights, comps), float(best), opt.lower)
 
 
 def mixture_diagnostics(mixture: ProductMixture) -> Dict[str, object]:
@@ -517,7 +608,11 @@ def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
                     require_state: bool = True
                     ) -> Tuple[VerificationReport, ProductMixture]:
     """Certify the product-mixture approximation bound on the first-k
-    reduction, returning the report and the witness mixture."""
+    reduction, returning the report and the witness mixture.
+
+    The notes carry the dual lower bound of :func:`best_mixture_approx`.
+    A lower bound above ``rhs + tol`` fails the claim whatever the witness
+    distance: no mixture meets the bound then."""
     start = time.perf_counter()
     shape = rho.shape
     V, p = shape.sites, shape.modes_per_site
@@ -536,13 +631,14 @@ def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
             f"{inv_report.max_violation():.3e}")
 
     reduction = to_matrix(reduce_expansion(rho, range(1, k + 1)))
-    mixture, dist = best_mixture_approx(reduction, r=r, restarts=restarts,
-                                        iters=iters, seed=seed,
-                                        require_state=require_state)
+    mixture, dist, lower = best_mixture_approx(
+        reduction, r=r, restarts=restarts, iters=iters, seed=seed,
+        require_state=require_state)
     rhs = theorem1_bound(V, p, k)
     notes = [
         f"suppression term {lemma3_bound(V, p, k):.6g}",
         f"tight spin-constant variant rhs {theorem1_bound_tight_spin(V, p, k):.6g}",
+        f"dual lower bound {lower:.12g}",
     ]
     if rhs > 2.0:
         notes.append("bound exceeds trace-distance diameter")
@@ -557,6 +653,9 @@ def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
         info.update(inputs)
     report = make_report("theorem1", INEQUALITY, info, dist, rhs, tol,
                          time.perf_counter() - start, notes)
+    if lower > rhs + tol:
+        report.passed = False
+        report.notes.append("dual lower bound exceeds the bound: refuted")
     return report, mixture
 
 

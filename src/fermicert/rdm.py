@@ -175,20 +175,22 @@ def compare_circulant_spectrum(params: CirculantParams
     """Closed-form spectrum against direct diagonalization.
 
     Returns ``(rows, worst, singular)``: one row ``[V, k, lambda_formula,
-    lambda_direct, abs_dev]`` per sorted eigenvalue, the largest deviation
-    over the k not in ``singular``, and the singular k of
-    :func:`circulant_spectrum_with_fallback`, whose values come from the
-    eigensolver itself.
+    lambda_direct, abs_dev]`` per sorted eigenvalue, where ``k`` is the
+    position in ascending order (the ``k`` column of ``rdm_spectrum.csv``),
+    not the formula index; the largest deviation over the rows whose
+    formula value does not come from a singular formula index; and those
+    singular indices of :func:`circulant_spectrum_with_fallback`, whose
+    values come from the eigensolver itself.
     """
     values, singular = circulant_spectrum_with_fallback(params)
     direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
-    formula = np.sort(values)
+    order = np.argsort(values, kind="stable")
     rows = []
     worst = 0.0
-    for k in range(params.V):
-        dev = abs(formula[k] - direct[k])
-        rows.append([params.V, k, formula[k], direct[k], dev])
-        if k not in singular:
+    for pos, index in enumerate(order):
+        dev = abs(values[index] - direct[pos])
+        rows.append([params.V, pos, values[index], direct[pos], dev])
+        if index not in singular:
             worst = max(worst, dev)
     return rows, worst, singular
 

@@ -21,10 +21,13 @@ SEED_FREE_CSV_COUNT = {"check-invariance": 2, "verify-lemma3": 2,
 
 #: Suites whose CSV bytes must not depend on the BLAS thread count, as
 #: (extra arguments, number of CSV tables).  gs-bound runs both optimizers
-#: and the word relabeling.
+#: and the word relabeling; verify-theorem1 and verify-corollary run the
+#: mixture witness search and its dual lower bound.
 BLAS_CHECKED = {command: ([], count)
                 for command, count in SEED_FREE_CSV_COUNT.items()}
 BLAS_CHECKED["gs-bound"] = (["--seed", "0"], 2)
+BLAS_CHECKED["verify-theorem1"] = (["--seed", "0"], 2)
+BLAS_CHECKED["verify-corollary"] = (["--seed", "0"], 2)
 
 
 class TestReports:

@@ -270,6 +270,16 @@ class TestFourierCumulants:
         assert res.direct == pytest.approx(0.07, abs=1e-9)
         assert abs(res.direct - res.closed_form) < 1e-9
 
+    def test_prebuilt_power_gives_the_same_value(self):
+        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
+               LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
+        power = product_power(SingleSiteState(CORRELATED.matrix, True), 3)
+        assert (fourier_cumulant(CORRELATED, 3, ops, power=power)
+                == fourier_cumulant(CORRELATED, 3, ops))
+        wrong = product_power(SingleSiteState(CORRELATED.matrix, True), 2)
+        with pytest.raises(ValueError, match="power has shape"):
+            fourier_cumulant(CORRELATED, 3, ops, power=wrong)
+
     def test_distinct_triples_flag(self):
         rep = lemma4_equality_report(DIAG_THIRDS, 3, [
             LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),

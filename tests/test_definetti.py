@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_even_density_matrix
+from fermicert import definetti
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import LadderIndex, cumulant
-from fermicert.definetti import (GENERATOR_BOX, ProductMixture,
-                                 SingleSiteState, _MixtureOptimizer,
-                                 best_mixture_approx, component_state,
+from fermicert.definetti import (GENERATOR_BOX, STOP_GAP, MixtureFit,
+                                 ProductMixture, SingleSiteState,
+                                 _MixtureOptimizer, best_mixture_approx,
+                                 component_state,
                                  coordinate_search, even_hermitian_basis,
                                  hamming_power, is_even_operator,
                                  mixture_diagnostics, mixture_from_text,
@@ -23,6 +26,7 @@ from fermicert.errors import ResourceCapError
 from fermicert.fock import (DenseOperator, check_state, expectation_word_dense,
                             global_parity_signs, trace_norm)
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
+from fermicert.suites import run_verify_theorem1
 
 TAN6 = math.tan(math.pi / 12.0)
 
@@ -165,15 +169,15 @@ class TestBestMixture:
         xi = SingleSiteState(np.diag([0.35, 0.65]).astype(complex), True)
         target = product_power(xi, 3)
         for r in (1, 3):
-            mixture, dist = best_mixture_approx(target, r=r, restarts=2,
-                                                iters=60, seed=1)
+            mixture, dist, _ = best_mixture_approx(target, r=r, restarts=2,
+                                                   iters=60, seed=1)
             assert dist < 1e-6
 
     def test_maximally_mixed(self):
         sh = SystemShape(2, 1)
         target = DenseOperator(sh, np.eye(4, dtype=complex) / 4)
-        _, dist = best_mixture_approx(target, r=1, restarts=2, iters=60,
-                                      seed=1)
+        _, dist, _ = best_mixture_approx(target, r=1, restarts=2, iters=60,
+                                         seed=1)
         assert dist < 1e-6
 
     def test_mu_family_reduction_hits_optimum(self):
@@ -182,8 +186,8 @@ class TestBestMixture:
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
         target = to_matrix(reduce_expansion(state, [1, 2]))
-        mixture, dist = best_mixture_approx(target, restarts=3, iters=100,
-                                            seed=2, require_state=False)
+        mixture, dist, _ = best_mixture_approx(target, restarts=3, iters=100,
+                                               seed=2, require_state=False)
         assert dist <= TAN6 + 1e-9
         assert dist == pytest.approx(TAN6, abs=1e-6)
         assert dist <= theorem1_bound(6, 1, 2) + 1e-9
@@ -195,7 +199,7 @@ class TestBestMixture:
         prev_mix = None
         prev = math.inf
         for r in (1, 2, 3):
-            prev_mix, dist = best_mixture_approx(
+            prev_mix, dist, _ = best_mixture_approx(
                 target, r=r, restarts=2, iters=60, seed=4, warm=prev_mix)
             assert dist <= prev + 1e-9
             prev = dist
@@ -210,8 +214,8 @@ class TestBestMixture:
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
         target = to_matrix(reduce_expansion(state, [1, 2]))
-        _, d1 = best_mixture_approx(target, restarts=3, iters=50, seed=9)
-        _, d2 = best_mixture_approx(target, restarts=3, iters=50, seed=9)
+        _, d1, _ = best_mixture_approx(target, restarts=3, iters=50, seed=9)
+        _, d2, _ = best_mixture_approx(target, restarts=3, iters=50, seed=9)
         assert d1 == d2
 
 
@@ -227,8 +231,8 @@ class TestParityBlocks:
         for trial in range(3):
             target = DenseOperator(shape,
                                    random_even_density_matrix(shape, rng))
-            mixture, dist = best_mixture_approx(target, r=2, restarts=2,
-                                                iters=30, seed=trial)
+            mixture, dist, _ = best_mixture_approx(target, r=2, restarts=2,
+                                                   iters=30, seed=trial)
             assert dist == pytest.approx(self.oracle_distance(target, mixture),
                                          abs=1e-12)
             # Any mixture, not only the returned one.
@@ -250,11 +254,16 @@ class TestParityBlocks:
             w, v = np.linalg.eigh(0.5 * (delta + delta.conj().T))
             full_sign = (v * np.sign(w)) @ v.conj().T
             even = global_parity_signs(shape) > 0
-            for block, sector in zip(signs, (even, ~even)):
+            for (sw, v), sector in zip(signs, (even, ~even)):
                 want = full_sign[np.ix_(sector, sector)]
-                if p == 1:
-                    want = np.diag(want)
+                block = (v * sw) @ v.conj().T
                 assert np.max(np.abs(block - want)) < 1e-10
+            # The weight gradient -tr(S xi_l^(x k)), at p = 1 read off the
+            # diagonal of S only.
+            grad = opt._gradient(signs, [opt._power(q) for q in params])
+            want = [-np.real(np.trace(full_sign @ product_power(xi, k).matrix))
+                    for xi in comps]
+            assert np.max(np.abs(grad - want)) < 1e-10
 
     def test_gibbs_components_exactly_even(self, rng):
         signs = global_parity_signs(SystemShape(1, 3))
@@ -270,6 +279,134 @@ class TestParityBlocks:
         with pytest.raises(ValueError, match="parity"):
             best_mixture_approx(DenseOperator(shape, mat), restarts=1,
                                 iters=10, seed=0)
+
+
+DUAL_SHAPES = (SystemShape(2, 1), SystemShape(3, 1), SystemShape(4, 1),
+               SystemShape(2, 2), SystemShape(3, 2))
+
+
+def _random_mixture(p: int, rng, r: int = 2):
+    weights = project_simplex(rng.random(r))
+    if p == 1:
+        params = [rng.random(1) for _ in range(r)]
+    else:
+        params = [rng.uniform(-2.0, 2.0, n_component_params(p))
+                  for _ in range(r)]
+    return weights, params
+
+
+def _diagonal_target(k: int, occupied) -> DenseOperator:
+    diag = np.zeros(1 << k)
+    diag[list(occupied)] = 1.0 / len(occupied)
+    return DenseOperator(SystemShape(k, 1), np.diag(diag).astype(complex))
+
+
+class TestDualLowerBound:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(DUAL_SHAPES), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 1.0))
+    def test_sound_for_every_mixture(self, shape, seed, t):
+        # Targets from random even states to product mixtures, where a
+        # lower bound that misses part of the twirl overshoots.
+        rng = np.random.default_rng(seed)
+        k, p = shape.sites, shape.modes_per_site
+        near = _random_mixture(p, rng)
+        near = ProductMixture(near[0], tuple(component_state(p, q)
+                                             for q in near[1]))
+        mat = ((1.0 - t) * mixture_matrix(near, k).matrix
+               + t * random_even_density_matrix(shape, rng))
+        target = DenseOperator(shape, mat)
+        opt = _MixtureOptimizer(parity_blocks(target), k, p, 2, iters=1)
+        weights, params = _random_mixture(p, rng)
+        _, signs = opt._distance_and_sign(weights,
+                                          [opt._power(q) for q in params])
+        lower = opt._lower_bound(signs)
+        witness = ProductMixture(weights, tuple(component_state(p, q)
+                                                for q in params))
+        other = _random_mixture(p, rng)
+        other = ProductMixture(other[0], tuple(component_state(p, q)
+                                               for q in other[1]))
+        for mixture in (witness, near, other):
+            dist = trace_norm(DenseOperator(
+                shape, mat - mixture_matrix(mixture, k).matrix))
+            assert lower <= dist + 1e-12
+
+    def test_tight_on_every_theorem1_row(self, monkeypatch):
+        fits = []
+
+        def recording(*args, **kwargs):
+            fit = best_mixture_approx(*args, **kwargs)
+            fits.append(fit)
+            return fit
+
+        monkeypatch.setattr(definetti, "best_mixture_approx", recording)
+        reports, _ = run_verify_theorem1()
+        assert len(fits) == len(reports) == 60
+        for fit, rep in zip(fits, reports):
+            assert fit.distance == rep.lhs
+            assert fit.distance - fit.lower_bound <= STOP_GAP
+            assert f"dual lower bound {fit.lower_bound:.12g}" in rep.notes
+
+    @pytest.mark.parametrize("occupied, parent_distance", [
+        # Exactly one occupied mode: the first start is already the best
+        # the search finds.
+        ((1, 2, 4), 1.1111111111111112),
+        # At most one occupied mode: the search improves on its first
+        # start (0.65625), so a stop there would show.
+        ((0, 1, 2, 4), 0.6111111111120802),
+    ])
+    def test_diagonal_target_runs_the_full_search(self, occupied,
+                                                  parent_distance):
+        # A diagonal, permutation-symmetric target that is no product
+        # mixture: the twirl fixes it, so the bound is 0 and the search
+        # must return what it returned before the stop rule existed.
+        fit = best_mixture_approx(_diagonal_target(3, occupied), restarts=3,
+                                  iters=120, seed=3)
+        assert isinstance(fit, MixtureFit)
+        assert fit.lower_bound == 0.0
+        assert fit.distance == pytest.approx(parent_distance, abs=1e-12)
+
+    def test_stops_at_the_first_proven_start(self, monkeypatch):
+        state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
+        from fermicert.fock import reduce_expansion, to_matrix
+        target = to_matrix(reduce_expansion(state, [1, 2]))
+        runs = []
+        original = _MixtureOptimizer.run
+
+        def counting(self, *args):
+            runs.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(_MixtureOptimizer, "run", counting)
+        _, dist, lower = best_mixture_approx(target, restarts=8, iters=100,
+                                             seed=2, require_state=False)
+        assert len(runs) == 1
+        assert lower == pytest.approx(TAN6, abs=1e-12)
+        assert dist - lower <= STOP_GAP
+
+    def test_lower_bound_above_rhs_refutes(self, monkeypatch):
+        state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
+        inv = check_invariance(state)
+        # Stated bound below the dual bound tan(pi/12): no mixture meets it.
+        monkeypatch.setattr(definetti, "theorem1_bound",
+                            lambda V, p, k: TAN6 - 1e-6)
+        rep, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
+                                 inv_report=inv, require_state=False)
+        assert not rep.passed
+        assert any("refuted" in n for n in rep.notes)
+
+        # It fails whatever distance the search reports.
+        def lucky(*args, **kwargs):
+            fit = best_mixture_approx(*args, **kwargs)
+            return fit._replace(distance=0.0)
+
+        monkeypatch.setattr(definetti, "best_mixture_approx", lucky)
+        rep, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
+                                 inv_report=inv, require_state=False)
+        assert rep.lhs == 0.0
+        assert not rep.passed
+        assert any("refuted" in n for n in rep.notes)
 
 
 class TestVerifyTheorem1:

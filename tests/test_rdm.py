@@ -9,6 +9,7 @@ import pytest
 from conftest import (independent_ladder, random_density_matrix,
                       random_even_density_matrix)
 from fermicert.algebra import SystemShape
+from fermicert import rdm
 from fermicert.definetti import SingleSiteState, product_power
 from fermicert.errors import SingularSpectrumError
 from fermicert.fock import DenseOperator, to_matrix
@@ -16,7 +17,8 @@ from fermicert.invariance import MuFamilyParams, mu_family_state
 from fermicert.rdm import (CirculantParams, OFFDIAG_BOUND_CONST, OneRDM,
                            block_rdm_structure, circulant_matrix,
                            circulant_spectrum,
-                           circulant_spectrum_with_fallback, fit_circulant,
+                           circulant_spectrum_with_fallback,
+                           compare_circulant_spectrum, fit_circulant,
                            mode_occupations, number_operator_variance,
                            one_rdm, verify_pauli_constraints)
 
@@ -114,6 +116,34 @@ class TestCirculantSpectrum:
         assert singular == [0]
         direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
         assert np.max(np.abs(np.sort(vals) - direct)) < 1e-10
+
+    @pytest.mark.parametrize("b, singular_k, position", [
+        (-0.1 + 1e-14j, 1, 0),
+        (0.1 + 1e-14j, 0, 5),
+    ])
+    def test_compare_excludes_the_singular_formula_index(
+            self, monkeypatch, b, singular_k, position):
+        # Near-real b makes one formula index singular; its value comes
+        # from the eigensolver and sorts to a position other than k.
+        params = CirculantParams(6, 0.5, b)
+        values, singular = circulant_spectrum_with_fallback(params)
+        assert singular == [singular_k]
+        assert int(np.argsort(values, kind="stable")[position]) == singular_k
+
+        # Shift the filled value without changing its rank: only the row
+        # it lands in may show the shift, and that row is excluded.
+        def shifted(p):
+            vals, sing = circulant_spectrum_with_fallback(p)
+            vals = vals.copy()
+            vals[sing] += 1e-9
+            return vals, sing
+
+        monkeypatch.setattr(rdm, "circulant_spectrum_with_fallback", shifted)
+        rows, worst, got = compare_circulant_spectrum(params)
+        assert got == [singular_k]
+        assert [row[1] for row in rows] == list(range(6))
+        assert rows[position][4] == pytest.approx(1e-9, rel=1e-3)
+        assert worst < 1e-12
 
     def test_small_V_rejected(self):
         with pytest.raises(ValueError):
