@@ -15,11 +15,12 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .algebra import SystemShape, expansion_from_text
+from .algebra import OperatorExpansion, SystemShape, expansion_from_text
 from .definetti import mixture_diagnostics, verify_theorem1
 from .errors import ResourceCapError, SingularSpectrumError
+from .fock import check_state, to_matrix
 from .invariance import MuFamilyParams, mu_family_state, verify_lemma3
 from .meanfield import (BUILTIN_FAMILIES, HamiltonianSpec, builtin_family,
                         verify_gs_bound)
@@ -53,34 +54,36 @@ _TABLE_DOCS = {
 }
 
 
-def _load_state(args) -> "OperatorExpansion":
-    """Build the requested state.
+def _load_state(args) -> Tuple[OperatorExpansion, List[str]]:
+    """Build the requested state, family or fixture, and check it once.
 
-    The bound certifications are stated for permutation-invariant inputs
-    and run on the Hermitian unit-trace operator, so positivity is only
-    enforced with --strict-state; otherwise a failing minimum eigenvalue
-    is surfaced as a report note by the caller.
+    This is where a state enters from outside, so this is where its
+    validity is checked.  The bound certifications run on the Hermitian
+    unit-trace operator, so with --strict-state an input that is not a
+    valid state (unit trace, positive) is a usage error; otherwise the run
+    goes on and a failing minimum eigenvalue comes back as a report note.
     """
     if args.fixture is not None:
         path = Path(args.fixture)
         if not path.exists():
             raise FileNotFoundError(f"fixture not found: {path}")
         shape = SystemShape(args.V, args.p)
-        return expansion_from_text(path.read_text(), shape)
-    if args.family == "mu":
+        state = expansion_from_text(path.read_text(), shape)
+    elif args.family == "mu":
         params = MuFamilyParams(args.V, args.p, args.mu)
-        return mu_family_state(params, validate=args.strict_state)
-    raise ValueError(f"unknown state family {args.family!r}")
-
-
-def _positivity_note(state) -> List[str]:
-    from .fock import check_state, to_matrix
+        state = mu_family_state(params, validate=False)
+    else:
+        raise ValueError(f"unknown state family {args.family!r}")
     validity = check_state(to_matrix(state))
+    if args.strict_state and not (validity.trace_ok and validity.positive_ok):
+        raise ValueError(
+            f"input is not a valid state: trace {validity.trace_value:.6g}, "
+            f"min eigenvalue {validity.min_eigenvalue:.3e}")
     if validity.positive_ok:
-        return []
-    return [f"input operator is not positive (min eigenvalue "
-            f"{validity.min_eigenvalue:.3e}); bound certified for the "
-            "Hermitian unit-trace operator"]
+        return state, []
+    return state, [f"input operator is not positive (min eigenvalue "
+                   f"{validity.min_eigenvalue:.3e}); bound certified for the "
+                   "Hermitian unit-trace operator"]
 
 
 def _write_outputs(out: Path, command: str, reports, tables):
@@ -108,8 +111,9 @@ def _add_state_args(sub, with_k: bool = True):
     sub.add_argument("--fixture", default=None,
                      help="expansion text fixture instead of a family")
     sub.add_argument("--strict-state", action="store_true",
-                     help="reject family parameters outside the positivity "
-                          "range instead of certifying the Hermitian operator")
+                     help="reject an input (family or fixture) that is not "
+                          "a valid state instead of certifying the "
+                          "Hermitian operator")
     if with_k:
         sub.add_argument("--k", type=int, default=None,
                          help="reduction size (omit to sweep the suite)")
@@ -185,22 +189,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _single_lemma3(args) -> int:
-    state = _load_state(args)
+    state, notes = _load_state(args)
     rep = verify_lemma3(state, args.k, inputs={"mu": args.mu})
-    rep.notes.extend(_positivity_note(state))
+    rep.notes.extend(notes)
     _write_outputs(Path(args.out), "verify-lemma3", [rep], {})
     return _exit_code([rep])
 
 
 def _single_theorem1(args) -> int:
-    state = _load_state(args)
+    state, notes = _load_state(args)
     rep, mixture = verify_theorem1(
         state, args.k, r=args.r, restarts=args.restarts, iters=args.iters,
-        seed=args.seed, inputs={"mu": args.mu},
-        require_state=args.strict_state)
+        seed=args.seed, inputs={"mu": args.mu})
     diag = mixture_diagnostics(mixture)
     rep.notes.append(f"component purities {diag['purities']}")
-    rep.notes.extend(_positivity_note(state))
+    rep.notes.extend(notes)
     _write_outputs(Path(args.out), "verify-theorem1", [rep], {})
     return _exit_code([rep])
 

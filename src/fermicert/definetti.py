@@ -67,6 +67,9 @@ GRID_POINTS = 9
 #: dual lower bound: the witness is then proven optimal.
 STOP_GAP = 1e-12
 
+#: A witness distance below this is an exact hit, and the search stops.
+EXACT_HIT = 5e-12
+
 
 @dataclass(frozen=True, eq=False)
 class SingleSiteState:
@@ -454,7 +457,7 @@ class _MixtureOptimizer:
         dist, sign = self._distance_and_sign(weights, powers)
         best = dist
         best_state = (weights.copy(), [q.copy() for q in params])
-        if best < 5e-12 or self._proven(best, sign):
+        if best < EXACT_HIT or self._proven(best, sign):
             return best, best_state
         stall = 0
         for t in range(1, self.iters + 1):
@@ -475,7 +478,7 @@ class _MixtureOptimizer:
                         break
                 else:
                     stall += 1
-                if best < 5e-12 or stall >= 2:
+                if best < EXACT_HIT or stall >= 2:
                     break
         return best, best_state
 
@@ -491,9 +494,8 @@ class MixtureFit(NamedTuple):
 
 
 def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
-                        restarts: int = 8, iters: int = 500, seed: int = 0,
-                        warm: Optional[ProductMixture] = None,
-                        require_state: bool = True) -> MixtureFit:
+                        restarts: int = 8, iters: int = 500,
+                        seed: int = 0) -> MixtureFit:
     """Best found convex product-power mixture with its trace-norm distance
     and the dual lower bound on the minimum distance.
 
@@ -503,20 +505,17 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
     the lower bound, the largest :func:`dual_lower_bound` seen at the start
     of each start and after each improving coordinate sweep, bounds it from
     below.  The search ends, skipping the remaining starts, once the two
-    are within :data:`STOP_GAP`: the witness is then optimal.
+    are within :data:`STOP_GAP`, which proves the witness optimal, or the
+    distance is below :data:`EXACT_HIT`.
 
-    Raises ``ValueError`` when the target has a nonzero entry between the
-    even and odd global-parity sectors, and, with ``require_state``, when it
-    is not a valid state.
+    ``restarts`` and ``iters`` only matter where the two bounds do not
+    meet early.  The target need not be positive: the search runs on any
+    Hermitian operator, and callers check state validity where a state
+    enters from outside.  Raises ``ValueError`` when the target has a
+    nonzero entry between the even and odd global-parity sectors.
     """
     shape = rho_k.shape
     k, p = shape.sites, shape.modes_per_site
-    if require_state:
-        validity = check_state(rho_k)
-        if not (validity.trace_ok and validity.positive_ok):
-            raise ValueError(
-                f"target is not a valid state: trace={validity.trace_value}, "
-                f"min eigenvalue={validity.min_eigenvalue:.3e}")
     if r is None:
         r = 2 * p + 2
     n_par = n_component_params(p)
@@ -539,17 +538,6 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
         else:
             pars = [rng.uniform(-1.0, 1.0, n_par) for _ in range(r)]
         starts.append((w0, pars))
-    if warm is not None:
-        w0 = np.zeros(r)
-        pars = []
-        for i in range(r):
-            if i < len(warm.weights):
-                w0[i] = warm.weights[i]
-                pars.append(params_from_state(p, warm.components[i].matrix))
-            else:
-                pars.append(mixed_params.copy())
-        w0 = project_simplex(w0)
-        starts.insert(0, (w0, pars))
 
     best = math.inf
     best_state = None
@@ -558,7 +546,7 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
         if dist < best - 1e-15:
             best = dist
             best_state = state
-        if best < 5e-12 or best - opt.lower <= STOP_GAP:
+        if best < EXACT_HIT or best - opt.lower <= STOP_GAP:
             break
 
     weights, params = best_state
@@ -604,15 +592,16 @@ def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
                     restarts: int = 8, iters: int = 500, seed: int = 0,
                     tol: float = 1e-9, invariance_tol: float = 1e-9,
                     inv_report: Optional[InvarianceReport] = None,
-                    inputs: Optional[Dict[str, object]] = None,
-                    require_state: bool = True
+                    inputs: Optional[Dict[str, object]] = None
                     ) -> Tuple[VerificationReport, ProductMixture]:
     """Certify the product-mixture approximation bound on the first-k
     reduction, returning the report and the witness mixture.
 
     The notes carry the dual lower bound of :func:`best_mixture_approx`.
     A lower bound above ``rhs + tol`` fails the claim whatever the witness
-    distance: no mixture meets the bound then."""
+    distance: no mixture meets the bound then.  ``rho`` need not be
+    positive: the bound is certified for the Hermitian unit-trace
+    operator, and state validity is the caller's check."""
     start = time.perf_counter()
     shape = rho.shape
     V, p = shape.sites, shape.modes_per_site
@@ -632,8 +621,7 @@ def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
 
     reduction = to_matrix(reduce_expansion(rho, range(1, k + 1)))
     mixture, dist, lower = best_mixture_approx(
-        reduction, r=r, restarts=restarts, iters=iters, seed=seed,
-        require_state=require_state)
+        reduction, r=r, restarts=restarts, iters=iters, seed=seed)
     rhs = theorem1_bound(V, p, k)
     notes = [
         f"suppression term {lemma3_bound(V, p, k):.6g}",
@@ -657,37 +645,3 @@ def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
         report.passed = False
         report.notes.append("dual lower bound exceeds the bound: refuted")
     return report, mixture
-
-
-# -- mixture fixture serialization -------------------------------------------
-
-def mixture_to_text(mixture: ProductMixture) -> str:
-    """Serialize weights then one matrix block per component."""
-    p = mixture.components[0].modes
-    dim = 1 << p
-    lines = [" ".join(f"{w:.17g}" for w in mixture.weights)]
-    for xi in mixture.components:
-        for row in xi.matrix:
-            lines.append(" ".join(
-                f"{z.real:.17g} {z.imag:.17g}" for z in row))
-    lines.append(f"# dim={dim}")
-    return "\n".join(lines) + "\n"
-
-
-def mixture_from_text(text: str, p: int) -> ProductMixture:
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    dim = 1 << p
-    weights = np.array([float(x) for x in lines[0].split()])
-    comps = []
-    pos = 1
-    for _ in range(len(weights)):
-        rows = []
-        for i in range(dim):
-            vals = [float(x) for x in lines[pos + i].split()]
-            arr = np.asarray(vals).reshape(dim, 2)
-            rows.append(arr[:, 0] + 1j * arr[:, 1])
-        pos += dim
-        mat = np.array(rows)
-        comps.append(SingleSiteState(mat, is_even_operator(mat, p)))
-    return ProductMixture(weights, tuple(comps))

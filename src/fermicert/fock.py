@@ -409,38 +409,3 @@ def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
         vals = _I4[list(es)] * spectrum[list(zs)]
         out.update(zip(group_masks, vals.tolist()))
     return out
-
-
-# -- matrix fixture serialization ---------------------------------------------
-
-def matrix_to_text(dense: DenseOperator) -> str:
-    """Plain-text fixture: header line ``dim``, then one row per line of
-    interleaved re/im values."""
-    dim = dense.dim
-    lines = [str(dim)]
-    for row in dense.matrix:
-        flat = []
-        for z in row:
-            flat.append(f"{z.real:.17g}")
-            flat.append(f"{z.imag:.17g}")
-        lines.append(" ".join(flat))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str, shape: SystemShape) -> DenseOperator:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix fixture")
-    dim = int(lines[0])
-    if dim != shape.fock_dim:
-        raise ValueError(f"fixture dim {dim} does not match shape {shape}")
-    if len(lines) != dim + 1:
-        raise ValueError(f"expected {dim} rows, found {len(lines) - 1}")
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
-        parts = [float(x) for x in line.split()]
-        if len(parts) != 2 * dim:
-            raise ValueError(f"row {i}: expected {2 * dim} values")
-        arr = np.asarray(parts).reshape(dim, 2)
-        out[i] = arr[:, 0] + 1j * arr[:, 1]
-    return DenseOperator(shape, out)

@@ -6,10 +6,6 @@ above the diagonal).  Its spectrum is available in closed form, with a
 separate real-b branch; the complex branch has isolated removable
 singularities which are detected and reported rather than guessed, and the
 direct eigensolver serves as the oracle there.
-
-For several modes per site the 1-RDM is block structured (one repeated
-diagonal block, one repeated off-diagonal block); a least-squares block fit
-with its residual quantifies how well a given state follows that pattern.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ import numpy as np
 from .algebra import SystemShape
 from .cumulants import ladder_terms
 from .errors import SingularSpectrumError
-from .fock import DenseOperator, check_state
+from .fock import DenseOperator
 from .report import INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
@@ -65,7 +61,7 @@ class CirculantParams:
         return self.a * self.V
 
 
-def one_rdm(rho: DenseOperator, require_state: bool = True) -> OneRDM:
+def one_rdm(rho: DenseOperator) -> OneRDM:
     """Compute Gamma[j, k] = tr(rho f_j† f_k) over the site-major flattened
     modes, symmetrized with the residual reported.
 
@@ -73,14 +69,10 @@ def one_rdm(rho: DenseOperator, require_state: bool = True) -> OneRDM:
     f_j† maps row a to column cj[a] with value dj[a], and f_k maps row b to
     ck[b] with vk[b].  So f_j† f_k has the single entry dj[a] vk[cj[a]] at
     column ck[cj[a]] of row a, and Gamma[j, k] is one O(dim) gather on rho.
-    No dense ladder or matrix product is formed."""
+    No dense ladder or matrix product is formed.  ``rho`` need not be
+    positive: any operator gives its correlation matrix, and state validity
+    is the caller's check."""
     shape = rho.shape
-    if require_state:
-        validity = check_state(rho)
-        if not (validity.trace_ok and validity.positive_ok):
-            raise ValueError(
-                "one_rdm needs a valid state: trace="
-                f"{validity.trace_value}, min eig {validity.min_eigenvalue:.3e}")
     n = shape.total_modes
     modes = [(site, mode) for site in range(1, shape.sites + 1)
              for mode in range(1, shape.modes_per_site + 1)]
@@ -260,52 +252,3 @@ def verify_pauli_constraints(rdm: OneRDM,
                        {"V": rdm.shape.sites, "p": rdm.shape.modes_per_site},
                        lhs, 0.0, 0.0,
                        time.perf_counter() - start, notes)
-
-
-def block_rdm_structure(rho: DenseOperator
-                        ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Fit the block pattern (diagonal blocks A, off-diagonal blocks B)
-    of the 1-RDM of a several-modes-per-site state.
-
-    Returns (A, B, residual); A is Hermitian with trace N/V, B need not be.
-    Residual is the max deviation of the actual 1-RDM from the fitted
-    pattern, a diagnostic rather than a pass/fail quantity.
-    """
-    shape = rho.shape
-    p = shape.modes_per_site
-    if p < 2:
-        raise ValueError("block structure needs p >= 2 modes per site")
-    V = shape.sites
-    gamma = one_rdm(rho, require_state=False).gamma
-    blocks = gamma.reshape(V, p, V, p).transpose(0, 2, 1, 3)
-    a_block = np.mean([blocks[j, j] for j in range(V)], axis=0)
-    uppers = [blocks[j, l] for j in range(V) for l in range(V) if j < l]
-    b_block = np.mean(uppers, axis=0) if uppers else np.zeros((p, p))
-    model = np.zeros_like(gamma).reshape(V, p, V, p).transpose(0, 2, 1, 3)
-    for j in range(V):
-        for l in range(V):
-            if j == l:
-                model[j, l] = a_block
-            elif j < l:
-                model[j, l] = b_block
-            else:
-                model[j, l] = b_block.conj().T
-    model = model.transpose(0, 2, 1, 3).reshape(V * p, V * p)
-    residual = float(np.max(np.abs(gamma - model)))
-    a_block = 0.5 * (a_block + a_block.conj().T)
-    return a_block, b_block, residual
-
-
-def number_operator_variance(rho: DenseOperator) -> float:
-    """Variance of the total particle number; near zero means the state is
-    (numerically) a particle-number eigenstate."""
-    shape = rho.shape
-    dim = shape.fock_dim
-    idx = np.arange(dim)
-    counts = np.zeros(dim)
-    for bit in range(shape.total_modes):
-        counts += (idx >> bit) & 1
-    diag = np.real(np.diag(rho.matrix))
-    mean = float(np.dot(diag, counts))
-    second = float(np.dot(diag, counts ** 2))
-    return max(second - mean * mean, 0.0)

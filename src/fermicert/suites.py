@@ -233,8 +233,7 @@ def run_verify_lemma3() -> Tuple[List[VerificationReport], Dict[str, Table]]:
 # verify-theorem1
 # ---------------------------------------------------------------------------
 
-def run_verify_theorem1(seed: int = 3, restarts: int = 3, iters: int = 120
-                        ) -> Tuple[List[VerificationReport], Dict[str, Table]]:
+def run_verify_theorem1(seed: int = 3) -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Product-mixture approximation sweep over the mu family.
 
     Exact-match targets (mu = 0) must come out below 1e-6; every witness
@@ -248,8 +247,7 @@ def run_verify_theorem1(seed: int = 3, restarts: int = 3, iters: int = 120
             inv = check_invariance(state)
             for k in range(1, V):
                 rep, mixture = verify_theorem1(
-                    state, k, restarts=restarts, iters=iters, seed=seed,
-                    inv_report=inv, inputs={"mu": mu}, require_state=False)
+                    state, k, seed=seed, inv_report=inv, inputs={"mu": mu})
                 diag = mixture_diagnostics(mixture)
                 if mu == 0.0 and rep.lhs > 1e-6:
                     rep.passed = False
@@ -424,7 +422,8 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
     Exact product inputs with a non-Gaussian two-mode site state must show
     the 1/k decay (log-log slope within 0.3 of -1).  The mu family at V=6
     is reported with its empirical constant (no absolute constant is
-    claimed for correlated inputs).
+    claimed for correlated inputs).  Each Gaussian mixture is the
+    :func:`best_mixture_approx` witness for the same k-site state.
     """
     reports = []
     rows = []
@@ -433,8 +432,7 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
     for k in range(2, 6):
         start = time.perf_counter()
         rho_k = product_power(xi, k)
-        mixture, dist, _ = best_mixture_approx(rho_k, restarts=2, iters=60,
-                                               seed=seed)
+        mixture, dist, _ = best_mixture_approx(rho_k, seed=seed)
         rep = verify_corollary(rho_k, mixture, V=k,
                                ops_sets=corollary_index_sets(k, 2)[:1])
         rep.inputs["source"] = "product-p2"
@@ -455,13 +453,10 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
     # Correlated family: report the metric against the reference rate.
     V = 6
     state = _mu_state(V, 1.0)
-    inv = check_invariance(state)
     for k in (2, 3, 4):
         start = time.perf_counter()
-        _, mixture = verify_theorem1(state, k, restarts=2, iters=80,
-                                     seed=seed, inv_report=inv,
-                                     require_state=False)
         rho_k = to_matrix(reduce_expansion(state, range(1, k + 1)))
+        mixture = best_mixture_approx(rho_k, seed=seed).mixture
         rep = verify_corollary(rho_k, mixture, V=V)
         rep.inputs["source"] = "mu-family"
         rep.wall_time = time.perf_counter() - start
@@ -512,7 +507,7 @@ def run_rdm_spectrum() -> Tuple[List[VerificationReport], Dict[str, Table]]:
         for mu in (0.5, 1.0):
             state = _mu_state(V, mu)
             dense = to_matrix(state)
-            rdm = one_rdm(dense, require_state=False)
+            rdm = one_rdm(dense)
             a, b, resid = fit_circulant(rdm.gamma)
             bound = OFFDIAG_BOUND_CONST / V
             rep = verify_pauli_constraints(rdm, source=dense,
@@ -536,7 +531,8 @@ def run_rdm_spectrum() -> Tuple[List[VerificationReport], Dict[str, Table]]:
 
 def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Mean-field gap certificates for the built-in families at V = 6,
-    plus the convexity step on de Finetti witness mixtures."""
+    plus the convexity step on the :func:`best_mixture_approx` witnesses
+    of the k = 2, 3 reductions of the mu = 0.5 state."""
     reports = []
     rows = []
     for name in BUILTIN_FAMILIES:
@@ -555,10 +551,10 @@ def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Ta
     start = time.perf_counter()
     worst = -math.inf
     state = _mu_state(6, 0.5)
-    inv = check_invariance(state)
-    mixtures = [verify_theorem1(state, k, restarts=2, iters=60, seed=seed,
-                                inv_report=inv, require_state=False)[1]
-                for k in (2, 3)]
+    mixtures = []
+    for k in (2, 3):
+        rho_k = to_matrix(reduce_expansion(state, range(1, k + 1)))
+        mixtures.append(best_mixture_approx(rho_k, seed=seed).mixture)
     for name in ("site-number", "pair-exchange", "pair-hopping"):
         spec = builtin_family(name, 6)
         h_exp, _ = build_hamiltonian_expansion(spec)

@@ -102,6 +102,36 @@ class TestCliSingleCommands:
                      str(fixture), "--V", "6", "--p", "1", "--k", "2"])
         assert code == 0
 
+    @pytest.mark.parametrize("source", ["fixture", "family"])
+    @pytest.mark.parametrize("mu, positive", [(1.0, False), (0.5, True)],
+                             ids=["mu1", "mu0.5"])
+    @pytest.mark.parametrize("command", [
+        ["verify-lemma3", "--k", "2"],
+        ["verify-theorem1", "--seed", "0", "--k", "2"]],
+        ids=["lemma3", "theorem1"])
+    def test_strict_state_checks_the_input(self, tmp_path, capsys, command,
+                                           mu, positive, source):
+        # At V = 6, mu = 1 is not positive, though its 2-site reduction
+        # is: the check must read the input, family or fixture, not a
+        # reduction.
+        if source == "fixture":
+            from fermicert.algebra import expansion_to_text
+            from fermicert.invariance import MuFamilyParams, mu_family_state
+            state = mu_family_state(MuFamilyParams(6, 1, mu), validate=False)
+            fixture = tmp_path / "state.txt"
+            fixture.write_text(expansion_to_text(state))
+            given = ["--fixture", str(fixture)]
+        else:
+            given = ["--mu", str(mu)]
+        args = ["--out", str(tmp_path), command[0], "--V", "6", *given,
+                *command[1:]]
+        note = "input operator is not positive"
+        assert main(args + ["--strict-state"]) == (0 if positive else 2)
+        out, err = capsys.readouterr()
+        assert ("not a valid state" in err) != positive
+        assert main(args) == 0
+        assert (note in capsys.readouterr().out) != positive
+
     def test_resource_cap_exit_3(self, tmp_path):
         code = main(["--out", str(tmp_path), "verify-theorem1", "--seed",
                      "0", "--V", "14", "--mu", "0.0", "--k", "13",

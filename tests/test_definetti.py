@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_even_density_matrix
-from fermicert import definetti
+from fermicert import definetti, suites
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import LadderIndex, cumulant
-from fermicert.definetti import (GENERATOR_BOX, STOP_GAP, MixtureFit,
-                                 ProductMixture, SingleSiteState,
+from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
+                                 MixtureFit, ProductMixture, SingleSiteState,
                                  _MixtureOptimizer, best_mixture_approx,
                                  component_state,
                                  coordinate_search, even_hermitian_basis,
                                  hamming_power, is_even_operator,
-                                 mixture_diagnostics, mixture_from_text,
-                                 mixture_matrix, mixture_to_text,
+                                 mixture_diagnostics, mixture_matrix,
                                  n_component_params, params_from_state,
                                  parity_blocks, product_power,
                                  project_simplex, theorem1_bound,
@@ -26,7 +25,8 @@ from fermicert.errors import ResourceCapError
 from fermicert.fock import (DenseOperator, check_state, expectation_word_dense,
                             global_parity_signs, trace_norm)
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
-from fermicert.suites import run_verify_theorem1
+from fermicert.suites import (run_gs_bound, run_verify_corollary,
+                              run_verify_theorem1)
 
 TAN6 = math.tan(math.pi / 12.0)
 
@@ -187,28 +187,32 @@ class TestBestMixture:
         from fermicert.fock import reduce_expansion, to_matrix
         target = to_matrix(reduce_expansion(state, [1, 2]))
         mixture, dist, _ = best_mixture_approx(target, restarts=3, iters=100,
-                                               seed=2, require_state=False)
+                                               seed=2)
         assert dist <= TAN6 + 1e-9
         assert dist == pytest.approx(TAN6, abs=1e-6)
         assert dist <= theorem1_bound(6, 1, 2) + 1e-9
 
-    def test_monotone_in_r_with_warm_start(self):
+    def test_monotone_in_r(self):
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
         target = to_matrix(reduce_expansion(state, [1, 2, 3]))
-        prev_mix = None
         prev = math.inf
         for r in (1, 2, 3):
-            prev_mix, dist, _ = best_mixture_approx(
-                target, r=r, restarts=2, iters=60, seed=4, warm=prev_mix)
+            _, dist, _ = best_mixture_approx(target, r=r, restarts=2,
+                                             iters=60, seed=4)
             assert dist <= prev + 1e-9
             prev = dist
 
-    def test_requires_state_by_default(self):
+    def test_non_positive_target(self):
+        # The search runs on any Hermitian operator.  Against
+        # diag(1.5, -0.5, 0, 0) every mixture, being diagonal and positive,
+        # is at least 0.5 + (1.5 - 1) away; the vacuum power attains it.
         sh = SystemShape(2, 1)
         bad = DenseOperator(sh, np.diag([1.5, -0.5, 0, 0]).astype(complex))
-        with pytest.raises(ValueError, match="not a valid state"):
-            best_mixture_approx(bad, restarts=1, iters=10, seed=0)
+        _, dist, lower = best_mixture_approx(bad, restarts=2, iters=60,
+                                             seed=0)
+        assert dist == pytest.approx(1.0, abs=1e-9)
+        assert lower == 0.0
 
     def test_deterministic(self):
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
@@ -333,20 +337,50 @@ class TestDualLowerBound:
             assert lower <= dist + 1e-12
 
     def test_tight_on_every_theorem1_row(self, monkeypatch):
-        fits = []
+        # Every witness search of the suites, at the seeds of
+        # `fermicert all --seed 0`, ends after its first start and its
+        # first distance, proven optimal or an exact hit; so the suites
+        # need no search budget of their own.  The optimizer is patched at
+        # class level, which also sees searches the suites start directly.
+        searches = []
+        init = _MixtureOptimizer.__init__
+        run = _MixtureOptimizer.run
+        distance_and_sign = _MixtureOptimizer._distance_and_sign
 
-        def recording(*args, **kwargs):
-            fit = best_mixture_approx(*args, **kwargs)
-            fits.append(fit)
-            return fit
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.starts, self.distances = [], 0
+            searches.append(self)
 
-        monkeypatch.setattr(definetti, "best_mixture_approx", recording)
-        reports, _ = run_verify_theorem1()
-        assert len(fits) == len(reports) == 60
-        for fit, rep in zip(fits, reports):
-            assert fit.distance == rep.lhs
-            assert fit.distance - fit.lower_bound <= STOP_GAP
-            assert f"dual lower bound {fit.lower_bound:.12g}" in rep.notes
+        def recording_run(self, *args):
+            out = run(self, *args)
+            self.starts.append(out[0])
+            return out
+
+        def counting_distance(self, *args):
+            self.distances += 1
+            return distance_and_sign(self, *args)
+
+        monkeypatch.setattr(_MixtureOptimizer, "__init__", recording_init)
+        monkeypatch.setattr(_MixtureOptimizer, "run", recording_run)
+        monkeypatch.setattr(_MixtureOptimizer, "_distance_and_sign",
+                            counting_distance)
+        reports, _ = run_verify_theorem1(seed=3)
+        assert len(searches) == len(reports) == 60
+        for opt, rep in zip(searches, reports):
+            assert opt.starts == [rep.lhs]
+            assert f"dual lower bound {opt.lower:.12g}" in rep.notes
+        # Four product-p2 and three mu-family corollary witnesses.
+        run_verify_corollary(seed=5)
+        assert len(searches) == 67
+        # The two gs-convexity witnesses; the family loop searches none.
+        monkeypatch.setattr(suites, "BUILTIN_FAMILIES", ())
+        run_gs_bound(seed=7)
+        assert len(searches) == 69
+        for opt in searches:
+            assert len(opt.starts) == 1 and opt.distances == 1
+            best = opt.starts[0]
+            assert best < EXACT_HIT or best - opt.lower <= STOP_GAP
 
     @pytest.mark.parametrize("occupied, parent_distance", [
         # Exactly one occupied mode: the first start is already the best
@@ -380,7 +414,7 @@ class TestDualLowerBound:
 
         monkeypatch.setattr(_MixtureOptimizer, "run", counting)
         _, dist, lower = best_mixture_approx(target, restarts=8, iters=100,
-                                             seed=2, require_state=False)
+                                             seed=2)
         assert len(runs) == 1
         assert lower == pytest.approx(TAN6, abs=1e-12)
         assert dist - lower <= STOP_GAP
@@ -392,7 +426,7 @@ class TestDualLowerBound:
         monkeypatch.setattr(definetti, "theorem1_bound",
                             lambda V, p, k: TAN6 - 1e-6)
         rep, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
-                                 inv_report=inv, require_state=False)
+                                 inv_report=inv)
         assert not rep.passed
         assert any("refuted" in n for n in rep.notes)
 
@@ -403,7 +437,7 @@ class TestDualLowerBound:
 
         monkeypatch.setattr(definetti, "best_mixture_approx", lucky)
         rep, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
-                                 inv_report=inv, require_state=False)
+                                 inv_report=inv)
         assert rep.lhs == 0.0
         assert not rep.passed
         assert any("refuted" in n for n in rep.notes)
@@ -421,8 +455,7 @@ class TestVerifyTheorem1:
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         inv = check_invariance(state)
         rep, mixture = verify_theorem1(state, 2, restarts=3, iters=100,
-                                       seed=3, inv_report=inv,
-                                       require_state=False)
+                                       seed=3, inv_report=inv)
         assert rep.passed
         assert rep.rhs == pytest.approx(0.7698003589 + 8.0 * 2.0 / 6.0,
                                         abs=1e-9)
@@ -432,7 +465,7 @@ class TestVerifyTheorem1:
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         inv = check_invariance(state)
         rep, _ = verify_theorem1(state, 3, restarts=2, iters=60, seed=3,
-                                 inv_report=inv, require_state=False)
+                                 inv_report=inv)
         # Stated bound: (2/sqrt(3)) 4 * 2^(3/2) / 6 + 2 * 4 * 3 / 6.
         assert rep.rhs == pytest.approx(2.1773242158 + 4.0, abs=1e-9)
         assert any("diameter" in n for n in rep.notes)
@@ -443,7 +476,7 @@ class TestVerifyTheorem1:
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         inv = check_invariance(state)
         _, mixture = verify_theorem1(state, 2, restarts=2, iters=60, seed=5,
-                                     inv_report=inv, require_state=False)
+                                     inv_report=inv)
         sh1 = SystemShape(1, 1)
         for xi in mixture.components:
             if xi.purity() > 1.0 - 1e-8:
@@ -462,15 +495,6 @@ class TestVerifyTheorem1:
 
 
 class TestMixtureSerialization:
-    def test_roundtrip(self, rng):
-        comps = tuple(SingleSiteState(np.diag(d).astype(complex), True)
-                      for d in ([0.2, 0.8], [0.6, 0.4], [1.0, 0.0]))
-        mixture = ProductMixture(np.array([0.5, 0.3, 0.2]), comps)
-        back = mixture_from_text(mixture_to_text(mixture), p=1)
-        assert np.allclose(back.weights, mixture.weights)
-        for a, b in zip(back.components, mixture.components):
-            assert np.allclose(a.matrix, b.matrix)
-
     def test_mixture_matrix_matches_manual(self):
         comps = (SingleSiteState(np.diag([0.2, 0.8]).astype(complex), True),
                  SingleSiteState(np.diag([0.9, 0.1]).astype(complex), True))

@@ -12,7 +12,7 @@ from fermicert.algebra import OperatorExpansion, SystemShape, random_expansion
 from fermicert.errors import ResourceCapError
 from fermicert.fock import (DenseOperator, check_state, expectation_word_dense,
                             global_parity_signs, hermitian_eig, jw_matrix,
-                            matrix_from_text, matrix_to_text, operator_norm,
+                            operator_norm,
                             partial_trace_sites, permutation_unitary,
                             reduce_expansion, to_expansion, to_matrix,
                             trace_norm, word_coefficient)
@@ -316,18 +316,6 @@ class TestExpectationDense:
             direct = expectation_word_dense(dense, mask, sh)
             oracle = np.trace(dense @ word_matrix_oracle(mask, sh))
             assert abs(direct - oracle) < 1e-12
-
-
-class TestMatrixFixture:
-    def test_roundtrip(self, rng):
-        sh = SystemShape(2, 1)
-        m = DenseOperator(sh, random_density_matrix(4, rng))
-        back = matrix_from_text(matrix_to_text(m), sh)
-        assert np.max(np.abs(back.matrix - m.matrix)) < 1e-15
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            matrix_from_text("4\n" + "0 0 " * 4 + "\n", SystemShape(1, 1))
 
 
 class TestIndependentOracleAgreement:

@@ -202,7 +202,7 @@ class TestConvexityStep:
         inv = check_invariance(state)
         from fermicert.definetti import verify_theorem1
         _, mixture = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
-                                     inv_report=inv, require_state=False)
+                                     inv_report=inv)
         for name in ("site-number", "pair-hopping"):
             spec = builtin_family(name, 6)
             h_exp, _ = build_hamiltonian_expansion(spec)

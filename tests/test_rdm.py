@@ -15,12 +15,11 @@ from fermicert.errors import SingularSpectrumError
 from fermicert.fock import DenseOperator, to_matrix
 from fermicert.invariance import MuFamilyParams, mu_family_state
 from fermicert.rdm import (CirculantParams, OFFDIAG_BOUND_CONST, OneRDM,
-                           block_rdm_structure, circulant_matrix,
-                           circulant_spectrum,
+                           circulant_matrix, circulant_spectrum,
                            circulant_spectrum_with_fallback,
                            compare_circulant_spectrum, fit_circulant,
-                           mode_occupations, number_operator_variance,
-                           one_rdm, verify_pauli_constraints)
+                           mode_occupations, one_rdm,
+                           verify_pauli_constraints)
 
 TAN6 = math.tan(math.pi / 12.0)
 
@@ -45,7 +44,7 @@ class TestOneRDM:
         # f_j† f_k = (m_j^1 - i m_j^2)(m_k^1 + i m_k^2)/4 and only the
         # m^1 m^1 expectation survives.
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
-        rdm = one_rdm(to_matrix(state), require_state=False)
+        rdm = one_rdm(to_matrix(state))
         a, b, resid = fit_circulant(rdm.gamma)
         assert a == pytest.approx(0.5, abs=1e-12)
         assert b == pytest.approx(0.25j * TAN6, abs=1e-12)
@@ -54,7 +53,7 @@ class TestOneRDM:
 
     def test_occupation_band(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
-        rdm = one_rdm(to_matrix(state), require_state=False)
+        rdm = one_rdm(to_matrix(state))
         eigs = np.linalg.eigvalsh(rdm.gamma)
         assert eigs[0] > -1e-10 and eigs[-1] < 1.0 + 1e-10
 
@@ -69,12 +68,6 @@ class TestOneRDM:
             rdm = one_rdm(DenseOperator(sh, rho))
             assert np.max(np.abs(rdm.gamma - want)) < 1e-12
             assert rdm.hermiticity_residual < 1e-12
-
-    def test_requires_state(self, rng):
-        sh = SystemShape(2, 1)
-        bad = DenseOperator(sh, np.diag([2.0, -1.0, 0, 0]).astype(complex))
-        with pytest.raises(ValueError):
-            one_rdm(bad)
 
 
 class TestCirculantSpectrum:
@@ -162,7 +155,7 @@ class TestPauliConstraints:
     def test_mu_family_bound(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         dense = to_matrix(state)
-        rdm = one_rdm(dense, require_state=False)
+        rdm = one_rdm(dense)
         rep = verify_pauli_constraints(rdm, source=dense,
                                        source_invariant=True)
         assert rep.passed
@@ -179,39 +172,43 @@ class TestPauliConstraints:
         sh = SystemShape(2, 1)
         rho = DenseOperator(sh, random_density_matrix(4, rng))
         occ = mode_occupations(rho)
-        rdm = one_rdm(rho, require_state=False)
+        rdm = one_rdm(rho)
         assert np.allclose(occ, np.real(np.diag(rdm.gamma)), atol=1e-12)
 
 
+def site_blocks(rdm: OneRDM) -> np.ndarray:
+    """The 1-RDM as its V x V grid of p x p site blocks."""
+    V, p = rdm.shape.sites, rdm.shape.modes_per_site
+    return rdm.gamma.reshape(V, p, V, p).transpose(0, 2, 1, 3)
+
+
 class TestBlockStructure:
+    """Several modes per site: one repeated diagonal block and, for an
+    invariant state, one repeated block above the diagonal."""
+
     def test_product_state_has_zero_offdiagonal_block(self):
         xi = SingleSiteState(np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex),
                              True)
-        power = product_power(xi, 4)
-        a_block, b_block, resid = block_rdm_structure(power)
-        assert np.max(np.abs(b_block)) < 1e-10
-        assert resid < 1e-10
-        assert np.max(np.abs(a_block - a_block.conj().T)) < 1e-12
+        blocks = site_blocks(one_rdm(product_power(xi, 4)))
+        single = one_rdm(DenseOperator(SystemShape(1, 2), xi.matrix)).gamma
+        for j in range(4):
+            # Each diagonal block is the 1-RDM of the single-site state.
+            assert np.max(np.abs(blocks[j, j] - single)) < 1e-12
+            for l in range(4):
+                if l != j:
+                    assert np.max(np.abs(blocks[j, l])) < 1e-12
 
     def test_mu_family_p2_nonzero_block(self):
         state = mu_family_state(MuFamilyParams(4, 2, 0.8), validate=False)
-        a_block, b_block, resid = block_rdm_structure(to_matrix(state))
+        blocks = site_blocks(one_rdm(to_matrix(state)))
         t4 = math.tan(math.pi / 8.0)
-        assert b_block[0, 0] == pytest.approx(-0.25j * 0.8 * t4, abs=1e-10)
-        assert resid < 1e-9
-        assert np.real(np.trace(a_block)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_non_invariant_state_large_residual(self, rng):
-        sh = SystemShape(3, 2)
-        rho = DenseOperator(sh, random_density_matrix(sh.fock_dim, rng))
-        _, _, resid = block_rdm_structure(rho)
-        assert resid > 1e-3
-
-    def test_p1_rejected(self):
-        sh = SystemShape(3, 1)
-        rho = DenseOperator(sh, np.eye(8, dtype=complex) / 8)
-        with pytest.raises(ValueError):
-            block_rdm_structure(rho)
+        for j in range(4):
+            assert np.real(np.trace(blocks[j, j])) == pytest.approx(
+                1.0, abs=1e-12)
+            for l in range(j + 1, 4):
+                assert np.max(np.abs(blocks[j, l] - blocks[0, 1])) < 1e-12
+        assert blocks[0, 1][0, 0] == pytest.approx(-0.25j * 0.8 * t4,
+                                                   abs=1e-12)
 
 
 class TestSuppressionWithSize:
@@ -219,21 +216,8 @@ class TestSuppressionWithSize:
         # Fitted |b| V = V tan(pi/2V) / 4 -> pi/8 for the mu family.
         for V in (6, 8, 10):
             state = mu_family_state(MuFamilyParams(V, 1, 1.0), validate=False)
-            rdm = one_rdm(to_matrix(state), require_state=False)
+            rdm = one_rdm(to_matrix(state))
             _, b, _ = fit_circulant(rdm.gamma)
             expected = math.tan(math.pi / (2 * V)) / 4.0
             assert abs(b) == pytest.approx(expected, abs=1e-12)
             assert abs(b) * V < OFFDIAG_BOUND_CONST
-
-
-class TestNumberVariance:
-    def test_eigenstate_zero_variance(self):
-        sh = SystemShape(2, 1)
-        full = np.zeros((4, 4), dtype=complex)
-        full[3, 3] = 1.0
-        assert number_operator_variance(DenseOperator(sh, full)) < 1e-12
-
-    def test_mixed_state_positive_variance(self):
-        sh = SystemShape(2, 1)
-        mixed = DenseOperator(sh, np.eye(4, dtype=complex) / 4)
-        assert number_operator_variance(mixed) == pytest.approx(0.5)
