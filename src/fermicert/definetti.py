@@ -37,6 +37,7 @@ mode per site); the search then runs its full course.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -116,11 +117,13 @@ def is_even_operator(matrix: np.ndarray, p: int, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(matrix - even_projection(matrix, p)))) < tol
 
 
-def even_hermitian_basis(p: int) -> List[np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def even_hermitian_basis(p: int) -> Tuple[np.ndarray, ...]:
     """Hermitian matrices spanning the traceless even single-site operators.
 
     One basis element per even word of positive degree: the word itself when
-    it is Hermitian, i times the word when it is anti-Hermitian.
+    it is Hermitian, i times the word when it is anti-Hermitian.  Built once
+    per p; the matrices are read-only.
     """
     shape = SystemShape(1, p)
     basis = []
@@ -130,8 +133,9 @@ def even_hermitian_basis(p: int) -> List[np.ndarray]:
         mat = jw_matrix(mask, shape).matrix
         if reversal_sign(mask.bit_count()) < 0:
             mat = 1j * mat
+        mat.flags.writeable = False
         basis.append(mat)
-    return basis
+    return tuple(basis)
 
 
 def n_component_params(p: int) -> int:

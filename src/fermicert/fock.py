@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +67,23 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.shape.fock_dim
+
+
+@dataclass(frozen=True, eq=False)
+class Isometry:
+    """A dim x r matrix F with orthonormal columns over the Fock basis of
+    ``shape``.  It stands for the state F F-dagger / r, the uniform mixture
+    over its range (an exact ground space, say), without the dim x dim
+    projector."""
+
+    shape: SystemShape
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.shape.fock_dim:
+            raise ValueError(
+                f"isometry shape {self.matrix.shape} does not match Fock "
+                f"dimension {self.shape.fock_dim} of {self.shape}")
 
 
 @dataclass(frozen=True)
@@ -339,14 +356,93 @@ def global_parity_signs(shape: SystemShape) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
+def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Connected-component label of each of n vertices joined by the edges
+    (rows[e], cols[e]), numbered in the order of each component's smallest
+    vertex.
+
+    Minimum-label propagation with pointer jumping: every label is a
+    vertex of the same component and never grows, so the fixed point holds
+    each component's smallest vertex.
+    """
+    heads = np.concatenate((rows, cols))
+    tails = np.concatenate((cols, rows))
+    labels = np.arange(n)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, heads, labels[tails])
+        new = new[new]
+        if (new == labels).all():
+            smallest = labels == np.arange(n)
+            return (np.cumsum(smallest) - 1)[labels]
+        labels = new
+
+
+def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The diagonal blocks of a square matrix on the connected components
+    of its sparsity graph, equal-size blocks batched.
+
+    A matrix is exactly block diagonal on these components, so its
+    spectrum is the union of the blocks' spectra and its eigenvectors live
+    inside single blocks; for a Hamiltonian they are the conserved sectors,
+    found with no symmetry assumed.  ``matrix`` is a dense array or a scipy
+    sparse matrix (explicit zeros are dropped).  Yields ``(idx, stack)``
+    per block size s, in increasing size: ``idx`` is an (m, s) array whose
+    rows hold the ascending basis indices of one block each, and ``stack``
+    the (m, s, s) dense blocks matrix[idx[j]][:, idx[j]].
+
+    The search needs no scipy, so a dense check (:func:`check_state` on
+    single-site components) does not pay for importing it.
+    """
+    sparse = hasattr(matrix, "tocoo")
+    if sparse:
+        matrix = matrix.tocoo(copy=True)
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+        rows, cols = matrix.row, matrix.col
+    else:
+        rows, cols = np.nonzero(matrix)
+    labels = _component_labels(rows, cols, matrix.shape[0])
+    n_blocks = int(labels.max()) + 1
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n_blocks)
+    starts = np.cumsum(sizes) - sizes
+    if sparse:
+        # Position of each basis index inside its block, for scattering
+        # the stored entries straight into the stacks.
+        pos = np.empty_like(order)
+        pos[order] = np.arange(len(order)) - np.repeat(starts, sizes)
+        entry_block = labels[matrix.row]
+    for s in np.unique(sizes):
+        ids = np.flatnonzero(sizes == s)
+        idx = order[starts[ids][:, None] + np.arange(s)]
+        if sparse:
+            slot = np.full(n_blocks, -1)
+            slot[ids] = np.arange(len(ids))
+            which = slot[entry_block]
+            sel = which >= 0
+            stack = np.zeros((len(ids), s, s), dtype=matrix.dtype)
+            stack[which[sel], pos[matrix.row[sel]],
+                  pos[matrix.col[sel]]] = matrix.data[sel]
+        else:
+            stack = matrix[idx[:, :, None], idx[:, None, :]]
+        yield idx, stack
+
+
 def check_state(dense: DenseOperator, trace_tol: float = 1e-9,
                 eig_tol: float = 1e-10, parity_tol: float = 1e-10) -> StateValidity:
     """Density-matrix sanity check: unit trace, positivity, parity
-    superselection (commutation with the global parity operator)."""
+    superselection (commutation with the global parity operator).
+
+    The minimum eigenvalue of the Hermitian part is taken block by block
+    over :func:`diagonal_blocks`, which is exact for any input; a
+    parity-even state has at least two blocks.
+    """
     tr = complex(np.trace(dense.matrix))
     trace_ok = abs(tr - 1.0) < trace_tol
     herm = 0.5 * (dense.matrix + dense.matrix.conj().T)
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
+    min_eig = min(float(np.linalg.eigvalsh(stack)[:, 0].min())
+                  for _, stack in diagonal_blocks(herm))
     positive_ok = (min_eig >= -eig_tol
                    and hermiticity_residual(dense.matrix) < 1e-9)
     signs = global_parity_signs(dense.shape)
@@ -381,7 +477,8 @@ def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
 
 
 def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
-                            shape: SystemShape) -> Dict[int, complex]:
+                            shape: SystemShape, factor: bool = False
+                            ) -> Dict[int, complex]:
     """tr(M * word) for many canonical words at once.
 
     A word with Pauli form i^e Z^z X^x has tr(M w) = i^e sum_b
@@ -392,6 +489,11 @@ def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
     :func:`pauli_of_word` index that transform directly.  One gathered
     vector is alive at a time.  Values agree with
     :func:`expectation_word_dense` up to summation order.
+
+    With ``factor`` set, ``matrix`` is a dim x r matrix F standing for the
+    state M = F F-dagger / r (an :class:`Isometry`), and the gathered
+    vector is sum_i F[b ^ x, i] conj(F[b, i]) / r: no dim x dim matrix is
+    formed.
     """
     n = shape.total_modes
     by_x: Dict[int, list] = {}
@@ -402,9 +504,16 @@ def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
     rev = np.zeros_like(rows)
     for q in range(n):
         rev |= ((rows >> q) & 1) << (n - 1 - q)
+    if factor:
+        f_rev = matrix[rev]
+        f_conj = f_rev.conj() / matrix.shape[1]
     out: Dict[int, complex] = {}
     for x, group in by_x.items():
-        spectrum = _walsh_hadamard(matrix[rev[rows ^ x], rev])
+        if factor:
+            gathered = np.einsum("bi,bi->b", f_rev[rows ^ x], f_conj)
+        else:
+            gathered = matrix[rev[rows ^ x], rev]
+        spectrum = _walsh_hadamard(gathered)
         group_masks, es, zs = zip(*group)
         vals = _I4[list(es)] * spectrum[list(zs)]
         out.update(zip(group_masks, vals.tolist()))

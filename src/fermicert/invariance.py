@@ -28,14 +28,14 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .algebra import (OperatorExpansion, SystemShape, relabel_word,
                       site_blocks, validate_permutation)
-from .fock import (DenseOperator, reduce_expansion, to_matrix, trace_norm,
-                   word_expectations_dense)
+from .fock import (DenseOperator, Isometry, reduce_expansion, to_matrix,
+                   trace_norm, word_expectations_dense)
 from .report import INEQUALITY, VerificationReport, make_report
 
 
@@ -211,18 +211,21 @@ def check_invariance(rho: OperatorExpansion, word_degree_cap: int = 4,
                          tol)
 
 
-def check_invariance_dense(rho: DenseOperator, word_degree_cap: int = 4,
+def check_invariance_dense(rho: Union[DenseOperator, Isometry],
+                           word_degree_cap: int = 4,
                            tol: float = 1e-8) -> InvarianceReport:
     """The exact class check of :func:`check_invariance` on a dense state.
 
-    Used for states only available as dense matrices (exact ground
-    states); the word expectations come from
-    :func:`word_expectations_dense`, one Walsh-Hadamard transform per X
-    pattern.
+    Used for states only available numerically: a dense matrix, or an
+    exact ground space given as an :class:`Isometry` F (the state
+    F F-dagger / r, read without forming it).  The word expectations come
+    from :func:`word_expectations_dense`, one Walsh-Hadamard transform per
+    X pattern.
     """
     words = words_up_to_degree(rho.shape, word_degree_cap)
-    return _class_report(
-        rho.shape, word_expectations_dense(rho.matrix, words, rho.shape), tol)
+    values = word_expectations_dense(rho.matrix, words, rho.shape,
+                                     factor=isinstance(rho, Isometry))
+    return _class_report(rho.shape, values, tol)
 
 
 def lemma3_bound(V: int, p: int, k: int) -> float:

@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (independent_majoranas, random_density_matrix,
                       random_even_density_matrix, word_matrix_oracle)
-from fermicert.algebra import OperatorExpansion, SystemShape, random_expansion
+from fermicert.algebra import (OperatorExpansion, SystemShape,
+                               expansion_from_text, expansion_to_text,
+                               random_expansion)
 from fermicert.errors import ResourceCapError
-from fermicert.fock import (DenseOperator, check_state, expectation_word_dense,
-                            global_parity_signs, hermitian_eig, jw_matrix,
-                            operator_norm,
+from fermicert.fock import (DenseOperator, check_state, diagonal_blocks,
+                            expectation_word_dense, global_parity_signs,
+                            hermitian_eig, jw_matrix, operator_norm,
                             partial_trace_sites, permutation_unitary,
                             reduce_expansion, to_expansion, to_matrix,
-                            trace_norm, word_coefficient)
+                            trace_norm, word_coefficient,
+                            word_expectations_dense)
 from fermicert.invariance import MuFamilyParams, mu_family_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -246,6 +250,45 @@ class TestCheckState:
         expected_min = (1.0 - math.tan(math.pi / 12.0) * 5.0) / 64.0
         assert abs(validity.min_eigenvalue - expected_min) < 1e-12
 
+    def test_blockwise_minimum_matches_full_eigvalsh(self, tmp_path, rng):
+        # The blockwise minimum eigenvalue against one eigvalsh of the whole
+        # Hermitian part, with the flags read independently: the mu family
+        # on both sides of its positivity range, a non-positive fixture read
+        # back from text, and inputs that break parity or Hermiticity (one
+        # block).
+        sh = SystemShape(6, 1)
+        inputs = [to_matrix(mu_family_state(MuFamilyParams(6, 1, mu),
+                                            validate=False)).matrix
+                  for mu in (1.0, 0.5, -1.0)]
+        word = mask_of(sh, (1, 1), (2, 1), (3, 1), (4, 2))
+        bad = OperatorExpansion(sh, {0: 1.0 / 64, word: 0.05})
+        fixture = tmp_path / "state.txt"
+        fixture.write_text(expansion_to_text(bad))
+        inputs.append(to_matrix(expansion_from_text(fixture.read_text(),
+                                                    sh)).matrix)
+        # Particle-number blocks of sizes C(6, n): the minimum sits in one
+        # of the larger blocks.
+        counts = np.array([bin(b).count("1") for b in range(sh.fock_dim)])
+        g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        inputs.append((g + g.conj().T) * (counts[:, None] == counts[None, :])
+                      / 64)
+        noisy = random_density_matrix(sh.fock_dim, rng)
+        inputs.append(noisy - 0.02 * np.eye(sh.fock_dim))
+        inputs.append(noisy + 0.01j * np.triu(noisy))
+        for matrix in inputs:
+            validity = check_state(DenseOperator(sh, matrix))
+            herm = 0.5 * (matrix + matrix.conj().T)
+            oracle = float(np.linalg.eigvalsh(herm)[0])
+            assert abs(validity.min_eigenvalue - oracle) < 1e-12
+            assert validity.positive_ok == (
+                oracle >= -1e-10
+                and np.max(np.abs(matrix - matrix.conj().T)) < 1e-9)
+            signs = global_parity_signs(sh)
+            assert validity.parity_ok == bool(np.allclose(
+                signs[:, None] * matrix * signs[None, :], matrix,
+                rtol=0, atol=1e-10))
+        assert not check_state(DenseOperator(sh, inputs[3])).positive_ok
+
     def test_global_parity_signs(self):
         sh = SystemShape(2, 1)
         assert np.allclose(global_parity_signs(sh), [1, -1, -1, 1])
@@ -316,6 +359,67 @@ class TestExpectationDense:
             direct = expectation_word_dense(dense, mask, sh)
             oracle = np.trace(dense @ word_matrix_oracle(mask, sh))
             assert abs(direct - oracle) < 1e-12
+
+
+class TestDiagonalBlocks:
+    def test_blocks_are_the_connected_components(self, rng):
+        # Against scipy's connected components as an independent oracle, on
+        # random symmetric patterns from dense to chain-like: every index
+        # lands in exactly one block, the blocks are the components, and
+        # the blocks alone rebuild the matrix.
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        dim = 60
+        for density in (0.3, 0.05, 0.02, 0.0):
+            upper = np.triu(rng.standard_normal((dim, dim))
+                            * (rng.random((dim, dim)) < density), 1)
+            dense = upper + upper.T + np.diag(rng.standard_normal(dim))
+            _, labels = connected_components(sp.csr_matrix(dense != 0),
+                                             directed=False)
+            want = sorted(sorted(np.flatnonzero(labels == c).tolist())
+                          for c in set(labels.tolist()))
+            for matrix in (dense, sp.csr_matrix(dense)):
+                rebuilt = np.zeros((dim, dim))
+                found = []
+                for idx, stack in diagonal_blocks(matrix):
+                    assert stack.shape == (len(idx), idx.shape[1],
+                                           idx.shape[1])
+                    for rows, block in zip(idx, stack):
+                        rebuilt[np.ix_(rows, rows)] = block
+                        found.append(rows.tolist())
+                assert sorted(found) == want
+                assert np.array_equal(rebuilt, dense)
+
+
+@st.composite
+def factored_states(draw):
+    """(shape, F): an orthonormal dim x r factor of a random rank-r state."""
+    shape = SystemShape(*draw(st.sampled_from([(3, 1), (2, 2), (4, 1)])))
+    r = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    g = np.random.default_rng(seed)
+    a = (g.standard_normal((shape.fock_dim, r))
+         + 1j * g.standard_normal((shape.fock_dim, r)))
+    return shape, np.linalg.qr(a)[0]
+
+
+class TestWordExpectationsFactor:
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(factored_states())
+    def test_factor_matches_dense_matrix(self, case):
+        # A factor F gives the expectations of F F-dagger / r, word for
+        # word, without the dim x dim matrix.
+        shape, factor = case
+        rho = factor @ factor.conj().T / factor.shape[1]
+        masks = range(1 << shape.majorana_count)
+        from_factor = word_expectations_dense(factor, masks, shape,
+                                              factor=True)
+        from_matrix = word_expectations_dense(rho, masks, shape)
+        assert from_factor.keys() == from_matrix.keys()
+        assert max(abs(from_factor[m] - from_matrix[m])
+                   for m in masks) < 1e-12
 
 
 class TestIndependentOracleAgreement:
