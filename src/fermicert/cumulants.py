@@ -18,15 +18,20 @@ definition, and certifies:
 * the Gaussian-mixture deviation metric used by the correlated-state
   central limit corollary.
 
-Ladder operators are never formed as dense matrices.  A site ladder
-f = (m^(2a-1) + i c m^(2a))/2 is a signed XOR permutation: its two
-Majorana strings flip the same Fock-basis bit, so row a holds one entry,
-at column cols[a] = a ^ x, with value vals[a] in {0, +-1, +-i}.  A
-Fourier ladder is the sum of V such phased terms.  A moment
-tr(rho L_1 ... L_w) multiplies rho by each ladder with an O(dim^2) column
-gather and takes the last factor into the trace at O(dim);
-:func:`ladder_matrix` and :func:`fourier_ladder_matrix` are dense views
-of the same terms.
+Ladder operators are never formed as dense matrices, and rho is never
+multiplied by anything.  Operators are kept as XOR terms
+sum_x diag(v_x) X_x, with X_x[a, a ^ x] = 1.  A site ladder
+f = (m^(2a-1) + i c m^(2a))/2 is one term: its two Majorana strings flip
+the same Fock-basis bit x, and v_x[a] is in {0, +-1, +-i}.  A Fourier
+ladder is V phased terms, one per site.  A product of ladders stays in
+this form, diag(u) X_x diag(v) X_y = diag(u * v[a ^ x]) X_(x ^ y), at
+O(terms * dim) and independent of rho; a moment tr(rho L_1 ... L_w) is
+then one gather, sum_x sum_a u_x[a] rho[a ^ x, a].  :class:`LadderMoments`
+keeps the products of key prefixes and the cumulants of one state, so
+overlapping requests share them, and :class:`FourierMemo` holds one per
+(single-site state, V) for a sweep of Fourier cumulants.
+:func:`ladder_matrix` and :func:`fourier_ladder_matrix` are dense views of
+the same terms.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,7 +115,47 @@ def partition_sign(partition: Sequence[Sequence[int]]) -> int:
     return -1 if inversions % 2 else 1
 
 
+#: (sign, partition) pairs over the indices 0 .. w-1.
+SignedPartitions = Tuple[Tuple[int, Tuple[Tuple[int, ...], ...]], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_partitions(w: int) -> SignedPartitions:
+    """Every even partition of (0, .., w-1) with its sign, in the order of
+    :func:`_even_partitions_of`.  The partitions of any increasing tuple of
+    w positions are these relabeled, with the same signs."""
+    return tuple((partition_sign(part), part)
+                 for part in _even_partitions_of(tuple(range(w))))
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_pairings(w: int) -> SignedPartitions:
+    """The even partitions of (0, .., w-1) into pairs, in the same order."""
+    return tuple((sign, part) for sign, part in _signed_partitions(w)
+                 if all(len(block) == 2 for block in part))
+
+
 # -- moment / cumulant engine --------------------------------------------------
+
+def _cumulant(moment_fn: Callable[[Tuple[Hashable, ...]], complex],
+              keys: Tuple[Hashable, ...],
+              memo: Dict[Tuple[Hashable, ...], complex]) -> complex:
+    """K(keys) = moment(keys) minus, over the even partitions into two or
+    more blocks, sign * prod K(block); memoized in ``memo`` by key tuple."""
+    hit = memo.get(keys)
+    if hit is not None:
+        return hit
+    total = moment_fn(keys)
+    for sign, partition in _signed_partitions(len(keys)):
+        if len(partition) == 1:
+            continue
+        prod = complex(sign)
+        for block in partition:
+            prod *= _cumulant(moment_fn, tuple(keys[i] for i in block), memo)
+        total -= prod
+    memo[keys] = total
+    return total
+
 
 def cumulant_from_moment_fn(moment_fn: Callable[[Tuple[int, ...]], complex],
                             w: int) -> complex:
@@ -121,41 +166,25 @@ def cumulant_from_moment_fn(moment_fn: Callable[[Tuple[int, ...]], complex],
     """
     if w % 2 or w < 2:
         raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
-    memo: Dict[Tuple[int, ...], complex] = {}
-
-    def K(positions: Tuple[int, ...]) -> complex:
-        hit = memo.get(positions)
-        if hit is not None:
-            return hit
-        total = moment_fn(positions)
-        for partition in _even_partitions_of(positions):
-            if len(partition) == 1:
-                continue
-            prod = complex(partition_sign(partition))
-            for block in partition:
-                prod *= K(block)
-            total -= prod
-        memo[positions] = total
-        return total
-
-    return K(tuple(range(w)))
+    return _cumulant(moment_fn, tuple(range(w)), {})
 
 
 def moment_from_cumulant_fn(cumulant_fn: Callable[[Tuple[int, ...]], complex],
                             w: int) -> complex:
     """Recombine cumulants into the order-w moment (consistency oracle)."""
     total = 0.0 + 0.0j
-    for partition in _even_partitions_of(tuple(range(w))):
-        prod = complex(partition_sign(partition))
+    for sign, partition in _signed_partitions(w):
+        prod = complex(sign)
         for block in partition:
             prod *= cumulant_fn(block)
         total += prod
     return total
 
 
-#: A ladder operator as signed XOR-permutation terms (cols, vals): the
-#: matrix sum over terms of the entries [a, cols[a]] = vals[a].
-LadderTerms = Tuple[Tuple[np.ndarray, np.ndarray], ...]
+#: An operator as XOR terms (masks, vals): the matrix sum over terms t of
+#: diag(vals[t]) X_masks[t], that is the entries [a, a ^ masks[t]] =
+#: vals[t, a].  Ladders and their products keep this form.
+LadderTerms = Tuple[np.ndarray, np.ndarray]
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -166,34 +195,99 @@ def _read_only(*arrays: np.ndarray) -> None:
 @functools.lru_cache(maxsize=512)
 def ladder_terms(shape: SystemShape, c: int, site: int, mode: int
                  ) -> LadderTerms:
-    """Site ladder f (c = +1) or f-dagger (c = -1) as one signed XOR
-    permutation: f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings
-    share their column indices.  Cached; the arrays are read-only."""
+    """Site ladder f (c = +1) or f-dagger (c = -1) as one XOR term:
+    f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings flip the same
+    bits.  Cached; the arrays are read-only."""
     if c not in (1, -1):
         raise ValueError(f"c must be +1 or -1, got {c}")
     cols, v1 = word_string_entries(1 << shape.bit_position(site, 2 * mode - 1),
                                    shape)
     _, v2 = word_string_entries(1 << shape.bit_position(site, 2 * mode), shape)
     vals = 0.5 * (v1 + 1j * v2) if c == 1 else 0.5 * (v1 - 1j * v2)
-    _read_only(cols, vals)
-    return ((cols, vals),)
+    masks = cols[:1]  # cols[a] = a ^ mask
+    vals = vals[None, :]
+    _read_only(masks, vals)
+    return masks, vals
 
 
 @functools.lru_cache(maxsize=256)
 def fourier_ladder_terms(shape: SystemShape, c: int, mode: int,
                          q: int) -> LadderTerms:
     """Fourier ladder (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c as V
-    phased site-ladder terms.  Cached; the arrays are read-only."""
+    phased site-ladder terms, one mask per site.  Cached; the arrays are
+    read-only."""
     V = shape.sites
     if q not in fourier_q_range(V):
         raise ValueError(f"q = {q} outside {fourier_q_range(V)} for V = {V}")
-    terms = []
-    for j in range(1, V + 1):
-        ((cols, vals),) = ladder_terms(shape, c, j, mode)
-        phased = cmath.exp(2j * math.pi * c * q * j / V) * vals / math.sqrt(V)
-        _read_only(phased)
-        terms.append((cols, phased))
-    return tuple(terms)
+    sites = [ladder_terms(shape, c, j, mode) for j in range(1, V + 1)]
+    phases = np.array([cmath.exp(2j * math.pi * c * q * j / V)
+                       for j in range(1, V + 1)])
+    masks = np.concatenate([m for m, _ in sites])
+    vals = phases[:, None] * np.concatenate([v for _, v in sites]) / math.sqrt(V)
+    _read_only(masks, vals)
+    return masks, vals
+
+
+def _ladder_product(left: LadderTerms, right: LadderTerms) -> LadderTerms:
+    """left @ right in XOR form: diag(u) X_x diag(v) X_y = diag(u * v[a ^ x])
+    X_(x ^ y), terms of equal mask summed.  O(terms * dim); independent of
+    any state."""
+    lmasks, lvals = left
+    rmasks, rvals = right
+    dim = lvals.shape[1]
+    rows = np.arange(dim)
+    # vals[i, j, a] = lvals[i, a] * rvals[j, a ^ lmasks[i]]
+    vals = lvals[:, None, :] * rvals[:, rows ^ lmasks[:, None]].swapaxes(0, 1)
+    masks = (lmasks[:, None] ^ rmasks[None, :]).ravel()
+    order = np.argsort(masks, kind="stable")
+    masks = masks[order]
+    first = np.concatenate(([0], np.flatnonzero(masks[1:] != masks[:-1]) + 1))
+    return masks[first], np.add.reduceat(vals.reshape(-1, dim)[order], first,
+                                         axis=0)
+
+
+class LadderMoments:
+    """Moments tr(rho L_1 ... L_w) and joint cumulants of ladders on one
+    dense state, memoized by ladder key.
+
+    ``ladder`` maps a hashable key to the ladder's :data:`LadderTerms`.
+    The product of each key tuple is formed once, from the product of its
+    prefix (:func:`_ladder_product`), and kept; a moment is then one gather
+    on rho, sum over terms and rows a of vals[t, a] * rho[a ^ mask_t, a].
+    Cumulants are kept too, so requests that overlap share their work.
+    The memo keeps everything it formed: scope it to one computation.
+    """
+
+    def __init__(self, rho: np.ndarray,
+                 ladder: Callable[[Hashable], LadderTerms]):
+        self.rho = rho
+        self._ladder = ladder
+        self._rows = np.arange(len(rho))
+        self._products: Dict[Tuple[Hashable, ...], LadderTerms] = {}
+        self._cumulants: Dict[Tuple[Hashable, ...], complex] = {}
+
+    def product(self, keys: Tuple[Hashable, ...]) -> LadderTerms:
+        if not keys:
+            raise ValueError("a ladder product needs at least one operator")
+        if len(keys) == 1:
+            return self._ladder(keys[0])
+        hit = self._products.get(keys)
+        if hit is None:
+            hit = _ladder_product(self.product(keys[:-1]),
+                                  self._ladder(keys[-1]))
+            self._products[keys] = hit
+        return hit
+
+    def moment(self, keys: Tuple[Hashable, ...]) -> complex:
+        masks, vals = self.product(keys)
+        rows = self._rows
+        return complex((vals * self.rho[rows ^ masks[:, None], rows]).sum())
+
+    def cumulant(self, keys: Tuple[Hashable, ...]) -> complex:
+        if not keys or len(keys) % 2:
+            raise ValueError(f"cumulants are defined for even w >= 2, "
+                             f"got {len(keys)}")
+        return _cumulant(self.moment, keys, self._cumulants)
 
 
 def _dense(shape: SystemShape, terms: LadderTerms) -> np.ndarray:
@@ -201,49 +295,9 @@ def _dense(shape: SystemShape, terms: LadderTerms) -> np.ndarray:
     dim = shape.fock_dim
     rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for cols, vals in terms:
-        out[rows, cols] += vals
+    for mask, vals in zip(*terms):
+        out[rows, rows ^ mask] += vals
     return out
-
-
-def _times_ladder(acc: np.ndarray, terms: LadderTerms) -> np.ndarray:
-    """acc @ L.  Column b of a term's matrix holds vals[cols[b]] in row
-    cols[b] (cols is an involution), so (acc @ L)[:, b] sums
-    acc[:, cols[b]] * vals[cols[b]] over the terms."""
-    out = None
-    for cols, vals in terms:
-        part = np.take(acc, cols, axis=1)
-        part *= vals[cols]
-        if out is None:
-            out = part
-        else:
-            out += part
-    return out
-
-
-def _trace_times_ladder(acc: np.ndarray, terms: LadderTerms) -> complex:
-    """tr(acc @ L) = sum over terms and rows a of acc[a, cols[a]] *
-    vals[cols[a]], at O(dim) per term."""
-    rows = np.arange(len(acc))
-    return sum(complex(np.dot(acc[rows, cols], vals[cols]))
-               for cols, vals in terms)
-
-
-def _matrix_moment_fn(rho: np.ndarray, ladders: Sequence[LadderTerms]):
-    cache: Dict[Tuple[int, ...], complex] = {}
-
-    def moment(positions: Tuple[int, ...]) -> complex:
-        hit = cache.get(positions)
-        if hit is not None:
-            return hit
-        acc = rho
-        for i in positions[:-1]:
-            acc = _times_ladder(acc, ladders[i])
-        val = _trace_times_ladder(acc, ladders[positions[-1]])
-        cache[positions] = val
-        return val
-
-    return moment
 
 
 def ladder_matrix(shape: SystemShape, c: int, site: int, mode: int) -> np.ndarray:
@@ -265,8 +319,9 @@ def _site_ladders(shape: SystemShape,
 
 def moment(rho: DenseOperator, ops: Sequence[LadderIndex]) -> complex:
     """tr(rho f^{c_1} ... f^{c_w}) for site-local ladder operators."""
-    fn = _matrix_moment_fn(rho.matrix, _site_ladders(rho.shape, ops))
-    return fn(tuple(range(len(ops))))
+    ladders = _site_ladders(rho.shape, ops)
+    return LadderMoments(rho.matrix, ladders.__getitem__).moment(
+        tuple(range(len(ops))))
 
 
 def cumulant(rho: DenseOperator, ops: Sequence[LadderIndex]) -> complex:
@@ -275,12 +330,33 @@ def cumulant(rho: DenseOperator, ops: Sequence[LadderIndex]) -> complex:
 
 
 def cumulant_mats(rho: np.ndarray, ladders: Sequence[LadderTerms]) -> complex:
-    """Joint cumulant of ladder operators given as signed XOR-permutation
-    terms (:func:`ladder_terms`, :func:`fourier_ladder_terms`)."""
-    if len(ladders) % 2:
-        raise ValueError("cumulants need an even number of operators")
-    return cumulant_from_moment_fn(_matrix_moment_fn(rho, ladders),
-                                   len(ladders))
+    """Joint cumulant of ladder operators given as XOR terms
+    (:func:`ladder_terms`, :func:`fourier_ladder_terms`)."""
+    return LadderMoments(rho, ladders.__getitem__).cumulant(
+        tuple(range(len(ladders))))
+
+
+class FourierMemo:
+    """:class:`LadderMoments` of V-fold copies of single-site states, one
+    per (state, V), with the Fourier ladders keyed (c, mode, q); at V = 1
+    the copy is the state and the ladders are its site ladders.  States are
+    keyed by value.  The memo keeps every copy it builds: scope it to one
+    computation, such as one suite."""
+
+    def __init__(self):
+        self._moments: Dict[tuple, LadderMoments] = {}
+
+    def moments(self, rho_single: DenseOperator, V: int,
+                override_cap: bool = False) -> LadderMoments:
+        key = (rho_single.shape, rho_single.matrix.tobytes(), V)
+        hit = self._moments.get(key)
+        if hit is None:
+            power = product_power(SingleSiteState(rho_single.matrix, True), V,
+                                  override_cap=override_cap)
+            hit = LadderMoments(power.matrix, lambda k: fourier_ladder_terms(
+                power.shape, *k))
+            self._moments[key] = hit
+        return hit
 
 
 # -- Fourier cumulants of product states ---------------------------------------
@@ -312,28 +388,31 @@ def _require_single_site(rho_single: DenseOperator) -> int:
 def fourier_cumulant(rho_single: DenseOperator, V: int,
                      ops: Sequence[LadderIndex],
                      override_cap: bool = False,
-                     power: Optional[DenseOperator] = None
+                     memo: Optional[FourierMemo] = None
                      ) -> FourierCumulantResult:
     """Cumulant of the V-fold copy of a single-site state in Fourier modes.
 
     Computes the direct value on the full 2^(pV) space when within the mode
     cap (otherwise ``direct`` is None) and always the closed factorized
     prediction V^(-w/2) * K_w(single site) * sum_j exp(2 pi i sum_l c_l q_l
-    j / V).  ``power`` is the V-fold copy ``product_power(rho_single, V)``
-    when the caller already has it; otherwise it is built here.
+    j / V).  ``memo`` shares copies, ladder products and cumulants between
+    calls; without it every call builds its own.
     """
     p = _require_single_site(rho_single)
     w = len(ops)
-    if w % 2:
-        raise ValueError("cumulants need an even number of operators")
+    if w % 2 or w < 2:
+        raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
     for o in ops:
         if o.q is None:
             raise ValueError("Fourier cumulants need q labels on every index")
         if o.q not in fourier_q_range(V):
             raise ValueError(f"q = {o.q} outside range for V = {V}")
+    if memo is None:
+        memo = FourierMemo()
 
-    site_ops = [LadderIndex(o.c, 1, o.mode) for o in ops]
-    k_single = cumulant(rho_single, site_ops)
+    triples = tuple(o.triple() for o in ops)
+    k_single = memo.moments(rho_single, 1).cumulant(
+        tuple((c, mode, 0) for c, mode, _ in triples))
     total_q = sum(o.c * o.q for o in ops)
     phase_sum = _phase_sum(total_q, V)
     closed = (V ** (-w / 2.0)) * k_single * phase_sum
@@ -341,17 +420,8 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
 
     direct = None
     if V * p <= mode_cap() or override_cap:
-        if power is None:
-            xi = SingleSiteState(rho_single.matrix, True)
-            power = product_power(xi, V, override_cap=override_cap)
-        elif power.shape != SystemShape(V, p):
-            raise ValueError(f"power has shape {power.shape}, expected "
-                             f"{V} sites of {p} modes")
-        ladders = [fourier_ladder_terms(power.shape, o.c, o.mode, o.q)
-                   for o in ops]
-        direct = cumulant_mats(power.matrix, ladders)
+        direct = memo.moments(rho_single, V, override_cap).cumulant(triples)
 
-    triples = [o.triple() for o in ops]
     return FourierCumulantResult(direct, complex(closed), complex(k_single),
                                  complex(phase_sum),
                                  len(set(triples)) == len(triples), resonant)
@@ -388,31 +458,20 @@ def verify_suppression(rho_single: DenseOperator, V: int,
 
 # -- Gaussian-mixture deviation metric (correlated-state CLT) -------------------
 
-def _pairings_of(positions: Tuple[int, ...]):
-    if not positions:
-        yield ()
-        return
-    anchor = positions[0]
-    rest = positions[1:]
-    for i, partner in enumerate(rest):
-        block = (anchor, partner)
-        remaining = rest[:i] + rest[i + 1:]
-        for sub in _pairings_of(remaining):
-            yield (block,) + sub
-
-
 def wick_moment(pair_value: Callable[[int, int], complex],
                 positions: Tuple[int, ...]) -> complex:
-    """Moment of a Gaussian state from its pair values (signed pairings)."""
+    """Moment of a Gaussian state from its pair values: the sum over
+    pairings of ``positions`` (taken in that order) of sign * prod
+    pair_value(i, j)."""
     if len(positions) % 2:
         return 0.0
     if not positions:
         return 1.0
     total = 0.0 + 0.0j
-    for pairing in _pairings_of(positions):
-        term = complex(partition_sign(pairing))
+    for sign, pairing in _signed_pairings(len(positions)):
+        term = complex(sign)
         for i, j in pairing:
-            term *= pair_value(i, j)
+            term *= pair_value(positions[i], positions[j])
         total += term
     return total
 
@@ -520,13 +579,13 @@ def verify_corollary(rho_k: DenseOperator, mixture: ProductMixture, V: int,
 
 def lemma4_equality_report(rho_single: DenseOperator, V: int,
                            ops: Sequence[LadderIndex], tol: float = 1e-9,
-                           power: Optional[DenseOperator] = None
+                           memo: Optional[FourierMemo] = None
                            ) -> Optional[VerificationReport]:
     """Equality of the direct Fourier cumulant with the closed factorized
     form; None (skip) when the distinct-triples hypothesis fails.
-    ``power`` is passed on to :func:`fourier_cumulant`."""
+    ``memo`` is passed on to :func:`fourier_cumulant`."""
     start = time.perf_counter()
-    result = fourier_cumulant(rho_single, V, ops, power=power)
+    result = fourier_cumulant(rho_single, V, ops, memo=memo)
     if not result.distinct_triples:
         return None
     if result.direct is None:

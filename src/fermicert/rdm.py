@@ -65,10 +65,11 @@ def one_rdm(rho: DenseOperator) -> OneRDM:
     """Compute Gamma[j, k] = tr(rho f_j† f_k) over the site-major flattened
     modes, symmetrized with the residual reported.
 
-    Each ladder is a signed XOR permutation (:func:`cumulants.ladder_terms`):
-    f_j† maps row a to column cj[a] with value dj[a], and f_k maps row b to
-    ck[b] with vk[b].  So f_j† f_k has the single entry dj[a] vk[cj[a]] at
-    column ck[cj[a]] of row a, and Gamma[j, k] is one O(dim) gather on rho.
+    Each ladder is one XOR term (:func:`cumulants.ladder_terms`): f_j†
+    maps row a to column cj[a] = a ^ xj with value dj[a], and f_k maps row
+    b to b ^ xk with vk[b].  So f_j† f_k has the single entry
+    dj[a] vk[cj[a]] at column cj[a] ^ xk of row a, and Gamma[j, k] is one
+    O(dim) gather on rho.
     No dense ladder or matrix product is formed.  ``rho`` need not be
     positive: any operator gives its correlation matrix, and state validity
     is the caller's check."""
@@ -76,14 +77,15 @@ def one_rdm(rho: DenseOperator) -> OneRDM:
     n = shape.total_modes
     modes = [(site, mode) for site in range(1, shape.sites + 1)
              for mode in range(1, shape.modes_per_site + 1)]
-    creators = [ladder_terms(shape, -1, *sm)[0] for sm in modes]
-    annihilators = [ladder_terms(shape, 1, *sm)[0] for sm in modes]
+    creators = [ladder_terms(shape, -1, *sm) for sm in modes]
+    annihilators = [ladder_terms(shape, 1, *sm) for sm in modes]
     rows = np.arange(shape.fock_dim)
     gamma = np.zeros((n, n), dtype=np.complex128)
-    for j, (cj, dj) in enumerate(creators):
-        for k, (ck, vk) in enumerate(annihilators):
+    for j, ((xj,), (dj,)) in enumerate(creators):
+        cj = rows ^ xj
+        for k, ((xk,), (vk,)) in enumerate(annihilators):
             # tr(rho M) = sum_a M[a, col(a)] rho[col(a), a]
-            gamma[j, k] = np.dot(dj * vk[cj], rho.matrix[ck[cj], rows])
+            gamma[j, k] = np.dot(dj * vk[cj], rho.matrix[cj ^ xk, rows])
     residual = float(np.max(np.abs(gamma - gamma.conj().T)))
     gamma = 0.5 * (gamma + gamma.conj().T)
     return OneRDM(gamma, shape, residual)

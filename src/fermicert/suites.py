@@ -15,8 +15,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape, random_expansion
-from .cumulants import (LadderIndex, corollary_index_sets, cumulant,
-                        fourier_cumulant, fourier_q_range,
+from .cumulants import (FourierMemo, LadderIndex, corollary_index_sets,
+                        cumulant, fourier_cumulant, fourier_q_range,
                         lemma4_equality_report, verify_corollary,
                         verify_suppression)
 from .definetti import (SingleSiteState, best_mixture_approx,
@@ -281,14 +281,9 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     lemma4_rows = []
     rho1 = DenseOperator(SystemShape(1, 1), _DIAG_THIRDS)
     rho2 = DenseOperator(SystemShape(1, 2), _CORRELATED_P2)
-    # The V-fold copies that the direct cumulants read, built once each.
-    copies: Dict[Tuple[int, int], DenseOperator] = {}
-
-    def power(rho: DenseOperator, V: int) -> DenseOperator:
-        key = (rho.shape.modes_per_site, V)
-        if key not in copies:
-            copies[key] = product_power(SingleSiteState(rho.matrix, True), V)
-        return copies[key]
+    # The V-fold copies that the direct cumulants read, with their ladder
+    # products and cumulants: built once per (state, V), dropped on return.
+    memo = FourierMemo()
 
     # Factorized-form equality, exhaustive over distinct-triple choices.
     for V in (2, 3, 4):
@@ -299,8 +294,7 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
             n_skipped = 0
             for seq in _distinct_triple_sequences(V, w):
                 ops = [LadderIndex(c, 1, alpha, q) for c, alpha, q in seq]
-                rep = lemma4_equality_report(rho1, V, ops,
-                                             power=power(rho1, V))
+                rep = lemma4_equality_report(rho1, V, ops, memo=memo)
                 if rep is None:
                     n_skipped += 1
                     continue
@@ -324,7 +318,7 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
         ]
         n_cases = 0
         for ops in ops_sets:
-            rep = lemma4_equality_report(rho2, V, ops, power=power(rho2, V))
+            rep = lemma4_equality_report(rho2, V, ops, memo=memo)
             if rep is None:
                 continue
             n_cases += 1
@@ -347,7 +341,7 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
         for q1 in fourier_q_range(V):
             for q2 in fourier_q_range(V):
                 ops = [LadderIndex(-1, 1, 1, q1), LadderIndex(1, 1, 1, q2)]
-                res = fourier_cumulant(rho1, V, ops, power=power(rho1, V))
+                res = fourier_cumulant(rho1, V, ops, memo=memo)
                 if (-q1 + q2) % V == 0:
                     worst_on = max(worst_on, abs(res.direct - k2_single))
                 else:
@@ -367,7 +361,7 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, q), LadderIndex(1, 1, 1, q)]
         start = time.perf_counter()
-        res = fourier_cumulant(rho1, V, ops, power=power(rho1, V))
+        res = fourier_cumulant(rho1, V, ops, memo=memo)
         rep = verify_suppression(rho1, V, ops, result=res)
         rep.wall_time = time.perf_counter() - start
         # Equality case in subtraction form: lhs * V = |K_4(single site)|.
@@ -389,7 +383,7 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
         start = time.perf_counter()
-        res = fourier_cumulant(rho2, V, ops, power=power(rho2, V))
+        res = fourier_cumulant(rho2, V, ops, memo=memo)
         rep = verify_suppression(rho2, V, ops, result=res)
         rep.wall_time = time.perf_counter() - start
         ratio = abs(res.direct) * V / abs(res.single_site_cumulant)

@@ -9,17 +9,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import independent_ladder, random_even_density_matrix
+from conftest import (independent_ladder, random_density_matrix,
+                      random_even_density_matrix)
+from fermicert import cumulants
 from fermicert.algebra import SystemShape
-from fermicert.cumulants import (LadderIndex, corollary_index_sets, cumulant,
+from fermicert.cumulants import (FourierMemo, LadderIndex, LadderMoments,
+                                 corollary_index_sets, cumulant,
                                  cumulant_from_moment_fn, cumulant_mats,
                                  even_partitions, fourier_cumulant,
                                  fourier_ladder_matrix, fourier_ladder_terms,
                                  fourier_q_range, gaussian_mixture_deviation,
-                                 ladder_matrix, lemma4_equality_report,
-                                 moment, moment_from_cumulant_fn,
-                                 partition_sign, verify_corollary,
-                                 verify_suppression, wick_moment)
+                                 ladder_matrix, ladder_terms,
+                                 lemma4_equality_report, moment,
+                                 moment_from_cumulant_fn, partition_sign,
+                                 verify_corollary, verify_suppression,
+                                 wick_moment)
 from fermicert.definetti import ProductMixture, SingleSiteState, product_power
 from fermicert.fock import DenseOperator
 
@@ -55,15 +59,57 @@ def dense_moment(rho, mats):
     return complex(np.trace(rho @ functools.reduce(np.matmul, mats)))
 
 
+def oracle_set_partitions(items):
+    """Every set partition of a tuple: the first item opens a block of its
+    own or joins a block of a partition of the rest."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for sub in oracle_set_partitions(items[1:]):
+        yield [(first,)] + sub
+        for i, block in enumerate(sub):
+            yield sub[:i] + [(first,) + block] + sub[i + 1:]
+
+
+def inversion_sign(seq):
+    inversions = sum(1 for i in range(len(seq))
+                     for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
 def dense_cumulant(rho, mats):
-    """K_2 and K_4 written out over the even partitions."""
+    """K_2 and K_4 written out over the even partitions; K_6 is the moment
+    less every split into two or three even blocks (brute-force set
+    partitions, inversion-count signs), each block's K_2 or K_4 written
+    out."""
     def m(*idx):
         return dense_moment(rho, [mats[i] for i in idx])
 
     if len(mats) == 2:
         return m(0, 1)
-    return (m(0, 1, 2, 3) - m(0, 1) * m(2, 3) + m(0, 2) * m(1, 3)
-            - m(0, 3) * m(1, 2))
+    if len(mats) == 4:
+        return (m(0, 1, 2, 3) - m(0, 1) * m(2, 3) + m(0, 2) * m(1, 3)
+                - m(0, 3) * m(1, 2))
+    assert len(mats) == 6
+    total = m(*range(6))
+    for part in oracle_set_partitions(tuple(range(6))):
+        if len(part) == 1 or any(len(block) % 2 for block in part):
+            continue
+        term = inversion_sign([x for block in part for x in block])
+        for block in part:
+            term *= dense_cumulant(rho, [mats[i] for i in block])
+        total -= term
+    return total
+
+
+def xor_terms_matrix(terms, dim):
+    """Dense matrix of XOR terms (masks, vals): [a, a ^ mask] = vals[a]."""
+    rows = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    for mask, vals in zip(*terms):
+        out[rows, rows ^ mask] += vals
+    return out
 
 
 def random_site_ops(shape, w, rng):
@@ -228,6 +274,14 @@ class TestCumulants:
         with pytest.raises(ValueError):
             cumulant(VACUUM, [F])
 
+    def test_empty_ops_rejected(self):
+        with pytest.raises(ValueError, match="even w >= 2"):
+            cumulant(VACUUM, [])
+        with pytest.raises(ValueError, match="even w >= 2"):
+            cumulant_mats(VACUUM.matrix, [])
+        with pytest.raises(ValueError, match="even w >= 2"):
+            fourier_cumulant(DIAG_THIRDS, 3, [])
+
     def test_cumulants_match_kron_oracle(self, rng):
         for sh in ORACLE_SHAPES:
             rho = random_even_density_matrix(sh, rng)
@@ -270,15 +324,21 @@ class TestFourierCumulants:
         assert res.direct == pytest.approx(0.07, abs=1e-9)
         assert abs(res.direct - res.closed_form) < 1e-9
 
-    def test_prebuilt_power_gives_the_same_value(self):
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-               LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
-        power = product_power(SingleSiteState(CORRELATED.matrix, True), 3)
-        assert (fourier_cumulant(CORRELATED, 3, ops, power=power)
-                == fourier_cumulant(CORRELATED, 3, ops))
-        wrong = product_power(SingleSiteState(CORRELATED.matrix, True), 2)
-        with pytest.raises(ValueError, match="power has shape"):
-            fourier_cumulant(CORRELATED, 3, ops, power=wrong)
+    def test_memo_gives_each_state_its_own_value(self, rng):
+        # Two states of one shape through one memo: each gets the value a
+        # call without a memo computes, bit for bit.
+        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1),
+               LadderIndex(-1, 1, 2, 1), LadderIndex(1, 1, 2, 0)]
+        states = [CORRELATED, DenseOperator(
+            SH12, random_even_density_matrix(SH12, rng))]
+        memo = FourierMemo()
+        shared = [fourier_cumulant(rho, 3, ops, memo=memo) for rho in states]
+        assert shared == [fourier_cumulant(rho, 3, ops) for rho in states]
+        assert shared[0].direct != shared[1].direct
+        assert shared[0].single_site_cumulant != shared[1].single_site_cumulant
+        # A second pass reads the memo and still keeps the states apart.
+        assert [fourier_cumulant(rho, 3, ops, memo=memo)
+                for rho in states] == shared
 
     def test_distinct_triples_flag(self):
         rep = lemma4_equality_report(DIAG_THIRDS, 3, [
@@ -318,6 +378,112 @@ class TestFourierCumulants:
                 mats = [oracle_fourier(sh, o.c, o.mode, o.q) for o in ops]
                 assert abs(cumulant_mats(rho, ladders)
                            - dense_cumulant(rho, mats)) < 1e-12
+
+
+class TestXorEngine:
+    """The ladder products and moments of :class:`LadderMoments` against
+    dense kron-chain matrices."""
+
+    @staticmethod
+    def oracle_pair(sh, o):
+        """(XOR terms, dense oracle) of a site ladder (q None) or a Fourier
+        ladder."""
+        if o.q is None:
+            return (ladder_terms(sh, o.c, o.site, o.mode),
+                    oracle_ladder(sh, o.c, o.site, o.mode))
+        return (fourier_ladder_terms(sh, o.c, o.mode, o.q),
+                oracle_fourier(sh, o.c, o.mode, o.q))
+
+    @staticmethod
+    def random_ops(sh, w, rng, fourier):
+        qs = list(fourier_q_range(sh.sites))
+        return [LadderIndex(1 if rng.random() < 0.5 else -1,
+                            int(rng.integers(1, sh.sites + 1)),
+                            int(rng.integers(1, sh.modes_per_site + 1)),
+                            int(rng.choice(qs)) if fourier else None)
+                for _ in range(w)]
+
+    def test_products_match_dense_products(self, rng):
+        for sh in ORACLE_SHAPES:
+            for w in (2, 3, 4):
+                for fourier in (False, True):
+                    ops = self.random_ops(sh, w, rng, fourier)
+                    pairs = [self.oracle_pair(sh, o) for o in ops]
+                    memo = LadderMoments(np.eye(sh.fock_dim),
+                                         lambda i: pairs[i][0])
+                    got = xor_terms_matrix(memo.product(tuple(range(w))),
+                                           sh.fock_dim)
+                    want = functools.reduce(np.matmul, [m for _, m in pairs])
+                    assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("sh", ORACLE_SHAPES + (SystemShape(4, 2),),
+                             ids=str)
+    def test_cumulants_match_dense_oracle(self, sh, rng):
+        # A non-diagonal state: every term with a nonzero mask reads rho
+        # off its diagonal.
+        rho = random_even_density_matrix(sh, rng)
+        off = np.abs(rho - np.diag(np.diag(rho)))
+        assert np.max(off) > 0.1 * np.max(np.abs(np.diag(rho)))
+        for w in (2, 4, 6):
+            for fourier in (False, True):
+                ops = self.random_ops(sh, w, rng, fourier)
+                pairs = [self.oracle_pair(sh, o) for o in ops]
+                got = LadderMoments(rho, lambda i: pairs[i][0]).cumulant(
+                    tuple(range(w)))
+                assert abs(got - dense_cumulant(rho, [m for _, m in pairs])
+                           ) < 1e-12
+
+    def test_cumulants_with_odd_part(self, rng):
+        sh = SystemShape(2, 2)
+        rho = random_density_matrix(sh.fock_dim, rng)
+        parity = np.array([bin(a).count("1") % 2 for a in range(len(rho))])
+        odd_part = rho[parity[:, None] != parity[None, :]]
+        assert np.max(np.abs(odd_part)) > 1e-3
+        for w in (2, 4, 6):
+            ops = self.random_ops(sh, w, rng, True)
+            pairs = [self.oracle_pair(sh, o) for o in ops]
+            mats = [m for _, m in pairs]
+            got = cumulant_mats(rho, [t for t, _ in pairs])
+            assert abs(got - dense_cumulant(rho, mats)) < 1e-12
+
+    def test_lemma4_sweep_shares_products(self, monkeypatch):
+        # The suite's V = 4, w = 4 sweep on one memo: each distinct key
+        # prefix of a moment is multiplied at most once per copy, and no
+        # dense ladder is formed.
+        dims = []
+        product = cumulants._ladder_product
+
+        def counting(left, right):
+            dims.append(left[1].shape[1])
+            return product(left, right)
+
+        def no_dense(*args):
+            raise AssertionError("a moment formed a dense ladder")
+
+        monkeypatch.setattr(cumulants, "_ladder_product", counting)
+        monkeypatch.setattr(cumulants, "_dense", no_dense)
+        V = 4
+        triples = [(c, 1, q) for c in (1, -1) for q in fourier_q_range(V)]
+        memo = FourierMemo()
+        prefixes = {16: set(), 2: set()}
+        cases = 0
+        for seq in itertools.permutations(triples, 4):
+            ops = [LadderIndex(c, 1, mode, q) for c, mode, q in seq]
+            rep = lemma4_equality_report(DIAG_THIRDS, V, ops, memo=memo)
+            cases += 1
+            assert rep.passed
+            site = [(c, mode, 0) for c, mode, _ in seq]
+            for keys, dim in ((seq, 16), (site, 2)):
+                # Moments of the recursion: every pair and the whole tuple.
+                blocks = [(keys[i], keys[j]) for i, j in
+                          itertools.combinations(range(4), 2)]
+                for block in blocks + [tuple(keys)]:
+                    for n in range(2, len(block) + 1):
+                        prefixes[dim].add(block[:n])
+        assert cases == 1680
+        for dim, wanted in prefixes.items():
+            assert 0 < dims.count(dim) <= len(wanted)
+        assert len(dims) == dims.count(16) + dims.count(2)
 
 
 class TestSuppression:
