@@ -200,11 +200,11 @@ def ladder_terms(shape: SystemShape, c: int, site: int, mode: int
     bits.  Cached; the arrays are read-only."""
     if c not in (1, -1):
         raise ValueError(f"c must be +1 or -1, got {c}")
-    cols, v1 = word_string_entries(1 << shape.bit_position(site, 2 * mode - 1),
-                                   shape)
-    _, v2 = word_string_entries(1 << shape.bit_position(site, 2 * mode), shape)
+    cols, (v1, v2) = word_string_entries(
+        [1 << shape.bit_position(site, 2 * mode - 1),
+         1 << shape.bit_position(site, 2 * mode)], shape)
     vals = 0.5 * (v1 + 1j * v2) if c == 1 else 0.5 * (v1 - 1j * v2)
-    masks = cols[:1]  # cols[a] = a ^ mask
+    masks = cols[0, :1].copy()  # cols[t, a] = a ^ mask
     vals = vals[None, :]
     _read_only(masks, vals)
     return masks, vals

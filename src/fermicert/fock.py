@@ -7,22 +7,29 @@ being site 1, and
     m^(2a-1) of mode n  ->  Z^(n) (x) X (x) 1...
     m^(2a)   of mode n  ->  Z^(n) (x) Y (x) 1...
 
-Every Majorana word is therefore a Pauli string, held here as a phase
-exponent together with Z/X qubit masks, which gives O(dim) matrix
-construction and trace extraction per word.
+Every Majorana word is therefore a Pauli string i^e Z^z X^x, held here as
+a phase exponent together with Z/X masks.  :func:`pauli_strings` turns an
+array of word masks into these arrays at once: per-byte lookup tables,
+built once per mode count from the scalar :func:`pauli_of_word`, are
+combined by the Pauli product rule, i^(e1+e2) (-1)^|x1 & z2| with the
+masks XORed.  Matrices are built from (words x dim) arrays of columns and
+values, and word expectations are read from one Walsh-Hadamard transform
+per X pattern.
 
 All functions are pure; matrices are never mutated in place once returned.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import OperatorExpansion, SystemShape, relabel_word
+from .algebra import (OperatorExpansion, SystemShape, relabel_word,
+                      reversal_sign)
 from .errors import ResourceCapError
 
 #: Dense work refuses systems with more than this many fermionic modes
@@ -33,6 +40,10 @@ DEFAULT_MODE_CAP = 12
 MODE_CAP_ENV = "FERMICERT_MAX_MODES"
 
 _I4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+
+#: :func:`to_matrix` cuts its (terms x dim) entry arrays to at most this
+#: many entries (4 MB of complex values), whatever the expansion's size.
+_BATCH_ENTRIES = 1 << 18
 
 
 def mode_cap() -> int:
@@ -107,6 +118,8 @@ def pauli_of_word(mask: int, shape: SystemShape) -> Tuple[int, int, int]:
     """Pauli-string form of a canonical word: (phase_exp, z_mask, x_mask).
 
     The word equals i**phase_exp times prod_q Z_q^{z} X_q^{x} over qubits.
+    This scalar bit walk is the reference that the lookup tables of
+    :func:`pauli_strings` are built from.
     """
     e = 0
     z = 0
@@ -136,57 +149,108 @@ def _reverse_qubit_mask(mask: int, n_qubits: int) -> int:
     return out
 
 
-def word_string_entries(mask: int, shape: SystemShape):
-    """Sparse form of a word's matrix: row a has single entry at col[a]
-    with value val[a]."""
-    n = shape.total_modes
-    dim = shape.fock_dim
-    e, z, x = pauli_of_word(mask, shape)
-    zr = _reverse_qubit_mask(z, n)
-    xr = _reverse_qubit_mask(x, n)
-    rows = np.arange(dim, dtype=np.int64)
-    cols = rows ^ xr
-    parity = np.zeros(dim, dtype=np.int64)
-    rem = zr
-    while rem:
-        low = rem & -rem
-        b = low.bit_length() - 1
-        parity ^= (rows >> b) & 1
-        rem ^= low
-    vals = _I4[e] * (1.0 - 2.0 * parity)
-    return cols, vals
+@functools.lru_cache(maxsize=None)
+def _pauli_tables(n_modes: int) -> Tuple[Tuple[np.ndarray, ...], ...]:
+    """Pauli forms of the one-byte words of ``n_modes`` modes: table k is
+    (phase_exp, z, x), three length-256 arrays whose entry v is the form of
+    the word v << 8k, with basis-index masks.  Entries past the last
+    Majorana bit stay 0.  Built once per mode count from
+    :func:`pauli_of_word`; read-only."""
+    shape = SystemShape(n_modes, 1)
+    n_bits = shape.majorana_count
+    tables = np.zeros((-(-n_bits // 8), 3, 256), dtype=np.int64)
+    for k, table in enumerate(tables):
+        for v in range(min(256, 1 << (n_bits - 8 * k))):
+            e, z, x = pauli_of_word(v << (8 * k), shape)
+            table[:, v] = (e, _reverse_qubit_mask(z, n_modes),
+                           _reverse_qubit_mask(x, n_modes))
+    tables.flags.writeable = False
+    return tuple(tuple(table) for table in tables)
+
+
+def pauli_strings(masks, shape: SystemShape
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pauli forms of many canonical words: arrays (phase, z, x) with word
+    t equal to i**phase[t] Z^z[t] X^x[t], z and x as basis-index masks.
+
+    A canonical word is the ordered product of its bytes' words, each read
+    from :func:`_pauli_tables`, and two Pauli strings multiply as
+
+        (i^e1 Z^z1 X^x1)(i^e2 Z^z2 X^x2)
+            = i^(e1 + e2) (-1)^|x1 & z2| Z^(z1 ^ z2) X^(x1 ^ x2),
+
+    moving X^x1 past Z^z2 costs one sign per shared qubit.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    # A negative mask shifts to -1, so this also rejects those.
+    if (masks >> shape.majorana_count).any():
+        raise ValueError("word does not fit the shape")
+    (phase, z, x), *rest = _pauli_tables(shape.total_modes)
+    byte = masks & 0xFF
+    phase, z, x = phase[byte], z[byte], x[byte]
+    for k, (e_k, z_k, x_k) in enumerate(rest, start=1):
+        byte = (masks >> (8 * k)) & 0xFF
+        z_b = z_k[byte]
+        phase += e_k[byte] + 2 * np.bitwise_count(x & z_b)
+        z ^= z_b
+        x ^= x_k[byte]
+    return phase & 3, z, x
+
+
+def word_string_entries(masks, shape: SystemShape
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sparse form of many words' matrices, as (words x dim) arrays: row a
+    of word t holds its single entry vals[t, a] at column cols[t, a]."""
+    phase, z, x = pauli_strings(masks, shape)
+    rows = np.arange(shape.fock_dim, dtype=np.int64)
+    cols = rows ^ x[:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(rows & z[:, None]) & 1)
+    return cols, _I4[phase][:, None] * signs
 
 
 def jw_matrix(mask: int, shape: SystemShape, override_cap: bool = False) -> DenseOperator:
     """Dense Jordan-Wigner matrix of a canonical word bitmask."""
     ensure_within_cap(shape, override_cap)
-    if mask >> shape.majorana_count:
-        raise ValueError("word does not fit the shape")
     dim = shape.fock_dim
-    cols, vals = word_string_entries(mask, shape)
+    cols, vals = word_string_entries([mask], shape)
     out = np.zeros((dim, dim), dtype=np.complex128)
-    out[np.arange(dim), cols] = vals
+    out[np.arange(dim), cols[0]] = vals[0]
     return DenseOperator(shape, out)
 
 
 def to_matrix(op: OperatorExpansion, override_cap: bool = False) -> DenseOperator:
-    """Dense matrix of an expansion."""
+    """Dense matrix of an expansion.
+
+    The terms' entries are added in term order by ``np.add.at``, which
+    accumulates repeated (row, column) pairs one after another, so the
+    result equals a term-by-term sum bit for bit.
+    """
     ensure_within_cap(op.shape, override_cap)
     dim = op.shape.fock_dim
     out = np.zeros((dim, dim), dtype=np.complex128)
-    rows = np.arange(dim)
-    for mask, coeff in op.terms.items():
-        cols, vals = word_string_entries(mask, op.shape)
-        out[rows, cols] += coeff * vals
+    n = len(op.terms)
+    masks = np.fromiter(op.terms.keys(), np.int64, n)
+    coeffs = np.fromiter(op.terms.values(), np.complex128, n)
+    row_starts = np.arange(0, dim * dim, dim)
+    step = max(1, _BATCH_ENTRIES // dim)
+    for lo in range(0, n, step):
+        cols, vals = word_string_entries(masks[lo:lo + step], op.shape)
+        # One-dimensional index and value arrays take ufunc.at's fast path.
+        np.add.at(out.reshape(-1), (row_starts + cols).ravel(),
+                  (coeffs[lo:lo + step, None] * vals).ravel())
     return DenseOperator(op.shape, out)
 
 
-def word_coefficient(matrix: np.ndarray, mask: int, shape: SystemShape) -> complex:
-    """Coefficient of a word in the expansion of ``matrix``:
-    tr(M * word†) / 2^(pV)."""
+def word_coefficients(matrix: np.ndarray, masks: Iterable[int],
+                      shape: SystemShape) -> Dict[int, complex]:
+    """Coefficients of many words in the expansion of ``matrix``:
+    tr(M * word†) / 2^(pV) each.  A word of degree r has word† =
+    (-1)^(r(r-1)/2) word, so these are signed
+    :func:`word_expectations_dense` values."""
     dim = shape.fock_dim
-    cols, vals = word_string_entries(mask, shape)
-    return complex(np.dot(matrix[np.arange(dim), cols], vals.conj()) / dim)
+    return {mask: reversal_sign(mask.bit_count()) * value / dim
+            for mask, value in word_expectations_dense(matrix, masks,
+                                                       shape).items()}
 
 
 def to_expansion(dense: DenseOperator, override_cap: bool = False) -> OperatorExpansion:
@@ -201,12 +265,10 @@ def to_expansion(dense: DenseOperator, override_cap: bool = False) -> OperatorEx
         raise ResourceCapError(
             f"full expansion of {shape.total_modes} modes enumerates "
             f"4^{shape.total_modes} words; cap is {cap} modes")
-    terms: Dict[int, complex] = {}
-    for mask in range(1 << shape.majorana_count):
-        coeff = word_coefficient(dense.matrix, mask, shape)
-        if abs(coeff) > 1e-14:
-            terms[mask] = coeff
-    return OperatorExpansion(shape, terms)
+    coeffs = word_coefficients(dense.matrix,
+                               range(1 << shape.majorana_count), shape)
+    return OperatorExpansion(shape, {mask: coeff for mask, coeff
+                                     in coeffs.items() if abs(coeff) > 1e-14})
 
 
 # -- reductions ---------------------------------------------------------------
@@ -266,15 +328,12 @@ def partial_trace_sites(dense: DenseOperator, keep: Sequence[int]) -> DenseOpera
             "non-prefix reduction enumerates the kept word basis; "
             f"{small.total_modes} kept modes exceed {mode_cap() // 2}")
     scale = shape.fock_dim // small.fock_dim
-    out = np.zeros((small.fock_dim, small.fock_dim), dtype=np.complex128)
-    rows = np.arange(small.fock_dim)
-    for small_mask in range(1 << small.majorana_count):
-        big_mask = relabel_word(small_mask, keep, small)[1]
-        coeff = word_coefficient(dense.matrix, big_mask, shape) * scale
-        if abs(coeff) > 1e-16:
-            cols, vals = word_string_entries(small_mask, small)
-            out[rows, cols] += coeff * vals
-    return DenseOperator(small, out)
+    small_of = {relabel_word(small_mask, keep, small)[1]: small_mask
+                for small_mask in range(1 << small.majorana_count)}
+    coeffs = word_coefficients(dense.matrix, small_of, shape)
+    return to_matrix(OperatorExpansion(small, {
+        small_of[mask]: coeff * scale for mask, coeff in coeffs.items()
+        if abs(coeff * scale) > 1e-16}))
 
 
 # -- spectral helpers ---------------------------------------------------------
@@ -453,13 +512,10 @@ def check_state(dense: DenseOperator, trace_tol: float = 1e-9,
 
 def expectation_word_dense(matrix: np.ndarray, mask: int,
                            shape: SystemShape) -> complex:
-    """tr(M * word) for a canonical word bitmask.
-
-    The word has one entry per row, w[b, cols[b]] = vals[b], so
-    tr(M w) = sum_b vals[b] * M[cols[b], b].
-    """
-    cols, vals = word_string_entries(mask, shape)
-    return complex(np.dot(vals, matrix[cols, np.arange(len(cols))]))
+    """tr(M * word) for one canonical word bitmask, through
+    :func:`word_expectations_dense`.  Kept only because the benchmark's span
+    list (``perfbench/spans.py`` ``TARGETS``) names it."""
+    return word_expectations_dense(matrix, [mask], shape)[mask]
 
 
 def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
@@ -484,37 +540,54 @@ def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
     A word with Pauli form i^e Z^z X^x has tr(M w) = i^e sum_b
     (-1)^(b . z) M[b ^ x, b] (z and x as basis-index masks), so every word
     sharing one X pattern reads its value off a single Walsh-Hadamard
-    transform of the gathered vector M[b ^ x, b].  Gathering in
-    bit-reversed basis order lets the qubit-order masks of
-    :func:`pauli_of_word` index that transform directly.  One gathered
-    vector is alive at a time.  Values agree with
-    :func:`expectation_word_dense` up to summation order.
+    transform of the gathered vector M[b ^ x, b].  The Pauli forms come
+    from one :func:`pauli_strings` call and the X patterns from
+    ``np.unique``.  Gathering in bit-reversed basis order lets qubit-order
+    masks index that transform directly.  One gathered vector is alive at
+    a time.
 
     With ``factor`` set, ``matrix`` is a dim x r matrix F standing for the
     state M = F F-dagger / r (an :class:`Isometry`), and the gathered
     vector is sum_i F[b ^ x, i] conj(F[b, i]) / r: no dim x dim matrix is
     formed.
+
+    Patterns that no support pair reaches are skipped.  The support S is
+    the set of nonzero rows of F, or of nonzero rows and columns of M;
+    the gathered vector of x is exactly 0 unless some b in S has b ^ x in
+    S, so such a pattern's words get an exact 0.  The reachable patterns
+    are those where the XOR autocorrelation of S's indicator is positive,
+    computed with two transforms; its entries are integers far below
+    2^53, so the float transform is exact.  A state with full support
+    visits every pattern.
     """
+    masks = np.fromiter(masks, np.int64)
     n = shape.total_modes
-    by_x: Dict[int, list] = {}
-    for mask in masks:
-        e, z, x = pauli_of_word(mask, shape)
-        by_x.setdefault(x, []).append((mask, e, z))
+    phase, z, x = pauli_strings(masks, shape)
     rows = np.arange(shape.fock_dim, dtype=np.int64)
     rev = np.zeros_like(rows)
     for q in range(n):
         rev |= ((rows >> q) & 1) << (n - 1 - q)
+    z, x = rev[z], rev[x]  # qubit order, to index the bit-reversed gather
     if factor:
+        support = matrix.any(axis=1)
         f_rev = matrix[rev]
         f_conj = f_rev.conj() / matrix.shape[1]
-    out: Dict[int, complex] = {}
-    for x, group in by_x.items():
+    else:
+        support = matrix.any(axis=0) | matrix.any(axis=1)
+    indicator = support[rev].astype(np.float64)
+    reachable = _walsh_hadamard(_walsh_hadamard(indicator) ** 2) > 0
+    patterns, group = np.unique(x, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=len(patterns))
+    ends = np.cumsum(counts)
+    values = np.zeros(len(masks), dtype=np.complex128)
+    for j in np.flatnonzero(reachable[patterns]):
+        pattern = patterns[j]
         if factor:
-            gathered = np.einsum("bi,bi->b", f_rev[rows ^ x], f_conj)
+            gathered = np.einsum("bi,bi->b", f_rev[rows ^ pattern], f_conj)
         else:
-            gathered = matrix[rev[rows ^ x], rev]
+            gathered = matrix[rev[rows ^ pattern], rev]
         spectrum = _walsh_hadamard(gathered)
-        group_masks, es, zs = zip(*group)
-        vals = _I4[list(es)] * spectrum[list(zs)]
-        out.update(zip(group_masks, vals.tolist()))
-    return out
+        idx = order[ends[j] - counts[j]:ends[j]]
+        values[idx] = _I4[phase[idx]] * spectrum[z[idx]]
+    return dict(zip(masks.tolist(), values.tolist()))

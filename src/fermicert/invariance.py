@@ -220,7 +220,7 @@ def check_invariance_dense(rho: Union[DenseOperator, Isometry],
     exact ground space given as an :class:`Isometry` F (the state
     F F-dagger / r, read without forming it).  The word expectations come
     from :func:`word_expectations_dense`, one Walsh-Hadamard transform per
-    X pattern.
+    X pattern that the state's support reaches.
     """
     words = words_up_to_degree(rho.shape, word_degree_cap)
     values = word_expectations_dense(rho.matrix, words, rho.shape,

@@ -154,17 +154,12 @@ def hamiltonian_sparse(h_exp: OperatorExpansion):
     import scipy.sparse as sp
 
     dim = h_exp.shape.fock_dim
-    rows = np.arange(dim)
-    row_parts, col_parts, val_parts = [], [], []
-    for mask, coeff in sorted(h_exp.terms.items()):
-        cols, vals = word_string_entries(mask, h_exp.shape)
-        row_parts.append(rows)
-        col_parts.append(cols)
-        val_parts.append(coeff * vals)
-    mat = sp.coo_matrix(
-        (np.concatenate(val_parts),
-         (np.concatenate(row_parts), np.concatenate(col_parts))),
-        shape=(dim, dim), dtype=np.complex128)
+    masks, coeffs = zip(*sorted(h_exp.terms.items()))
+    cols, vals = word_string_entries(masks, h_exp.shape)
+    vals = np.asarray(coeffs, dtype=np.complex128)[:, None] * vals
+    rows = np.broadcast_to(np.arange(dim), cols.shape)
+    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(dim, dim), dtype=np.complex128)
     return mat.tocsr()
 
 

@@ -25,6 +25,7 @@ SEED_FREE_CSV_COUNT = {"check-invariance": 2, "verify-lemma3": 2,
 #: mixture witness search and its dual lower bound.
 BLAS_CHECKED = {command: ([], count)
                 for command, count in SEED_FREE_CSV_COUNT.items()}
+BLAS_CHECKED["check-algebra"] = (["--seed", "0"], 2)
 BLAS_CHECKED["gs-bound"] = (["--seed", "0"], 2)
 BLAS_CHECKED["verify-theorem1"] = (["--seed", "0"], 2)
 BLAS_CHECKED["verify-corollary"] = (["--seed", "0"], 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_even_density_matrix
+from conftest import random_even_density_matrix, word_matrix_oracle
 from fermicert import definetti, suites
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import LadderIndex, cumulant
@@ -22,8 +22,8 @@ from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
                                  project_simplex, theorem1_bound,
                                  verify_theorem1)
 from fermicert.errors import ResourceCapError
-from fermicert.fock import (DenseOperator, check_state, expectation_word_dense,
-                            global_parity_signs, trace_norm)
+from fermicert.fock import (DenseOperator, check_state, global_parity_signs,
+                            trace_norm)
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
 from fermicert.suites import (run_gs_bound, run_verify_corollary,
                               run_verify_theorem1)
@@ -51,9 +51,10 @@ class TestProductPower:
         power = product_power(xi, 2)
         sh2 = power.shape
         for mask in range(1, 16):
-            whole = expectation_word_dense(power.matrix, mask, sh2)
-            part1 = expectation_word_dense(xi_mat, mask & 0b11, sh1)
-            part2 = expectation_word_dense(xi_mat, (mask >> 2) & 0b11, sh1)
+            whole = np.trace(power.matrix @ word_matrix_oracle(mask, sh2))
+            part1 = np.trace(xi_mat @ word_matrix_oracle(mask & 0b11, sh1))
+            part2 = np.trace(xi_mat @ word_matrix_oracle((mask >> 2) & 0b11,
+                                                         sh1))
             assert abs(whole - part1 * part2) < 1e-12
 
     def test_cap(self):

@@ -13,14 +13,19 @@ from fermicert.algebra import (OperatorExpansion, SystemShape,
                                expansion_from_text, expansion_to_text,
                                random_expansion)
 from fermicert.errors import ResourceCapError
-from fermicert.fock import (DenseOperator, check_state, diagonal_blocks,
-                            expectation_word_dense, global_parity_signs,
+from fermicert.fock import (DenseOperator, check_state,
+                            diagonal_blocks, global_parity_signs,
                             hermitian_eig, jw_matrix, operator_norm,
                             partial_trace_sites, permutation_unitary,
                             reduce_expansion, to_expansion, to_matrix,
-                            trace_norm, word_coefficient,
-                            word_expectations_dense)
-from fermicert.invariance import MuFamilyParams, mu_family_state
+                            trace_norm, word_coefficients,
+                            word_expectations_dense, word_string_entries)
+from fermicert.invariance import (MuFamilyParams, mu_family_state,
+                                  words_up_to_degree)
+from fermicert.meanfield import (BUILTIN_FAMILIES,
+                                 build_hamiltonian_expansion, builtin_family,
+                                 ground_state_lowdim, hamiltonian_sparse)
+from fermicert.suites import SMALL_SHAPES
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -90,6 +95,71 @@ class TestJwMatrix:
         assert m.dim == 2 ** 13
 
 
+def exact_matrix(cols, vals):
+    """The dense matrix with row a's single entry vals[a] at cols[a]."""
+    out = np.zeros((len(cols), len(cols)), dtype=np.complex128)
+    out[np.arange(len(cols)), cols] = vals
+    return out
+
+
+class TestPauliStrings:
+    # The batched kernel against the kron-product oracle of conftest.  All
+    # entries are 0, +-1 or +-i, so the comparisons are exact.
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+    def test_every_word_of_the_small_shapes(self, shape):
+        masks = range(1 << shape.majorana_count)
+        cols, vals = word_string_entries(masks, shape)
+        for mask in masks:
+            assert np.array_equal(exact_matrix(cols[mask], vals[mask]),
+                                  word_matrix_oracle(mask, shape))
+
+    @pytest.mark.parametrize("shape", [SystemShape(9, 1), SystemShape(3, 3)],
+                             ids=str)
+    def test_words_across_every_table_boundary(self, shape, rng):
+        # 18 Majorana bits span three table bytes (bits 0-7, 8-15, 16-17);
+        # every mask sets bits in all three, and two set both bits next to
+        # each boundary.
+        masks = [0b11 << 7 | 0b11 << 15, 1 | 1 << 8 | 1 << 17]
+        for _ in range(4):
+            bits = [int(rng.integers(0, 8)), int(rng.integers(8, 16)),
+                    int(rng.integers(16, 18)), int(rng.integers(0, 18))]
+            masks.append(sum(1 << b for b in set(bits)))
+        cols, vals = word_string_entries(masks, shape)
+        for t, mask in enumerate(masks):
+            assert np.array_equal(exact_matrix(cols[t], vals[t]),
+                                  word_matrix_oracle(mask, shape))
+
+    def test_mask_outside_the_shape_rejected(self):
+        with pytest.raises(ValueError):
+            word_string_entries([1 << 4], SystemShape(2, 1))
+        with pytest.raises(ValueError):
+            jw_matrix(-1, SystemShape(2, 1))
+
+    @pytest.mark.parametrize("shape", [SystemShape(2, 1), SystemShape(2, 2),
+                                       SystemShape(3, 1)], ids=str)
+    def test_to_matrix_of_random_expansions(self, shape, rng):
+        assert not to_matrix(OperatorExpansion(shape, {})).matrix.any()
+        n_bits = shape.majorana_count
+        for _ in range(3):
+            masks = rng.choice(1 << n_bits, size=4, replace=False).tolist()
+            # m ^ 0b11 flips both Majoranas of the first mode, which keeps
+            # the X pattern: these terms share one.
+            masks += [m ^ 0b11 for m in masks[:2]]
+            terms = {m: complex(rng.standard_normal(),
+                                rng.standard_normal()) for m in masks}
+            want = sum(c * word_matrix_oracle(m, shape)
+                       for m, c in terms.items())
+            got = to_matrix(OperatorExpansion(shape, terms)).matrix
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_sparse_hamiltonian_equals_dense(self, name):
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
+        assert np.array_equal(hamiltonian_sparse(h_exp).toarray(),
+                              to_matrix(h_exp).matrix)
+
+
 class TestConversions:
     def test_identity_roundtrip(self):
         sh = SystemShape(2, 1)
@@ -107,8 +177,9 @@ class TestConversions:
         sh = SystemShape(2, 1)
         a = random_expansion(sh, rng, n_terms=5)
         dense = to_matrix(a).matrix
-        for mask, coeff in a.terms.items():
-            assert abs(word_coefficient(dense, mask, sh) - coeff) < 1e-12
+        coeffs = word_coefficients(dense, range(16), sh)
+        for mask, coeff in coeffs.items():
+            assert abs(coeff - a.terms.get(mask, 0.0)) < 1e-12
 
     def test_mu_family_trace_one(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
@@ -355,10 +426,59 @@ class TestExpectationDense:
         sh = SystemShape(2, 2)
         a = random_expansion(sh, rng, n_terms=5)
         dense = to_matrix(a).matrix
-        for mask in range(0, 256, 11):
-            direct = expectation_word_dense(dense, mask, sh)
+        masks = range(0, 256, 11)
+        values = word_expectations_dense(dense, masks, sh)
+        for mask in masks:
             oracle = np.trace(dense @ word_matrix_oracle(mask, sh))
-            assert abs(direct - oracle) < 1e-12
+            assert abs(values[mask] - oracle) < 1e-12
+
+    def test_unreachable_patterns_are_exact_zeros(self):
+        # The hubbard-like V = 4 ground space lives in one number sector,
+        # so many X patterns join no two support states.  Those words read
+        # exactly 0, and the factor and dense routes agree on the rest.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
+                                                              4))
+        _, ground = ground_state_lowdim(h_exp)
+        shape, factor = ground.shape, ground.matrix
+        rho = factor @ factor.conj().T / factor.shape[1]
+        masks = list(words_up_to_degree(shape, 4))
+        from_factor = word_expectations_dense(factor, masks, shape,
+                                              factor=True)
+        from_matrix = word_expectations_dense(rho, masks, shape)
+        assert max(abs(from_factor[m] - from_matrix[m]) for m in masks) < 1e-15
+        support = set(np.flatnonzero(np.abs(factor).sum(axis=1)).tolist())
+        majoranas = independent_majoranas(shape.total_modes)
+        unreachable = 0
+        for mask in masks:
+            # The oracle word's X pattern: the column of row 0's entry.
+            row = np.eye(shape.fock_dim)[0]
+            for g in range(shape.majorana_count):
+                if (mask >> g) & 1:
+                    row = row @ majoranas[g]
+            x = int(np.flatnonzero(row)[0])
+            if not any(b ^ x in support for b in support):
+                unreachable += 1
+                assert from_factor[mask] == 0 and from_matrix[mask] == 0
+        assert 0 < unreachable < len(masks)
+
+    def test_dense_matrices_with_zero_rows_and_columns(self, rng):
+        # A state with one zero row and column still reaches every X
+        # pattern.  A matrix whose nonzero rows {1, 2, 4} and columns
+        # {2, 4, 8} differ reaches only some, several of them only through
+        # an index outside the rows or outside the columns.
+        sh = SystemShape(2, 2)
+        state = random_even_density_matrix(sh, rng)
+        state[5, :] = 0.0
+        state[:, 5] = 0.0
+        corner = np.zeros((sh.fock_dim, sh.fock_dim), dtype=np.complex128)
+        corner[np.ix_([1, 2, 4], [2, 4, 8])] = (
+            rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        masks = range(1 << sh.majorana_count)
+        for matrix in (state, corner):
+            values = word_expectations_dense(matrix, masks, sh)
+            for mask in masks:
+                oracle = np.trace(matrix @ word_matrix_oracle(mask, sh))
+                assert abs(values[mask] - oracle) < 1e-12
 
 
 class TestDiagonalBlocks:
@@ -394,13 +514,17 @@ class TestDiagonalBlocks:
 
 @st.composite
 def factored_states(draw):
-    """(shape, F): an orthonormal dim x r factor of a random rank-r state."""
+    """(shape, F): an orthonormal dim x r factor of a random rank-r state.
+    Half the draws zero most entries first, so that F has zero rows and
+    its columns differ in support."""
     shape = SystemShape(*draw(st.sampled_from([(3, 1), (2, 2), (4, 1)])))
     r = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2 ** 32 - 1))
+    zeroed = draw(st.sampled_from([0.0, 0.7]))
     g = np.random.default_rng(seed)
     a = (g.standard_normal((shape.fock_dim, r))
          + 1j * g.standard_normal((shape.fock_dim, r)))
+    a[g.random(a.shape) < zeroed] = 0.0
     return shape, np.linalg.qr(a)[0]
 
 
