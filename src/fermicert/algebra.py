@@ -12,8 +12,9 @@ This module implements that algebra exactly:
   ``2*p*V`` global positions, with bit ``(site-1)*2p + (a-1)``;
 * products track anti-commutation signs with popcount arithmetic;
 * :func:`relabel_word` moves a word's Majoranas between sites and
-  re-canonicalizes it; site permutations, reductions to a site subset and
-  the placement of k-site templates on site tuples all go through it;
+  re-canonicalizes it; :meth:`OperatorExpansion.relabel` applies it to a
+  whole expansion, and site permutations, reductions to a site subset and
+  the placement of k-site templates on site tuples all go through that;
 * :class:`OperatorExpansion` holds sparse complex linear combinations and
   supports products, adjoints, site permutations and parity projections.
 
@@ -277,14 +278,22 @@ class OperatorExpansion:
             {m: reversal_sign(m.bit_count()) * c.conjugate()
              for m, c in self.terms.items()})
 
-    def apply_permutation(self, pi: Sequence[int]) -> "OperatorExpansion":
-        """Relabel sites by the permutation ``pi`` (1-indexed images)."""
-        pi = validate_permutation(pi, self.shape.sites)
+    def relabel(self, site_map: Sequence[int],
+                shape: SystemShape) -> "OperatorExpansion":
+        """Every word moved by :func:`relabel_word` onto ``shape``: the
+        Majoranas of site s go to site ``site_map[s-1]``, and words that
+        land on the same canonical word have their signed coefficients
+        summed in term order."""
         terms: Dict[int, complex] = {}
         for mask, coeff in self.terms.items():
-            sign, new_mask, _ = relabel_word(mask, pi, self.shape)
+            sign, new_mask, _ = relabel_word(mask, site_map, self.shape)
             terms[new_mask] = terms.get(new_mask, 0.0) + sign * coeff
-        return OperatorExpansion(self.shape, terms)
+        return OperatorExpansion(shape, terms)
+
+    def apply_permutation(self, pi: Sequence[int]) -> "OperatorExpansion":
+        """Relabel sites by the permutation ``pi`` (1-indexed images)."""
+        return self.relabel(validate_permutation(pi, self.shape.sites),
+                            self.shape)
 
     def parity_project(self, site: int, sign: str) -> "OperatorExpansion":
         """Keep words whose Majorana count on ``site`` is even ('+') or odd ('-')."""

@@ -5,6 +5,13 @@ configuration error, 3 resource cap exceeded.  Every numeric output lands
 in CSV tables whose bytes depend only on the configuration and seed; the
 mode cap can be lifted through the FERMICERT_MAX_MODES environment
 variable.
+
+Single commands (``verify-lemma3 --k``, ``verify-theorem1 --k``,
+``gs-bound --hamiltonian`` or ``--config``, ``rdm-spectrum --a``) apply
+the same verdict rules as the suites, because those rules live in the
+verifiers: this module decides no verdict, and its table columns come
+from :data:`suites.TABLES`.  A single command adds notes only: the input
+state's validity and, for Theorem 1, the component purities.
 """
 
 from __future__ import annotations
@@ -15,43 +22,31 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import OperatorExpansion, SystemShape, expansion_from_text
-from .definetti import mixture_diagnostics, verify_theorem1
+from .definetti import verify_theorem1
 from .errors import ResourceCapError, SingularSpectrumError
 from .fock import check_state, to_matrix
 from .invariance import MuFamilyParams, mu_family_state, verify_lemma3
 from .meanfield import (BUILTIN_FAMILIES, HamiltonianSpec, builtin_family,
                         verify_gs_bound)
-from .rdm import CirculantParams, compare_circulant_spectrum
-from .report import (EQUALITY, make_report, render_reports, reports_to_rows,
+from .rdm import CirculantParams, compare_circulant_spectrum, spectrum_report
+from .report import (VerificationReport, render_reports, reports_to_rows,
                      write_csv)
 from . import suites
 
-_CSV_DOC = """\
-CSV tables written by this command (columns):
-  summary.csv: claim_id, kind, inputs, lhs, rhs, tolerance, passed, notes
-"""
+#: A run's claim reports and its CSV tables by name.
+Run = Tuple[List[VerificationReport], Dict[str, suites.Table]]
 
-_TABLE_DOCS = {
-    "check-algebra": "  algebra.csv: shape, cases, max_dev\n",
-    "check-invariance": ("  invariance.csv: V, mu, cond1, cond2, full, "
-                         "fully_invariant, checked_words, sampled\n"),
-    "verify-lemma3": "  lemma3.csv: V, p, mu, k, lhs, rhs, passed\n",
-    "verify-theorem1": ("  theorem1.csv: V, p, mu, k, r, distance, bound, "
-                        "max_offdiag, passed\n"),
-    "verify-clt": ("  clt_lemma4.csv: V, p, w, cases, max_dev\n"
-                   "  clt_delta.csv: V, p, max_offresonant, max_resonant_dev\n"
-                   "  suppression.csv: V, p, w, lhs, rhs, equality_dev, passed\n"),
-    "verify-corollary": "  corollary.csv: source, V, k, metric, rate, ratio\n",
-    "rdm-spectrum": ("  rdm_spectrum.csv: V, k, lambda_formula, "
-                     "lambda_direct, abs_dev\n"
-                     "  rdm_bound.csv: V, mu, a, abs_b, abs_b_times_V, bound, "
-                     "passed\n"),
-    "gs-bound": ("  gsbound.csv: family, V, p, k, e_product_min, e_ground, "
-                 "gap, bound, precondition_ok, passed\n"),
-}
+
+def _csv_doc(command: str) -> str:
+    """Help text listing the CSV tables a command writes, with columns."""
+    tables = {"summary": " ".join(reports_to_rows([])[0]),
+              **suites.TABLES.get(command, {})}
+    return "CSV tables written by this command (columns):\n" + "".join(
+        f"  {name}.csv: {columns.replace(' ', ', ')}\n"
+        for name, columns in tables.items())
 
 
 def _load_state(args) -> Tuple[OperatorExpansion, List[str]]:
@@ -69,11 +64,9 @@ def _load_state(args) -> Tuple[OperatorExpansion, List[str]]:
             raise FileNotFoundError(f"fixture not found: {path}")
         shape = SystemShape(args.V, args.p)
         state = expansion_from_text(path.read_text(), shape)
-    elif args.family == "mu":
+    else:  # --family mu, the one choice
         params = MuFamilyParams(args.V, args.p, args.mu)
         state = mu_family_state(params, validate=False)
-    else:
-        raise ValueError(f"unknown state family {args.family!r}")
     validity = check_state(to_matrix(state))
     if args.strict_state and not (validity.trace_ok and validity.positive_ok):
         raise ValueError(
@@ -97,11 +90,7 @@ def _write_outputs(out: Path, command: str, reports, tables):
     sys.stdout.write(text)
 
 
-def _exit_code(reports) -> int:
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def _add_state_args(sub, with_k: bool = True):
+def _add_state_args(sub):
     sub.add_argument("--family", default="mu", choices=["mu"],
                      help="built-in state family")
     sub.add_argument("--V", type=int, default=None, help="number of sites")
@@ -114,9 +103,8 @@ def _add_state_args(sub, with_k: bool = True):
                      help="reject an input (family or fixture) that is not "
                           "a valid state instead of certifying the "
                           "Hermitian operator")
-    if with_k:
-        sub.add_argument("--k", type=int, default=None,
-                         help="reduction size (omit to sweep the suite)")
+    sub.add_argument("--k", type=int, default=None,
+                     help="reduction size (omit to sweep the suite)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(
             name, help=help_text,
             formatter_class=argparse.RawDescriptionHelpFormatter,
-            epilog=_CSV_DOC + _TABLE_DOCS.get(name, ""))
+            epilog=_csv_doc(name))
         if seed == "required":
             sub.add_argument("--seed", type=int, required=True,
                              help="RNG seed (required: optimizer command)")
@@ -188,38 +176,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single_lemma3(args) -> int:
+def _single_lemma3(args) -> Run:
     state, notes = _load_state(args)
     rep = verify_lemma3(state, args.k, inputs={"mu": args.mu})
     rep.notes.extend(notes)
-    _write_outputs(Path(args.out), "verify-lemma3", [rep], {})
-    return _exit_code([rep])
+    return [rep], {}
 
 
-def _single_theorem1(args) -> int:
+def _single_theorem1(args) -> Run:
     state, notes = _load_state(args)
-    rep, mixture = verify_theorem1(
+    rep, _, diag = verify_theorem1(
         state, args.k, r=args.r, restarts=args.restarts, iters=args.iters,
         seed=args.seed, inputs={"mu": args.mu})
-    diag = mixture_diagnostics(mixture)
     rep.notes.append(f"component purities {diag['purities']}")
     rep.notes.extend(notes)
-    _write_outputs(Path(args.out), "verify-theorem1", [rep], {})
-    return _exit_code([rep])
+    return [rep], {}
 
 
-def _single_rdm(args) -> int:
+def _single_rdm(args) -> Run:
+    if args.V is None:
+        raise ValueError("--V is required with --a")
+    b = complex(args.b_re, args.b_im)
     rows, worst, singular = compare_circulant_spectrum(
-        CirculantParams(args.V, args.a, complex(args.b_re, args.b_im)))
-    rep = make_report("rdm-spectrum", EQUALITY,
-                      {"V": args.V, "a": args.a,
-                       "b": complex(args.b_re, args.b_im)},
-                      worst, 0.0, 1e-10, 0.0,
-                      [f"singular k excluded: {singular}"] if singular else [])
-    _write_outputs(Path(args.out), "rdm-spectrum", [rep],
-                   {"rdm_spectrum": (["V", "k", "lambda_formula",
-                                      "lambda_direct", "abs_dev"], rows)})
-    return _exit_code([rep])
+        CirculantParams(args.V, args.a, b))
+    rep = spectrum_report({"V": args.V, "a": args.a, "b": b}, worst,
+                          [f"singular k excluded: {singular}"] if singular else [])
+    return [rep], {"rdm_spectrum": suites.table("rdm_spectrum", rows)}
 
 
 def _hamiltonian_from_config(path: Path) -> HamiltonianSpec:
@@ -242,52 +224,39 @@ def _hamiltonian_from_config(path: Path) -> HamiltonianSpec:
                            name=str(cfg.get("name", "custom")))
 
 
-def _single_gs(args) -> int:
+def _single_gs(args) -> Run:
     if args.config is not None:
         spec = _hamiltonian_from_config(Path(args.config))
     else:
         spec = builtin_family(args.hamiltonian, args.V)
     result, rep = verify_gs_bound(spec, restarts=args.restarts,
                                   iters=args.iters, seed=args.seed)
-    rows = [[spec.name, spec.shape.sites, spec.shape.modes_per_site, spec.k,
-             result.e_product_min, result.e_ground, result.gap, result.bound,
-             result.precondition_ok, rep.passed]]
-    header = ["family", "V", "p", "k", "e_product_min", "e_ground", "gap",
-              "bound", "precondition_ok", "passed"]
-    _write_outputs(Path(args.out), "gs-bound", [rep],
-                   {"gsbound": (header, rows)})
-    return _exit_code([rep])
+    return [rep], {"gsbound": suites.table(
+        "gsbound", [suites.gs_bound_row(spec, result, rep)])}
+
+
+def _run(args) -> Run:
+    """The single instance the arguments name, else the command's suite."""
+    if args.command == "verify-lemma3" and args.k is not None:
+        return _single_lemma3(args)
+    if args.command == "verify-theorem1" and args.k is not None:
+        return _single_theorem1(args)
+    if args.command == "rdm-spectrum" and args.a is not None:
+        return _single_rdm(args)
+    if args.command == "gs-bound" and (args.hamiltonian is not None
+                                       or args.config is not None):
+        return _single_gs(args)
+    if args.command == "all":
+        return suites.run_all(seed=args.seed)
+    return suites.SUITES[args.command](args.seed)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = Path(args.out)
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        if args.command == "verify-lemma3" and args.k is not None:
-            return _single_lemma3(args)
-        if args.command == "verify-theorem1" and args.k is not None:
-            return _single_theorem1(args)
-        if args.command == "rdm-spectrum" and args.a is not None:
-            if args.V is None:
-                raise ValueError("--V is required with --a")
-            return _single_rdm(args)
-        if args.command == "gs-bound" and (args.hamiltonian is not None
-                                           or args.config is not None):
-            return _single_gs(args)
-
-        if args.command == "all":
-            start = time.perf_counter()
-            reports, tables = suites.run_all(seed=args.seed)
-            _write_outputs(out, "all", reports, tables)
-            sys.stdout.write(f"total wall time {time.perf_counter() - start:.1f}s\n")
-            return _exit_code(reports)
-        runner = suites.SUITES.get(args.command)
-        if runner is None:
-            raise ValueError(f"unknown command {args.command!r}")
-        reports, tables = runner(args.seed)
-        _write_outputs(out, args.command, reports, tables)
-        return _exit_code(reports)
+        reports, tables = _run(args)
+        _write_outputs(Path(args.out), args.command, reports, tables)
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
@@ -295,6 +264,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    if args.command == "all":
+        sys.stdout.write(f"total wall time {time.perf_counter() - start:.1f}s\n")
+    return 0 if all(r.passed for r in reports) else 1
 
 
 if __name__ == "__main__":

@@ -346,13 +346,11 @@ class FourierMemo:
     def __init__(self):
         self._moments: Dict[tuple, LadderMoments] = {}
 
-    def moments(self, rho_single: DenseOperator, V: int,
-                override_cap: bool = False) -> LadderMoments:
+    def moments(self, rho_single: DenseOperator, V: int) -> LadderMoments:
         key = (rho_single.shape, rho_single.matrix.tobytes(), V)
         hit = self._moments.get(key)
         if hit is None:
-            power = product_power(SingleSiteState(rho_single.matrix, True), V,
-                                  override_cap=override_cap)
+            power = product_power(SingleSiteState(rho_single.matrix, True), V)
             hit = LadderMoments(power.matrix, lambda k: fourier_ladder_terms(
                 power.shape, *k))
             self._moments[key] = hit
@@ -387,7 +385,6 @@ def _require_single_site(rho_single: DenseOperator) -> int:
 
 def fourier_cumulant(rho_single: DenseOperator, V: int,
                      ops: Sequence[LadderIndex],
-                     override_cap: bool = False,
                      memo: Optional[FourierMemo] = None
                      ) -> FourierCumulantResult:
     """Cumulant of the V-fold copy of a single-site state in Fourier modes.
@@ -419,8 +416,8 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
     resonant = total_q % V == 0
 
     direct = None
-    if V * p <= mode_cap() or override_cap:
-        direct = memo.moments(rho_single, V, override_cap).cumulant(triples)
+    if V * p <= mode_cap():
+        direct = memo.moments(rho_single, V).cumulant(triples)
 
     return FourierCumulantResult(direct, complex(closed), complex(k_single),
                                  complex(phase_sum),

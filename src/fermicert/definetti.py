@@ -48,8 +48,9 @@ import numpy as np
 from .algebra import OperatorExpansion, SystemShape, reversal_sign
 from .fock import (DenseOperator, check_state, ensure_within_cap,
                    global_parity_signs, jw_matrix, partial_trace_sites,
-                   reduce_expansion, to_matrix)
-from .invariance import InvarianceReport, check_invariance, lemma3_bound
+                   to_matrix)
+from .invariance import (InvarianceReport, check_invariance,
+                         invariant_reduction, lemma3_bound)
 from .report import INEQUALITY, VerificationReport, make_report
 
 #: Default subgradient step scale c in c/sqrt(t).
@@ -194,8 +195,7 @@ def params_from_state(p: int, sigma: np.ndarray) -> np.ndarray:
     return np.clip(theta, -GENERATOR_BOX, GENERATOR_BOX)
 
 
-def product_power(xi: SingleSiteState, k: int,
-                  override_cap: bool = False) -> DenseOperator:
+def product_power(xi: SingleSiteState, k: int) -> DenseOperator:
     """k-fold copy of a single-site state as a Fock-space density matrix.
 
     Under the site-major operator ordering the copy is the plain tensor
@@ -205,7 +205,7 @@ def product_power(xi: SingleSiteState, k: int,
         raise ValueError("k must be >= 1")
     p = xi.modes
     shape = SystemShape(k, p)
-    ensure_within_cap(shape, override_cap)
+    ensure_within_cap(shape)
     out = np.array([[1.0 + 0.0j]])
     for _ in range(k):
         out = np.kron(out, xi.matrix)
@@ -594,39 +594,29 @@ def theorem1_bound_tight_spin(V: int, p: int, k: int) -> float:
 
 def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
                     restarts: int = 8, iters: int = 500, seed: int = 0,
-                    tol: float = 1e-9, invariance_tol: float = 1e-9,
                     inv_report: Optional[InvarianceReport] = None,
                     inputs: Optional[Dict[str, object]] = None
-                    ) -> Tuple[VerificationReport, ProductMixture]:
+                    ) -> Tuple[VerificationReport, ProductMixture,
+                               Dict[str, object]]:
     """Certify the product-mixture approximation bound on the first-k
-    reduction, returning the report and the witness mixture.
+    reduction (preconditions of :func:`invariance.invariant_reduction`);
+    returns the report, the witness and its :func:`mixture_diagnostics`.
 
-    The notes carry the dual lower bound of :func:`best_mixture_approx`.
-    A lower bound above ``rhs + tol`` fails the claim whatever the witness
-    distance: no mixture meets the bound then.  ``rho`` need not be
-    positive: the bound is certified for the Hermitian unit-trace
-    operator, and state validity is the caller's check."""
+    The claim fails, whatever the witness distance, on a component that is
+    not a valid even state, one off the diagonal by over 1e-8 at one mode
+    per site, or a dual lower bound (in the notes) above the bound: no
+    mixture meets the bound then.  A single CLI run gets the same verdict
+    as the suite row.  ``rho`` need not be positive: the bound is certified
+    for the Hermitian unit-trace operator; state validity is the caller's
+    check."""
     start = time.perf_counter()
-    shape = rho.shape
-    V, p = shape.sites, shape.modes_per_site
-    problems = []
-    if V < 6:
-        problems.append(f"V = {V} below the required 6 sites")
-    if not 1 <= k < V:
-        problems.append(f"k = {k} outside [1, V)")
-    if problems:
-        raise ValueError("; ".join(problems))
+    V, p = rho.shape.sites, rho.shape.modes_per_site
     if inv_report is None:
-        inv_report = check_invariance(rho, tol=invariance_tol)
-    if inv_report.max_violation() > invariance_tol:
-        raise ValueError(
-            "state is not permutation invariant: max violation "
-            f"{inv_report.max_violation():.3e}")
-
-    reduction = to_matrix(reduce_expansion(rho, range(1, k + 1)))
+        inv_report = check_invariance(rho)
+    reduction = to_matrix(invariant_reduction(rho, k, inv_report))
     mixture, dist, lower = best_mixture_approx(
         reduction, r=r, restarts=restarts, iters=iters, seed=seed)
-    rhs = theorem1_bound(V, p, k)
+    rhs, tol = theorem1_bound(V, p, k), 1e-9
     notes = [
         f"suppression term {lemma3_bound(V, p, k):.6g}",
         f"tight spin-constant variant rhs {theorem1_bound_tight_spin(V, p, k):.6g}",
@@ -635,17 +625,19 @@ def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
     if rhs > 2.0:
         notes.append("bound exceeds trace-distance diameter")
     diag = mixture_diagnostics(mixture)
+    failures = []
     if not diag["components_valid"] or not diag["components_even"]:
-        notes.append("component validity check failed")
+        failures.append("component validity check failed")
     if p == 1:
         notes.append(f"max component off-diagonal {diag['max_offdiagonal']:.2e}")
-    info: Dict[str, object] = {"V": V, "p": p, "k": k,
-                               "r": len(mixture.weights), "seed": seed}
-    if inputs:
-        info.update(inputs)
-    report = make_report("theorem1", INEQUALITY, info, dist, rhs, tol,
-                         time.perf_counter() - start, notes)
+        if diag["max_offdiagonal"] > 1e-8:
+            failures.append("single-mode components must be diagonal")
     if lower > rhs + tol:
+        failures.append("dual lower bound exceeds the bound: refuted")
+    info = {"V": V, "p": p, "k": k, "r": len(mixture.weights), "seed": seed,
+            **(inputs or {})}
+    report = make_report("theorem1", INEQUALITY, info, dist, rhs, tol,
+                         time.perf_counter() - start, notes + failures)
+    if failures:
         report.passed = False
-        report.notes.append("dual lower bound exceeds the bound: refuted")
-    return report, mixture
+    return report, mixture, diag

@@ -33,10 +33,10 @@ from .algebra import (OperatorExpansion, SystemShape, relabel_word,
 from .errors import ResourceCapError
 
 #: Dense work refuses systems with more than this many fermionic modes
-#: (Fock dimension 4096) unless overridden.
+#: (Fock dimension 4096) unless :data:`MODE_CAP_ENV` sets another cap.
 DEFAULT_MODE_CAP = 12
 
-#: Environment variable overriding the cap.
+#: Environment variable overriding the cap, the one way to lift it.
 MODE_CAP_ENV = "FERMICERT_MAX_MODES"
 
 _I4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
@@ -53,12 +53,12 @@ def mode_cap() -> int:
     return DEFAULT_MODE_CAP
 
 
-def ensure_within_cap(shape: SystemShape, override: bool = False):
+def ensure_within_cap(shape: SystemShape):
     cap = mode_cap()
-    if not override and shape.total_modes > cap:
+    if shape.total_modes > cap:
         raise ResourceCapError(
             f"{shape.total_modes} modes exceed cap {cap} "
-            f"(set {MODE_CAP_ENV} or pass override to proceed)")
+            f"(set {MODE_CAP_ENV} to a larger cap to proceed)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,9 +208,9 @@ def word_string_entries(masks, shape: SystemShape
     return cols, _I4[phase][:, None] * signs
 
 
-def jw_matrix(mask: int, shape: SystemShape, override_cap: bool = False) -> DenseOperator:
+def jw_matrix(mask: int, shape: SystemShape) -> DenseOperator:
     """Dense Jordan-Wigner matrix of a canonical word bitmask."""
-    ensure_within_cap(shape, override_cap)
+    ensure_within_cap(shape)
     dim = shape.fock_dim
     cols, vals = word_string_entries([mask], shape)
     out = np.zeros((dim, dim), dtype=np.complex128)
@@ -218,14 +218,14 @@ def jw_matrix(mask: int, shape: SystemShape, override_cap: bool = False) -> Dens
     return DenseOperator(shape, out)
 
 
-def to_matrix(op: OperatorExpansion, override_cap: bool = False) -> DenseOperator:
+def to_matrix(op: OperatorExpansion) -> DenseOperator:
     """Dense matrix of an expansion.
 
     The terms' entries are added in term order by ``np.add.at``, which
     accumulates repeated (row, column) pairs one after another, so the
     result equals a term-by-term sum bit for bit.
     """
-    ensure_within_cap(op.shape, override_cap)
+    ensure_within_cap(op.shape)
     dim = op.shape.fock_dim
     out = np.zeros((dim, dim), dtype=np.complex128)
     n = len(op.terms)
@@ -253,7 +253,7 @@ def word_coefficients(matrix: np.ndarray, masks: Iterable[int],
                                                        shape).items()}
 
 
-def to_expansion(dense: DenseOperator, override_cap: bool = False) -> OperatorExpansion:
+def to_expansion(dense: DenseOperator) -> OperatorExpansion:
     """Full expansion of a dense matrix in the Majorana word basis.
 
     Enumerates all 4^(pV) words; practical for small systems only, so the
@@ -261,7 +261,7 @@ def to_expansion(dense: DenseOperator, override_cap: bool = False) -> OperatorEx
     """
     shape = dense.shape
     cap = mode_cap() // 2
-    if not override_cap and shape.total_modes > cap:
+    if shape.total_modes > cap:
         raise ResourceCapError(
             f"full expansion of {shape.total_modes} modes enumerates "
             f"4^{shape.total_modes} words; cap is {cap} modes")
@@ -292,13 +292,13 @@ def reduce_expansion(op: OperatorExpansion, keep: Sequence[int]) -> OperatorExpa
     for i, site in enumerate(keep):
         keep_mask |= shape.site_bitmask(site)
         site_map[site - 1] = i + 1
-    terms: Dict[int, complex] = {}
-    for mask, coeff in op.terms.items():
-        if mask & ~keep_mask:
-            continue
-        # The kept sites move in order, so no reordering sign arises.
-        terms[relabel_word(mask, site_map, shape)[1]] = coeff * scale
-    return OperatorExpansion(small, terms)
+    kept = OperatorExpansion(shape, {mask: coeff for mask, coeff
+                                     in op.terms.items()
+                                     if not mask & ~keep_mask})
+    # The kept sites move in order, so no reordering sign arises.
+    moved = kept.relabel(site_map, small)
+    return OperatorExpansion(small, {mask: coeff * scale for mask, coeff
+                                     in moved.terms.items()})
 
 
 def partial_trace_sites(dense: DenseOperator, keep: Sequence[int]) -> DenseOperator:
@@ -386,22 +386,20 @@ def permutation_unitary(pi: Sequence[int], shape: SystemShape) -> DenseOperator:
     pi = validate_permutation(pi, shape.sites)
     n = shape.total_modes
     p = shape.modes_per_site
-    dim = shape.fock_dim
-    mode_map = [0] * n
-    for site in range(1, shape.sites + 1):
-        for alpha in range(p):
-            mode_map[(site - 1) * p + alpha] = (pi[site - 1] - 1) * p + alpha
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for a in range(dim):
-        occupied = [m for m in range(n) if (a >> (n - 1 - m)) & 1]
-        mapped = [mode_map[m] for m in occupied]
-        inversions = sum(1 for i in range(len(mapped))
-                         for j in range(i + 1, len(mapped))
-                         if mapped[i] > mapped[j])
-        b = 0
-        for m in mapped:
-            b |= 1 << (n - 1 - m)
-        out[b, a] = -1.0 if inversions % 2 else 1.0
+    modes = np.arange(n)
+    mode_map = (np.asarray(pi)[modes // p] - 1) * p + modes % p
+    basis = np.arange(shape.fock_dim)
+    # occupied[a, m]: whether basis state a occupies mode m (qubit m is
+    # basis-index bit n - 1 - m).
+    occupied = (basis[:, None] >> (n - 1 - modes)) & 1
+    image = occupied @ (1 << (n - 1 - mode_map))
+    # Mode pairs m < m' whose images swap order; each occupied pair is one
+    # transposition of the reordering.
+    swapped = ((modes[:, None] < modes[None, :])
+               & (mode_map[:, None] > mode_map[None, :])).astype(np.int64)
+    inversions = np.einsum("am,mk,ak->a", occupied, swapped, occupied)
+    out = np.zeros((shape.fock_dim, shape.fock_dim), dtype=np.complex128)
+    out[image, basis] = 1.0 - 2.0 * (inversions & 1)
     return DenseOperator(shape, out)
 
 

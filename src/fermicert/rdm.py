@@ -14,7 +14,7 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .algebra import SystemShape
 from .cumulants import ladder_terms
 from .errors import SingularSpectrumError
 from .fock import DenseOperator
-from .report import INEQUALITY, VerificationReport, make_report
+from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
 OFFDIAG_BOUND_CONST = 8.0 / math.sqrt(3.0)
@@ -187,6 +187,15 @@ def compare_circulant_spectrum(params: CirculantParams
         if index not in singular:
             worst = max(worst, dev)
     return rows, worst, singular
+
+
+def spectrum_report(inputs: Dict[str, object], worst: float,
+                    notes: Sequence[str] = ()) -> VerificationReport:
+    """The rdm-spectrum claim on the largest deviation of
+    :func:`compare_circulant_spectrum`: closed form and eigensolver agree
+    to 1e-10."""
+    return make_report("rdm-spectrum", EQUALITY, inputs, worst, 0.0, 1e-10,
+                       0.0, notes)
 
 
 def fit_circulant(gamma: np.ndarray) -> Tuple[float, complex, float]:

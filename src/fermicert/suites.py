@@ -4,6 +4,12 @@ Each ``run_*`` function executes one suite deterministically (given the
 seed), returning the claim reports plus named CSV tables.  ``run_all``
 composes every suite; its outputs are byte-stable across runs with the
 same seed.
+
+A suite sweeps and tabulates.  A rule that one claim's own inputs and
+outputs decide lives in the verifier, so a single CLI command gets the
+suite row's verdict; a suite adds only rules that compare its rows or
+know its family (Lemma-3 lhs monotone in k, mu = 0 an exact product, the
+corollary slope).
 """
 
 from __future__ import annotations
@@ -19,22 +25,48 @@ from .cumulants import (FourierMemo, LadderIndex, corollary_index_sets,
                         cumulant, fourier_cumulant, fourier_q_range,
                         lemma4_equality_report, verify_corollary,
                         verify_suppression)
-from .definetti import (SingleSiteState, best_mixture_approx,
-                        mixture_diagnostics, product_power, verify_theorem1)
+from .definetti import (SingleSiteState, best_mixture_approx, product_power,
+                        verify_theorem1)
 from .fock import (DenseOperator, operator_norm, permutation_unitary,
                    reduce_expansion, to_matrix)
 from .invariance import (MuFamilyParams, check_invariance, mu_family_state,
                          verify_lemma3)
-from .meanfield import (BUILTIN_FAMILIES, ProductEnergyEvaluator,
-                        build_hamiltonian_expansion, builtin_family,
-                        min_product_energy, verify_gs_bound)
+from .meanfield import (BUILTIN_FAMILIES, HamiltonianSpec, MeanFieldResult,
+                        ProductEnergyEvaluator, build_hamiltonian_expansion,
+                        builtin_family, min_product_energy, verify_gs_bound)
 from .rdm import (CirculantParams, OFFDIAG_BOUND_CONST,
                   circulant_spectrum_with_fallback, compare_circulant_spectrum,
-                  fit_circulant, one_rdm, verify_pauli_constraints)
+                  fit_circulant, one_rdm, spectrum_report,
+                  verify_pauli_constraints)
 from .report import (EQUALITY, INEQUALITY, PROPERTY, VerificationReport,
                      make_report, reports_to_rows)
 
 Table = Tuple[Sequence[str], List[Sequence[object]]]
+
+#: Columns of every CSV table, by the command that writes it; the CLI's
+#: help lists them from here.
+TABLES: Dict[str, Dict[str, str]] = {
+    "check-algebra": {"algebra": "shape cases max_dev"},
+    "check-invariance": {"invariance": "V mu cond1 cond2 full fully_invariant "
+                                       "checked_words sampled"},
+    "verify-lemma3": {"lemma3": "V p mu k lhs rhs passed"},
+    "verify-theorem1": {"theorem1": "V p mu k r distance bound max_offdiag "
+                                    "passed"},
+    "verify-clt": {"clt_lemma4": "V p w cases max_dev",
+                   "clt_delta": "V p max_offresonant max_resonant_dev",
+                   "suppression": "V p w lhs rhs equality_dev passed"},
+    "verify-corollary": {"corollary": "source V k metric rate ratio"},
+    "rdm-spectrum": {"rdm_spectrum": "V k lambda_formula lambda_direct abs_dev",
+                     "rdm_bound": "V mu a abs_b abs_b_times_V bound passed"},
+    "gs-bound": {"gsbound": "family V p k e_product_min e_ground gap bound "
+                            "precondition_ok passed"},
+}
+
+
+def table(name: str, rows: List[Sequence[object]]) -> Table:
+    """The CSV table ``name`` of :data:`TABLES` holding ``rows``."""
+    return next(t[name] for t in TABLES.values() if name in t).split(), rows
+
 
 #: Shapes with at most four modes, the oracle-equivalence domain.
 SMALL_SHAPES = (SystemShape(1, 1), SystemShape(2, 1), SystemShape(3, 1),
@@ -110,7 +142,7 @@ def run_check_algebra(seed: int = 0, cases: int = 500) -> Tuple[List[Verificatio
         make_report("anticommutation", INEQUALITY,
                     {"max_majoranas": 8}, anti_worst, 0.0, 1e-12, elapsed),
     ]
-    return reports, {"algebra": (["shape", "cases", "max_dev"], rows)}
+    return reports, {"algebra": table("algebra", rows)}
 
 
 def run_lemma_properties(seed: int = 1, instances: int = 200
@@ -195,9 +227,7 @@ def run_check_invariance() -> Tuple[List[VerificationReport], Dict[str, Table]]:
         time.perf_counter() - start,
         ["even channel output must be fully invariant with vanishing "
          "odd-odd pair correlators"]))
-    header = ["V", "mu", "cond1", "cond2", "full", "fully_invariant",
-              "checked_words", "sampled"]
-    return reports, {"invariance": (header, rows)}
+    return reports, {"invariance": table("invariance", rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +235,8 @@ def run_check_invariance() -> Tuple[List[VerificationReport], Dict[str, Table]]:
 # ---------------------------------------------------------------------------
 
 def run_verify_lemma3() -> Tuple[List[VerificationReport], Dict[str, Table]]:
-    """Trace-norm suppression sweep over the mu family."""
+    """Trace-norm suppression sweep over the mu family; on top of
+    :func:`verify_lemma3`, the lhs must be monotone in k."""
     reports = []
     rows = []
     for V in V_SWEEP:
@@ -216,17 +247,13 @@ def run_verify_lemma3() -> Tuple[List[VerificationReport], Dict[str, Table]]:
             for k in range(1, V):
                 rep = verify_lemma3(state, k, inv_report=inv,
                                     inputs={"mu": mu})
-                if k == 1 and rep.lhs != 0.0:
-                    rep.passed = False
-                    rep.notes.append("k=1 reduction must vanish exactly")
                 if rep.lhs < prev - 1e-9:
                     rep.passed = False
                     rep.notes.append("lhs must be monotone in k")
                 prev = rep.lhs
                 reports.append(rep)
                 rows.append([V, 1, mu, k, rep.lhs, rep.rhs, rep.passed])
-    header = ["V", "p", "mu", "k", "lhs", "rhs", "passed"]
-    return reports, {"lemma3": (header, rows)}
+    return reports, {"lemma3": table("lemma3", rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +263,8 @@ def run_verify_lemma3() -> Tuple[List[VerificationReport], Dict[str, Table]]:
 def run_verify_theorem1(seed: int = 3) -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Product-mixture approximation sweep over the mu family.
 
-    Exact-match targets (mu = 0) must come out below 1e-6; every witness
-    component must be a valid even state, diagonal for one mode per site.
+    On top of :func:`verify_theorem1`, which also judges the witness
+    components, exact-match targets (mu = 0) must come out below 1e-6.
     """
     reports = []
     rows = []
@@ -246,23 +273,15 @@ def run_verify_theorem1(seed: int = 3) -> Tuple[List[VerificationReport], Dict[s
             state = _mu_state(V, mu)
             inv = check_invariance(state)
             for k in range(1, V):
-                rep, mixture = verify_theorem1(
+                rep, mixture, diag = verify_theorem1(
                     state, k, seed=seed, inv_report=inv, inputs={"mu": mu})
-                diag = mixture_diagnostics(mixture)
                 if mu == 0.0 and rep.lhs > 1e-6:
                     rep.passed = False
                     rep.notes.append("exact product target missed below 1e-6")
-                if not diag["components_valid"] or not diag["components_even"]:
-                    rep.passed = False
-                if diag["max_offdiagonal"] > 1e-8:
-                    rep.passed = False
-                    rep.notes.append("single-mode components must be diagonal")
                 reports.append(rep)
                 rows.append([V, 1, mu, k, len(mixture.weights), rep.lhs,
                              rep.rhs, diag["max_offdiagonal"], rep.passed])
-    header = ["V", "p", "mu", "k", "r", "distance", "bound", "max_offdiag",
-              "passed"]
-    return reports, {"theorem1": (header, rows)}
+    return reports, {"theorem1": table("theorem1", rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +416,9 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
                           rep.passed and equality.passed])
 
     tables = {
-        "clt_lemma4": (["V", "p", "w", "cases", "max_dev"], lemma4_rows),
-        "clt_delta": (["V", "p", "max_offresonant", "max_resonant_dev"],
-                      delta_rows),
-        "suppression": (["V", "p", "w", "lhs", "rhs", "equality_dev",
-                         "passed"], supp_rows),
+        "clt_lemma4": table("clt_lemma4", lemma4_rows),
+        "clt_delta": table("clt_delta", delta_rows),
+        "suppression": table("suppression", supp_rows),
     }
     return reports, tables
 
@@ -456,8 +473,7 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
         rep.wall_time = time.perf_counter() - start
         reports.append(rep)
         rows.append(["mu-family", V, k, rep.lhs, rep.rhs, rep.lhs / rep.rhs])
-    header = ["source", "V", "k", "metric", "rate", "ratio"]
-    return reports, {"corollary": (header, rows)}
+    return reports, {"corollary": table("corollary", rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +497,8 @@ def run_rdm_spectrum() -> Tuple[List[VerificationReport], Dict[str, Table]]:
             spec_rows.extend(rows)
             worst = max(worst, dev)
             n_singular += len(singular)
-    reports.append(make_report(
-        "rdm-spectrum", EQUALITY, {"V": "2..12", "branches": "real+complex",
-                                   "singular_excluded": n_singular},
-        worst, 0.0, 1e-10, 0.0))
+    reports.append(spectrum_report({"V": "2..12", "branches": "real+complex",
+                                    "singular_excluded": n_singular}, worst))
 
     # Real branch at k = 0 is the rank-one shifted value, exactly.
     exact_dev = 0.0
@@ -511,10 +525,8 @@ def run_rdm_spectrum() -> Tuple[List[VerificationReport], Dict[str, Table]]:
             bound_rows.append([V, mu, a, abs(b), abs(b) * V, bound,
                                rep.passed])
     tables = {
-        "rdm_spectrum": (["V", "k", "lambda_formula", "lambda_direct",
-                          "abs_dev"], spec_rows),
-        "rdm_bound": (["V", "mu", "a", "abs_b", "abs_b_times_V", "bound",
-                       "passed"], bound_rows),
+        "rdm_spectrum": table("rdm_spectrum", spec_rows),
+        "rdm_bound": table("rdm_bound", bound_rows),
     }
     return reports, tables
 
@@ -522,6 +534,14 @@ def run_rdm_spectrum() -> Tuple[List[VerificationReport], Dict[str, Table]]:
 # ---------------------------------------------------------------------------
 # gs-bound
 # ---------------------------------------------------------------------------
+
+def gs_bound_row(spec: HamiltonianSpec, result: MeanFieldResult,
+                 report: VerificationReport) -> List[object]:
+    """The ``gsbound.csv`` row of one :func:`verify_gs_bound` call."""
+    return [spec.name, spec.shape.sites, spec.shape.modes_per_site, spec.k,
+            result.e_product_min, result.e_ground, result.gap, result.bound,
+            result.precondition_ok, report.passed]
+
 
 def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Mean-field gap certificates for the built-in families at V = 6,
@@ -532,14 +552,8 @@ def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Ta
     for name in BUILTIN_FAMILIES:
         spec = builtin_family(name, 6)
         result, rep = verify_gs_bound(spec, restarts=4, iters=2, seed=seed)
-        if result.gap < -1e-9:
-            rep.passed = False
-            rep.notes.append("negative gap: product optimizer undercut the "
-                             "exact ground energy")
         reports.append(rep)
-        rows.append([name, 6, spec.shape.modes_per_site, spec.k,
-                     result.e_product_min, result.e_ground, result.gap,
-                     result.bound, result.precondition_ok, rep.passed])
+        rows.append(gs_bound_row(spec, result, rep))
 
     # Convexity step: mixture energies dominate the product minimum.
     start = time.perf_counter()
@@ -563,9 +577,7 @@ def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Ta
         worst, 0.0, 1e-9, time.perf_counter() - start,
         ["tr(H sum_l a_l xi_l^(x V)) >= min_xi tr(H xi^(x V))"]))
 
-    header = ["family", "V", "p", "k", "e_product_min", "e_ground", "gap",
-              "bound", "precondition_ok", "passed"]
-    return reports, {"gsbound": (header, rows)}
+    return reports, {"gsbound": table("gsbound", rows)}
 
 
 # ---------------------------------------------------------------------------

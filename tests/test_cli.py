@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fermicert import suites
 from fermicert.cli import main
 from fermicert.report import (INEQUALITY, EQUALITY, make_report,
                               render_reports, reports_to_rows, write_csv)
@@ -221,3 +222,65 @@ class TestCliSuites:
                                 for p in sorted(out.glob("*.csv"))}
         assert len(outputs["1"]) == count
         assert outputs["1"] == outputs["2"]
+
+
+def _line_starting(path: Path, prefix: str) -> str:
+    (line,) = [line for line in path.read_text().splitlines()
+               if line.startswith(prefix)]
+    return line
+
+
+class TestCliSuiteParity:
+    """A single command's rows equal the suite's rows for the same inputs,
+    up to the notes that only the single command adds: the verdict rules
+    live in the verifiers, not in the suites or the CLI."""
+
+    def test_lemma3_row(self, tmp_path):
+        single, suite = tmp_path / "single", tmp_path / "suite"
+        assert main(["--out", str(single), "verify-lemma3", "--V", "6",
+                     "--mu", "0.5", "--k", "2"]) == 0
+        assert main(["--out", str(suite), "verify-lemma3"]) == 0
+        prefix = "lemma3,inequality,V=6;k=2;mu=0.5;p=1,"
+        assert (_line_starting(single / "summary.csv", prefix)
+                == _line_starting(suite / "summary.csv", prefix))
+
+    def test_theorem1_row(self, tmp_path):
+        single, suite = tmp_path / "single", tmp_path / "suite"
+        assert main(["--out", str(single), "verify-theorem1", "--V", "6",
+                     "--mu", "0.5", "--k", "2", "--seed", "3"]) == 0
+        assert main(["--out", str(suite), "verify-theorem1",
+                     "--seed", "3"]) == 0
+        prefix = "theorem1,inequality,V=6;k=2;mu=0.5;p=1;r=4;seed=3,"
+        single_line = _line_starting(single / "summary.csv", prefix)
+        suite_line = _line_starting(suite / "summary.csv", prefix)
+        assert single_line.startswith(suite_line + ";")
+        extra = single_line[len(suite_line) + 1:]
+        assert extra.startswith("component purities [")
+        assert ";" not in extra
+
+    def test_gs_bound_rows(self, tmp_path):
+        single, suite = tmp_path / "single", tmp_path / "suite"
+        assert main(["--out", str(single), "gs-bound", "--hamiltonian",
+                     "pair-hopping", "--V", "6", "--seed", "13",
+                     "--restarts", "4", "--iters", "2"]) == 0
+        assert main(["--out", str(suite), "gs-bound", "--seed", "13"]) == 0
+        prefix = "gs-bound,inequality,V=6;family=pair-hopping;"
+        assert (_line_starting(single / "summary.csv", prefix)
+                == _line_starting(suite / "summary.csv", prefix))
+        single_rows = (single / "gsbound.csv").read_text().splitlines()
+        suite_rows = (suite / "gsbound.csv").read_text().splitlines()
+        assert single_rows[0] == suite_rows[0]
+        assert single_rows[1:] == [
+            row for row in suite_rows[1:] if row.startswith("pair-hopping,")]
+
+
+@pytest.mark.parametrize("command", list(suites.TABLES))
+def test_help_lists_the_suite_tables(command, capsys):
+    # The help text is generated from the columns the suites write.
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    epilog = capsys.readouterr().out
+    assert ("  summary.csv: claim_id, kind, inputs, lhs, rhs, tolerance, "
+            "passed, notes\n") in epilog
+    for name, columns in suites.TABLES[command].items():
+        assert f"  {name}.csv: {', '.join(columns.split())}\n" in epilog

@@ -426,8 +426,8 @@ class TestDualLowerBound:
         # Stated bound below the dual bound tan(pi/12): no mixture meets it.
         monkeypatch.setattr(definetti, "theorem1_bound",
                             lambda V, p, k: TAN6 - 1e-6)
-        rep, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
-                                 inv_report=inv)
+        rep, _, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
+                                    inv_report=inv)
         assert not rep.passed
         assert any("refuted" in n for n in rep.notes)
 
@@ -437,8 +437,8 @@ class TestDualLowerBound:
             return fit._replace(distance=0.0)
 
         monkeypatch.setattr(definetti, "best_mixture_approx", lucky)
-        rep, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
-                                 inv_report=inv)
+        rep, _, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
+                                    inv_report=inv)
         assert rep.lhs == 0.0
         assert not rep.passed
         assert any("refuted" in n for n in rep.notes)
@@ -447,26 +447,27 @@ class TestDualLowerBound:
 class TestVerifyTheorem1:
     def test_mu_zero_exact(self):
         state = mu_family_state(MuFamilyParams(6, 1, 0.0))
-        rep, mixture = verify_theorem1(state, 2, restarts=2, iters=50, seed=3)
+        rep, mixture, diag = verify_theorem1(state, 2, restarts=2, iters=50,
+                                             seed=3)
         assert rep.passed and rep.lhs < 1e-6
-        diag = mixture_diagnostics(mixture)
+        assert diag == mixture_diagnostics(mixture)
         assert diag["components_valid"] and diag["components_even"]
 
     def test_mu_one_k2(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         inv = check_invariance(state)
-        rep, mixture = verify_theorem1(state, 2, restarts=3, iters=100,
+        rep, _, diag = verify_theorem1(state, 2, restarts=3, iters=100,
                                        seed=3, inv_report=inv)
         assert rep.passed
         assert rep.rhs == pytest.approx(0.7698003589 + 8.0 * 2.0 / 6.0,
                                         abs=1e-9)
-        assert mixture_diagnostics(mixture)["max_offdiagonal"] < 1e-8
+        assert diag["max_offdiagonal"] < 1e-8
 
     def test_k3_bound_flags_diameter(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         inv = check_invariance(state)
-        rep, _ = verify_theorem1(state, 3, restarts=2, iters=60, seed=3,
-                                 inv_report=inv)
+        rep, _, _ = verify_theorem1(state, 3, restarts=2, iters=60, seed=3,
+                                    inv_report=inv)
         # Stated bound: (2/sqrt(3)) 4 * 2^(3/2) / 6 + 2 * 4 * 3 / 6.
         assert rep.rhs == pytest.approx(2.1773242158 + 4.0, abs=1e-9)
         assert any("diameter" in n for n in rep.notes)
@@ -476,8 +477,8 @@ class TestVerifyTheorem1:
         # Pure single-site witnesses must have vanishing fourth cumulants.
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         inv = check_invariance(state)
-        _, mixture = verify_theorem1(state, 2, restarts=2, iters=60, seed=5,
-                                     inv_report=inv)
+        _, mixture, _ = verify_theorem1(state, 2, restarts=2, iters=60,
+                                        seed=5, inv_report=inv)
         sh1 = SystemShape(1, 1)
         for xi in mixture.components:
             if xi.purity() > 1.0 - 1e-8:
@@ -493,6 +494,49 @@ class TestVerifyTheorem1:
         small = mu_family_state(MuFamilyParams(4, 1, 0.2), validate=False)
         with pytest.raises(ValueError):
             verify_theorem1(small, 2, seed=0)
+
+    @pytest.mark.parametrize("component", [
+        # Even and unit trace, but not positive.
+        np.diag([1.5, -0.5]),
+        # Positive and unit trace, but it mixes the parity sectors.
+        np.full((2, 2), 0.5),
+    ], ids=["non-positive", "odd"])
+    def test_invalid_witness_component_fails(self, monkeypatch, component):
+        state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
+        inv = check_invariance(state)
+        bad = SingleSiteState(component.astype(np.complex128), True)
+
+        # The distance stays the search's: only the witness is broken.
+        def broken(*args, **kwargs):
+            fit = best_mixture_approx(*args, **kwargs)
+            comps = (bad,) + fit.mixture.components[1:]
+            return fit._replace(
+                mixture=ProductMixture(fit.mixture.weights, comps))
+
+        monkeypatch.setattr(definetti, "best_mixture_approx", broken)
+        rep, mixture, diag = verify_theorem1(state, 2, restarts=2, iters=60,
+                                             seed=3, inv_report=inv)
+        assert mixture.components[0] is bad
+        assert rep.lhs <= rep.rhs
+        assert not rep.passed
+        assert "component validity check failed" in rep.notes
+        assert not (diag["components_valid"] and diag["components_even"])
+
+    def test_diagnostics_run_once_per_row(self, monkeypatch):
+        # verify_theorem1 hands its diagnostics to the suite, which reads
+        # them for the CSV row instead of running them again.
+        calls = []
+
+        def counting(mixture):
+            calls.append(1)
+            return mixture_diagnostics(mixture)
+
+        for module in (definetti, suites):
+            if hasattr(module, "mixture_diagnostics"):
+                monkeypatch.setattr(module, "mixture_diagnostics", counting)
+        reports, _ = run_verify_theorem1(seed=3)
+        assert len(reports) == 60
+        assert len(calls) == 60
 
 
 class TestMixtureSerialization:

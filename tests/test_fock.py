@@ -13,7 +13,7 @@ from fermicert.algebra import (OperatorExpansion, SystemShape,
                                expansion_from_text, expansion_to_text,
                                random_expansion)
 from fermicert.errors import ResourceCapError
-from fermicert.fock import (DenseOperator, check_state,
+from fermicert.fock import (MODE_CAP_ENV, DenseOperator, check_state,
                             diagonal_blocks, global_parity_signs,
                             hermitian_eig, jw_matrix, operator_norm,
                             partial_trace_sites, permutation_unitary,
@@ -90,8 +90,10 @@ class TestJwMatrix:
         with pytest.raises(ResourceCapError):
             jw_matrix(0, SystemShape(13, 1))
 
-    def test_cap_override(self):
-        m = jw_matrix(0, SystemShape(13, 1), override_cap=True)
+    def test_cap_override(self, monkeypatch):
+        # The environment variable is the one way to lift the cap.
+        monkeypatch.setenv(MODE_CAP_ENV, "13")
+        m = jw_matrix(0, SystemShape(13, 1))
         assert m.dim == 2 ** 13
 
 

@@ -17,7 +17,8 @@ from fermicert.meanfield import (BUILTIN_FAMILIES, HamiltonianSpec,
                                  builtin_family, ground_state,
                                  ground_state_lowdim, gs_bound,
                                  hamiltonian_sparse, min_product_energy,
-                                 transplant, verify_gs_bound)
+                                 verify_gs_bound)
+from fermicert import meanfield
 
 
 def mask_of(shape, *indices):
@@ -69,9 +70,23 @@ class TestBuild:
         tshape = SystemShape(2, 1)
         template = OperatorExpansion(tshape, {mask_of(tshape, (1, 1), (2, 1)): 1j})
         shape = SystemShape(3, 1)
-        fwd = transplant(template, (1, 3), shape)
-        rev = transplant(template, (3, 1), shape)
+        fwd = template.relabel((1, 3), shape)
+        rev = template.relabel((3, 1), shape)
         assert (fwd + rev).is_close(OperatorExpansion(shape, {}))
+
+    @pytest.mark.parametrize("V", [6, 8])
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_one_dict_sum_matches_per_subset_fold(self, name, V):
+        # The assembly adds every subset's terms into one dict; the fold
+        # that rebuilt the growing sum once per subset must give the same
+        # coefficients, bit for bit and in the same term order.
+        spec = builtin_family(name, V)
+        h_exp, _ = build_hamiltonian_expansion(spec)
+        acc = OperatorExpansion(spec.shape, {})
+        for subset in spec.subsets:
+            acc = acc + spec.template.relabel(subset, spec.shape)
+        fold = (1.0 / len(spec.subsets)) * acc
+        assert list(h_exp.terms.items()) == list(fold.terms.items())
 
     def test_hermiticity_enforced(self):
         tshape = SystemShape(1, 1)
@@ -244,6 +259,23 @@ class TestVerifyGsBound:
                                         iters=1, seed=2)
             assert result.gap >= -1e-9
 
+    def test_negative_gap_fails(self, monkeypatch):
+        # A product energy below the exact ground energy is impossible, so
+        # such numbers are no certificate, whatever the bound says.
+        original = meanfield.min_product_energy
+
+        def undercut(*args, **kwargs):
+            xi, energy = original(*args, **kwargs)
+            return xi, energy - 1.0
+
+        monkeypatch.setattr(meanfield, "min_product_energy", undercut)
+        result, rep = verify_gs_bound(builtin_family("site-number", 6),
+                                      restarts=2, iters=1, seed=0)
+        assert result.gap == pytest.approx(-1.0, abs=1e-9)
+        assert rep.lhs <= rep.rhs
+        assert not rep.passed
+        assert any("negative gap" in n for n in rep.notes)
+
     def test_bound_formula(self):
         assert gs_bound(6, 1, 2) == pytest.approx(4.0 * 2.0 ** 1.5 / 6.0)
         assert gs_bound(6, 2, 2) == pytest.approx(16.0 * 2.0 ** 1.5 / 6.0)
@@ -254,8 +286,8 @@ class TestConvexityStep:
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         inv = check_invariance(state)
         from fermicert.definetti import verify_theorem1
-        _, mixture = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
-                                     inv_report=inv)
+        _, mixture, _ = verify_theorem1(state, 2, restarts=2, iters=60,
+                                        seed=3, inv_report=inv)
         for name in ("site-number", "pair-hopping"):
             spec = builtin_family(name, 6)
             h_exp, _ = build_hamiltonian_expansion(spec)
