@@ -27,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
-#: Coefficients with magnitude below this threshold are dropped after every
-#: arithmetic operation.  Far below all verification tolerances.
+#: After every arithmetic operation a coefficient c is dropped when the
+#: expectation value it stands for, c * 2^(pV), is at most this.  A state's
+#: coefficients are expectations over 2^(pV), so a cut on c itself would
+#: erase large states.  Far below all verification tolerances.
 PRUNE_THRESHOLD = 1e-14
 
 ModeIndex = Tuple[int, int]
@@ -207,18 +209,18 @@ class OperatorExpansion:
 
     ``terms`` maps word bitmasks to complex coefficients; the empty word
     (mask 0) is the identity.  Instances are treated as immutable: all
-    arithmetic returns new expansions and prunes coefficients below
-    :data:`PRUNE_THRESHOLD`.
+    arithmetic returns new expansions and prunes the coefficients whose
+    expectation value is at most :data:`PRUNE_THRESHOLD`.
     """
 
     __slots__ = ("shape", "terms")
 
-    def __init__(self, shape: SystemShape, terms: Dict[int, complex] | None = None,
-                 prune: float = PRUNE_THRESHOLD):
+    def __init__(self, shape: SystemShape, terms: Dict[int, complex] | None = None):
         self.shape = shape
         cleaned: Dict[int, complex] = {}
         if terms:
             limit = 1 << shape.majorana_count
+            prune = PRUNE_THRESHOLD / shape.fock_dim  # exact: a power of two
             for mask, coeff in terms.items():
                 if not 0 <= mask < limit:
                     raise ValueError(

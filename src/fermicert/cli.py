@@ -12,6 +12,10 @@ the same verdict rules as the suites, because those rules live in the
 verifiers: this module decides no verdict, and its table columns come
 from :data:`suites.TABLES`.  A single command adds notes only: the input
 state's validity and, for Theorem 1, the component purities.
+
+Instance arguments (``--V``, ``--mu``, ``--fixture``, ``--restarts``
+and the like) need their selector: without it the command runs its suite,
+so they are a usage error (exit 2), not silently dropped.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ def _load_state(args) -> Tuple[OperatorExpansion, List[str]]:
     valid state (unit trace, positive) is a usage error; otherwise the run
     goes on and a failing minimum eigenvalue comes back as a report note.
     """
+    if args.V is None:
+        raise ValueError("--V is required with --k")
     if args.fixture is not None:
         path = Path(args.fixture)
         if not path.exists():
@@ -91,15 +97,14 @@ def _write_outputs(out: Path, command: str, reports, tables):
 
 
 def _add_state_args(sub):
-    sub.add_argument("--family", default="mu", choices=["mu"],
+    sub.add_argument("--family", choices=["mu"],
                      help="built-in state family")
-    sub.add_argument("--V", type=int, default=None, help="number of sites")
-    sub.add_argument("--p", type=int, default=1, help="modes per site")
-    sub.add_argument("--mu", type=float, default=1.0,
-                     help="mu parameter of the family")
-    sub.add_argument("--fixture", default=None,
+    sub.add_argument("--V", type=int, help="number of sites")
+    sub.add_argument("--p", type=int, help="modes per site")
+    sub.add_argument("--mu", type=float, help="mu parameter of the family")
+    sub.add_argument("--fixture",
                      help="expansion text fixture instead of a family")
-    sub.add_argument("--strict-state", action="store_true",
+    sub.add_argument("--strict-state", action="store_true", default=None,
                      help="reject an input (family or fixture) that is not "
                           "a valid state instead of certifying the "
                           "Hermitian operator")
@@ -143,10 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     th = add("verify-theorem1", "product-mixture approximation certification",
              seed="required")
     _add_state_args(th)
-    th.add_argument("--restarts", type=int, default=8)
-    th.add_argument("--iters", type=int, default=500)
-    th.add_argument("--r", type=int, default=None,
-                    help="number of mixture components")
+    th.add_argument("--restarts", type=int)
+    th.add_argument("--iters", type=int)
+    th.add_argument("--r", type=int, help="number of mixture components")
 
     add("verify-clt", "Fourier-cumulant factorization and suppression")
     add("verify-corollary", "Gaussian-mixture deviation scaling",
@@ -154,23 +158,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     rdm = add("rdm-spectrum", "closed-form 1-RDM spectra against the "
                               "eigensolver")
-    rdm.add_argument("--V", type=int, default=None)
+    rdm.add_argument("--V", type=int)
     rdm.add_argument("--a", type=float, default=None,
-                     help="diagonal entry (N/V)")
-    rdm.add_argument("--b-re", type=float, default=0.0)
-    rdm.add_argument("--b-im", type=float, default=0.0)
+                     help="diagonal entry (N/V) (omit to sweep the suite)")
+    rdm.add_argument("--b-re", type=float)
+    rdm.add_argument("--b-im", type=float)
 
     gs = add("gs-bound", "mean-field energy-gap certification",
              seed="required")
     gs.add_argument("--hamiltonian", default=None,
                     choices=list(BUILTIN_FAMILIES),
                     help="built-in family (omit to sweep all at V=6)")
-    gs.add_argument("--V", type=int, default=6)
+    gs.add_argument("--V", type=int)
     gs.add_argument("--config", default=None,
                     help="JSON Hamiltonian spec (template as expansion "
                          "text; subsets list or 'all-k-subsets')")
-    gs.add_argument("--restarts", type=int, default=8)
-    gs.add_argument("--iters", type=int, default=3)
+    gs.add_argument("--restarts", type=int)
+    gs.add_argument("--iters", type=int)
 
     add("all", "every suite, fixed order", seed="required")
     return parser
@@ -235,19 +239,35 @@ def _single_gs(args) -> Run:
         "gsbound", [suites.gs_bound_row(spec, result, rep)])}
 
 
+_STATE = dict(family="mu", V=None, p=1, mu=1.0, fixture=None,
+              strict_state=False)
+
+#: Per single-instance command: its selectors, its runner, and its
+#: instance arguments with their defaults.  The parser leaves these None,
+#: so one given without a selector is rejected rather than dropped.
+SINGLE = {
+    "verify-lemma3": (("--k",), _single_lemma3, _STATE),
+    "verify-theorem1": (("--k",), _single_theorem1,
+                        dict(_STATE, restarts=8, iters=500, r=None)),
+    "rdm-spectrum": (("--a",), _single_rdm, dict(V=None, b_re=0.0, b_im=0.0)),
+    "gs-bound": (("--hamiltonian", "--config"), _single_gs,
+                 dict(V=6, restarts=8, iters=3)),
+}
+
+
 def _run(args) -> Run:
     """The single instance the arguments name, else the command's suite."""
-    if args.command == "verify-lemma3" and args.k is not None:
-        return _single_lemma3(args)
-    if args.command == "verify-theorem1" and args.k is not None:
-        return _single_theorem1(args)
-    if args.command == "rdm-spectrum" and args.a is not None:
-        return _single_rdm(args)
-    if args.command == "gs-bound" and (args.hamiltonian is not None
-                                       or args.config is not None):
-        return _single_gs(args)
     if args.command == "all":
         return suites.run_all(seed=args.seed)
+    selectors, single, defaults = SINGLE.get(args.command, ((), None, {}))
+    given = [name for name in defaults if getattr(args, name) is not None]
+    if any(getattr(args, flag[2:]) is not None for flag in selectors):
+        vars(args).update({n: defaults[n] for n in defaults.keys() - given})
+        return single(args)
+    if given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ValueError(f"{flags} need {' or '.join(selectors)}; without "
+                         "it the command runs its suite")
     return suites.SUITES[args.command](args.seed)
 
 

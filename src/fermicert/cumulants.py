@@ -47,13 +47,15 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import SystemShape
-from .definetti import (ProductMixture, SingleSiteState, product_power,
-                        site_parity_diagonal)
-from .errors import ResourceCapError
-from .fock import (DenseOperator, ensure_within_cap, mode_cap,
+from .definetti import ProductMixture, product_power
+from .fock import (DenseOperator, ensure_within_cap, global_parity_signs,
                    word_string_entries)
 from .report import (EQUALITY, INEQUALITY, PROPERTY, VerificationReport,
                      make_report)
+
+#: Tolerance of the central-limit claims on Fourier cumulants: the
+#: Lemma-4 equality of direct and closed form, and the suppression bound.
+CUMULANT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -350,7 +352,7 @@ class FourierMemo:
         key = (rho_single.shape, rho_single.matrix.tobytes(), V)
         hit = self._moments.get(key)
         if hit is None:
-            power = product_power(SingleSiteState(rho_single.matrix, True), V)
+            power = product_power(rho_single, V)
             hit = LadderMoments(power.matrix, lambda k: fourier_ladder_terms(
                 power.shape, *k))
             self._moments[key] = hit
@@ -363,10 +365,9 @@ class FourierMemo:
 class FourierCumulantResult:
     """Direct and closed-form Fourier cumulants of a V-fold product state."""
 
-    direct: Optional[complex]
+    direct: complex
     closed_form: complex
     single_site_cumulant: complex
-    phase_sum: complex
     distinct_triples: bool
     resonant: bool
 
@@ -377,25 +378,20 @@ def _phase_sum(total_q: int, V: int) -> complex:
                for j in range(1, V + 1))
 
 
-def _require_single_site(rho_single: DenseOperator) -> int:
-    if rho_single.shape.sites != 1:
-        raise ValueError("rho_single must live on a single site")
-    return rho_single.shape.modes_per_site
-
-
 def fourier_cumulant(rho_single: DenseOperator, V: int,
                      ops: Sequence[LadderIndex],
                      memo: Optional[FourierMemo] = None
                      ) -> FourierCumulantResult:
     """Cumulant of the V-fold copy of a single-site state in Fourier modes.
 
-    Computes the direct value on the full 2^(pV) space when within the mode
-    cap (otherwise ``direct`` is None) and always the closed factorized
-    prediction V^(-w/2) * K_w(single site) * sum_j exp(2 pi i sum_l c_l q_l
-    j / V).  ``memo`` shares copies, ladder products and cumulants between
-    calls; without it every call builds its own.
+    Computes the direct value on the full 2^(pV) space, which raises
+    :class:`errors.ResourceCapError` over the mode cap, and the closed
+    factorized prediction V^(-w/2) * K_w(single site) * sum_j exp(2 pi i
+    sum_l c_l q_l j / V).  ``memo`` shares copies, ladder products and
+    cumulants between calls; without it every call builds its own.
     """
-    p = _require_single_site(rho_single)
+    if rho_single.shape.sites != 1:
+        raise ValueError("rho_single must live on a single site")
     w = len(ops)
     if w % 2 or w < 2:
         raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
@@ -414,22 +410,17 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
     phase_sum = _phase_sum(total_q, V)
     closed = (V ** (-w / 2.0)) * k_single * phase_sum
     resonant = total_q % V == 0
-
-    direct = None
-    if V * p <= mode_cap():
-        direct = memo.moments(rho_single, V).cumulant(triples)
-
+    direct = memo.moments(rho_single, V).cumulant(triples)
     return FourierCumulantResult(direct, complex(closed), complex(k_single),
-                                 complex(phase_sum),
                                  len(set(triples)) == len(triples), resonant)
 
 
 def verify_suppression(rho_single: DenseOperator, V: int,
-                       ops: Sequence[LadderIndex], tol: float = 1e-9,
+                       ops: Sequence[LadderIndex],
                        result: Optional[FourierCumulantResult] = None
                        ) -> VerificationReport:
     """Certify |K_w(Fourier modes of the V-fold copy)| <=
-    V^((2-w)/2) |K_w(single site)|.
+    V^((2-w)/2) |K_w(single site)|, within :data:`CUMULANT_TOL`.
 
     ``result`` is ``fourier_cumulant(rho_single, V, ops)`` when the caller
     already has it; otherwise it is computed here."""
@@ -439,9 +430,9 @@ def verify_suppression(rho_single: DenseOperator, V: int,
         raise ValueError("suppression concerns cumulant orders w > 2")
     if result is None:
         result = fourier_cumulant(rho_single, V, ops)
-    lhs = abs(result.direct if result.direct is not None else result.closed_form)
+    lhs = abs(result.direct)
     rhs = (V ** ((2.0 - w) / 2.0)) * abs(result.single_site_cumulant)
-    notes = ["closed form used (over mode cap)"] if result.direct is None else []
+    notes = []
     if not result.distinct_triples:
         notes.append("repeated (c, mode, q) triples: outside the factorized "
                      "regime, checked numerically only")
@@ -449,7 +440,7 @@ def verify_suppression(rho_single: DenseOperator, V: int,
         notes.append("resonant phase sum")
     p = rho_single.shape.modes_per_site
     return make_report("hudson-suppression", INEQUALITY,
-                       {"V": V, "p": p, "w": w}, lhs, rhs, tol,
+                       {"V": V, "p": p, "w": w}, lhs, rhs, CUMULANT_TOL,
                        time.perf_counter() - start, notes)
 
 
@@ -491,8 +482,7 @@ def gaussian_mixture_deviation(rho_k: DenseOperator, mixture: ProductMixture,
     # For an even site state xi the cross-site terms of tr(xi^(x k) A_i A_j)
     # vanish and the Jordan-Wigner strings cancel, leaving one site:
     # (1/k) sum_s exp(2 pi i (c_i q_i + c_j q_j) s / k) tr(xi f_i f_j).
-    site = SystemShape(1, p)
-    signs = site_parity_diagonal(p)
+    signs = global_parity_signs(SystemShape(1, p))
     odd = signs[:, None] != signs[None, :]
     index_pairs = [(i, j) for i in range(len(ops))
                    for j in range(i + 1, len(ops))]
@@ -505,9 +495,8 @@ def gaussian_mixture_deviation(rho_k: DenseOperator, mixture: ProductMixture,
         if np.any(xi.matrix[odd]):
             raise ValueError("Gaussian-mixture pair values need even "
                              "mixture components")
-        xi_site = DenseOperator(site, xi.matrix)
         comp_pairs.append({(i, j): phases[i, j] * moment(
-            xi_site, [site_ops[i], site_ops[j]]) for i, j in index_pairs})
+            xi, [site_ops[i], site_ops[j]]) for i, j in index_pairs})
 
     weights = np.asarray(mixture.weights, dtype=float)
 
@@ -575,20 +564,18 @@ def verify_corollary(rho_k: DenseOperator, mixture: ProductMixture, V: int,
 
 
 def lemma4_equality_report(rho_single: DenseOperator, V: int,
-                           ops: Sequence[LadderIndex], tol: float = 1e-9,
+                           ops: Sequence[LadderIndex],
                            memo: Optional[FourierMemo] = None
                            ) -> Optional[VerificationReport]:
     """Equality of the direct Fourier cumulant with the closed factorized
-    form; None (skip) when the distinct-triples hypothesis fails.
-    ``memo`` is passed on to :func:`fourier_cumulant`."""
+    form within :data:`CUMULANT_TOL`; None (skip) when the distinct-triples
+    hypothesis fails.  ``memo`` is passed on to :func:`fourier_cumulant`."""
     start = time.perf_counter()
     result = fourier_cumulant(rho_single, V, ops, memo=memo)
     if not result.distinct_triples:
         return None
-    if result.direct is None:
-        raise ResourceCapError("direct check needs the full product state")
     lhs = abs(result.direct - result.closed_form)
     p = rho_single.shape.modes_per_site
     return make_report("hudson-lemma4", EQUALITY,
                        {"V": V, "p": p, "w": len(ops)},
-                       lhs, 0.0, tol, time.perf_counter() - start)
+                       lhs, 0.0, CUMULANT_TOL, time.perf_counter() - start)

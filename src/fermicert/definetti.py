@@ -74,26 +74,12 @@ EXACT_HIT = 5e-12
 
 
 @dataclass(frozen=True, eq=False)
-class SingleSiteState:
-    """Density matrix on one site (2^p dimensional) with its parity flag."""
-
-    matrix: np.ndarray
-    even: bool
-
-    @property
-    def modes(self) -> int:
-        return int(round(math.log2(self.matrix.shape[0])))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-@dataclass(frozen=True, eq=False)
 class ProductMixture:
-    """Convex mixture sum_l weights[l] * components[l]^(x k)."""
+    """Convex mixture sum_l weights[l] * components[l]^(x k); the
+    components are single-site states, on ``SystemShape(1, p)``."""
 
     weights: np.ndarray
-    components: Tuple[SingleSiteState, ...]
+    components: Tuple[DenseOperator, ...]
 
     def __post_init__(self):
         if len(self.weights) != len(self.components):
@@ -104,18 +90,10 @@ class ProductMixture:
             raise ValueError("mixture weights must sum to 1")
 
 
-def site_parity_diagonal(p: int) -> np.ndarray:
-    return global_parity_signs(SystemShape(1, p))
-
-
 def even_projection(matrix: np.ndarray, p: int) -> np.ndarray:
     """Pinch onto the even sector: (M + P M P)/2 with P the site parity."""
-    signs = site_parity_diagonal(p)
+    signs = global_parity_signs(SystemShape(1, p))
     return 0.5 * (matrix + signs[:, None] * matrix * signs[None, :])
-
-
-def is_even_operator(matrix: np.ndarray, p: int, tol: float = 1e-10) -> bool:
-    return float(np.max(np.abs(matrix - even_projection(matrix, p)))) < tol
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,8 +121,9 @@ def n_component_params(p: int) -> int:
     return 1 if p == 1 else (1 << (2 * p - 1)) - 1
 
 
-def component_state(p: int, params: np.ndarray) -> SingleSiteState:
-    """Build an even single-site state from optimizer parameters.
+def component_state(p: int, params: np.ndarray) -> DenseOperator:
+    """Build an even single-site state, on ``SystemShape(1, p)``, from
+    optimizer parameters.
 
     p = 1: one occupation parameter alpha, state diag(alpha, 1 - alpha).
     p > 1: Gibbs state exp(G)/tr exp(G) of the parametrized even Hermitian
@@ -153,7 +132,7 @@ def component_state(p: int, params: np.ndarray) -> SingleSiteState:
     if p == 1:
         alpha = float(min(max(params[0], 0.0), 1.0))
         mat = np.diag([alpha, 1.0 - alpha]).astype(np.complex128)
-        return SingleSiteState(mat, True)
+        return DenseOperator(SystemShape(1, 1), mat)
     basis = even_hermitian_basis(p)
     if len(params) != len(basis):
         raise ValueError(f"expected {len(basis)} parameters, got {len(params)}")
@@ -167,7 +146,7 @@ def component_state(p: int, params: np.ndarray) -> SingleSiteState:
     # the entries inside each sector bit for bit: the component is exactly
     # even, as the parity-block search needs.
     mat = even_projection((v * boltz) @ v.conj().T, p)
-    return SingleSiteState(mat, True)
+    return DenseOperator(SystemShape(1, p), mat)
 
 
 def params_from_state(p: int, sigma: np.ndarray) -> np.ndarray:
@@ -195,7 +174,7 @@ def params_from_state(p: int, sigma: np.ndarray) -> np.ndarray:
     return np.clip(theta, -GENERATOR_BOX, GENERATOR_BOX)
 
 
-def product_power(xi: SingleSiteState, k: int) -> DenseOperator:
+def product_power(xi: DenseOperator, k: int) -> DenseOperator:
     """k-fold copy of a single-site state as a Fock-space density matrix.
 
     Under the site-major operator ordering the copy is the plain tensor
@@ -203,8 +182,7 @@ def product_power(xi: SingleSiteState, k: int) -> DenseOperator:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = xi.modes
-    shape = SystemShape(k, p)
+    shape = SystemShape(k, xi.shape.modes_per_site)
     ensure_within_cap(shape)
     out = np.array([[1.0 + 0.0j]])
     for _ in range(k):
@@ -561,19 +539,17 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
 
 def mixture_diagnostics(mixture: ProductMixture) -> Dict[str, object]:
     """State validity, parity and diagonality diagnostics per component."""
-    p = mixture.components[0].modes
-    shape1 = SystemShape(1, p)
     all_ok = True
     all_even = True
     max_offdiag = 0.0
     purities = []
     for xi in mixture.components:
-        validity = check_state(DenseOperator(shape1, xi.matrix))
+        validity = check_state(xi)
         all_ok &= validity.trace_ok and validity.positive_ok
-        all_even &= validity.parity_ok and is_even_operator(xi.matrix, p)
+        all_even &= validity.parity_ok
         off = xi.matrix - np.diag(np.diag(xi.matrix))
         max_offdiag = max(max_offdiag, float(np.max(np.abs(off))))
-        purities.append(xi.purity())
+        purities.append(float(np.real(np.trace(xi.matrix @ xi.matrix))))
     return {
         "components_valid": bool(all_ok),
         "components_even": bool(all_even),

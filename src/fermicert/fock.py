@@ -41,6 +41,18 @@ MODE_CAP_ENV = "FERMICERT_MAX_MODES"
 
 _I4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
+#: Largest Hermiticity residual max |M - M-dagger| that
+#: :func:`require_hermitian` and the mean-field Hamiltonian's check accept.
+HERMITIAN_TOL = 1e-10
+
+#: :func:`check_state` accepts |tr - 1| < STATE_TRACE_TOL, a minimum
+#: eigenvalue >= -STATE_EIG_TOL with a Hermiticity residual below
+#: STATE_HERMITIAN_TOL, and parity-breaking entries below STATE_PARITY_TOL.
+STATE_TRACE_TOL = 1e-9
+STATE_EIG_TOL = 1e-10
+STATE_HERMITIAN_TOL = 1e-9
+STATE_PARITY_TOL = 1e-10
+
 #: :func:`to_matrix` cuts its (terms x dim) entry arrays to at most this
 #: many entries (4 MB of complex values), whatever the expansion's size.
 _BATCH_ENTRIES = 1 << 18
@@ -265,10 +277,8 @@ def to_expansion(dense: DenseOperator) -> OperatorExpansion:
         raise ResourceCapError(
             f"full expansion of {shape.total_modes} modes enumerates "
             f"4^{shape.total_modes} words; cap is {cap} modes")
-    coeffs = word_coefficients(dense.matrix,
-                               range(1 << shape.majorana_count), shape)
-    return OperatorExpansion(shape, {mask: coeff for mask, coeff
-                                     in coeffs.items() if abs(coeff) > 1e-14})
+    return OperatorExpansion(shape, word_coefficients(
+        dense.matrix, range(1 << shape.majorana_count), shape))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -277,7 +287,8 @@ def reduce_expansion(op: OperatorExpansion, keep: Sequence[int]) -> OperatorExpa
     """Reduced state of an expansion on the ``keep`` sites.
 
     Keeps exactly the words supported on ``keep`` and rescales coefficients
-    by 2^(p * #discarded) so that the trace is preserved.
+    by 2^(p * #discarded) so that the trace is preserved; rescaled first,
+    they meet the small shape's prune cut with unchanged expectations.
     """
     keep = sorted(set(keep))
     if not keep:
@@ -292,13 +303,11 @@ def reduce_expansion(op: OperatorExpansion, keep: Sequence[int]) -> OperatorExpa
     for i, site in enumerate(keep):
         keep_mask |= shape.site_bitmask(site)
         site_map[site - 1] = i + 1
-    kept = OperatorExpansion(shape, {mask: coeff for mask, coeff
+    kept = OperatorExpansion(shape, {mask: coeff * scale for mask, coeff
                                      in op.terms.items()
                                      if not mask & ~keep_mask})
     # The kept sites move in order, so no reordering sign arises.
-    moved = kept.relabel(site_map, small)
-    return OperatorExpansion(small, {mask: coeff * scale for mask, coeff
-                                     in moved.terms.items()})
+    return kept.relabel(site_map, small)
 
 
 def partial_trace_sites(dense: DenseOperator, keep: Sequence[int]) -> DenseOperator:
@@ -332,35 +341,39 @@ def partial_trace_sites(dense: DenseOperator, keep: Sequence[int]) -> DenseOpera
                 for small_mask in range(1 << small.majorana_count)}
     coeffs = word_coefficients(dense.matrix, small_of, shape)
     return to_matrix(OperatorExpansion(small, {
-        small_of[mask]: coeff * scale for mask, coeff in coeffs.items()
-        if abs(coeff * scale) > 1e-16}))
+        small_of[mask]: coeff * scale for mask, coeff in coeffs.items()}))
 
 
 # -- spectral helpers ---------------------------------------------------------
 
-def hermiticity_residual(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+def hermiticity_residual(matrix) -> float:
+    """max |M - M-dagger| of a dense array or a scipy sparse matrix."""
+    return float(abs(matrix - matrix.conj().T).max())
 
 
-def hermitian_eig(dense: DenseOperator, tol: float = 1e-10):
+def require_hermitian(matrix, what: str):
+    """Raise ``ValueError`` when ``matrix`` (dense or scipy sparse) is
+    further than :data:`HERMITIAN_TOL` from Hermitian."""
+    res = hermiticity_residual(matrix)
+    if res > HERMITIAN_TOL:
+        raise ValueError(f"{what} is not Hermitian (residual {res:.3e} "
+                         f"above {HERMITIAN_TOL:.0e})")
+
+
+def hermitian_eig(dense: DenseOperator):
     """Ascending eigendecomposition of a Hermitian matrix.
 
-    Raises ``ValueError`` when the input fails the Hermiticity tolerance.
+    Raises ``ValueError`` when the input fails :data:`HERMITIAN_TOL`.
     Backed by LAPACK through ``numpy.linalg.eigh``; deterministic for a
     given input on a given build.
     """
-    res = hermiticity_residual(dense.matrix)
-    if res > tol:
-        raise ValueError(f"matrix is not Hermitian (residual {res:.3e})")
-    w, v = np.linalg.eigh(dense.matrix)
-    return w, v
+    require_hermitian(dense.matrix, "eigendecomposition input")
+    return np.linalg.eigh(dense.matrix)
 
 
-def trace_norm(dense: DenseOperator, tol: float = 1e-10) -> float:
+def trace_norm(dense: DenseOperator) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    res = hermiticity_residual(dense.matrix)
-    if res > tol:
-        raise ValueError(f"trace norm needs a Hermitian input (residual {res:.3e})")
+    require_hermitian(dense.matrix, "trace-norm input")
     half = 0.5 * (dense.matrix + dense.matrix.conj().T)
     return float(np.sum(np.abs(np.linalg.eigvalsh(half))))
 
@@ -486,25 +499,24 @@ def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         yield idx, stack
 
 
-def check_state(dense: DenseOperator, trace_tol: float = 1e-9,
-                eig_tol: float = 1e-10, parity_tol: float = 1e-10) -> StateValidity:
-    """Density-matrix sanity check: unit trace, positivity, parity
-    superselection (commutation with the global parity operator).
+def check_state(dense: DenseOperator) -> StateValidity:
+    """Density-matrix sanity check, each within its ``STATE_*_TOL``: unit
+    trace, positivity, parity superselection (commuting with global parity).
 
     The minimum eigenvalue of the Hermitian part is taken block by block
     over :func:`diagonal_blocks`, which is exact for any input; a
     parity-even state has at least two blocks.
     """
     tr = complex(np.trace(dense.matrix))
-    trace_ok = abs(tr - 1.0) < trace_tol
+    trace_ok = abs(tr - 1.0) < STATE_TRACE_TOL
     herm = 0.5 * (dense.matrix + dense.matrix.conj().T)
     min_eig = min(float(np.linalg.eigvalsh(stack)[:, 0].min())
                   for _, stack in diagonal_blocks(herm))
-    positive_ok = (min_eig >= -eig_tol
-                   and hermiticity_residual(dense.matrix) < 1e-9)
+    positive_ok = (min_eig >= -STATE_EIG_TOL and hermiticity_residual(
+        dense.matrix) < STATE_HERMITIAN_TOL)
     signs = global_parity_signs(dense.shape)
     pinched = signs[:, None] * dense.matrix * signs[None, :]
-    parity_ok = float(np.max(np.abs(pinched - dense.matrix))) < parity_tol
+    parity_ok = float(np.max(np.abs(pinched - dense.matrix))) < STATE_PARITY_TOL
     return StateValidity(trace_ok, positive_ok, parity_ok, min_eig, tr)
 
 

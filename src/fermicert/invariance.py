@@ -38,6 +38,17 @@ from .fock import (DenseOperator, Isometry, reduce_expansion, to_matrix,
                    trace_norm, word_expectations_dense)
 from .report import INEQUALITY, VerificationReport, make_report
 
+#: The checks visit every word of degree at most this.
+WORD_DEGREE_CAP = 4
+
+#: Largest invariance violation that the preconditions of Lemma 3 and
+#: Theorem 1 accept, and the full-invariance cut of :func:`check_invariance`.
+INVARIANCE_TOL = 1e-9
+
+#: The cut for dense states: the full-invariance flag of
+#: :func:`check_invariance_dense` and the ``verify_gs_bound`` precondition.
+DENSE_INVARIANCE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class MuFamilyParams:
@@ -70,7 +81,8 @@ class InvarianceReport:
     of a word class (see the module docstring).  ``full_max_violation``
     additionally tests condition-(1)-style equality under *all*
     permutations, which detects states that are invariant but not fully
-    invariant.  ``checked_words`` counts the words up to the cap.
+    invariant.  ``checked_words`` counts the words up to
+    :data:`WORD_DEGREE_CAP`.
     ``sampled`` is always false: the check is exact, and the field stays
     because ``invariance.csv`` has a column for it.
     """
@@ -199,22 +211,22 @@ def _class_report(shape: SystemShape, values: Dict[int, complex],
     return InvarianceReport(cond1, cond2, len(values), full < tol, full)
 
 
-def check_invariance(rho: OperatorExpansion, word_degree_cap: int = 4,
-                     tol: float = 1e-9) -> InvarianceReport:
+def check_invariance(rho: OperatorExpansion) -> InvarianceReport:
     """Exact check of both invariance conditions on an expansion.
 
-    One pass over every word up to the degree cap, grouped into the
-    classes of :func:`_class_report`; no permutation is enumerated.
+    One pass over every word up to :data:`WORD_DEGREE_CAP`, grouped into
+    the classes of :func:`_class_report`, with :data:`INVARIANCE_TOL` as
+    the full-invariance cut; no permutation is enumerated.
     """
-    words = words_up_to_degree(rho.shape, word_degree_cap)
+    words = words_up_to_degree(rho.shape, WORD_DEGREE_CAP)
     return _class_report(rho.shape, {w: rho.expectation(w) for w in words},
-                         tol)
+                         INVARIANCE_TOL)
 
 
-def check_invariance_dense(rho: Union[DenseOperator, Isometry],
-                           word_degree_cap: int = 4,
-                           tol: float = 1e-8) -> InvarianceReport:
-    """The exact class check of :func:`check_invariance` on a dense state.
+def check_invariance_dense(rho: Union[DenseOperator, Isometry]
+                           ) -> InvarianceReport:
+    """The exact class check of :func:`check_invariance` on a dense state,
+    fully invariant below :data:`DENSE_INVARIANCE_TOL`.
 
     Used for states only available numerically: a dense matrix, or an
     exact ground space given as an :class:`Isometry` F (the state
@@ -222,15 +234,10 @@ def check_invariance_dense(rho: Union[DenseOperator, Isometry],
     from :func:`word_expectations_dense`, one Walsh-Hadamard transform per
     X pattern that the state's support reaches.
     """
-    words = words_up_to_degree(rho.shape, word_degree_cap)
+    words = words_up_to_degree(rho.shape, WORD_DEGREE_CAP)
     values = word_expectations_dense(rho.matrix, words, rho.shape,
                                      factor=isinstance(rho, Isometry))
-    return _class_report(rho.shape, values, tol)
-
-
-#: Largest invariance violation that the preconditions of Lemma 3 and
-#: Theorem 1 accept.
-INVARIANCE_TOL = 1e-9
+    return _class_report(rho.shape, values, DENSE_INVARIANCE_TOL)
 
 
 def lemma3_bound(V: int, p: int, k: int) -> float:

@@ -31,13 +31,17 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape, site_blocks
-from .definetti import (GENERATOR_BOX, SingleSiteState, component_state,
-                        coordinate_search, n_component_params)
-from .fock import (DenseOperator, Isometry, diagonal_blocks,
-                   hermiticity_residual, jw_matrix,
-                   operator_norm, to_matrix, word_string_entries)
-from .invariance import InvarianceReport, check_invariance_dense
+from .definetti import (GENERATOR_BOX, component_state, coordinate_search,
+                        n_component_params)
+from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
+                   jw_matrix, operator_norm, require_hermitian, to_matrix,
+                   word_string_entries)
+from .invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
+                         check_invariance_dense)
 from .report import INEQUALITY, VerificationReport, make_report
+
+#: Eigenvalues within this of the lowest belong to the ground space.
+DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,8 @@ def build_hamiltonian_expansion(spec: HamiltonianSpec
     The relabeled copies go into one term dict in subset order, in time
     linear in the number of subsets.  Checks the template normalization
     (operator norm <= 1 within 1e-9) and Hermiticity of the assembled
-    operator.
+    operator (coefficients within :data:`fock.HERMITIAN_TOL` of its
+    adjoint's).
     """
     notes: List[str] = []
     template = spec.template
@@ -106,36 +111,33 @@ def build_hamiltonian_expansion(spec: HamiltonianSpec
         for mask, coeff in template.relabel(subset, spec.shape).terms.items():
             terms[mask] = terms.get(mask, 0.0) + coeff
     h_exp = (1.0 / len(spec.subsets)) * OperatorExpansion(spec.shape, terms)
-    if not h_exp.is_close(h_exp.adjoint(), tol=1e-10):
+    if not h_exp.is_close(h_exp.adjoint(), tol=HERMITIAN_TOL):
         raise ValueError("assembled Hamiltonian is not Hermitian")
     return h_exp, notes
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> DenseOperator:
-    """Dense Hamiltonian matrix with Hermiticity residual under 1e-10."""
+    """Dense Hamiltonian matrix, Hermitian within
+    :data:`fock.HERMITIAN_TOL`."""
     h_exp, _ = build_hamiltonian_expansion(spec)
     dense = to_matrix(h_exp)
-    res = hermiticity_residual(dense.matrix)
-    if res > 1e-10:
-        raise ValueError(f"Hermiticity residual {res:.3e} above 1e-10")
+    require_hermitian(dense.matrix, "dense Hamiltonian")
     return dense
 
 
-def ground_state(h: DenseOperator, degeneracy_tol: float = 1e-9
-                 ) -> Tuple[float, DenseOperator]:
-    """Lowest eigenvalue and the uniform mixture over the ground space.
+def ground_state(h: DenseOperator) -> Tuple[float, DenseOperator]:
+    """Lowest eigenvalue and the uniform mixture over the ground space
+    (eigenvalues within :data:`DEGENERACY_TOL` of the lowest).
 
     Degenerate ground spaces return the normalized projector, which
     inherits every symmetry of the Hamiltonian.  One dense ``eigh`` of the
     whole matrix: the reference the tests hold :func:`ground_state_lowdim`
     to.
     """
-    res = hermiticity_residual(h.matrix)
-    if res > 1e-10:
-        raise ValueError(f"ground_state needs a Hermitian input ({res:.3e})")
+    require_hermitian(h.matrix, "ground_state input")
     w, v = np.linalg.eigh(h.matrix)
     e_gs = float(w[0])
-    ground = v[:, w <= e_gs + degeneracy_tol]
+    ground = v[:, w <= e_gs + DEGENERACY_TOL]
     proj = ground @ ground.conj().T
     proj /= np.real(np.trace(proj))
     return e_gs, DenseOperator(h.shape, proj)
@@ -155,33 +157,30 @@ def hamiltonian_sparse(h_exp: OperatorExpansion):
     return mat.tocsr()
 
 
-def ground_state_lowdim(h_exp: OperatorExpansion,
-                        degeneracy_tol: float = 1e-9) -> Tuple[float, Isometry]:
+def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     """Exact ground energy and ground space, block by conserved block.
 
     The blocks are the connected components of the sparsity graph of
     :func:`hamiltonian_sparse` (:func:`fock.diagonal_blocks`): the conserved
     sectors, found with no symmetry assumed.  Every block is diagonalized
     densely, equal sizes in one batched ``eigvalsh``; the ground vectors
-    come from the blocks whose minimum lies within ``degeneracy_tol`` of
-    the ground energy, so a degenerate ground space is resolved in full.
+    come from the blocks whose minimum lies within :data:`DEGENERACY_TOL`
+    of the ground energy, so a degenerate ground space is resolved in full.
     The ground space is returned as an :class:`Isometry` (dim x r), whose
     state F F-dagger / r is the projector :func:`ground_state` returns.
     """
     import scipy.linalg
 
     H = hamiltonian_sparse(h_exp)
-    res = float(np.abs((H - H.conj().T).data).max(initial=0.0))
-    if res > 1e-10:
-        raise ValueError(f"Hermiticity residual {res:.3e} above 1e-10")
+    require_hermitian(H, "sparse Hamiltonian")
     blocks = [(idx, stack, np.linalg.eigvalsh(stack)[:, 0])
               for idx, stack in diagonal_blocks(H)]
     e_gs = float(min(lows.min() for _, _, lows in blocks))
     columns = []
     for idx, stack, lows in blocks:
-        for j in np.flatnonzero(lows <= e_gs + degeneracy_tol):
+        for j in np.flatnonzero(lows <= e_gs + DEGENERACY_TOL):
             _, vecs = scipy.linalg.eigh(
-                stack[j], subset_by_value=(-np.inf, e_gs + degeneracy_tol))
+                stack[j], subset_by_value=(-np.inf, e_gs + DEGENERACY_TOL))
             col = np.zeros((h_exp.shape.fock_dim, vecs.shape[1]),
                            dtype=np.complex128)
             col[idx[j]] = vecs
@@ -227,14 +226,14 @@ class ProductEnergyEvaluator:
 
 def min_product_energy(h_exp: OperatorExpansion, restarts: int = 8,
                        iters: int = 3, seed: int = 0
-                       ) -> Tuple[SingleSiteState, float]:
-    """Minimize tr(H xi^(x V)) over even single-site states.
+                       ) -> Tuple[DenseOperator, float]:
+    """Minimize tr(H xi^(x V)) over even single-site states xi, returned
+    on ``SystemShape(1, p)`` with their energy.
 
     Cyclic coordinate descent in the component parametrization
     (occupation for p = 1, even Gibbs generators otherwise), each
     coordinate by :func:`definetti.coordinate_search`; deterministic for a
-    fixed seed.  ``iters`` counts full
-    coordinate sweeps per restart.
+    fixed seed.  ``iters`` counts full coordinate sweeps per restart.
     """
     evaluator = ProductEnergyEvaluator(h_exp)
     p = evaluator.p
@@ -300,10 +299,10 @@ def verify_gs_bound(spec: HamiltonianSpec, restarts: int = 8, iters: int = 3,
     The exact ground energy and ground space come from
     :func:`ground_state_lowdim` at every size.  The ground-state
     permutation invariance precondition is checked exactly
-    (:func:`check_invariance_dense`, every word up to degree 4) on the
-    uniform mixture over that ground space, read from its isometry; a
-    violation labels the result "precondition failed" but the gap numbers
-    are still reported.
+    (:func:`check_invariance_dense`, every word up to degree 4, within
+    :data:`invariance.DENSE_INVARIANCE_TOL`) on the uniform mixture over
+    that ground space, read from its isometry; a violation labels the
+    result "precondition failed" but the gap numbers are still reported.
     A failed bound triggers one retry with doubled optimizer effort before
     the verdict is final.  A negative gap fails the claim: no product
     state undercuts the exact ground energy.  A single CLI run gets the
@@ -313,16 +312,16 @@ def verify_gs_bound(spec: HamiltonianSpec, restarts: int = 8, iters: int = 3,
     h_exp, notes = build_hamiltonian_expansion(spec)
     e_gs, ground = ground_state_lowdim(h_exp)
     inv = check_invariance_dense(ground)
-    precondition_ok = inv.max_violation() <= 1e-8
+    precondition_ok = inv.max_violation() <= DENSE_INVARIANCE_TOL
 
-    xi, e_prod = min_product_energy(h_exp, restarts=restarts, iters=iters,
-                                    seed=seed)
+    _, e_prod = min_product_energy(h_exp, restarts=restarts, iters=iters,
+                                   seed=seed)
     V, p = spec.shape.sites, spec.shape.modes_per_site
     bound, tol = gs_bound(V, p, spec.k), 1e-6
     gap = e_prod - e_gs
     if gap > bound + tol:
-        xi, e_prod = min_product_energy(h_exp, restarts=2 * restarts,
-                                        iters=2 * iters, seed=seed)
+        _, e_prod = min_product_energy(h_exp, restarts=2 * restarts,
+                                       iters=2 * iters, seed=seed)
         gap = e_prod - e_gs
         notes.append("bound missed on the first pass; optimizer retried")
     if not precondition_ok:

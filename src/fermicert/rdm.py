@@ -27,6 +27,15 @@ from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
 OFFDIAG_BOUND_CONST = 8.0 / math.sqrt(3.0)
 
+#: A complex-branch eigenvalue whose denominator is below this is singular.
+SINGULAR_TOL = 1e-12
+
+#: Slack of :func:`verify_pauli_constraints` on the occupation band [0, 1],
+#: on the trace against the mode occupations and on the off-diagonal bound.
+BAND_TOL = 1e-10
+TRACE_TOL = 1e-9
+OFFDIAG_BOUND_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class OneRDM:
@@ -35,10 +44,6 @@ class OneRDM:
     gamma: np.ndarray
     shape: SystemShape
     hermiticity_residual: float
-
-    @property
-    def n_modes(self) -> int:
-        return self.shape.total_modes
 
     def particle_number(self) -> float:
         return float(np.real(np.trace(self.gamma)))
@@ -55,10 +60,6 @@ class CirculantParams:
     def __post_init__(self):
         if self.V < 2:
             raise ValueError("circulant spectrum needs V >= 2")
-
-    @property
-    def particle_number(self) -> float:
-        return self.a * self.V
 
 
 def one_rdm(rho: DenseOperator) -> OneRDM:
@@ -101,24 +102,22 @@ def circulant_matrix(params: CirculantParams) -> np.ndarray:
     return out
 
 
-def circulant_spectrum(params: CirculantParams,
-                       singular_tol: float = 1e-12) -> np.ndarray:
+def circulant_spectrum(params: CirculantParams) -> np.ndarray:
     """Closed-form eigenvalues lambda_k, k = 0..V-1.
 
     Real b: lambda_0 = a + b (V - 1) and lambda_k = a - b otherwise.
     Complex b = |b| e^(i phi): lambda_k = a + |b| [cos(2 pi k / V +
     (V-2) phi / V) - cos phi] / [1 - cos(2 pi k / V - 2 phi / V)].
     Raises :class:`SingularSpectrumError` naming every k whose denominator
-    falls below ``singular_tol``.
+    falls below :data:`SINGULAR_TOL`.
     """
-    values, singular = _circulant_values(params, singular_tol)
+    values, singular = _circulant_values(params)
     if singular:
         raise SingularSpectrumError(singular)
     return values
 
 
-def _circulant_values(params: CirculantParams,
-                      singular_tol: float = 1e-12):
+def _circulant_values(params: CirculantParams):
     V = params.V
     a = params.a
     b = complex(params.b)
@@ -133,7 +132,7 @@ def _circulant_values(params: CirculantParams,
     for k in range(V):
         angle = 2.0 * math.pi * k / V
         denom = 1.0 - math.cos(angle - 2.0 * phi / V)
-        if abs(denom) < singular_tol:
+        if abs(denom) < SINGULAR_TOL:
             singular.append(k)
             out[k] = math.nan
             continue
@@ -142,14 +141,13 @@ def _circulant_values(params: CirculantParams,
     return out, singular
 
 
-def circulant_spectrum_with_fallback(params: CirculantParams,
-                                     singular_tol: float = 1e-12):
+def circulant_spectrum_with_fallback(params: CirculantParams):
     """Closed-form values with direct diagonalization filling singular k.
 
     Returns (values, singular_ks); comparisons against the formula should
     exclude the singular entries, whose values here come from the oracle.
     """
-    values, singular = _circulant_values(params, singular_tol)
+    values, singular = _circulant_values(params)
     if singular:
         direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
         healthy = np.sort(values[~np.isnan(values)])
@@ -228,34 +226,33 @@ def mode_occupations(rho: DenseOperator) -> np.ndarray:
 
 def verify_pauli_constraints(rdm: OneRDM,
                              source: Optional[DenseOperator] = None,
-                             source_invariant: bool = False,
-                             band_tol: float = 1e-10,
-                             trace_tol: float = 1e-9,
-                             bound_tol: float = 1e-9) -> VerificationReport:
+                             source_invariant: bool = False
+                             ) -> VerificationReport:
     """Occupation-band check on a 1-RDM.
 
-    Verifies eigenvalues within [-band_tol, 1 + band_tol]; when ``source``
-    is given, the trace against independently computed mode occupations;
-    and for permutation-invariant single-mode sources the off-diagonal
-    suppression |b| <= 8/(sqrt(3) V) + bound_tol.  The report's lhs is the
-    worst tolerance-normalized violation (pass at lhs <= 0).
+    Verifies eigenvalues within [-BAND_TOL, 1 + BAND_TOL]; when ``source``
+    is given, the trace against independently computed mode occupations
+    (TRACE_TOL); and for permutation-invariant single-mode sources the
+    off-diagonal suppression |b| <= 8/(sqrt(3) V) + OFFDIAG_BOUND_TOL.
+    The report's lhs is the worst tolerance-normalized violation (pass at
+    lhs <= 0).
     """
     start = time.perf_counter()
     eigs = np.linalg.eigvalsh(rdm.gamma)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    violations = [max(-lo, hi - 1.0) - band_tol]
+    violations = [max(-lo, hi - 1.0) - BAND_TOL]
     notes = [f"eigenvalue range [{lo:.6g}, {hi:.6g}]",
              f"hermiticity residual {rdm.hermiticity_residual:.2e}"]
     if source is not None:
         occ_sum = float(np.sum(mode_occupations(source)))
         trace_dev = abs(rdm.particle_number() - occ_sum)
-        violations.append(trace_dev - trace_tol)
+        violations.append(trace_dev - TRACE_TOL)
         notes.append(f"trace {rdm.particle_number():.9g} vs occupations "
                      f"{occ_sum:.9g}")
     if source_invariant and rdm.shape.modes_per_site == 1:
         a, b, resid = fit_circulant(rdm.gamma)
         bound = OFFDIAG_BOUND_CONST / rdm.shape.sites
-        violations.append(abs(b) - bound - bound_tol)
+        violations.append(abs(b) - bound - OFFDIAG_BOUND_TOL)
         notes.append(f"fit a={a:.6g} |b|={abs(b):.6g} bound={bound:.6g} "
                      f"pattern residual {resid:.2e}")
     lhs = max(violations)

@@ -21,19 +21,18 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape, random_expansion
-from .cumulants import (FourierMemo, LadderIndex, corollary_index_sets,
-                        cumulant, fourier_cumulant, fourier_q_range,
-                        lemma4_equality_report, verify_corollary,
-                        verify_suppression)
-from .definetti import (SingleSiteState, best_mixture_approx, product_power,
-                        verify_theorem1)
+from .cumulants import (CUMULANT_TOL, FourierMemo, LadderIndex,
+                        corollary_index_sets, cumulant, fourier_cumulant,
+                        fourier_q_range, lemma4_equality_report,
+                        verify_corollary, verify_suppression)
+from .definetti import best_mixture_approx, product_power, verify_theorem1
 from .fock import (DenseOperator, operator_norm, permutation_unitary,
                    reduce_expansion, to_matrix)
 from .invariance import (MuFamilyParams, check_invariance, mu_family_state,
                          verify_lemma3)
 from .meanfield import (BUILTIN_FAMILIES, HamiltonianSpec, MeanFieldResult,
                         ProductEnergyEvaluator, build_hamiltonian_expansion,
-                        builtin_family, min_product_energy, verify_gs_bound)
+                        builtin_family, verify_gs_bound)
 from .rdm import (CirculantParams, OFFDIAG_BOUND_CONST,
                   circulant_spectrum_with_fallback, compare_circulant_spectrum,
                   fit_circulant, one_rdm, spectrum_report,
@@ -77,8 +76,10 @@ MU_SWEEP = (0.0, 0.5, -0.5, 1.0, -1.0)
 V_SWEEP = (6, 8)
 
 #: Single-site states used by the central-limit suites.
-_DIAG_THIRDS = np.diag([1.0 / 3.0, 2.0 / 3.0]).astype(np.complex128)
-_CORRELATED_P2 = np.diag([0.5, 0.1, 0.1, 0.3]).astype(np.complex128)
+_DIAG_THIRDS = DenseOperator(SystemShape(1, 1), np.diag(
+    [1.0 / 3.0, 2.0 / 3.0]).astype(np.complex128))
+_CORRELATED_P2 = DenseOperator(SystemShape(1, 2), np.diag(
+    [0.5, 0.1, 0.1, 0.3]).astype(np.complex128))
 
 
 def _mu_state(V: int, mu: float) -> OperatorExpansion:
@@ -298,8 +299,7 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Fourier-cumulant factorization, delta rule and suppression scaling."""
     reports = []
     lemma4_rows = []
-    rho1 = DenseOperator(SystemShape(1, 1), _DIAG_THIRDS)
-    rho2 = DenseOperator(SystemShape(1, 2), _CORRELATED_P2)
+    rho1, rho2 = _DIAG_THIRDS, _CORRELATED_P2
     # The V-fold copies that the direct cumulants read, with their ladder
     # products and cumulants: built once per (state, V), dropped on return.
     memo = FourierMemo()
@@ -310,19 +310,17 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
             start = time.perf_counter()
             worst = 0.0
             n_cases = 0
-            n_skipped = 0
             for seq in _distinct_triple_sequences(V, w):
                 ops = [LadderIndex(c, 1, alpha, q) for c, alpha, q in seq]
                 rep = lemma4_equality_report(rho1, V, ops, memo=memo)
                 if rep is None:
-                    n_skipped += 1
                     continue
                 n_cases += 1
                 worst = max(worst, rep.lhs)
             reports.append(make_report(
                 "hudson-lemma4", EQUALITY, {"V": V, "p": 1, "w": w,
                                             "cases": n_cases},
-                worst, 0.0, 1e-9, time.perf_counter() - start))
+                worst, 0.0, CUMULANT_TOL, time.perf_counter() - start))
             lemma4_rows.append([V, 1, w, n_cases, worst])
 
     # Same equality with a genuinely non-Gaussian two-mode state.
@@ -345,7 +343,7 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
         reports.append(make_report(
             "hudson-lemma4", EQUALITY, {"V": V, "p": 2, "w": 4,
                                         "cases": n_cases},
-            worst, 0.0, 1e-9, time.perf_counter() - start,
+            worst, 0.0, CUMULANT_TOL, time.perf_counter() - start,
             ["non-Gaussian single site: nonzero cumulants exercised"]))
         lemma4_rows.append([V, 2, 4, n_cases, worst])
 
@@ -438,11 +436,10 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
     """
     reports = []
     rows = []
-    xi = SingleSiteState(_CORRELATED_P2, True)
     metrics = {}
     for k in range(2, 6):
         start = time.perf_counter()
-        rho_k = product_power(xi, k)
+        rho_k = product_power(_CORRELATED_P2, k)
         mixture, dist, _ = best_mixture_approx(rho_k, seed=seed)
         rep = verify_corollary(rho_k, mixture, V=k,
                                ops_sets=corollary_index_sets(k, 2)[:1])
@@ -516,7 +513,7 @@ def run_rdm_spectrum() -> Tuple[List[VerificationReport], Dict[str, Table]]:
             state = _mu_state(V, mu)
             dense = to_matrix(state)
             rdm = one_rdm(dense)
-            a, b, resid = fit_circulant(rdm.gamma)
+            a, b, _ = fit_circulant(rdm.gamma)
             bound = OFFDIAG_BOUND_CONST / V
             rep = verify_pauli_constraints(rdm, source=dense,
                                            source_invariant=True)
@@ -546,14 +543,18 @@ def gs_bound_row(spec: HamiltonianSpec, result: MeanFieldResult,
 def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Mean-field gap certificates for the built-in families at V = 6,
     plus the convexity step on the :func:`best_mixture_approx` witnesses
-    of the k = 2, 3 reductions of the mu = 0.5 state."""
+    of the k = 2, 3 reductions of the mu = 0.5 state, against the product
+    minima that the family loop found for the one-mode families."""
     reports = []
     rows = []
+    minima = []
     for name in BUILTIN_FAMILIES:
         spec = builtin_family(name, 6)
         result, rep = verify_gs_bound(spec, restarts=4, iters=2, seed=seed)
         reports.append(rep)
         rows.append(gs_bound_row(spec, result, rep))
+        if spec.shape.modes_per_site == 1:
+            minima.append((spec, result.e_product_min))
 
     # Convexity step: mixture energies dominate the product minimum.
     start = time.perf_counter()
@@ -563,17 +564,15 @@ def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Ta
     for k in (2, 3):
         rho_k = to_matrix(reduce_expansion(state, range(1, k + 1)))
         mixtures.append(best_mixture_approx(rho_k, seed=seed).mixture)
-    for name in ("site-number", "pair-exchange", "pair-hopping"):
-        spec = builtin_family(name, 6)
+    for spec, e_min in minima:
         h_exp, _ = build_hamiltonian_expansion(spec)
         evaluator = ProductEnergyEvaluator(h_exp)
-        _, e_min = min_product_energy(h_exp, restarts=4, iters=2, seed=seed)
         for mixture in mixtures:
             e_mix = sum(a * evaluator.energy(xi.matrix)
                         for a, xi in zip(mixture.weights, mixture.components))
             worst = max(worst, e_min - e_mix)
     reports.append(make_report(
-        "gs-convexity-step", INEQUALITY, {"V": 6, "families": 3},
+        "gs-convexity-step", INEQUALITY, {"V": 6, "families": len(minima)},
         worst, 0.0, 1e-9, time.perf_counter() - start,
         ["tr(H sum_l a_l xi_l^(x V)) >= min_xi tr(H xi^(x V))"]))
 
@@ -603,7 +602,7 @@ def run_all(seed: int = 0) -> Tuple[List[VerificationReport], Dict[str, Table]]:
     tables: Dict[str, Table] = {}
     lemma_reports, _ = run_lemma_properties(seed=seed + 1)
     reports.extend(lemma_reports)
-    for offset, (name, runner) in enumerate(SUITES.items()):
+    for offset, runner in enumerate(SUITES.values()):
         sub_reports, sub_tables = runner(seed + offset)
         reports.extend(sub_reports)
         for key, tab in sub_tables.items():

@@ -12,6 +12,7 @@ import pytest
 
 from fermicert import suites
 from fermicert.cli import main
+from fermicert.fock import MODE_CAP_ENV
 from fermicert.report import (INEQUALITY, EQUALITY, make_report,
                               render_reports, reports_to_rows, write_csv)
 
@@ -139,6 +140,34 @@ class TestCliSingleCommands:
                      "0", "--V", "14", "--mu", "0.0", "--k", "13",
                      "--restarts", "1", "--iters", "5"])
         assert code == 3
+
+    @pytest.mark.parametrize("argv, selector", [
+        (["verify-lemma3", "--V", "7", "--mu", "0.3", "--fixture",
+          "missing.txt"], "--k"),
+        (["verify-theorem1", "--seed", "0", "--V", "9", "--mu", "0.2",
+          "--restarts", "1"], "--k"),
+        (["gs-bound", "--seed", "1", "--V", "8", "--restarts", "1"],
+         "--hamiltonian or --config"),
+        (["rdm-spectrum", "--V", "5", "--b-re", "0.1"], "--a"),
+    ], ids=["lemma3", "theorem1", "gs-bound", "rdm-spectrum"])
+    def test_instance_arguments_need_their_selector(self, tmp_path, capsys,
+                                                   argv, selector):
+        # Without the selector the command would run its suite and drop
+        # these arguments; it refuses them instead.
+        assert main(["--out", str(tmp_path), *argv]) == 2
+        assert f"need {selector};" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_lemma3_instance_needs_sites(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "verify-lemma3", "--k",
+                     "2"]) == 2
+        assert "--V is required with --k" in capsys.readouterr().err
+
+    def test_clt_over_the_mode_cap_exit_3(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.setenv(MODE_CAP_ENV, "6")
+        assert main(["--out", str(tmp_path), "verify-clt"]) == 3
+        assert "resource cap" in capsys.readouterr().err
 
     def test_theorem1_requires_seed(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -24,8 +24,9 @@ from fermicert.cumulants import (FourierMemo, LadderIndex, LadderMoments,
                                  moment_from_cumulant_fn, partition_sign,
                                  verify_corollary, verify_suppression,
                                  wick_moment)
-from fermicert.definetti import ProductMixture, SingleSiteState, product_power
-from fermicert.fock import DenseOperator
+from fermicert.definetti import ProductMixture, product_power
+from fermicert.errors import ResourceCapError
+from fermicert.fock import MODE_CAP_ENV, DenseOperator
 
 SH1 = SystemShape(1, 1)
 SH12 = SystemShape(1, 2)
@@ -520,12 +521,22 @@ class TestSuppression:
             verify_suppression(VACUUM, 3, [LadderIndex(-1, 1, 1, 0),
                                            LadderIndex(1, 1, 1, 0)])
 
+    @pytest.mark.parametrize("V", [5, 8, 40])
+    def test_over_the_mode_cap_raises(self, monkeypatch, V):
+        # The closed form meets the bound by construction, so it cannot
+        # stand in for the direct value: over the cap there is no claim.
+        monkeypatch.setenv(MODE_CAP_ENV, "4")
+        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
+               LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
+        with pytest.raises(ResourceCapError):
+            verify_suppression(DIAG_THIRDS, V, ops)
+
 
 class TestWick:
     def test_wick_moment_matches_gaussian(self):
         # Vacuum is Gaussian: full moments equal their Wick expansion.
         sh = SystemShape(2, 1)
-        vac2 = product_power(SingleSiteState(VACUUM.matrix, True), 2)
+        vac2 = product_power(VACUUM, 2)
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
         mats = [fourier_ladder_matrix(sh, o.c, o.mode, o.q) for o in ops]
@@ -539,7 +550,7 @@ class TestWick:
                                                                       abs=1e-12)
 
     def test_gaussian_mixture_deviation_zero_for_gaussian(self):
-        xi = SingleSiteState(np.diag([0.25, 0.75]).astype(complex), True)
+        xi = DenseOperator(SH1, np.diag([0.25, 0.75]).astype(complex))
         rho2 = product_power(xi, 2)
         mixture = ProductMixture(np.array([1.0]), (xi,))
         ops = corollary_index_sets(2, 1)[0]
@@ -550,8 +561,8 @@ class TestWick:
         # Oracle: pair values as one trace of a matrix product per component
         # and pair, the Wick moments and cumulant extraction written out.
         sh12 = SystemShape(1, 2)
-        comps = tuple(SingleSiteState(random_even_density_matrix(sh12, rng),
-                                      True) for _ in range(3))
+        comps = tuple(DenseOperator(sh12, random_even_density_matrix(sh12, rng))
+                      for _ in range(3))
         mixture = ProductMixture(np.array([0.5, 0.3, 0.2]), comps)
         k = 3
         rho_k = DenseOperator(SystemShape(k, 2),
@@ -583,14 +594,14 @@ class TestWick:
         odd = np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex)
         odd[0, 1] = odd[1, 0] = 1e-18
         mixture = ProductMixture(np.array([1.0]),
-                                 (SingleSiteState(odd, True),))
-        rho2 = product_power(SingleSiteState(CORRELATED.matrix, True), 2)
+                                 (DenseOperator(SH12, odd),))
+        rho2 = product_power(CORRELATED, 2)
         with pytest.raises(ValueError, match="even"):
             gaussian_mixture_deviation(rho2, mixture,
                                        corollary_index_sets(2, 2)[0])
 
     def test_corollary_metric_scales_inverse_k(self):
-        xi = SingleSiteState(CORRELATED.matrix, True)
+        xi = CORRELATED
         metrics = {}
         for k in (2, 3, 4):
             rho_k = product_power(xi, k)

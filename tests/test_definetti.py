@@ -11,11 +11,11 @@ from fermicert import definetti, suites
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import LadderIndex, cumulant
 from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
-                                 MixtureFit, ProductMixture, SingleSiteState,
+                                 MixtureFit, ProductMixture,
                                  _MixtureOptimizer, best_mixture_approx,
                                  component_state,
                                  coordinate_search, even_hermitian_basis,
-                                 hamming_power, is_even_operator,
+                                 hamming_power,
                                  mixture_diagnostics, mixture_matrix,
                                  n_component_params, params_from_state,
                                  parity_blocks, product_power,
@@ -33,11 +33,13 @@ TAN6 = math.tan(math.pi / 12.0)
 
 class TestProductPower:
     def test_k1_is_itself(self, rng):
-        xi = SingleSiteState(np.diag([0.3, 0.7]).astype(complex), True)
+        xi = DenseOperator(SystemShape(1, 1),
+                           np.diag([0.3, 0.7]).astype(complex))
         assert np.allclose(product_power(xi, 1).matrix, xi.matrix)
 
     def test_vacuum_squared(self):
-        vac = SingleSiteState(np.diag([1.0, 0.0]).astype(complex), True)
+        vac = DenseOperator(SystemShape(1, 1),
+                            np.diag([1.0, 0.0]).astype(complex))
         power = product_power(vac, 2)
         want = np.zeros((4, 4), dtype=complex)
         want[0, 0] = 1.0
@@ -47,7 +49,7 @@ class TestProductPower:
         # Mixed-site correlations of even states factorize site by site.
         sh1 = SystemShape(1, 1)
         xi_mat = random_even_density_matrix(sh1, rng)
-        xi = SingleSiteState(xi_mat, True)
+        xi = DenseOperator(sh1, xi_mat)
         power = product_power(xi, 2)
         sh2 = power.shape
         for mask in range(1, 16):
@@ -58,12 +60,12 @@ class TestProductPower:
             assert abs(whole - part1 * part2) < 1e-12
 
     def test_cap(self):
-        xi = SingleSiteState(np.eye(4, dtype=complex) / 4, True)
+        xi = DenseOperator(SystemShape(1, 2), np.eye(4, dtype=complex) / 4)
         with pytest.raises(ResourceCapError):
             product_power(xi, 7)
 
     def test_bad_k(self):
-        xi = SingleSiteState(np.eye(2, dtype=complex) / 2, True)
+        xi = DenseOperator(SystemShape(1, 1), np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError):
             product_power(xi, 0)
 
@@ -88,9 +90,9 @@ class TestComponentParametrization:
         for _ in range(10):
             theta = rng.uniform(-2, 2, n_component_params(2))
             xi = component_state(2, theta)
-            validity = check_state(DenseOperator(SystemShape(1, 2), xi.matrix))
+            validity = check_state(xi)
             assert validity.all_ok
-            assert is_even_operator(xi.matrix, 2)
+            assert validity.parity_ok
 
     def test_basis_hermitian(self):
         for p in (1, 2, 3):
@@ -167,7 +169,8 @@ class TestCoordinateSearch:
 
 class TestBestMixture:
     def test_exact_product_any_r(self, rng):
-        xi = SingleSiteState(np.diag([0.35, 0.65]).astype(complex), True)
+        xi = DenseOperator(SystemShape(1, 1),
+                           np.diag([0.35, 0.65]).astype(complex))
         target = product_power(xi, 3)
         for r in (1, 3):
             mixture, dist, _ = best_mixture_approx(target, r=r, restarts=2,
@@ -479,13 +482,11 @@ class TestVerifyTheorem1:
         inv = check_invariance(state)
         _, mixture, _ = verify_theorem1(state, 2, restarts=2, iters=60,
                                         seed=5, inv_report=inv)
-        sh1 = SystemShape(1, 1)
         for xi in mixture.components:
-            if xi.purity() > 1.0 - 1e-8:
-                dense = DenseOperator(sh1, xi.matrix)
+            if np.real(np.trace(xi.matrix @ xi.matrix)) > 1.0 - 1e-8:
                 for pattern in ((-1, 1, -1, 1), (1, -1, 1, -1)):
                     ops = [LadderIndex(c, 1, 1) for c in pattern]
-                    assert abs(cumulant(dense, ops)) < 1e-6
+                    assert abs(cumulant(xi, ops)) < 1e-6
 
     def test_preconditions(self):
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
@@ -504,7 +505,7 @@ class TestVerifyTheorem1:
     def test_invalid_witness_component_fails(self, monkeypatch, component):
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         inv = check_invariance(state)
-        bad = SingleSiteState(component.astype(np.complex128), True)
+        bad = DenseOperator(SystemShape(1, 1), component.astype(np.complex128))
 
         # The distance stays the search's: only the witness is broken.
         def broken(*args, **kwargs):
@@ -541,8 +542,9 @@ class TestVerifyTheorem1:
 
 class TestMixtureSerialization:
     def test_mixture_matrix_matches_manual(self):
-        comps = (SingleSiteState(np.diag([0.2, 0.8]).astype(complex), True),
-                 SingleSiteState(np.diag([0.9, 0.1]).astype(complex), True))
+        sh1 = SystemShape(1, 1)
+        comps = (DenseOperator(sh1, np.diag([0.2, 0.8]).astype(complex)),
+                 DenseOperator(sh1, np.diag([0.9, 0.1]).astype(complex)))
         mixture = ProductMixture(np.array([0.4, 0.6]), comps)
         got = mixture_matrix(mixture, 2).matrix
         want = (0.4 * np.kron(comps[0].matrix, comps[0].matrix)
@@ -550,7 +552,7 @@ class TestMixtureSerialization:
         assert np.allclose(got, want)
 
     def test_weight_validation(self):
-        comp = (SingleSiteState(np.eye(2, dtype=complex) / 2, True),)
+        comp = (DenseOperator(SystemShape(1, 1), np.eye(2, dtype=complex) / 2),)
         with pytest.raises(ValueError):
             ProductMixture(np.array([0.5]), comp)
         with pytest.raises(ValueError):

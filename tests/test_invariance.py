@@ -170,6 +170,21 @@ class TestMuFamily:
         with pytest.raises(ValueError):
             mu_family_state(MuFamilyParams(6, 1, threshold + 1e-3))
 
+    @pytest.mark.parametrize("V", [48, 96])
+    def test_large_family_keeps_every_term(self, V):
+        # The pair coefficients i tan(pi/2V) mu / 2^V fall below any fixed
+        # cut as V grows; the prune cut is on their expectation value.
+        mu = 0.3
+        state = mu_family_state(MuFamilyParams(V, 1, mu), validate=False)
+        assert len(state) == 1 + math.comb(V, 2)
+        pair = 1j * math.tan(math.pi / (2 * V)) * mu
+        for k in (2, 6):
+            sh = SystemShape(k, 1)
+            want = {0: 1.0 / 2 ** k}
+            for a, b in itertools.combinations(range(1, k + 1), 2):
+                want[mask_of(sh, (a, 1), (b, 1))] = pair / 2 ** k
+            assert reduce_expansion(state, range(1, k + 1)).terms == want
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             MuFamilyParams(1, 1, 0.5)

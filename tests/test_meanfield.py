@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fermicert.algebra import OperatorExpansion, SystemShape
-from fermicert.definetti import SingleSiteState
 from fermicert.fock import (DenseOperator, diagonal_blocks, operator_norm,
                             to_matrix)
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
@@ -198,7 +197,8 @@ class TestProductEnergy:
         dense_h = to_matrix(h_exp).matrix
         for alpha in (0.0, 0.3, 0.8):
             xi = np.diag([alpha, 1 - alpha]).astype(complex)
-            power = product_power(SingleSiteState(xi, True), 4).matrix
+            power = product_power(DenseOperator(SystemShape(1, 1), xi),
+                                  4).matrix
             direct = float(np.real(np.trace(dense_h @ power)))
             assert evaluator.energy(xi) == pytest.approx(direct, abs=1e-12)
 
@@ -296,3 +296,21 @@ class TestConvexityStep:
             e_mix = sum(a * evaluator.energy(xi.matrix)
                         for a, xi in zip(mixture.weights, mixture.components))
             assert e_mix >= e_min - 1e-9
+
+    def test_suite_reuses_the_family_minima(self, monkeypatch):
+        # One product search per family, in verify_gs_bound; the
+        # convexity step reads the one-mode families' minima from there.
+        from fermicert import suites
+        calls = []
+        original = meanfield.min_product_energy
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "min_product_energy", counting)
+        reports, _ = suites.run_gs_bound(seed=13)
+        assert len(calls) == len(BUILTIN_FAMILIES) == 4
+        convexity = reports[-1]
+        assert convexity.claim_id == "gs-convexity-step"
+        assert convexity.inputs["families"] == 3 and convexity.passed

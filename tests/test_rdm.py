@@ -10,7 +10,7 @@ from conftest import (independent_ladder, random_density_matrix,
                       random_even_density_matrix)
 from fermicert.algebra import SystemShape
 from fermicert import rdm
-from fermicert.definetti import SingleSiteState, product_power
+from fermicert.definetti import product_power
 from fermicert.errors import SingularSpectrumError
 from fermicert.fock import DenseOperator, to_matrix
 from fermicert.invariance import MuFamilyParams, mu_family_state
@@ -187,10 +187,10 @@ class TestBlockStructure:
     invariant state, one repeated block above the diagonal."""
 
     def test_product_state_has_zero_offdiagonal_block(self):
-        xi = SingleSiteState(np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex),
-                             True)
+        xi = DenseOperator(SystemShape(1, 2),
+                           np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex))
         blocks = site_blocks(one_rdm(product_power(xi, 4)))
-        single = one_rdm(DenseOperator(SystemShape(1, 2), xi.matrix)).gamma
+        single = one_rdm(xi).gamma
         for j in range(4):
             # Each diagonal block is the 1-RDM of the single-site state.
             assert np.max(np.abs(blocks[j, j] - single)) < 1e-12
