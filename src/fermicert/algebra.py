@@ -13,8 +13,9 @@ This module implements that algebra exactly:
 * products track anti-commutation signs with popcount arithmetic;
 * :func:`relabel_word` moves a word's Majoranas between sites and
   re-canonicalizes it; :meth:`OperatorExpansion.relabel` applies it to a
-  whole expansion, and site permutations, reductions to a site subset and
-  the placement of k-site templates on site tuples all go through that;
+  whole expansion, and site permutations and the placement of k-site
+  templates on site tuples go through that (a reduction keeps sites 1..k,
+  so another site set is a permutation away);
 * :class:`OperatorExpansion` holds sparse complex linear combinations and
   supports products, adjoints, site permutations and parity projections.
 

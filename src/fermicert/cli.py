@@ -15,7 +15,10 @@ state's validity and, for Theorem 1, the component purities.
 
 Instance arguments (``--V``, ``--mu``, ``--fixture``, ``--restarts``
 and the like) need their selector: without it the command runs its suite,
-so they are a usage error (exit 2), not silently dropped.
+so they are a usage error (exit 2), not silently dropped.  An instance has
+one source: a fixture is the whole state and a config the whole
+Hamiltonian, so ``--fixture`` with ``--mu``, and ``--config`` with
+``--hamiltonian`` or ``--V``, are usage errors too.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import OperatorExpansion, SystemShape, expansion_from_text
 from .definetti import verify_theorem1
-from .errors import ResourceCapError, SingularSpectrumError
+from .errors import ResourceCapError
 from .fock import check_state, to_matrix
 from .invariance import MuFamilyParams, mu_family_state, verify_lemma3
 from .meanfield import (BUILTIN_FAMILIES, HamiltonianSpec, builtin_family,
@@ -53,8 +56,10 @@ def _csv_doc(command: str) -> str:
         for name, columns in tables.items())
 
 
-def _load_state(args) -> Tuple[OperatorExpansion, List[str]]:
-    """Build the requested state, family or fixture, and check it once.
+def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
+                                List[str]]:
+    """Build the requested state, family or fixture, and check it once;
+    return it with the report inputs that name it and the report notes.
 
     This is where a state enters from outside, so this is where its
     validity is checked.  The bound certifications run on the Hermitian
@@ -70,19 +75,22 @@ def _load_state(args) -> Tuple[OperatorExpansion, List[str]]:
             raise FileNotFoundError(f"fixture not found: {path}")
         shape = SystemShape(args.V, args.p)
         state = expansion_from_text(path.read_text(), shape)
-    else:  # --family mu, the one choice
+        inputs = {"fixture": path.name}
+    else:
         params = MuFamilyParams(args.V, args.p, args.mu)
         state = mu_family_state(params, validate=False)
+        inputs = {"mu": args.mu}
     validity = check_state(to_matrix(state))
     if args.strict_state and not (validity.trace_ok and validity.positive_ok):
         raise ValueError(
             f"input is not a valid state: trace {validity.trace_value:.6g}, "
             f"min eigenvalue {validity.min_eigenvalue:.3e}")
     if validity.positive_ok:
-        return state, []
-    return state, [f"input operator is not positive (min eigenvalue "
-                   f"{validity.min_eigenvalue:.3e}); bound certified for the "
-                   "Hermitian unit-trace operator"]
+        return state, inputs, []
+    return state, inputs, [
+        f"input operator is not positive (min eigenvalue "
+        f"{validity.min_eigenvalue:.3e}); bound certified for the "
+        "Hermitian unit-trace operator"]
 
 
 def _write_outputs(out: Path, command: str, reports, tables):
@@ -97,13 +105,12 @@ def _write_outputs(out: Path, command: str, reports, tables):
 
 
 def _add_state_args(sub):
-    sub.add_argument("--family", choices=["mu"],
-                     help="built-in state family")
     sub.add_argument("--V", type=int, help="number of sites")
     sub.add_argument("--p", type=int, help="modes per site")
     sub.add_argument("--mu", type=float, help="mu parameter of the family")
     sub.add_argument("--fixture",
-                     help="expansion text fixture instead of a family")
+                     help="expansion text fixture instead of the family "
+                          "(excludes --mu)")
     sub.add_argument("--strict-state", action="store_true", default=None,
                      help="reject an input (family or fixture) that is not "
                           "a valid state instead of certifying the "
@@ -172,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--V", type=int)
     gs.add_argument("--config", default=None,
                     help="JSON Hamiltonian spec (template as expansion "
-                         "text; subsets list or 'all-k-subsets')")
+                         "text; subsets list or 'all-k-subsets'); excludes "
+                         "--hamiltonian and --V")
     gs.add_argument("--restarts", type=int)
     gs.add_argument("--iters", type=int)
 
@@ -181,17 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _single_lemma3(args) -> Run:
-    state, notes = _load_state(args)
-    rep = verify_lemma3(state, args.k, inputs={"mu": args.mu})
+    state, inputs, notes = _load_state(args)
+    rep = verify_lemma3(state, args.k, inputs=inputs)
     rep.notes.extend(notes)
     return [rep], {}
 
 
 def _single_theorem1(args) -> Run:
-    state, notes = _load_state(args)
+    state, inputs, notes = _load_state(args)
     rep, _, diag = verify_theorem1(
         state, args.k, r=args.r, restarts=args.restarts, iters=args.iters,
-        seed=args.seed, inputs={"mu": args.mu})
+        seed=args.seed, inputs=inputs)
     rep.notes.append(f"component purities {diag['purities']}")
     rep.notes.extend(notes)
     return [rep], {}
@@ -239,8 +247,7 @@ def _single_gs(args) -> Run:
         "gsbound", [suites.gs_bound_row(spec, result, rep)])}
 
 
-_STATE = dict(family="mu", V=None, p=1, mu=1.0, fixture=None,
-              strict_state=False)
+_STATE = dict(V=None, p=1, mu=1.0, fixture=None, strict_state=False)
 
 #: Per single-instance command: its selectors, its runner, and its
 #: instance arguments with their defaults.  The parser leaves these None,
@@ -254,6 +261,10 @@ SINGLE = {
                  dict(V=6, restarts=8, iters=3)),
 }
 
+#: Pairs of arguments that name two sources for one instance: a fixture
+#: is the whole state, a config the whole Hamiltonian with its size.
+EXCLUSIVE = (("fixture", "mu"), ("config", "hamiltonian"), ("config", "V"))
+
 
 def _run(args) -> Run:
     """The single instance the arguments name, else the command's suite."""
@@ -262,6 +273,10 @@ def _run(args) -> Run:
     selectors, single, defaults = SINGLE.get(args.command, ((), None, {}))
     given = [name for name in defaults if getattr(args, name) is not None]
     if any(getattr(args, flag[2:]) is not None for flag in selectors):
+        for pair in EXCLUSIVE:
+            if all(getattr(args, name, None) is not None for name in pair):
+                raise ValueError("--{} and --{} name two sources for one "
+                                 "instance; give one".format(*pair))
         vars(args).update({n: defaults[n] for n in defaults.keys() - given})
         return single(args)
     if given:
@@ -280,8 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
-    except (ValueError, FileNotFoundError, SingularSpectrumError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.command == "all":

@@ -504,7 +504,7 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
     rng = np.random.default_rng(seed)
     opt = _MixtureOptimizer(parity_blocks(rho_k), k, p, r, iters)
 
-    marginal = partial_trace_sites(rho_k, [1]).matrix
+    marginal = partial_trace_sites(rho_k, 1).matrix
     seed_params = params_from_state(p, marginal)
     mixed_params = (np.array([0.5]) if p == 1 else np.zeros(n_par))
 

@@ -28,8 +28,7 @@ from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (OperatorExpansion, SystemShape, relabel_word,
-                      reversal_sign)
+from .algebra import OperatorExpansion, SystemShape, reversal_sign
 from .errors import ResourceCapError
 
 #: Dense work refuses systems with more than this many fermionic modes
@@ -253,23 +252,14 @@ def to_matrix(op: OperatorExpansion) -> DenseOperator:
     return DenseOperator(op.shape, out)
 
 
-def word_coefficients(matrix: np.ndarray, masks: Iterable[int],
-                      shape: SystemShape) -> Dict[int, complex]:
-    """Coefficients of many words in the expansion of ``matrix``:
-    tr(M * word†) / 2^(pV) each.  A word of degree r has word† =
-    (-1)^(r(r-1)/2) word, so these are signed
-    :func:`word_expectations_dense` values."""
-    dim = shape.fock_dim
-    return {mask: reversal_sign(mask.bit_count()) * value / dim
-            for mask, value in word_expectations_dense(matrix, masks,
-                                                       shape).items()}
-
-
 def to_expansion(dense: DenseOperator) -> OperatorExpansion:
     """Full expansion of a dense matrix in the Majorana word basis.
 
-    Enumerates all 4^(pV) words; practical for small systems only, so the
-    mode budget is half the dense cap.
+    A word's coefficient is tr(M * word-dagger) / 2^(pV), and a word of
+    degree r has word-dagger = (-1)^(r(r-1)/2) word, so the coefficients
+    are signed :func:`word_expectations_dense` values.  Enumerates all
+    4^(pV) words; practical for small systems only, so the mode budget is
+    half the dense cap.
     """
     shape = dense.shape
     cap = mode_cap() // 2
@@ -277,71 +267,53 @@ def to_expansion(dense: DenseOperator) -> OperatorExpansion:
         raise ResourceCapError(
             f"full expansion of {shape.total_modes} modes enumerates "
             f"4^{shape.total_modes} words; cap is {cap} modes")
-    return OperatorExpansion(shape, word_coefficients(
-        dense.matrix, range(1 << shape.majorana_count), shape))
+    dim = shape.fock_dim
+    values = word_expectations_dense(
+        dense.matrix, range(1 << shape.majorana_count), shape)
+    return OperatorExpansion(shape, {
+        mask: reversal_sign(mask.bit_count()) * value / dim
+        for mask, value in values.items()})
 
 
 # -- reductions ---------------------------------------------------------------
 
-def reduce_expansion(op: OperatorExpansion, keep: Sequence[int]) -> OperatorExpansion:
-    """Reduced state of an expansion on the ``keep`` sites.
+def _kept_shape(shape: SystemShape, k: int) -> SystemShape:
+    """The shape of sites 1..k of ``shape``; raises ``ValueError`` unless
+    1 <= k <= V."""
+    if not 1 <= k <= shape.sites:
+        raise ValueError(f"k = {k} outside [1..{shape.sites}]")
+    return SystemShape(k, shape.modes_per_site)
 
-    Keeps exactly the words supported on ``keep`` and rescales coefficients
-    by 2^(p * #discarded) so that the trace is preserved; rescaled first,
-    they meet the small shape's prune cut with unchanged expectations.
+
+def reduce_expansion(op: OperatorExpansion, k: int) -> OperatorExpansion:
+    """Reduced state of an expansion on sites 1..k.
+
+    Keeps exactly the words below bit 2pk, those supported on the first k
+    sites, whose masks are the same on the k-site shape, and rescales
+    their coefficients by 2^(p(V - k)) so that the trace is preserved;
+    rescaled, they meet the small shape's prune cut with unchanged
+    expectations.  For another site set, permute first:
+    ``reduce_expansion(op.apply_permutation(pi), k)``.
     """
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("keep must be a nonempty site set")
-    if keep[0] < 1 or keep[-1] > op.shape.sites:
-        raise ValueError(f"keep {keep} outside [1..{op.shape.sites}]")
     shape = op.shape
-    small = SystemShape(len(keep), shape.modes_per_site)
-    scale = 2 ** (shape.modes_per_site * (shape.sites - len(keep)))
-    keep_mask = 0
-    site_map = [0] * shape.sites
-    for i, site in enumerate(keep):
-        keep_mask |= shape.site_bitmask(site)
-        site_map[site - 1] = i + 1
-    kept = OperatorExpansion(shape, {mask: coeff * scale for mask, coeff
-                                     in op.terms.items()
-                                     if not mask & ~keep_mask})
-    # The kept sites move in order, so no reordering sign arises.
-    return kept.relabel(site_map, small)
+    small = _kept_shape(shape, k)
+    limit = 1 << small.majorana_count
+    scale = 2 ** (shape.modes_per_site * (shape.sites - k))
+    return OperatorExpansion(small, {mask: coeff * scale for mask, coeff
+                                     in op.terms.items() if mask < limit})
 
 
-def partial_trace_sites(dense: DenseOperator, keep: Sequence[int]) -> DenseOperator:
-    """Trace out all modes on the discarded sites.
-
-    For a prefix [1..k] this is the plain tensor-factor partial trace in
-    the site-major ordering.  For general site sets the reduction is
-    defined through the word expansion: the kept words' coefficients are
-    rescaled so that the trace is preserved.
+def partial_trace_sites(dense: DenseOperator, k: int) -> DenseOperator:
+    """Trace out every site after the first k: the plain tensor-factor
+    partial trace in the site-major ordering.  For another site set,
+    conjugate by :func:`permutation_unitary` first, or reduce the
+    permuted expansion with :func:`reduce_expansion`.
     """
-    keep = sorted(set(keep))
-    shape = dense.shape
-    if not keep:
-        raise ValueError("keep must be a nonempty site set")
-    if keep[0] < 1 or keep[-1] > shape.sites:
-        raise ValueError(f"keep {keep} outside [1..{shape.sites}]")
-    p = shape.modes_per_site
-    small = SystemShape(len(keep), p)
-    if keep == list(range(1, len(keep) + 1)):
-        dim_keep = small.fock_dim
-        dim_rest = shape.fock_dim // dim_keep
-        reshaped = dense.matrix.reshape(dim_keep, dim_rest, dim_keep, dim_rest)
-        return DenseOperator(small, np.einsum("ajbj->ab", reshaped))
-    # General site sets go through the word basis of the kept subalgebra.
-    if small.total_modes > mode_cap() // 2:
-        raise ResourceCapError(
-            "non-prefix reduction enumerates the kept word basis; "
-            f"{small.total_modes} kept modes exceed {mode_cap() // 2}")
-    scale = shape.fock_dim // small.fock_dim
-    small_of = {relabel_word(small_mask, keep, small)[1]: small_mask
-                for small_mask in range(1 << small.majorana_count)}
-    coeffs = word_coefficients(dense.matrix, small_of, shape)
-    return to_matrix(OperatorExpansion(small, {
-        small_of[mask]: coeff * scale for mask, coeff in coeffs.items()}))
+    small = _kept_shape(dense.shape, k)
+    dim_keep = small.fock_dim
+    dim_rest = dense.shape.fock_dim // dim_keep
+    reshaped = dense.matrix.reshape(dim_keep, dim_rest, dim_keep, dim_rest)
+    return DenseOperator(small, np.einsum("ajbj->ab", reshaped))
 
 
 # -- spectral helpers ---------------------------------------------------------

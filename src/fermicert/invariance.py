@@ -263,7 +263,7 @@ def invariant_reduction(rho: OperatorExpansion, k: int,
         raise ValueError(
             "state is not permutation invariant: max violation "
             f"{inv_report.max_violation():.3e} > {INVARIANCE_TOL:.1e}")
-    return reduce_expansion(rho, range(1, k + 1))
+    return reduce_expansion(rho, k)
 
 
 def verify_lemma3(rho: OperatorExpansion, k: int,

@@ -14,6 +14,7 @@ corollary slope).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Dict, List, Sequence, Tuple
@@ -28,8 +29,8 @@ from .cumulants import (CUMULANT_TOL, FourierMemo, LadderIndex,
 from .definetti import best_mixture_approx, product_power, verify_theorem1
 from .fock import (DenseOperator, operator_norm, permutation_unitary,
                    reduce_expansion, to_matrix)
-from .invariance import (MuFamilyParams, check_invariance, mu_family_state,
-                         verify_lemma3)
+from .invariance import (InvarianceReport, MuFamilyParams, check_invariance,
+                         mu_family_state, verify_lemma3)
 from .meanfield import (BUILTIN_FAMILIES, HamiltonianSpec, MeanFieldResult,
                         ProductEnergyEvaluator, build_hamiltonian_expansion,
                         builtin_family, verify_gs_bound)
@@ -88,6 +89,15 @@ def _mu_state(V: int, mu: float) -> OperatorExpansion:
     return mu_family_state(MuFamilyParams(V, 1, mu), validate=False)
 
 
+@functools.lru_cache(maxsize=None)
+def _mu_case(V: int, mu: float) -> Tuple[OperatorExpansion, InvarianceReport]:
+    """The mu-family state with its :func:`check_invariance` report,
+    computed once per process and shared by check-invariance,
+    verify-lemma3 and verify-theorem1; neither is ever mutated."""
+    state = _mu_state(V, mu)
+    return state, check_invariance(state)
+
+
 # ---------------------------------------------------------------------------
 # check-algebra
 # ---------------------------------------------------------------------------
@@ -101,9 +111,8 @@ def run_check_algebra(seed: int = 0, cases: int = 500) -> Tuple[List[Verificatio
     """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    rows = []
-    worst = 0.0
     per_shape = {shape: 0 for shape in SMALL_SHAPES}
+    shape_worst = {shape: 0.0 for shape in SMALL_SHAPES}
     for i in range(cases):
         shape = SMALL_SHAPES[i % len(SMALL_SHAPES)]
         per_shape[shape] += 1
@@ -118,9 +127,9 @@ def run_check_algebra(seed: int = 0, cases: int = 500) -> Tuple[List[Verificatio
         u = permutation_unitary(pi, shape).matrix
         dev = max(dev, float(np.max(np.abs(
             to_matrix(permuted).matrix - u @ ma @ u.conj().T))))
-        worst = max(worst, dev)
-    for shape, n in per_shape.items():
-        rows.append([f"({shape.sites},{shape.modes_per_site})", n, worst])
+        shape_worst[shape] = max(shape_worst[shape], dev)
+    rows = [[f"({shape.sites},{shape.modes_per_site})", n, shape_worst[shape]]
+            for shape, n in per_shape.items()]
 
     anti_worst = 0.0
     for shape in SMALL_SHAPES:
@@ -139,7 +148,7 @@ def run_check_algebra(seed: int = 0, cases: int = 500) -> Tuple[List[Verificatio
     reports = [
         make_report("algebra-oracle", INEQUALITY,
                     {"cases": cases, "shapes": len(SMALL_SHAPES)},
-                    worst, 0.0, 1e-10, elapsed),
+                    max(shape_worst.values()), 0.0, 1e-10, elapsed),
         make_report("anticommutation", INEQUALITY,
                     {"max_majoranas": 8}, anti_worst, 0.0, 1e-12, elapsed),
     ]
@@ -197,8 +206,7 @@ def run_check_invariance() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     for V in V_SWEEP:
         for mu in MU_SWEEP:
             start = time.perf_counter()
-            state = _mu_state(V, mu)
-            rep = check_invariance(state)
+            _, rep = _mu_case(V, mu)
             elapsed = time.perf_counter() - start
             rows.append([V, mu, rep.condition1_max_violation,
                          rep.condition2_max_violation, rep.full_max_violation,
@@ -216,8 +224,7 @@ def run_check_invariance() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     # The even channel makes any permutation-invariant state fully
     # invariant, and kills the odd-odd pair correlators.
     start = time.perf_counter()
-    state = _mu_state(6, 1.0)
-    channel = state.even_channel()
+    channel = _mu_case(6, 1.0)[0].even_channel()
     rep = check_invariance(channel)
     shape = channel.shape
     pair = (1 << shape.bit_position(1, 1)) | (1 << shape.bit_position(2, 1))
@@ -242,8 +249,7 @@ def run_verify_lemma3() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     rows = []
     for V in V_SWEEP:
         for mu in MU_SWEEP:
-            state = _mu_state(V, mu)
-            inv = check_invariance(state)
+            state, inv = _mu_case(V, mu)
             prev = -1.0
             for k in range(1, V):
                 rep = verify_lemma3(state, k, inv_report=inv,
@@ -271,8 +277,7 @@ def run_verify_theorem1(seed: int = 3) -> Tuple[List[VerificationReport], Dict[s
     rows = []
     for V in V_SWEEP:
         for mu in MU_SWEEP:
-            state = _mu_state(V, mu)
-            inv = check_invariance(state)
+            state, inv = _mu_case(V, mu)
             for k in range(1, V):
                 rep, mixture, diag = verify_theorem1(
                     state, k, seed=seed, inv_report=inv, inputs={"mu": mu})
@@ -463,7 +468,7 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
     state = _mu_state(V, 1.0)
     for k in (2, 3, 4):
         start = time.perf_counter()
-        rho_k = to_matrix(reduce_expansion(state, range(1, k + 1)))
+        rho_k = to_matrix(reduce_expansion(state, k))
         mixture = best_mixture_approx(rho_k, seed=seed).mixture
         rep = verify_corollary(rho_k, mixture, V=V)
         rep.inputs["source"] = "mu-family"
@@ -562,7 +567,7 @@ def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Ta
     state = _mu_state(6, 0.5)
     mixtures = []
     for k in (2, 3):
-        rho_k = to_matrix(reduce_expansion(state, range(1, k + 1)))
+        rho_k = to_matrix(reduce_expansion(state, k))
         mixtures.append(best_mixture_approx(rho_k, seed=seed).mixture)
     for spec, e_min in minima:
         h_exp, _ = build_hamiltonian_expansion(spec)

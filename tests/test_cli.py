@@ -65,8 +65,8 @@ class TestReports:
 
 class TestCliSingleCommands:
     def test_lemma3_instance(self, tmp_path, capsys):
-        code = main(["--out", str(tmp_path), "verify-lemma3", "--family",
-                     "mu", "--V", "6", "--p", "1", "--mu", "1", "--k", "2"])
+        code = main(["--out", str(tmp_path), "verify-lemma3", "--V", "6",
+                     "--p", "1", "--mu", "1", "--k", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "lemma3" in out and "PASS" in out
@@ -104,6 +104,38 @@ class TestCliSingleCommands:
         code = main(["--out", str(tmp_path), "verify-lemma3", "--fixture",
                      str(fixture), "--V", "6", "--p", "1", "--k", "2"])
         assert code == 0
+
+    def test_fixture_report_names_the_fixture(self, tmp_path):
+        # The report names the fixture that ran, not the family's mu.
+        from fermicert.algebra import expansion_to_text
+        from fermicert.invariance import MuFamilyParams, mu_family_state
+        state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
+        fixture = tmp_path / "state.txt"
+        fixture.write_text(expansion_to_text(state))
+        assert main(["--out", str(tmp_path), "verify-lemma3", "--fixture",
+                     str(fixture), "--V", "6", "--k", "2"]) == 0
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            (claim,) = csv.DictReader(fh)
+        assert claim["inputs"] == "V=6;fixture=state.txt;k=2;p=1"
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["verify-lemma3", "--k", "2", "--V", "6", "--fixture", "x.txt",
+          "--mu", "0.9"], ("--fixture", "--mu")),
+        (["verify-theorem1", "--seed", "0", "--k", "2", "--V", "6",
+          "--fixture", "x.txt", "--mu", "0.9"], ("--fixture", "--mu")),
+        (["gs-bound", "--seed", "1", "--config", "cfg.json",
+          "--hamiltonian", "pair-exchange"], ("--config", "--hamiltonian")),
+        (["gs-bound", "--seed", "1", "--config", "cfg.json", "--V", "9"],
+         ("--config", "--V")),
+    ], ids=["lemma3-fixture-mu", "theorem1-fixture-mu",
+            "gs-config-hamiltonian", "gs-config-V"])
+    def test_two_sources_rejected(self, tmp_path, capsys, argv, flags):
+        # A fixture is the whole state and a config the whole Hamiltonian:
+        # a second source would be ignored, so it is a usage error.
+        assert main(["--out", str(tmp_path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+        assert not (tmp_path / "summary.csv").exists()
 
     @pytest.mark.parametrize("source", ["fixture", "family"])
     @pytest.mark.parametrize("mu, positive", [(1.0, False), (0.5, True)],

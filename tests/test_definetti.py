@@ -189,7 +189,7 @@ class TestBestMixture:
         # best distance is the trace norm of that term: tan(pi/12).
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
-        target = to_matrix(reduce_expansion(state, [1, 2]))
+        target = to_matrix(reduce_expansion(state, 2))
         mixture, dist, _ = best_mixture_approx(target, restarts=3, iters=100,
                                                seed=2)
         assert dist <= TAN6 + 1e-9
@@ -199,7 +199,7 @@ class TestBestMixture:
     def test_monotone_in_r(self):
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
-        target = to_matrix(reduce_expansion(state, [1, 2, 3]))
+        target = to_matrix(reduce_expansion(state, 3))
         prev = math.inf
         for r in (1, 2, 3):
             _, dist, _ = best_mixture_approx(target, r=r, restarts=2,
@@ -221,7 +221,7 @@ class TestBestMixture:
     def test_deterministic(self):
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
-        target = to_matrix(reduce_expansion(state, [1, 2]))
+        target = to_matrix(reduce_expansion(state, 2))
         _, d1, _ = best_mixture_approx(target, restarts=3, iters=50, seed=9)
         _, d2, _ = best_mixture_approx(target, restarts=3, iters=50, seed=9)
         assert d1 == d2
@@ -408,7 +408,7 @@ class TestDualLowerBound:
     def test_stops_at_the_first_proven_start(self, monkeypatch):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
-        target = to_matrix(reduce_expansion(state, [1, 2]))
+        target = to_matrix(reduce_expansion(state, 2))
         runs = []
         original = _MixtureOptimizer.run
 

@@ -18,8 +18,8 @@ from fermicert.fock import (MODE_CAP_ENV, DenseOperator, check_state,
                             hermitian_eig, jw_matrix, operator_norm,
                             partial_trace_sites, permutation_unitary,
                             reduce_expansion, to_expansion, to_matrix,
-                            trace_norm, word_coefficients,
-                            word_expectations_dense, word_string_entries)
+                            trace_norm, word_expectations_dense,
+                            word_string_entries)
 from fermicert.invariance import (MuFamilyParams, mu_family_state,
                                   words_up_to_degree)
 from fermicert.meanfield import (BUILTIN_FAMILIES,
@@ -38,17 +38,22 @@ def mask_of(shape, *indices):
     return out
 
 
+def moving_permutation(keep, sites):
+    """The site permutation carrying ``keep``, in order, to sites 1..k."""
+    order = list(keep) + [s for s in range(1, sites + 1) if s not in keep]
+    pi = [0] * sites
+    for new, old in enumerate(order, start=1):
+        pi[old - 1] = new
+    return pi
+
+
 def moved_prefix_reduction(rho, keep):
     """Reduction to ``keep`` without the word basis: conjugate by the site
     permutation that carries the kept sites, in order, to sites 1..k, then
     take the tensor-factor partial trace over the trailing sites."""
     shape = rho.shape
-    order = list(keep) + [s for s in range(1, shape.sites + 1)
-                          if s not in keep]
-    pi = [0] * shape.sites
-    for new, old in enumerate(order, start=1):
-        pi[old - 1] = new
-    u = permutation_unitary(pi, shape).matrix
+    u = permutation_unitary(moving_permutation(keep, shape.sites),
+                            shape).matrix
     moved = u @ rho.matrix @ u.conj().T
     dim_keep = 2 ** (shape.modes_per_site * len(keep))
     dim_rest = shape.fock_dim // dim_keep
@@ -178,10 +183,9 @@ class TestConversions:
     def test_word_coefficient_orthogonality(self, rng):
         sh = SystemShape(2, 1)
         a = random_expansion(sh, rng, n_terms=5)
-        dense = to_matrix(a).matrix
-        coeffs = word_coefficients(dense, range(16), sh)
-        for mask, coeff in coeffs.items():
-            assert abs(coeff - a.terms.get(mask, 0.0)) < 1e-12
+        coeffs = to_expansion(to_matrix(a)).terms
+        for mask in range(16):
+            assert abs(coeffs.get(mask, 0.0) - a.terms.get(mask, 0.0)) < 1e-12
 
     def test_mu_family_trace_one(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
@@ -194,44 +198,35 @@ class TestPartialTrace:
         sh1 = SystemShape(1, 1)
         xi = random_even_density_matrix(sh1, rng)
         big = DenseOperator(SystemShape(2, 1), np.kron(xi, xi))
-        red = partial_trace_sites(big, [1])
+        red = partial_trace_sites(big, 1)
         assert np.max(np.abs(red.matrix - xi)) < 1e-12
 
     def test_trace_preserved(self, rng):
         sh = SystemShape(3, 1)
         rho = DenseOperator(sh, random_density_matrix(sh.fock_dim, rng))
-        for keep in ([1], [1, 2], [2, 3], [1, 3]):
-            red = partial_trace_sites(rho, keep)
+        for k in (1, 2, 3):
+            red = partial_trace_sites(rho, k)
             assert abs(np.trace(red.matrix) - np.trace(rho.matrix)) < 1e-12
 
     def test_positivity_preserved(self, rng):
         sh = SystemShape(3, 1)
         rho = DenseOperator(sh, random_density_matrix(sh.fock_dim, rng))
-        red = partial_trace_sites(rho, [2, 3])
+        red = partial_trace_sites(rho, 2)
         assert float(np.linalg.eigvalsh(red.matrix)[0]) > -1e-12
 
     def test_mu_family_reduction_terms(self):
         # Reduction to two sites: identity/4 plus i tan(pi/12)/4 times the
         # two-site pair word.
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
-        red = reduce_expansion(state, [1, 2])
+        red = reduce_expansion(state, 2)
         sh2 = red.shape
         t = math.tan(math.pi / 12.0)
         pair = mask_of(sh2, (1, 1), (2, 1))
         assert len(red) == 2
         assert abs(red.terms[0] - 0.25) < 1e-15
         assert abs(red.terms[pair] - 0.25j * t) < 1e-15
-        dense_red = partial_trace_sites(to_matrix(state), [1, 2])
+        dense_red = partial_trace_sites(to_matrix(state), 2)
         assert np.max(np.abs(dense_red.matrix - to_matrix(red).matrix)) < 1e-12
-
-    def test_agrees_with_expansion_route_nonprefix(self, rng):
-        sh = SystemShape(3, 1)
-        rho = DenseOperator(sh, random_even_density_matrix(sh, rng))
-        red = partial_trace_sites(rho, [1, 3])
-        exp_route = to_expansion(red)
-        big_exp = to_expansion(rho)
-        sub = reduce_expansion(big_exp, [1, 3])
-        assert exp_route.max_coeff_diff(sub) < 1e-12
 
     @pytest.mark.parametrize("shape, keep", [
         (SystemShape(4, 1), [1, 3]), (SystemShape(4, 1), [2, 4]),
@@ -241,18 +236,24 @@ class TestPartialTrace:
                        if isinstance(v, SystemShape)
                        else "keep" + "".join(map(str, v))))
     def test_nonprefix_matches_moved_prefix_oracle(self, rng, shape, keep):
+        # Another site set is a relabeling away: permute the kept sites to
+        # the front, then keep the first k.
         rho = DenseOperator(shape, random_even_density_matrix(shape, rng))
         want = moved_prefix_reduction(rho, keep)
-        dense_route = partial_trace_sites(rho, keep).matrix
-        word_route = to_matrix(reduce_expansion(to_expansion(rho), keep))
-        assert np.max(np.abs(dense_route - want)) < 1e-12
-        assert np.max(np.abs(word_route.matrix - want)) < 1e-12
+        pi = moving_permutation(keep, shape.sites)
+        got = reduce_expansion(to_expansion(rho).apply_permutation(pi),
+                               len(keep))
+        assert np.max(np.abs(to_matrix(got).matrix - want)) < 1e-12
 
     def test_empty_keep_rejected(self, rng):
         sh = SystemShape(2, 1)
         rho = DenseOperator(sh, random_density_matrix(4, rng))
-        with pytest.raises(ValueError):
-            partial_trace_sites(rho, [])
+        state = to_expansion(rho)
+        for k in (0, sh.sites + 1):
+            with pytest.raises(ValueError, match="outside"):
+                partial_trace_sites(rho, k)
+            with pytest.raises(ValueError, match="outside"):
+                reduce_expansion(state, k)
 
 
 class TestSpectral:

@@ -183,7 +183,7 @@ class TestMuFamily:
             want = {0: 1.0 / 2 ** k}
             for a, b in itertools.combinations(range(1, k + 1), 2):
                 want[mask_of(sh, (a, 1), (b, 1))] = pair / 2 ** k
-            assert reduce_expansion(state, range(1, k + 1)).terms == want
+            assert reduce_expansion(state, k).terms == want
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -325,8 +325,8 @@ class TestVerifyLemma3:
 
     def test_k2_independent_eigen_oracle(self, mu1):
         state, _ = mu1
-        red = to_matrix(reduce_expansion(state, [1, 2])).matrix
-        channel = to_matrix(reduce_expansion(state.even_channel(), [1, 2])).matrix
+        red = to_matrix(reduce_expansion(state, 2)).matrix
+        channel = to_matrix(reduce_expansion(state.even_channel(), 2)).matrix
         eigs = np.linalg.eigvalsh(red - channel)
         assert abs(np.sum(np.abs(eigs)) - TAN6) < 1e-12
 
@@ -374,13 +374,18 @@ class TestVerifyLemma3:
         assert rep.condition2_max_violation == 0.0
 
     def test_reduction_site_choice_immaterial(self, mu1):
-        # Permutation invariance makes the reduced-site choice irrelevant.
+        # Permutation invariance makes the reduced-site choice irrelevant:
+        # the sites (2, 4), (3, 6) and (1, 5), moved in order to the front,
+        # reduce to the first-two-site state.
         state, _ = mu1
-        dense = to_matrix(state)
-        first = partial_trace_sites(dense, [1, 2]).matrix
-        for keep in ([2, 4], [3, 6], [1, 5]):
-            other = partial_trace_sites(dense, keep).matrix
+        first = partial_trace_sites(to_matrix(state), 2).matrix
+        for pi in ((3, 1, 4, 2, 5, 6), (3, 4, 1, 5, 6, 2),
+                   (1, 3, 4, 5, 2, 6)):
+            permuted = state.apply_permutation(pi)
+            other = partial_trace_sites(to_matrix(permuted), 2).matrix
             assert np.max(np.abs(first - other)) < 1e-12
+            symbolic = to_matrix(reduce_expansion(permuted, 2)).matrix
+            assert np.max(np.abs(first - symbolic)) < 1e-12
 
     def test_bound_formula(self):
         assert lemma3_bound(6, 1, 2) == pytest.approx(0.7698003589, abs=1e-9)

@@ -95,3 +95,95 @@ def test_detector_flags_write_only_locals():
               "    return g\n")
     assert write_only_locals(source) == [(3, "skipped"), (4, "i"),
                                          (10, "unused")]
+
+
+#: Top-level definitions that ``cli.main`` does not reach, each kept for
+#: the reason given.
+UNREACHED_ALLOWED = {
+    # Named in the benchmark's span list (perfbench/spans.py TARGETS).
+    "ladder_matrix": "benchmark span target",
+    "_dense": "the dense kernel of ladder_matrix",
+    "expectation_word_dense": "benchmark span target",
+    "ground_state": "benchmark span target",
+    # Independent oracles that the tests compare the package against.
+    "even_partitions": "test oracle for the cumulant partitions",
+    "moment_from_cumulant_fn": "test oracle for moment-cumulant inversion",
+    "fourier_ladder_matrix": "test oracle for the Fourier ladder products",
+    "mixture_matrix": "test oracle for the mixture density matrix",
+    "build_hamiltonian": "test oracle for the sparse Hamiltonian",
+    "circulant_spectrum": "test oracle: the closed form with no fallback",
+    # Public API, exported by the package.
+    "expansion_to_text": "writes the fixture format that --fixture reads",
+    "to_expansion": "dense-to-symbolic conversion",
+    "hermitian_eig": "eigendecomposition with the Hermiticity check",
+    "is_order_preserving": "condition (1) of the invariance definition",
+    "SingularSpectrumError": "what circulant_spectrum raises",
+}
+
+
+def top_level_definitions(sources):
+    """Functions, classes and assigned names at module level, as a map
+    from name to the AST nodes that define it, over ``sources`` (module
+    name -> source text)."""
+    defs = {}
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defs.setdefault(name.id, []).append(node)
+    return defs
+
+
+def unreached_definitions(sources, root="main"):
+    """Top-level names that no chain of references from ``root`` reaches.
+
+    Matching is by name alone: a definition is reached when a reached
+    definition mentions its name, as a name or an attribute, anywhere in
+    its body, decorators or annotations.  The allowlist exempts names but
+    does not make them roots, so a helper that only an allowlisted
+    function calls is still reported.
+    """
+    defs = top_level_definitions(sources)
+    reached, stack = {root}, [root]
+    while stack:
+        for node in defs.get(stack.pop(), []):
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name) else
+                        sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name in defs and name not in reached:
+                    reached.add(name)
+                    stack.append(name)
+    return sorted(defs.keys() - reached)
+
+
+def test_every_definition_reached_from_main():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert "main" in top_level_definitions({"cli": sources["cli"]})
+    unreached = unreached_definitions(sources)
+    assert sorted(set(unreached) - UNREACHED_ALLOWED.keys()) == []
+    # No stale entries: each exempt name exists and is really unreached.
+    assert sorted(UNREACHED_ALLOWED.keys() - set(unreached)) == []
+
+
+def test_detector_flags_helpers_of_exempt_functions():
+    # A word-coefficient helper that only the exempt to_expansion calls is
+    # reported; helpers that main reaches, even through an attribute of an
+    # imported module, are not.
+    sources = {
+        "cli": ("from . import fock\n"
+                "def main():\n    return fock.reduce_expansion(1)\n"),
+        "fock": ("LIMIT = 4\n"
+                 "def _kept(k):\n    return k < LIMIT\n"
+                 "def reduce_expansion(k):\n    return _kept(k)\n"
+                 "def word_coefficients(m):\n    return m\n"
+                 "def to_expansion(m):\n    return word_coefficients(m)\n"),
+    }
+    assert unreached_definitions(sources) == ["to_expansion",
+                                              "word_coefficients"]
