@@ -25,6 +25,7 @@ new object, so sharing across threads is safe.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
@@ -396,7 +397,8 @@ def expansion_to_text(op: OperatorExpansion) -> str:
 
 
 def expansion_from_text(text: str, shape: SystemShape) -> OperatorExpansion:
-    """Parse the fixture text format produced by :func:`expansion_to_text`."""
+    """Parse the fixture text format produced by :func:`expansion_to_text`;
+    a coefficient that is not finite is rejected with its line."""
     terms: Dict[int, complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -407,6 +409,9 @@ def expansion_from_text(text: str, shape: SystemShape) -> OperatorExpansion:
             raise ValueError(f"line {lineno}: expected 're im word', got {raw!r}")
         re_part, im_part, word = fields
         coeff = complex(float(re_part), float(im_part))
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"line {lineno}: coefficient {coeff} is not "
+                             "finite")
         if word == "1":
             mask = 0
             sign = 1

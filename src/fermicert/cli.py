@@ -13,12 +13,12 @@ verifiers: this module decides no verdict, and its table columns come
 from :data:`suites.TABLES`.  A single command adds notes only: the input
 state's validity and, for Theorem 1, the component purities.
 
-Instance arguments (``--V``, ``--mu``, ``--fixture``, ``--restarts``
-and the like) need their selector: without it the command runs its suite,
-so they are a usage error (exit 2), not silently dropped.  An instance has
-one source: a fixture is the whole state and a config the whole
-Hamiltonian, so ``--fixture`` with ``--mu``, and ``--config`` with
-``--hamiltonian`` or ``--V``, are usage errors too.
+Instance arguments (``--V``, ``--mu``, ``--fixture`` and the like) need
+their selector: without it the command runs its suite, so they are a
+usage error (exit 2), not silently dropped.  An instance has one source:
+a fixture is the whole state and a config the whole Hamiltonian, so
+``--fixture`` with ``--mu``, and ``--config`` with ``--hamiltonian`` or
+``--V``, are usage errors too.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
     validity is checked.  The bound certifications run on the Hermitian
     unit-trace operator, so with --strict-state an input that is not a
     valid state (unit trace, positive) is a usage error; otherwise the run
-    goes on and a failing minimum eigenvalue comes back as a report note.
+    goes on and each failed check (trace, positivity, parity) is a note.
     """
     if args.V is None:
         raise ValueError("--V is required with --k")
@@ -85,12 +85,17 @@ def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
         raise ValueError(
             f"input is not a valid state: trace {validity.trace_value:.6g}, "
             f"min eigenvalue {validity.min_eigenvalue:.3e}")
-    if validity.positive_ok:
-        return state, inputs, []
-    return state, inputs, [
-        f"input operator is not positive (min eigenvalue "
-        f"{validity.min_eigenvalue:.3e}); bound certified for the "
-        "Hermitian unit-trace operator"]
+    notes = []
+    if not validity.positive_ok:
+        notes.append(f"input operator is not positive (min eigenvalue "
+                     f"{validity.min_eigenvalue:.3e}); bound certified for "
+                     "the Hermitian unit-trace operator")
+    if not validity.trace_ok:
+        notes.append(f"input operator has trace {validity.trace_value:.6g}, "
+                     "not 1; the bound is stated for unit trace")
+    if not validity.parity_ok:
+        notes.append("input operator breaks parity superselection")
+    return state, inputs, notes
 
 
 def _write_outputs(out: Path, command: str, reports, tables):
@@ -155,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     th = add("verify-theorem1", "product-mixture approximation certification",
              seed="required")
     _add_state_args(th)
-    th.add_argument("--restarts", type=int)
-    th.add_argument("--iters", type=int)
-    th.add_argument("--r", type=int, help="number of mixture components")
 
     add("verify-clt", "Fourier-cumulant factorization and suppression")
     add("verify-corollary", "Gaussian-mixture deviation scaling",
@@ -181,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON Hamiltonian spec (template as expansion "
                          "text; subsets list or 'all-k-subsets'); excludes "
                          "--hamiltonian and --V")
-    gs.add_argument("--restarts", type=int)
-    gs.add_argument("--iters", type=int)
 
     add("all", "every suite, fixed order", seed="required")
     return parser
@@ -197,9 +197,8 @@ def _single_lemma3(args) -> Run:
 
 def _single_theorem1(args) -> Run:
     state, inputs, notes = _load_state(args)
-    rep, _, diag = verify_theorem1(
-        state, args.k, r=args.r, restarts=args.restarts, iters=args.iters,
-        seed=args.seed, inputs=inputs)
+    rep, _, diag = verify_theorem1(state, args.k, seed=args.seed,
+                                   inputs=inputs)
     rep.notes.append(f"component purities {diag['purities']}")
     rep.notes.extend(notes)
     return [rep], {}
@@ -217,22 +216,31 @@ def _single_rdm(args) -> Run:
 
 
 def _hamiltonian_from_config(path: Path) -> HamiltonianSpec:
+    """The Hamiltonian a JSON config names; a field of the wrong JSON type
+    is a usage error, never coerced."""
     if not path.exists():
         raise FileNotFoundError(f"config not found: {path}")
     cfg = json.loads(path.read_text())
-    for key in ("V", "p", "k", "template"):
-        if key not in cfg:
-            raise ValueError(f"config is missing the key {key!r}")
-    V, p, k = int(cfg["V"]), int(cfg["p"]), int(cfg["k"])
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    V, p, k, text = (cfg.get(key) for key in ("V", "p", "k", "template"))
+    subsets = cfg.get("subsets", "all-k-subsets")
+    normalize = cfg.get("normalize", False)
+    # type(), not isinstance(): a JSON true is no integer.
+    if not (type(V) is type(p) is type(k) is int
+            and type(text) is str and type(normalize) is bool
+            and (subsets == "all-k-subsets" or type(subsets) is list and all(
+                type(sub) is list and all(type(s) is int for s in sub)
+                for sub in subsets))):
+        raise ValueError("config needs integers V, p and k, template text, "
+                         "subsets \"all-k-subsets\" or a list of integer "
+                         "lists, and normalize true or false")
     shape = SystemShape(V, p)
-    template = expansion_from_text(cfg["template"], SystemShape(k, p))
-    subsets_cfg = cfg.get("subsets", "all-k-subsets")
-    if subsets_cfg == "all-k-subsets":
-        subsets = tuple(itertools.combinations(range(1, V + 1), k))
-    else:
-        subsets = tuple(tuple(int(s) for s in sub) for sub in subsets_cfg)
-    return HamiltonianSpec(shape, subsets, template,
-                           normalize=bool(cfg.get("normalize", False)),
+    template = expansion_from_text(text, SystemShape(k, p))
+    if subsets == "all-k-subsets":
+        subsets = itertools.combinations(range(1, V + 1), k)
+    return HamiltonianSpec(shape, tuple(map(tuple, subsets)), template,
+                           normalize=normalize,
                            name=str(cfg.get("name", "custom")))
 
 
@@ -241,8 +249,7 @@ def _single_gs(args) -> Run:
         spec = _hamiltonian_from_config(Path(args.config))
     else:
         spec = builtin_family(args.hamiltonian, args.V)
-    result, rep = verify_gs_bound(spec, restarts=args.restarts,
-                                  iters=args.iters, seed=args.seed)
+    result, rep = verify_gs_bound(spec, seed=args.seed)
     return [rep], {"gsbound": suites.table(
         "gsbound", [suites.gs_bound_row(spec, result, rep)])}
 
@@ -254,11 +261,9 @@ _STATE = dict(V=None, p=1, mu=1.0, fixture=None, strict_state=False)
 #: so one given without a selector is rejected rather than dropped.
 SINGLE = {
     "verify-lemma3": (("--k",), _single_lemma3, _STATE),
-    "verify-theorem1": (("--k",), _single_theorem1,
-                        dict(_STATE, restarts=8, iters=500, r=None)),
+    "verify-theorem1": (("--k",), _single_theorem1, _STATE),
     "rdm-spectrum": (("--a",), _single_rdm, dict(V=None, b_re=0.0, b_im=0.0)),
-    "gs-bound": (("--hamiltonian", "--config"), _single_gs,
-                 dict(V=6, restarts=8, iters=3)),
+    "gs-bound": (("--hamiltonian", "--config"), _single_gs, dict(V=6)),
 }
 
 #: Pairs of arguments that name two sources for one instance: a fixture

@@ -490,8 +490,9 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
     are within :data:`STOP_GAP`, which proves the witness optimal, or the
     distance is below :data:`EXACT_HIT`.
 
-    ``restarts`` and ``iters`` only matter where the two bounds do not
-    meet early.  The target need not be positive: the search runs on any
+    ``r``, ``restarts`` and ``iters`` are the search's own, which no
+    verifier passes; the budget only matters where the bounds do not meet
+    early.  The target need not be positive: the search runs on any
     Hermitian operator, and callers check state validity where a state
     enters from outside.  Raises ``ValueError`` when the target has a
     nonzero entry between the even and odd global-parity sectors.
@@ -568,8 +569,7 @@ def theorem1_bound_tight_spin(V: int, p: int, k: int) -> float:
     return lemma3_bound(V, p, k) + 2.0 * (2.0 ** p) * k / V
 
 
-def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
-                    restarts: int = 8, iters: int = 500, seed: int = 0,
+def verify_theorem1(rho: OperatorExpansion, k: int, seed: int = 0,
                     inv_report: Optional[InvarianceReport] = None,
                     inputs: Optional[Dict[str, object]] = None
                     ) -> Tuple[VerificationReport, ProductMixture,
@@ -590,8 +590,7 @@ def verify_theorem1(rho: OperatorExpansion, k: int, r: Optional[int] = None,
     if inv_report is None:
         inv_report = check_invariance(rho)
     reduction = to_matrix(invariant_reduction(rho, k, inv_report))
-    mixture, dist, lower = best_mixture_approx(
-        reduction, r=r, restarts=restarts, iters=iters, seed=seed)
+    mixture, dist, lower = best_mixture_approx(reduction, seed=seed)
     rhs, tol = theorem1_bound(V, p, k), 1e-9
     notes = [
         f"suppression term {lemma3_bound(V, p, k):.6g}",

@@ -63,7 +63,7 @@ class MuFamilyParams:
             raise ValueError("mu family needs at least 2 sites")
         if self.modes_per_site < 1:
             raise ValueError("modes_per_site must be >= 1")
-        if abs(self.mu) > 1.0:
+        if not abs(self.mu) <= 1.0:  # NaN fails this form
             raise ValueError(f"|mu| must be <= 1, got {self.mu}")
 
     @property

@@ -224,8 +224,8 @@ class ProductEnergyEvaluator:
         return float(total.real)
 
 
-def min_product_energy(h_exp: OperatorExpansion, restarts: int = 8,
-                       iters: int = 3, seed: int = 0
+def min_product_energy(h_exp: OperatorExpansion, restarts: int = 4,
+                       iters: int = 2, seed: int = 0
                        ) -> Tuple[DenseOperator, float]:
     """Minimize tr(H xi^(x V)) over even single-site states xi, returned
     on ``SystemShape(1, p)`` with their energy.
@@ -292,8 +292,8 @@ def gs_bound(V: int, p: int, k: int) -> float:
     return (4.0 ** p) * k ** 1.5 / V
 
 
-def verify_gs_bound(spec: HamiltonianSpec, restarts: int = 8, iters: int = 3,
-                    seed: int = 0) -> Tuple[MeanFieldResult, VerificationReport]:
+def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
+                    ) -> Tuple[MeanFieldResult, VerificationReport]:
     """Certify the product-state energy gap of one Hamiltonian family.
 
     The exact ground energy and ground space come from
@@ -303,10 +303,10 @@ def verify_gs_bound(spec: HamiltonianSpec, restarts: int = 8, iters: int = 3,
     :data:`invariance.DENSE_INVARIANCE_TOL`) on the uniform mixture over
     that ground space, read from its isometry; a violation labels the
     result "precondition failed" but the gap numbers are still reported.
-    A failed bound triggers one retry with doubled optimizer effort before
-    the verdict is final.  A negative gap fails the claim: no product
-    state undercuts the exact ground energy.  A single CLI run gets the
-    same verdict as the suite row.
+    The product energy comes from one :func:`min_product_energy` search at
+    its default budget, an upper bound, so the gap is one too.  A negative
+    gap fails the claim: no product state undercuts the exact ground
+    energy.  A single CLI run gets the same verdict as the suite row.
     """
     start = time.perf_counter()
     h_exp, notes = build_hamiltonian_expansion(spec)
@@ -314,16 +314,10 @@ def verify_gs_bound(spec: HamiltonianSpec, restarts: int = 8, iters: int = 3,
     inv = check_invariance_dense(ground)
     precondition_ok = inv.max_violation() <= DENSE_INVARIANCE_TOL
 
-    _, e_prod = min_product_energy(h_exp, restarts=restarts, iters=iters,
-                                   seed=seed)
+    _, e_prod = min_product_energy(h_exp, seed=seed)
     V, p = spec.shape.sites, spec.shape.modes_per_site
     bound, tol = gs_bound(V, p, spec.k), 1e-6
     gap = e_prod - e_gs
-    if gap > bound + tol:
-        _, e_prod = min_product_energy(h_exp, restarts=2 * restarts,
-                                       iters=2 * iters, seed=seed)
-        gap = e_prod - e_gs
-        notes.append("bound missed on the first pass; optimizer retried")
     if not precondition_ok:
         notes.append("precondition failed: ground state is not permutation "
                      f"invariant (violation {inv.max_violation():.3e})")

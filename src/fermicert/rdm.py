@@ -4,8 +4,8 @@ For a single mode per site the 1-RDM of a permutation-invariant state has
 constant diagonal a = N/V and constant lower off-diagonal b (conjugated
 above the diagonal).  Its spectrum is available in closed form, with a
 separate real-b branch; the complex branch has isolated removable
-singularities which are detected and reported rather than guessed, and the
-direct eigensolver serves as the oracle there.
+singularities which are detected and reported rather than guessed; there
+the trace rule gives the one missing eigenvalue.
 """
 
 from __future__ import annotations
@@ -142,23 +142,17 @@ def _circulant_values(params: CirculantParams):
 
 
 def circulant_spectrum_with_fallback(params: CirculantParams):
-    """Closed-form values with direct diagonalization filling singular k.
+    """Closed-form values with the trace rule filling the singular k.
 
-    Returns (values, singular_ks); comparisons against the formula should
-    exclude the singular entries, whose values here come from the oracle.
+    The k-th denominator vanishes where 2 pi k / V = 2 phi / V mod 2 pi;
+    the left side steps by 2 pi / V, so at most one k is singular, and it
+    gets the trace V a minus the other values.  Returns
+    (values, singular_ks); comparisons against the formula should exclude
+    the singular entries, whose values here do not come from the formula.
     """
     values, singular = _circulant_values(params)
     if singular:
-        direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
-        healthy = np.sort(values[~np.isnan(values)])
-        # Assign the leftover oracle eigenvalues to the singular slots.
-        used = np.zeros(len(direct), dtype=bool)
-        for lam in healthy:
-            idx = int(np.argmin(np.where(used, np.inf, np.abs(direct - lam))))
-            used[idx] = True
-        leftovers = iter(direct[~used])
-        for k in singular:
-            values[k] = next(leftovers)
+        values[singular] = params.V * params.a - np.nansum(values)
     return values, singular
 
 
@@ -172,7 +166,7 @@ def compare_circulant_spectrum(params: CirculantParams
     not the formula index; the largest deviation over the rows whose
     formula value does not come from a singular formula index; and those
     singular indices of :func:`circulant_spectrum_with_fallback`, whose
-    values come from the eigensolver itself.
+    values come from the trace rule.
     """
     values, singular = circulant_spectrum_with_fallback(params)
     direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))

@@ -555,7 +555,7 @@ def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Ta
     minima = []
     for name in BUILTIN_FAMILIES:
         spec = builtin_family(name, 6)
-        result, rep = verify_gs_bound(spec, restarts=4, iters=2, seed=seed)
+        result, rep = verify_gs_bound(spec, seed=seed)
         reports.append(rep)
         rows.append(gs_bound_row(spec, result, rep))
         if spec.shape.modes_per_site == 1:

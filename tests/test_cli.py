@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, outputs, determinism of CSV bytes."""
 
+import argparse
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from fermicert import suites
-from fermicert.cli import main
+from fermicert.cli import SINGLE, build_parser, main
 from fermicert.fock import MODE_CAP_ENV
 from fermicert.report import (INEQUALITY, EQUALITY, make_report,
                               render_reports, reports_to_rows, write_csv)
@@ -137,6 +138,47 @@ class TestCliSingleCommands:
         assert all(flag in err for flag in flags), err
         assert not (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fixture_exit_2(self, tmp_path, capsys, value):
+        # A NaN coefficient would drop out of the expansion unseen, and an
+        # infinite one would reach the bound as a NaN spectrum.
+        fixture = tmp_path / "state.txt"
+        fixture.write_text(f"0.015625 0 1\n{value} 0 (1,1)(2,1)\n")
+        assert main(["--out", str(tmp_path), "verify-lemma3", "--V", "6",
+                     "--k", "2", "--fixture", str(fixture)]) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_nan_mu_exit_2(self, tmp_path, capsys):
+        # NaN would otherwise pass |mu| <= 1 unseen and build mu = 0.
+        assert main(["--out", str(tmp_path), "verify-lemma3", "--V", "6",
+                     "--k", "2", "--mu", "nan"]) == 2
+        assert "|mu| must be <= 1" in capsys.readouterr().err
+
+    def test_trace_note(self, tmp_path, capsys):
+        # The identity at V = 6 is positive with trace 64: the run goes on,
+        # and the report says why its numbers are off scale.
+        fixture = tmp_path / "state.txt"
+        fixture.write_text("1 0 1\n")
+        note = "input operator has trace 64+0j, not 1"
+        for command, code in (["verify-lemma3"], 0), (
+                ["verify-theorem1", "--seed", "0"], 1):
+            assert main(["--out", str(tmp_path), *command, "--V", "6",
+                         "--k", "2", "--fixture", str(fixture)]) == code
+            out = capsys.readouterr().out
+            assert note in out
+            assert "not positive" not in out
+
+    def test_parity_note(self, tmp_path, capsys):
+        # Single Majorana terms, one per site, break parity
+        # superselection; the Lemma-3 run goes on and says so.
+        fixture = tmp_path / "state.txt"
+        fixture.write_text("0.015625 0 1\n" + "".join(
+            f"0.001 0 ({j},1)\n" for j in range(1, 7)))
+        assert main(["--out", str(tmp_path), "verify-lemma3", "--V", "6",
+                     "--k", "2", "--fixture", str(fixture)]) == 0
+        assert "breaks parity superselection" in capsys.readouterr().out
+
     @pytest.mark.parametrize("source", ["fixture", "family"])
     @pytest.mark.parametrize("mu, positive", [(1.0, False), (0.5, True)],
                              ids=["mu1", "mu0.5"])
@@ -169,17 +211,35 @@ class TestCliSingleCommands:
 
     def test_resource_cap_exit_3(self, tmp_path):
         code = main(["--out", str(tmp_path), "verify-theorem1", "--seed",
-                     "0", "--V", "14", "--mu", "0.0", "--k", "13",
-                     "--restarts", "1", "--iters", "5"])
+                     "0", "--V", "14", "--mu", "0.0", "--k", "13"])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-theorem1", "--restarts", "1"],
+        ["verify-theorem1", "--iters", "5"],
+        ["verify-theorem1", "--r", "0"],
+        ["gs-bound", "--hamiltonian", "pair-hopping", "--restarts", "1"],
+        ["gs-bound", "--hamiltonian", "pair-hopping", "--iters", "5"],
+    ], ids=["theorem1-restarts", "theorem1-iters", "theorem1-r",
+            "gs-restarts", "gs-iters"])
+    def test_search_budget_is_no_option(self, tmp_path, argv):
+        # The searches own their budgets: a budget flag is unknown to the
+        # parser, which exits 2 before anything runs.
+        command, rest = argv[0], argv[1:]
+        single = {"verify-theorem1": ["--V", "6", "--mu", "0.5", "--k", "2"],
+                  "gs-bound": ["--V", "6"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), command, "--seed", "0", *single,
+                  *rest])
+        assert exc.value.code == 2
+        assert not (tmp_path / "summary.csv").exists()
 
     @pytest.mark.parametrize("argv, selector", [
         (["verify-lemma3", "--V", "7", "--mu", "0.3", "--fixture",
           "missing.txt"], "--k"),
-        (["verify-theorem1", "--seed", "0", "--V", "9", "--mu", "0.2",
-          "--restarts", "1"], "--k"),
-        (["gs-bound", "--seed", "1", "--V", "8", "--restarts", "1"],
-         "--hamiltonian or --config"),
+        (["verify-theorem1", "--seed", "0", "--V", "9", "--mu", "0.2"],
+         "--k"),
+        (["gs-bound", "--seed", "1", "--V", "8"], "--hamiltonian or --config"),
         (["rdm-spectrum", "--V", "5", "--b-re", "0.1"], "--a"),
     ], ids=["lemma3", "theorem1", "gs-bound", "rdm-spectrum"])
     def test_instance_arguments_need_their_selector(self, tmp_path, capsys,
@@ -243,6 +303,31 @@ class TestCliSingleCommands:
         code = main(["--out", str(tmp_path), "gs-bound", "--seed", "1",
                      "--config", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("change", [
+        {"template": 5},
+        {"subsets": [[1], 3]},
+        {"subsets": [[1], ["2"]]},
+        {"V": "4"},
+        {"k": 1.0},
+        # A norm-2 template is rejected unless normalize is true; "no" is
+        # not true, though bool("no") is.
+        {"template": "0 -2 (1,1)(1,2)", "normalize": "no"},
+        7,
+    ], ids=["template-int", "subsets-int", "subsets-str", "V-str",
+            "k-float", "normalize-str", "not-an-object"])
+    def test_gs_malformed_config_exit_2(self, tmp_path, capsys, change):
+        # A field of the wrong JSON type is a usage error, not a traceback
+        # and not a coerced value.
+        cfg = {"V": 4, "p": 1, "k": 1, "template": "0 -1 (1,1)(1,2)",
+               "subsets": [[1], [2], [3], [4]]}
+        cfg = {**cfg, **change} if isinstance(change, dict) else change
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), "gs-bound", "--seed", "1",
+                     "--config", str(path)]) == 2
+        assert "config" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
 
 
 class TestCliSuites:
@@ -320,10 +405,11 @@ class TestCliSuiteParity:
         assert ";" not in extra
 
     def test_gs_bound_rows(self, tmp_path):
+        # With no flags beyond the instance, a single command searches at
+        # the suite's budget and writes the suite's rows.
         single, suite = tmp_path / "single", tmp_path / "suite"
         assert main(["--out", str(single), "gs-bound", "--hamiltonian",
-                     "pair-hopping", "--V", "6", "--seed", "13",
-                     "--restarts", "4", "--iters", "2"]) == 0
+                     "pair-hopping", "--V", "6", "--seed", "13"]) == 0
         assert main(["--out", str(suite), "gs-bound", "--seed", "13"]) == 0
         prefix = "gs-bound,inequality,V=6;family=pair-hopping;"
         assert (_line_starting(single / "summary.csv", prefix)
@@ -333,6 +419,20 @@ class TestCliSuiteParity:
         assert single_rows[0] == suite_rows[0]
         assert single_rows[1:] == [
             row for row in suite_rows[1:] if row.startswith("pair-hopping,")]
+
+
+def test_single_defaults_match_the_options():
+    # An instance option missing from SINGLE would be dropped silently in
+    # suite mode, and a SINGLE entry without an option is dead.
+    parser = build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for command, sub in commands.items():
+        selectors, _, defaults = SINGLE.get(command, ((), None, {}))
+        options = {action.dest for action in sub._actions
+                   if action.option_strings and action.dest != "help"}
+        options -= {"seed"} | {flag[2:] for flag in selectors}
+        assert options == set(defaults), command
 
 
 @pytest.mark.parametrize("command", list(suites.TABLES))

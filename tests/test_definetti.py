@@ -429,8 +429,7 @@ class TestDualLowerBound:
         # Stated bound below the dual bound tan(pi/12): no mixture meets it.
         monkeypatch.setattr(definetti, "theorem1_bound",
                             lambda V, p, k: TAN6 - 1e-6)
-        rep, _, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
-                                    inv_report=inv)
+        rep, _, _ = verify_theorem1(state, 2, seed=3, inv_report=inv)
         assert not rep.passed
         assert any("refuted" in n for n in rep.notes)
 
@@ -440,8 +439,7 @@ class TestDualLowerBound:
             return fit._replace(distance=0.0)
 
         monkeypatch.setattr(definetti, "best_mixture_approx", lucky)
-        rep, _, _ = verify_theorem1(state, 2, restarts=2, iters=60, seed=3,
-                                    inv_report=inv)
+        rep, _, _ = verify_theorem1(state, 2, seed=3, inv_report=inv)
         assert rep.lhs == 0.0
         assert not rep.passed
         assert any("refuted" in n for n in rep.notes)
@@ -450,8 +448,7 @@ class TestDualLowerBound:
 class TestVerifyTheorem1:
     def test_mu_zero_exact(self):
         state = mu_family_state(MuFamilyParams(6, 1, 0.0))
-        rep, mixture, diag = verify_theorem1(state, 2, restarts=2, iters=50,
-                                             seed=3)
+        rep, mixture, diag = verify_theorem1(state, 2, seed=3)
         assert rep.passed and rep.lhs < 1e-6
         assert diag == mixture_diagnostics(mixture)
         assert diag["components_valid"] and diag["components_even"]
@@ -459,8 +456,7 @@ class TestVerifyTheorem1:
     def test_mu_one_k2(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         inv = check_invariance(state)
-        rep, _, diag = verify_theorem1(state, 2, restarts=3, iters=100,
-                                       seed=3, inv_report=inv)
+        rep, _, diag = verify_theorem1(state, 2, seed=3, inv_report=inv)
         assert rep.passed
         assert rep.rhs == pytest.approx(0.7698003589 + 8.0 * 2.0 / 6.0,
                                         abs=1e-9)
@@ -469,8 +465,7 @@ class TestVerifyTheorem1:
     def test_k3_bound_flags_diameter(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         inv = check_invariance(state)
-        rep, _, _ = verify_theorem1(state, 3, restarts=2, iters=60, seed=3,
-                                    inv_report=inv)
+        rep, _, _ = verify_theorem1(state, 3, seed=3, inv_report=inv)
         # Stated bound: (2/sqrt(3)) 4 * 2^(3/2) / 6 + 2 * 4 * 3 / 6.
         assert rep.rhs == pytest.approx(2.1773242158 + 4.0, abs=1e-9)
         assert any("diameter" in n for n in rep.notes)
@@ -480,8 +475,7 @@ class TestVerifyTheorem1:
         # Pure single-site witnesses must have vanishing fourth cumulants.
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         inv = check_invariance(state)
-        _, mixture, _ = verify_theorem1(state, 2, restarts=2, iters=60,
-                                        seed=5, inv_report=inv)
+        _, mixture, _ = verify_theorem1(state, 2, seed=5, inv_report=inv)
         for xi in mixture.components:
             if np.real(np.trace(xi.matrix @ xi.matrix)) > 1.0 - 1e-8:
                 for pattern in ((-1, 1, -1, 1), (1, -1, 1, -1)):
@@ -515,8 +509,7 @@ class TestVerifyTheorem1:
                 mixture=ProductMixture(fit.mixture.weights, comps))
 
         monkeypatch.setattr(definetti, "best_mixture_approx", broken)
-        rep, mixture, diag = verify_theorem1(state, 2, restarts=2, iters=60,
-                                             seed=3, inv_report=inv)
+        rep, mixture, diag = verify_theorem1(state, 2, seed=3, inv_report=inv)
         assert mixture.components[0] is bad
         assert rep.lhs <= rep.rhs
         assert not rep.passed

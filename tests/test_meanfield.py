@@ -218,15 +218,14 @@ class TestProductEnergy:
 
 class TestVerifyGsBound:
     def test_site_number_zero_gap(self):
-        result, rep = verify_gs_bound(builtin_family("site-number", 6),
-                                      restarts=3, iters=2, seed=1)
+        result, rep = verify_gs_bound(builtin_family("site-number", 6), seed=1)
         assert rep.passed and result.precondition_ok
         assert result.gap == pytest.approx(0.0, abs=1e-9)
         assert result.bound == pytest.approx(4.0 / 6.0)
 
     def test_pair_hopping_gap_value(self):
         result, rep = verify_gs_bound(builtin_family("pair-hopping", 6),
-                                      restarts=3, iters=2, seed=1)
+                                      seed=1)
         assert rep.passed and result.precondition_ok
         # Product states cannot profit from pure hopping: best product
         # energy is 0 while the exact ground energy is -1/3.
@@ -238,7 +237,7 @@ class TestVerifyGsBound:
         # The ground space is read through its isometry, never as a
         # 4096 x 4096 projector; the invariance verdict stays OK.
         result, rep = verify_gs_bound(builtin_family("hubbard-like", 6),
-                                      restarts=2, iters=1, seed=0)
+                                      seed=0)
         assert result.precondition_ok
         assert result.invariance.max_violation() < 1e-10
 
@@ -247,7 +246,7 @@ class TestVerifyGsBound:
         # genuinely not permutation invariant: the precondition label must
         # say so while the gap numbers stay reported.
         result, rep = verify_gs_bound(builtin_family("pair-exchange", 6),
-                                      restarts=3, iters=2, seed=1)
+                                      seed=1)
         assert not result.precondition_ok
         assert any("precondition failed" in n for n in rep.notes)
         assert result.gap == pytest.approx(1.0 / 3.0, abs=1e-9)
@@ -255,8 +254,7 @@ class TestVerifyGsBound:
 
     def test_gap_never_negative(self):
         for name in ("site-number", "pair-exchange", "pair-hopping"):
-            result, _ = verify_gs_bound(builtin_family(name, 6), restarts=2,
-                                        iters=1, seed=2)
+            result, _ = verify_gs_bound(builtin_family(name, 6), seed=2)
             assert result.gap >= -1e-9
 
     def test_negative_gap_fails(self, monkeypatch):
@@ -269,8 +267,7 @@ class TestVerifyGsBound:
             return xi, energy - 1.0
 
         monkeypatch.setattr(meanfield, "min_product_energy", undercut)
-        result, rep = verify_gs_bound(builtin_family("site-number", 6),
-                                      restarts=2, iters=1, seed=0)
+        result, rep = verify_gs_bound(builtin_family("site-number", 6), seed=0)
         assert result.gap == pytest.approx(-1.0, abs=1e-9)
         assert rep.lhs <= rep.rhs
         assert not rep.passed
@@ -286,8 +283,7 @@ class TestConvexityStep:
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         inv = check_invariance(state)
         from fermicert.definetti import verify_theorem1
-        _, mixture, _ = verify_theorem1(state, 2, restarts=2, iters=60,
-                                        seed=3, inv_report=inv)
+        _, mixture, _ = verify_theorem1(state, 2, seed=3, inv_report=inv)
         for name in ("site-number", "pair-hopping"):
             spec = builtin_family(name, 6)
             h_exp, _ = build_hamiltonian_expansion(spec)

@@ -110,6 +110,23 @@ class TestCirculantSpectrum:
         direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
         assert np.max(np.abs(np.sort(vals) - direct)) < 1e-10
 
+    @pytest.mark.parametrize("b", [complex(0.05 * np.exp(1e-7j)),
+                                   -0.1 + 1e-14j, 0.1 + 1e-14j])
+    def test_singular_fill_needs_no_eigensolver(self, monkeypatch, b):
+        # The singular value is the trace V a minus the others, and it
+        # matches the eigensolver without calling it.
+        params = CirculantParams(6, 0.5, b)
+        direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solver)
+        monkeypatch.setattr(np.linalg, "eigh", no_solver)
+        vals, singular = circulant_spectrum_with_fallback(params)
+        assert len(singular) == 1
+        assert np.max(np.abs(np.sort(vals) - direct)) < 1e-14
+
     @pytest.mark.parametrize("b, singular_k, position", [
         (-0.1 + 1e-14j, 1, 0),
         (0.1 + 1e-14j, 0, 5),
