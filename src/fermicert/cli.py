@@ -64,8 +64,8 @@ def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
     This is where a state enters from outside, so this is where its
     validity is checked.  The bound certifications run on the Hermitian
     unit-trace operator, so with --strict-state an input that is not a
-    valid state (unit trace, positive) is a usage error; otherwise the run
-    goes on and each failed check (trace, positivity, parity) is a note.
+    valid state (unit trace, positive, parity superselected) is a usage
+    error; otherwise the run goes on and each failed check is a note.
     """
     if args.V is None:
         raise ValueError("--V is required with --k")
@@ -81,10 +81,11 @@ def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
         state = mu_family_state(params, validate=False)
         inputs = {"mu": args.mu}
     validity = check_state(to_matrix(state))
-    if args.strict_state and not (validity.trace_ok and validity.positive_ok):
+    if args.strict_state and not validity.all_ok:
         raise ValueError(
             f"input is not a valid state: trace {validity.trace_value:.6g}, "
-            f"min eigenvalue {validity.min_eigenvalue:.3e}")
+            f"min eigenvalue {validity.min_eigenvalue:.3e}, parity "
+            f"superselection {'kept' if validity.parity_ok else 'broken'}")
     notes = []
     if not validity.positive_ok:
         notes.append(f"input operator is not positive (min eigenvalue "
@@ -118,7 +119,8 @@ def _add_state_args(sub):
                           "(excludes --mu)")
     sub.add_argument("--strict-state", action="store_true", default=None,
                      help="reject an input (family or fixture) that is not "
-                          "a valid state instead of certifying the "
+                          "a valid state (unit trace, positive, parity "
+                          "superselected) instead of certifying the "
                           "Hermitian operator")
     sub.add_argument("--k", type=int, default=None,
                      help="reduction size (omit to sweep the suite)")

@@ -48,7 +48,7 @@ import numpy as np
 from .algebra import OperatorExpansion, SystemShape, reversal_sign
 from .fock import (DenseOperator, check_state, ensure_within_cap,
                    global_parity_signs, jw_matrix, partial_trace_sites,
-                   to_matrix)
+                   real_if_exact, to_matrix)
 from .invariance import (InvarianceReport, check_invariance,
                          invariant_reduction, lemma3_bound)
 from .report import INEQUALITY, VerificationReport, make_report
@@ -178,13 +178,14 @@ def product_power(xi: DenseOperator, k: int) -> DenseOperator:
     """k-fold copy of a single-site state as a Fock-space density matrix.
 
     Under the site-major operator ordering the copy is the plain tensor
-    power, and mixed-site correlations of even states factorize.
+    power, and mixed-site correlations of even states factorize.  The
+    power has the dtype of ``xi.matrix``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     shape = SystemShape(k, xi.shape.modes_per_site)
     ensure_within_cap(shape)
-    out = np.array([[1.0 + 0.0j]])
+    out = np.ones((1, 1), dtype=xi.matrix.dtype)
     for _ in range(k):
         out = np.kron(out, xi.matrix)
     return DenseOperator(shape, out)
@@ -327,13 +328,17 @@ class _MixtureOptimizer:
     block trace norms, and the sign matrix and the weight gradient are
     formed per block.  A power is held as its pair of blocks: at p = 1 as
     their diagonals, from the closed form :func:`hamming_power` indexed by
-    Hamming weight, at p > 1 as the dense blocks of the tensor power.  A
-    coordinate sweep forms the residual without the component it moves
-    once, so each trial point costs one update and one eigenvalue solve
-    per block; only the weight steps need eigenvectors, for the sign
-    matrix.  The eigensolvers read the lower triangle of each residual:
-    the target blocks are made Hermitian once, and the powers are
-    Hermitian up to roundoff.
+    Hamming weight, at p > 1 as the dense blocks of the tensor power.
+    Components of a start with equal parameters share one power, and
+    target blocks and powers with no imaginary part are held as real
+    arrays (:func:`fock.real_if_exact`), so their residuals go to the real
+    eigensolvers.  A coordinate sweep forms the residual without the
+    component it moves once, so each trial point costs one update and one
+    eigenvalue solve per block; only the weight steps need eigenvectors,
+    for the sign matrix, and a start's first distance reads eigenvalues
+    alone unless it misses :data:`EXACT_HIT`.  The eigensolvers read the
+    lower triangle of each residual: the target blocks are made Hermitian
+    once, and the powers are Hermitian up to roundoff.
 
     Every start and every improving coordinate sweep also evaluates
     :func:`dual_lower_bound` at the current sign matrix; the largest value
@@ -343,7 +348,7 @@ class _MixtureOptimizer:
 
     def __init__(self, blocks: Sequence[np.ndarray], k: int, p: int, r: int,
                  iters: int):
-        self.blocks = [0.5 * (b + b.conj().T) for b in blocks]
+        self.blocks = [real_if_exact(0.5 * (b + b.conj().T)) for b in blocks]
         self.k = k
         self.p = p
         self.r = r
@@ -365,26 +370,46 @@ class _MixtureOptimizer:
             alpha = min(max(float(params[0]), 0.0), 1.0)
             by_weight = hamming_power(alpha, self.k)
             return [by_weight[h] for h in self.hamming]
-        full = product_power(component_state(self.p, params), self.k).matrix
+        xi = component_state(self.p, params)
+        xi = DenseOperator(xi.shape, real_if_exact(xi.matrix))
+        full = product_power(xi, self.k).matrix
         return [full[np.ix_(s, s)] for s in self.sectors]
+
+    def _powers(self, params: Sequence[np.ndarray]) -> List[List[np.ndarray]]:
+        """:meth:`_power` of every component; components with equal
+        parameters share one."""
+        built: Dict[bytes, List[np.ndarray]] = {}
+        for q in params:
+            if q.tobytes() not in built:
+                built[q.tobytes()] = self._power(q)
+        return [built[q.tobytes()] for q in params]
 
     def _residual(self, weights, powers, skip: Optional[int] = None):
         """Blocks of R - sum_l a_l P_l, leaving out component ``skip``."""
         out = []
         for b, target in enumerate(self.blocks):
-            mix = np.zeros_like(powers[0][b])
+            mix = np.zeros(powers[0][b].shape,
+                           np.result_type(*(x[b] for x in powers)))
             for l, (a, x) in enumerate(zip(weights, powers)):
                 if l != skip:
                     mix += a * x[b]
             out.append(_minus(target, mix))
         return out
 
-    def _distance_and_sign(self, weights, powers):
+    def _distance_and_sign(self, weights, powers, stop_below: float = 0.0):
         """Distance and the per-block sign matrices V sign(w) V^dagger of
-        the residual, each held as its pair (sign(w), V)."""
+        the residual, each held as its pair (sign(w), V).  With
+        ``stop_below`` positive the distance is read from eigenvalues alone
+        first, and one below it comes back with no sign matrices (None)."""
+        residual = self._residual(weights, powers)
+        if stop_below > 0.0:
+            dist = sum(float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
+                       for delta in residual)
+            if dist < stop_below:
+                return dist, None
         dist = 0.0
         signs = []
-        for delta in self._residual(weights, powers):
+        for delta in residual:
             w, v = np.linalg.eigh(delta)
             dist += float(np.sum(np.abs(w)))
             signs.append((np.sign(w), v))
@@ -435,8 +460,8 @@ class _MixtureOptimizer:
     def run(self, weights: np.ndarray, params: List[np.ndarray]):
         weights = project_simplex(np.asarray(weights, dtype=float))
         params = [np.asarray(q, dtype=float).copy() for q in params]
-        powers = [self._power(q) for q in params]
-        dist, sign = self._distance_and_sign(weights, powers)
+        powers = self._powers(params)
+        dist, sign = self._distance_and_sign(weights, powers, EXACT_HIT)
         best = dist
         best_state = (weights.copy(), [q.copy() for q in params])
         if best < EXACT_HIT or self._proven(best, sign):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -318,18 +318,26 @@ def partial_trace_sites(dense: DenseOperator, k: int) -> DenseOperator:
 
 # -- spectral helpers ---------------------------------------------------------
 
-def hermiticity_residual(matrix) -> float:
-    """max |M - M-dagger| of a dense array or a scipy sparse matrix."""
-    return float(abs(matrix - matrix.conj().T).max())
+def hermiticity_residual(matrix: np.ndarray) -> float:
+    """max |M - M-dagger| of a dense array, or the largest over a stack of
+    them (the last two axes are the matrix axes)."""
+    return float(abs(matrix - matrix.conj().swapaxes(-1, -2)).max())
 
 
-def require_hermitian(matrix, what: str):
-    """Raise ``ValueError`` when ``matrix`` (dense or scipy sparse) is
-    further than :data:`HERMITIAN_TOL` from Hermitian."""
+def require_hermitian(matrix: np.ndarray, what: str):
+    """Raise ``ValueError`` when ``matrix`` (a dense array or a stack of
+    them) is further than :data:`HERMITIAN_TOL` from Hermitian."""
     res = hermiticity_residual(matrix)
     if res > HERMITIAN_TOL:
         raise ValueError(f"{what} is not Hermitian (residual {res:.3e} "
                          f"above {HERMITIAN_TOL:.0e})")
+
+
+def real_if_exact(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.real`` when every imaginary part is exactly 0, else
+    ``matrix``: a real matrix then goes to the real LAPACK routines, which
+    take a fraction of the complex ones' time."""
+    return matrix.real if not matrix.imag.any() else matrix
 
 
 def hermitian_eig(dense: DenseOperator):
@@ -420,52 +428,51 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         labels = new
 
 
-def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def diagonal_blocks(matrix, dim: Optional[int] = None
+                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The diagonal blocks of a square matrix on the connected components
     of its sparsity graph, equal-size blocks batched.
 
     A matrix is exactly block diagonal on these components, so its
     spectrum is the union of the blocks' spectra and its eigenvectors live
     inside single blocks; for a Hamiltonian they are the conserved sectors,
-    found with no symmetry assumed.  ``matrix`` is a dense array or a scipy
-    sparse matrix (explicit zeros are dropped).  Yields ``(idx, stack)``
+    found with no symmetry assumed.  ``matrix`` is a dense array, or a
+    triple ``(rows, cols, vals)`` of the entries of a ``dim`` x ``dim``
+    matrix with no position listed twice (explicit zeros are dropped), as
+    :func:`meanfield.hamiltonian_sparse` returns.  Yields ``(idx, stack)``
     per block size s, in increasing size: ``idx`` is an (m, s) array whose
     rows hold the ascending basis indices of one block each, and ``stack``
     the (m, s, s) dense blocks matrix[idx[j]][:, idx[j]].
-
-    The search needs no scipy, so a dense check (:func:`check_state` on
-    single-site components) does not pay for importing it.
     """
-    sparse = hasattr(matrix, "tocoo")
-    if sparse:
-        matrix = matrix.tocoo(copy=True)
-        matrix.sum_duplicates()
-        matrix.eliminate_zeros()
-        rows, cols = matrix.row, matrix.col
+    entries = isinstance(matrix, tuple)
+    if entries:
+        rows, cols, vals = matrix
+        stored = vals != 0
+        rows, cols, vals = rows[stored], cols[stored], vals[stored]
     else:
+        dim = matrix.shape[0]
         rows, cols = np.nonzero(matrix)
-    labels = _component_labels(rows, cols, matrix.shape[0])
+    labels = _component_labels(rows, cols, dim)
     n_blocks = int(labels.max()) + 1
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=n_blocks)
     starts = np.cumsum(sizes) - sizes
-    if sparse:
+    if entries:
         # Position of each basis index inside its block, for scattering
-        # the stored entries straight into the stacks.
+        # the entries straight into the stacks.
         pos = np.empty_like(order)
         pos[order] = np.arange(len(order)) - np.repeat(starts, sizes)
-        entry_block = labels[matrix.row]
+        entry_block = labels[rows]
     for s in np.unique(sizes):
         ids = np.flatnonzero(sizes == s)
         idx = order[starts[ids][:, None] + np.arange(s)]
-        if sparse:
+        if entries:
             slot = np.full(n_blocks, -1)
             slot[ids] = np.arange(len(ids))
             which = slot[entry_block]
             sel = which >= 0
-            stack = np.zeros((len(ids), s, s), dtype=matrix.dtype)
-            stack[which[sel], pos[matrix.row[sel]],
-                  pos[matrix.col[sel]]] = matrix.data[sel]
+            stack = np.zeros((len(ids), s, s), dtype=vals.dtype)
+            stack[which[sel], pos[rows[sel]], pos[cols[sel]]] = vals[sel]
         else:
             stack = matrix[idx[:, :, None], idx[:, None, :]]
         yield idx, stack

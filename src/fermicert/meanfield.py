@@ -10,10 +10,12 @@ with a permutation-invariant ground state it is bounded by
 on the true minimum while the ground energy is exact, a reported pass is a
 genuine certificate.
 
-The ground energy is exact at every size: the Hamiltonian splits into the
-connected blocks of its sparsity graph (its conserved sectors), each block
-is diagonalized densely, and the full, possibly degenerate ground space is
-kept as a dim x r isometry rather than a dim x dim projector.
+The ground energy is exact at every size: the Hamiltonian's entries are
+built with numpy as a (rows, cols, vals) triple, it splits into the
+connected blocks of their sparsity graph (its conserved sectors), each
+block is diagonalized densely, in real arithmetic when it has no imaginary
+part, and the full, possibly degenerate ground space is kept as a dim x r
+isometry rather than a dim x dim projector.
 
 Product-state energies are evaluated symbolically: mixed-site correlations
 of even single-site states factorize site by site, so tr(H xi^(x V)) is a
@@ -34,8 +36,8 @@ from .algebra import OperatorExpansion, SystemShape, site_blocks
 from .definetti import (GENERATOR_BOX, component_state, coordinate_search,
                         n_component_params)
 from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
-                   jw_matrix, operator_norm, require_hermitian, to_matrix,
-                   word_string_entries)
+                   jw_matrix, operator_norm, real_if_exact, require_hermitian,
+                   to_matrix, word_string_entries)
 from .invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                          check_invariance_dense)
 from .report import INEQUALITY, VerificationReport, make_report
@@ -143,18 +145,26 @@ def ground_state(h: DenseOperator) -> Tuple[float, DenseOperator]:
     return e_gs, DenseOperator(h.shape, proj)
 
 
-def hamiltonian_sparse(h_exp: OperatorExpansion):
-    """CSR matrix of an expansion; rows carry one entry per word term."""
-    import scipy.sparse as sp
+def hamiltonian_sparse(h_exp: OperatorExpansion
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries of an expansion's matrix as a triple ``(rows, cols, vals)``,
+    each position once, as :func:`fock.diagonal_blocks` takes it.
 
+    A word i^e Z^z X^x has its entries at (a, a ^ x), so the terms that
+    share an X pattern share their positions: each pattern's row of values
+    is summed over its terms in term order, the order :func:`to_matrix`
+    adds them in, so the triple holds that matrix's entries bit for bit.
+    """
     dim = h_exp.shape.fock_dim
-    masks, coeffs = zip(*sorted(h_exp.terms.items()))
+    n = len(h_exp.terms)
+    masks = np.fromiter(h_exp.terms.keys(), np.int64, n)
+    coeffs = np.fromiter(h_exp.terms.values(), np.complex128, n)
     cols, vals = word_string_entries(masks, h_exp.shape)
-    vals = np.asarray(coeffs, dtype=np.complex128)[:, None] * vals
-    rows = np.broadcast_to(np.arange(dim), cols.shape)
-    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                        shape=(dim, dim), dtype=np.complex128)
-    return mat.tocsr()
+    patterns, group = np.unique(cols[:, 0], return_inverse=True)
+    summed = np.zeros((len(patterns), dim), dtype=np.complex128)
+    np.add.at(summed, group, coeffs[:, None] * vals)
+    rows = np.broadcast_to(np.arange(dim), summed.shape)
+    return rows.ravel(), (rows ^ patterns[:, None]).ravel(), summed.ravel()
 
 
 def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
@@ -162,27 +172,30 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
 
     The blocks are the connected components of the sparsity graph of
     :func:`hamiltonian_sparse` (:func:`fock.diagonal_blocks`): the conserved
-    sectors, found with no symmetry assumed.  Every block is diagonalized
-    densely, equal sizes in one batched ``eigvalsh``; the ground vectors
-    come from the blocks whose minimum lies within :data:`DEGENERACY_TOL`
-    of the ground energy, so a degenerate ground space is resolved in full.
-    The ground space is returned as an :class:`Isometry` (dim x r), whose
-    state F F-dagger / r is the projector :func:`ground_state` returns.
+    sectors, found with no symmetry assumed.  Every stored entry lies in
+    one block, so checking Hermiticity block by block is exact.  A block
+    stack with no imaginary part is solved in real arithmetic
+    (:func:`fock.real_if_exact`).  Every block is diagonalized densely,
+    equal sizes in one batched ``eigvalsh``; the ground vectors come from
+    one ``eigh`` of each block whose minimum lies within
+    :data:`DEGENERACY_TOL` of the ground energy, so a degenerate ground
+    space is resolved in full.  The ground space is returned as an
+    :class:`Isometry` (dim x r), whose state F F-dagger / r is the
+    projector :func:`ground_state` returns.
     """
-    import scipy.linalg
-
-    H = hamiltonian_sparse(h_exp)
-    require_hermitian(H, "sparse Hamiltonian")
-    blocks = [(idx, stack, np.linalg.eigvalsh(stack)[:, 0])
-              for idx, stack in diagonal_blocks(H)]
+    dim = h_exp.shape.fock_dim
+    blocks = []
+    for idx, stack in diagonal_blocks(hamiltonian_sparse(h_exp), dim):
+        require_hermitian(stack, "Hamiltonian block")
+        stack = real_if_exact(stack)
+        blocks.append((idx, stack, np.linalg.eigvalsh(stack)[:, 0]))
     e_gs = float(min(lows.min() for _, _, lows in blocks))
     columns = []
     for idx, stack, lows in blocks:
         for j in np.flatnonzero(lows <= e_gs + DEGENERACY_TOL):
-            _, vecs = scipy.linalg.eigh(
-                stack[j], subset_by_value=(-np.inf, e_gs + DEGENERACY_TOL))
-            col = np.zeros((h_exp.shape.fock_dim, vecs.shape[1]),
-                           dtype=np.complex128)
+            w, v = np.linalg.eigh(stack[j])
+            vecs = v[:, w <= e_gs + DEGENERACY_TOL]
+            col = np.zeros((dim, vecs.shape[1]), dtype=np.complex128)
             col[idx[j]] = vecs
             columns.append(col)
     return e_gs, Isometry(h_exp.shape, np.hstack(columns))

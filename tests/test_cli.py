@@ -179,6 +179,22 @@ class TestCliSingleCommands:
                      "--k", "2", "--fixture", str(fixture)]) == 0
         assert "breaks parity superselection" in capsys.readouterr().out
 
+    def test_strict_state_rejects_parity_breaking_input(self, tmp_path,
+                                                        capsys):
+        # The same fixture has unit trace and is positive, but no
+        # fermionic state breaks parity superselection: strict mode
+        # rejects it as a usage error.
+        fixture = tmp_path / "state.txt"
+        fixture.write_text("0.015625 0 1\n" + "".join(
+            f"0.001 0 ({j},1)\n" for j in range(1, 7)))
+        assert main(["--out", str(tmp_path), "verify-lemma3", "--V", "6",
+                     "--k", "2", "--fixture", str(fixture),
+                     "--strict-state"]) == 2
+        err = capsys.readouterr().err
+        assert "not a valid state" in err
+        assert "parity superselection broken" in err
+        assert not (tmp_path / "summary.csv").exists()
+
     @pytest.mark.parametrize("source", ["fixture", "family"])
     @pytest.mark.parametrize("mu, positive", [(1.0, False), (0.5, True)],
                              ids=["mu1", "mu0.5"])

@@ -445,6 +445,73 @@ class TestDualLowerBound:
         assert any("refuted" in n for n in rep.notes)
 
 
+class TestExactArithmetic:
+    def test_product_p2_searches_stop_on_eigenvalues(self, monkeypatch):
+        # The four product-p2 corollary targets are exact products, so each
+        # search hits EXACT_HIT at its first distance, read from eigenvalues
+        # alone: no residual block reaches eigh, only the 4 x 4 single-site
+        # solves of the Gibbs components do.  The first start's equal
+        # components share one tensor power, and the real target blocks
+        # and powers go to the real eigensolver.
+        targets = {k: product_power(suites._CORRELATED_P2, k)
+                   for k in range(2, 6)}
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        power = definetti.product_power
+        eigh_sizes, eigvalsh_kinds, powers = [], [], []
+
+        def counting_eigh(a, *args, **kwargs):
+            eigh_sizes.append(a.shape[-1])
+            return eigh(a, *args, **kwargs)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            eigvalsh_kinds.append(a.dtype.kind)
+            return eigvalsh(a, *args, **kwargs)
+
+        def counting_power(xi, k):
+            powers.append(k)
+            return power(xi, k)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(definetti, "product_power", counting_power)
+        for k, target in targets.items():
+            eigh_sizes.clear()
+            eigvalsh_kinds.clear()
+            powers.clear()
+            fit = best_mixture_approx(target, seed=5)
+            assert fit.distance < EXACT_HIT
+            assert powers == [k]
+            assert set(eigh_sizes) == {4}
+            assert eigvalsh_kinds == ["f", "f"]
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from((SystemShape(2, 1), SystemShape(3, 1),
+                            SystemShape(2, 2))),
+           st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.sampled_from(("state", "product")))
+    def test_reported_distance_is_the_witness_residual(self, shape, seed,
+                                                       real, kind):
+        # Real targets take the real-arithmetic path, complex ones the
+        # complex path; exact products stop at the first distance.
+        rng = np.random.default_rng(seed)
+        k, p = shape.sites, shape.modes_per_site
+        if kind == "product":
+            (q,) = _random_mixture(p, rng, r=1)[1]
+            mat = product_power(component_state(p, q), k).matrix
+        else:
+            mat = random_even_density_matrix(shape, rng)
+        if real:
+            mat = mat.real.astype(np.complex128)
+        elif kind == "state":
+            assert mat.imag.any()
+        fit = best_mixture_approx(DenseOperator(shape, mat), r=2, restarts=2,
+                                  iters=25, seed=seed % 7)
+        residual = mat - mixture_matrix(fit.mixture, k).matrix
+        assert fit.distance == pytest.approx(
+            trace_norm(DenseOperator(shape, residual)), abs=1e-12)
+
+
 class TestVerifyTheorem1:
     def test_mu_zero_exact(self):
         state = mu_family_state(MuFamilyParams(6, 1, 0.0))

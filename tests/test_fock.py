@@ -15,11 +15,12 @@ from fermicert.algebra import (OperatorExpansion, SystemShape,
 from fermicert.errors import ResourceCapError
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, check_state,
                             diagonal_blocks, global_parity_signs,
-                            hermitian_eig, jw_matrix, operator_norm,
-                            partial_trace_sites, permutation_unitary,
-                            reduce_expansion, to_expansion, to_matrix,
-                            trace_norm, word_expectations_dense,
-                            word_string_entries)
+                            hermitian_eig, hermiticity_residual,
+                            jw_matrix, operator_norm, partial_trace_sites,
+                            permutation_unitary, real_if_exact,
+                            reduce_expansion, require_hermitian,
+                            to_expansion, to_matrix, trace_norm,
+                            word_expectations_dense, word_string_entries)
 from fermicert.invariance import (MuFamilyParams, mu_family_state,
                                   words_up_to_degree)
 from fermicert.meanfield import (BUILTIN_FAMILIES,
@@ -163,8 +164,12 @@ class TestPauliStrings:
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_sparse_hamiltonian_equals_dense(self, name):
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
-        assert np.array_equal(hamiltonian_sparse(h_exp).toarray(),
-                              to_matrix(h_exp).matrix)
+        rows, cols, vals = hamiltonian_sparse(h_exp)
+        # Each position is listed once, so assignment rebuilds the matrix.
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+        dense = np.zeros((h_exp.shape.fock_dim,) * 2, dtype=np.complex128)
+        dense[rows, cols] = vals
+        assert np.array_equal(dense, to_matrix(h_exp).matrix)
 
 
 class TestConversions:
@@ -293,6 +298,27 @@ class TestSpectral:
         with pytest.raises(ValueError):
             trace_norm(DenseOperator(sh, np.array([[0, 2], [0, 0]],
                                                   dtype=complex)))
+
+    def test_hermiticity_of_a_stack(self, rng):
+        # The residual of a stack is the largest over its matrices, with
+        # the adjoint taken on the last two axes only.
+        g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        stack = g + g.conj().swapaxes(1, 2)
+        assert hermiticity_residual(stack) == 0.0
+        require_hermitian(stack, "stack")
+        stack[1, 0, 3] += 1e-6
+        assert hermiticity_residual(stack) == pytest.approx(1e-6)
+        with pytest.raises(ValueError, match="stack is not Hermitian"):
+            require_hermitian(stack, "stack")
+
+    def test_real_if_exact(self, rng):
+        # Real exactly when no imaginary part is nonzero; no tolerance.
+        mat = rng.standard_normal((4, 4)).astype(np.complex128)
+        real = real_if_exact(mat)
+        assert real.dtype == np.float64 and np.array_equal(real, mat)
+        assert real_if_exact(real) is real
+        mat[2, 1] += 1e-300j
+        assert real_if_exact(mat) is mat
 
     def test_operator_norm(self, rng):
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -502,10 +528,14 @@ class TestDiagonalBlocks:
                                              directed=False)
             want = sorted(sorted(np.flatnonzero(labels == c).tolist())
                           for c in set(labels.tolist()))
-            for matrix in (dense, sp.csr_matrix(dense)):
+            # The stored entries of the triple form hold explicit zeros
+            # too, which must not join blocks.
+            every = np.nonzero(np.ones((dim, dim)))
+            triple = (*every, dense[every])
+            for matrix, size in ((dense, None), (triple, dim)):
                 rebuilt = np.zeros((dim, dim))
                 found = []
-                for idx, stack in diagonal_blocks(matrix):
+                for idx, stack in diagonal_blocks(matrix, size):
                     assert stack.shape == (len(idx), idx.shape[1],
                                            idx.shape[1])
                     for rows, block in zip(idx, stack):

@@ -2,6 +2,10 @@
 the gap certificate."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,14 +163,68 @@ class TestGroundState:
         # (hubbard-like).
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 6))
         found = [idx.shape[1] for idx, _ in
-                 diagonal_blocks(hamiltonian_sparse(h_exp))
+                 diagonal_blocks(hamiltonian_sparse(h_exp),
+                                 h_exp.shape.fock_dim)
                  for _ in range(len(idx))]
         assert sorted(found) == sorted(sizes)
+
+    @pytest.mark.parametrize("name, real", [
+        ("site-number", True), ("pair-exchange", False),
+        ("pair-hopping", True), ("hubbard-like", True)])
+    def test_real_blocks_are_solved_in_real_arithmetic(self, monkeypatch,
+                                                       name, real):
+        # pair-exchange, i m_1 m_2 = Y X on two modes, has imaginary
+        # entries; the other families have none, and their blocks reach
+        # the eigensolvers as real arrays.
+        kinds = []
+        eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+
+        def recording(solver):
+            def solve(a, *args, **kwargs):
+                kinds.append(a.dtype.kind)
+                return solver(a, *args, **kwargs)
+            return solve
+
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", recording(eigh))
+        e, ground = ground_state_lowdim(h_exp)
+        assert set(kinds) == {"f" if real else "c"}
+        monkeypatch.undo()
+        e_dense, _ = ground_state(to_matrix(h_exp))
+        assert e == pytest.approx(e_dense, abs=1e-12)
+        assert ground.matrix.dtype == np.complex128
+
+    def test_non_hermitian_block_raises(self):
+        # m_1 m_2 alone is anti-Hermitian; every entry lies in some block,
+        # so the blockwise check sees it.
+        shape = SystemShape(2, 1)
+        h_exp = OperatorExpansion(shape, {0b11: 1.0, 0b1100: 0.5j})
+        with pytest.raises(ValueError, match="block is not Hermitian"):
+            ground_state_lowdim(h_exp)
+
+    def test_gs_bound_imports_no_scipy(self):
+        # The ground solve runs on numpy alone: a fresh process that runs
+        # the whole gs-bound suite has loaded no scipy module.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "from fermicert.suites import run_gs_bound\n"
+                "reports, _ = run_gs_bound()\n"
+                "assert all(r.passed for r in reports)\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
 
     def test_sparse_matrix_matches_dense(self):
         spec = builtin_family("pair-hopping", 4)
         h_exp, _ = build_hamiltonian_expansion(spec)
-        sparse = hamiltonian_sparse(h_exp).toarray()
+        rows, cols, vals = hamiltonian_sparse(h_exp)
+        sparse = np.zeros((h_exp.shape.fock_dim,) * 2, dtype=np.complex128)
+        sparse[rows, cols] = vals
         assert np.max(np.abs(sparse - to_matrix(h_exp).matrix)) < 1e-14
 
     def test_pair_family_energies(self):

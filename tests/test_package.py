@@ -64,6 +64,18 @@ def test_sources_found():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # The package runs on numpy alone; scipy is a test dependency.
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
