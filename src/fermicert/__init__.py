@@ -12,10 +12,9 @@ density-matrix spectra, and mean-field energy-gap bounds.
 
 from .algebra import (OperatorExpansion, SystemShape, canonicalize,
                       expansion_from_text, expansion_to_text)
-from .errors import ResourceCapError, SingularSpectrumError
-from .fock import (DenseOperator, StateValidity, check_state, hermitian_eig,
-                   jw_matrix, partial_trace_sites, to_expansion, to_matrix,
-                   trace_norm)
+from .fock import (DenseOperator, ResourceCapError, StateValidity,
+                   check_state, hermitian_eig, jw_matrix, partial_trace_sites,
+                   to_expansion, to_matrix, trace_norm)
 from .invariance import (InvarianceReport, MuFamilyParams, check_invariance,
                          is_order_preserving, mu_family_state, verify_lemma3)
 from .report import VerificationReport
@@ -29,7 +28,6 @@ __all__ = [
     "expansion_from_text",
     "expansion_to_text",
     "ResourceCapError",
-    "SingularSpectrumError",
     "DenseOperator",
     "StateValidity",
     "check_state",

@@ -33,8 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import OperatorExpansion, SystemShape, expansion_from_text
 from .definetti import verify_theorem1
-from .errors import ResourceCapError
-from .fock import check_state, to_matrix
+from .fock import ResourceCapError, check_state, to_matrix
 from .invariance import MuFamilyParams, mu_family_state, verify_lemma3
 from .meanfield import (BUILTIN_FAMILIES, HamiltonianSpec, builtin_family,
                         verify_gs_bound)

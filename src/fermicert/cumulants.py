@@ -385,7 +385,7 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
     """Cumulant of the V-fold copy of a single-site state in Fourier modes.
 
     Computes the direct value on the full 2^(pV) space, which raises
-    :class:`errors.ResourceCapError` over the mode cap, and the closed
+    :class:`fock.ResourceCapError` over the mode cap, and the closed
     factorized prediction V^(-w/2) * K_w(single site) * sum_j exp(2 pi i
     sum_l c_l q_l j / V).  ``memo`` shares copies, ladder products and
     cumulants between calls; without it every call builds its own.

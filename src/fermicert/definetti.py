@@ -47,8 +47,8 @@ import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape, reversal_sign
 from .fock import (DenseOperator, check_state, ensure_within_cap,
-                   global_parity_signs, jw_matrix, partial_trace_sites,
-                   real_if_exact, to_matrix)
+                   global_parity_signs, jw_matrix, occupations,
+                   partial_trace_sites, real_if_exact, to_matrix)
 from .invariance import (InvarianceReport, check_invariance,
                          invariant_reduction, lemma3_bound)
 from .report import INEQUALITY, VerificationReport, make_report
@@ -243,18 +243,11 @@ def parity_blocks(dense: DenseOperator) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def site_parity_patterns(shape: SystemShape) -> np.ndarray:
-    """Per-site parity pattern of every Fock basis state, one bit per site.
-
-    Each site owns a contiguous run of ``modes_per_site`` basis-index bits;
-    at one mode per site the pattern is the occupation itself.
-    """
-    p = shape.modes_per_site
-    idx = np.arange(shape.fock_dim)
-    out = np.zeros_like(idx)
-    for site in range(shape.sites):
-        chunk = (idx >> (site * p)) & ((1 << p) - 1)
-        out |= (np.bitwise_count(chunk).astype(idx.dtype) & 1) << site
-    return out
+    """Per-site parity pattern of every Fock basis state, one bit per site
+    (site j is bit j - 1), from :func:`fock.occupations`; two states have
+    equal patterns exactly when every site has the same parity in both."""
+    occ = occupations(shape).reshape(shape.fock_dim, shape.sites, -1)
+    return (occ.sum(axis=2) & 1) @ (1 << np.arange(shape.sites))
 
 
 def dual_lower_bound(blocks: Sequence[np.ndarray], signs: Sequence[np.ndarray],

@@ -16,6 +16,13 @@ masks XORed.  Matrices are built from (words x dim) arrays of columns and
 values, and word expectations are read from one Walsh-Hadamard transform
 per X pattern.
 
+Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
+the most significant bits.  That layout has two homes: :func:`occupations`,
+the 0/1 table of the modes each basis state occupies, and the Pauli
+tables, whose Z/X masks :func:`pauli_of_word` writes as basis-index masks.
+The rest of the package reads one of the two; only
+:func:`permutation_unitary` also writes basis indices, of permuted states.
+
 All functions are pure; matrices are never mutated in place once returned.
 """
 
@@ -29,7 +36,6 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape, reversal_sign
-from .errors import ResourceCapError
 
 #: Dense work refuses systems with more than this many fermionic modes
 #: (Fock dimension 4096) unless :data:`MODE_CAP_ENV` sets another cap.
@@ -62,6 +68,10 @@ def mode_cap() -> int:
     if env is not None:
         return int(env)
     return DEFAULT_MODE_CAP
+
+
+class ResourceCapError(RuntimeError):
+    """Raised when a computation would exceed the configured mode cap."""
 
 
 def ensure_within_cap(shape: SystemShape):
@@ -123,15 +133,23 @@ class StateValidity:
         return self.trace_ok and self.positive_ok and self.parity_ok
 
 
+def occupations(shape: SystemShape) -> np.ndarray:
+    """The (dim x N) 0/1 table whose entry [b, m] says whether basis state
+    b occupies mode m: mode m is bit N-1-m of the basis index."""
+    n = shape.total_modes
+    return (np.arange(shape.fock_dim)[:, None] >> (n - 1 - np.arange(n))) & 1
+
+
 # -- Pauli-string machinery --------------------------------------------------
 
 def pauli_of_word(mask: int, shape: SystemShape) -> Tuple[int, int, int]:
     """Pauli-string form of a canonical word: (phase_exp, z_mask, x_mask).
 
-    The word equals i**phase_exp times prod_q Z_q^{z} X_q^{x} over qubits.
-    This scalar bit walk is the reference that the lookup tables of
-    :func:`pauli_strings` are built from.
+    The word equals i**phase_exp Z^z X^x, where z and x are basis-index
+    masks: qubit n is bit N-1-n.  This scalar bit walk is the reference
+    that the lookup tables of :func:`pauli_strings` are built from.
     """
+    top = shape.total_modes - 1
     e = 0
     z = 0
     x = 0
@@ -141,40 +159,28 @@ def pauli_of_word(mask: int, shape: SystemShape) -> Tuple[int, int, int]:
         g = low.bit_length() - 1
         rem ^= low
         n, t = divmod(g, 2)
-        if t == 0:
-            ze, xe, ee = (1 << n) - 1, 1 << n, 0
-        else:
-            ze, xe, ee = (1 << (n + 1)) - 1, 1 << n, 3
-        e = (e + ee + 2 * (x & ze).bit_count()) & 3
+        # Qubit n is bit top - n.  The Z string covers the n qubits before
+        # it, bits top - n + 1 .. top, and for m^(2a) qubit n itself.
+        xe = 1 << (top - n)
+        ze = ((1 << (n + t)) - 1) << (top - n + 1 - t)
+        e = (e + 3 * t + 2 * (x & ze).bit_count()) & 3
         z ^= ze
         x ^= xe
     return e, z, x
-
-
-def _reverse_qubit_mask(mask: int, n_qubits: int) -> int:
-    """Map a qubit mask to a basis-index mask (qubit 0 = most significant)."""
-    out = 0
-    for q in range(n_qubits):
-        if (mask >> q) & 1:
-            out |= 1 << (n_qubits - 1 - q)
-    return out
 
 
 @functools.lru_cache(maxsize=None)
 def _pauli_tables(n_modes: int) -> Tuple[Tuple[np.ndarray, ...], ...]:
     """Pauli forms of the one-byte words of ``n_modes`` modes: table k is
     (phase_exp, z, x), three length-256 arrays whose entry v is the form of
-    the word v << 8k, with basis-index masks.  Entries past the last
-    Majorana bit stay 0.  Built once per mode count from
-    :func:`pauli_of_word`; read-only."""
+    the word v << 8k, as :func:`pauli_of_word` returns it.  Entries past
+    the last Majorana bit stay 0.  Built once per mode count; read-only."""
     shape = SystemShape(n_modes, 1)
     n_bits = shape.majorana_count
     tables = np.zeros((-(-n_bits // 8), 3, 256), dtype=np.int64)
     for k, table in enumerate(tables):
         for v in range(min(256, 1 << (n_bits - 8 * k))):
-            e, z, x = pauli_of_word(v << (8 * k), shape)
-            table[:, v] = (e, _reverse_qubit_mask(z, n_modes),
-                           _reverse_qubit_mask(x, n_modes))
+            table[:, v] = pauli_of_word(v << (8 * k), shape)
     tables.flags.writeable = False
     return tuple(tuple(table) for table in tables)
 
@@ -382,9 +388,7 @@ def permutation_unitary(pi: Sequence[int], shape: SystemShape) -> DenseOperator:
     modes = np.arange(n)
     mode_map = (np.asarray(pi)[modes // p] - 1) * p + modes % p
     basis = np.arange(shape.fock_dim)
-    # occupied[a, m]: whether basis state a occupies mode m (qubit m is
-    # basis-index bit n - 1 - m).
-    occupied = (basis[:, None] >> (n - 1 - modes)) & 1
+    occupied = occupations(shape)
     image = occupied @ (1 << (n - 1 - mode_map))
     # Mode pairs m < m' whose images swap order; each occupied pair is one
     # transposition of the reordering.
@@ -398,12 +402,7 @@ def permutation_unitary(pi: Sequence[int], shape: SystemShape) -> DenseOperator:
 
 def global_parity_signs(shape: SystemShape) -> np.ndarray:
     """Diagonal of the global parity operator P_1 ... P_V in the Fock basis."""
-    dim = shape.fock_dim
-    idx = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
-    for b in range(shape.total_modes):
-        parity ^= (idx >> b) & 1
-    return 1.0 - 2.0 * parity
+    return 1.0 - 2.0 * (np.bitwise_count(np.arange(shape.fock_dim)) & 1)
 
 
 def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -527,13 +526,11 @@ def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
     """tr(M * word) for many canonical words at once.
 
     A word with Pauli form i^e Z^z X^x has tr(M w) = i^e sum_b
-    (-1)^(b . z) M[b ^ x, b] (z and x as basis-index masks), so every word
-    sharing one X pattern reads its value off a single Walsh-Hadamard
-    transform of the gathered vector M[b ^ x, b].  The Pauli forms come
-    from one :func:`pauli_strings` call and the X patterns from
-    ``np.unique``.  Gathering in bit-reversed basis order lets qubit-order
-    masks index that transform directly.  One gathered vector is alive at
-    a time.
+    (-1)^(b . z) M[b ^ x, b], so every word sharing one X pattern reads
+    its value off a single Walsh-Hadamard transform of the gathered vector
+    M[b ^ x, b].  The Pauli forms come from one :func:`pauli_strings` call
+    and the X patterns from ``np.unique``.  One gathered vector is alive
+    at a time.
 
     With ``factor`` set, ``matrix`` is a dim x r matrix F standing for the
     state M = F F-dagger / r (an :class:`Isometry`), and the gathered
@@ -550,20 +547,14 @@ def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
     visits every pattern.
     """
     masks = np.fromiter(masks, np.int64)
-    n = shape.total_modes
     phase, z, x = pauli_strings(masks, shape)
     rows = np.arange(shape.fock_dim, dtype=np.int64)
-    rev = np.zeros_like(rows)
-    for q in range(n):
-        rev |= ((rows >> q) & 1) << (n - 1 - q)
-    z, x = rev[z], rev[x]  # qubit order, to index the bit-reversed gather
     if factor:
         support = matrix.any(axis=1)
-        f_rev = matrix[rev]
-        f_conj = f_rev.conj() / matrix.shape[1]
+        f_conj = matrix.conj() / matrix.shape[1]
     else:
         support = matrix.any(axis=0) | matrix.any(axis=1)
-    indicator = support[rev].astype(np.float64)
+    indicator = support.astype(np.float64)
     reachable = _walsh_hadamard(_walsh_hadamard(indicator) ** 2) > 0
     patterns, group = np.unique(x, return_inverse=True)
     order = np.argsort(group, kind="stable")
@@ -573,9 +564,9 @@ def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
     for j in np.flatnonzero(reachable[patterns]):
         pattern = patterns[j]
         if factor:
-            gathered = np.einsum("bi,bi->b", f_rev[rows ^ pattern], f_conj)
+            gathered = np.einsum("bi,bi->b", matrix[rows ^ pattern], f_conj)
         else:
-            gathered = matrix[rev[rows ^ pattern], rev]
+            gathered = matrix[rows ^ pattern, rows]
         spectrum = _walsh_hadamard(gathered)
         idx = order[ends[j] - counts[j]:ends[j]]
         values[idx] = _I4[phase[idx]] * spectrum[z[idx]]

@@ -2,10 +2,10 @@
 
 For a single mode per site the 1-RDM of a permutation-invariant state has
 constant diagonal a = N/V and constant lower off-diagonal b (conjugated
-above the diagonal).  Its spectrum is available in closed form, with a
-separate real-b branch; the complex branch has isolated removable
-singularities which are detected and reported rather than guessed; there
-the trace rule gives the one missing eigenvalue.
+above the diagonal).  Its spectrum has one closed form,
+:func:`circulant_spectrum_with_fallback`, with a separate real-b branch;
+the complex branch has isolated removable singularities, which are
+reported, and there the trace rule gives the one missing eigenvalue.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 
 from .algebra import SystemShape
 from .cumulants import ladder_terms
-from .errors import SingularSpectrumError
-from .fock import DenseOperator
+from .fock import DenseOperator, occupations
 from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
@@ -102,22 +101,20 @@ def circulant_matrix(params: CirculantParams) -> np.ndarray:
     return out
 
 
-def circulant_spectrum(params: CirculantParams) -> np.ndarray:
-    """Closed-form eigenvalues lambda_k, k = 0..V-1.
+def circulant_spectrum_with_fallback(params: CirculantParams):
+    """Closed-form eigenvalues lambda_k, k = 0..V-1, with the trace rule
+    filling the singular k.
 
     Real b: lambda_0 = a + b (V - 1) and lambda_k = a - b otherwise.
     Complex b = |b| e^(i phi): lambda_k = a + |b| [cos(2 pi k / V +
-    (V-2) phi / V) - cos phi] / [1 - cos(2 pi k / V - 2 phi / V)].
-    Raises :class:`SingularSpectrumError` naming every k whose denominator
-    falls below :data:`SINGULAR_TOL`.
+    (V-2) phi / V) - cos phi] / [1 - cos(2 pi k / V - 2 phi / V)], and k
+    is singular when that denominator falls below :data:`SINGULAR_TOL`.
+    It vanishes where 2 pi k / V = 2 phi / V mod 2 pi; the left side steps
+    by 2 pi / V, so at most one k is singular, and it gets the trace V a
+    minus the other values.  Returns (values, singular_ks); comparisons
+    against the formula should exclude the singular entries, whose values
+    here do not come from the formula.
     """
-    values, singular = _circulant_values(params)
-    if singular:
-        raise SingularSpectrumError(singular)
-    return values
-
-
-def _circulant_values(params: CirculantParams):
     V = params.V
     a = params.a
     b = complex(params.b)
@@ -138,22 +135,9 @@ def _circulant_values(params: CirculantParams):
             continue
         numer = math.cos(angle + (V - 2.0) * phi / V) - math.cos(phi)
         out[k] = a + mag * numer / denom
-    return out, singular
-
-
-def circulant_spectrum_with_fallback(params: CirculantParams):
-    """Closed-form values with the trace rule filling the singular k.
-
-    The k-th denominator vanishes where 2 pi k / V = 2 phi / V mod 2 pi;
-    the left side steps by 2 pi / V, so at most one k is singular, and it
-    gets the trace V a minus the other values.  Returns
-    (values, singular_ks); comparisons against the formula should exclude
-    the singular entries, whose values here do not come from the formula.
-    """
-    values, singular = _circulant_values(params)
     if singular:
-        values[singular] = params.V * params.a - np.nansum(values)
-    return values, singular
+        out[singular] = V * a - np.nansum(out)
+    return out, singular
 
 
 def compare_circulant_spectrum(params: CirculantParams
@@ -203,19 +187,14 @@ def fit_circulant(gamma: np.ndarray) -> Tuple[float, complex, float]:
 
 
 def mode_occupations(rho: DenseOperator) -> np.ndarray:
-    """<n_j> per flattened mode, read off the Fock-basis diagonal.
+    """<n_j> per flattened mode, read off the Fock-basis diagonal through
+    :func:`fock.occupations`.
 
     Independent of the ladder-operator route used by :func:`one_rdm`, so it
     serves as the trace oracle for the 1-RDM diagonal."""
-    shape = rho.shape
-    dim = shape.fock_dim
-    idx = np.arange(dim)
     diag = np.real(np.diag(rho.matrix))
-    occ = np.empty(shape.total_modes)
-    for mode in range(shape.total_modes):
-        bits = (idx >> (shape.total_modes - 1 - mode)) & 1
-        occ[mode] = float(np.dot(diag, bits))
-    return occ
+    return np.array([float(np.dot(diag, bits))
+                     for bits in occupations(rho.shape).T])
 
 
 def verify_pauli_constraints(rdm: OneRDM,

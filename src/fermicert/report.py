@@ -5,10 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-#: Claim kinds and their pass rules.
-INEQUALITY = "inequality"   # pass  <=>  lhs <= rhs + tolerance
-EQUALITY = "equality"       # pass  <=>  |lhs - rhs| <= tolerance
+#: Claim kinds.
+INEQUALITY = "inequality"
+EQUALITY = "equality"
 PROPERTY = "property"       # pass rule stated in the notes
+
+#: The pass rule of each kind that has one, as (lhs, rhs, tolerance) ->
+#: verdict; :func:`make_report` derives verdicts from it and
+#: :meth:`VerificationReport.consistent` checks them against it.
+PASS_RULES = {
+    INEQUALITY: lambda lhs, rhs, tol: lhs <= rhs + tol,
+    EQUALITY: lambda lhs, rhs, tol: abs(lhs - rhs) <= tol,
+}
 
 
 @dataclass
@@ -26,12 +34,11 @@ class VerificationReport:
     notes: List[str] = field(default_factory=list)
 
     def consistent(self) -> bool:
-        """Whether the stored verdict matches the stored numbers."""
-        if self.kind == INEQUALITY:
-            return self.passed == (self.lhs <= self.rhs + self.tolerance)
-        if self.kind == EQUALITY:
-            return self.passed == (abs(self.lhs - self.rhs) <= self.tolerance)
-        return True
+        """Whether the stored verdict matches the stored numbers; a kind
+        with no rule in :data:`PASS_RULES` always is."""
+        rule = PASS_RULES.get(self.kind)
+        return rule is None or self.passed == rule(self.lhs, self.rhs,
+                                                   self.tolerance)
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -47,12 +54,9 @@ def make_report(claim_id: str, kind: str, inputs: Dict[str, object],
                 wall_time: float = 0.0,
                 notes: Sequence[str] = ()) -> VerificationReport:
     """Build a report with the verdict derived from the stated pass rule."""
-    if kind == INEQUALITY:
-        passed = lhs <= rhs + tolerance
-    elif kind == EQUALITY:
-        passed = abs(lhs - rhs) <= tolerance
-    else:
+    if kind not in PASS_RULES:
         raise ValueError(f"make_report cannot derive a verdict for kind {kind!r}")
+    passed = PASS_RULES[kind](lhs, rhs, tolerance)
     return VerificationReport(claim_id, kind, dict(inputs), float(lhs),
                               float(rhs), float(tolerance), bool(passed),
                               float(wall_time), list(notes))

@@ -14,7 +14,8 @@ import pytest
 from fermicert import suites
 from fermicert.cli import SINGLE, build_parser, main
 from fermicert.fock import MODE_CAP_ENV
-from fermicert.report import (INEQUALITY, EQUALITY, make_report,
+from fermicert.report import (INEQUALITY, EQUALITY, PROPERTY,
+                              VerificationReport, make_report,
                               render_reports, reports_to_rows, write_csv)
 
 #: Deterministic suites (no --seed) and the CSV tables each one writes,
@@ -46,6 +47,28 @@ class TestReports:
         assert rep.passed
         rep = make_report("x", EQUALITY, {}, 1.0, 1.1, 1e-9)
         assert not rep.passed
+
+    @pytest.mark.parametrize("kind, lhs, rhs, tol, passes", [
+        (INEQUALITY, 1.0, 2.0, 0.0, True),
+        (INEQUALITY, 2.5, 2.0, 0.5, True),
+        (INEQUALITY, 3.0, 2.0, 0.5, False),
+        (EQUALITY, 1.0, 1.0 + 1e-12, 1e-9, True),
+        (EQUALITY, 1.0, 0.9, 1e-9, False),
+        (EQUALITY, 1.0, 1.1, 1e-9, False),
+    ])
+    def test_consistent_checks_the_stored_verdict(self, kind, lhs, rhs, tol,
+                                                  passes):
+        for passed in (True, False):
+            rep = VerificationReport("x", kind, {}, lhs, rhs, tol, passed)
+            assert rep.consistent() == (passed == passes)
+
+    def test_property_reports_are_always_consistent(self):
+        # A property claim states its rule in the notes, not the numbers.
+        for passed in (True, False):
+            rep = VerificationReport("x", PROPERTY, {}, 3.0, 0.0, 0.0, passed)
+            assert rep.consistent()
+        with pytest.raises(ValueError, match="cannot derive a verdict"):
+            make_report("x", PROPERTY, {}, 0.0, 0.0, 0.0)
 
     def test_render_and_rows(self):
         reps = [make_report("a", INEQUALITY, {"V": 6}, 0.1, 1.0, 1e-9),
@@ -270,6 +293,18 @@ class TestCliSingleCommands:
         assert main(["--out", str(tmp_path), "verify-lemma3", "--k",
                      "2"]) == 2
         assert "--V is required with --k" in capsys.readouterr().err
+
+    def test_rdm_instance_needs_sites(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "rdm-spectrum", "--a",
+                     "0.5"]) == 2
+        assert "--V is required with --a" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_gs_missing_config_exit_2(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "gs-bound", "--seed", "0",
+                     "--config", str(tmp_path / "missing.json")]) == 2
+        assert "config not found" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_clt_over_the_mode_cap_exit_3(self, tmp_path, monkeypatch,
                                           capsys):

@@ -25,8 +25,7 @@ from fermicert.cumulants import (FourierMemo, LadderIndex, LadderMoments,
                                  verify_corollary, verify_suppression,
                                  wick_moment)
 from fermicert.definetti import ProductMixture, product_power
-from fermicert.errors import ResourceCapError
-from fermicert.fock import MODE_CAP_ENV, DenseOperator
+from fermicert.fock import MODE_CAP_ENV, DenseOperator, ResourceCapError
 
 SH1 = SystemShape(1, 1)
 SH12 = SystemShape(1, 2)

@@ -21,9 +21,8 @@ from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
                                  parity_blocks, product_power,
                                  project_simplex, theorem1_bound,
                                  verify_theorem1)
-from fermicert.errors import ResourceCapError
-from fermicert.fock import (DenseOperator, check_state, global_parity_signs,
-                            trace_norm)
+from fermicert.fock import (DenseOperator, ResourceCapError, check_state,
+                            global_parity_signs, trace_norm)
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
 from fermicert.suites import (run_gs_bound, run_verify_corollary,
                               run_verify_theorem1)

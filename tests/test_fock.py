@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (independent_majoranas, random_density_matrix,
-                      random_even_density_matrix, word_matrix_oracle)
+import fermicert
+from conftest import (independent_ladder, independent_majoranas,
+                      random_density_matrix, random_even_density_matrix,
+                      word_matrix_oracle)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                expansion_from_text, expansion_to_text,
                                random_expansion)
-from fermicert.errors import ResourceCapError
-from fermicert.fock import (MODE_CAP_ENV, DenseOperator, check_state,
-                            diagonal_blocks, global_parity_signs,
-                            hermitian_eig, hermiticity_residual,
-                            jw_matrix, operator_norm, partial_trace_sites,
+from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
+                            check_state, diagonal_blocks,
+                            global_parity_signs, hermitian_eig,
+                            hermiticity_residual, jw_matrix, occupations,
+                            operator_norm, partial_trace_sites,
                             permutation_unitary, real_if_exact,
                             reduce_expansion, require_hermitian,
                             to_expansion, to_matrix, trace_norm,
@@ -95,6 +97,8 @@ class TestJwMatrix:
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapError):
             jw_matrix(0, SystemShape(13, 1))
+        # The package exports the same class.
+        assert fermicert.ResourceCapError is ResourceCapError
 
     def test_cap_override(self, monkeypatch):
         # The environment variable is the one way to lift the cap.
@@ -392,6 +396,24 @@ class TestCheckState:
     def test_global_parity_signs(self):
         sh = SystemShape(2, 1)
         assert np.allclose(global_parity_signs(sh), [1, -1, -1, 1])
+
+
+OCCUPATION_SHAPES = [SystemShape(3, 1), SystemShape(2, 2), SystemShape(1, 3),
+                     SystemShape(4, 1)]
+
+
+@pytest.mark.parametrize("sh", OCCUPATION_SHAPES, ids=str)
+def test_occupations_match_number_operators(sh):
+    # Column m is the diagonal of f_m-dagger f_m from the kron chain, and
+    # the global parity is prod_m (1 - 2 n_m).
+    n = sh.total_modes
+    numbers = np.array([np.diag(f.conj().T @ f).real for f in
+                        (independent_ladder(n, m) for m in range(n))]).T
+    occ = occupations(sh)
+    assert occ.shape == (sh.fock_dim, n)
+    assert np.array_equal(occ, numbers)
+    assert np.array_equal(global_parity_signs(sh),
+                          np.prod(1 - 2 * numbers, axis=1))
 
 
 class TestEvenChannelDense:

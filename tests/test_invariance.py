@@ -335,6 +335,24 @@ class TestVerifyLemma3:
         rep = verify_lemma3(state, 1, inv_report=inv)
         assert rep.lhs == 0.0
 
+    def test_k1_reduction_inside_tolerance_still_fails(self):
+        # 1/64 + (eps/64) sum_j m_j^1 is invariant; its one-site odd part
+        # (eps/2) m_1^1 has trace norm eps, inside the 1e-9 tolerance of
+        # the inequality, but at k = 1 the reduction must vanish exactly.
+        eps = 5e-10
+        shape = SystemShape(6, 1)
+        terms = {0: 1.0 / 64.0}
+        terms.update({mask_of(shape, (j, 1)): eps / 64.0
+                      for j in range(1, 7)})
+        state = OperatorExpansion(shape, terms)
+        inv = check_invariance(state)
+        assert inv.fully_invariant
+        rep = verify_lemma3(state, 1, inv_report=inv)
+        assert rep.lhs == pytest.approx(eps, rel=1e-6)
+        assert rep.lhs <= rep.rhs + rep.tolerance
+        assert not rep.passed
+        assert rep.notes == ["k=1 reduction must vanish exactly"]
+
     def test_monotone_in_k(self, mu1):
         state, inv = mu1
         values = [verify_lemma3(state, k, inv_report=inv).lhs

@@ -123,13 +123,11 @@ UNREACHED_ALLOWED = {
     "fourier_ladder_matrix": "test oracle for the Fourier ladder products",
     "mixture_matrix": "test oracle for the mixture density matrix",
     "build_hamiltonian": "test oracle for the sparse Hamiltonian",
-    "circulant_spectrum": "test oracle: the closed form with no fallback",
     # Public API, exported by the package.
     "expansion_to_text": "writes the fixture format that --fixture reads",
     "to_expansion": "dense-to-symbolic conversion",
     "hermitian_eig": "eigendecomposition with the Hermiticity check",
     "is_order_preserving": "condition (1) of the invariance definition",
-    "SingularSpectrumError": "what circulant_spectrum raises",
 }
 
 

@@ -11,12 +11,10 @@ from conftest import (independent_ladder, random_density_matrix,
 from fermicert.algebra import SystemShape
 from fermicert import rdm
 from fermicert.definetti import product_power
-from fermicert.errors import SingularSpectrumError
 from fermicert.fock import DenseOperator, to_matrix
 from fermicert.invariance import MuFamilyParams, mu_family_state
 from fermicert.rdm import (CirculantParams, OFFDIAG_BOUND_CONST, OneRDM,
-                           circulant_matrix, circulant_spectrum,
-                           circulant_spectrum_with_fallback,
+                           circulant_matrix, circulant_spectrum_with_fallback,
                            compare_circulant_spectrum, fit_circulant,
                            mode_occupations, one_rdm,
                            verify_pauli_constraints)
@@ -70,13 +68,20 @@ class TestOneRDM:
             assert rdm.hermiticity_residual < 1e-12
 
 
+def closed_form(params: CirculantParams) -> np.ndarray:
+    """The closed-form values of a spectrum with no singular k."""
+    vals, singular = circulant_spectrum_with_fallback(params)
+    assert singular == []
+    return vals
+
+
 class TestCirculantSpectrum:
     def test_b_zero_flat(self):
-        vals = circulant_spectrum(CirculantParams(5, 0.3, 0.0 + 0j))
+        vals = closed_form(CirculantParams(5, 0.3, 0.0 + 0j))
         assert np.allclose(vals, 0.3)
 
     def test_real_branch_values(self):
-        vals = circulant_spectrum(CirculantParams(6, 0.5, complex(0.05)))
+        vals = closed_form(CirculantParams(6, 0.5, complex(0.05)))
         assert vals[0] == 0.5 + 0.05 * 5
         assert np.allclose(vals[1:], 0.5 - 0.05)
 
@@ -84,27 +89,24 @@ class TestCirculantSpectrum:
         for V in range(2, 13):
             for b in (-0.1, 0.05, 0.3 / V):
                 params = CirculantParams(V, 0.5, complex(b))
-                vals = np.sort(circulant_spectrum(params))
+                vals = np.sort(closed_form(params))
                 direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
                 assert np.max(np.abs(vals - direct)) < 1e-10
 
     def test_complex_branch_matches_direct(self):
         params = CirculantParams(6, 0.5, 0.05 * np.exp(1j * math.pi / 5))
-        vals = np.sort(circulant_spectrum(params))
+        vals = np.sort(closed_form(params))
         direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
         assert np.max(np.abs(vals - direct)) < 1e-10
 
     def test_trace_rule(self):
         for V in (2, 5, 9):
             for b in (complex(0.07), 0.05 * np.exp(0.9j)):
-                vals = circulant_spectrum(CirculantParams(V, 0.5, b))
+                vals = closed_form(CirculantParams(V, 0.5, b))
                 assert abs(np.sum(vals) - 0.5 * V) < 1e-10
 
     def test_singularity_named_and_fallback(self):
         params = CirculantParams(6, 0.5, complex(0.05 * np.exp(1e-7j)))
-        with pytest.raises(SingularSpectrumError) as err:
-            circulant_spectrum(params)
-        assert 0 in err.value.singular_ks
         vals, singular = circulant_spectrum_with_fallback(params)
         assert singular == [0]
         direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
