@@ -14,8 +14,14 @@ moves a word's nonzero per-site Majorana blocks between sites, so each
 condition says that the expectation is constant on a class of words: the
 words with the same block sequence (1), the even-on-every-site words with
 the same block multiset (2), and for full invariance all words with the
-same block multiset, up to the sign of reordering the odd blocks.  One
-pass over the words up to a degree cap collects the classes.
+same block multiset, up to the sign of reordering the odd blocks.
+
+Every word up to a degree cap is covered, but only the words of the
+state's support are visited: a word outside it has expectation 0.  The
+classes are sized in closed form (C(V, m) placements of a sequence of m
+blocks, V!/((V-m)! prod mult!) of a multiset), so a class that the support
+fills only in part also holds the value 0, and a class that it does not
+touch holds only zeros.
 
 The mu family built here is the standard witness separating the two
 notions: it is permutation invariant for every mu in [-1, 1] but fully
@@ -27,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -38,7 +45,7 @@ from .fock import (DenseOperator, Isometry, reduce_expansion, to_matrix,
                    trace_norm, word_expectations_dense)
 from .report import INEQUALITY, VerificationReport, make_report
 
-#: The checks visit every word of degree at most this.
+#: The checks cover every word of degree at most this.
 WORD_DEGREE_CAP = 4
 
 #: Largest invariance violation that the preconditions of Lemma 3 and
@@ -81,8 +88,9 @@ class InvarianceReport:
     of a word class (see the module docstring).  ``full_max_violation``
     additionally tests condition-(1)-style equality under *all*
     permutations, which detects states that are invariant but not fully
-    invariant.  ``checked_words`` counts the words up to
-    :data:`WORD_DEGREE_CAP`.
+    invariant.  ``checked_words`` is the number of words the check
+    covers, sum_{d <= cap} C(2pV, d) with cap :data:`WORD_DEGREE_CAP`, in
+    closed form: the words outside the support are covered, not visited.
     ``sampled`` is always false: the check is exact, and the field stays
     because ``invariance.csv`` has a column for it.
     """
@@ -164,63 +172,93 @@ def _diameter(values: Iterable[complex]) -> float:
     values is not (it rounds differently in the last place).
     """
     vals = np.array(list(values), dtype=np.complex128)
+    if len(vals) < 2:
+        return 0.0
     diff = vals[:, None] - vals[None, :]
     return float(np.hypot(diff.real, diff.imag).max())
 
 
+def _multiset_size(blocks: Tuple[int, ...], sites: int) -> int:
+    """Words with these blocks on distinct sites: V!/((V-m)! prod mult!)."""
+    size = math.perm(sites, len(blocks))
+    for mult in Counter(blocks).values():
+        size //= math.factorial(mult)
+    return size
+
+
 def _class_report(shape: SystemShape, values: Dict[int, complex],
                   tol: float) -> InvarianceReport:
-    """Invariance violations from the expectation of every word up to a
-    degree cap (``values`` maps word mask -> tr(rho w)).
+    """Invariance violations from the expectations of the words up to
+    :data:`WORD_DEGREE_CAP` (``values`` maps word mask -> tr(rho w); a word
+    it does not list has expectation 0).
 
     Permutations relabel the sites of a word's nonzero blocks, so:
 
     * condition (1): order-preserving maps carry no sign and reach exactly
-      the words with the same block sequence;
+      the words with the same block sequence, C(V, m) of them for m
+      blocks;
     * condition (2): words even on every site reach, with no sign, exactly
-      the words with the same block multiset;
+      the words with the same block multiset, V!/((V-m)! prod mult!) of
+      them;
     * full invariance: any word reaches its block multiset, with the sign
       (-1)^(inversions among odd blocks).  Values are normalised to the
       block-sorted order; a class with two equal odd blocks has a
       stabilizer of sign -1, so it holds both signs of every value.
 
-    Each violation is the largest class diameter, which equals the maximum
-    of |tr(rho w) - tr(rho pi(w))| over all (word, permutation) pairs.
+    A class with fewer listed words than members also holds 0.0; a class
+    with no listed word holds only zeros and has diameter 0.  Each
+    violation is the largest class diameter, which equals the maximum of
+    |tr(rho w) - tr(rho pi(w))| over all (word, permutation) pairs.
     """
     width = 2 * shape.modes_per_site
     by_sequence: Dict[Tuple[int, ...], set] = {}
     by_multiset: Dict[Tuple[int, ...], set] = {}
+    listed_sequence: Counter = Counter()
+    listed_multiset: Counter = Counter()
     for mask, val in values.items():
         blocks = site_blocks(mask, width)
         by_sequence.setdefault(blocks, set()).add(val)
+        listed_sequence[blocks] += 1
         odd = [b for b in blocks if b.bit_count() & 1]
-        normalised = by_multiset.setdefault(tuple(sorted(blocks)), set())
+        key = tuple(sorted(blocks))
+        listed_multiset[key] += 1
+        normalised = by_multiset.setdefault(key, set())
         if len(set(odd)) < len(odd):
             normalised.update((val, -val))
         else:
             inversions = sum(a > b for i, a in enumerate(odd)
                              for b in odd[i + 1:])
             normalised.add(-val if inversions & 1 else val)
-    cond1 = max(map(_diameter, by_sequence.values()))
-    cond2 = full = 0.0
+    V = shape.sites
+    cond1 = cond2 = full = 0.0
+    for blocks, vals in by_sequence.items():
+        if listed_sequence[blocks] < math.comb(V, len(blocks)):
+            vals.add(0.0)
+        cond1 = max(cond1, _diameter(vals))
     for key, vals in by_multiset.items():
+        if listed_multiset[key] < _multiset_size(key, V):
+            vals.add(0.0)
         diam = _diameter(vals)
         full = max(full, diam)
         if all(b.bit_count() % 2 == 0 for b in key):
             cond2 = max(cond2, diam)
-    return InvarianceReport(cond1, cond2, len(values), full < tol, full)
+    covered = sum(math.comb(shape.majorana_count, d)
+                  for d in range(WORD_DEGREE_CAP + 1))
+    return InvarianceReport(cond1, cond2, covered, full < tol, full)
 
 
 def check_invariance(rho: OperatorExpansion) -> InvarianceReport:
     """Exact check of both invariance conditions on an expansion.
 
-    One pass over every word up to :data:`WORD_DEGREE_CAP`, grouped into
-    the classes of :func:`_class_report`, with :data:`INVARIANCE_TOL` as
-    the full-invariance cut; no permutation is enumerated.
+    Covers every word up to :data:`WORD_DEGREE_CAP` but visits only the
+    support words of that degree: the classes of :func:`_class_report`
+    are sized in closed form, and a word outside the support has
+    expectation 0.  :data:`INVARIANCE_TOL` is the full-invariance cut; no
+    permutation is enumerated.
     """
-    words = words_up_to_degree(rho.shape, WORD_DEGREE_CAP)
-    return _class_report(rho.shape, {w: rho.expectation(w) for w in words},
-                         INVARIANCE_TOL)
+    values = {w: rho.expectation(w) for w in rho.terms
+              if w.bit_count() <= WORD_DEGREE_CAP}
+    return _class_report(rho.shape, values, INVARIANCE_TOL)
 
 
 def check_invariance_dense(rho: Union[DenseOperator, Isometry]
@@ -232,12 +270,15 @@ def check_invariance_dense(rho: Union[DenseOperator, Isometry]
     exact ground space given as an :class:`Isometry` F (the state
     F F-dagger / r, read without forming it).  The word expectations come
     from :func:`word_expectations_dense`, one Walsh-Hadamard transform per
-    X pattern that the state's support reaches.
+    X pattern that the state's support reaches; only the nonzero ones go
+    to the class report.
     """
     words = words_up_to_degree(rho.shape, WORD_DEGREE_CAP)
     values = word_expectations_dense(rho.matrix, words, rho.shape,
                                      factor=isinstance(rho, Isometry))
-    return _class_report(rho.shape, values, DENSE_INVARIANCE_TOL)
+    return _class_report(rho.shape,
+                         {w: v for w, v in values.items() if v != 0},
+                         DENSE_INVARIANCE_TOL)
 
 
 def lemma3_bound(V: int, p: int, k: int) -> float:
@@ -293,6 +334,5 @@ def verify_lemma3(rho: OperatorExpansion, k: int,
                          {"V": V, "p": p, "k": k, **(inputs or {})}, lhs,
                          rhs, 1e-9, time.perf_counter() - start)
     if k == 1 and lhs != 0.0:
-        report.passed = False
-        report.notes.append("k=1 reduction must vanish exactly")
+        report.fail("k=1 reduction must vanish exactly")
     return report

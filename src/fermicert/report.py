@@ -32,13 +32,23 @@ class VerificationReport:
     passed: bool
     wall_time: float = 0.0
     notes: List[str] = field(default_factory=list)
+    failures: List[str] = field(default_factory=list)
+
+    def fail(self, reason: str) -> None:
+        """Fail the claim on a rule beyond its pass rule: the verdict
+        becomes false and ``reason`` goes into the notes and the
+        failures."""
+        self.passed = False
+        self.notes.append(reason)
+        self.failures.append(reason)
 
     def consistent(self) -> bool:
-        """Whether the stored verdict matches the stored numbers; a kind
-        with no rule in :data:`PASS_RULES` always is."""
+        """Whether the stored verdict matches the stored numbers and the
+        recorded failures; a kind with no rule in :data:`PASS_RULES`
+        always is."""
         rule = PASS_RULES.get(self.kind)
-        return rule is None or self.passed == rule(self.lhs, self.rhs,
-                                                   self.tolerance)
+        return rule is None or self.passed == (
+            rule(self.lhs, self.rhs, self.tolerance) and not self.failures)
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -255,8 +255,7 @@ def run_verify_lemma3() -> Tuple[List[VerificationReport], Dict[str, Table]]:
                 rep = verify_lemma3(state, k, inv_report=inv,
                                     inputs={"mu": mu})
                 if rep.lhs < prev - 1e-9:
-                    rep.passed = False
-                    rep.notes.append("lhs must be monotone in k")
+                    rep.fail("lhs must be monotone in k")
                 prev = rep.lhs
                 reports.append(rep)
                 rows.append([V, 1, mu, k, rep.lhs, rep.rhs, rep.passed])
@@ -282,8 +281,7 @@ def run_verify_theorem1(seed: int = 3) -> Tuple[List[VerificationReport], Dict[s
                 rep, mixture, diag = verify_theorem1(
                     state, k, seed=seed, inv_report=inv, inputs={"mu": mu})
                 if mu == 0.0 and rep.lhs > 1e-6:
-                    rep.passed = False
-                    rep.notes.append("exact product target missed below 1e-6")
+                    rep.fail("exact product target missed below 1e-6")
                 reports.append(rep)
                 rows.append([V, 1, mu, k, len(mixture.weights), rep.lhs,
                              rep.rhs, diag["max_offdiagonal"], rep.passed])

@@ -62,6 +62,24 @@ class TestReports:
             rep = VerificationReport("x", kind, {}, lhs, rhs, tol, passed)
             assert rep.consistent() == (passed == passes)
 
+    def test_fail_keeps_the_report_consistent(self):
+        # A rule beyond the pass rule fails the claim through fail(); a
+        # verdict flipped by hand stays inconsistent with the numbers.
+        rep = make_report("x", INEQUALITY, {}, 1.0, 2.0, 0.0, notes=["n"])
+        rep.fail("extra rule broken")
+        assert not rep.passed and rep.consistent()
+        assert rep.notes == ["n", "extra rule broken"]
+        assert rep.failures == ["extra rule broken"]
+        flipped = make_report("x", INEQUALITY, {}, 1.0, 2.0, 0.0)
+        flipped.passed = False
+        assert not flipped.consistent()
+        # A recorded failure may not sit under a passing verdict.
+        rep.passed = True
+        assert not rep.consistent()
+        failing = make_report("x", INEQUALITY, {}, 3.0, 2.0, 0.0)
+        failing.fail("also broken")
+        assert not failing.passed and failing.consistent()
+
     def test_property_reports_are_always_consistent(self):
         # A property claim states its rule in the notes, not the numbers.
         for passed in (True, False):

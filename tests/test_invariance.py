@@ -12,6 +12,7 @@ from fermicert.algebra import (OperatorExpansion, SystemShape,
                                canonicalize_positions, random_expansion)
 from fermicert.fock import (DenseOperator, partial_trace_sites,
                             reduce_expansion, to_matrix, trace_norm)
+from fermicert import invariance
 from fermicert.invariance import (InvarianceReport, MuFamilyParams,
                                   check_invariance, check_invariance_dense,
                                   is_order_preserving, lemma3_bound,
@@ -83,6 +84,54 @@ def symmetrised(rho, ordered_only):
     return out
 
 
+def enumerating_reference(rho, cap=4):
+    """Independent reference for the support-driven checker: the class
+    diameters over every word up to the degree cap, a word outside the
+    support standing for expectation 0.  The full-invariance value of a
+    word is normalised with the sign of the site permutation that sorts
+    its blocks (a class with two equal odd blocks holds both signs).
+    Returns an :class:`InvarianceReport` built field by field."""
+    shape = rho.shape
+    width = 2 * shape.modes_per_site
+    full_block = (1 << width) - 1
+    sequences, multisets = {}, {}
+    n_words = 0
+    for degree in range(cap + 1):
+        for combo in itertools.combinations(range(shape.majorana_count),
+                                            degree):
+            n_words += 1
+            w = sum(1 << g for g in combo)
+            e_w = rho.expectation(w)
+            placed = [(s, (w >> (s * width)) & full_block)
+                      for s in range(shape.sites)
+                      if (w >> (s * width)) & full_block]
+            blocks = tuple(b for _, b in placed)
+            sequences.setdefault(blocks, set()).add(e_w)
+            # The site permutation that puts the blocks in sorted order on
+            # the same sites: the block of sorted rank j goes to the j-th
+            # of them; its sign is read off the written product.
+            by_rank = sorted(range(len(blocks)), key=lambda i: blocks[i])
+            target = {i: placed[j][0] for j, i in enumerate(by_rank)}
+            sign, _ = canonicalize_positions(
+                target[i] * width + g for i, b in enumerate(blocks)
+                for g in range(width) if (b >> g) & 1)
+            odd = [b for b in blocks if b.bit_count() % 2]
+            vals = multisets.setdefault(tuple(sorted(blocks)), set())
+            if len(set(odd)) < len(odd):
+                vals.update((e_w, -e_w))
+            else:
+                vals.add(sign * e_w)
+
+    def diameter(vals):
+        return max(abs(a - b) for a in vals for b in vals)
+
+    cond1 = max(diameter(v) for v in sequences.values())
+    cond2 = max((diameter(v) for k, v in multisets.items()
+                 if all(b.bit_count() % 2 == 0 for b in k)), default=0.0)
+    full = max(diameter(v) for v in multisets.values())
+    return InvarianceReport(cond1, cond2, n_words, full < 1e-9, full)
+
+
 ORACLE_SHAPES = [SystemShape(V, p) for V, p in
                  ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2))]
 
@@ -98,6 +147,48 @@ def oracle_states(draw):
                                  "order-preserving"]))
     if kind != "raw":
         rho = symmetrised(rho, kind == "order-preserving")
+    return rho
+
+
+REFERENCE_SHAPES = [SystemShape(V, p) for V, p in
+                    ((6, 1), (7, 1), (8, 1), (3, 2), (4, 2))]
+
+
+def filled_class(shape, blocks, coeff):
+    """Every word that places ``blocks`` on distinct sites, all with the
+    coefficient ``coeff``: one full block-multiset class."""
+    width = 2 * shape.modes_per_site
+    terms = {}
+    for sites in itertools.permutations(range(shape.sites), len(blocks)):
+        terms[sum(int(b) << (s * width) for s, b in zip(sites, blocks))] = coeff
+    return OperatorExpansion(shape, terms)
+
+
+@st.composite
+def reference_states(draw):
+    """Raw random expansions leave their classes partly filled; mixtures
+    of mu-family states fill every pair class, and a filled class of
+    random blocks (repeated ones when drawn so) fills one more; the sum of
+    both kinds has both."""
+    shape = draw(st.sampled_from(REFERENCE_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["raw", "filled", "both"]))
+    rho = OperatorExpansion(shape, {})
+    if kind != "raw":
+        for mu, weight in zip(rng.uniform(-1.0, 1.0, 3),
+                              rng.dirichlet(np.ones(3))):
+            rho = rho + weight * mu_family_state(
+                MuFamilyParams(shape.sites, shape.modes_per_site,
+                               float(mu)), validate=False)
+        width = 2 * shape.modes_per_site
+        blocks = rng.integers(1, 1 << width, size=draw(st.integers(1, 3)))
+        if draw(st.booleans()):
+            blocks[:] = blocks[0]
+        coeff = complex(*rng.standard_normal(2)) / shape.fock_dim
+        rho = rho + filled_class(shape, blocks, coeff)
+    if kind != "filled":
+        rho = rho + (1.0 / shape.fock_dim) * random_expansion(
+            shape, rng, n_terms=draw(st.integers(1, 8)), max_degree=5)
     return rho
 
 
@@ -242,6 +333,31 @@ class TestCheckInvariance:
                 dense.full_max_violation) == pytest.approx(
                     (cond1, cond2, full), abs=1e-12)
 
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(reference_states())
+    def test_matches_enumerating_reference(self, rho):
+        # Bit for bit: the support-driven report adds 0.0 to every class
+        # the support fills only in part, as the enumeration does word by
+        # word.
+        assert check_invariance(rho) == enumerating_reference(rho)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, -1.0])
+    def test_large_v_covers_words_without_visiting_them(self, mu,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the support-driven check enumerated words")
+
+        monkeypatch.setattr(invariance, "words_up_to_degree", refuse)
+        state = mu_family_state(MuFamilyParams(40, 1, mu), validate=False)
+        rep = check_invariance(state)
+        # 1 + 80 + C(80, 2) + C(80, 3) + C(80, 4) words of degree <= 4.
+        assert rep.checked_words == 1_666_981
+        assert rep.max_violation() == 0.0
+        assert rep.full_max_violation == pytest.approx(
+            2.0 * math.tan(math.pi / 80.0) * abs(mu), rel=1e-12)
+        assert rep.fully_invariant == (mu == 0.0)
+
     def test_equal_odd_blocks_force_zero(self):
         # m_1^1 m_2^1 at V = 2: the swap of its two equal odd blocks maps
         # the word to minus itself, so full invariance needs e = -e.
@@ -352,6 +468,8 @@ class TestVerifyLemma3:
         assert rep.lhs <= rep.rhs + rep.tolerance
         assert not rep.passed
         assert rep.notes == ["k=1 reduction must vanish exactly"]
+        assert rep.failures == rep.notes
+        assert rep.consistent()
 
     def test_monotone_in_k(self, mu1):
         state, inv = mu1

@@ -1,6 +1,7 @@
 """Hamiltonian assembly, exact ground states, product-state energies and
 the gap certificate."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fermicert.algebra import OperatorExpansion, SystemShape
 from fermicert.fock import (DenseOperator, diagonal_blocks, operator_norm,
@@ -266,6 +268,73 @@ class TestProductEnergy:
         xi, energy = min_product_energy(h_exp, restarts=3, iters=2, seed=0)
         assert energy == pytest.approx(-1.0, abs=1e-9)
         assert xi.matrix[1, 1] == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_one_word_minimum_against_grid(self, k, seed):
+        # Any one-mode template has one even single-site word, m^1 m^2, so
+        # the energy is a polynomial in the occupation; a dense grid of
+        # diagonal states bounds the exact minimum from both sides.
+        rng = np.random.default_rng(seed)
+        tshape = SystemShape(k, 1)
+        terms = {}
+        for _ in range(6):
+            mask = int(rng.integers(0, 1 << (2 * k)))
+            herm = 1.0 if mask.bit_count() % 4 in (0, 1) else 1j
+            terms[mask] = terms.get(mask, 0.0) + herm * rng.standard_normal()
+        subsets = tuple(itertools.permutations(range(1, k + 2), k))
+        spec = HamiltonianSpec(SystemShape(k + 1, 1), subsets,
+                               OperatorExpansion(tshape, terms),
+                               normalize=True)
+        h_exp, _ = build_hamiltonian_expansion(spec)
+        evaluator = ProductEnergyEvaluator(h_exp)
+        xi, energy = min_product_energy(h_exp)
+        assert evaluator.energy(xi.matrix) == energy
+        assert np.allclose(xi.matrix, np.diag(np.diag(xi.matrix)))
+        grid = [evaluator.energy(np.diag([a, 1.0 - a]).astype(complex))
+                for a in np.linspace(0.0, 1.0, 2001)]
+        # |dE/da| <= 2 k for a normalized k-site template.
+        assert min(grid) - 2 * k * 5e-4 - 1e-12 <= energy <= min(grid) + 1e-12
+
+    def test_hubbard_like_minimum_exact(self):
+        h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
+                                                              6))
+        xi, energy = min_product_energy(h_exp)
+        assert energy == pytest.approx(-0.5, abs=1e-15)
+        assert ProductEnergyEvaluator(h_exp).energy(xi.matrix) == energy
+
+    def test_one_mode_minimum_never_searches(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("coordinate search called at p = 1")
+
+        monkeypatch.setattr(meanfield, "coordinate_search", refuse)
+        for name in BUILTIN_FAMILIES:
+            spec = builtin_family(name, 6)
+            if spec.shape.modes_per_site == 1:
+                min_product_energy(build_hamiltonian_expansion(spec)[0])
+        _, energy = min_product_energy(OperatorExpansion.identity(
+            SystemShape(3, 1)))
+        assert energy == 1.0
+
+    def test_two_word_support_still_searches(self, monkeypatch):
+        # Two even words on one site (p = 2) leave the one-word case, and
+        # the search runs.  The words m^1 m^2 and m^1 m^3 anticommute, so
+        # the sum of their Hermitian forms has minimum -sqrt(2).
+        calls = []
+        original = meanfield.coordinate_search
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "coordinate_search", counting)
+        sh = SystemShape(2, 2)
+        h_exp = OperatorExpansion(sh, {mask_of(sh, (1, 1), (1, 2)): 0.25j,
+                                       mask_of(sh, (2, 1), (2, 3)): 0.25j})
+        _, energy = min_product_energy(h_exp, restarts=1, iters=1)
+        assert calls
+        assert energy == pytest.approx(-math.sqrt(2.0) / 4.0, abs=1e-6)
 
     def test_min_product_energy_identity(self):
         sh = SystemShape(2, 1)
