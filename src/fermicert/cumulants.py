@@ -19,19 +19,14 @@ definition, and certifies:
   central limit corollary.
 
 Ladder operators are never formed as dense matrices, and rho is never
-multiplied by anything.  Operators are kept as XOR terms
-sum_x diag(v_x) X_x, with X_x[a, a ^ x] = 1.  A site ladder
-f = (m^(2a-1) + i c m^(2a))/2 is one term: its two Majorana strings flip
-the same Fock-basis bit x, and v_x[a] is in {0, +-1, +-i}.  A Fourier
-ladder is V phased terms, one per site.  A product of ladders stays in
-this form, diag(u) X_x diag(v) X_y = diag(u * v[a ^ x]) X_(x ^ y), at
-O(terms * dim) and independent of rho; a moment tr(rho L_1 ... L_w) is
-then one gather, sum_x sum_a u_x[a] rho[a ^ x, a].  :class:`LadderMoments`
-keeps the products of key prefixes and the cumulants of one state, so
-overlapping requests share them, and :class:`FourierMemo` holds one per
-(single-site state, V) for a sweep of Fourier cumulants.
-:func:`ladder_matrix` and :func:`fourier_ladder_matrix` are dense views of
-the same terms.
+multiplied by anything: ladders are :data:`fock.XorTerms`, a Fourier
+ladder being V phased site-ladder terms, and a moment is a product of
+terms and one gather (:func:`fock.xor_product`, :func:`fock.xor_trace`).
+:class:`LadderMoments` keeps the products of key prefixes and the
+cumulants of one state, so overlapping requests share them, and
+:class:`FourierMemo` holds one per (single-site state, V) for a sweep of
+Fourier cumulants.  :func:`ladder_matrix` and
+:func:`fourier_ladder_matrix` are dense views of the same terms.
 """
 
 from __future__ import annotations
@@ -48,8 +43,8 @@ import numpy as np
 
 from .algebra import SystemShape
 from .definetti import ProductMixture, product_power
-from .fock import (DenseOperator, ensure_within_cap, global_parity_signs,
-                   word_string_entries)
+from .fock import (DenseOperator, XorTerms, global_parity_signs,
+                   ladder_terms, xor_matrix, xor_product, xor_trace)
 from .report import (EQUALITY, INEQUALITY, PROPERTY, VerificationReport,
                      make_report)
 
@@ -183,38 +178,9 @@ def moment_from_cumulant_fn(cumulant_fn: Callable[[Tuple[int, ...]], complex],
     return total
 
 
-#: An operator as XOR terms (masks, vals): the matrix sum over terms t of
-#: diag(vals[t]) X_masks[t], that is the entries [a, a ^ masks[t]] =
-#: vals[t, a].  Ladders and their products keep this form.
-LadderTerms = Tuple[np.ndarray, np.ndarray]
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=512)
-def ladder_terms(shape: SystemShape, c: int, site: int, mode: int
-                 ) -> LadderTerms:
-    """Site ladder f (c = +1) or f-dagger (c = -1) as one XOR term:
-    f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings flip the same
-    bits.  Cached; the arrays are read-only."""
-    if c not in (1, -1):
-        raise ValueError(f"c must be +1 or -1, got {c}")
-    cols, (v1, v2) = word_string_entries(
-        [1 << shape.bit_position(site, 2 * mode - 1),
-         1 << shape.bit_position(site, 2 * mode)], shape)
-    vals = 0.5 * (v1 + 1j * v2) if c == 1 else 0.5 * (v1 - 1j * v2)
-    masks = cols[0, :1].copy()  # cols[t, a] = a ^ mask
-    vals = vals[None, :]
-    _read_only(masks, vals)
-    return masks, vals
-
-
 @functools.lru_cache(maxsize=256)
 def fourier_ladder_terms(shape: SystemShape, c: int, mode: int,
-                         q: int) -> LadderTerms:
+                         q: int) -> XorTerms:
     """Fourier ladder (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c as V
     phased site-ladder terms, one mask per site.  Cached; the arrays are
     read-only."""
@@ -226,64 +192,42 @@ def fourier_ladder_terms(shape: SystemShape, c: int, mode: int,
                        for j in range(1, V + 1)])
     masks = np.concatenate([m for m, _ in sites])
     vals = phases[:, None] * np.concatenate([v for _, v in sites]) / math.sqrt(V)
-    _read_only(masks, vals)
+    masks.flags.writeable = vals.flags.writeable = False
     return masks, vals
-
-
-def _ladder_product(left: LadderTerms, right: LadderTerms) -> LadderTerms:
-    """left @ right in XOR form: diag(u) X_x diag(v) X_y = diag(u * v[a ^ x])
-    X_(x ^ y), terms of equal mask summed.  O(terms * dim); independent of
-    any state."""
-    lmasks, lvals = left
-    rmasks, rvals = right
-    dim = lvals.shape[1]
-    rows = np.arange(dim)
-    # vals[i, j, a] = lvals[i, a] * rvals[j, a ^ lmasks[i]]
-    vals = lvals[:, None, :] * rvals[:, rows ^ lmasks[:, None]].swapaxes(0, 1)
-    masks = (lmasks[:, None] ^ rmasks[None, :]).ravel()
-    order = np.argsort(masks, kind="stable")
-    masks = masks[order]
-    first = np.concatenate(([0], np.flatnonzero(masks[1:] != masks[:-1]) + 1))
-    return masks[first], np.add.reduceat(vals.reshape(-1, dim)[order], first,
-                                         axis=0)
 
 
 class LadderMoments:
     """Moments tr(rho L_1 ... L_w) and joint cumulants of ladders on one
     dense state, memoized by ladder key.
 
-    ``ladder`` maps a hashable key to the ladder's :data:`LadderTerms`.
+    ``ladder`` maps a hashable key to the ladder's :data:`fock.XorTerms`.
     The product of each key tuple is formed once, from the product of its
-    prefix (:func:`_ladder_product`), and kept; a moment is then one gather
-    on rho, sum over terms and rows a of vals[t, a] * rho[a ^ mask_t, a].
-    Cumulants are kept too, so requests that overlap share their work.
-    The memo keeps everything it formed: scope it to one computation.
+    prefix (:func:`fock.xor_product`), and kept; a moment is then one
+    gather on rho (:func:`fock.xor_trace`).  Cumulants are kept too, so
+    requests that overlap share their work.  The memo keeps everything it
+    formed: scope it to one computation.
     """
 
     def __init__(self, rho: np.ndarray,
-                 ladder: Callable[[Hashable], LadderTerms]):
+                 ladder: Callable[[Hashable], XorTerms]):
         self.rho = rho
         self._ladder = ladder
-        self._rows = np.arange(len(rho))
-        self._products: Dict[Tuple[Hashable, ...], LadderTerms] = {}
+        self._products: Dict[Tuple[Hashable, ...], XorTerms] = {}
         self._cumulants: Dict[Tuple[Hashable, ...], complex] = {}
 
-    def product(self, keys: Tuple[Hashable, ...]) -> LadderTerms:
+    def product(self, keys: Tuple[Hashable, ...]) -> XorTerms:
         if not keys:
             raise ValueError("a ladder product needs at least one operator")
         if len(keys) == 1:
             return self._ladder(keys[0])
         hit = self._products.get(keys)
         if hit is None:
-            hit = _ladder_product(self.product(keys[:-1]),
-                                  self._ladder(keys[-1]))
+            hit = xor_product(self.product(keys[:-1]), self._ladder(keys[-1]))
             self._products[keys] = hit
         return hit
 
     def moment(self, keys: Tuple[Hashable, ...]) -> complex:
-        masks, vals = self.product(keys)
-        rows = self._rows
-        return complex((vals * self.rho[rows ^ masks[:, None], rows]).sum())
+        return xor_trace(self.rho, self.product(keys))
 
     def cumulant(self, keys: Tuple[Hashable, ...]) -> complex:
         if not keys or len(keys) % 2:
@@ -292,30 +236,20 @@ class LadderMoments:
         return _cumulant(self.moment, keys, self._cumulants)
 
 
-def _dense(shape: SystemShape, terms: LadderTerms) -> np.ndarray:
-    ensure_within_cap(shape)
-    dim = shape.fock_dim
-    rows = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for mask, vals in zip(*terms):
-        out[rows, rows ^ mask] += vals
-    return out
-
-
 def ladder_matrix(shape: SystemShape, c: int, site: int, mode: int) -> np.ndarray:
     """Dense ladder operator f (c = +1) or f-dagger (c = -1) from the two
     Majoranas of the mode: f = (m^(2a-1) + i m^(2a))/2."""
-    return _dense(shape, ladder_terms(shape, c, site, mode))
+    return xor_matrix(shape, [ladder_terms(shape, c, site, mode)])
 
 
 def fourier_ladder_matrix(shape: SystemShape, c: int, mode: int,
                           q: int) -> np.ndarray:
     """Fourier ladder mode (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c."""
-    return _dense(shape, fourier_ladder_terms(shape, c, mode, q))
+    return xor_matrix(shape, [fourier_ladder_terms(shape, c, mode, q)])
 
 
 def _site_ladders(shape: SystemShape,
-                  ops: Sequence[LadderIndex]) -> List[LadderTerms]:
+                  ops: Sequence[LadderIndex]) -> List[XorTerms]:
     return [ladder_terms(shape, o.c, o.site, o.mode) for o in ops]
 
 
@@ -331,9 +265,9 @@ def cumulant(rho: DenseOperator, ops: Sequence[LadderIndex]) -> complex:
     return cumulant_mats(rho.matrix, _site_ladders(rho.shape, ops))
 
 
-def cumulant_mats(rho: np.ndarray, ladders: Sequence[LadderTerms]) -> complex:
+def cumulant_mats(rho: np.ndarray, ladders: Sequence[XorTerms]) -> complex:
     """Joint cumulant of ladder operators given as XOR terms
-    (:func:`ladder_terms`, :func:`fourier_ladder_terms`)."""
+    (:func:`fock.ladder_terms`, :func:`fourier_ladder_terms`)."""
     return LadderMoments(rho, ladders.__getitem__).cumulant(
         tuple(range(len(ladders))))
 
@@ -417,19 +351,14 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
 
 def verify_suppression(rho_single: DenseOperator, V: int,
                        ops: Sequence[LadderIndex],
-                       result: Optional[FourierCumulantResult] = None
-                       ) -> VerificationReport:
+                       result: FourierCumulantResult) -> VerificationReport:
     """Certify |K_w(Fourier modes of the V-fold copy)| <=
-    V^((2-w)/2) |K_w(single site)|, within :data:`CUMULANT_TOL`.
-
-    ``result`` is ``fourier_cumulant(rho_single, V, ops)`` when the caller
-    already has it; otherwise it is computed here."""
+    V^((2-w)/2) |K_w(single site)|, within :data:`CUMULANT_TOL`, on
+    ``result = fourier_cumulant(rho_single, V, ops)``."""
     start = time.perf_counter()
     w = len(ops)
     if w <= 2:
         raise ValueError("suppression concerns cumulant orders w > 2")
-    if result is None:
-        result = fourier_cumulant(rho_single, V, ops)
     lhs = abs(result.direct)
     rhs = (V ** ((2.0 - w) / 2.0)) * abs(result.single_site_cumulant)
     notes = []

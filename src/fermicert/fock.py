@@ -12,9 +12,21 @@ a phase exponent together with Z/X masks.  :func:`pauli_strings` turns an
 array of word masks into these arrays at once: per-byte lookup tables,
 built once per mode count from the scalar :func:`pauli_of_word`, are
 combined by the Pauli product rule, i^(e1+e2) (-1)^|x1 & z2| with the
-masks XORed.  Matrices are built from (words x dim) arrays of columns and
-values, and word expectations are read from one Walsh-Hadamard transform
-per X pattern.
+masks XORed.  Word expectations are read from one Walsh-Hadamard
+transform per X pattern.
+
+Every other operator is kept as XOR terms (:data:`XorTerms`),
+sum_x diag(v_x) X_x with X_x[a, a ^ x] = 1: a word i^e Z^z X^x is one term
+of mask x (:func:`word_terms`), and so is a site ladder
+f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings flip the same bit
+(:func:`ladder_terms`, v_x[a] in {0, +-1, +-i}).  The form has one
+group-sum (:func:`xor_sum`), one product,
+diag(u) X_x diag(v) X_y = diag(u * v[a ^ x]) X_(x ^ y) at O(terms * dim)
+(:func:`xor_pairs`, summed by :func:`xor_product`), one gather against a
+dense state, tr(rho T) = sum_x sum_a v_x[a] rho[a ^ x, a]
+(:func:`xor_trace`, or per term :func:`xor_term_traces`), and one scatter
+into a dense matrix (:func:`xor_matrix`).  Expansions, Hamiltonians,
+ladder products and the 1-RDM all go through these.
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
 the most significant bits.  That layout has two homes: :func:`occupations`,
@@ -31,7 +43,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +70,7 @@ STATE_EIG_TOL = 1e-10
 STATE_HERMITIAN_TOL = 1e-9
 STATE_PARITY_TOL = 1e-10
 
-#: :func:`to_matrix` cuts its (terms x dim) entry arrays to at most this
+#: :func:`to_matrix` cuts its (terms x dim) value arrays to at most this
 #: many entries (4 MB of complex values), whatever the expansion's size.
 _BATCH_ENTRIES = 1 << 18
 
@@ -214,48 +226,143 @@ def pauli_strings(masks, shape: SystemShape
     return phase & 3, z, x
 
 
-def word_string_entries(masks, shape: SystemShape
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sparse form of many words' matrices, as (words x dim) arrays: row a
-    of word t holds its single entry vals[t, a] at column cols[t, a]."""
+# -- XOR terms ----------------------------------------------------------------
+
+#: An operator as XOR terms (masks, vals): the matrix sum over terms t of
+#: diag(vals[t]) X_masks[t], that is the entries [a, a ^ masks[t]] =
+#: vals[t, a].  Words, ladders, their products and Hamiltonians keep this
+#: form.
+XorTerms = Tuple[np.ndarray, np.ndarray]
+
+
+def word_terms(masks, shape: SystemShape) -> XorTerms:
+    """Many words as XOR terms, one per word in order: i^e Z^z X^x is the
+    term of mask x with values i^e (-1)^|a & z| on rows a."""
     phase, z, x = pauli_strings(masks, shape)
     rows = np.arange(shape.fock_dim, dtype=np.int64)
-    cols = rows ^ x[:, None]
     signs = 1.0 - 2.0 * (np.bitwise_count(rows & z[:, None]) & 1)
-    return cols, _I4[phase][:, None] * signs
+    return x, _I4[phase][:, None] * signs
+
+
+@functools.lru_cache(maxsize=512)
+def ladder_terms(shape: SystemShape, c: int, site: int, mode: int
+                 ) -> XorTerms:
+    """Site ladder f (c = +1) or f-dagger (c = -1) as one XOR term:
+    f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings flip the same
+    bits.  Cached; the arrays are read-only."""
+    if c not in (1, -1):
+        raise ValueError(f"c must be +1 or -1, got {c}")
+    x, (v1, v2) = word_terms(
+        [1 << shape.bit_position(site, 2 * mode - 1),
+         1 << shape.bit_position(site, 2 * mode)], shape)
+    vals = 0.5 * (v1 + 1j * v2) if c == 1 else 0.5 * (v1 - 1j * v2)
+    masks, vals = x[:1], vals[None, :]
+    masks.flags.writeable = vals.flags.writeable = False
+    return masks, vals
+
+
+def xor_sum(terms: XorTerms) -> XorTerms:
+    """The terms of equal mask summed, masks ascending.
+
+    A stable sort puts equal masks next to each other in term order, and
+    ``np.add.reduceat`` adds each run: one term per mask, each position of
+    the matrix listed once.  Terms already in that form are returned as
+    they are.
+    """
+    masks, vals = terms
+    if (masks[1:] > masks[:-1]).all():
+        return terms
+    order = np.argsort(masks, kind="stable")
+    masks = masks[order]
+    first = np.concatenate(([0], np.flatnonzero(masks[1:] != masks[:-1]) + 1))
+    return masks[first], np.add.reduceat(vals[order], first, axis=0)
+
+
+def xor_pairs(left: XorTerms, right: XorTerms) -> XorTerms:
+    """The products of every left term with every right term, unsummed:
+    term i * len(right) + j is diag(u_i) X_x diag(v_j) X_y =
+    diag(u_i * v_j[a ^ x]) X_(x ^ y).  O(terms * dim) and independent of
+    any state."""
+    lmasks, lvals = left
+    rmasks, rvals = right
+    dim = lvals.shape[1]
+    rows = np.arange(dim)
+    # vals[i * len(right) + j, a] = lvals[i, a] * rvals[j, a ^ lmasks[i]];
+    # np.take gathers along one axis faster than fancy indexing, and a
+    # C-ordered product reshapes without a copy.
+    moved = np.take(rvals, rows ^ lmasks[:, None], axis=1).swapaxes(0, 1)
+    vals = np.multiply(lvals[:, None, :], moved, order="C").reshape(-1, dim)
+    return (lmasks[:, None] ^ rmasks[None, :]).ravel(), vals
+
+
+def xor_product(left: XorTerms, right: XorTerms) -> XorTerms:
+    """left @ right as summed XOR terms (:func:`xor_pairs`, then
+    :func:`xor_sum`)."""
+    return xor_sum(xor_pairs(left, right))
+
+
+def _gather(rho: np.ndarray, terms: XorTerms) -> np.ndarray:
+    """vals[t, a] * rho[a ^ masks[t], a], a (terms x dim) array whose sum
+    is tr(rho T)."""
+    masks, vals = terms
+    rows = np.arange(vals.shape[1])
+    return vals * rho[rows ^ masks[:, None], rows]
+
+
+def xor_trace(rho: np.ndarray, terms: XorTerms) -> complex:
+    """tr(rho T) of a dense matrix and XOR terms, one gather: the sum over
+    terms t and rows a of vals[t, a] * rho[a ^ masks[t], a]."""
+    return complex(_gather(rho, terms).sum())
+
+
+def xor_term_traces(rho: np.ndarray, terms: XorTerms) -> np.ndarray:
+    """tr(rho T_t) of each term t apart, from the same gather as
+    :func:`xor_trace`."""
+    return _gather(rho, terms).sum(axis=1)
+
+
+def xor_matrix(shape: SystemShape, batches: Iterable[XorTerms]
+               ) -> np.ndarray:
+    """Dense matrix of XOR terms given in batches, read only after the
+    mode-cap check.
+
+    The entries are added in term order by ``np.add.at``, which
+    accumulates repeated positions one after another, so the result equals
+    a term-by-term sum bit for bit.
+    """
+    ensure_within_cap(shape)
+    dim = shape.fock_dim
+    rows = np.arange(dim)
+    row_starts = rows * dim
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for masks, vals in batches:
+        # One-dimensional index and value arrays take ufunc.at's fast path.
+        np.add.at(out.reshape(-1),
+                  (row_starts + (rows ^ masks[:, None])).ravel(), vals.ravel())
+    return out
+
+
+def _word_batches(masks, coeffs, shape: SystemShape) -> Iterator[XorTerms]:
+    """:func:`word_terms` of the words times ``coeffs`` in term order, in
+    batches of at most :data:`_BATCH_ENTRIES` entries, built lazily."""
+    step = max(1, _BATCH_ENTRIES // shape.fock_dim)
+    for lo in range(0, len(masks), step):
+        x, vals = word_terms(masks[lo:lo + step], shape)
+        yield x, coeffs[lo:lo + step, None] * vals
 
 
 def jw_matrix(mask: int, shape: SystemShape) -> DenseOperator:
     """Dense Jordan-Wigner matrix of a canonical word bitmask."""
-    ensure_within_cap(shape)
-    dim = shape.fock_dim
-    cols, vals = word_string_entries([mask], shape)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[np.arange(dim), cols[0]] = vals[0]
-    return DenseOperator(shape, out)
+    return DenseOperator(shape, xor_matrix(shape, [word_terms([mask], shape)]))
 
 
 def to_matrix(op: OperatorExpansion) -> DenseOperator:
-    """Dense matrix of an expansion.
-
-    The terms' entries are added in term order by ``np.add.at``, which
-    accumulates repeated (row, column) pairs one after another, so the
-    result equals a term-by-term sum bit for bit.
-    """
-    ensure_within_cap(op.shape)
-    dim = op.shape.fock_dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    """Dense matrix of an expansion, its terms added in term order."""
     n = len(op.terms)
     masks = np.fromiter(op.terms.keys(), np.int64, n)
     coeffs = np.fromiter(op.terms.values(), np.complex128, n)
-    row_starts = np.arange(0, dim * dim, dim)
-    step = max(1, _BATCH_ENTRIES // dim)
-    for lo in range(0, n, step):
-        cols, vals = word_string_entries(masks[lo:lo + step], op.shape)
-        # One-dimensional index and value arrays take ufunc.at's fast path.
-        np.add.at(out.reshape(-1), (row_starts + cols).ravel(),
-                  (coeffs[lo:lo + step, None] * vals).ravel())
-    return DenseOperator(op.shape, out)
+    return DenseOperator(op.shape, xor_matrix(
+        op.shape, _word_batches(masks, coeffs, op.shape)))
 
 
 def to_expansion(dense: DenseOperator) -> OperatorExpansion:
@@ -427,25 +534,27 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         labels = new
 
 
-def diagonal_blocks(matrix, dim: Optional[int] = None
-                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The diagonal blocks of a square matrix on the connected components
     of its sparsity graph, equal-size blocks batched.
 
     A matrix is exactly block diagonal on these components, so its
     spectrum is the union of the blocks' spectra and its eigenvectors live
     inside single blocks; for a Hamiltonian they are the conserved sectors,
-    found with no symmetry assumed.  ``matrix`` is a dense array, or a
-    triple ``(rows, cols, vals)`` of the entries of a ``dim`` x ``dim``
-    matrix with no position listed twice (explicit zeros are dropped), as
-    :func:`meanfield.hamiltonian_sparse` returns.  Yields ``(idx, stack)``
-    per block size s, in increasing size: ``idx`` is an (m, s) array whose
-    rows hold the ascending basis indices of one block each, and ``stack``
-    the (m, s, s) dense blocks matrix[idx[j]][:, idx[j]].
+    found with no symmetry assumed.  ``matrix`` is a dense array, or
+    :data:`XorTerms` with each mask once, as :func:`xor_sum` returns them
+    (explicit zeros are dropped).  Yields ``(idx, stack)`` per block size
+    s, in increasing size: ``idx`` is an (m, s) array whose rows hold the
+    ascending basis indices of one block each, and ``stack`` the (m, s, s)
+    dense blocks matrix[idx[j]][:, idx[j]].
     """
-    entries = isinstance(matrix, tuple)
-    if entries:
-        rows, cols, vals = matrix
+    terms = isinstance(matrix, tuple)
+    if terms:
+        masks, vals = matrix
+        dim = vals.shape[1]
+        rows = np.broadcast_to(np.arange(dim), vals.shape)
+        cols = (rows ^ masks[:, None]).ravel()
+        rows, vals = rows.ravel(), vals.ravel()
         stored = vals != 0
         rows, cols, vals = rows[stored], cols[stored], vals[stored]
     else:
@@ -456,7 +565,7 @@ def diagonal_blocks(matrix, dim: Optional[int] = None
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=n_blocks)
     starts = np.cumsum(sizes) - sizes
-    if entries:
+    if terms:
         # Position of each basis index inside its block, for scattering
         # the entries straight into the stacks.
         pos = np.empty_like(order)
@@ -465,7 +574,7 @@ def diagonal_blocks(matrix, dim: Optional[int] = None
     for s in np.unique(sizes):
         ids = np.flatnonzero(sizes == s)
         idx = order[starts[ids][:, None] + np.arange(s)]
-        if entries:
+        if terms:
             slot = np.full(n_blocks, -1)
             slot[ids] = np.arange(len(ids))
             which = slot[entry_block]

@@ -10,8 +10,8 @@ with a permutation-invariant ground state it is bounded by
 on the true minimum while the ground energy is exact, a reported pass is a
 genuine certificate.
 
-The ground energy is exact at every size: the Hamiltonian's entries are
-built with numpy as a (rows, cols, vals) triple, it splits into the
+The ground energy is exact at every size: the Hamiltonian's word terms
+are summed by X pattern (:data:`fock.XorTerms`), it splits into the
 connected blocks of their sparsity graph (its conserved sectors), each
 block is diagonalized densely, in real arithmetic when it has no imaginary
 part, and the full, possibly degenerate ground space is kept as a dim x r
@@ -38,7 +38,7 @@ from .definetti import (GENERATOR_BOX, component_state, coordinate_search,
                         n_component_params)
 from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
                    jw_matrix, operator_norm, real_if_exact, require_hermitian,
-                   to_matrix, word_string_entries)
+                   to_matrix, word_expectations_dense, word_terms, xor_sum)
 from .invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                          check_invariance_dense)
 from .report import INEQUALITY, VerificationReport, make_report
@@ -146,34 +146,16 @@ def ground_state(h: DenseOperator) -> Tuple[float, DenseOperator]:
     return e_gs, DenseOperator(h.shape, proj)
 
 
-def hamiltonian_sparse(h_exp: OperatorExpansion
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries of an expansion's matrix as a triple ``(rows, cols, vals)``,
-    each position once, as :func:`fock.diagonal_blocks` takes it.
-
-    A word i^e Z^z X^x has its entries at (a, a ^ x), so the terms that
-    share an X pattern share their positions: each pattern's row of values
-    is summed over its terms in term order, the order :func:`to_matrix`
-    adds them in, so the triple holds that matrix's entries bit for bit.
-    """
-    dim = h_exp.shape.fock_dim
-    n = len(h_exp.terms)
-    masks = np.fromiter(h_exp.terms.keys(), np.int64, n)
-    coeffs = np.fromiter(h_exp.terms.values(), np.complex128, n)
-    cols, vals = word_string_entries(masks, h_exp.shape)
-    patterns, group = np.unique(cols[:, 0], return_inverse=True)
-    summed = np.zeros((len(patterns), dim), dtype=np.complex128)
-    np.add.at(summed, group, coeffs[:, None] * vals)
-    rows = np.broadcast_to(np.arange(dim), summed.shape)
-    return rows.ravel(), (rows ^ patterns[:, None]).ravel(), summed.ravel()
-
-
 def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     """Exact ground energy and ground space, block by conserved block.
 
-    The blocks are the connected components of the sparsity graph of
-    :func:`hamiltonian_sparse` (:func:`fock.diagonal_blocks`): the conserved
-    sectors, found with no symmetry assumed.  Every stored entry lies in
+    The blocks are the connected components of the sparsity graph
+    (:func:`fock.diagonal_blocks`) of the Hamiltonian's word terms, summed
+    by X pattern (:func:`fock.word_terms`, :func:`fock.xor_sum`): the
+    conserved sectors, found with no symmetry assumed.  The terms are
+    summed before the graph is built, so terms that cancel join no
+    sectors (pair-hopping's f-dagger f-dagger parts cancel this way, which
+    keeps its particle-number sectors apart).  Every stored entry lies in
     one block, so checking Hermiticity block by block is exact.  A block
     stack with no imaginary part is solved in real arithmetic
     (:func:`fock.real_if_exact`).  Every block is diagonalized densely,
@@ -185,8 +167,13 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     projector :func:`ground_state` returns.
     """
     dim = h_exp.shape.fock_dim
+    n = len(h_exp.terms)
+    masks, vals = word_terms(np.fromiter(h_exp.terms.keys(), np.int64, n),
+                             h_exp.shape)
+    coeffs = np.fromiter(h_exp.terms.values(), np.complex128, n)
+    terms = xor_sum((masks, coeffs[:, None] * vals))
     blocks = []
-    for idx, stack in diagonal_blocks(hamiltonian_sparse(h_exp), dim):
+    for idx, stack in diagonal_blocks(terms):
         require_hermitian(stack, "Hamiltonian block")
         stack = real_if_exact(stack)
         blocks.append((idx, stack, np.linalg.eigvalsh(stack)[:, 0]))
@@ -203,7 +190,8 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
 
 
 class ProductEnergyEvaluator:
-    """Evaluates tr(H xi^(x V)) through site-factorized word expectations.
+    """Evaluates tr(H xi^(x V)) through site-factorized word expectations,
+    read from xi by :func:`fock.word_expectations_dense`.
 
     Words with an odd Majorana count on any site contribute nothing for
     even xi and are dropped up front.
@@ -220,13 +208,11 @@ class ProductEnergyEvaluator:
             submask_set.update(subs)
             compiled.append((coeff, subs))
         self.compiled = compiled
-        shape1 = SystemShape(1, self.p)
         self.submasks = sorted(submask_set)
-        self.word_mats = {m: jw_matrix(m, shape1).matrix for m in self.submasks}
 
     def energy(self, xi: np.ndarray) -> float:
-        vals = {m: complex(np.trace(mat @ xi))
-                for m, mat in self.word_mats.items()}
+        vals = word_expectations_dense(xi, self.submasks,
+                                       SystemShape(1, self.p))
         total = 0.0 + 0.0j
         for coeff, subs in self.compiled:
             term = coeff
@@ -261,7 +247,7 @@ def _one_word_minimum(evaluator: ProductEnergyEvaluator
         return DenseOperator(SystemShape(1, p), xi), evaluator.energy(xi)
     (mask,) = evaluator.submasks
     phase = 1.0 if reversal_sign(mask.bit_count()) > 0 else 1j
-    h = phase * evaluator.word_mats[mask]
+    h = phase * jw_matrix(mask, SystemShape(1, p)).matrix
     powers = np.zeros(max(len(subs) for _, subs in evaluator.compiled) + 1,
                       dtype=np.complex128)
     for coeff, subs in evaluator.compiled:

@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import SystemShape
-from .cumulants import ladder_terms
-from .fock import DenseOperator, occupations
+from .fock import (DenseOperator, ladder_terms, occupations, xor_pairs,
+                   xor_term_traces)
 from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
@@ -65,27 +65,20 @@ def one_rdm(rho: DenseOperator) -> OneRDM:
     """Compute Gamma[j, k] = tr(rho f_j† f_k) over the site-major flattened
     modes, symmetrized with the residual reported.
 
-    Each ladder is one XOR term (:func:`cumulants.ladder_terms`): f_j†
-    maps row a to column cj[a] = a ^ xj with value dj[a], and f_k maps row
-    b to b ^ xk with vk[b].  So f_j† f_k has the single entry
-    dj[a] vk[cj[a]] at column cj[a] ^ xk of row a, and Gamma[j, k] is one
-    O(dim) gather on rho.
-    No dense ladder or matrix product is formed.  ``rho`` need not be
-    positive: any operator gives its correlation matrix, and state validity
-    is the caller's check."""
+    Each ladder is one XOR term (:func:`fock.ladder_terms`), so row j of
+    Gamma takes the n products f_j† f_k as n terms, formed at once and kept
+    apart (:func:`fock.xor_pairs`), and their traces, one gather on rho
+    (:func:`fock.xor_term_traces`).  A row at a time keeps the temporaries
+    at n x dim entries.  No dense ladder or matrix product is formed.
+    ``rho`` need not be positive: any operator gives its correlation
+    matrix, and state validity is the caller's check."""
     shape = rho.shape
-    n = shape.total_modes
     modes = [(site, mode) for site in range(1, shape.sites + 1)
              for mode in range(1, shape.modes_per_site + 1)]
-    creators = [ladder_terms(shape, -1, *sm) for sm in modes]
-    annihilators = [ladder_terms(shape, 1, *sm) for sm in modes]
-    rows = np.arange(shape.fock_dim)
-    gamma = np.zeros((n, n), dtype=np.complex128)
-    for j, ((xj,), (dj,)) in enumerate(creators):
-        cj = rows ^ xj
-        for k, ((xk,), (vk,)) in enumerate(annihilators):
-            # tr(rho M) = sum_a M[a, col(a)] rho[col(a), a]
-            gamma[j, k] = np.dot(dj * vk[cj], rho.matrix[cj ^ xk, rows])
+    annihilators = tuple(np.concatenate(arrays) for arrays in
+                         zip(*(ladder_terms(shape, 1, *sm) for sm in modes)))
+    gamma = np.array([xor_term_traces(rho.matrix, xor_pairs(
+        ladder_terms(shape, -1, *sm), annihilators)) for sm in modes])
     residual = float(np.max(np.abs(gamma - gamma.conj().T)))
     gamma = 0.5 * (gamma + gamma.conj().T)
     return OneRDM(gamma, shape, residual)

@@ -43,6 +43,11 @@ from .report import (EQUALITY, INEQUALITY, PROPERTY, VerificationReport,
 
 Table = Tuple[Sequence[str], List[Sequence[object]]]
 
+#: Random cases of check-algebra and instances of each lemma-properties
+#: claim; both are recorded in the claims' inputs.
+ALGEBRA_CASES = 500
+LEMMA_INSTANCES = 200
+
 #: Columns of every CSV table, by the command that writes it; the CLI's
 #: help lists them from here.
 TABLES: Dict[str, Dict[str, str]] = {
@@ -102,7 +107,7 @@ def _mu_case(V: int, mu: float) -> Tuple[OperatorExpansion, InvarianceReport]:
 # check-algebra
 # ---------------------------------------------------------------------------
 
-def run_check_algebra(seed: int = 0, cases: int = 500) -> Tuple[List[VerificationReport], Dict[str, Table]]:
+def run_check_algebra(seed: int = 0) -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Symbolic algebra against the dense Jordan-Wigner oracle.
 
     Random products, adjoints and site permutations on every shape with at
@@ -113,7 +118,7 @@ def run_check_algebra(seed: int = 0, cases: int = 500) -> Tuple[List[Verificatio
     rng = np.random.default_rng(seed)
     per_shape = {shape: 0 for shape in SMALL_SHAPES}
     shape_worst = {shape: 0.0 for shape in SMALL_SHAPES}
-    for i in range(cases):
+    for i in range(ALGEBRA_CASES):
         shape = SMALL_SHAPES[i % len(SMALL_SHAPES)]
         per_shape[shape] += 1
         a = random_expansion(shape, rng, n_terms=5)
@@ -147,7 +152,7 @@ def run_check_algebra(seed: int = 0, cases: int = 500) -> Tuple[List[Verificatio
     elapsed = time.perf_counter() - start
     reports = [
         make_report("algebra-oracle", INEQUALITY,
-                    {"cases": cases, "shapes": len(SMALL_SHAPES)},
+                    {"cases": ALGEBRA_CASES, "shapes": len(SMALL_SHAPES)},
                     max(shape_worst.values()), 0.0, 1e-10, elapsed),
         make_report("anticommutation", INEQUALITY,
                     {"max_majoranas": 8}, anti_worst, 0.0, 1e-12, elapsed),
@@ -155,14 +160,14 @@ def run_check_algebra(seed: int = 0, cases: int = 500) -> Tuple[List[Verificatio
     return reports, {"algebra": table("algebra", rows)}
 
 
-def run_lemma_properties(seed: int = 1, instances: int = 200
+def run_lemma_properties(seed: int = 1
                          ) -> Tuple[List[VerificationReport], Dict[str, Table]]:
-    """Pinching norm bound and the trace Cauchy-Schwarz variant on random
-    instances."""
+    """Pinching norm bound and the trace Cauchy-Schwarz variant on
+    :data:`LEMMA_INSTANCES` random instances each."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_norm = -math.inf
-    for _ in range(instances):
+    for _ in range(LEMMA_INSTANCES):
         shape = SMALL_SHAPES[int(rng.integers(len(SMALL_SHAPES)))]
         a = random_expansion(shape, rng, n_terms=6)
         site = int(rng.integers(1, shape.sites + 1))
@@ -174,7 +179,7 @@ def run_lemma_properties(seed: int = 1, instances: int = 200
 
     start2 = time.perf_counter()
     worst_cs = -math.inf
-    for _ in range(instances):
+    for _ in range(LEMMA_INSTANCES):
         shape = SMALL_SHAPES[int(rng.integers(len(SMALL_SHAPES)))]
         dim = shape.fock_dim
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -185,10 +190,11 @@ def run_lemma_properties(seed: int = 1, instances: int = 200
         rhs = float(np.real(np.trace(rho @ a @ a.conj().T)))
         worst_cs = max(worst_cs, lhs - rhs)
     reports = [
-        make_report("lemma1-pinch-norm", INEQUALITY, {"instances": instances},
-                    worst_norm, 0.0, 1e-9, t_norm),
+        make_report("lemma1-pinch-norm", INEQUALITY,
+                    {"instances": LEMMA_INSTANCES}, worst_norm, 0.0, 1e-9,
+                    t_norm),
         make_report("lemma2-cauchy-schwarz", INEQUALITY,
-                    {"instances": instances}, worst_cs, 0.0, 1e-9,
+                    {"instances": LEMMA_INSTANCES}, worst_cs, 0.0, 1e-9,
                     time.perf_counter() - start2),
     ]
     return reports, {}
@@ -382,7 +388,7 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
                LadderIndex(-1, 1, 1, q), LadderIndex(1, 1, 1, q)]
         start = time.perf_counter()
         res = fourier_cumulant(rho1, V, ops, memo=memo)
-        rep = verify_suppression(rho1, V, ops, result=res)
+        rep = verify_suppression(rho1, V, ops, res)
         rep.wall_time = time.perf_counter() - start
         # Equality case in subtraction form: lhs * V = |K_4(single site)|.
         # The literal ratio lhs*V/|K_4| is 0/0 here because single-mode
@@ -404,7 +410,7 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
                LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
         start = time.perf_counter()
         res = fourier_cumulant(rho2, V, ops, memo=memo)
-        rep = verify_suppression(rho2, V, ops, result=res)
+        rep = verify_suppression(rho2, V, ops, res)
         rep.wall_time = time.perf_counter() - start
         ratio = abs(res.direct) * V / abs(res.single_site_cumulant)
         equality = make_report(

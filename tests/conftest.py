@@ -53,6 +53,16 @@ def word_matrix_oracle(mask: int, shape: SystemShape) -> np.ndarray:
     return out
 
 
+def summed_word_terms(h_exp):
+    """An expansion's word terms times their coefficients, summed by X
+    pattern, as meanfield.ground_state_lowdim builds them."""
+    from fermicert.fock import word_terms, xor_sum
+
+    masks, vals = word_terms(list(h_exp.terms), h_exp.shape)
+    coeffs = np.array(list(h_exp.terms.values()), dtype=np.complex128)
+    return xor_sum((masks, coeffs[:, None] * vals))
+
+
 def random_density_matrix(dim: int, rng) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T

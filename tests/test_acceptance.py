@@ -44,28 +44,30 @@ def clt_suite():
 
 def test_criterion_1_algebra_oracle():
     start = time.perf_counter()
-    reports, _ = suites.run_check_algebra(seed=0, cases=500)
+    reports, _ = suites.run_check_algebra(seed=0)
     elapsed = time.perf_counter() - start
     ok = all(r.passed for r in reports) and elapsed < 30.0
     worst = max(r.lhs for r in reports)
+    oracle = next(r for r in reports if r.claim_id == "algebra-oracle")
+    cases = oracle.inputs["cases"]
     _announce("1 algebra-oracle",
-              ok, f"(500 cases, max dev {worst:.2e}, {elapsed:.1f}s)")
+              ok, f"({cases} cases, max dev {worst:.2e}, {elapsed:.1f}s)")
     assert all(r.passed for r in reports)
-    for r in reports:
-        if r.claim_id == "algebra-oracle":
-            assert r.tolerance == 1e-10
+    assert cases == 500
+    assert oracle.tolerance == 1e-10
     assert elapsed < 30.0
 
 
 def test_criterion_2_lemma_property_suites():
-    reports, _ = suites.run_lemma_properties(seed=1, instances=200)
+    reports, _ = suites.run_lemma_properties(seed=1)
     ok = all(r.passed for r in reports)
+    instances = [r.inputs["instances"] for r in reports]
     _announce("2 lemma1+lemma2", ok,
-              f"(200 instances each, tol 1e-9)")
+              f"({instances[0]} instances each, tol 1e-9)")
     assert ok
+    assert instances == [200, 200]
     for r in reports:
         assert r.tolerance == 1e-9
-        assert r.inputs["instances"] == 200
 
 
 def test_criterion_3_lemma3_certification(lemma3_suite):

@@ -19,13 +19,13 @@ from fermicert.cumulants import (FourierMemo, LadderIndex, LadderMoments,
                                  even_partitions, fourier_cumulant,
                                  fourier_ladder_matrix, fourier_ladder_terms,
                                  fourier_q_range, gaussian_mixture_deviation,
-                                 ladder_matrix, ladder_terms,
-                                 lemma4_equality_report, moment,
+                                 ladder_matrix, lemma4_equality_report, moment,
                                  moment_from_cumulant_fn, partition_sign,
                                  verify_corollary, verify_suppression,
                                  wick_moment)
 from fermicert.definetti import ProductMixture, product_power
-from fermicert.fock import MODE_CAP_ENV, DenseOperator, ResourceCapError
+from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
+                            ladder_terms)
 
 SH1 = SystemShape(1, 1)
 SH12 = SystemShape(1, 2)
@@ -451,7 +451,7 @@ class TestXorEngine:
         # prefix of a moment is multiplied at most once per copy, and no
         # dense ladder is formed.
         dims = []
-        product = cumulants._ladder_product
+        product = cumulants.xor_product
 
         def counting(left, right):
             dims.append(left[1].shape[1])
@@ -460,8 +460,8 @@ class TestXorEngine:
         def no_dense(*args):
             raise AssertionError("a moment formed a dense ladder")
 
-        monkeypatch.setattr(cumulants, "_ladder_product", counting)
-        monkeypatch.setattr(cumulants, "_dense", no_dense)
+        monkeypatch.setattr(cumulants, "xor_product", counting)
+        monkeypatch.setattr(cumulants, "xor_matrix", no_dense)
         V = 4
         triples = [(c, 1, q) for c in (1, -1) for q in fourier_q_range(V)]
         memo = FourierMemo()
@@ -490,7 +490,8 @@ class TestSuppression:
     def test_gaussian_both_sides_zero(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
-        rep = verify_suppression(VACUUM, 3, ops)
+        rep = verify_suppression(VACUUM, 3, ops,
+                                 fourier_cumulant(VACUUM, 3, ops))
         assert rep.passed and rep.lhs < 1e-12 and rep.rhs < 1e-12
 
     def test_resonant_equality_case(self):
@@ -500,8 +501,8 @@ class TestSuppression:
             q = V // 2
             ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                    LadderIndex(-1, 1, 1, q), LadderIndex(1, 1, 1, q)]
-            rep = verify_suppression(DIAG_THIRDS, V, ops)
             res = fourier_cumulant(DIAG_THIRDS, V, ops)
+            rep = verify_suppression(DIAG_THIRDS, V, ops, res)
             assert rep.passed
             assert abs(rep.lhs * V - abs(res.single_site_cumulant)) < 1e-9
 
@@ -516,9 +517,10 @@ class TestSuppression:
             assert ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_w2_rejected(self):
+        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0)]
         with pytest.raises(ValueError):
-            verify_suppression(VACUUM, 3, [LadderIndex(-1, 1, 1, 0),
-                                           LadderIndex(1, 1, 1, 0)])
+            verify_suppression(VACUUM, 3, ops,
+                               fourier_cumulant(VACUUM, 3, ops))
 
     @pytest.mark.parametrize("V", [5, 8, 40])
     def test_over_the_mode_cap_raises(self, monkeypatch, V):
@@ -528,7 +530,7 @@ class TestSuppression:
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
         with pytest.raises(ResourceCapError):
-            verify_suppression(DIAG_THIRDS, V, ops)
+            fourier_cumulant(DIAG_THIRDS, V, ops)
 
 
 class TestWick:

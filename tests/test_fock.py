@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fermicert
 from conftest import (independent_ladder, independent_majoranas,
                       random_density_matrix, random_even_density_matrix,
-                      word_matrix_oracle)
+                      summed_word_terms, word_matrix_oracle)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                expansion_from_text, expansion_to_text,
                                random_expansion)
@@ -22,12 +22,14 @@ from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             permutation_unitary, real_if_exact,
                             reduce_expansion, require_hermitian,
                             to_expansion, to_matrix, trace_norm,
-                            word_expectations_dense, word_string_entries)
+                            word_expectations_dense, word_terms, xor_matrix,
+                            xor_pairs, xor_product, xor_sum, xor_term_traces,
+                            xor_trace)
 from fermicert.invariance import (MuFamilyParams, mu_family_state,
                                   words_up_to_degree)
 from fermicert.meanfield import (BUILTIN_FAMILIES,
                                  build_hamiltonian_expansion, builtin_family,
-                                 ground_state_lowdim, hamiltonian_sparse)
+                                 ground_state_lowdim)
 from fermicert.suites import SMALL_SHAPES
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -107,11 +109,24 @@ class TestJwMatrix:
         assert m.dim == 2 ** 13
 
 
-def exact_matrix(cols, vals):
-    """The dense matrix with row a's single entry vals[a] at cols[a]."""
-    out = np.zeros((len(cols), len(cols)), dtype=np.complex128)
-    out[np.arange(len(cols)), cols] = vals
+def exact_matrix(mask, vals):
+    """The dense matrix with row a's single entry vals[a] at a ^ mask."""
+    rows = np.arange(len(vals))
+    out = np.zeros((len(vals), len(vals)), dtype=np.complex128)
+    out[rows, rows ^ mask] = vals
     return out
+
+
+def random_xor_terms(dim, n, rng):
+    """n random complex terms with masks drawn with repeats."""
+    masks = rng.integers(0, dim, size=n)
+    vals = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return masks, vals
+
+
+def terms_oracle(terms):
+    """The dense matrix of XOR terms, one term at a time."""
+    return sum(exact_matrix(m, v) for m, v in zip(*terms))
 
 
 class TestPauliStrings:
@@ -121,9 +136,9 @@ class TestPauliStrings:
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
     def test_every_word_of_the_small_shapes(self, shape):
         masks = range(1 << shape.majorana_count)
-        cols, vals = word_string_entries(masks, shape)
+        xs, vals = word_terms(masks, shape)
         for mask in masks:
-            assert np.array_equal(exact_matrix(cols[mask], vals[mask]),
+            assert np.array_equal(exact_matrix(xs[mask], vals[mask]),
                                   word_matrix_oracle(mask, shape))
 
     @pytest.mark.parametrize("shape", [SystemShape(9, 1), SystemShape(3, 3)],
@@ -137,14 +152,14 @@ class TestPauliStrings:
             bits = [int(rng.integers(0, 8)), int(rng.integers(8, 16)),
                     int(rng.integers(16, 18)), int(rng.integers(0, 18))]
             masks.append(sum(1 << b for b in set(bits)))
-        cols, vals = word_string_entries(masks, shape)
+        xs, vals = word_terms(masks, shape)
         for t, mask in enumerate(masks):
-            assert np.array_equal(exact_matrix(cols[t], vals[t]),
+            assert np.array_equal(exact_matrix(xs[t], vals[t]),
                                   word_matrix_oracle(mask, shape))
 
     def test_mask_outside_the_shape_rejected(self):
         with pytest.raises(ValueError):
-            word_string_entries([1 << 4], SystemShape(2, 1))
+            word_terms([1 << 4], SystemShape(2, 1))
         with pytest.raises(ValueError):
             jw_matrix(-1, SystemShape(2, 1))
 
@@ -168,12 +183,101 @@ class TestPauliStrings:
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_sparse_hamiltonian_equals_dense(self, name):
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
-        rows, cols, vals = hamiltonian_sparse(h_exp)
-        # Each position is listed once, so assignment rebuilds the matrix.
-        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
-        dense = np.zeros((h_exp.shape.fock_dim,) * 2, dtype=np.complex128)
-        dense[rows, cols] = vals
-        assert np.array_equal(dense, to_matrix(h_exp).matrix)
+        masks, vals = summed_word_terms(h_exp)
+        # Each X pattern is listed once, ascending, so the one-term-at-a-time
+        # oracle writes each entry once.
+        assert np.all(masks[1:] > masks[:-1])
+        assert np.array_equal(terms_oracle((masks, vals)),
+                              to_matrix(h_exp).matrix)
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_summed_hamiltonian_at_six_sites(self, name):
+        # An X pattern of at most two words is one addition in either
+        # order, so its entries are bit-equal to to_matrix's sequential sum;
+        # np.add.reduceat may group a longer run (site-number and
+        # hubbard-like have V words per pattern) differently.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 6))
+        got = terms_oracle(summed_word_terms(h_exp))
+        dense = to_matrix(h_exp).matrix
+        patterns = word_terms(list(h_exp.terms), h_exp.shape)[0]
+        if np.unique(patterns, return_counts=True)[1].max() <= 2:
+            assert np.array_equal(got, dense)
+        else:
+            assert np.max(np.abs(got - dense)) < 1e-15
+
+
+class TestXorTerms:
+    # The XOR-term kernels against dense oracles built one term at a time.
+
+    def test_sum_keeps_the_matrix(self, rng):
+        terms = random_xor_terms(16, 12, rng)
+        masks, vals = xor_sum(terms)
+        assert np.all(masks[1:] > masks[:-1])
+        assert set(masks.tolist()) == set(terms[0].tolist())
+        assert np.allclose(terms_oracle((masks, vals)), terms_oracle(terms),
+                           rtol=0, atol=1e-14)
+        empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 16)))
+        assert xor_sum(empty) is empty
+
+    def test_product_is_the_matmul(self, rng):
+        for n_left, n_right in ((1, 1), (3, 5), (6, 2)):
+            left = random_xor_terms(16, n_left, rng)
+            right = random_xor_terms(16, n_right, rng)
+            masks, vals = xor_product(left, right)
+            assert len(set(masks.tolist())) == len(masks)
+            want = terms_oracle(left) @ terms_oracle(right)
+            assert np.allclose(terms_oracle((masks, vals)), want, rtol=0,
+                               atol=1e-13)
+
+    def test_pairs_are_the_termwise_matmuls(self, rng):
+        left = random_xor_terms(16, 3, rng)
+        right = random_xor_terms(16, 4, rng)
+        masks, vals = xor_pairs(left, right)
+        assert len(masks) == 12
+        for i, (lm, lv) in enumerate(zip(*left)):
+            for j, (rm, rv) in enumerate(zip(*right)):
+                t = 4 * i + j
+                assert np.allclose(exact_matrix(masks[t], vals[t]),
+                                   exact_matrix(lm, lv) @ exact_matrix(rm, rv),
+                                   rtol=0, atol=1e-13)
+
+    def test_trace_is_the_dense_trace(self, rng):
+        rho = random_density_matrix(32, rng)
+        for n in (1, 4, 9):
+            terms = random_xor_terms(32, n, rng)
+            want = np.trace(rho @ terms_oracle(terms))
+            assert abs(xor_trace(rho, terms) - want) < 1e-13
+            per_term = xor_term_traces(rho, terms)
+            assert per_term.shape == (n,)
+            for t, (mask, vals) in enumerate(zip(*terms)):
+                assert abs(per_term[t] - np.trace(
+                    rho @ exact_matrix(mask, vals))) < 1e-13
+            # A single term reads the same sum either way.
+            one = (terms[0][:1], terms[1][:1])
+            assert xor_term_traces(rho, one)[0] == xor_trace(rho, one)
+
+    def test_matrix_adds_in_term_order(self, rng):
+        # Repeated masks across and within batches: the scatter equals the
+        # term-by-term sum bit for bit.
+        shape = SystemShape(2, 2)
+        terms = random_xor_terms(16, 7, rng)
+        batches = [(terms[0][:3], terms[1][:3]), (terms[0][3:], terms[1][3:])]
+        want = np.zeros((16, 16), dtype=np.complex128)
+        for mask, vals in zip(*terms):
+            want += exact_matrix(mask, vals)
+        assert np.array_equal(xor_matrix(shape, batches), want)
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_blocks_of_the_summed_terms_are_the_dense_blocks(self, name):
+        # diagonal_blocks on the summed word terms against the same call on
+        # the dense matrix: the same blocks holding the same entries.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
+        from_terms = list(diagonal_blocks(summed_word_terms(h_exp)))
+        from_dense = list(diagonal_blocks(to_matrix(h_exp).matrix))
+        assert len(from_terms) == len(from_dense)
+        for (idx_t, stack_t), (idx_d, stack_d) in zip(from_terms, from_dense):
+            assert np.array_equal(idx_t, idx_d)
+            assert np.max(np.abs(stack_t - stack_d)) < 1e-15
 
 
 class TestConversions:
@@ -541,7 +645,8 @@ class TestDiagonalBlocks:
         import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
 
-        dim = 60
+        dim = 64
+        basis = np.arange(dim)
         for density in (0.3, 0.05, 0.02, 0.0):
             upper = np.triu(rng.standard_normal((dim, dim))
                             * (rng.random((dim, dim)) < density), 1)
@@ -550,14 +655,14 @@ class TestDiagonalBlocks:
                                              directed=False)
             want = sorted(sorted(np.flatnonzero(labels == c).tolist())
                           for c in set(labels.tolist()))
-            # The stored entries of the triple form hold explicit zeros
-            # too, which must not join blocks.
-            every = np.nonzero(np.ones((dim, dim)))
-            triple = (*every, dense[every])
-            for matrix, size in ((dense, None), (triple, dim)):
+            # The XOR form lists every position, explicit zeros too, which
+            # must not join blocks: term x holds the entries [a, a ^ x].
+            masks = np.arange(dim)
+            terms = (masks, dense[basis, basis ^ masks[:, None]])
+            for matrix in (dense, terms):
                 rebuilt = np.zeros((dim, dim))
                 found = []
-                for idx, stack in diagonal_blocks(matrix, size):
+                for idx, stack in diagonal_blocks(matrix):
                     assert stack.shape == (len(idx), idx.shape[1],
                                            idx.shape[1])
                     for rows, block in zip(idx, stack):

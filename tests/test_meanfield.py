@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_even_density_matrix, summed_word_terms
 from fermicert.algebra import OperatorExpansion, SystemShape
-from fermicert.fock import (DenseOperator, diagonal_blocks, operator_norm,
-                            to_matrix)
+from fermicert.fock import (DenseOperator, diagonal_blocks, jw_matrix,
+                            operator_norm, to_matrix)
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
 from fermicert.meanfield import (BUILTIN_FAMILIES, HamiltonianSpec,
                                  ProductEnergyEvaluator,
                                  build_hamiltonian, build_hamiltonian_expansion,
                                  builtin_family, ground_state,
                                  ground_state_lowdim, gs_bound,
-                                 hamiltonian_sparse, min_product_energy,
-                                 verify_gs_bound)
+                                 min_product_energy, verify_gs_bound)
 from fermicert import meanfield
 
 
@@ -165,8 +165,7 @@ class TestGroundState:
         # (hubbard-like).
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 6))
         found = [idx.shape[1] for idx, _ in
-                 diagonal_blocks(hamiltonian_sparse(h_exp),
-                                 h_exp.shape.fock_dim)
+                 diagonal_blocks(summed_word_terms(h_exp))
                  for _ in range(len(idx))]
         assert sorted(found) == sorted(sizes)
 
@@ -222,11 +221,15 @@ class TestGroundState:
         assert out.stdout.strip() == "[]"
 
     def test_sparse_matrix_matches_dense(self):
+        # The summed word terms that ground_state_lowdim splits into blocks
+        # rebuild the dense Hamiltonian.
         spec = builtin_family("pair-hopping", 4)
         h_exp, _ = build_hamiltonian_expansion(spec)
-        rows, cols, vals = hamiltonian_sparse(h_exp)
+        masks, vals = summed_word_terms(h_exp)
+        rows = np.arange(h_exp.shape.fock_dim)
         sparse = np.zeros((h_exp.shape.fock_dim,) * 2, dtype=np.complex128)
-        sparse[rows, cols] = vals
+        for mask, row in zip(masks, vals):
+            sparse[rows, rows ^ mask] = row
         assert np.max(np.abs(sparse - to_matrix(h_exp).matrix)) < 1e-14
 
     def test_pair_family_energies(self):
@@ -261,6 +264,23 @@ class TestProductEnergy:
                                   4).matrix
             direct = float(np.real(np.trace(dense_h @ power)))
             assert evaluator.energy(xi) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_energy_is_the_trace_against_word_matrices(self, name, rng):
+        # The word values against tr(W xi) with each word's dense matrix,
+        # on random even single-site states.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
+        shape1 = SystemShape(1, h_exp.shape.modes_per_site)
+        evaluator = ProductEnergyEvaluator(h_exp)
+        for _ in range(5):
+            xi = random_even_density_matrix(shape1, rng)
+            want = 0.0
+            for coeff, subs in evaluator.compiled:
+                term = coeff
+                for m in subs:
+                    term *= np.trace(jw_matrix(m, shape1).matrix @ xi)
+                want += term
+            assert abs(evaluator.energy(xi) - want.real) <= 1e-15
 
     def test_min_product_energy_site_number(self):
         spec = builtin_family("site-number", 4)

@@ -1,13 +1,15 @@
 """Package hygiene checks that read the source, not run it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parent.parent
+
 SOURCES = sorted(
-    path for path in (Path(__file__).resolve().parent.parent
-                      / "src" / "fermicert").glob("*.py")
+    path for path in (ROOT / "src" / "fermicert").glob("*.py")
     # __init__.py imports names to re-export them.
     if path.name != "__init__.py")
 
@@ -75,6 +77,38 @@ def test_no_scipy_import(path):
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
+def xor_users(sources):
+    """Names of the modules whose code applies the ``^`` operator."""
+    return sorted(name for name, source in sources.items()
+                  if any(isinstance(node, (ast.BinOp, ast.AugAssign))
+                         and isinstance(node.op, ast.BitXor)
+                         for node in ast.walk(ast.parse(source))))
+
+
+def test_xor_terms_have_one_home():
+    # Fock-basis entries [a, a ^ x] are read and written by the fock layer
+    # (XOR terms) and the word algebra alone.
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert xor_users(sources) == ["algebra.py", "fock.py"]
+
+
+def test_detector_flags_xor():
+    sources = {"a.py": "x = 1 ^ 2\n", "b.py": "x = 1\nx ^= 3\n",
+               "c.py": "# a ^ b\nx = '^'\ny = 1 | 2\n"}
+    assert xor_users(sources) == ["a.py", "b.py"]
+
+
+def test_numpy_floor_has_bitwise_count():
+    # np.bitwise_count first appeared in NumPy 2.0; an older numpy imports
+    # the package and fails on the first dense matrix.
+    if not any("bitwise_count" in path.read_text() for path in SOURCES):
+        pytest.skip("no source calls np.bitwise_count")
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)(?:\.(\d+))?', pyproject)
+    assert floor is not None
+    assert (int(floor[1]), int(floor[2] or 0)) >= (2, 0)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -114,7 +148,6 @@ def test_detector_flags_write_only_locals():
 UNREACHED_ALLOWED = {
     # Named in the benchmark's span list (perfbench/spans.py TARGETS).
     "ladder_matrix": "benchmark span target",
-    "_dense": "the dense kernel of ladder_matrix",
     "expectation_word_dense": "benchmark span target",
     "ground_state": "benchmark span target",
     # Independent oracles that the tests compare the package against.
