@@ -25,8 +25,9 @@ diag(u) X_x diag(v) X_y = diag(u * v[a ^ x]) X_(x ^ y) at O(terms * dim)
 (:func:`xor_pairs`, summed by :func:`xor_product`), one gather against a
 dense state, tr(rho T) = sum_x sum_a v_x[a] rho[a ^ x, a]
 (:func:`xor_trace`, or per term :func:`xor_term_traces`), and one scatter
-into a dense matrix (:func:`xor_matrix`).  Expansions, Hamiltonians,
-ladder products and the 1-RDM all go through these.
+into dense matrices (:func:`_scatter`, behind :func:`xor_matrix` and the
+stacked :func:`to_matrices`).  Expansions, Hamiltonians, ladder products
+and the 1-RDM all go through these.
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
 the most significant bits.  That layout has two homes: :func:`occupations`,
@@ -41,6 +42,7 @@ All functions are pure; matrices are never mutated in place once returned.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
@@ -70,16 +72,22 @@ STATE_EIG_TOL = 1e-10
 STATE_HERMITIAN_TOL = 1e-9
 STATE_PARITY_TOL = 1e-10
 
-#: :func:`to_matrix` cuts its (terms x dim) value arrays to at most this
+#: :func:`to_matrices` cuts its (terms x dim) value arrays to at most this
 #: many entries (4 MB of complex values), whatever the expansion's size.
 _BATCH_ENTRIES = 1 << 18
 
 
 def mode_cap() -> int:
+    """The mode cap: :data:`MODE_CAP_ENV` when set, else the default.
+    Raises ``ValueError`` naming the variable when it is not an integer."""
     env = os.environ.get(MODE_CAP_ENV)
-    if env is not None:
+    if env is None:
+        return DEFAULT_MODE_CAP
+    try:
         return int(env)
-    return DEFAULT_MODE_CAP
+    except ValueError:
+        raise ValueError(f"{MODE_CAP_ENV} must be an integer mode count, "
+                         f"got {env!r}") from None
 
 
 class ResourceCapError(RuntimeError):
@@ -321,34 +329,33 @@ def xor_term_traces(rho: np.ndarray, terms: XorTerms) -> np.ndarray:
     return _gather(rho, terms).sum(axis=1)
 
 
+def _scatter(flat: np.ndarray, terms: XorTerms, starts=0):
+    """Add XOR terms into the flattened (dim x dim) matrix that begins at
+    ``flat[starts]``, or, for a column ``starts``, term t into the one at
+    ``flat[starts[t, 0]]``.
+
+    The entries are added in term order by ``np.add.at``, which
+    accumulates repeated positions one after another, so each matrix
+    equals a term-by-term sum bit for bit.
+    """
+    masks, vals = terms
+    dim = vals.shape[1]
+    rows = np.arange(dim)
+    offsets = starts + rows * dim
+    # One-dimensional index and value arrays take ufunc.at's fast path.
+    np.add.at(flat, (offsets + (rows ^ masks[:, None])).ravel(), vals.ravel())
+
+
 def xor_matrix(shape: SystemShape, batches: Iterable[XorTerms]
                ) -> np.ndarray:
     """Dense matrix of XOR terms given in batches, read only after the
-    mode-cap check.
-
-    The entries are added in term order by ``np.add.at``, which
-    accumulates repeated positions one after another, so the result equals
-    a term-by-term sum bit for bit.
-    """
+    mode-cap check, the terms added in order (:func:`_scatter`)."""
     ensure_within_cap(shape)
     dim = shape.fock_dim
-    rows = np.arange(dim)
-    row_starts = rows * dim
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for masks, vals in batches:
-        # One-dimensional index and value arrays take ufunc.at's fast path.
-        np.add.at(out.reshape(-1),
-                  (row_starts + (rows ^ masks[:, None])).ravel(), vals.ravel())
+    for terms in batches:
+        _scatter(out.reshape(-1), terms)
     return out
-
-
-def _word_batches(masks, coeffs, shape: SystemShape) -> Iterator[XorTerms]:
-    """:func:`word_terms` of the words times ``coeffs`` in term order, in
-    batches of at most :data:`_BATCH_ENTRIES` entries, built lazily."""
-    step = max(1, _BATCH_ENTRIES // shape.fock_dim)
-    for lo in range(0, len(masks), step):
-        x, vals = word_terms(masks[lo:lo + step], shape)
-        yield x, coeffs[lo:lo + step, None] * vals
 
 
 def jw_matrix(mask: int, shape: SystemShape) -> DenseOperator:
@@ -356,13 +363,41 @@ def jw_matrix(mask: int, shape: SystemShape) -> DenseOperator:
     return DenseOperator(shape, xor_matrix(shape, [word_terms([mask], shape)]))
 
 
+def to_matrices(ops: Sequence[OperatorExpansion]) -> np.ndarray:
+    """Dense matrices of expansions of one shape, a (len(ops), dim, dim)
+    stack whose matrix i equals ``to_matrix(ops[i])`` bit for bit.
+
+    The words of all expansions are scattered together, in batches of at
+    most :data:`_BATCH_ENTRIES` entries; each term carries the start of
+    its own matrix, so every matrix gets its own terms in term order.
+    """
+    if not ops:
+        raise ValueError("to_matrices needs at least one expansion")
+    shape = ops[0].shape
+    if any(op.shape != shape for op in ops):
+        raise ValueError("to_matrices needs expansions of one shape")
+    ensure_within_cap(shape)
+    dim = shape.fock_dim
+    n = sum(len(op.terms) for op in ops)
+    chain = itertools.chain.from_iterable
+    masks = np.fromiter(chain(op.terms.keys() for op in ops), np.int64, n)
+    coeffs = np.fromiter(chain(op.terms.values() for op in ops),
+                         np.complex128, n)
+    starts = np.fromiter(chain(itertools.repeat(i * dim * dim, len(op.terms))
+                               for i, op in enumerate(ops)), np.int64, n)
+    out = np.zeros((len(ops), dim, dim), dtype=np.complex128)
+    step = max(1, _BATCH_ENTRIES // dim)
+    for lo in range(0, n, step):
+        x, vals = word_terms(masks[lo:lo + step], shape)
+        _scatter(out.reshape(-1), (x, coeffs[lo:lo + step, None] * vals),
+                 starts[lo:lo + step, None])
+    return out
+
+
 def to_matrix(op: OperatorExpansion) -> DenseOperator:
-    """Dense matrix of an expansion, its terms added in term order."""
-    n = len(op.terms)
-    masks = np.fromiter(op.terms.keys(), np.int64, n)
-    coeffs = np.fromiter(op.terms.values(), np.complex128, n)
-    return DenseOperator(op.shape, xor_matrix(
-        op.shape, _word_batches(masks, coeffs, op.shape)))
+    """Dense matrix of an expansion, its terms added in term order (the
+    one-expansion call of :func:`to_matrices`)."""
+    return DenseOperator(op.shape, to_matrices([op])[0])
 
 
 def to_expansion(dense: DenseOperator) -> OperatorExpansion:
@@ -471,11 +506,13 @@ def trace_norm(dense: DenseOperator) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(half))))
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value."""
-    gram = matrix.conj().T @ matrix
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a matrix, as a float, or of each matrix of
+    a stack (..., dim, dim), as an array, from one batched ``eigvalsh``."""
+    gram = matrix.conj().swapaxes(-1, -2) @ matrix
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    norms = np.sqrt(np.maximum(top, 0.0))
+    return float(norms) if matrix.ndim == 2 else norms
 
 
 def permutation_unitary(pi: Sequence[int], shape: SystemShape) -> DenseOperator:

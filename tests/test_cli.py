@@ -330,6 +330,15 @@ class TestCliSingleCommands:
         assert main(["--out", str(tmp_path), "verify-clt"]) == 3
         assert "resource cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_non_integer_mode_cap_exit_2(self, tmp_path, monkeypatch, capsys,
+                                         value):
+        monkeypatch.setenv(MODE_CAP_ENV, value)
+        assert main(["--out", str(tmp_path), "check-algebra",
+                     "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert MODE_CAP_ENV in err and repr(value) in err
+
     def test_theorem1_requires_seed(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["--out", str(tmp_path), "verify-theorem1", "--V", "6",

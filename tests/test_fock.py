@@ -14,6 +14,7 @@ from conftest import (independent_ladder, independent_majoranas,
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                expansion_from_text, expansion_to_text,
                                random_expansion)
+from fermicert import fock
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             check_state, diagonal_blocks,
                             global_parity_signs, hermitian_eig,
@@ -21,7 +22,8 @@ from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             operator_norm, partial_trace_sites,
                             permutation_unitary, real_if_exact,
                             reduce_expansion, require_hermitian,
-                            to_expansion, to_matrix, trace_norm,
+                            to_expansion, to_matrices, to_matrix,
+                            trace_norm,
                             word_expectations_dense, word_terms, xor_matrix,
                             xor_pairs, xor_product, xor_sum, xor_term_traces,
                             xor_trace)
@@ -204,6 +206,39 @@ class TestPauliStrings:
             assert np.array_equal(got, dense)
         else:
             assert np.max(np.abs(got - dense)) < 1e-15
+
+
+class TestToMatrices:
+    # The stacked build against one to_matrix call per expansion, bit for
+    # bit: stacking must not change how any matrix's entries are summed.
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+    def test_stack_equals_one_call_per_expansion(self, shape, rng):
+        ops = [random_expansion(shape, rng, n_terms=n) for n in (5, 0, 9, 1)]
+        ops.append(OperatorExpansion(shape, {}))
+        mats = to_matrices(ops)
+        assert mats.shape == (len(ops), shape.fock_dim, shape.fock_dim)
+        for op, mat in zip(ops, mats):
+            assert np.array_equal(mat, to_matrix(op).matrix)
+        assert not mats[-1].any()
+
+    def test_batch_boundaries_inside_an_expansion(self, rng):
+        # Each expansion holds one and a half batches, so batch edges fall
+        # inside both and at other term positions than in a one-op call.
+        shape = SystemShape(10, 1)
+        step = fock._BATCH_ENTRIES // shape.fock_dim
+        ops = [random_expansion(shape, rng, n_terms=3 * step // 2)
+               for _ in range(2)]
+        assert all(len(op.terms) > step for op in ops)
+        for op, mat in zip(ops, to_matrices(ops)):
+            assert np.array_equal(mat, to_matrix(op).matrix)
+
+    def test_empty_list_and_mixed_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            to_matrices([])
+        with pytest.raises(ValueError):
+            to_matrices([OperatorExpansion(SystemShape(2, 1), {1: 1.0}),
+                         OperatorExpansion(SystemShape(1, 2), {1: 1.0})])
 
 
 class TestXorTerms:
@@ -432,6 +467,15 @@ class TestSpectral:
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         assert abs(operator_norm(a)
                    - np.linalg.svd(a, compute_uv=False)[0]) < 1e-10
+
+    def test_stacked_operator_norm_is_per_matrix(self, rng):
+        stack = (rng.standard_normal((2, 3, 8, 8))
+                 + 1j * rng.standard_normal((2, 3, 8, 8)))
+        norms = operator_norm(stack)
+        assert norms.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = operator_norm(stack[idx])
+            assert type(one) is float and norms[idx] == one
 
 
 class TestCheckState:

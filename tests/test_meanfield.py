@@ -220,18 +220,6 @@ class TestGroundState:
                              check=True, capture_output=True, text=True)
         assert out.stdout.strip() == "[]"
 
-    def test_sparse_matrix_matches_dense(self):
-        # The summed word terms that ground_state_lowdim splits into blocks
-        # rebuild the dense Hamiltonian.
-        spec = builtin_family("pair-hopping", 4)
-        h_exp, _ = build_hamiltonian_expansion(spec)
-        masks, vals = summed_word_terms(h_exp)
-        rows = np.arange(h_exp.shape.fock_dim)
-        sparse = np.zeros((h_exp.shape.fock_dim,) * 2, dtype=np.complex128)
-        for mask, row in zip(masks, vals):
-            sparse[rows, rows ^ mask] = row
-        assert np.max(np.abs(sparse - to_matrix(h_exp).matrix)) < 1e-14
-
     def test_pair_family_energies(self):
         # Quadratic forms with known single-particle content: both pair
         # families at V = 6 have exact ground energy -1/3.

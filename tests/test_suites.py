@@ -1,5 +1,6 @@
 """Suite orchestration: shared cases and the tables the suites write."""
 
+import time
 from types import SimpleNamespace
 
 from fermicert import invariance, suites
@@ -15,6 +16,17 @@ def test_algebra_rows_hold_their_own_shape_worst():
     # The claim keeps the worst over every shape; each row its own.
     assert max(row[2] for row in rows) == claim.lhs
     assert len({row[2] for row in rows}) > 1
+
+
+def test_algebra_claims_carry_their_own_time():
+    # Each claim is timed over its own loop, so the two times together fit
+    # inside one call of the suite.
+    start = time.perf_counter()
+    reports, _ = suites.run_check_algebra(seed=0)
+    elapsed = time.perf_counter() - start
+    oracle, anti = reports
+    assert oracle.wall_time > 0.0 and anti.wall_time > 0.0
+    assert oracle.wall_time + anti.wall_time <= elapsed
 
 
 def test_mu_cases_checked_once_across_suites(monkeypatch):
