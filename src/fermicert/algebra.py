@@ -397,8 +397,12 @@ def expansion_to_text(op: OperatorExpansion) -> str:
 
 
 def expansion_from_text(text: str, shape: SystemShape) -> OperatorExpansion:
-    """Parse the fixture text format produced by :func:`expansion_to_text`;
-    a coefficient that is not finite is rejected with its line."""
+    """Parse the fixture text format produced by :func:`expansion_to_text`.
+
+    Malformed input is rejected with ``ValueError`` naming its line and
+    token: a coefficient that is not a finite number, a word token that is
+    not ``(site,index)`` with integers, or an index outside ``shape``.
+    """
     terms: Dict[int, complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -408,7 +412,14 @@ def expansion_from_text(text: str, shape: SystemShape) -> OperatorExpansion:
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 're im word', got {raw!r}")
         re_part, im_part, word = fields
-        coeff = complex(float(re_part), float(im_part))
+        parts = []
+        for token in (re_part, im_part):
+            try:
+                parts.append(float(token))
+            except ValueError:
+                raise ValueError(f"line {lineno}: coefficient token "
+                                 f"{token!r} is not a number") from None
+        coeff = complex(*parts)
         if not cmath.isfinite(coeff):
             raise ValueError(f"line {lineno}: coefficient {coeff} is not "
                              "finite")
@@ -420,10 +431,19 @@ def expansion_from_text(text: str, shape: SystemShape) -> OperatorExpansion:
             body = word.replace(")(", ");(")
             for chunk in body.split(";"):
                 chunk = chunk.strip()
-                if not (chunk.startswith("(") and chunk.endswith(")")):
-                    raise ValueError(f"line {lineno}: bad word token {chunk!r}")
-                s, a = chunk[1:-1].split(",")
-                indices.append((int(s), int(a)))
+                try:
+                    if not (chunk.startswith("(") and chunk.endswith(")")):
+                        raise ValueError
+                    site, index = map(int, chunk[1:-1].split(","))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: word token {chunk!r} is "
+                                     "not (site,index) with integers") from None
+                try:
+                    shape.bit_position(site, index)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: word token {chunk!r}: "
+                                     f"{exc}") from None
+                indices.append((site, index))
             sign, mask = canonicalize(indices, shape)
         terms[mask] = terms.get(mask, 0.0) + sign * coeff
     return OperatorExpansion(shape, terms)

@@ -236,8 +236,11 @@ def _hamiltonian_from_config(path: Path) -> HamiltonianSpec:
         raise ValueError("config needs integers V, p and k, template text, "
                          "subsets \"all-k-subsets\" or a list of integer "
                          "lists, and normalize true or false")
-    shape = SystemShape(V, p)
-    template = expansion_from_text(text, SystemShape(k, p))
+    shape, template_shape = SystemShape(V, p), SystemShape(k, p)
+    try:
+        template = expansion_from_text(text, template_shape)
+    except ValueError as exc:
+        raise ValueError(f"config template {exc}") from None
     if subsets == "all-k-subsets":
         subsets = itertools.combinations(range(1, V + 1), k)
     return HamiltonianSpec(shape, tuple(map(tuple, subsets)), template,

@@ -25,8 +25,8 @@ terms and one gather (:func:`fock.xor_product`, :func:`fock.xor_trace`).
 :class:`LadderMoments` keeps the products of key prefixes and the
 cumulants of one state, so overlapping requests share them, and
 :class:`FourierMemo` holds one per (single-site state, V) for a sweep of
-Fourier cumulants.  :func:`ladder_matrix` and
-:func:`fourier_ladder_matrix` are dense views of the same terms.
+Fourier cumulants.  :func:`ladder_matrix` is a dense view of the same
+terms.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from .algebra import SystemShape
 from .definetti import ProductMixture, product_power
 from .fock import (DenseOperator, XorTerms, global_parity_signs,
                    ladder_terms, xor_matrix, xor_product, xor_trace)
-from .report import (EQUALITY, INEQUALITY, PROPERTY, VerificationReport,
-                     make_report)
+from .report import INEQUALITY, PROPERTY, VerificationReport, make_report
 
 #: Tolerance of the central-limit claims on Fourier cumulants: the
 #: Lemma-4 equality of direct and closed form, and the suppression bound.
@@ -242,27 +241,11 @@ def ladder_matrix(shape: SystemShape, c: int, site: int, mode: int) -> np.ndarra
     return xor_matrix(shape, [ladder_terms(shape, c, site, mode)])
 
 
-def fourier_ladder_matrix(shape: SystemShape, c: int, mode: int,
-                          q: int) -> np.ndarray:
-    """Fourier ladder mode (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c."""
-    return xor_matrix(shape, [fourier_ladder_terms(shape, c, mode, q)])
-
-
-def _site_ladders(shape: SystemShape,
-                  ops: Sequence[LadderIndex]) -> List[XorTerms]:
-    return [ladder_terms(shape, o.c, o.site, o.mode) for o in ops]
-
-
 def moment(rho: DenseOperator, ops: Sequence[LadderIndex]) -> complex:
     """tr(rho f^{c_1} ... f^{c_w}) for site-local ladder operators."""
-    ladders = _site_ladders(rho.shape, ops)
+    ladders = [ladder_terms(rho.shape, o.c, o.site, o.mode) for o in ops]
     return LadderMoments(rho.matrix, ladders.__getitem__).moment(
         tuple(range(len(ops))))
-
-
-def cumulant(rho: DenseOperator, ops: Sequence[LadderIndex]) -> complex:
-    """Order-|ops| joint cumulant of site-local ladder operators."""
-    return cumulant_mats(rho.matrix, _site_ladders(rho.shape, ops))
 
 
 def cumulant_mats(rho: np.ndarray, ladders: Sequence[XorTerms]) -> complex:
@@ -314,15 +297,16 @@ def _phase_sum(total_q: int, V: int) -> complex:
 
 def fourier_cumulant(rho_single: DenseOperator, V: int,
                      ops: Sequence[LadderIndex],
-                     memo: Optional[FourierMemo] = None
-                     ) -> FourierCumulantResult:
+                     memo: FourierMemo) -> FourierCumulantResult:
     """Cumulant of the V-fold copy of a single-site state in Fourier modes.
 
     Computes the direct value on the full 2^(pV) space, which raises
-    :class:`fock.ResourceCapError` over the mode cap, and the closed
-    factorized prediction V^(-w/2) * K_w(single site) * sum_j exp(2 pi i
-    sum_l c_l q_l j / V).  ``memo`` shares copies, ladder products and
-    cumulants between calls; without it every call builds its own.
+    :class:`fock.ResourceCapError` over the mode cap, the single-site
+    cumulant K_w on the memo's V = 1 copy, and the closed factorized
+    prediction V^(-w/2) * K_w(single site) * sum_j exp(2 pi i sum_l c_l q_l
+    j / V).  ``memo`` holds the copies, ladder products and cumulants that
+    calls share.  The result flags whether the (c, mode, q) triples are
+    distinct, the hypothesis of the closed form; it is not checked here.
     """
     if rho_single.shape.sites != 1:
         raise ValueError("rho_single must live on a single site")
@@ -334,8 +318,6 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
             raise ValueError("Fourier cumulants need q labels on every index")
         if o.q not in fourier_q_range(V):
             raise ValueError(f"q = {o.q} outside range for V = {V}")
-    if memo is None:
-        memo = FourierMemo()
 
     triples = tuple(o.triple() for o in ops)
     k_single = memo.moments(rho_single, 1).cumulant(
@@ -354,7 +336,7 @@ def verify_suppression(rho_single: DenseOperator, V: int,
                        result: FourierCumulantResult) -> VerificationReport:
     """Certify |K_w(Fourier modes of the V-fold copy)| <=
     V^((2-w)/2) |K_w(single site)|, within :data:`CUMULANT_TOL`, on
-    ``result = fourier_cumulant(rho_single, V, ops)``."""
+    ``result = fourier_cumulant(rho_single, V, ops, memo)``."""
     start = time.perf_counter()
     w = len(ops)
     if w <= 2:
@@ -491,20 +473,3 @@ def verify_corollary(rho_k: DenseOperator, mixture: ProductMixture, V: int,
                                 time.perf_counter() - start, notes)
     return report
 
-
-def lemma4_equality_report(rho_single: DenseOperator, V: int,
-                           ops: Sequence[LadderIndex],
-                           memo: Optional[FourierMemo] = None
-                           ) -> Optional[VerificationReport]:
-    """Equality of the direct Fourier cumulant with the closed factorized
-    form within :data:`CUMULANT_TOL`; None (skip) when the distinct-triples
-    hypothesis fails.  ``memo`` is passed on to :func:`fourier_cumulant`."""
-    start = time.perf_counter()
-    result = fourier_cumulant(rho_single, V, ops, memo=memo)
-    if not result.distinct_triples:
-        return None
-    lhs = abs(result.direct - result.closed_form)
-    p = rho_single.shape.modes_per_site
-    return make_report("hudson-lemma4", EQUALITY,
-                       {"V": V, "p": p, "w": len(ops)},
-                       lhs, 0.0, CUMULANT_TOL, time.perf_counter() - start)

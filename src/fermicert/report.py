@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -90,11 +91,13 @@ def csv_cell(v) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence[object]]):
-    """Write a CSV table with deterministic formatting (no timestamps)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(csv_cell(v) for v in row) + "\n")
+    """Write a CSV table with deterministic formatting (no timestamps); a
+    cell that holds a comma or a quote is quoted, so every row parses to
+    as many fields as the header."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([csv_cell(v) for v in row] for row in rows)
 
 
 def render_reports(title: str, reports: Sequence[VerificationReport]) -> str:

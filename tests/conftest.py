@@ -2,7 +2,9 @@
 
 The Majorana matrices built here use the textbook kron construction
 directly, independent of the package's Pauli-string route, so they can
-serve as an oracle for it.
+serve as an oracle for it.  :func:`cumulant` and
+:func:`fourier_ladder_matrix` are the exception: views of the package's
+own ladder terms that only the tests read.
 """
 
 from __future__ import annotations
@@ -61,6 +63,26 @@ def summed_word_terms(h_exp):
     masks, vals = word_terms(list(h_exp.terms), h_exp.shape)
     coeffs = np.array(list(h_exp.terms.values()), dtype=np.complex128)
     return xor_sum((masks, coeffs[:, None] * vals))
+
+
+def cumulant(rho, ops):
+    """Order-|ops| joint cumulant of the site-local ladders ``ops``
+    (:class:`cumulants.LadderIndex`) on the dense state ``rho``."""
+    from fermicert.cumulants import cumulant_mats
+    from fermicert.fock import ladder_terms
+
+    return cumulant_mats(rho.matrix, [ladder_terms(rho.shape, o.c, o.site,
+                                                   o.mode) for o in ops])
+
+
+def fourier_ladder_matrix(shape: SystemShape, c: int, mode: int,
+                          q: int) -> np.ndarray:
+    """Dense Fourier ladder (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c
+    from the package's XOR terms."""
+    from fermicert.cumulants import fourier_ladder_terms
+    from fermicert.fock import xor_matrix
+
+    return xor_matrix(shape, [fourier_ladder_terms(shape, c, mode, q)])
 
 
 def random_density_matrix(dim: int, rng) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 
 from fermicert import suites
 from fermicert.cli import main as cli_main
-from fermicert.cumulants import LadderIndex, fourier_cumulant
+from fermicert.cumulants import FourierMemo, LadderIndex, fourier_cumulant
 from fermicert.fock import DenseOperator
 from fermicert.algebra import SystemShape
 
@@ -154,7 +154,7 @@ def test_criterion_6_literal_ratio_form():
         q = V // 2
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, q), LadderIndex(1, 1, 1, q)]
-        res = fourier_cumulant(DIAG_THIRDS, V, ops)
+        res = fourier_cumulant(DIAG_THIRDS, V, ops, FourierMemo())
         lhs = abs(res.direct)
         ratio = lhs * V / abs(res.single_site_cumulant)
         assert 1.0 - 1e-9 <= ratio <= 1.0 + 1e-9

@@ -96,6 +96,16 @@ class TestReports:
         header, rows = reports_to_rows(reps)
         assert header[0] == "claim_id" and len(rows) == 2
 
+    def test_csv_quotes_cells_with_commas(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["shape", "notes"],
+                  [["(1,1)", 'a, "b"'], [2.5, ""]])
+        assert path.read_bytes() == (b'shape,notes\n"(1,1)","a, ""b"""\n'
+                                     b"2.5,\n")
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["shape", "notes"],
+                                            ["(1,1)", 'a, "b"'], ["2.5", ""]]
+
     def test_csv_deterministic(self, tmp_path):
         header = ["a", "b"]
         rows = [[1.0 / 3.0, True], [2.5e-13, False]]
@@ -188,6 +198,23 @@ class TestCliSingleCommands:
         assert main(["--out", str(tmp_path), "verify-lemma3", "--V", "6",
                      "--k", "2", "--fixture", str(fixture)]) == 2
         assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("0.001 0 (1,2,3)", "word token '(1,2,3)' is not (site,index)"),
+        ("0.001 0 (1,x)", "word token '(1,x)' is not (site,index)"),
+        ("0.001 0 (1,1)(9,1)", "word token '(9,1)': site 9 out of range"),
+        ("0.001 0 (1,5)", "word token '(1,5)': majorana index 5 out of"),
+        ("abc 0 (1,1)", "coefficient token 'abc' is not a number"),
+    ], ids=["three-indices", "non-integer", "site-range", "index-range",
+            "coefficient"])
+    def test_malformed_fixture_names_line_and_token(self, tmp_path, capsys,
+                                                    line, message):
+        fixture = tmp_path / "state.txt"
+        fixture.write_text(f"0.015625 0 1\n{line}\n")
+        assert main(["--out", str(tmp_path), "verify-lemma3", "--V", "6",
+                     "--k", "2", "--fixture", str(fixture)]) == 2
+        assert f"error: line 2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
     def test_nan_mu_exit_2(self, tmp_path, capsys):
@@ -375,6 +402,17 @@ class TestCliSingleCommands:
                      "--config", str(path)])
         assert code == 0
 
+    def test_gs_malformed_template_names_line_and_token(self, tmp_path,
+                                                       capsys):
+        cfg = {"V": 4, "p": 1, "k": 1,
+               "template": "0 -1 (1,1)(1,2)\n0 1 (1,1)(2,1)"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), "gs-bound", "--seed", "1",
+                     "--config", str(path)]) == 2
+        assert ("config template line 2: word token '(2,1)': site 2 out of "
+                "range [1..1]") in capsys.readouterr().err
+
     def test_gs_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"V\": 4}")
@@ -454,6 +492,14 @@ def _line_starting(path: Path, prefix: str) -> str:
     return line
 
 
+def _summary_row(path: Path, claim_id: str, inputs: str) -> dict:
+    """The summary.csv row of one claim, parsed into its named cells."""
+    with open(path, newline="") as fh:
+        (row,) = [row for row in csv.DictReader(fh)
+                  if (row["claim_id"], row["inputs"]) == (claim_id, inputs)]
+    return row
+
+
 class TestCliSuiteParity:
     """A single command's rows equal the suite's rows for the same inputs,
     up to the notes that only the single command adds: the verdict rules
@@ -474,11 +520,14 @@ class TestCliSuiteParity:
                      "--mu", "0.5", "--k", "2", "--seed", "3"]) == 0
         assert main(["--out", str(suite), "verify-theorem1",
                      "--seed", "3"]) == 0
-        prefix = "theorem1,inequality,V=6;k=2;mu=0.5;p=1;r=4;seed=3,"
-        single_line = _line_starting(single / "summary.csv", prefix)
-        suite_line = _line_starting(suite / "summary.csv", prefix)
-        assert single_line.startswith(suite_line + ";")
-        extra = single_line[len(suite_line) + 1:]
+        inputs = "V=6;k=2;mu=0.5;p=1;r=4;seed=3"
+        single_row = _summary_row(single / "summary.csv", "theorem1", inputs)
+        suite_row = _summary_row(suite / "summary.csv", "theorem1", inputs)
+        single_notes = single_row.pop("notes")
+        suite_notes = suite_row.pop("notes")
+        assert single_row == suite_row
+        assert single_notes.startswith(suite_notes + ";")
+        extra = single_notes[len(suite_notes) + 1:]
         assert extra.startswith("component purities [")
         assert ";" not in extra
 
@@ -523,3 +572,17 @@ def test_help_lists_the_suite_tables(command, capsys):
             "passed, notes\n") in epilog
     for name, columns in suites.TABLES[command].items():
         assert f"  {name}.csv: {', '.join(columns.split())}\n" in epilog
+
+
+def test_every_csv_row_has_the_header_width(tmp_path):
+    # Cells that hold a comma (notes, the algebra shape) are quoted, so
+    # every row of every table parses to as many fields as its header.
+    assert main(["--out", str(tmp_path), "all", "--seed", "0"]) == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == 12
+    for path in paths:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, path.name
+        assert [len(row) for row in rows] == [len(header)] * len(rows), \
+            path.name

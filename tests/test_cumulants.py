@@ -9,17 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (independent_ladder, random_density_matrix,
-                      random_even_density_matrix)
-from fermicert import cumulants
+from conftest import (cumulant, fourier_ladder_matrix, independent_ladder,
+                      random_density_matrix, random_even_density_matrix)
+from fermicert import cumulants, suites
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import (FourierMemo, LadderIndex, LadderMoments,
-                                 corollary_index_sets, cumulant,
-                                 cumulant_from_moment_fn, cumulant_mats,
-                                 even_partitions, fourier_cumulant,
-                                 fourier_ladder_matrix, fourier_ladder_terms,
+                                 corollary_index_sets, cumulant_from_moment_fn,
+                                 cumulant_mats, even_partitions,
+                                 fourier_cumulant, fourier_ladder_terms,
                                  fourier_q_range, gaussian_mixture_deviation,
-                                 ladder_matrix, lemma4_equality_report, moment,
+                                 ladder_matrix, moment,
                                  moment_from_cumulant_fn, partition_sign,
                                  verify_corollary, verify_suppression,
                                  wick_moment)
@@ -280,7 +279,7 @@ class TestCumulants:
         with pytest.raises(ValueError, match="even w >= 2"):
             cumulant_mats(VACUUM.matrix, [])
         with pytest.raises(ValueError, match="even w >= 2"):
-            fourier_cumulant(DIAG_THIRDS, 3, [])
+            fourier_cumulant(DIAG_THIRDS, 3, [], FourierMemo())
 
     def test_cumulants_match_kron_oracle(self, rng):
         for sh in ORACLE_SHAPES:
@@ -300,60 +299,67 @@ class TestFourierCumulants:
 
     def test_resonant_second_cumulant(self):
         ops = [LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
-        res = fourier_cumulant(DIAG_THIRDS, 3, ops)
+        res = fourier_cumulant(DIAG_THIRDS, 3, ops, FourierMemo())
         assert res.direct == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert res.closed_form == pytest.approx(res.direct, abs=1e-12)
 
     def test_offresonant_vanishes(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1)]
-        res = fourier_cumulant(DIAG_THIRDS, 3, ops)
+        res = fourier_cumulant(DIAG_THIRDS, 3, ops, FourierMemo())
         assert abs(res.direct) < 1e-12
         assert abs(res.closed_form) < 1e-12
 
     def test_lemma4_w4_p1(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
-        res = fourier_cumulant(DIAG_THIRDS, 3, ops)
+        res = fourier_cumulant(DIAG_THIRDS, 3, ops, FourierMemo())
         assert abs(res.direct - res.closed_form) < 1e-9
 
     def test_lemma4_w4_p2_nonzero(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
-        res = fourier_cumulant(CORRELATED, 2, ops)
+        res = fourier_cumulant(CORRELATED, 2, ops, FourierMemo())
         # Resonant phase sum V = 2 gives K4/V = 0.14/2 = 0.07 exactly.
         assert res.direct == pytest.approx(0.07, abs=1e-9)
         assert abs(res.direct - res.closed_form) < 1e-9
 
     def test_memo_gives_each_state_its_own_value(self, rng):
         # Two states of one shape through one memo: each gets the value a
-        # call without a memo computes, bit for bit.
+        # call with a fresh memo computes, bit for bit.
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1),
                LadderIndex(-1, 1, 2, 1), LadderIndex(1, 1, 2, 0)]
         states = [CORRELATED, DenseOperator(
             SH12, random_even_density_matrix(SH12, rng))]
         memo = FourierMemo()
-        shared = [fourier_cumulant(rho, 3, ops, memo=memo) for rho in states]
-        assert shared == [fourier_cumulant(rho, 3, ops) for rho in states]
+        shared = [fourier_cumulant(rho, 3, ops, memo) for rho in states]
+        assert shared == [fourier_cumulant(rho, 3, ops, FourierMemo())
+                          for rho in states]
         assert shared[0].direct != shared[1].direct
         assert shared[0].single_site_cumulant != shared[1].single_site_cumulant
         # A second pass reads the memo and still keeps the states apart.
-        assert [fourier_cumulant(rho, 3, ops, memo=memo)
+        assert [fourier_cumulant(rho, 3, ops, memo)
                 for rho in states] == shared
 
     def test_distinct_triples_flag(self):
-        rep = lemma4_equality_report(DIAG_THIRDS, 3, [
-            LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-            LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1)])
-        assert rep is None
+        repeated = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
+                    LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1)]
+        distinct = repeated[:2] + [LadderIndex(-1, 1, 1, 1),
+                                   LadderIndex(1, 1, 1, 1)]
+        memo = FourierMemo()
+        assert not fourier_cumulant(DIAG_THIRDS, 3, repeated,
+                                    memo).distinct_triples
+        assert fourier_cumulant(DIAG_THIRDS, 3, distinct,
+                                memo).distinct_triples
 
     def test_q_out_of_range(self):
         with pytest.raises(ValueError):
             fourier_cumulant(DIAG_THIRDS, 3, [LadderIndex(-1, 1, 1, 2),
-                                              LadderIndex(1, 1, 1, 2)])
+                                              LadderIndex(1, 1, 1, 2)],
+                             FourierMemo())
 
     def test_missing_q(self):
         with pytest.raises(ValueError, match="q labels"):
-            fourier_cumulant(DIAG_THIRDS, 3, [FDAG, F])
+            fourier_cumulant(DIAG_THIRDS, 3, [FDAG, F], FourierMemo())
 
     def test_fourier_op_matrix(self):
         for sh in ORACLE_SHAPES:
@@ -447,7 +453,7 @@ class TestXorEngine:
             assert abs(got - dense_cumulant(rho, mats)) < 1e-12
 
     def test_lemma4_sweep_shares_products(self, monkeypatch):
-        # The suite's V = 4, w = 4 sweep on one memo: each distinct key
+        # The suite's V = 4, w = 4 case list on one memo: each distinct key
         # prefix of a moment is multiplied at most once per copy, and no
         # dense ladder is formed.
         dims = []
@@ -463,15 +469,15 @@ class TestXorEngine:
         monkeypatch.setattr(cumulants, "xor_product", counting)
         monkeypatch.setattr(cumulants, "xor_matrix", no_dense)
         V = 4
-        triples = [(c, 1, q) for c in (1, -1) for q in fourier_q_range(V)]
         memo = FourierMemo()
         prefixes = {16: set(), 2: set()}
         cases = 0
-        for seq in itertools.permutations(triples, 4):
-            ops = [LadderIndex(c, 1, mode, q) for c, mode, q in seq]
-            rep = lemma4_equality_report(DIAG_THIRDS, V, ops, memo=memo)
+        for ops in suites._lemma4_cases(V, 4):
+            res = fourier_cumulant(DIAG_THIRDS, V, ops, memo)
             cases += 1
-            assert rep.passed
+            assert res.distinct_triples
+            assert abs(res.direct - res.closed_form) <= cumulants.CUMULANT_TOL
+            seq = tuple(o.triple() for o in ops)
             site = [(c, mode, 0) for c, mode, _ in seq]
             for keys, dim in ((seq, 16), (site, 2)):
                 # Moments of the recursion: every pair and the whole tuple.
@@ -490,8 +496,8 @@ class TestSuppression:
     def test_gaussian_both_sides_zero(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
-        rep = verify_suppression(VACUUM, 3, ops,
-                                 fourier_cumulant(VACUUM, 3, ops))
+        res = fourier_cumulant(VACUUM, 3, ops, FourierMemo())
+        rep = verify_suppression(VACUUM, 3, ops, res)
         assert rep.passed and rep.lhs < 1e-12 and rep.rhs < 1e-12
 
     def test_resonant_equality_case(self):
@@ -501,7 +507,7 @@ class TestSuppression:
             q = V // 2
             ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                    LadderIndex(-1, 1, 1, q), LadderIndex(1, 1, 1, q)]
-            res = fourier_cumulant(DIAG_THIRDS, V, ops)
+            res = fourier_cumulant(DIAG_THIRDS, V, ops, FourierMemo())
             rep = verify_suppression(DIAG_THIRDS, V, ops, res)
             assert rep.passed
             assert abs(rep.lhs * V - abs(res.single_site_cumulant)) < 1e-9
@@ -511,16 +517,16 @@ class TestSuppression:
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
         for V in (2, 3, 4):
-            res = fourier_cumulant(CORRELATED, V, ops)
+            res = fourier_cumulant(CORRELATED, V, ops, FourierMemo())
             assert abs(res.single_site_cumulant) > 0.1
             ratio = abs(res.direct) * V / abs(res.single_site_cumulant)
             assert ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_w2_rejected(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0)]
+        res = fourier_cumulant(VACUUM, 3, ops, FourierMemo())
         with pytest.raises(ValueError):
-            verify_suppression(VACUUM, 3, ops,
-                               fourier_cumulant(VACUUM, 3, ops))
+            verify_suppression(VACUUM, 3, ops, res)
 
     @pytest.mark.parametrize("V", [5, 8, 40])
     def test_over_the_mode_cap_raises(self, monkeypatch, V):
@@ -530,7 +536,7 @@ class TestSuppression:
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
         with pytest.raises(ResourceCapError):
-            fourier_cumulant(DIAG_THIRDS, V, ops)
+            fourier_cumulant(DIAG_THIRDS, V, ops, FourierMemo())
 
 
 class TestWick:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_even_density_matrix, word_matrix_oracle
+from conftest import (cumulant, random_even_density_matrix,
+                      word_matrix_oracle)
 from fermicert import definetti, suites
 from fermicert.algebra import SystemShape
-from fermicert.cumulants import LadderIndex, cumulant
+from fermicert.cumulants import LadderIndex
 from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
                                  MixtureFit, ProductMixture,
                                  _MixtureOptimizer, best_mixture_approx,

@@ -153,7 +153,6 @@ UNREACHED_ALLOWED = {
     # Independent oracles that the tests compare the package against.
     "even_partitions": "test oracle for the cumulant partitions",
     "moment_from_cumulant_fn": "test oracle for moment-cumulant inversion",
-    "fourier_ladder_matrix": "test oracle for the Fourier ladder products",
     "mixture_matrix": "test oracle for the mixture density matrix",
     "build_hamiltonian": "test oracle for the sparse Hamiltonian",
     # Public API, exported by the package.

@@ -1,9 +1,13 @@
 """Suite orchestration: shared cases and the tables the suites write."""
 
+import math
 import time
 from types import SimpleNamespace
 
-from fermicert import invariance, suites
+import pytest
+
+from fermicert import cumulants, invariance, suites
+from fermicert.cumulants import LadderIndex
 from fermicert.report import INEQUALITY, make_report
 
 
@@ -80,3 +84,42 @@ def test_theorem1_suite_requires_exact_products_at_mu_zero(monkeypatch):
     assert len(failed) == sum(V - 1 for V in suites.V_SWEEP)
     assert all(r.notes == ["exact product target missed below 1e-6"]
                for r in failed)
+
+
+def test_clt_makes_one_report_per_claim(monkeypatch):
+    # The Lemma-4 sweep reads Fourier cumulant records: no report per case.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return make_report(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "make_report", counting)
+    monkeypatch.setattr(cumulants, "make_report", counting)
+    reports, _ = suites.run_verify_clt()
+    assert len(reports) == 34
+    assert len(calls) == 34
+
+
+def test_clt_lemma4_cases_count_every_ordered_choice():
+    # p = 1: every ordered choice of w of the 2V triples (c, 1, q), c = +-1
+    # and V admissible q; p = 2: the two listed choices.
+    want = [[V, 1, w, math.perm(2 * V, w)] for V in (2, 3, 4) for w in (2, 4)]
+    want += [[V, 2, 4, 2] for V in (2, 3)]
+    reports, tables = suites.run_verify_clt()
+    header, rows = tables["clt_lemma4"]
+    assert header[3] == "cases"
+    assert [row[:4] for row in rows] == want
+    assert [w[3] for w in want] == [12, 24, 30, 360, 56, 1680, 2, 2]
+    lemma4 = [r for r in reports if r.claim_id == "hudson-lemma4"]
+    assert [r.inputs["cases"] for r in lemma4] == [w[3] for w in want]
+
+
+def test_clt_rejects_a_repeated_triple_case(monkeypatch):
+    # A case outside the distinct-triples hypothesis is an error, not a
+    # case that drops out of the claim's count.
+    repeated = (LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
+                LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1))
+    monkeypatch.setattr(suites, "_lemma4_cases", lambda V, w: [repeated])
+    with pytest.raises(ValueError, match="repeats"):
+        suites.run_verify_clt()
