@@ -11,7 +11,9 @@ Single commands (``verify-lemma3 --k``, ``verify-theorem1 --k``,
 the same verdict rules as the suites, because those rules live in the
 verifiers: this module decides no verdict, and its table columns come
 from :data:`suites.TABLES`.  A single command adds notes only: the input
-state's validity and, for Theorem 1, the component purities.
+state's validity and, for Theorem 1, the component purities.  A
+``--config`` and a built-in ``--hamiltonian`` share one builder,
+:func:`meanfield.hamiltonian_from_config`.
 
 Instance arguments (``--V``, ``--mu``, ``--fixture`` and the like) need
 their selector: without it the command runs its suite, so they are a
@@ -24,7 +26,6 @@ a fixture is the whole state and a config the whole Hamiltonian, so
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -35,8 +36,8 @@ from .algebra import OperatorExpansion, SystemShape, expansion_from_text
 from .definetti import verify_theorem1
 from .fock import ResourceCapError, check_state, to_matrix
 from .invariance import MuFamilyParams, mu_family_state, verify_lemma3
-from .meanfield import (BUILTIN_FAMILIES, HamiltonianSpec, builtin_family,
-                        verify_gs_bound)
+from .meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES, builtin_family,
+                        hamiltonian_from_config, verify_gs_bound)
 from .rdm import CirculantParams, compare_circulant_spectrum, spectrum_report
 from .report import (VerificationReport, render_reports, reports_to_rows,
                      write_csv)
@@ -53,6 +54,18 @@ def _csv_doc(command: str) -> str:
     return "CSV tables written by this command (columns):\n" + "".join(
         f"  {name}.csv: {columns.replace(' ', ', ')}\n"
         for name, columns in tables.items())
+
+
+def _families_doc() -> str:
+    """Help text listing each built-in family's config: p, k, its subsets
+    at V = 3 and its template text."""
+    lines = ["Built-in families as --config templates (subsets at V=3):"]
+    for name, cfg in BUILTIN_CONFIGS.items():
+        subsets = " ".join(str(list(sub)).replace(" ", "")
+                           for sub in builtin_family(name, 3).subsets)
+        lines.append(f"  {name}: p={cfg['p']}, k={cfg['k']}, subsets {subsets}")
+        lines.extend(f"    {line}" for line in cfg["template"].splitlines())
+    return "\n".join(lines) + "\n\n"
 
 
 def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
@@ -176,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gs = add("gs-bound", "mean-field energy-gap certification",
              seed="required")
+    gs.epilog = _families_doc() + gs.epilog
     gs.add_argument("--hamiltonian", default=None,
                     choices=list(BUILTIN_FAMILIES),
                     help="built-in family (omit to sweep all at V=6)")
@@ -216,41 +230,12 @@ def _single_rdm(args) -> Run:
     return [rep], {"rdm_spectrum": suites.table("rdm_spectrum", rows)}
 
 
-def _hamiltonian_from_config(path: Path) -> HamiltonianSpec:
-    """The Hamiltonian a JSON config names; a field of the wrong JSON type
-    is a usage error, never coerced."""
-    if not path.exists():
-        raise FileNotFoundError(f"config not found: {path}")
-    cfg = json.loads(path.read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    V, p, k, text = (cfg.get(key) for key in ("V", "p", "k", "template"))
-    subsets = cfg.get("subsets", "all-k-subsets")
-    normalize = cfg.get("normalize", False)
-    # type(), not isinstance(): a JSON true is no integer.
-    if not (type(V) is type(p) is type(k) is int
-            and type(text) is str and type(normalize) is bool
-            and (subsets == "all-k-subsets" or type(subsets) is list and all(
-                type(sub) is list and all(type(s) is int for s in sub)
-                for sub in subsets))):
-        raise ValueError("config needs integers V, p and k, template text, "
-                         "subsets \"all-k-subsets\" or a list of integer "
-                         "lists, and normalize true or false")
-    shape, template_shape = SystemShape(V, p), SystemShape(k, p)
-    try:
-        template = expansion_from_text(text, template_shape)
-    except ValueError as exc:
-        raise ValueError(f"config template {exc}") from None
-    if subsets == "all-k-subsets":
-        subsets = itertools.combinations(range(1, V + 1), k)
-    return HamiltonianSpec(shape, tuple(map(tuple, subsets)), template,
-                           normalize=normalize,
-                           name=str(cfg.get("name", "custom")))
-
-
 def _single_gs(args) -> Run:
     if args.config is not None:
-        spec = _hamiltonian_from_config(Path(args.config))
+        path = Path(args.config)
+        if not path.exists():
+            raise FileNotFoundError(f"config not found: {path}")
+        spec = hamiltonian_from_config(json.loads(path.read_text()))
     else:
         spec = builtin_family(args.hamiltonian, args.V)
     result, rep = verify_gs_bound(spec, seed=args.seed)

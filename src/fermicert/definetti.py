@@ -51,7 +51,7 @@ from .fock import (DenseOperator, check_state, ensure_within_cap,
                    partial_trace_sites, real_if_exact, to_matrix)
 from .invariance import (InvarianceReport, check_invariance,
                          invariant_reduction, lemma3_bound)
-from .report import INEQUALITY, VerificationReport, make_report
+from .report import INEQUALITY, VerificationReport, make_report, vacuous_notes
 
 #: Default subgradient step scale c in c/sqrt(t).
 STEP_SCALE = 0.5
@@ -614,9 +614,8 @@ def verify_theorem1(rho: OperatorExpansion, k: int, seed: int = 0,
         f"suppression term {lemma3_bound(V, p, k):.6g}",
         f"tight spin-constant variant rhs {theorem1_bound_tight_spin(V, p, k):.6g}",
         f"dual lower bound {lower:.12g}",
+        *vacuous_notes(rhs),
     ]
-    if rhs > 2.0:
-        notes.append("bound exceeds trace-distance diameter")
     diag = mixture_diagnostics(mixture)
     failures = []
     if not diag["components_valid"] or not diag["components_even"]:

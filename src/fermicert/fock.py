@@ -346,21 +346,19 @@ def _scatter(flat: np.ndarray, terms: XorTerms, starts=0):
     np.add.at(flat, (offsets + (rows ^ masks[:, None])).ravel(), vals.ravel())
 
 
-def xor_matrix(shape: SystemShape, batches: Iterable[XorTerms]
-               ) -> np.ndarray:
-    """Dense matrix of XOR terms given in batches, read only after the
-    mode-cap check, the terms added in order (:func:`_scatter`)."""
+def xor_matrix(shape: SystemShape, terms: XorTerms) -> np.ndarray:
+    """Dense matrix of XOR terms, read only after the mode-cap check, the
+    terms added in order (:func:`_scatter`)."""
     ensure_within_cap(shape)
     dim = shape.fock_dim
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for terms in batches:
-        _scatter(out.reshape(-1), terms)
+    _scatter(out.reshape(-1), terms)
     return out
 
 
 def jw_matrix(mask: int, shape: SystemShape) -> DenseOperator:
     """Dense Jordan-Wigner matrix of a canonical word bitmask."""
-    return DenseOperator(shape, xor_matrix(shape, [word_terms([mask], shape)]))
+    return DenseOperator(shape, xor_matrix(shape, word_terms([mask], shape)))
 
 
 def to_matrices(ops: Sequence[OperatorExpansion]) -> np.ndarray:

@@ -43,7 +43,7 @@ from .algebra import (OperatorExpansion, SystemShape, relabel_word,
                       site_blocks, validate_permutation)
 from .fock import (DenseOperator, Isometry, reduce_expansion, to_matrix,
                    trace_norm, word_expectations_dense)
-from .report import INEQUALITY, VerificationReport, make_report
+from .report import INEQUALITY, VerificationReport, make_report, vacuous_notes
 
 #: The checks cover every word of degree at most this.
 WORD_DEGREE_CAP = 4
@@ -317,7 +317,8 @@ def verify_lemma3(rho: OperatorExpansion, k: int,
     channel; rhs is :func:`lemma3_bound`; preconditions as in
     :func:`invariant_reduction`.  The difference is assembled symbolically,
     so a vanishing one yields lhs = 0 exactly, as k = 1 (rhs = 0) must.  A
-    single CLI run gets the same verdict as the suite row.
+    vacuous rhs is noted (:func:`report.vacuous_notes`).  A single CLI run
+    gets the same verdict as the suite row.
     """
     start = time.perf_counter()
     V, p = rho.shape.sites, rho.shape.modes_per_site
@@ -332,7 +333,8 @@ def verify_lemma3(rho: OperatorExpansion, k: int,
     rhs = lemma3_bound(V, p, k)
     report = make_report("lemma3", INEQUALITY,
                          {"V": V, "p": p, "k": k, **(inputs or {})}, lhs,
-                         rhs, 1e-9, time.perf_counter() - start)
+                         rhs, 1e-9, time.perf_counter() - start,
+                         vacuous_notes(rhs))
     if k == 1 and lhs != 0.0:
         report.fail("k=1 reduction must vanish exactly")
     return report

@@ -2,13 +2,15 @@
 Hamiltonians.
 
 Hamiltonians are uniform averages of one normalized k-site interaction
-template transplanted onto a collection of site tuples.  The certificate
-compares the exact ground energy with the best energy over k-fold-copy
-product states: the gap is nonnegative by inclusion, and for Hamiltonians
-with a permutation-invariant ground state it is bounded by
-4^p k^(3/2) / V.  Since the product-state optimizer returns an upper bound
-on the true minimum while the ground energy is exact, a reported pass is a
-genuine certificate.
+template transplanted onto a collection of site tuples, each built by
+:func:`hamiltonian_from_config` (the built-ins from
+:data:`BUILTIN_CONFIGS`).  The certificate compares the exact ground
+energy with the best energy over k-fold-copy product states: the gap is
+nonnegative by inclusion, and for Hamiltonians with a
+permutation-invariant ground state it is bounded by 4^p k^(3/2) / V.
+Since the product-state optimizer returns an upper bound on the true
+minimum while the ground energy is exact, a reported pass is a genuine
+certificate.
 
 The ground energy is exact at every size: the Hamiltonian's word terms
 are summed by X pattern (:data:`fock.XorTerms`), it splits into the
@@ -25,6 +27,7 @@ polynomial in the single-site word expectations and never requires the
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -32,8 +35,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .algebra import (OperatorExpansion, SystemShape, reversal_sign,
-                      site_blocks)
+from .algebra import (OperatorExpansion, SystemShape, expansion_from_text,
+                      reversal_sign, site_blocks)
 from .definetti import (GENERATOR_BOX, component_state, coordinate_search,
                         n_component_params)
 from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
@@ -374,70 +377,70 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
     return result, report
 
 
-# -- built-in Hamiltonian families ---------------------------------------------
+# -- Hamiltonians from configs ------------------------------------------------
 
-def _mask(shape: SystemShape, *indices: Tuple[int, int]) -> int:
-    out = 0
-    for site, mi in indices:
-        out |= 1 << shape.bit_position(site, mi)
-    return out
+def hamiltonian_from_config(cfg: object) -> HamiltonianSpec:
+    """The Hamiltonian a config dict names: integers V, p and k, a k-site
+    template in the fixture text format, ``subsets`` (a list of integer
+    lists, default "all-k-subsets"), ``normalize`` and ``name``.  A field
+    of the wrong JSON type is a ``ValueError``, never coerced."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    V, p, k, text = (cfg.get(key) for key in ("V", "p", "k", "template"))
+    subsets = cfg.get("subsets", "all-k-subsets")
+    normalize = cfg.get("normalize", False)
+    # type(), not isinstance(): a JSON true is no integer.
+    if not (type(V) is type(p) is type(k) is int
+            and type(text) is str and type(normalize) is bool
+            and (subsets == "all-k-subsets" or type(subsets) is list and all(
+                type(sub) is list and all(type(s) is int for s in sub)
+                for sub in subsets))):
+        raise ValueError("config needs integers V, p and k, template text, "
+                         "subsets \"all-k-subsets\" or a list of integer "
+                         "lists, and normalize true or false")
+    try:
+        template = expansion_from_text(text, SystemShape(k, p))
+    except ValueError as exc:
+        raise ValueError(f"config template {exc}") from None
+    if subsets == "all-k-subsets":
+        subsets = itertools.combinations(range(1, V + 1), k)
+    return HamiltonianSpec(SystemShape(V, p), tuple(map(tuple, subsets)),
+                           template, normalize=normalize,
+                           name=str(cfg.get("name", "custom")))
+
+
+#: The interaction families the certification suites run, each a config
+#: for :func:`hamiltonian_from_config` without ``V``.
+BUILTIN_CONFIGS: Dict[str, Dict[str, object]] = {
+    # 1 - 2 n = -i m^1 m^2 on each site.
+    "site-number": {"p": 1, "k": 1, "template": "0 -1 (1,1)(1,2)\n"},
+    # i m_1^1 m_2^1 over increasing pairs.
+    "pair-exchange": {"p": 1, "k": 2, "template": "0 1 (1,1)(2,1)\n"},
+    # f_1-dagger f_2 + f_2-dagger f_1 over increasing pairs.
+    "pair-hopping": {"p": 1, "k": 2, "template": (
+        "0 0.5 (1,1)(2,2)\n0 -0.5 (1,2)(2,1)\n")},
+    # On-site repulsion (1-2n_{1,1})(1-2n_{1,2}) on the first site, weight
+    # 1/2, plus exchange hopping of each mode, weight 1/4, so the template
+    # norm stays at one: each hop is (i/2)(m_1^odd m_2^even - m_1^even
+    # m_2^odd), so its words carry i/8.
+    "hubbard-like": {"p": 2, "k": 2, "template": (
+        "-0.5 0 (1,1)(1,2)(1,3)(1,4)\n"
+        "0 0.125 (1,1)(2,2)\n0 -0.125 (1,2)(2,1)\n"
+        "0 0.125 (1,3)(2,4)\n0 -0.125 (1,4)(2,3)\n")},
+}
+
+BUILTIN_FAMILIES = tuple(BUILTIN_CONFIGS)
 
 
 def builtin_family(name: str, V: int) -> HamiltonianSpec:
-    """Named interaction families used by the certification suites.
-
-    site-number:   k=1, p=1, template 1 - 2 n = -i m^1 m^2 per site.
-    pair-exchange: k=2, p=1, template i m_1^1 m_2^1 over increasing pairs.
-    pair-hopping:  k=2, p=1, template f_1† f_2 + f_2† f_1 over increasing
-                   pairs.
-    hubbard-like:  k=2, p=2, on-site repulsion (1-2n_1)(1-2n_2) plus
-                   inter-site exchange hopping of both modes, weights 1/2
-                   and 1/4 each so the template norm stays at one.
-    """
-    if name == "site-number":
-        shape = SystemShape(V, 1)
-        tshape = SystemShape(1, 1)
-        template = OperatorExpansion(tshape, {_mask(tshape, (1, 1), (1, 2)): -1j})
-        subsets = tuple((j,) for j in range(1, V + 1))
-        return HamiltonianSpec(shape, subsets, template, name=name)
-    if name == "pair-exchange":
-        shape = SystemShape(V, 1)
-        tshape = SystemShape(2, 1)
-        template = OperatorExpansion(tshape, {_mask(tshape, (1, 1), (2, 1)): 1j})
-        subsets = tuple((j, l) for j in range(1, V + 1)
-                        for l in range(j + 1, V + 1))
-        return HamiltonianSpec(shape, subsets, template, name=name)
-    if name == "pair-hopping":
-        shape = SystemShape(V, 1)
-        tshape = SystemShape(2, 1)
-        template = OperatorExpansion(tshape, {
-            _mask(tshape, (1, 1), (2, 2)): 0.5j,
-            _mask(tshape, (1, 2), (2, 1)): -0.5j,
-        })
-        subsets = tuple((j, l) for j in range(1, V + 1)
-                        for l in range(j + 1, V + 1))
-        return HamiltonianSpec(shape, subsets, template, name=name)
+    """The built-in family ``name`` on V sites, built from its
+    :data:`BUILTIN_CONFIGS` entry like any ``--config``."""
+    if name not in BUILTIN_CONFIGS:
+        raise ValueError(f"unknown Hamiltonian family {name!r}")
+    cfg = {**BUILTIN_CONFIGS[name], "V": V, "name": name}
     if name == "hubbard-like":
-        shape = SystemShape(V, 2)
-        tshape = SystemShape(2, 2)
-        terms: Dict[int, complex] = {}
-        # on-site repulsion on the first site: (1-2n_{1,1})(1-2n_{1,2})
-        terms[_mask(tshape, (1, 1), (1, 2), (1, 3), (1, 4))] = -0.5
-        # exchange hopping per mode, weight 1/4: each hop is
-        # (i/2)(m_1^odd m_2^even - m_1^even m_2^odd), so masks carry i/8.
-        for alpha in (1, 2):
-            odd, even = 2 * alpha - 1, 2 * alpha
-            terms[_mask(tshape, (1, odd), (2, even))] = 0.125j
-            m = _mask(tshape, (1, even), (2, odd))
-            terms[m] = terms.get(m, 0.0) - 0.125j
-        template = OperatorExpansion(tshape, terms)
         # Ordered pairs: the on-site part singles out the first template
         # site, so site symmetry of H needs every (j, l) with j != l.
-        subsets = tuple((j, l) for j in range(1, V + 1)
-                        for l in range(1, V + 1) if j != l)
-        return HamiltonianSpec(shape, subsets, template, name=name)
-    raise ValueError(f"unknown Hamiltonian family {name!r}")
-
-
-BUILTIN_FAMILIES = ("site-number", "pair-exchange", "pair-hopping",
-                    "hubbard-like")
+        cfg["subsets"] = list(map(list, itertools.permutations(
+            range(1, V + 1), 2)))
+    return hamiltonian_from_config(cfg)

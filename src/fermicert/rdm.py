@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import SystemShape
-from .fock import (DenseOperator, ladder_terms, occupations, xor_pairs,
-                   xor_term_traces)
+from .fock import (DenseOperator, hermiticity_residual, ladder_terms,
+                   occupations, xor_pairs, xor_term_traces)
 from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
@@ -79,7 +79,7 @@ def one_rdm(rho: DenseOperator) -> OneRDM:
                          zip(*(ladder_terms(shape, 1, *sm) for sm in modes)))
     gamma = np.array([xor_term_traces(rho.matrix, xor_pairs(
         ladder_terms(shape, -1, *sm), annihilators)) for sm in modes])
-    residual = float(np.max(np.abs(gamma - gamma.conj().T)))
+    residual = hermiticity_residual(gamma)
     gamma = 0.5 * (gamma + gamma.conj().T)
     return OneRDM(gamma, shape, residual)
 

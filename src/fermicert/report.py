@@ -19,6 +19,15 @@ PASS_RULES = {
     EQUALITY: lambda lhs, rhs, tol: abs(lhs - rhs) <= tol,
 }
 
+#: A trace distance is at most this, so a bound at or above it is vacuous.
+TRACE_DISTANCE_DIAMETER = 2.0
+
+
+def vacuous_notes(rhs: float) -> List[str]:
+    """The note of a trace-distance bound ``rhs`` that is vacuous."""
+    return (["bound exceeds trace-distance diameter"]
+            if rhs >= TRACE_DISTANCE_DIAMETER else [])
+
 
 @dataclass
 class VerificationReport:

@@ -82,7 +82,7 @@ def fourier_ladder_matrix(shape: SystemShape, c: int, mode: int,
     from fermicert.cumulants import fourier_ladder_terms
     from fermicert.fock import xor_matrix
 
-    return xor_matrix(shape, [fourier_ladder_terms(shape, c, mode, q)])
+    return xor_matrix(shape, fourier_ladder_terms(shape, c, mode, q))
 
 
 def random_density_matrix(dim: int, rng) -> np.ndarray:

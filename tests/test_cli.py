@@ -14,6 +14,7 @@ import pytest
 from fermicert import suites
 from fermicert.cli import SINGLE, build_parser, main
 from fermicert.fock import MODE_CAP_ENV
+from fermicert.meanfield import BUILTIN_CONFIGS
 from fermicert.report import (INEQUALITY, EQUALITY, PROPERTY,
                               VerificationReport, make_report,
                               render_reports, reports_to_rows, write_csv)
@@ -402,6 +403,27 @@ class TestCliSingleCommands:
                      "--config", str(path)])
         assert code == 0
 
+    @pytest.mark.parametrize("V", [4, 6])
+    @pytest.mark.parametrize("name", list(BUILTIN_CONFIGS))
+    def test_gs_builtin_is_its_config(self, tmp_path, name, V):
+        # A built-in family is the config in its table entry plus V and
+        # name (and, for hubbard-like, every ordered pair): written to a
+        # file, it gives the same CSV bytes.
+        cfg = {**BUILTIN_CONFIGS[name], "V": V, "name": name}
+        if name == "hubbard-like":
+            cfg["subsets"] = [[j, l] for j in range(1, V + 1)
+                              for l in range(1, V + 1) if j != l]
+        path = tmp_path / "ham.json"
+        path.write_text(json.dumps(cfg))
+        outs = [tmp_path / "builtin", tmp_path / "config"]
+        assert main(["--out", str(outs[0]), "gs-bound", "--seed", "13",
+                     "--hamiltonian", name, "--V", str(V)]) == 0
+        assert main(["--out", str(outs[1]), "gs-bound", "--seed", "13",
+                     "--config", str(path)]) == 0
+        for table in ("gsbound.csv", "summary.csv"):
+            assert ((outs[0] / table).read_bytes()
+                    == (outs[1] / table).read_bytes()), table
+
     def test_gs_malformed_template_names_line_and_token(self, tmp_path,
                                                        capsys):
         cfg = {"V": 4, "p": 1, "k": 1,
@@ -572,6 +594,18 @@ def test_help_lists_the_suite_tables(command, capsys):
             "passed, notes\n") in epilog
     for name, columns in suites.TABLES[command].items():
         assert f"  {name}.csv: {', '.join(columns.split())}\n" in epilog
+
+
+def test_gs_help_lists_the_family_templates(capsys):
+    # The family list is generated from the config table.
+    with pytest.raises(SystemExit):
+        main(["gs-bound", "--help"])
+    epilog = capsys.readouterr().out
+    for name, cfg in BUILTIN_CONFIGS.items():
+        assert f"  {name}: p={cfg['p']}, k={cfg['k']}, subsets [" in epilog
+        for line in cfg["template"].splitlines():
+            assert f"\n    {line}\n" in epilog
+    assert "subsets [1,2] [1,3] [2,1] [2,3] [3,1] [3,2]\n" in epilog
 
 
 def test_every_csv_row_has_the_header_width(tmp_path):

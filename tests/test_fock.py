@@ -292,15 +292,15 @@ class TestXorTerms:
             assert xor_term_traces(rho, one)[0] == xor_trace(rho, one)
 
     def test_matrix_adds_in_term_order(self, rng):
-        # Repeated masks across and within batches: the scatter equals the
-        # term-by-term sum bit for bit.
+        # Repeated masks: the scatter equals the term-by-term sum bit for
+        # bit.
         shape = SystemShape(2, 2)
-        terms = random_xor_terms(16, 7, rng)
-        batches = [(terms[0][:3], terms[1][:3]), (terms[0][3:], terms[1][3:])]
+        masks, vals = random_xor_terms(16, 7, rng)
+        masks[4:] = masks[:3]
         want = np.zeros((16, 16), dtype=np.complex128)
-        for mask, vals in zip(*terms):
-            want += exact_matrix(mask, vals)
-        assert np.array_equal(xor_matrix(shape, batches), want)
+        for mask, val in zip(masks, vals):
+            want += exact_matrix(mask, val)
+        assert np.array_equal(xor_matrix(shape, (masks, vals)), want)
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_blocks_of_the_summed_terms_are_the_dense_blocks(self, name):

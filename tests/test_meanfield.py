@@ -13,15 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_even_density_matrix, summed_word_terms
-from fermicert.algebra import OperatorExpansion, SystemShape
+from fermicert.algebra import (OperatorExpansion, SystemShape,
+                              expansion_from_text)
 from fermicert.fock import (DenseOperator, diagonal_blocks, jw_matrix,
                             operator_norm, to_matrix)
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
-from fermicert.meanfield import (BUILTIN_FAMILIES, HamiltonianSpec,
-                                 ProductEnergyEvaluator,
+from fermicert.meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES,
+                                 HamiltonianSpec, ProductEnergyEvaluator,
                                  build_hamiltonian, build_hamiltonian_expansion,
                                  builtin_family, ground_state,
                                  ground_state_lowdim, gs_bound,
+                                 hamiltonian_from_config,
                                  min_product_energy, verify_gs_bound)
 from fermicert import meanfield
 
@@ -92,6 +94,38 @@ class TestBuild:
             acc = acc + spec.template.relabel(subset, spec.shape)
         fold = (1.0 / len(spec.subsets)) * acc
         assert list(h_exp.terms.items()) == list(fold.terms.items())
+
+    def test_families_are_the_config_table(self):
+        assert BUILTIN_FAMILIES == tuple(BUILTIN_CONFIGS)
+        for name, cfg in BUILTIN_CONFIGS.items():
+            spec = builtin_family(name, 5)
+            assert (spec.name, spec.shape) == (name, SystemShape(5, cfg["p"]))
+            assert spec.template.is_close(
+                expansion_from_text(cfg["template"],
+                                    SystemShape(cfg["k"], cfg["p"])), tol=0.0)
+        with pytest.raises(ValueError, match="unknown Hamiltonian family"):
+            builtin_family("ising", 5)
+
+    def test_hubbard_like_runs_over_ordered_pairs(self):
+        # The on-site term singles out the first template site, so the
+        # family takes every ordered pair; the others the increasing ones.
+        assert builtin_family("hubbard-like", 3).subsets == (
+            (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+        assert builtin_family("pair-hopping", 3).subsets == (
+            (1, 2), (1, 3), (2, 3))
+        assert builtin_family("site-number", 3).subsets == ((1,), (2,), (3,))
+
+    def test_config_defaults_and_type_checks(self):
+        cfg = {"V": 3, "p": 1, "k": 1, "template": "0 -1 (1,1)(1,2)"}
+        spec = hamiltonian_from_config(cfg)
+        assert (spec.subsets, spec.normalize, spec.name) == (
+            ((1,), (2,), (3,)), False, "custom")
+        for bad in ({**cfg, "V": True}, {**cfg, "subsets": "all"},
+                    {**cfg, "normalize": 1}, [cfg]):
+            with pytest.raises(ValueError, match="config"):
+                hamiltonian_from_config(bad)
+        with pytest.raises(ValueError, match="config template line 1"):
+            hamiltonian_from_config({**cfg, "template": "0 -1 (2,1)"})
 
     def test_hermiticity_enforced(self):
         tshape = SystemShape(1, 1)
@@ -324,6 +358,29 @@ class TestProductEnergy:
         _, energy = min_product_energy(OperatorExpansion.identity(
             SystemShape(3, 1)))
         assert energy == 1.0
+
+    @pytest.mark.parametrize("V", [4, 5, 6])
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_builtin_minima_take_the_one_word_route(self, name, V,
+                                                    monkeypatch):
+        # Every built-in family, hubbard-like's two modes included, has at
+        # most one even single-site word: its product minimum is exact
+        # and never searches.
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"coordinate search called for {name}")
+
+        calls = []
+        one_word = meanfield._one_word_minimum
+
+        def counting(evaluator):
+            calls.append(1)
+            return one_word(evaluator)
+
+        monkeypatch.setattr(meanfield, "coordinate_search", refuse)
+        monkeypatch.setattr(meanfield, "_one_word_minimum", counting)
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, V))
+        min_product_energy(h_exp)
+        assert calls == [1]
 
     def test_two_word_support_still_searches(self, monkeypatch):
         # Two even words on one site (p = 2) leave the one-word case, and

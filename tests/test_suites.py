@@ -1,14 +1,44 @@
 """Suite orchestration: shared cases and the tables the suites write."""
 
+import collections
 import math
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from fermicert import cumulants, invariance, suites
+from fermicert import cumulants, definetti, invariance, meanfield, suites
 from fermicert.cumulants import LadderIndex
-from fermicert.report import INEQUALITY, make_report
+from fermicert.report import (INEQUALITY, TRACE_DISTANCE_DIAMETER,
+                              make_report, vacuous_notes)
+
+VACUOUS_NOTE = "bound exceeds trace-distance diameter"
+
+
+@pytest.fixture(scope="module")
+def counted_run_all():
+    """``run_all(0)``'s reports with its calls counted: witness searches
+    (``best_mixture_approx``), their starts (``_MixtureOptimizer.run``)
+    and coordinate searches, in the mixture and the product optimizer."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        search = counting("searches", definetti.best_mixture_approx)
+        mp.setattr(definetti, "best_mixture_approx", search)
+        mp.setattr(suites, "best_mixture_approx", search)
+        mp.setattr(definetti._MixtureOptimizer, "run",
+                   counting("starts", definetti._MixtureOptimizer.run))
+        for module in (definetti, meanfield):
+            mp.setattr(module, "coordinate_search",
+                       counting("coordinate", definetti.coordinate_search))
+        reports, _ = suites.run_all(seed=0)
+    return reports, counts
 
 
 def test_algebra_rows_hold_their_own_shape_worst():
@@ -123,3 +153,34 @@ def test_clt_rejects_a_repeated_triple_case(monkeypatch):
     monkeypatch.setattr(suites, "_lemma4_cases", lambda V, w: [repeated])
     with pytest.raises(ValueError, match="repeats"):
         suites.run_verify_clt()
+
+
+def test_run_all_witness_searches_stop_after_one_start(counted_run_all):
+    # Every witness search of run_all(0) is proven optimal, or hits the
+    # target exactly, at its first start: the dual lower bound meets the
+    # distance before any coordinate sweep, and the product minima are
+    # all one-word exact.  A weaker dual bound or one-word detection
+    # shows here as extra starts or coordinate searches.
+    _, counts = counted_run_all
+    assert counts["searches"] == 69
+    assert counts["starts"] == counts["searches"]
+    assert counts["coordinate"] == 0
+
+
+def test_vacuous_trace_distance_bounds_are_noted(counted_run_all):
+    # Lemma-3 and Theorem-1 rows whose bound reaches the trace-distance
+    # diameter say so, and only those; the gs-bound lhs is an energy gap,
+    # so its rows carry no such note.
+    reports, _ = counted_run_all
+    noted = collections.Counter(r.claim_id for r in reports
+                                if VACUOUS_NOTE in r.notes)
+    assert noted == {"theorem1": 50, "lemma3": 35}
+    for rep in reports:
+        if rep.claim_id in ("lemma3", "theorem1"):
+            assert (VACUOUS_NOTE in rep.notes) == (
+                rep.rhs >= TRACE_DISTANCE_DIAMETER), rep.inputs
+
+
+def test_vacuous_rule_includes_the_diameter():
+    assert vacuous_notes(TRACE_DISTANCE_DIAMETER) == [VACUOUS_NOTE]
+    assert vacuous_notes(math.nextafter(TRACE_DISTANCE_DIAMETER, 0.0)) == []
