@@ -20,13 +20,16 @@ definition, and certifies:
 
 Ladder operators are never formed as dense matrices, and rho is never
 multiplied by anything: ladders are :data:`fock.XorTerms`, a Fourier
-ladder being V phased site-ladder terms, and a moment is a product of
-terms and one gather (:func:`fock.xor_product`, :func:`fock.xor_trace`).
-:class:`LadderMoments` keeps the products of key prefixes and the
-cumulants of one state, so overlapping requests share them, and
-:class:`FourierMemo` holds one per (single-site state, V) for a sweep of
-Fourier cumulants.  :func:`ladder_matrix` is a dense view of the same
-terms.
+ladder being V phased site-ladder terms.  Moments are computed for many
+rows of ladders at once: each row is split into two halves, each
+distinct half is one :func:`fock.xor_product` chain, and one
+:func:`fock.xor_pair_traces` call reads every distinct row
+(:func:`_row_moments`).  Cumulants are array arithmetic over the signed
+even partitions, on the moments of every even sub-tuple of every row
+(:func:`_row_cumulants`), so :func:`fourier_cumulant` computes a whole
+case list in one stacked pass and keeps nothing after it returns;
+:func:`cumulant_mats` and :func:`moment` are calls of the same code.
+:func:`ladder_matrix` is a dense view of the same terms.
 """
 
 from __future__ import annotations
@@ -36,14 +39,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import SystemShape
 from .definetti import ProductMixture, product_power
 from .fock import (DenseOperator, XorTerms, global_parity_signs,
-                   ladder_terms, xor_matrix, xor_product, xor_trace)
+                   ladder_terms, xor_matrix, xor_pair_traces, xor_product)
 from .report import INEQUALITY, PROPERTY, VerificationReport, make_report
 
 #: Tolerance of the central-limit claims on Fourier cumulants: the
@@ -132,24 +135,92 @@ def _signed_pairings(w: int) -> SignedPartitions:
 
 # -- moment / cumulant engine --------------------------------------------------
 
-def _cumulant(moment_fn: Callable[[Tuple[Hashable, ...]], complex],
-              keys: Tuple[Hashable, ...],
-              memo: Dict[Tuple[Hashable, ...], complex]) -> complex:
-    """K(keys) = moment(keys) minus, over the even partitions into two or
-    more blocks, sign * prod K(block); memoized in ``memo`` by key tuple."""
-    hit = memo.get(keys)
-    if hit is not None:
-        return hit
-    total = moment_fn(keys)
-    for sign, partition in _signed_partitions(len(keys)):
-        if len(partition) == 1:
-            continue
-        prod = complex(sign)
-        for block in partition:
-            prod *= _cumulant(moment_fn, tuple(keys[i] for i in block), memo)
-        total -= prod
-    memo[keys] = total
-    return total
+def _product(ladders: Sequence[XorTerms], ids: Tuple[int, ...],
+             dim: int) -> XorTerms:
+    """The product of ``ladders[i]`` over ``ids`` in order, one
+    :func:`fock.xor_product` chain; the empty product is the identity."""
+    if not ids:
+        return np.zeros(1, dtype=np.int64), np.ones((1, dim))
+    return functools.reduce(xor_product, (ladders[i] for i in ids))
+
+
+def _distinct_rows(rows: np.ndarray, base: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, k) array of integers in [0, base),
+    ascending, and each row's index among them: one ``np.unique`` of the
+    rows read as base-``base`` numbers."""
+    if base ** rows.shape[1] >= 1 << 63:
+        raise ValueError(f"rows of {rows.shape[1]} indices into {base} "
+                         "ladders overflow their int64 codes")
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        codes = codes * base + col
+    _, first, inverse = np.unique(codes, return_index=True,
+                                  return_inverse=True)
+    return rows[first], inverse.ravel()
+
+
+def _row_moments(rho: np.ndarray, ladders: Sequence[XorTerms],
+                 rows) -> np.ndarray:
+    """tr(rho L_(r_1) ... L_(r_k)) for each row r of an (n, k) index array
+    into ``ladders``, one entry per row.
+
+    Equal rows are read once.  A row splits into a left half, its first
+    k // 2 ladders, and a right half; each distinct half is formed once,
+    and one :func:`fock.xor_pair_traces` call reads every distinct row.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    h = rows.shape[1] // 2
+    distinct, inverse = _distinct_rows(rows, len(ladders))
+    left_keys, left = _distinct_rows(distinct[:, :h], len(ladders))
+    right_keys, right = _distinct_rows(distinct[:, h:], len(ladders))
+    left_keys = [tuple(key) for key in left_keys.tolist()]
+    right_keys = [tuple(key) for key in right_keys.tolist()]
+    halves = {key: _product(ladders, key, len(rho))
+              for key in set(left_keys) | set(right_keys)}
+    traces = xor_pair_traces(rho, [halves[key] for key in left_keys],
+                             [halves[key] for key in right_keys],
+                             np.stack([left, right], axis=1))
+    return traces[inverse]
+
+
+def _cumulant_rows(moments: Dict[Tuple[int, ...], np.ndarray],
+                   w: int) -> np.ndarray:
+    """Order-w cumulants from the moments of every even sub-tuple of
+    positions, given as row arrays keyed by increasing position tuple:
+    K(S) = moment(S) minus, over the even partitions of S into two or more
+    blocks, sign * prod K(block), from the smallest sub-tuples up."""
+    if w % 2 or w < 2:
+        raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
+    cumulants: Dict[Tuple[int, ...], np.ndarray] = {}
+    for k in range(2, w + 1, 2):
+        for subset in itertools.combinations(range(w), k):
+            total = moments[subset]
+            for sign, partition in _signed_partitions(k):
+                if len(partition) == 1:
+                    continue
+                term = sign * cumulants[tuple(subset[i]
+                                              for i in partition[0])]
+                for block in partition[1:]:
+                    term = term * cumulants[tuple(subset[i] for i in block)]
+                total = total - term
+            cumulants[subset] = total
+    return cumulants[tuple(range(w))]
+
+
+def _row_cumulants(rho: np.ndarray, ladders: Sequence[XorTerms],
+                   rows) -> np.ndarray:
+    """Joint cumulant of ``ladders`` over each row of an (n, w) index
+    array, one entry per row: the moments of each even sub-tuple length
+    come from one :func:`_row_moments` call over every row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n, w = rows.shape
+    moments = {}
+    for k in range(2, w + 1, 2):
+        subsets = list(itertools.combinations(range(w), k))
+        values = _row_moments(rho, ladders, rows[:, subsets].reshape(-1, k))
+        moments.update(zip(subsets, values.reshape(n, -1).T))
+    return _cumulant_rows(moments, w)
 
 
 def cumulant_from_moment_fn(moment_fn: Callable[[Tuple[int, ...]], complex],
@@ -159,9 +230,10 @@ def cumulant_from_moment_fn(moment_fn: Callable[[Tuple[int, ...]], complex],
     ``moment_fn`` receives increasing position tuples (0-based into the
     operator list) of even size.
     """
-    if w % 2 or w < 2:
-        raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
-    return _cumulant(moment_fn, tuple(range(w)), {})
+    moments = {subset: np.array([moment_fn(subset)], dtype=np.complex128)
+               for k in range(2, w + 1, 2)
+               for subset in itertools.combinations(range(w), k)}
+    return complex(_cumulant_rows(moments, w)[0])
 
 
 def moment_from_cumulant_fn(cumulant_fn: Callable[[Tuple[int, ...]], complex],
@@ -194,159 +266,119 @@ def fourier_ladder_terms(shape: SystemShape, c: int, mode: int,
     return masks, vals
 
 
-class LadderMoments:
-    """Moments tr(rho L_1 ... L_w) and joint cumulants of ladders on one
-    dense state, memoized by ladder key.
-
-    ``ladder`` maps a hashable key to the ladder's :data:`fock.XorTerms`.
-    The product of each key tuple is formed once, from the product of its
-    prefix (:func:`fock.xor_product`), and kept; a moment is then one
-    gather on rho (:func:`fock.xor_trace`).  Cumulants are kept too, so
-    requests that overlap share their work.  The memo keeps everything it
-    formed: scope it to one computation.
-    """
-
-    def __init__(self, rho: np.ndarray,
-                 ladder: Callable[[Hashable], XorTerms]):
-        self.rho = rho
-        self._ladder = ladder
-        self._products: Dict[Tuple[Hashable, ...], XorTerms] = {}
-        self._cumulants: Dict[Tuple[Hashable, ...], complex] = {}
-
-    def product(self, keys: Tuple[Hashable, ...]) -> XorTerms:
-        if not keys:
-            raise ValueError("a ladder product needs at least one operator")
-        if len(keys) == 1:
-            return self._ladder(keys[0])
-        hit = self._products.get(keys)
-        if hit is None:
-            hit = xor_product(self.product(keys[:-1]), self._ladder(keys[-1]))
-            self._products[keys] = hit
-        return hit
-
-    def moment(self, keys: Tuple[Hashable, ...]) -> complex:
-        return xor_trace(self.rho, self.product(keys))
-
-    def cumulant(self, keys: Tuple[Hashable, ...]) -> complex:
-        if not keys or len(keys) % 2:
-            raise ValueError(f"cumulants are defined for even w >= 2, "
-                             f"got {len(keys)}")
-        return _cumulant(self.moment, keys, self._cumulants)
-
-
 def ladder_matrix(shape: SystemShape, c: int, site: int, mode: int) -> np.ndarray:
     """Dense ladder operator f (c = +1) or f-dagger (c = -1) from the two
     Majoranas of the mode: f = (m^(2a-1) + i m^(2a))/2."""
     return xor_matrix(shape, ladder_terms(shape, c, site, mode))
 
 
-def moment(rho: DenseOperator, ops: Sequence[LadderIndex]) -> complex:
-    """tr(rho f^{c_1} ... f^{c_w}) for site-local ladder operators."""
-    ladders = [ladder_terms(rho.shape, o.c, o.site, o.mode) for o in ops]
-    return LadderMoments(rho.matrix, ladders.__getitem__).moment(
-        tuple(range(len(ops))))
+def moment(rho: DenseOperator,
+           rows: Sequence[Sequence[LadderIndex]]) -> np.ndarray:
+    """tr(rho f^{c_1} ... f^{c_w}) of each row of site-local ladder
+    indices, rows of one length w, one entry per row."""
+    index: Dict[Tuple[int, int, int], int] = {}
+    ids = [[index.setdefault((o.c, o.site, o.mode), len(index)) for o in ops]
+           for ops in rows]
+    return _row_moments(rho.matrix, [ladder_terms(rho.shape, *key)
+                                     for key in index], ids)
 
 
 def cumulant_mats(rho: np.ndarray, ladders: Sequence[XorTerms]) -> complex:
     """Joint cumulant of ladder operators given as XOR terms
     (:func:`fock.ladder_terms`, :func:`fourier_ladder_terms`)."""
-    return LadderMoments(rho, ladders.__getitem__).cumulant(
-        tuple(range(len(ladders))))
-
-
-class FourierMemo:
-    """:class:`LadderMoments` of V-fold copies of single-site states, one
-    per (state, V), with the Fourier ladders keyed (c, mode, q); at V = 1
-    the copy is the state and the ladders are its site ladders.  States are
-    keyed by value.  The memo keeps every copy it builds: scope it to one
-    computation, such as one suite."""
-
-    def __init__(self):
-        self._moments: Dict[tuple, LadderMoments] = {}
-
-    def moments(self, rho_single: DenseOperator, V: int) -> LadderMoments:
-        key = (rho_single.shape, rho_single.matrix.tobytes(), V)
-        hit = self._moments.get(key)
-        if hit is None:
-            power = product_power(rho_single, V)
-            hit = LadderMoments(power.matrix, lambda k: fourier_ladder_terms(
-                power.shape, *k))
-            self._moments[key] = hit
-        return hit
+    return complex(_row_cumulants(rho, ladders, [range(len(ladders))])[0])
 
 
 # -- Fourier cumulants of product states ---------------------------------------
 
 @dataclass(frozen=True)
 class FourierCumulantResult:
-    """Direct and closed-form Fourier cumulants of a V-fold product state."""
+    """Direct and closed-form Fourier cumulants of a V-fold product state,
+    arrays with one entry per case."""
 
-    direct: complex
-    closed_form: complex
-    single_site_cumulant: complex
-    distinct_triples: bool
-    resonant: bool
+    direct: np.ndarray
+    closed_form: np.ndarray
+    single_site_cumulant: np.ndarray
+    distinct_triples: np.ndarray
+    resonant: np.ndarray
 
 
-def _phase_sum(total_q: int, V: int) -> complex:
-    """sum_{j=1..V} exp(2 pi i total_q j / V)."""
-    return sum(cmath.exp(2j * math.pi * total_q * j / V)
-               for j in range(1, V + 1))
+def _phase_sum(total_q: np.ndarray, V: int) -> np.ndarray:
+    """sum_{j=1..V} exp(2 pi i total_q j / V) for each entry of an integer
+    array."""
+    j = np.arange(1, V + 1)
+    return np.exp(2j * math.pi * total_q[:, None] * j / V).sum(axis=1)
 
 
 def fourier_cumulant(rho_single: DenseOperator, V: int,
-                     ops: Sequence[LadderIndex],
-                     memo: FourierMemo) -> FourierCumulantResult:
-    """Cumulant of the V-fold copy of a single-site state in Fourier modes.
+                     cases: Sequence[Sequence[LadderIndex]]
+                     ) -> FourierCumulantResult:
+    """Cumulants of the V-fold copy of a single-site state in Fourier
+    modes, for each case of one order w.
 
-    Computes the direct value on the full 2^(pV) space, which raises
+    Computes the direct values on the full 2^(pV) space, which raises
     :class:`fock.ResourceCapError` over the mode cap, the single-site
-    cumulant K_w on the memo's V = 1 copy, and the closed factorized
-    prediction V^(-w/2) * K_w(single site) * sum_j exp(2 pi i sum_l c_l q_l
-    j / V).  ``memo`` holds the copies, ladder products and cumulants that
-    calls share.  The result flags whether the (c, mode, q) triples are
-    distinct, the hypothesis of the closed form; it is not checked here.
+    cumulants K_w on the state itself, and the closed factorized
+    predictions V^(-w/2) * K_w(single site) * sum_j exp(2 pi i sum_l c_l
+    q_l j / V), each side in one stacked pass over the cases
+    (:func:`_row_cumulants`).  The V-fold copy lives for the call.  The
+    result flags whether each case's (c, mode, q) triples are distinct, the
+    hypothesis of the closed form; it is not checked here.
     """
-    if rho_single.shape.sites != 1:
+    shape = rho_single.shape
+    if shape.sites != 1:
         raise ValueError("rho_single must live on a single site")
-    w = len(ops)
+    if not cases:
+        raise ValueError("fourier_cumulant needs at least one case")
+    w = len(cases[0])
+    if any(len(ops) != w for ops in cases):
+        raise ValueError("the cases of one call need one order w")
     if w % 2 or w < 2:
         raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
-    for o in ops:
-        if o.q is None:
+    index: Dict[Tuple[int, int, Optional[int]], int] = {}
+    rows = np.array([[index.setdefault(o.triple(), len(index)) for o in ops]
+                     for ops in cases], dtype=np.int64)
+    for _, _, q in index:
+        if q is None:
             raise ValueError("Fourier cumulants need q labels on every index")
-        if o.q not in fourier_q_range(V):
-            raise ValueError(f"q = {o.q} outside range for V = {V}")
+        if q not in fourier_q_range(V):
+            raise ValueError(f"q = {q} outside range for V = {V}")
 
-    triples = tuple(o.triple() for o in ops)
-    k_single = memo.moments(rho_single, 1).cumulant(
-        tuple((c, mode, 0) for c, mode, _ in triples))
-    total_q = sum(o.c * o.q for o in ops)
-    phase_sum = _phase_sum(total_q, V)
-    closed = (V ** (-w / 2.0)) * k_single * phase_sum
-    resonant = total_q % V == 0
-    direct = memo.moments(rho_single, V).cumulant(triples)
-    return FourierCumulantResult(direct, complex(closed), complex(k_single),
-                                 len(set(triples)) == len(triples), resonant)
+    site: Dict[Tuple[int, int], int] = {}
+    site_of = np.array([site.setdefault((c, mode), len(site))
+                        for c, mode, _ in index], dtype=np.int64)
+    k_single = _row_cumulants(rho_single.matrix, [
+        fourier_ladder_terms(shape, c, mode, 0) for c, mode in site],
+        site_of[rows])
+    total_q = np.array([c * q for c, _, q in index], dtype=np.int64)[
+        rows].sum(axis=1)
+    closed = (V ** (-w / 2.0)) * k_single * _phase_sum(total_q, V)
+    power = product_power(rho_single, V)
+    direct = _row_cumulants(power.matrix, [
+        fourier_ladder_terms(power.shape, *key) for key in index], rows)
+    ordered = np.sort(rows, axis=1)
+    distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    return FourierCumulantResult(direct, closed, k_single, distinct,
+                                 total_q % V == 0)
 
 
 def verify_suppression(rho_single: DenseOperator, V: int,
                        ops: Sequence[LadderIndex],
                        result: FourierCumulantResult) -> VerificationReport:
     """Certify |K_w(Fourier modes of the V-fold copy)| <=
-    V^((2-w)/2) |K_w(single site)|, within :data:`CUMULANT_TOL`, on
-    ``result = fourier_cumulant(rho_single, V, ops, memo)``; the caller
-    times the claim, cumulant included."""
+    V^((2-w)/2) |K_w(single site)|, within :data:`CUMULANT_TOL`, on the
+    one-case ``result = fourier_cumulant(rho_single, V, [ops])``; the
+    caller times the claim, cumulant included."""
     w = len(ops)
     if w <= 2:
         raise ValueError("suppression concerns cumulant orders w > 2")
-    lhs = abs(result.direct)
-    rhs = (V ** ((2.0 - w) / 2.0)) * abs(result.single_site_cumulant)
+    lhs = abs(result.direct.item())
+    rhs = (V ** ((2.0 - w) / 2.0)) * abs(result.single_site_cumulant.item())
     notes = []
-    if not result.distinct_triples:
+    if not result.distinct_triples.item():
         notes.append("repeated (c, mode, q) triples: outside the factorized "
                      "regime, checked numerically only")
-    if result.resonant:
+    if result.resonant.item():
         notes.append("resonant phase sum")
     p = rho_single.shape.modes_per_site
     return make_report("hudson-suppression", INEQUALITY,
@@ -394,19 +426,18 @@ def gaussian_mixture_deviation(rho_k: DenseOperator, mixture: ProductMixture,
     # (1/k) sum_s exp(2 pi i (c_i q_i + c_j q_j) s / k) tr(xi f_i f_j).
     signs = global_parity_signs(SystemShape(1, p))
     odd = signs[:, None] != signs[None, :]
-    index_pairs = [(i, j) for i in range(len(ops))
-                   for j in range(i + 1, len(ops))]
-    phases = {(i, j): _phase_sum(ops[i].c * ops[i].q + ops[j].c * ops[j].q,
-                                 k) / k
-              for i, j in index_pairs}
+    index_pairs = list(itertools.combinations(range(len(ops)), 2))
+    phases = _phase_sum(np.array([ops[i].c * ops[i].q + ops[j].c * ops[j].q
+                                  for i, j in index_pairs]), k) / k
     site_ops = [LadderIndex(o.c, 1, o.mode) for o in ops]
+    pair_rows = [[site_ops[i], site_ops[j]] for i, j in index_pairs]
     comp_pairs: List[Dict[Tuple[int, int], complex]] = []
     for xi in mixture.components:
         if np.any(xi.matrix[odd]):
             raise ValueError("Gaussian-mixture pair values need even "
                              "mixture components")
-        comp_pairs.append({(i, j): phases[i, j] * moment(
-            xi, [site_ops[i], site_ops[j]]) for i, j in index_pairs})
+        comp_pairs.append(dict(zip(index_pairs, (
+            phases * moment(xi, pair_rows)).tolist())))
 
     weights = np.asarray(mixture.weights, dtype=float)
 
@@ -439,8 +470,6 @@ def corollary_index_sets(k: int, p: int) -> List[Tuple[LadderIndex, ...]]:
         off = (LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 2, q_hi), LadderIndex(1, 1, 2, 0))
         sets.append(off)
-    for ops in sets[1:]:
-        assert sum(o.c * o.q for o in ops) % k != 0
     return sets
 
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape, random_expansion
-from .cumulants import (CUMULANT_TOL, FourierMemo, LadderIndex,
+from .cumulants import (CUMULANT_TOL, LadderIndex,
                         corollary_index_sets, fourier_cumulant,
                         fourier_q_range, verify_corollary, verify_suppression)
 from .definetti import best_mixture_approx, product_power, verify_theorem1
@@ -322,18 +322,18 @@ def _lemma4_cases(V: int, w: int) -> List[Tuple[LadderIndex, ...]]:
 def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Fourier-cumulant factorization, delta rule and suppression scaling.
 
-    Every claim reads :func:`fourier_cumulant` records of one shared
-    :class:`FourierMemo`.  A Lemma-4 claim is the largest |direct -
-    closed form| over an explicit case list; a case outside the
-    distinct-triples hypothesis raises ``ValueError`` rather than thinning
-    the list.  The delta rule compares with each record's single-site K_2.
+    Each claim is one :func:`fourier_cumulant` call over its whole case
+    list: 8 Lemma-4, 4 delta-rule, 7 suppression and 4 p = 2 companion
+    claims make 23 calls.  A Lemma-4 claim is the largest |direct - closed
+    form| over an explicit case list; a case outside the distinct-triples
+    hypothesis raises ``ValueError`` rather than thinning the list.  The
+    delta rule compares with each case's single-site K_2.
     """
     reports = []
     lemma4_rows = []
     rho1, rho2 = _DIAG_THIRDS, _CORRELATED_P2
-    # The V-fold copies that the direct cumulants read, with their ladder
-    # products and cumulants: built once per (state, V), dropped on return.
-    memo = FourierMemo()
+    # Each call builds the V-fold copy its direct cumulants read and keeps
+    # nothing after it returns.
 
     # Factorized-form equality: exhaustive over distinct-triple choices at
     # p = 1, and two choices on a genuinely non-Gaussian two-mode state.
@@ -347,14 +347,13 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
             "non-Gaussian single site: nonzero cumulants exercised"]))
     for rho, V, w, cases, notes in claims:
         start = time.perf_counter()
-        worst = 0.0
-        for ops in cases:
-            res = fourier_cumulant(rho, V, ops, memo)
-            if not res.distinct_triples:
-                triples = [o.triple() for o in ops]
-                raise ValueError(f"Lemma-4 case {triples} repeats a "
-                                 "(c, mode, q) triple")
-            worst = max(worst, abs(res.direct - res.closed_form))
+        res = fourier_cumulant(rho, V, cases)
+        repeated = np.flatnonzero(~res.distinct_triples)
+        if len(repeated):
+            triples = [o.triple() for o in cases[repeated[0]]]
+            raise ValueError(f"Lemma-4 case {triples} repeats a "
+                             "(c, mode, q) triple")
+        worst = float(np.abs(res.direct - res.closed_form).max())
         p = rho.shape.modes_per_site
         reports.append(make_report(
             "hudson-lemma4", EQUALITY, {"V": V, "p": p, "w": w,
@@ -366,17 +365,13 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     delta_rows = []
     for V in (2, 3, 4, 5):
         start = time.perf_counter()
-        worst_off = 0.0
-        worst_on = 0.0
-        for q1 in fourier_q_range(V):
-            for q2 in fourier_q_range(V):
-                ops = [LadderIndex(-1, 1, 1, q1), LadderIndex(1, 1, 1, q2)]
-                res = fourier_cumulant(rho1, V, ops, memo)
-                if (-q1 + q2) % V == 0:
-                    worst_on = max(worst_on, abs(
-                        res.direct - res.single_site_cumulant))
-                else:
-                    worst_off = max(worst_off, abs(res.direct))
+        cases = [(LadderIndex(-1, 1, 1, q1), LadderIndex(1, 1, 1, q2))
+                 for q1 in fourier_q_range(V) for q2 in fourier_q_range(V)]
+        res = fourier_cumulant(rho1, V, cases)
+        on = res.resonant
+        worst_on = float(np.abs(res.direct[on]
+                                - res.single_site_cumulant[on]).max())
+        worst_off = float(np.abs(res.direct[~on]).max())
         reports.append(make_report(
             "hudson-delta-rule", EQUALITY, {"V": V, "p": 1},
             max(worst_off, worst_on), 0.0, 1e-12,
@@ -392,17 +387,17 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, q), LadderIndex(1, 1, 1, q)]
         start = time.perf_counter()
-        res = fourier_cumulant(rho1, V, ops, memo)
+        res = fourier_cumulant(rho1, V, [ops])
         rep = verify_suppression(rho1, V, ops, res)
         rep.wall_time = time.perf_counter() - start
         # Equality case in subtraction form: lhs * V = |K_4(single site)|.
         # The literal ratio lhs*V/|K_4| is 0/0 here because single-mode
         # states are Gaussian; see the ledger and the acceptance notes.
-        equality_dev = abs(rep.lhs * V - abs(res.single_site_cumulant))
+        k_single = abs(res.single_site_cumulant.item())
+        equality_dev = abs(rep.lhs * V - k_single)
         equality = make_report(
             "suppression-equality", EQUALITY,
-            {"V": V, "p": 1, "w": 4}, rep.lhs * V,
-            abs(res.single_site_cumulant), 1e-9, 0.0,
+            {"V": V, "p": 1, "w": 4}, rep.lhs * V, k_single, 1e-9, 0.0,
             ["resonant equality case; single-mode K_4 vanishes identically"])
         reports.append(rep)
         reports.append(equality)
@@ -414,14 +409,14 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
         start = time.perf_counter()
-        res = fourier_cumulant(rho2, V, ops, memo)
+        res = fourier_cumulant(rho2, V, [ops])
         rep = verify_suppression(rho2, V, ops, res)
         rep.wall_time = time.perf_counter() - start
-        ratio = abs(res.direct) * V / abs(res.single_site_cumulant)
+        k_single = abs(res.single_site_cumulant.item())
+        ratio = abs(res.direct.item()) * V / k_single
         equality = make_report(
             "suppression-ratio-p2", EQUALITY, {"V": V, "p": 2, "w": 4},
-            ratio, 1.0, 1e-9, 0.0,
-            [f"|K4 single site| = {abs(res.single_site_cumulant):.6g}"])
+            ratio, 1.0, 1e-9, 0.0, [f"|K4 single site| = {k_single:.6g}"])
         reports.append(rep)
         reports.append(equality)
         supp_rows.append([V, 2, 4, rep.lhs, rep.rhs, abs(ratio - 1.0),

@@ -2,6 +2,7 @@
 central-limit machinery."""
 
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -13,8 +14,8 @@ from conftest import (cumulant, fourier_ladder_matrix, independent_ladder,
                       random_density_matrix, random_even_density_matrix)
 from fermicert import cumulants, suites
 from fermicert.algebra import SystemShape
-from fermicert.cumulants import (FourierMemo, LadderIndex, LadderMoments,
-                                 corollary_index_sets, cumulant_from_moment_fn,
+from fermicert.cumulants import (LadderIndex, corollary_index_sets,
+                                 cumulant_from_moment_fn,
                                  cumulant_mats, even_partitions,
                                  fourier_cumulant, fourier_ladder_terms,
                                  fourier_q_range, gaussian_mixture_deviation,
@@ -81,25 +82,31 @@ def dense_cumulant(rho, mats):
     """K_2 and K_4 written out over the even partitions; K_6 is the moment
     less every split into two or three even blocks (brute-force set
     partitions, inversion-count signs), each block's K_2 or K_4 written
-    out."""
+    out.  Each moment of an index tuple is one dense product, formed
+    once."""
+    @functools.lru_cache(maxsize=None)
     def m(*idx):
         return dense_moment(rho, [mats[i] for i in idx])
 
-    if len(mats) == 2:
-        return m(0, 1)
-    if len(mats) == 4:
-        return (m(0, 1, 2, 3) - m(0, 1) * m(2, 3) + m(0, 2) * m(1, 3)
-                - m(0, 3) * m(1, 2))
-    assert len(mats) == 6
-    total = m(*range(6))
-    for part in oracle_set_partitions(tuple(range(6))):
-        if len(part) == 1 or any(len(block) % 2 for block in part):
-            continue
-        term = inversion_sign([x for block in part for x in block])
-        for block in part:
-            term *= dense_cumulant(rho, [mats[i] for i in block])
-        total -= term
-    return total
+    def k(idx):
+        if len(idx) == 2:
+            return m(*idx)
+        if len(idx) == 4:
+            a, b, c, d = idx
+            return (m(a, b, c, d) - m(a, b) * m(c, d) + m(a, c) * m(b, d)
+                    - m(a, d) * m(b, c))
+        assert len(idx) == 6
+        total = m(*idx)
+        for part in oracle_set_partitions(idx):
+            if len(part) == 1 or any(len(block) % 2 for block in part):
+                continue
+            term = inversion_sign([x for block in part for x in block])
+            for block in part:
+                term *= k(block)
+            total -= term
+        return total
+
+    return k(tuple(range(len(mats))))
 
 
 def xor_terms_matrix(terms, dim):
@@ -179,16 +186,16 @@ class TestPartitionSign:
 
 class TestMoments:
     def test_vacuum_f_fdag(self):
-        assert moment(VACUUM, [F, FDAG]) == pytest.approx(1.0)
+        assert moment(VACUUM, [[F, FDAG]])[0] == pytest.approx(1.0)
 
     def test_vacuum_fdag_f(self):
-        assert moment(VACUUM, [FDAG, F]) == pytest.approx(0.0)
+        assert moment(VACUUM, [[FDAG, F]])[0] == pytest.approx(0.0)
 
     def test_odd_moments_vanish_for_even_states(self, rng):
         sh = SystemShape(2, 1)
         rho = DenseOperator(sh, random_even_density_matrix(sh, rng))
         for ops in ([F], [F, FDAG, LadderIndex(1, 2, 1)]):
-            assert abs(moment(rho, ops)) < 1e-12
+            assert abs(moment(rho, [ops])[0]) < 1e-12
 
     def test_ladder_matrix_action(self):
         f = ladder_matrix(SH1, 1, 1, 1)
@@ -211,7 +218,8 @@ class TestMoments:
             for w in (1, 2, 3, 4, 4, 4):
                 ops = random_site_ops(sh, w, rng)
                 mats = [oracle_ladder(sh, o.c, o.site, o.mode) for o in ops]
-                assert abs(moment(dense, ops) - dense_moment(rho, mats)) < 1e-12
+                assert abs(moment(dense, [ops])[0]
+                           - dense_moment(rho, mats)) < 1e-12
 
 
 class TestCumulants:
@@ -219,7 +227,7 @@ class TestCumulants:
         sh = SystemShape(1, 2)
         rho = DenseOperator(sh, random_even_density_matrix(sh, rng))
         ops = [LadderIndex(-1, 1, 1), LadderIndex(1, 1, 2)]
-        assert cumulant(rho, ops) == pytest.approx(moment(rho, ops))
+        assert cumulant(rho, ops) == pytest.approx(moment(rho, [ops])[0])
 
     def test_vacuum_fourth_cumulants_vanish(self):
         for pattern in itertools.product((1, -1), repeat=4):
@@ -241,7 +249,8 @@ class TestCumulants:
             return cumulant(DIAG_THIRDS, [ops[i] for i in block])
 
         recombined = moment_from_cumulant_fn(cumulant_fn, 4)
-        assert recombined == pytest.approx(moment(DIAG_THIRDS, ops), abs=1e-12)
+        assert recombined == pytest.approx(moment(DIAG_THIRDS, [ops])[0],
+                                           abs=1e-12)
 
     def test_recombination_random_states(self, rng):
         # Moment-cumulant consistency for w <= 6 on random even states.
@@ -259,7 +268,7 @@ class TestCumulants:
                 def cfun(block):
                     return cumulant(rho, [ops[i] for i in block])
 
-                direct = moment(rho, ops)
+                direct = moment(rho, [ops])[0]
                 assert abs(moment_from_cumulant_fn(cfun, w) - direct) < 1e-10
 
     def test_correlated_p2_value(self):
@@ -279,7 +288,7 @@ class TestCumulants:
         with pytest.raises(ValueError, match="even w >= 2"):
             cumulant_mats(VACUUM.matrix, [])
         with pytest.raises(ValueError, match="even w >= 2"):
-            fourier_cumulant(DIAG_THIRDS, 3, [], FourierMemo())
+            fourier_cumulant(DIAG_THIRDS, 3, [[]])
 
     def test_cumulants_match_kron_oracle(self, rng):
         for sh in ORACLE_SHAPES:
@@ -299,67 +308,89 @@ class TestFourierCumulants:
 
     def test_resonant_second_cumulant(self):
         ops = [LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
-        res = fourier_cumulant(DIAG_THIRDS, 3, ops, FourierMemo())
-        assert res.direct == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert res.closed_form == pytest.approx(res.direct, abs=1e-12)
+        res = fourier_cumulant(DIAG_THIRDS, 3, [ops])
+        assert res.direct[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert res.closed_form[0] == pytest.approx(res.direct[0], abs=1e-12)
 
     def test_offresonant_vanishes(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1)]
-        res = fourier_cumulant(DIAG_THIRDS, 3, ops, FourierMemo())
-        assert abs(res.direct) < 1e-12
-        assert abs(res.closed_form) < 1e-12
+        res = fourier_cumulant(DIAG_THIRDS, 3, [ops])
+        assert abs(res.direct[0]) < 1e-12
+        assert abs(res.closed_form[0]) < 1e-12
 
     def test_lemma4_w4_p1(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
-        res = fourier_cumulant(DIAG_THIRDS, 3, ops, FourierMemo())
-        assert abs(res.direct - res.closed_form) < 1e-9
+        res = fourier_cumulant(DIAG_THIRDS, 3, [ops])
+        assert abs(res.direct[0] - res.closed_form[0]) < 1e-9
 
     def test_lemma4_w4_p2_nonzero(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
-        res = fourier_cumulant(CORRELATED, 2, ops, FourierMemo())
+        res = fourier_cumulant(CORRELATED, 2, [ops])
         # Resonant phase sum V = 2 gives K4/V = 0.14/2 = 0.07 exactly.
-        assert res.direct == pytest.approx(0.07, abs=1e-9)
-        assert abs(res.direct - res.closed_form) < 1e-9
+        assert res.direct[0] == pytest.approx(0.07, abs=1e-9)
+        assert abs(res.direct[0] - res.closed_form[0]) < 1e-9
 
-    def test_memo_gives_each_state_its_own_value(self, rng):
-        # Two states of one shape through one memo: each gets the value a
-        # call with a fresh memo computes, bit for bit.
+    @staticmethod
+    def assert_same_result(a, b):
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name),
+                                  getattr(b, field.name)), field.name
+
+    def test_each_state_gets_its_own_value(self, rng):
+        # Two states of one shape: a call keeps nothing, so each state
+        # gets the same values bit for bit in either order of calls, and
+        # the states' values differ.
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1),
                LadderIndex(-1, 1, 2, 1), LadderIndex(1, 1, 2, 0)]
         states = [CORRELATED, DenseOperator(
             SH12, random_even_density_matrix(SH12, rng))]
-        memo = FourierMemo()
-        shared = [fourier_cumulant(rho, 3, ops, memo) for rho in states]
-        assert shared == [fourier_cumulant(rho, 3, ops, FourierMemo())
-                          for rho in states]
-        assert shared[0].direct != shared[1].direct
-        assert shared[0].single_site_cumulant != shared[1].single_site_cumulant
-        # A second pass reads the memo and still keeps the states apart.
-        assert [fourier_cumulant(rho, 3, ops, memo)
-                for rho in states] == shared
+        first = [fourier_cumulant(rho, 3, [ops]) for rho in states]
+        again = [fourier_cumulant(rho, 3, [ops]) for rho in states[::-1]]
+        for a, b in zip(first, again[::-1]):
+            self.assert_same_result(a, b)
+        assert first[0].direct[0] != first[1].direct[0]
+        assert (first[0].single_site_cumulant[0]
+                != first[1].single_site_cumulant[0])
+
+    def test_case_list_matches_one_case_calls(self):
+        # A case read inside the V = 3, w = 4 claim's list (shared halves,
+        # padded to the list's term counts) against the case alone: the
+        # same values up to the summation order.
+        cases = suites._lemma4_cases(3, 4)[::37]
+        res = fourier_cumulant(DIAG_THIRDS, 3, cases)
+        assert len(res.direct) == len(cases) == 10
+        for i, ops in enumerate(cases):
+            alone = fourier_cumulant(DIAG_THIRDS, 3, [ops])
+            for field in ("direct", "closed_form", "single_site_cumulant"):
+                assert abs(getattr(res, field)[i]
+                           - getattr(alone, field)[0]) < 1e-15
+            assert res.resonant[i] == alone.resonant[0]
 
     def test_distinct_triples_flag(self):
         repeated = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                     LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1)]
         distinct = repeated[:2] + [LadderIndex(-1, 1, 1, 1),
                                    LadderIndex(1, 1, 1, 1)]
-        memo = FourierMemo()
-        assert not fourier_cumulant(DIAG_THIRDS, 3, repeated,
-                                    memo).distinct_triples
-        assert fourier_cumulant(DIAG_THIRDS, 3, distinct,
-                                memo).distinct_triples
+        res = fourier_cumulant(DIAG_THIRDS, 3, [repeated, distinct, repeated])
+        assert res.distinct_triples.tolist() == [False, True, False]
 
     def test_q_out_of_range(self):
         with pytest.raises(ValueError):
-            fourier_cumulant(DIAG_THIRDS, 3, [LadderIndex(-1, 1, 1, 2),
-                                              LadderIndex(1, 1, 1, 2)],
-                             FourierMemo())
+            fourier_cumulant(DIAG_THIRDS, 3, [[LadderIndex(-1, 1, 1, 2),
+                                               LadderIndex(1, 1, 1, 2)]])
 
     def test_missing_q(self):
         with pytest.raises(ValueError, match="q labels"):
-            fourier_cumulant(DIAG_THIRDS, 3, [FDAG, F], FourierMemo())
+            fourier_cumulant(DIAG_THIRDS, 3, [[FDAG, F]])
+
+    def test_case_lists_of_one_order_only(self):
+        pair = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0)]
+        with pytest.raises(ValueError, match="at least one case"):
+            fourier_cumulant(DIAG_THIRDS, 3, [])
+        with pytest.raises(ValueError, match="one order w"):
+            fourier_cumulant(DIAG_THIRDS, 3, [pair, pair + pair])
 
     def test_fourier_op_matrix(self):
         for sh in ORACLE_SHAPES:
@@ -387,8 +418,8 @@ class TestFourierCumulants:
 
 
 class TestXorEngine:
-    """The ladder products and moments of :class:`LadderMoments` against
-    dense kron-chain matrices."""
+    """Ladder products as :func:`fock.xor_product` chains, and the row
+    moments and cumulants, against dense kron-chain matrices."""
 
     @staticmethod
     def oracle_pair(sh, o):
@@ -409,16 +440,37 @@ class TestXorEngine:
                             int(rng.choice(qs)) if fourier else None)
                 for _ in range(w)]
 
+    def case_list(self, sh, w, rng, fourier):
+        """Ladder terms, their dense oracles and an (n, w) index array of
+        rows over them: two random rows, the first again, and a row that
+        repeats each of its ladders."""
+        pairs = [self.oracle_pair(sh, o)
+                 for o in self.random_ops(sh, w + 2, rng, fourier)]
+        rows = [rng.permutation(w + 2)[:w] for _ in range(2)]
+        rows += [rows[0], np.repeat(rng.permutation(w + 2)[:w // 2], 2)]
+        return [t for t, _ in pairs], [m for _, m in pairs], np.array(rows)
+
+    def assert_rows_match_oracle(self, rho, ladders, mats, rows):
+        got = cumulants._row_cumulants(rho, ladders, rows)
+        assert got.shape == (len(rows),)
+        want = {}
+        for value, row in zip(got, rows.tolist()):
+            key = tuple(row)
+            if key not in want:
+                want[key] = dense_cumulant(rho, [mats[i] for i in row])
+            assert abs(value - want[key]) < 1e-12
+
     def test_products_match_dense_products(self, rng):
         for sh in ORACLE_SHAPES:
+            assert np.array_equal(xor_terms_matrix(cumulants._product(
+                [], (), sh.fock_dim), sh.fock_dim), np.eye(sh.fock_dim))
             for w in (2, 3, 4):
                 for fourier in (False, True):
                     ops = self.random_ops(sh, w, rng, fourier)
                     pairs = [self.oracle_pair(sh, o) for o in ops]
-                    memo = LadderMoments(np.eye(sh.fock_dim),
-                                         lambda i: pairs[i][0])
-                    got = xor_terms_matrix(memo.product(tuple(range(w))),
-                                           sh.fock_dim)
+                    chain = cumulants._product([t for t, _ in pairs],
+                                               tuple(range(w)), sh.fock_dim)
+                    got = xor_terms_matrix(chain, sh.fock_dim)
                     want = functools.reduce(np.matmul, [m for _, m in pairs])
                     assert np.max(np.abs(got - want)) < 1e-14
 
@@ -432,12 +484,8 @@ class TestXorEngine:
         assert np.max(off) > 0.1 * np.max(np.abs(np.diag(rho)))
         for w in (2, 4, 6):
             for fourier in (False, True):
-                ops = self.random_ops(sh, w, rng, fourier)
-                pairs = [self.oracle_pair(sh, o) for o in ops]
-                got = LadderMoments(rho, lambda i: pairs[i][0]).cumulant(
-                    tuple(range(w)))
-                assert abs(got - dense_cumulant(rho, [m for _, m in pairs])
-                           ) < 1e-12
+                self.assert_rows_match_oracle(
+                    rho, *self.case_list(sh, w, rng, fourier))
 
     def test_cumulants_with_odd_part(self, rng):
         sh = SystemShape(2, 2)
@@ -446,16 +494,36 @@ class TestXorEngine:
         odd_part = rho[parity[:, None] != parity[None, :]]
         assert np.max(np.abs(odd_part)) > 1e-3
         for w in (2, 4, 6):
-            ops = self.random_ops(sh, w, rng, True)
-            pairs = [self.oracle_pair(sh, o) for o in ops]
-            mats = [m for _, m in pairs]
-            got = cumulant_mats(rho, [t for t, _ in pairs])
-            assert abs(got - dense_cumulant(rho, mats)) < 1e-12
+            for fourier in (False, True):
+                self.assert_rows_match_oracle(
+                    rho, *self.case_list(sh, w, rng, fourier))
 
-    def test_lemma4_sweep_shares_products(self, monkeypatch):
-        # The suite's V = 4, w = 4 case list on one memo: each distinct key
-        # prefix of a moment is multiplied at most once per copy, and no
-        # dense ladder is formed.
+    def test_moment_rows_match_dense_moments(self, rng):
+        # Odd rows of one call, a repeated row included.
+        sh = SystemShape(2, 2)
+        rho = DenseOperator(sh, random_even_density_matrix(sh, rng))
+        rows = [random_site_ops(sh, 3, rng) for _ in range(4)]
+        rows.append(rows[1])
+        got = moment(rho, rows)
+        assert got.shape == (5,)
+        for value, ops in zip(got, rows):
+            mats = [oracle_ladder(sh, o.c, o.site, o.mode) for o in ops]
+            assert abs(value - dense_moment(rho.matrix, mats)) < 1e-12
+        assert got[4] == got[1]
+
+    def test_row_codes_refuse_to_overflow(self):
+        with pytest.raises(ValueError, match="overflow"):
+            cumulants._distinct_rows(np.zeros((1, 63), dtype=np.int64), 2)
+        distinct, inverse = cumulants._distinct_rows(
+            np.array([[1, 0], [0, 1], [1, 0]]), 2)
+        assert distinct.tolist() == [[0, 1], [1, 0]]
+        assert inverse.tolist() == [1, 0, 1]
+
+    def test_lemma4_claim_forms_each_half_once(self, monkeypatch):
+        # The suite's V = 4, w = 4 claim in one call: each distinct
+        # two-ladder half of its cases is one xor_product, on the copy
+        # (dim 16) and on the single site (dim 2), and no dense ladder is
+        # formed.
         dims = []
         product = cumulants.xor_product
 
@@ -468,35 +536,24 @@ class TestXorEngine:
 
         monkeypatch.setattr(cumulants, "xor_product", counting)
         monkeypatch.setattr(cumulants, "xor_matrix", no_dense)
-        V = 4
-        memo = FourierMemo()
-        prefixes = {16: set(), 2: set()}
-        cases = 0
-        for ops in suites._lemma4_cases(V, 4):
-            res = fourier_cumulant(DIAG_THIRDS, V, ops, memo)
-            cases += 1
-            assert res.distinct_triples
-            assert abs(res.direct - res.closed_form) <= cumulants.CUMULANT_TOL
-            seq = tuple(o.triple() for o in ops)
-            site = [(c, mode, 0) for c, mode, _ in seq]
-            for keys, dim in ((seq, 16), (site, 2)):
-                # Moments of the recursion: every pair and the whole tuple.
-                blocks = [(keys[i], keys[j]) for i, j in
-                          itertools.combinations(range(4), 2)]
-                for block in blocks + [tuple(keys)]:
-                    for n in range(2, len(block) + 1):
-                        prefixes[dim].add(block[:n])
-        assert cases == 1680
-        for dim, wanted in prefixes.items():
-            assert 0 < dims.count(dim) <= len(wanted)
-        assert len(dims) == dims.count(16) + dims.count(2)
+        cases = suites._lemma4_cases(4, 4)
+        res = fourier_cumulant(DIAG_THIRDS, 4, cases)
+        assert len(res.direct) == len(cases) == 1680
+        assert res.distinct_triples.all()
+        assert (np.abs(res.direct - res.closed_form).max()
+                <= cumulants.CUMULANT_TOL)
+        halves = {ops[:2] for ops in cases} | {ops[2:] for ops in cases}
+        site_halves = {tuple((o.c, o.mode) for o in half) for half in halves}
+        assert dims.count(16) == len(halves) == 56
+        assert dims.count(2) == len(site_halves) == 4
+        assert len(dims) == 60
 
 
 class TestSuppression:
     def test_gaussian_both_sides_zero(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
-        res = fourier_cumulant(VACUUM, 3, ops, FourierMemo())
+        res = fourier_cumulant(VACUUM, 3, [ops])
         rep = verify_suppression(VACUUM, 3, ops, res)
         assert rep.passed and rep.lhs < 1e-12 and rep.rhs < 1e-12
 
@@ -507,24 +564,24 @@ class TestSuppression:
             q = V // 2
             ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                    LadderIndex(-1, 1, 1, q), LadderIndex(1, 1, 1, q)]
-            res = fourier_cumulant(DIAG_THIRDS, V, ops, FourierMemo())
+            res = fourier_cumulant(DIAG_THIRDS, V, [ops])
             rep = verify_suppression(DIAG_THIRDS, V, ops, res)
             assert rep.passed
-            assert abs(rep.lhs * V - abs(res.single_site_cumulant)) < 1e-9
+            assert abs(rep.lhs * V - abs(res.single_site_cumulant[0])) < 1e-9
 
     def test_p2_ratio_is_one(self):
         # Non-Gaussian site state: the resonant ratio is genuinely 1.
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
         for V in (2, 3, 4):
-            res = fourier_cumulant(CORRELATED, V, ops, FourierMemo())
-            assert abs(res.single_site_cumulant) > 0.1
-            ratio = abs(res.direct) * V / abs(res.single_site_cumulant)
+            res = fourier_cumulant(CORRELATED, V, [ops])
+            assert abs(res.single_site_cumulant[0]) > 0.1
+            ratio = abs(res.direct[0]) * V / abs(res.single_site_cumulant[0])
             assert ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_w2_rejected(self):
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0)]
-        res = fourier_cumulant(VACUUM, 3, ops, FourierMemo())
+        res = fourier_cumulant(VACUUM, 3, [ops])
         with pytest.raises(ValueError):
             verify_suppression(VACUUM, 3, ops, res)
 
@@ -536,7 +593,7 @@ class TestSuppression:
         ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
                LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
         with pytest.raises(ResourceCapError):
-            fourier_cumulant(DIAG_THIRDS, V, ops, FourierMemo())
+            fourier_cumulant(DIAG_THIRDS, V, [ops])
 
 
 class TestWick:
@@ -619,3 +676,13 @@ class TestWick:
         # |K4| / k with K4 = 0.14.
         for k, val in metrics.items():
             assert val == pytest.approx(0.14 / k, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_corollary_samples_after_the_first_are_off_resonance(k, p):
+    sets = corollary_index_sets(k, p)
+    assert len(sets) == (1 if p == 1 and k < 3 else 2)
+    assert sum(o.c * o.q for o in sets[0]) % k == 0
+    for ops in sets[1:]:
+        assert sum(o.c * o.q for o in ops) % k != 0

@@ -131,6 +131,22 @@ def test_clt_makes_one_report_per_claim(monkeypatch):
     assert len(calls) == 34
 
 
+def test_clt_makes_one_fourier_cumulant_call_per_claim(monkeypatch):
+    # 8 Lemma-4, 4 delta-rule, 7 suppression and 4 p = 2 companion
+    # claims, each one call over its whole case list.
+    sizes = []
+
+    def counting(rho_single, V, cases):
+        sizes.append(len(cases))
+        return cumulants.fourier_cumulant(rho_single, V, cases)
+
+    monkeypatch.setattr(suites, "fourier_cumulant", counting)
+    suites.run_verify_clt()
+    assert len(sizes) == 23
+    assert sizes == ([12, 24, 30, 360, 56, 1680, 2, 2]
+                     + [V * V for V in (2, 3, 4, 5)] + [1] * 11)
+
+
 def test_clt_lemma4_cases_count_every_ordered_choice():
     # p = 1: every ordered choice of w of the 2V triples (c, 1, q), c = +-1
     # and V admissible q; p = 2: the two listed choices.
