@@ -1,10 +1,11 @@
 """Command-line runner for the certification suites.
 
-Exit codes: 0 all claims passed, 1 at least one claim failed, 2 usage or
-configuration error, 3 resource cap exceeded.  Every numeric output lands
-in CSV tables whose bytes depend only on the configuration and seed; the
-mode cap can be lifted through the FERMICERT_MAX_MODES environment
-variable.
+Exit codes: 0 all claims passed, 1 at least one claim failed, 2 usage,
+configuration or file error (a fixture or config that is missing, is a
+directory or cannot be read, an ``--out`` that is a file), 3 resource
+cap exceeded.  Every numeric output lands in CSV tables whose bytes
+depend only on the configuration and seed; the mode cap can be lifted
+through the FERMICERT_MAX_MODES environment variable.
 
 Single commands (``verify-lemma3 --k``, ``verify-theorem1 --k``,
 ``gs-bound --hamiltonian`` or ``--config``, ``rdm-spectrum --a``) apply
@@ -289,7 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.command == "all":

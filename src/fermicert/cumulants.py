@@ -21,9 +21,10 @@ definition, and certifies:
 Ladder operators are never formed as dense matrices, and rho is never
 multiplied by anything: ladders are :data:`fock.XorTerms`, a Fourier
 ladder being V phased site-ladder terms.  Moments are computed for many
-rows of ladders at once: each row is split into two halves, each
-distinct half is one :func:`fock.xor_product` chain, and one
-:func:`fock.xor_pair_traces` call reads every distinct row
+rows of ladders at once: the distinct rows and their distinct halves
+are numbered as dictionary keys, whatever their length or the number of
+ladders, each distinct half is one :func:`fock.xor_product` chain, and
+one :func:`fock.xor_pair_traces` call reads every distinct row
 (:func:`_row_moments`).  Cumulants are array arithmetic over the signed
 even partitions, on the moments of every even sub-tuple of every row
 (:func:`_row_cumulants`), so :func:`fourier_cumulant` computes a whole
@@ -144,43 +145,31 @@ def _product(ladders: Sequence[XorTerms], ids: Tuple[int, ...],
     return functools.reduce(xor_product, (ladders[i] for i in ids))
 
 
-def _distinct_rows(rows: np.ndarray, base: int
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (n, k) array of integers in [0, base),
-    ascending, and each row's index among them: one ``np.unique`` of the
-    rows read as base-``base`` numbers."""
-    if base ** rows.shape[1] >= 1 << 63:
-        raise ValueError(f"rows of {rows.shape[1]} indices into {base} "
-                         "ladders overflow their int64 codes")
-    codes = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        codes = codes * base + col
-    _, first, inverse = np.unique(codes, return_index=True,
-                                  return_inverse=True)
-    return rows[first], inverse.ravel()
-
-
 def _row_moments(rho: np.ndarray, ladders: Sequence[XorTerms],
                  rows) -> np.ndarray:
     """tr(rho L_(r_1) ... L_(r_k)) for each row r of an (n, k) index array
     into ``ladders``, one entry per row.
 
     Equal rows are read once.  A row splits into a left half, its first
-    k // 2 ladders, and a right half; each distinct half is formed once,
-    and one :func:`fock.xor_pair_traces` call reads every distinct row.
+    k // 2 ladders, and a right half.  The distinct rows and halves are
+    numbered in order of first appearance, as dictionary keys, so rows of
+    any length over any number of ladders are told apart; each distinct
+    half is formed once, and one :func:`fock.xor_pair_traces` call reads
+    every distinct row.
     """
     rows = np.asarray(rows, dtype=np.int64)
     h = rows.shape[1] // 2
-    distinct, inverse = _distinct_rows(rows, len(ladders))
-    left_keys, left = _distinct_rows(distinct[:, :h], len(ladders))
-    right_keys, right = _distinct_rows(distinct[:, h:], len(ladders))
-    left_keys = [tuple(key) for key in left_keys.tolist()]
-    right_keys = [tuple(key) for key in right_keys.tolist()]
+    distinct: Dict[Tuple[int, ...], int] = {}
+    inverse = [distinct.setdefault(row, len(distinct))
+               for row in map(tuple, rows.tolist())]
+    lefts: Dict[Tuple[int, ...], int] = {}
+    rights: Dict[Tuple[int, ...], int] = {}
+    pairs = [(lefts.setdefault(row[:h], len(lefts)),
+              rights.setdefault(row[h:], len(rights))) for row in distinct]
     halves = {key: _product(ladders, key, len(rho))
-              for key in set(left_keys) | set(right_keys)}
-    traces = xor_pair_traces(rho, [halves[key] for key in left_keys],
-                             [halves[key] for key in right_keys],
-                             np.stack([left, right], axis=1))
+              for key in lefts.keys() | rights.keys()}
+    traces = xor_pair_traces(rho, [halves[key] for key in lefts],
+                             [halves[key] for key in rights], pairs)
     return traces[inverse]
 
 

@@ -22,13 +22,12 @@ f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings flip the same bit
 (:func:`ladder_terms`, v_x[a] in {0, +-1, +-i}).  The form has one
 group-sum (:func:`xor_sum`), one product,
 diag(u) X_x diag(v) X_y = diag(u * v[a ^ x]) X_(x ^ y) at O(terms * dim)
-(:func:`xor_pairs`, summed by :func:`xor_product`), one gather against a
-dense state, tr(rho T) = sum_x sum_a v_x[a] rho[a ^ x, a] (per term,
-:func:`xor_term_traces`; of products A B of many pairs of operators,
-:func:`xor_pair_traces`), and one scatter into dense matrices
-(:func:`_scatter`, behind :func:`xor_matrix` and the stacked
-:func:`to_matrices`).  Expansions, Hamiltonians, ladder moments and the
-1-RDM all go through these.
+(:func:`xor_product`), one gather against a dense state,
+tr(rho T) = sum_x sum_a v_x[a] rho[a ^ x, a], read for the products
+T = A B of many pairs of operators (:func:`xor_pair_traces`), and one
+scatter into dense matrices (:func:`_scatter`, behind :func:`xor_matrix`
+and the stacked :func:`to_matrices`).  Expansions, Hamiltonians, ladder
+moments and the 1-RDM all go through these.
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
 the most significant bits.  That layout has two homes: :func:`occupations`,
@@ -288,11 +287,11 @@ def xor_sum(terms: XorTerms) -> XorTerms:
     return masks[first], np.add.reduceat(vals[order], first, axis=0)
 
 
-def xor_pairs(left: XorTerms, right: XorTerms) -> XorTerms:
-    """The products of every left term with every right term, unsummed:
-    term i * len(right) + j is diag(u_i) X_x diag(v_j) X_y =
-    diag(u_i * v_j[a ^ x]) X_(x ^ y).  O(terms * dim) and independent of
-    any state."""
+def xor_product(left: XorTerms, right: XorTerms) -> XorTerms:
+    """left @ right as summed XOR terms: the product of left term i and
+    right term j is diag(u_i) X_x diag(v_j) X_y = diag(u_i * v_j[a ^ x])
+    X_(x ^ y), and the len(left) * len(right) products are summed by mask
+    (:func:`xor_sum`).  O(terms * dim) and independent of any state."""
     lmasks, lvals = left
     rmasks, rvals = right
     dim = lvals.shape[1]
@@ -302,21 +301,7 @@ def xor_pairs(left: XorTerms, right: XorTerms) -> XorTerms:
     # C-ordered product reshapes without a copy.
     moved = np.take(rvals, rows ^ lmasks[:, None], axis=1).swapaxes(0, 1)
     vals = np.multiply(lvals[:, None, :], moved, order="C").reshape(-1, dim)
-    return (lmasks[:, None] ^ rmasks[None, :]).ravel(), vals
-
-
-def xor_product(left: XorTerms, right: XorTerms) -> XorTerms:
-    """left @ right as summed XOR terms (:func:`xor_pairs`, then
-    :func:`xor_sum`)."""
-    return xor_sum(xor_pairs(left, right))
-
-
-def xor_term_traces(rho: np.ndarray, terms: XorTerms) -> np.ndarray:
-    """tr(rho T_t) of each term t apart, one gather: the sum over rows a of
-    vals[t, a] * rho[a ^ masks[t], a]."""
-    masks, vals = terms
-    rows = np.arange(vals.shape[1])
-    return (vals * rho[rows ^ masks[:, None], rows]).sum(axis=1)
+    return xor_sum(((lmasks[:, None] ^ rmasks[None, :]).ravel(), vals))
 
 
 def _stacked(halves: Sequence[XorTerms]) -> XorTerms:

@@ -40,8 +40,9 @@ from .algebra import (OperatorExpansion, SystemShape, expansion_from_text,
 from .definetti import (GENERATOR_BOX, component_state, coordinate_search,
                         n_component_params)
 from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
-                   jw_matrix, operator_norm, real_if_exact, require_hermitian,
-                   to_matrix, word_expectations_dense, word_terms, xor_sum)
+                   ensure_within_cap, jw_matrix, operator_norm, real_if_exact,
+                   require_hermitian, to_matrix, word_expectations_dense,
+                   word_terms, xor_sum)
 from .invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                          check_invariance_dense)
 from .report import INEQUALITY, VerificationReport, make_report
@@ -167,8 +168,11 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     :data:`DEGENERACY_TOL` of the ground energy, so a degenerate ground
     space is resolved in full.  The ground space is returned as an
     :class:`Isometry` (dim x r), whose state F F-dagger / r is the
-    projector :func:`ground_state` returns.
+    projector :func:`ground_state` returns.  The mode cap
+    (:func:`fock.ensure_within_cap`) is checked before any array of the
+    Fock dimension is made.
     """
+    ensure_within_cap(h_exp.shape)
     dim = h_exp.shape.fock_dim
     n = len(h_exp.terms)
     masks, vals = word_terms(np.fromiter(h_exp.terms.keys(), np.int64, n),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import SystemShape
 from .fock import (DenseOperator, hermiticity_residual, ladder_terms,
-                   occupations, xor_pairs, xor_term_traces)
+                   occupations, xor_pair_traces)
 from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
@@ -65,20 +65,20 @@ def one_rdm(rho: DenseOperator) -> OneRDM:
     """Compute Gamma[j, k] = tr(rho f_j† f_k) over the site-major flattened
     modes, symmetrized with the residual reported.
 
-    Each ladder is one XOR term (:func:`fock.ladder_terms`), so row j of
-    Gamma takes the n products f_j† f_k as n terms, formed at once and kept
-    apart (:func:`fock.xor_pairs`), and their traces, one gather on rho
-    (:func:`fock.xor_term_traces`).  A row at a time keeps the temporaries
-    at n x dim entries.  No dense ladder or matrix product is formed.
-    ``rho`` need not be positive: any operator gives its correlation
-    matrix, and state validity is the caller's check."""
+    Each ladder is one XOR term (:func:`fock.ladder_terms`), so Gamma is
+    one :func:`fock.xor_pair_traces` call: the left halves are the n
+    creators f_j†, the right halves the n annihilators f_k, and the pairs
+    all n² of (j, k), row-major.  No dense ladder or matrix product is
+    formed.  ``rho`` need not be positive: any operator gives its
+    correlation matrix, and state validity is the caller's check."""
     shape = rho.shape
     modes = [(site, mode) for site in range(1, shape.sites + 1)
              for mode in range(1, shape.modes_per_site + 1)]
-    annihilators = tuple(np.concatenate(arrays) for arrays in
-                         zip(*(ladder_terms(shape, 1, *sm) for sm in modes)))
-    gamma = np.array([xor_term_traces(rho.matrix, xor_pairs(
-        ladder_terms(shape, -1, *sm), annihilators)) for sm in modes])
+    n = len(modes)
+    gamma = xor_pair_traces(
+        rho.matrix, [ladder_terms(shape, -1, *sm) for sm in modes],
+        [ladder_terms(shape, 1, *sm) for sm in modes],
+        np.indices((n, n)).reshape(2, -1).T).reshape(n, n)
     residual = hermiticity_residual(gamma)
     gamma = 0.5 * (gamma + gamma.conj().T)
     return OneRDM(gamma, shape, residual)

@@ -148,6 +148,13 @@ class TestCliSingleCommands:
                      str(tmp_path / "missing.txt"), "--V", "6", "--k", "2"])
         assert code == 2
 
+    def test_directory_fixture_exit_2(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "out"), "verify-lemma3",
+                     "--fixture", str(tmp_path), "--V", "6", "--k",
+                     "2"]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fixture_roundtrip(self, tmp_path):
         from fermicert.algebra import expansion_to_text
         from fermicert.invariance import MuFamilyParams, mu_family_state
@@ -357,6 +364,30 @@ class TestCliSingleCommands:
         monkeypatch.setenv(MODE_CAP_ENV, "6")
         assert main(["--out", str(tmp_path), "verify-clt"]) == 3
         assert "resource cap" in capsys.readouterr().err
+
+    def test_gs_directory_config_exit_2(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "out"), "gs-bound", "--seed",
+                     "0", "--config", str(tmp_path)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_on_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main(["--out", str(out), "rdm-spectrum", "--a", "0.5",
+                     "--V", "4"]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("V, code", [(7, 3), (6, 0)])
+    def test_gs_over_the_mode_cap_exit_3(self, tmp_path, monkeypatch, capsys,
+                                         V, code):
+        # The cap is checked before the ground state is solved, so a
+        # Hamiltonian one mode over it exits 3 rather than running.
+        monkeypatch.setenv(MODE_CAP_ENV, "6")
+        assert main(["--out", str(tmp_path), "gs-bound", "--seed", "0",
+                     "--hamiltonian", "site-number", "--V", str(V)]) == code
+        assert ("resource cap" in capsys.readouterr().err) == (code == 3)
 
     @pytest.mark.parametrize("value", ["abc", ""])
     def test_non_integer_mode_cap_exit_2(self, tmp_path, monkeypatch, capsys,

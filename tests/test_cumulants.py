@@ -511,13 +511,16 @@ class TestXorEngine:
             assert abs(value - dense_moment(rho.matrix, mats)) < 1e-12
         assert got[4] == got[1]
 
-    def test_row_codes_refuse_to_overflow(self):
-        with pytest.raises(ValueError, match="overflow"):
-            cumulants._distinct_rows(np.zeros((1, 63), dtype=np.int64), 2)
-        distinct, inverse = cumulants._distinct_rows(
-            np.array([[1, 0], [0, 1], [1, 0]]), 2)
-        assert distinct.tolist() == [[0, 1], [1, 0]]
-        assert inverse.tolist() == [1, 0, 1]
+    def test_long_rows_need_no_row_codes(self, rng):
+        # 64 alternating f, f-dagger on one site: (f f†)^32 = f f†, the
+        # projector 1 - n, whatever the number of ladders in the row.
+        sh = SystemShape(2, 1)
+        rho = DenseOperator(sh, random_density_matrix(sh.fock_dim, rng))
+        f, fdag = LadderIndex(1, 1, 1), LadderIndex(-1, 1, 1)
+        want = dense_moment(rho.matrix, [oracle_ladder(sh, 1, 1, 1),
+                                         oracle_ladder(sh, -1, 1, 1)])
+        assert abs(moment(rho, [[f, fdag] * 32])[0] - want) < 1e-12
+        assert abs(moment(rho, [[f, fdag]])[0] - want) < 1e-12
 
     def test_lemma4_claim_forms_each_half_once(self, monkeypatch):
         # The suite's V = 4, w = 4 claim in one call: each distinct

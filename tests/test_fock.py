@@ -25,8 +25,7 @@ from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             to_expansion, to_matrices, to_matrix,
                             trace_norm,
                             word_expectations_dense, word_terms, xor_matrix,
-                            xor_pair_traces, xor_pairs, xor_product, xor_sum,
-                            xor_term_traces)
+                            xor_pair_traces, xor_product, xor_sum)
 from fermicert.invariance import (MuFamilyParams, mu_family_state,
                                   words_up_to_degree)
 from fermicert.meanfield import (BUILTIN_FAMILIES,
@@ -264,29 +263,24 @@ class TestXorTerms:
             assert np.allclose(terms_oracle((masks, vals)), want, rtol=0,
                                atol=1e-13)
 
-    def test_pairs_are_the_termwise_matmuls(self, rng):
-        left = random_xor_terms(16, 3, rng)
-        right = random_xor_terms(16, 4, rng)
-        masks, vals = xor_pairs(left, right)
-        assert len(masks) == 12
-        for i, (lm, lv) in enumerate(zip(*left)):
-            for j, (rm, rv) in enumerate(zip(*right)):
-                t = 4 * i + j
-                assert np.allclose(exact_matrix(masks[t], vals[t]),
-                                   exact_matrix(lm, lv) @ exact_matrix(rm, rv),
-                                   rtol=0, atol=1e-13)
-
     def test_trace_is_the_dense_trace(self, rng):
+        # Each term apart, as a left half against the identity, and the
+        # terms together.
         rho = random_density_matrix(32, rng)
+        identity = (np.zeros(1, dtype=np.int64), np.ones((1, 32)))
         for n in (1, 4, 9):
             terms = random_xor_terms(32, n, rng)
-            per_term = xor_term_traces(rho, terms)
+            per_term = xor_pair_traces(rho, list(zip(terms[0][:, None],
+                                                     terms[1][:, None])),
+                                       [identity], [(t, 0) for t in range(n)])
             assert per_term.shape == (n,)
             for t, (mask, vals) in enumerate(zip(*terms)):
                 assert abs(per_term[t] - np.trace(
                     rho @ exact_matrix(mask, vals))) < 1e-13
             want = np.trace(rho @ terms_oracle(terms))
             assert abs(per_term.sum() - want) < 1e-13
+            whole = xor_pair_traces(rho, [terms], [identity], [(0, 0)])
+            assert abs(whole[0] - want) < 1e-13
 
     def test_pair_traces_are_the_dense_traces(self, rng):
         # Halves of different term counts, with repeated masks, and pairs

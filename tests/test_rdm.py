@@ -67,6 +67,23 @@ class TestOneRDM:
             assert np.max(np.abs(rdm.gamma - want)) < 1e-12
             assert rdm.hermiticity_residual < 1e-12
 
+    def test_one_pair_trace_gather(self, monkeypatch, rng):
+        # Gamma is one xor_pair_traces call: the n creators on the left,
+        # the n annihilators on the right and all n² pairs.
+        sh = SystemShape(2, 2)
+        rho = DenseOperator(sh, random_even_density_matrix(sh, rng))
+        want = one_rdm(rho).gamma
+        calls = []
+        gather = rdm.xor_pair_traces
+
+        def counting(rho, lefts, rights, pairs):
+            calls.append((len(lefts), len(rights), len(pairs)))
+            return gather(rho, lefts, rights, pairs)
+
+        monkeypatch.setattr(rdm, "xor_pair_traces", counting)
+        assert np.array_equal(one_rdm(rho).gamma, want)
+        assert calls == [(4, 4, 16)]
+
 
 def closed_form(params: CirculantParams) -> np.ndarray:
     """The closed-form values of a spectrum with no singular k."""
