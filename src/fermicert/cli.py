@@ -2,10 +2,11 @@
 
 Exit codes: 0 all claims passed, 1 at least one claim failed, 2 usage,
 configuration or file error (a fixture or config that is missing, is a
-directory or cannot be read, an ``--out`` that is a file), 3 resource
-cap exceeded.  Every numeric output lands in CSV tables whose bytes
-depend only on the configuration and seed; the mode cap can be lifted
-through the FERMICERT_MAX_MODES environment variable.
+directory or cannot be read, an ``--out`` that is a file or lies under
+one, refused before any claim is computed), 3 resource cap exceeded.
+Every numeric output lands in CSV tables whose bytes depend only on the
+configuration and seed; the mode cap can be lifted through the
+FERMICERT_MAX_MODES environment variable.
 
 Single commands (``verify-lemma3 --k``, ``verify-theorem1 --k``,
 ``gs-bound --hamiltonian`` or ``--config``, ``rdm-spectrum --a``) apply
@@ -110,6 +111,16 @@ def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
     if not validity.parity_ok:
         notes.append("input operator breaks parity superselection")
     return state, inputs, notes
+
+
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` that cannot become a directory, an existing
+    non-directory or a path under a file, before any claim is computed;
+    the directory itself is made only after a successful run."""
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise NotADirectoryError(f"--out {out}: {path} exists and is "
+                                     "not a directory")
 
 
 def _write_outputs(out: Path, command: str, reports, tables):
@@ -285,6 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        _check_out(Path(args.out))
         reports, tables = _run(args)
         _write_outputs(Path(args.out), args.command, reports, tables)
     except ResourceCapError as exc:

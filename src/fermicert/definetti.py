@@ -201,15 +201,6 @@ def hamming_power(alpha: float, k: int) -> np.ndarray:
     return alpha ** (k - h) * (1.0 - alpha) ** h
 
 
-def mixture_matrix(mixture: ProductMixture, k: int) -> DenseOperator:
-    """Dense matrix of sum_l a_l xi_l^(x k)."""
-    powers = [product_power(xi, k) for xi in mixture.components]
-    out = np.zeros_like(powers[0].matrix)
-    for a, powr in zip(mixture.weights, powers):
-        out += a * powr.matrix
-    return DenseOperator(powers[0].shape, out)
-
-
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
     u = np.sort(v)[::-1]

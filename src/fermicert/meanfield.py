@@ -123,15 +123,6 @@ def build_hamiltonian_expansion(spec: HamiltonianSpec
     return h_exp, notes
 
 
-def build_hamiltonian(spec: HamiltonianSpec) -> DenseOperator:
-    """Dense Hamiltonian matrix, Hermitian within
-    :data:`fock.HERMITIAN_TOL`."""
-    h_exp, _ = build_hamiltonian_expansion(spec)
-    dense = to_matrix(h_exp)
-    require_hermitian(dense.matrix, "dense Hamiltonian")
-    return dense
-
-
 def ground_state(h: DenseOperator) -> Tuple[float, DenseOperator]:
     """Lowest eigenvalue and the uniform mixture over the ground space
     (eigenvalues within :data:`DEGENERACY_TOL` of the lowest).
@@ -383,25 +374,36 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
 
 # -- Hamiltonians from configs ------------------------------------------------
 
+#: The fields a Hamiltonian config may have.
+CONFIG_KEYS = ("V", "p", "k", "template", "subsets", "normalize", "name")
+
+
 def hamiltonian_from_config(cfg: object) -> HamiltonianSpec:
     """The Hamiltonian a config dict names: integers V, p and k, a k-site
     template in the fixture text format, ``subsets`` (a list of integer
-    lists, default "all-k-subsets"), ``normalize`` and ``name``.  A field
-    of the wrong JSON type is a ``ValueError``, never coerced."""
+    lists, default "all-k-subsets"), ``normalize`` and a string ``name``.
+    A field of the wrong JSON type, or a key outside :data:`CONFIG_KEYS`,
+    is a ``ValueError``, never coerced or ignored."""
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}; the keys are "
+                             + ", ".join(CONFIG_KEYS))
     V, p, k, text = (cfg.get(key) for key in ("V", "p", "k", "template"))
     subsets = cfg.get("subsets", "all-k-subsets")
     normalize = cfg.get("normalize", False)
+    name = cfg.get("name", "custom")
     # type(), not isinstance(): a JSON true is no integer.
     if not (type(V) is type(p) is type(k) is int
-            and type(text) is str and type(normalize) is bool
+            and type(text) is type(name) is str and type(normalize) is bool
             and (subsets == "all-k-subsets" or type(subsets) is list and all(
                 type(sub) is list and all(type(s) is int for s in sub)
                 for sub in subsets))):
         raise ValueError("config needs integers V, p and k, template text, "
                          "subsets \"all-k-subsets\" or a list of integer "
-                         "lists, and normalize true or false")
+                         "lists, normalize true or false, and a name "
+                         "string")
     try:
         template = expansion_from_text(text, SystemShape(k, p))
     except ValueError as exc:
@@ -409,8 +411,7 @@ def hamiltonian_from_config(cfg: object) -> HamiltonianSpec:
     if subsets == "all-k-subsets":
         subsets = itertools.combinations(range(1, V + 1), k)
     return HamiltonianSpec(SystemShape(V, p), tuple(map(tuple, subsets)),
-                           template, normalize=normalize,
-                           name=str(cfg.get("name", "custom")))
+                           template, normalize=normalize, name=name)
 
 
 #: The interaction families the certification suites run, each a config

@@ -4,7 +4,11 @@ The Majorana matrices built here use the textbook kron construction
 directly, independent of the package's Pauli-string route, so they can
 serve as an oracle for it.  :func:`cumulant` and
 :func:`fourier_ladder_matrix` are the exception: views of the package's
-own ladder terms that only the tests read.
+own ladder terms that only the tests read.  :func:`even_partitions`,
+:func:`moment_from_cumulant_fn`, :func:`mixture_matrix` and
+:func:`build_hamiltonian` are likewise views of package code (the
+partition enumerator, the signed partitions, product powers, the symbolic
+Hamiltonian) that only the tests compare the package against.
 """
 
 from __future__ import annotations
@@ -83,6 +87,55 @@ def fourier_ladder_matrix(shape: SystemShape, c: int, mode: int,
     from fermicert.fock import xor_matrix
 
     return xor_matrix(shape, fourier_ladder_terms(shape, c, mode, q))
+
+
+def even_partitions(w: int):
+    """Exhaustive, duplicate-free even partitions of {1, .., w}, as the
+    package enumerates them."""
+    from fermicert.cumulants import _even_partitions_of
+
+    if w % 2 or w < 2:
+        raise ValueError(f"even partitions need even w >= 2, got {w}")
+    return list(_even_partitions_of(tuple(range(1, w + 1))))
+
+
+def moment_from_cumulant_fn(cumulant_fn, w: int) -> complex:
+    """Recombine cumulants into the order-w moment: the sum over signed
+    even partitions of (0, .., w-1) of sign * prod cumulant_fn(block)."""
+    from fermicert.cumulants import _signed_partitions
+
+    total = 0.0 + 0.0j
+    for sign, partition in _signed_partitions(w):
+        prod = complex(sign)
+        for block in partition:
+            prod *= cumulant_fn(block)
+        total += prod
+    return total
+
+
+def mixture_matrix(mixture, k: int):
+    """Dense matrix of sum_l a_l xi_l^(x k) for a
+    :class:`definetti.ProductMixture`."""
+    from fermicert.definetti import product_power
+    from fermicert.fock import DenseOperator
+
+    powers = [product_power(xi, k) for xi in mixture.components]
+    out = np.zeros_like(powers[0].matrix)
+    for a, powr in zip(mixture.weights, powers):
+        out += a * powr.matrix
+    return DenseOperator(powers[0].shape, out)
+
+
+def build_hamiltonian(spec):
+    """Dense Hamiltonian matrix of a :class:`meanfield.HamiltonianSpec`,
+    Hermitian within :data:`fock.HERMITIAN_TOL`."""
+    from fermicert.fock import require_hermitian, to_matrix
+    from fermicert.meanfield import build_hamiltonian_expansion
+
+    h_exp, _ = build_hamiltonian_expansion(spec)
+    dense = to_matrix(h_exp)
+    require_hermitian(dense.matrix, "dense Hamiltonian")
+    return dense
 
 
 def random_density_matrix(dim: int, rng) -> np.ndarray:

@@ -7,16 +7,21 @@ certifies what the tool ships.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fermicert import suites
-from fermicert.cli import main as cli_main
 from fermicert.cumulants import LadderIndex, fourier_cumulant
 from fermicert.fock import DenseOperator
 from fermicert.algebra import SystemShape
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DIAG_THIRDS = DenseOperator(SystemShape(1, 1),
                             np.diag([1.0 / 3.0, 2.0 / 3.0]).astype(complex))
@@ -221,19 +226,34 @@ def test_criterion_9_gs_bound():
     assert ok
 
 
-def test_criterion_10_determinism_and_runtime(tmp_path):
-    out_a, out_b = tmp_path / "run_a", tmp_path / "run_b"
+def _run_all_in_a_fresh_process(out, blas_threads: str):
+    """``fermicert all --seed 0`` in its own interpreter, so no state,
+    report or cached ladder term carries over from another run, at a fixed
+    BLAS thread count; returns the finished process and the wall time."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "OPENBLAS_NUM_THREADS": blas_threads}
     start = time.perf_counter()
-    code_a = cli_main(["--out", str(out_a), "all", "--seed", "0"])
-    first_runtime = time.perf_counter() - start
-    code_b = cli_main(["--out", str(out_b), "all", "--seed", "0"])
-    assert code_a == 0 and code_b == 0
-    names = sorted(p.name for p in out_a.glob("*.csv"))
-    assert names == sorted(p.name for p in out_b.glob("*.csv"))
+    proc = subprocess.run([sys.executable, "-m", "fermicert.cli", "--out",
+                           str(out), "all", "--seed", "0"], env=env,
+                          cwd=ROOT, capture_output=True, text=True)
+    return proc, time.perf_counter() - start
+
+
+def test_criterion_10_determinism_and_runtime(tmp_path):
+    # Run A on one BLAS thread, run B on two: the outputs must not depend
+    # on the thread count either.
+    out_a, out_b = tmp_path / "run_a", tmp_path / "run_b"
+    run_a, first_runtime = _run_all_in_a_fresh_process(out_a, "1")
+    run_b, _ = _run_all_in_a_fresh_process(out_b, "2")
+    assert run_a.returncode == 0, run_a.stderr
+    assert run_b.returncode == 0, run_b.stderr
+    names = sorted(p.name for p in out_a.glob("*.csv")) + ["all.txt"]
+    assert names == sorted(p.name for p in out_b.glob("*.csv")) + ["all.txt"]
     identical = all((out_a / n).read_bytes() == (out_b / n).read_bytes()
                     for n in names)
     ok = identical and first_runtime < 900.0
     _announce("10 determinism+runtime", ok,
-              f"({len(names)} CSVs byte-identical, {first_runtime:.0f}s < 900s)")
+              f"({len(names)} outputs byte-identical at 1 and 2 BLAS "
+              f"threads, {first_runtime:.0f}s < 900s)")
     assert identical
     assert first_runtime < 900.0

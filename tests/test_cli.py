@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermicert import suites
+from fermicert import cli, suites
 from fermicert.cli import SINGLE, build_parser, main
 from fermicert.fock import MODE_CAP_ENV
 from fermicert.meanfield import BUILTIN_CONFIGS
@@ -371,13 +371,19 @@ class TestCliSingleCommands:
         assert "error: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_out_on_a_file_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "taken"
-        out.write_text("kept")
-        assert main(["--out", str(out), "rdm-spectrum", "--a", "0.5",
-                     "--V", "4"]) == 2
-        assert "error: " in capsys.readouterr().err
-        assert out.read_text() == "kept"
+    def test_out_on_a_file_exit_2(self, tmp_path, monkeypatch, capsys):
+        # The --out is refused before the run: no claim is computed.
+        def no_run(args):
+            pytest.fail("the command ran before --out was checked")
+
+        monkeypatch.setattr(cli, "_run", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        for out in (taken, taken / "sub"):
+            assert main(["--out", str(out), "rdm-spectrum", "--a", "0.5",
+                         "--V", "4"]) == 2
+            assert "error: " in capsys.readouterr().err
+            assert taken.read_text() == "kept"
 
     @pytest.mark.parametrize("V, code", [(7, 3), (6, 0)])
     def test_gs_over_the_mode_cap_exit_3(self, tmp_path, monkeypatch, capsys,
@@ -483,8 +489,13 @@ class TestCliSingleCommands:
         # not true, though bool("no") is.
         {"template": "0 -2 (1,1)(1,2)", "normalize": "no"},
         7,
+        {"name": None},
+        {"name": 5},
+        # A misspelt key is not ignored.
+        {"subset": [[1]]},
     ], ids=["template-int", "subsets-int", "subsets-str", "V-str",
-            "k-float", "normalize-str", "not-an-object"])
+            "k-float", "normalize-str", "not-an-object", "name-null",
+            "name-int", "unknown-key"])
     def test_gs_malformed_config_exit_2(self, tmp_path, capsys, change):
         # A field of the wrong JSON type is a usage error, not a traceback
         # and not a coerced value.

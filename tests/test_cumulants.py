@@ -10,19 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (cumulant, fourier_ladder_matrix, independent_ladder,
+from conftest import (cumulant, even_partitions, fourier_ladder_matrix,
+                      independent_ladder, moment_from_cumulant_fn,
                       random_density_matrix, random_even_density_matrix)
 from fermicert import cumulants, suites
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import (LadderIndex, corollary_index_sets,
-                                 cumulant_from_moment_fn,
-                                 cumulant_mats, even_partitions,
-                                 fourier_cumulant, fourier_ladder_terms,
-                                 fourier_q_range, gaussian_mixture_deviation,
-                                 ladder_matrix, moment,
-                                 moment_from_cumulant_fn, partition_sign,
-                                 verify_corollary, verify_suppression,
-                                 wick_moment)
+                                 cumulant_mats, fourier_cumulant,
+                                 fourier_ladder_terms, fourier_q_range,
+                                 gaussian_mixture_deviation, ladder_matrix,
+                                 moment, partition_sign, verify_corollary,
+                                 verify_suppression)
 from fermicert.definetti import ProductMixture, product_power
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             ladder_terms)
@@ -600,22 +598,6 @@ class TestSuppression:
 
 
 class TestWick:
-    def test_wick_moment_matches_gaussian(self):
-        # Vacuum is Gaussian: full moments equal their Wick expansion.
-        sh = SystemShape(2, 1)
-        vac2 = product_power(VACUUM, 2)
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-               LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
-        mats = [fourier_ladder_matrix(sh, o.c, o.mode, o.q) for o in ops]
-
-        def pair_value(i, j):
-            return complex(np.trace(vac2.matrix @ mats[i] @ mats[j]))
-
-        full = complex(np.trace(
-            vac2.matrix @ mats[0] @ mats[1] @ mats[2] @ mats[3]))
-        assert wick_moment(pair_value, (0, 1, 2, 3)) == pytest.approx(full,
-                                                                      abs=1e-12)
-
     def test_gaussian_mixture_deviation_zero_for_gaussian(self):
         xi = DenseOperator(SH1, np.diag([0.25, 0.75]).astype(complex))
         rho2 = product_power(xi, 2)
@@ -626,7 +608,8 @@ class TestWick:
 
     def test_gaussian_mixture_deviation_matches_naive_traces(self, rng):
         # Oracle: pair values as one trace of a matrix product per component
-        # and pair, the Wick moments and cumulant extraction written out.
+        # and pair, each mixture moment as the weighted three-pairing Wick
+        # sum, and K4 = M(0123) - sum sign * M * M written out.
         sh12 = SystemShape(1, 2)
         comps = tuple(DenseOperator(sh12, random_even_density_matrix(sh12, rng))
                       for _ in range(3))
@@ -638,23 +621,34 @@ class TestWick:
         # One index set beyond the corollary sample.
         generic = (LadderIndex(1, 1, 1, 1), LadderIndex(-1, 1, 2, 0),
                    LadderIndex(1, 1, 2, -1), LadderIndex(-1, 1, 1, 0))
+        pairings = (((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1),
+                    ((0, 3), (1, 2), 1))
         for ops in corollary_index_sets(k, 2) + [generic]:
             mats = [fourier_ladder_matrix(rho_k.shape, o.c, o.mode, o.q)
                     for o in ops]
-            pairs = []
-            for xi in comps:
+            second = {pair: 0.0j for x, y, _ in pairings for pair in (x, y)}
+            fourth = 0.0j
+            for a, xi in zip(mixture.weights, comps):
                 power = product_power(xi, k).matrix
-                pairs.append({(i, j): complex(np.trace(power @ mats[i]
-                                                       @ mats[j]))
-                              for i in range(4) for j in range(i + 1, 4)})
-
-            def naive_moment(positions):
-                return sum(a * wick_moment(lambda i, j: pv[(i, j)], positions)
-                           for a, pv in zip(mixture.weights, pairs))
-
-            want = cumulant_from_moment_fn(naive_moment, 4)
+                pv = {(i, j): complex(np.trace(power @ mats[i] @ mats[j]))
+                      for i, j in second}
+                for pair in second:
+                    second[pair] += a * pv[pair]
+                fourth += a * sum(sign * pv[x] * pv[y]
+                                  for x, y, sign in pairings)
+            want = fourth - sum(sign * second[x] * second[y]
+                                for x, y, sign in pairings)
             _, predicted = gaussian_mixture_deviation(rho_k, mixture, ops)
             assert abs(predicted - want) < 1e-12
+
+    @pytest.mark.parametrize("w", [2, 6])
+    def test_gaussian_mixture_deviation_needs_four_ladders(self, w):
+        xi = DenseOperator(SH1, np.diag([0.25, 0.75]).astype(complex))
+        mixture = ProductMixture(np.array([1.0]), (xi,))
+        ops = [LadderIndex(-1 if i % 2 == 0 else 1, 1, 1, 0)
+               for i in range(w)]
+        with pytest.raises(ValueError, match="four"):
+            gaussian_mixture_deviation(product_power(xi, 2), mixture, ops)
 
     def test_gaussian_mixture_deviation_rejects_odd_component(self):
         # The closed-form pair values hold for even components only.

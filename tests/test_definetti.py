@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (cumulant, random_even_density_matrix,
+from conftest import (cumulant, mixture_matrix, random_even_density_matrix,
                       word_matrix_oracle)
 from fermicert import definetti, suites
 from fermicert.algebra import SystemShape
@@ -17,7 +17,7 @@ from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
                                  component_state,
                                  coordinate_search, even_hermitian_basis,
                                  hamming_power,
-                                 mixture_diagnostics, mixture_matrix,
+                                 mixture_diagnostics,
                                  n_component_params, params_from_state,
                                  parity_blocks, product_power,
                                  project_simplex, theorem1_bound,

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_even_density_matrix, summed_word_terms
+from conftest import (build_hamiltonian, random_even_density_matrix,
+                      summed_word_terms)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                               expansion_from_text)
 from fermicert.fock import (DenseOperator, diagonal_blocks, jw_matrix,
@@ -20,7 +21,7 @@ from fermicert.fock import (DenseOperator, diagonal_blocks, jw_matrix,
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
 from fermicert.meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES,
                                  HamiltonianSpec, ProductEnergyEvaluator,
-                                 build_hamiltonian, build_hamiltonian_expansion,
+                                 build_hamiltonian_expansion,
                                  builtin_family, ground_state,
                                  ground_state_lowdim, gs_bound,
                                  hamiltonian_from_config,
@@ -121,9 +122,11 @@ class TestBuild:
         assert (spec.subsets, spec.normalize, spec.name) == (
             ((1,), (2,), (3,)), False, "custom")
         for bad in ({**cfg, "V": True}, {**cfg, "subsets": "all"},
-                    {**cfg, "normalize": 1}, [cfg]):
+                    {**cfg, "normalize": 1}, {**cfg, "name": None}, [cfg]):
             with pytest.raises(ValueError, match="config"):
                 hamiltonian_from_config(bad)
+        with pytest.raises(ValueError, match="'subset'"):
+            hamiltonian_from_config({**cfg, "subset": [[1]]})
         with pytest.raises(ValueError, match="config template line 1"):
             hamiltonian_from_config({**cfg, "template": "0 -1 (2,1)"})
 

@@ -150,11 +150,6 @@ UNREACHED_ALLOWED = {
     "ladder_matrix": "benchmark span target",
     "expectation_word_dense": "benchmark span target",
     "ground_state": "benchmark span target",
-    # Independent oracles that the tests compare the package against.
-    "even_partitions": "test oracle for the cumulant partitions",
-    "moment_from_cumulant_fn": "test oracle for moment-cumulant inversion",
-    "mixture_matrix": "test oracle for the mixture density matrix",
-    "build_hamiltonian": "test oracle for the sparse Hamiltonian",
     # Public API, exported by the package.
     "expansion_to_text": "writes the fixture format that --fixture reads",
     "to_expansion": "dense-to-symbolic conversion",
