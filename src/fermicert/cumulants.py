@@ -21,18 +21,21 @@ definition, and certifies:
 
 Ladder operators are never formed as dense matrices, and rho is never
 multiplied by anything: ladders are :data:`fock.XorTerms`, a Fourier
-ladder being V phased site-ladder terms.  Moments are computed for many
-rows of ladders at once: the distinct rows and their distinct halves
-are numbered as dictionary keys, whatever their length or the number of
-ladders, each distinct half is one :func:`fock.xor_product` chain, and
-one :func:`fock.xor_pair_traces` call reads every distinct row
+ladder being V phased site-ladder terms.  The package has one ladder
+type, :class:`LadderIndex`, the Fourier ladder (c, mode, q); a site
+ladder is read only inside the Gaussian-mixture prediction, straight from
+:func:`fock.ladder_terms`.  Moments are computed for many rows of ladders
+at once: the distinct rows and their distinct halves are numbered as
+dictionary keys, whatever their length or the number of ladders, each
+distinct half is one :func:`fock.xor_product` chain, and one
+:func:`fock.xor_pair_traces` call reads every distinct row
 (:func:`_row_moments`).  Cumulants are array arithmetic over the signed
 even partitions, on the moments of every even sub-tuple of every row
 (:func:`_row_cumulants`), so :func:`fourier_cumulant` computes a whole
 case list in one stacked pass and keeps nothing after it returns;
-:func:`cumulant_mats` and :func:`moment` are calls of the same code,
-and the only cumulant API: there is no callback form.
-:func:`ladder_matrix` is a dense view of the same terms.
+:func:`cumulant_mats` is a call of the same code, and the only cumulant
+API: there is no callback form.  :func:`ladder_matrix` is a dense view of
+the site-ladder terms.
 """
 
 from __future__ import annotations
@@ -59,20 +62,17 @@ CUMULANT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LadderIndex:
-    """One ladder operator: c = +1 annihilation, c = -1 creation, acting on
-    ``site`` and mode ``mode``; ``q`` is the optional Fourier label."""
+    """One Fourier ladder (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c:
+    c = +1 annihilation, c = -1 creation, on mode ``mode`` of every site,
+    with Fourier label ``q``.  Frozen, so an instance is its own dict key."""
 
     c: int
-    site: int
     mode: int
-    q: Optional[int] = None
+    q: int
 
     def __post_init__(self):
         if self.c not in (1, -1):
             raise ValueError(f"c must be +1 or -1, got {self.c}")
-
-    def triple(self) -> Tuple[int, int, Optional[int]]:
-        return (self.c, self.mode, self.q)
 
 
 def fourier_q_range(V: int) -> range:
@@ -231,17 +231,6 @@ def ladder_matrix(shape: SystemShape, c: int, site: int, mode: int) -> np.ndarra
     return xor_matrix(shape, ladder_terms(shape, c, site, mode))
 
 
-def moment(rho: DenseOperator,
-           rows: Sequence[Sequence[LadderIndex]]) -> np.ndarray:
-    """tr(rho f^{c_1} ... f^{c_w}) of each row of site-local ladder
-    indices, rows of one length w, one entry per row."""
-    index: Dict[Tuple[int, int, int], int] = {}
-    ids = [[index.setdefault((o.c, o.site, o.mode), len(index)) for o in ops]
-           for ops in rows]
-    return _row_moments(rho.matrix, [ladder_terms(rho.shape, *key)
-                                     for key in index], ids)
-
-
 def cumulant_mats(rho: np.ndarray, ladders: Sequence[XorTerms]) -> complex:
     """Joint cumulant of ladder operators given as XOR terms
     (:func:`fock.ladder_terms`, :func:`fourier_ladder_terms`)."""
@@ -294,27 +283,26 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
         raise ValueError("the cases of one call need one order w")
     if w % 2 or w < 2:
         raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
-    index: Dict[Tuple[int, int, Optional[int]], int] = {}
-    rows = np.array([[index.setdefault(o.triple(), len(index)) for o in ops]
+    index: Dict[LadderIndex, int] = {}
+    rows = np.array([[index.setdefault(o, len(index)) for o in ops]
                      for ops in cases], dtype=np.int64)
-    for _, _, q in index:
-        if q is None:
-            raise ValueError("Fourier cumulants need q labels on every index")
-        if q not in fourier_q_range(V):
-            raise ValueError(f"q = {q} outside range for V = {V}")
+    for o in index:
+        if o.q not in fourier_q_range(V):
+            raise ValueError(f"q = {o.q} outside range for V = {V}")
 
     site: Dict[Tuple[int, int], int] = {}
-    site_of = np.array([site.setdefault((c, mode), len(site))
-                        for c, mode, _ in index], dtype=np.int64)
+    site_of = np.array([site.setdefault((o.c, o.mode), len(site))
+                        for o in index], dtype=np.int64)
     k_single = _row_cumulants(rho_single.matrix, [
         fourier_ladder_terms(shape, c, mode, 0) for c, mode in site],
         site_of[rows])
-    total_q = np.array([c * q for c, _, q in index], dtype=np.int64)[
+    total_q = np.array([o.c * o.q for o in index], dtype=np.int64)[
         rows].sum(axis=1)
     closed = (V ** (-w / 2.0)) * k_single * _phase_sum(total_q, V)
     power = product_power(rho_single, V)
     direct = _row_cumulants(power.matrix, [
-        fourier_ladder_terms(power.shape, *key) for key in index], rows)
+        fourier_ladder_terms(power.shape, o.c, o.mode, o.q) for o in index],
+        rows)
     ordered = np.sort(rows, axis=1)
     distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
     return FourierCumulantResult(direct, closed, k_single, distinct,
@@ -375,17 +363,18 @@ def gaussian_mixture_deviation(rho_k: DenseOperator, mixture: ProductMixture,
     # For an even site state xi the cross-site terms of tr(xi^(x k) A_i A_j)
     # vanish and the Jordan-Wigner strings cancel, leaving one site:
     # (1/k) sum_s exp(2 pi i (c_i q_i + c_j q_j) s / k) tr(xi f_i f_j).
-    signs = global_parity_signs(SystemShape(1, p))
+    site = SystemShape(1, p)
+    signs = global_parity_signs(site)
     odd = signs[:, None] != signs[None, :]
     index_pairs = list(itertools.combinations(range(4), 2))
     phases = _phase_sum(np.array([ops[i].c * ops[i].q + ops[j].c * ops[j].q
                                   for i, j in index_pairs]), k) / k
-    site_ops = [LadderIndex(o.c, 1, o.mode) for o in ops]
-    pair_rows = [[site_ops[i], site_ops[j]] for i, j in index_pairs]
     if any(np.any(xi.matrix[odd]) for xi in mixture.components):
         raise ValueError("Gaussian-mixture pair values need even "
                          "mixture components")
-    pairs = np.array([phases * moment(xi, pair_rows)
+    site_ladders = [ladder_terms(site, o.c, 1, o.mode) for o in ops]
+    pairs = np.array([phases * _row_moments(xi.matrix, site_ladders,
+                                            index_pairs)
                       for xi in mixture.components])
     weights = np.asarray(mixture.weights, dtype=float)
     predicted = 0.0 + 0.0j
@@ -400,21 +389,21 @@ def gaussian_mixture_deviation(rho_k: DenseOperator, mixture: ProductMixture,
 def corollary_index_sets(k: int, p: int) -> List[Tuple[LadderIndex, ...]]:
     """Deterministic degree-4 Fourier index sample on a k-site system:
     one resonant plus, when one exists, one off-resonant distinct-triple
-    choice.  The site field of the indices is unused for Fourier modes."""
+    choice."""
     q_hi = max(fourier_q_range(k))
     sets: List[Tuple[LadderIndex, ...]] = []
     if p == 1:
-        sets.append((LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-                     LadderIndex(-1, 1, 1, q_hi), LadderIndex(1, 1, 1, q_hi)))
+        sets.append((LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+                     LadderIndex(-1, 1, q_hi), LadderIndex(1, 1, q_hi)))
         if k >= 3:
-            off = (LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-                   LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, -1))
+            off = (LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+                   LadderIndex(-1, 1, 1), LadderIndex(1, 1, -1))
             sets.append(off)
     else:
-        sets.append((LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-                     LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)))
-        off = (LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-               LadderIndex(-1, 1, 2, q_hi), LadderIndex(1, 1, 2, 0))
+        sets.append((LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+                     LadderIndex(-1, 2, 0), LadderIndex(1, 2, 0)))
+        off = (LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+               LadderIndex(-1, 2, q_hi), LadderIndex(1, 2, 0))
         sets.append(off)
     return sets
 

@@ -157,8 +157,8 @@ def test_criterion_5_runtime():
 def test_criterion_6_literal_ratio_form():
     for V in range(2, 9):
         q = V // 2
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-               LadderIndex(-1, 1, 1, q), LadderIndex(1, 1, 1, q)]
+        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+               LadderIndex(-1, 1, q), LadderIndex(1, 1, q)]
         res = fourier_cumulant(DIAG_THIRDS, V, [ops])
         lhs = abs(res.direct.item())
         ratio = lhs * V / abs(res.single_site_cumulant.item())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (cumulant, even_partitions, fourier_ladder_matrix,
-                      independent_ladder, moment_from_cumulant_fn,
+                      independent_ladder, moment, moment_from_cumulant_fn,
                       random_density_matrix, random_even_density_matrix)
 from fermicert import cumulants, suites
 from fermicert.algebra import SystemShape
@@ -19,7 +19,7 @@ from fermicert.cumulants import (LadderIndex, corollary_index_sets,
                                  cumulant_mats, fourier_cumulant,
                                  fourier_ladder_terms, fourier_q_range,
                                  gaussian_mixture_deviation, ladder_matrix,
-                                 moment, partition_sign, verify_corollary,
+                                 partition_sign, verify_corollary,
                                  verify_suppression)
 from fermicert.definetti import ProductMixture, product_power
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
@@ -31,8 +31,9 @@ VACUUM = DenseOperator(SH1, np.diag([1.0, 0.0]).astype(complex))
 DIAG_THIRDS = DenseOperator(SH1, np.diag([1.0 / 3.0, 2.0 / 3.0]).astype(complex))
 CORRELATED = DenseOperator(SH12, np.diag([0.5, 0.1, 0.1, 0.3]).astype(complex))
 
-F = LadderIndex(1, 1, 1)
-FDAG = LadderIndex(-1, 1, 1)
+#: Site ladders f and f-dagger on site 1, mode 1, as (c, site, mode).
+F = (1, 1, 1)
+FDAG = (-1, 1, 1)
 
 #: Shapes of the kron-chain oracle tests: three modes split over sites.
 ORACLE_SHAPES = (SystemShape(3, 1), SystemShape(2, 2), SystemShape(1, 3))
@@ -117,9 +118,9 @@ def xor_terms_matrix(terms, dim):
 
 
 def random_site_ops(shape, w, rng):
-    return [LadderIndex(1 if rng.random() < 0.5 else -1,
-                        int(rng.integers(1, shape.sites + 1)),
-                        int(rng.integers(1, shape.modes_per_site + 1)))
+    return [(1 if rng.random() < 0.5 else -1,
+             int(rng.integers(1, shape.sites + 1)),
+             int(rng.integers(1, shape.modes_per_site + 1)))
             for _ in range(w)]
 
 
@@ -192,7 +193,7 @@ class TestMoments:
     def test_odd_moments_vanish_for_even_states(self, rng):
         sh = SystemShape(2, 1)
         rho = DenseOperator(sh, random_even_density_matrix(sh, rng))
-        for ops in ([F], [F, FDAG, LadderIndex(1, 2, 1)]):
+        for ops in ([F], [F, FDAG, (1, 2, 1)]):
             assert abs(moment(rho, [ops])[0]) < 1e-12
 
     def test_ladder_matrix_action(self):
@@ -215,7 +216,7 @@ class TestMoments:
             dense = DenseOperator(sh, rho)
             for w in (1, 2, 3, 4, 4, 4):
                 ops = random_site_ops(sh, w, rng)
-                mats = [oracle_ladder(sh, o.c, o.site, o.mode) for o in ops]
+                mats = [oracle_ladder(sh, *o) for o in ops]
                 assert abs(moment(dense, [ops])[0]
                            - dense_moment(rho, mats)) < 1e-12
 
@@ -224,12 +225,12 @@ class TestCumulants:
     def test_k2_equals_moment(self, rng):
         sh = SystemShape(1, 2)
         rho = DenseOperator(sh, random_even_density_matrix(sh, rng))
-        ops = [LadderIndex(-1, 1, 1), LadderIndex(1, 1, 2)]
+        ops = [(-1, 1, 1), (1, 1, 2)]
         assert cumulant(rho, ops) == pytest.approx(moment(rho, [ops])[0])
 
     def test_vacuum_fourth_cumulants_vanish(self):
         for pattern in itertools.product((1, -1), repeat=4):
-            ops = [LadderIndex(c, 1, 1) for c in pattern]
+            ops = [(c, 1, 1) for c in pattern]
             assert abs(cumulant(VACUUM, ops)) < 1e-10
 
     def test_single_mode_fourth_cumulant_is_zero(self):
@@ -237,7 +238,7 @@ class TestCumulants:
         # every operator pattern (hand recombination: moment n equals
         # n^2 + n(1 - n) from the two surviving signed pairings).
         for pattern in itertools.product((1, -1), repeat=4):
-            ops = [LadderIndex(c, 1, 1) for c in pattern]
+            ops = [(c, 1, 1) for c in pattern]
             assert abs(cumulant(DIAG_THIRDS, ops)) < 1e-12
 
     def test_recombination_identity(self):
@@ -260,8 +261,7 @@ class TestCumulants:
                 ops = []
                 for i in range(w):
                     site, mode = modes[int(rng.integers(len(modes)))]
-                    ops.append(LadderIndex(1 if rng.random() < 0.5 else -1,
-                                           site, mode))
+                    ops.append((1 if rng.random() < 0.5 else -1, site, mode))
 
                 def cfun(block):
                     return cumulant(rho, [ops[i] for i in block])
@@ -272,8 +272,7 @@ class TestCumulants:
     def test_correlated_p2_value(self):
         # K4(f1†, f1, f2†, f2) = <n1 n2> - <n1><n2> for diagonal two-mode
         # states: 0.3 - 0.4 * 0.4 = 0.14.
-        ops = [LadderIndex(-1, 1, 1), LadderIndex(1, 1, 1),
-               LadderIndex(-1, 1, 2), LadderIndex(1, 1, 2)]
+        ops = [(-1, 1, 1), (1, 1, 1), (-1, 1, 2), (1, 1, 2)]
         assert cumulant(CORRELATED, ops) == pytest.approx(0.14, abs=1e-12)
 
     def test_odd_length_rejected(self):
@@ -294,7 +293,7 @@ class TestCumulants:
             dense = DenseOperator(sh, rho)
             for w in (2, 4, 4, 4):
                 ops = random_site_ops(sh, w, rng)
-                mats = [oracle_ladder(sh, o.c, o.site, o.mode) for o in ops]
+                mats = [oracle_ladder(sh, *o) for o in ops]
                 assert abs(cumulant(dense, ops)
                            - dense_cumulant(rho, mats)) < 1e-12
 
@@ -305,26 +304,26 @@ class TestFourierCumulants:
         assert list(fourier_q_range(5)) == [-2, -1, 0, 1, 2]
 
     def test_resonant_second_cumulant(self):
-        ops = [LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
+        ops = [LadderIndex(-1, 1, 1), LadderIndex(1, 1, 1)]
         res = fourier_cumulant(DIAG_THIRDS, 3, [ops])
         assert res.direct[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert res.closed_form[0] == pytest.approx(res.direct[0], abs=1e-12)
 
     def test_offresonant_vanishes(self):
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1)]
+        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 1)]
         res = fourier_cumulant(DIAG_THIRDS, 3, [ops])
         assert abs(res.direct[0]) < 1e-12
         assert abs(res.closed_form[0]) < 1e-12
 
     def test_lemma4_w4_p1(self):
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-               LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
+        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+               LadderIndex(-1, 1, 1), LadderIndex(1, 1, 1)]
         res = fourier_cumulant(DIAG_THIRDS, 3, [ops])
         assert abs(res.direct[0] - res.closed_form[0]) < 1e-9
 
     def test_lemma4_w4_p2_nonzero(self):
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-               LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
+        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+               LadderIndex(-1, 2, 0), LadderIndex(1, 2, 0)]
         res = fourier_cumulant(CORRELATED, 2, [ops])
         # Resonant phase sum V = 2 gives K4/V = 0.14/2 = 0.07 exactly.
         assert res.direct[0] == pytest.approx(0.07, abs=1e-9)
@@ -340,8 +339,8 @@ class TestFourierCumulants:
         # Two states of one shape: a call keeps nothing, so each state
         # gets the same values bit for bit in either order of calls, and
         # the states' values differ.
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1),
-               LadderIndex(-1, 1, 2, 1), LadderIndex(1, 1, 2, 0)]
+        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 1),
+               LadderIndex(-1, 2, 1), LadderIndex(1, 2, 0)]
         states = [CORRELATED, DenseOperator(
             SH12, random_even_density_matrix(SH12, rng))]
         first = [fourier_cumulant(rho, 3, [ops]) for rho in states]
@@ -367,24 +366,38 @@ class TestFourierCumulants:
             assert res.resonant[i] == alone.resonant[0]
 
     def test_distinct_triples_flag(self):
-        repeated = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-                    LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1)]
-        distinct = repeated[:2] + [LadderIndex(-1, 1, 1, 1),
-                                   LadderIndex(1, 1, 1, 1)]
+        repeated = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+                    LadderIndex(-1, 1, 0), LadderIndex(1, 1, 1)]
+        distinct = repeated[:2] + [LadderIndex(-1, 1, 1),
+                                   LadderIndex(1, 1, 1)]
         res = fourier_cumulant(DIAG_THIRDS, 3, [repeated, distinct, repeated])
         assert res.distinct_triples.tolist() == [False, True, False]
 
-    def test_q_out_of_range(self):
-        with pytest.raises(ValueError):
-            fourier_cumulant(DIAG_THIRDS, 3, [[LadderIndex(-1, 1, 1, 2),
-                                               LadderIndex(1, 1, 1, 2)]])
+    def test_q_out_of_range(self, monkeypatch):
+        # The range check runs before the V-fold copy is built.
+        def no_copy(*args):
+            raise AssertionError("the V-fold copy was built")
+
+        monkeypatch.setattr(cumulants, "product_power", no_copy)
+        with pytest.raises(ValueError, match="outside range"):
+            fourier_cumulant(DIAG_THIRDS, 3, [[LadderIndex(-1, 1, 0),
+                                               LadderIndex(1, 1, 2)]])
 
     def test_missing_q(self):
-        with pytest.raises(ValueError, match="q labels"):
-            fourier_cumulant(DIAG_THIRDS, 3, [[FDAG, F]])
+        # A ladder is the Fourier ladder, exactly the fields (c, mode, q),
+        # all required: a ladder without q and the four-field form
+        # (c, site, mode, q) are errors, and a ladder is its own dict key.
+        assert [f.name for f in dataclasses.fields(LadderIndex)] == [
+            "c", "mode", "q"]
+        with pytest.raises(TypeError):
+            LadderIndex(1, 1)
+        four_fields = (1, 1, 1, 0)
+        with pytest.raises(TypeError):
+            LadderIndex(*four_fields)
+        assert {LadderIndex(-1, 2, 1): 0}[LadderIndex(-1, 2, 1)] == 0
 
     def test_case_lists_of_one_order_only(self):
-        pair = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0)]
+        pair = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0)]
         with pytest.raises(ValueError, match="at least one case"):
             fourier_cumulant(DIAG_THIRDS, 3, [])
         with pytest.raises(ValueError, match="one order w"):
@@ -405,7 +418,7 @@ class TestFourierCumulants:
             rho = random_even_density_matrix(sh, rng)
             qs = list(fourier_q_range(sh.sites))
             for _ in range(4):
-                ops = [LadderIndex(int(c), 1, int(rng.integers(
+                ops = [LadderIndex(int(c), int(rng.integers(
                            1, sh.modes_per_site + 1)), int(rng.choice(qs)))
                        for c in rng.choice([1, -1], size=4)]
                 ladders = [fourier_ladder_terms(sh, o.c, o.mode, o.q)
@@ -421,22 +434,26 @@ class TestXorEngine:
 
     @staticmethod
     def oracle_pair(sh, o):
-        """(XOR terms, dense oracle) of a site ladder (q None) or a Fourier
-        ladder."""
-        if o.q is None:
-            return (ladder_terms(sh, o.c, o.site, o.mode),
-                    oracle_ladder(sh, o.c, o.site, o.mode))
+        """(XOR terms, dense oracle) of a site ladder, a (c, site, mode)
+        tuple, or a Fourier ladder."""
+        if not isinstance(o, LadderIndex):
+            return ladder_terms(sh, *o), oracle_ladder(sh, *o)
         return (fourier_ladder_terms(sh, o.c, o.mode, o.q),
                 oracle_fourier(sh, o.c, o.mode, o.q))
 
     @staticmethod
     def random_ops(sh, w, rng, fourier):
+        """w random site ladders, or Fourier ladders with a random q; both
+        draw a site, so the two kinds read one random stream."""
         qs = list(fourier_q_range(sh.sites))
-        return [LadderIndex(1 if rng.random() < 0.5 else -1,
-                            int(rng.integers(1, sh.sites + 1)),
-                            int(rng.integers(1, sh.modes_per_site + 1)),
-                            int(rng.choice(qs)) if fourier else None)
-                for _ in range(w)]
+        ops = []
+        for _ in range(w):
+            c = 1 if rng.random() < 0.5 else -1
+            site = int(rng.integers(1, sh.sites + 1))
+            mode = int(rng.integers(1, sh.modes_per_site + 1))
+            ops.append(LadderIndex(c, mode, int(rng.choice(qs))) if fourier
+                       else (c, site, mode))
+        return ops
 
     def case_list(self, sh, w, rng, fourier):
         """Ladder terms, their dense oracles and an (n, w) index array of
@@ -505,7 +522,7 @@ class TestXorEngine:
         got = moment(rho, rows)
         assert got.shape == (5,)
         for value, ops in zip(got, rows):
-            mats = [oracle_ladder(sh, o.c, o.site, o.mode) for o in ops]
+            mats = [oracle_ladder(sh, *o) for o in ops]
             assert abs(value - dense_moment(rho.matrix, mats)) < 1e-12
         assert got[4] == got[1]
 
@@ -514,11 +531,10 @@ class TestXorEngine:
         # projector 1 - n, whatever the number of ladders in the row.
         sh = SystemShape(2, 1)
         rho = DenseOperator(sh, random_density_matrix(sh.fock_dim, rng))
-        f, fdag = LadderIndex(1, 1, 1), LadderIndex(-1, 1, 1)
-        want = dense_moment(rho.matrix, [oracle_ladder(sh, 1, 1, 1),
-                                         oracle_ladder(sh, -1, 1, 1)])
-        assert abs(moment(rho, [[f, fdag] * 32])[0] - want) < 1e-12
-        assert abs(moment(rho, [[f, fdag]])[0] - want) < 1e-12
+        want = dense_moment(rho.matrix, [oracle_ladder(sh, *F),
+                                         oracle_ladder(sh, *FDAG)])
+        assert abs(moment(rho, [[F, FDAG] * 32])[0] - want) < 1e-12
+        assert abs(moment(rho, [[F, FDAG]])[0] - want) < 1e-12
 
     def test_lemma4_claim_forms_each_half_once(self, monkeypatch):
         # The suite's V = 4, w = 4 claim in one call: each distinct
@@ -552,8 +568,8 @@ class TestXorEngine:
 
 class TestSuppression:
     def test_gaussian_both_sides_zero(self):
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-               LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
+        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+               LadderIndex(-1, 1, 1), LadderIndex(1, 1, 1)]
         res = fourier_cumulant(VACUUM, 3, [ops])
         rep = verify_suppression(VACUUM, 3, ops, res)
         assert rep.passed and rep.lhs < 1e-12 and rep.rhs < 1e-12
@@ -563,8 +579,8 @@ class TestSuppression:
         # single-mode states (they are Gaussian), which is the equality.
         for V in (2, 4, 6, 8):
             q = V // 2
-            ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-                   LadderIndex(-1, 1, 1, q), LadderIndex(1, 1, 1, q)]
+            ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+                   LadderIndex(-1, 1, q), LadderIndex(1, 1, q)]
             res = fourier_cumulant(DIAG_THIRDS, V, [ops])
             rep = verify_suppression(DIAG_THIRDS, V, ops, res)
             assert rep.passed
@@ -572,8 +588,8 @@ class TestSuppression:
 
     def test_p2_ratio_is_one(self):
         # Non-Gaussian site state: the resonant ratio is genuinely 1.
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-               LadderIndex(-1, 1, 2, 0), LadderIndex(1, 1, 2, 0)]
+        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+               LadderIndex(-1, 2, 0), LadderIndex(1, 2, 0)]
         for V in (2, 3, 4):
             res = fourier_cumulant(CORRELATED, V, [ops])
             assert abs(res.single_site_cumulant[0]) > 0.1
@@ -581,7 +597,7 @@ class TestSuppression:
             assert ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_w2_rejected(self):
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0)]
+        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0)]
         res = fourier_cumulant(VACUUM, 3, [ops])
         with pytest.raises(ValueError):
             verify_suppression(VACUUM, 3, ops, res)
@@ -591,8 +607,8 @@ class TestSuppression:
         # The closed form meets the bound by construction, so it cannot
         # stand in for the direct value: over the cap there is no claim.
         monkeypatch.setenv(MODE_CAP_ENV, "4")
-        ops = [LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-               LadderIndex(-1, 1, 1, 1), LadderIndex(1, 1, 1, 1)]
+        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+               LadderIndex(-1, 1, 1), LadderIndex(1, 1, 1)]
         with pytest.raises(ResourceCapError):
             fourier_cumulant(DIAG_THIRDS, V, [ops])
 
@@ -619,8 +635,8 @@ class TestWick:
                               random_even_density_matrix(SystemShape(k, 2),
                                                          rng))
         # One index set beyond the corollary sample.
-        generic = (LadderIndex(1, 1, 1, 1), LadderIndex(-1, 1, 2, 0),
-                   LadderIndex(1, 1, 2, -1), LadderIndex(-1, 1, 1, 0))
+        generic = (LadderIndex(1, 1, 1), LadderIndex(-1, 2, 0),
+                   LadderIndex(1, 2, -1), LadderIndex(-1, 1, 0))
         pairings = (((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1),
                     ((0, 3), (1, 2), 1))
         for ops in corollary_index_sets(k, 2) + [generic]:
@@ -645,7 +661,7 @@ class TestWick:
     def test_gaussian_mixture_deviation_needs_four_ladders(self, w):
         xi = DenseOperator(SH1, np.diag([0.25, 0.75]).astype(complex))
         mixture = ProductMixture(np.array([1.0]), (xi,))
-        ops = [LadderIndex(-1 if i % 2 == 0 else 1, 1, 1, 0)
+        ops = [LadderIndex(-1 if i % 2 == 0 else 1, 1, 0)
                for i in range(w)]
         with pytest.raises(ValueError, match="four"):
             gaussian_mixture_deviation(product_power(xi, 2), mixture, ops)

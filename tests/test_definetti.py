@@ -10,7 +10,6 @@ from conftest import (cumulant, mixture_matrix, random_even_density_matrix,
                       word_matrix_oracle)
 from fermicert import definetti, suites
 from fermicert.algebra import SystemShape
-from fermicert.cumulants import LadderIndex
 from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
                                  MixtureFit, ProductMixture,
                                  _MixtureOptimizer, best_mixture_approx,
@@ -93,6 +92,10 @@ class TestComponentParametrization:
             validity = check_state(xi)
             assert validity.all_ok
             assert validity.parity_ok
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_param_count_is_the_basis_size(self, p):
+        assert n_component_params(p) == len(even_hermitian_basis(p))
 
     def test_basis_hermitian(self):
         for p in (1, 2, 3):
@@ -518,7 +521,7 @@ class TestVerifyTheorem1:
         rep, mixture, diag = verify_theorem1(state, 2, seed=3)
         assert rep.passed and rep.lhs < 1e-6
         assert diag == mixture_diagnostics(mixture)
-        assert diag["components_valid"] and diag["components_even"]
+        assert diag["components_valid"]
 
     def test_mu_one_k2(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
@@ -546,7 +549,7 @@ class TestVerifyTheorem1:
         for xi in mixture.components:
             if np.real(np.trace(xi.matrix @ xi.matrix)) > 1.0 - 1e-8:
                 for pattern in ((-1, 1, -1, 1), (1, -1, 1, -1)):
-                    ops = [LadderIndex(c, 1, 1) for c in pattern]
+                    ops = [(c, 1, 1) for c in pattern]
                     assert abs(cumulant(xi, ops)) < 1e-6
 
     def test_preconditions(self):
@@ -562,7 +565,10 @@ class TestVerifyTheorem1:
         np.diag([1.5, -0.5]),
         # Positive and unit trace, but it mixes the parity sectors.
         np.full((2, 2), 0.5),
-    ], ids=["non-positive", "odd"])
+        # At one mode per site the off-diagonal entries are the odd ones:
+        # the evenness check alone rejects 1e-7.
+        np.array([[0.5, 1e-7], [1e-7, 0.5]]),
+    ], ids=["non-positive", "odd", "off-diagonal"])
     def test_invalid_witness_component_fails(self, monkeypatch, component):
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         inv = check_invariance(state)
@@ -580,8 +586,8 @@ class TestVerifyTheorem1:
         assert mixture.components[0] is bad
         assert rep.lhs <= rep.rhs
         assert not rep.passed
-        assert "component validity check failed" in rep.notes
-        assert not (diag["components_valid"] and diag["components_even"])
+        assert rep.failures == ["component validity check failed"]
+        assert not diag["components_valid"]
 
     def test_diagnostics_run_once_per_row(self, monkeypatch):
         # verify_theorem1 hands its diagnostics to the suite, which reads

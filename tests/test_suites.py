@@ -82,6 +82,12 @@ def test_mu_cases_checked_once_across_suites(monkeypatch):
     suites._mu_case.cache_clear()
 
 
+def test_mu_states_shared_across_suites():
+    # The mu-family states are built once per process: the suites that
+    # read only the state get the one that the invariance checks read.
+    assert suites._mu_state(6, 1.0) is suites._mu_case(6, 1.0)[0]
+
+
 def test_lemma3_suite_fails_a_drop_in_k(monkeypatch):
     # On top of the verifier's verdict, the suite requires lhs monotone
     # in k: a report whose lhs falls below the previous k's fails.
@@ -164,8 +170,8 @@ def test_clt_lemma4_cases_count_every_ordered_choice():
 def test_clt_rejects_a_repeated_triple_case(monkeypatch):
     # A case outside the distinct-triples hypothesis is an error, not a
     # case that drops out of the claim's count.
-    repeated = (LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 0),
-                LadderIndex(-1, 1, 1, 0), LadderIndex(1, 1, 1, 1))
+    repeated = (LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+                LadderIndex(-1, 1, 0), LadderIndex(1, 1, 1))
     monkeypatch.setattr(suites, "_lemma4_cases", lambda V, w: [repeated])
     with pytest.raises(ValueError, match="repeats"):
         suites.run_verify_clt()
