@@ -36,10 +36,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import OperatorExpansion, SystemShape, expansion_from_text
 from .definetti import verify_theorem1
-from .fock import ResourceCapError, check_state, to_matrix
+from .fock import (ResourceCapError, check_state, ensure_within_cap,
+                   to_matrix)
 from .invariance import MuFamilyParams, mu_family_state, verify_lemma3
 from .meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES, builtin_family,
                         hamiltonian_from_config, verify_gs_bound)
+from .quadratic import QuadraticForm
 from .rdm import CirculantParams, compare_circulant_spectrum, spectrum_report
 from .report import (VerificationReport, render_reports, reports_to_rows,
                      write_csv)
@@ -76,7 +78,9 @@ def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
     return it with the report inputs that name it and the report notes.
 
     This is where a state enters from outside, so this is where its
-    validity is checked.  The bound certifications run on the Hermitian
+    validity is checked: a quadratic input, as every mu-family state is,
+    from its levels (:meth:`QuadraticForm.state_validity`), any other from
+    its dense matrix.  The bound certifications run on the Hermitian
     unit-trace operator, so with --strict-state an input that is not a
     valid state (unit trace, positive, parity superselected) is a usage
     error; otherwise the run goes on and each failed check is a note.
@@ -94,7 +98,10 @@ def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
         params = MuFamilyParams(args.V, args.p, args.mu)
         state = mu_family_state(params, validate=False)
         inputs = {"mu": args.mu}
-    validity = check_state(to_matrix(state))
+    ensure_within_cap(state.shape)
+    form = QuadraticForm.from_expansion(state)
+    validity = (check_state(to_matrix(state)) if form is None
+                else form.state_validity())
     if args.strict_state and not validity.all_ok:
         raise ValueError(
             f"input is not a valid state: trace {validity.trace_value:.6g}, "
@@ -196,8 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     rdm.add_argument("--V", type=int)
     rdm.add_argument("--a", type=float, default=None,
                      help="diagonal entry (N/V) (omit to sweep the suite)")
-    rdm.add_argument("--b-re", type=float)
-    rdm.add_argument("--b-im", type=float)
+    for flag, part in (("--b-re", "real"), ("--b-im", "imaginary")):
+        rdm.add_argument(flag, type=float,
+                         help=f"{part} part of the off-diagonal entry; a "
+                              "negative value in scientific notation needs "
+                              f"the '=' form, e.g. {flag}=-3.25e-06")
 
     gs = add("gs-bound", "mean-field energy-gap certification",
              seed="required")

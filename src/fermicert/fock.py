@@ -638,7 +638,8 @@ def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         pos = np.empty_like(order)
         pos[order] = np.arange(len(order)) - np.repeat(starts, sizes)
         entry_block = labels[rows]
-    for s in np.unique(sizes):
+    # bincount, not np.unique: unique imports numpy.ma on first use.
+    for s in np.flatnonzero(np.bincount(sizes)):
         ids = np.flatnonzero(sizes == s)
         idx = order[starts[ids][:, None] + np.arange(s)]
         if terms:

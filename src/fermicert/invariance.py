@@ -26,6 +26,12 @@ touch holds only zeros.
 The mu family built here is the standard witness separating the two
 notions: it is permutation invariant for every mu in [-1, 1] but fully
 invariant only at mu = 0.
+
+The Lemma-3 trace norm is read from the odd part of the reduction.  When
+that part is a Hermitian quadratic, as every reduction of the mu family's
+is, its spectrum is c0 + sum of signed Majorana levels
+(:class:`quadratic.QuadraticForm`) and no Fock matrix is built; any other
+odd part, one with a quartic word say, goes through the dense matrix.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .algebra import (OperatorExpansion, SystemShape, relabel_word,
                       site_blocks, validate_permutation)
 from .fock import (DenseOperator, Isometry, reduce_expansion, to_matrix,
                    trace_norm, word_expectations_dense)
+from .quadratic import QuadraticForm
 from .report import INEQUALITY, VerificationReport, make_report, vacuous_notes
 
 #: The checks cover every word of degree at most this.
@@ -317,8 +324,12 @@ def verify_lemma3(rho: OperatorExpansion, k: int,
     channel; rhs is :func:`lemma3_bound`; preconditions as in
     :func:`invariant_reduction`.  The difference is assembled symbolically,
     so a vanishing one yields lhs = 0 exactly, as k = 1 (rhs = 0) must.  A
-    vacuous rhs is noted (:func:`report.vacuous_notes`).  A single CLI run
-    gets the same verdict as the suite row.
+    quadratic difference is read from its levels
+    (:meth:`quadratic.QuadraticForm.trace_norm`), any other from the
+    eigenvalues of its dense matrix; the choice rests only on the words
+    and coefficients of the difference.  A vacuous rhs is noted
+    (:func:`report.vacuous_notes`).  A single CLI run gets the same
+    verdict as the suite row.
     """
     start = time.perf_counter()
     V, p = rho.shape.sites, rho.shape.modes_per_site
@@ -326,8 +337,11 @@ def verify_lemma3(rho: OperatorExpansion, k: int,
         inv_report = check_invariance(rho)
     reduced = invariant_reduction(rho, k, inv_report)
     diff = reduced - reduced.even_channel()
+    form = QuadraticForm.from_expansion(diff)
     if not diff.terms:
         lhs = 0.0
+    elif form is not None:
+        lhs = form.trace_norm()
     else:
         lhs = trace_norm(to_matrix(diff))
     rhs = lemma3_bound(V, p, k)

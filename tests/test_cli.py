@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -130,6 +131,57 @@ class TestCliSingleCommands:
         code = main(["--out", str(tmp_path), "verify-lemma3", "--V", "6",
                      "--mu", "1", "--k", "2", "--strict-state"])
         assert code == 2
+
+    def test_quadratic_state_is_checked_from_its_levels(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # Every mu-family state is quadratic: its validity comes from the
+        # Majorana levels, with the dense check's verdict and note.
+        def refuse(dense):
+            raise AssertionError("dense state check")
+
+        monkeypatch.setattr(cli, "check_state", refuse)
+        args = ["--out", str(tmp_path), "verify-lemma3", "--V", "6", "--mu",
+                "1", "--k", "2"]
+        assert main(args) == 0
+        assert ("input operator is not positive (min eigenvalue -5.309e-03)"
+                in capsys.readouterr().out)
+        assert main(args + ["--strict-state"]) == 2
+
+    def test_quartic_fixture_is_checked_densely(self, tmp_path, monkeypatch):
+        checked = []
+
+        def counted(dense):
+            checked.append(dense.dim)
+            return check_state(dense)
+
+        from fermicert.fock import check_state
+        monkeypatch.setattr(cli, "check_state", counted)
+        fixture = tmp_path / "state.txt"
+        # The same quartic word on every 4-subset: invariant, not quadratic.
+        fixture.write_text("0.015625 0 1\n" + "".join(
+            "0.001 0 " + "".join(f"({j},1)" for j in quad) + "\n"
+            for quad in itertools.combinations(range(1, 7), 4)))
+        assert main(["--out", str(tmp_path), "verify-lemma3", "--V", "6",
+                     "--k", "2", "--fixture", str(fixture)]) == 0
+        assert checked == [64]
+
+    def test_lemma3_over_the_mode_cap_exit_3(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "verify-lemma3", "--V", "14",
+                     "--mu", "0.3", "--k", "2"]) == 3
+        assert "resource cap" in capsys.readouterr().err
+
+    def test_negative_scientific_b_needs_the_equals_form(self):
+        # argparse reads "-3.25e-06" after a space as an option, not a
+        # value; the help text names the form that works.
+        args = build_parser().parse_args(
+            ["rdm-spectrum", "--V", "5", "--a", "0.5", "--b-re=-1e-3",
+             "--b-im=-3.25e-06"])
+        assert (args.b_re, args.b_im) == (-1e-3, -3.25e-06)
+        sub = build_parser()._subparsers._group_actions[0].choices[
+            "rdm-spectrum"]
+        helps = {a.dest: a.help for a in sub._actions}
+        assert "--b-re=-3.25e-06" in helps["b_re"]
+        assert "--b-im=-3.25e-06" in helps["b_im"]
 
     def test_rdm_instance_flat_spectrum(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "rdm-spectrum", "--V", "6",

@@ -2,6 +2,10 @@
 spectral helpers and state checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -731,6 +735,24 @@ class TestDiagonalBlocks:
                         found.append(rows.tolist())
                 assert sorted(found) == want
                 assert np.array_equal(rebuilt, dense)
+
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use, 10-15 ms inside a
+        # suite's wall time; the block sizes are found without it.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from fermicert.fock import diagonal_blocks\n"
+                "m = np.diag([1.0, 2.0, 3.0])\n"
+                "m[0, 1] = m[1, 0] = 0.5\n"
+                "sizes = [idx.shape[1] for idx, _ in diagonal_blocks(m)]\n"
+                "print(sizes, 'numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "[1, 2] False"
 
 
 @st.composite

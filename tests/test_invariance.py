@@ -18,6 +18,7 @@ from fermicert.invariance import (InvarianceReport, MuFamilyParams,
                                   is_order_preserving, lemma3_bound,
                                   mu_family_state, verify_lemma3,
                                   words_up_to_degree)
+from fermicert.suites import MU_SWEEP, run_verify_lemma3
 
 TAN6 = math.tan(math.pi / 12.0)
 
@@ -522,6 +523,61 @@ class TestVerifyLemma3:
             assert np.max(np.abs(first - other)) < 1e-12
             symbolic = to_matrix(reduce_expansion(permuted, 2)).matrix
             assert np.max(np.abs(first - symbolic)) < 1e-12
+
+    @pytest.mark.parametrize("V", [6, 8])
+    @pytest.mark.parametrize("mu", MU_SWEEP + (0.3,))
+    def test_agrees_with_the_dense_trace_norm(self, V, mu):
+        state = mu_family_state(MuFamilyParams(V, 1, mu), validate=False)
+        inv = check_invariance(state)
+        for k in range(1, V):
+            lhs = verify_lemma3(state, k, inv_report=inv).lhs
+            if k == 1:
+                assert lhs == 0.0
+                continue
+            reduced = reduce_expansion(state, k)
+            diff = reduced - reduced.even_channel()
+            dense = trace_norm(to_matrix(diff)) if diff.terms else 0.0
+            assert lhs == pytest.approx(dense, rel=1e-14, abs=0.0), (k, lhs)
+
+    def test_quartic_odd_part_takes_the_dense_route(self, monkeypatch):
+        # 1/64 (1 + i t mu sum_{j<l} m_j m_l + r sum_{j<l<s<u} m_j m_l m_s
+        # m_u), every m the first Majorana of its site: the quartic words
+        # are Hermitian with a real coefficient, odd on each of their
+        # sites, and equal on every 4-subset, so the state is permutation
+        # invariant and its k >= 4 odd parts are not quadratic.
+        shape = SystemShape(6, 1)
+        terms = {0: 1.0 / 64.0}
+        for pair in itertools.combinations(range(1, 7), 2):
+            terms[mask_of(shape, *((j, 1) for j in pair))] = 0.1j / 64.0
+        for quad in itertools.combinations(range(1, 7), 4):
+            terms[mask_of(shape, *((j, 1) for j in quad))] = 0.3 / 64.0
+        state = OperatorExpansion(shape, terms)
+        inv = check_invariance(state)
+        dense_calls = []
+
+        def counted(dense):
+            dense_calls.append(dense.dim)
+            return trace_norm(dense)
+
+        monkeypatch.setattr(invariance, "trace_norm", counted)
+        for k in (4, 5):
+            reduced = reduce_expansion(state, k)
+            diff = reduced - reduced.even_channel()
+            oracle = np.sum(np.abs(np.linalg.eigvalsh(to_matrix(diff).matrix)))
+            rep = verify_lemma3(state, k, inv_report=inv)
+            assert rep.lhs == pytest.approx(oracle, rel=1e-12)
+        assert dense_calls == [16, 32]
+
+    def test_suite_builds_no_matrix(self, monkeypatch):
+        # Every reduction of the mu family has a quadratic odd part, so
+        # the suite reads each trace norm from the Majorana levels.
+        def refuse(*args):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(invariance, "to_matrix", refuse)
+        monkeypatch.setattr(invariance, "trace_norm", refuse)
+        reports, _ = run_verify_lemma3()
+        assert len(reports) == 60 and all(r.passed for r in reports)
 
     def test_bound_formula(self):
         assert lemma3_bound(6, 1, 2) == pytest.approx(0.7698003589, abs=1e-9)
