@@ -245,10 +245,9 @@ def _single_rdm(args) -> Run:
     if args.V is None:
         raise ValueError("--V is required with --a")
     b = complex(args.b_re, args.b_im)
-    rows, worst, singular = compare_circulant_spectrum(
+    rows, worst = compare_circulant_spectrum(
         CirculantParams(args.V, args.a, b))
-    rep = spectrum_report({"V": args.V, "a": args.a, "b": b}, worst,
-                          [f"singular k excluded: {singular}"] if singular else [])
+    rep = spectrum_report({"V": args.V, "a": args.a, "b": b}, worst)
     return [rep], {"rdm_spectrum": suites.table("rdm_spectrum", rows)}
 
 

@@ -195,6 +195,32 @@ class TestCliSingleCommands:
         assert [(c["claim_id"], c["kind"]) for c in claims] == [
             ("rdm-spectrum", EQUALITY)]
 
+    @pytest.mark.parametrize("b_im", ["1e-5", "3e-6", "1e-6"])
+    def test_rdm_instance_near_real_b_passes(self, tmp_path, capsys, b_im):
+        # Imaginary parts this small once put a removable zero of the
+        # closed form near k = 0 and gave FAIL with lhs up to 1.6e-6.
+        assert main(["--out", str(tmp_path), "rdm-spectrum", "--V", "7",
+                     "--a", "0.5", "--b-re", "0.066", "--b-im", b_im]) == 0
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            (claim,) = list(csv.DictReader(fh))
+        assert claim["passed"] == "1"
+        assert float(claim["lhs"]) < 1e-14
+
+    @pytest.mark.parametrize("values, name", [
+        (["--a", "nan", "--b-re", "0.1"], "a"),
+        (["--a", "0.5", "--b-re", "nan"], "b"),
+        (["--a", "0.5", "--b-re", "inf"], "b"),
+        (["--a", "inf", "--b-re", "0.1"], "a"),
+        (["--a", "0.5", "--b-re", "0.1", "--b-im=-inf"], "b"),
+    ], ids=["a-nan", "b-re-nan", "b-re-inf", "a-inf", "b-im-inf"])
+    def test_rdm_instance_non_finite_exit_2(self, tmp_path, capsys, values,
+                                            name):
+        # Named before any eigensolver sees the matrix.
+        assert main(["--out", str(tmp_path), "rdm-spectrum", "--V", "5",
+                     *values]) == 2
+        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_missing_fixture_exit_2(self, tmp_path):
         code = main(["--out", str(tmp_path), "verify-lemma3", "--fixture",
                      str(tmp_path / "missing.txt"), "--V", "6", "--k", "2"])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (independent_ladder, random_density_matrix,
                       random_even_density_matrix)
@@ -86,10 +87,16 @@ class TestOneRDM:
 
 
 def closed_form(params: CirculantParams) -> np.ndarray:
-    """The closed-form values of a spectrum with no singular k."""
-    vals, singular = circulant_spectrum_with_fallback(params)
-    assert singular == []
+    """The closed-form values; the second value is always empty."""
+    vals, rest = circulant_spectrum_with_fallback(params)
+    assert rest == ()
     return vals
+
+
+def deviation(params: CirculantParams) -> float:
+    """Largest gap between the sorted closed form and eigvalsh."""
+    direct = np.linalg.eigvalsh(circulant_matrix(params))
+    return float(np.max(np.abs(np.sort(closed_form(params)) - direct)))
 
 
 class TestCirculantSpectrum:
@@ -105,16 +112,11 @@ class TestCirculantSpectrum:
     def test_real_branch_matches_direct(self):
         for V in range(2, 13):
             for b in (-0.1, 0.05, 0.3 / V):
-                params = CirculantParams(V, 0.5, complex(b))
-                vals = np.sort(closed_form(params))
-                direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
-                assert np.max(np.abs(vals - direct)) < 1e-10
+                assert deviation(CirculantParams(V, 0.5, complex(b))) < 1e-10
 
     def test_complex_branch_matches_direct(self):
         params = CirculantParams(6, 0.5, 0.05 * np.exp(1j * math.pi / 5))
-        vals = np.sort(closed_form(params))
-        direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
-        assert np.max(np.abs(vals - direct)) < 1e-10
+        assert deviation(params) < 1e-10
 
     def test_trace_rule(self):
         for V in (2, 5, 9):
@@ -122,18 +124,11 @@ class TestCirculantSpectrum:
                 vals = closed_form(CirculantParams(V, 0.5, b))
                 assert abs(np.sum(vals) - 0.5 * V) < 1e-10
 
-    def test_singularity_named_and_fallback(self):
-        params = CirculantParams(6, 0.5, complex(0.05 * np.exp(1e-7j)))
-        vals, singular = circulant_spectrum_with_fallback(params)
-        assert singular == [0]
-        direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
-        assert np.max(np.abs(np.sort(vals) - direct)) < 1e-10
-
     @pytest.mark.parametrize("b", [complex(0.05 * np.exp(1e-7j)),
                                    -0.1 + 1e-14j, 0.1 + 1e-14j])
     def test_singular_fill_needs_no_eigensolver(self, monkeypatch, b):
-        # The singular value is the trace V a minus the others, and it
-        # matches the eigensolver without calling it.
+        # Near-real b, where a form that divides by 1 - cos(...) meets its
+        # removable zero: every value comes from the closed form alone.
         params = CirculantParams(6, 0.5, b)
         direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
 
@@ -142,37 +137,42 @@ class TestCirculantSpectrum:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solver)
         monkeypatch.setattr(np.linalg, "eigh", no_solver)
-        vals, singular = circulant_spectrum_with_fallback(params)
-        assert len(singular) == 1
+        vals = closed_form(params)
         assert np.max(np.abs(np.sort(vals) - direct)) < 1e-14
 
-    @pytest.mark.parametrize("b, singular_k, position", [
-        (-0.1 + 1e-14j, 1, 0),
-        (0.1 + 1e-14j, 0, 5),
-    ])
-    def test_compare_excludes_the_singular_formula_index(
-            self, monkeypatch, b, singular_k, position):
-        # Near-real b makes one formula index singular; its value comes
-        # from the eigensolver and sorts to a position other than k.
-        params = CirculantParams(6, 0.5, b)
-        values, singular = circulant_spectrum_with_fallback(params)
-        assert singular == [singular_k]
-        assert int(np.argsort(values, kind="stable")[position]) == singular_k
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(2, 40), st.floats(-1.0, 1.0), st.floats(0.0, 1.0),
+           st.sampled_from([0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi]),
+           st.floats(-1.0, 1.0), st.integers(0, 12))
+    def test_matches_eigvalsh_near_every_axis(self, V, a, mag, axis, sign,
+                                              decades):
+        # Angles within 10^-decades of the real and imaginary axes, where
+        # |Im b| / |Re b| reaches 1e-12 or its inverse.
+        angle = axis + sign * 10.0 ** -decades
+        params = CirculantParams(V, a, complex(mag * np.exp(1j * angle)))
+        assert deviation(params) < 1e-12
 
-        # Shift the filled value without changing its rank: only the row
-        # it lands in may show the shift, and that row is excluded.
-        def shifted(p):
-            vals, sing = circulant_spectrum_with_fallback(p)
-            vals = vals.copy()
-            vals[sing] += 1e-9
-            return vals, sing
+    @pytest.mark.parametrize("V, a, b", [
+        # Near b = +-i, r = Re b / cos(theta) is 1.9e-2 off here.
+        (38, -0.20462100712915765,
+         -1.2075203980816546e-13 + 0.9664038059352485j),
+        (7, 0.5, 0.1j),
+        (9, -0.3, -0.05j),
+        # A subnormal Im b takes the real branch and stays finite.
+        (6, 0.5, 0.1 + 5e-324j),
+    ], ids=["near-i", "pure-imaginary", "pure-imaginary-negative",
+            "subnormal-imaginary"])
+    def test_fixed_hard_inputs(self, V, a, b):
+        params = CirculantParams(V, a, b)
+        assert np.all(np.isfinite(closed_form(params)))
+        assert deviation(params) < 1e-12
 
-        monkeypatch.setattr(rdm, "circulant_spectrum_with_fallback", shifted)
-        rows, worst, got = compare_circulant_spectrum(params)
-        assert got == [singular_k]
+    def test_compare_rows_and_worst(self):
+        params = CirculantParams(6, 0.5, 0.05 * np.exp(0.9j))
+        rows, worst = compare_circulant_spectrum(params)
         assert [row[1] for row in rows] == list(range(6))
-        assert rows[position][4] == pytest.approx(1e-9, rel=1e-3)
-        assert worst < 1e-12
+        assert worst == max(row[4] for row in rows) < 1e-14
 
     def test_small_V_rejected(self):
         with pytest.raises(ValueError):
