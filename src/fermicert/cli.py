@@ -157,6 +157,14 @@ def _add_state_args(sub):
                      help="reduction size (omit to sweep the suite)")
 
 
+def _seed(text: str) -> int:
+    """An RNG seed: an integer >= 0, as numpy's generators take."""
+    if not text.strip().removeprefix("+").isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermicert",
@@ -175,10 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
             epilog=_csv_doc(name))
         if seed == "required":
-            sub.add_argument("--seed", type=int, required=True,
+            sub.add_argument("--seed", type=_seed, required=True,
                              help="RNG seed (required: optimizer command)")
         elif seed == "optional":
-            sub.add_argument("--seed", type=int, default=0, help="RNG seed")
+            sub.add_argument("--seed", type=_seed, default=0, help="RNG seed")
         else:
             sub.set_defaults(seed=None)
         return sub

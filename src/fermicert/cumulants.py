@@ -419,7 +419,7 @@ def verify_corollary(rho_k: DenseOperator, mixture: ProductMixture, V: int,
     four Fourier ladders (default :func:`corollary_index_sets`).  No
     absolute constant is claimed; the report records the empirical ratio
     and the sweep driver applies the scaling (slope) gate and times the
-    claim, witness search included.
+    claim, witness search included where the witness is searched for.
     """
     shape = rho_k.shape
     k, p = shape.sites, shape.modes_per_site

@@ -321,10 +321,9 @@ class _MixtureOptimizer:
     eigensolvers.  A coordinate sweep forms the residual without the
     component it moves once, so each trial point costs one update and one
     eigenvalue solve per block; only the weight steps need eigenvectors,
-    for the sign matrix, and a start's first distance reads eigenvalues
-    alone unless it misses :data:`EXACT_HIT`.  The eigensolvers read the
-    lower triangle of each residual: the target blocks are made Hermitian
-    once, and the powers are Hermitian up to roundoff.
+    for the sign matrix.  The eigensolvers read the lower triangle of each
+    residual: the target blocks are made Hermitian once, and the powers
+    are Hermitian up to roundoff.
 
     Every start and every improving coordinate sweep also evaluates
     :func:`dual_lower_bound` at the current sign matrix; the largest value
@@ -382,20 +381,12 @@ class _MixtureOptimizer:
             out.append(_minus(target, mix))
         return out
 
-    def _distance_and_sign(self, weights, powers, stop_below: float = 0.0):
+    def _distance_and_sign(self, weights, powers):
         """Distance and the per-block sign matrices V sign(w) V^dagger of
-        the residual, each held as its pair (sign(w), V).  With
-        ``stop_below`` positive the distance is read from eigenvalues alone
-        first, and one below it comes back with no sign matrices (None)."""
-        residual = self._residual(weights, powers)
-        if stop_below > 0.0:
-            dist = sum(float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
-                       for delta in residual)
-            if dist < stop_below:
-                return dist, None
+        the residual, each held as its pair (sign(w), V): one eigh a block."""
         dist = 0.0
         signs = []
-        for delta in residual:
+        for delta in self._residual(weights, powers):
             w, v = np.linalg.eigh(delta)
             dist += float(np.sum(np.abs(w)))
             signs.append((np.sign(w), v))
@@ -447,8 +438,7 @@ class _MixtureOptimizer:
         weights = project_simplex(np.asarray(weights, dtype=float))
         params = [np.asarray(q, dtype=float).copy() for q in params]
         powers = self._powers(params)
-        dist, sign = self._distance_and_sign(weights, powers, EXACT_HIT)
-        best = dist
+        best, sign = self._distance_and_sign(weights, powers)
         best_state = (weights.copy(), [q.copy() for q in params])
         if best < EXACT_HIT or self._proven(best, sign):
             return best, best_state

@@ -346,7 +346,9 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
     search's upper bound, so the gap is an upper bound too.  A negative
     gap fails the claim: no product state undercuts the exact ground
     energy.  A single CLI run gets the same verdict as the suite row.
+    The mode cap is checked before the Hamiltonian is expanded.
     """
+    ensure_within_cap(spec.shape)
     start = time.perf_counter()
     h_exp, notes = build_hamiltonian_expansion(spec)
     e_gs, ground = ground_state_lowdim(h_exp)

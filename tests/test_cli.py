@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermicert import cli, suites
+from fermicert import cli, meanfield, suites
 from fermicert.cli import SINGLE, build_parser, main
 from fermicert.fock import MODE_CAP_ENV
 from fermicert.meanfield import BUILTIN_CONFIGS
@@ -35,6 +35,13 @@ BLAS_CHECKED["check-algebra"] = (["--seed", "0"], 2)
 BLAS_CHECKED["gs-bound"] = (["--seed", "0"], 2)
 BLAS_CHECKED["verify-theorem1"] = (["--seed", "0"], 2)
 BLAS_CHECKED["verify-corollary"] = (["--seed", "0"], 2)
+
+#: Every command that takes --seed, with the arguments of one instance
+#: (none: its suite).
+SEEDED = [("check-algebra", []), ("verify-theorem1", []),
+          ("verify-theorem1", ["--V", "6", "--k", "2"]),
+          ("verify-corollary", []), ("gs-bound", []),
+          ("gs-bound", ["--hamiltonian", "pair-hopping"]), ("all", [])]
 
 
 class TestReports:
@@ -473,6 +480,27 @@ class TestCliSingleCommands:
                      "--hamiltonian", "site-number", "--V", str(V)]) == code
         assert ("resource cap" in capsys.readouterr().err) == (code == 3)
 
+    @pytest.mark.parametrize("source", ["hamiltonian", "config"])
+    def test_gs_over_the_mode_cap_builds_nothing(self, tmp_path,
+                                                 monkeypatch, capsys,
+                                                 source):
+        # The cap is checked before the Hamiltonian's expansion is built,
+        # so a large V exits 3 at once instead of expanding every term.
+        def refuse(spec):
+            raise AssertionError("expansion built over the mode cap")
+
+        monkeypatch.setattr(meanfield, "build_hamiltonian_expansion", refuse)
+        if source == "config":
+            path = tmp_path / "ham.json"
+            path.write_text(json.dumps({"V": 13, "p": 1, "k": 1,
+                                        "template": "0 -1 (1,1)(1,2)"}))
+            argv = ["--config", str(path)]
+        else:
+            argv = ["--hamiltonian", "pair-hopping", "--V", "13"]
+        assert main(["--out", str(tmp_path / "out"), "gs-bound",
+                     "--seed", "0", *argv]) == 3
+        assert "resource cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["abc", ""])
     def test_non_integer_mode_cap_exit_2(self, tmp_path, monkeypatch, capsys,
                                          value):
@@ -481,6 +509,34 @@ class TestCliSingleCommands:
                      "--seed", "0"]) == 2
         err = capsys.readouterr().err
         assert MODE_CAP_ENV in err and repr(value) in err
+
+    @pytest.mark.parametrize("command, argv", SEEDED)
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path,
+                                                 monkeypatch, capsys,
+                                                 command, argv, seed):
+        # Parsing refuses the seed, naming --seed, before any claim is
+        # computed.
+        def no_run(args):
+            raise AssertionError("ran with an invalid seed")
+
+        monkeypatch.setattr(cli, "_run", no_run)
+        with pytest.raises(SystemExit) as err:
+            main(["--out", str(tmp_path), command, *argv, "--seed", seed])
+        assert err.value.code == 2
+        assert "argument --seed: expected an integer >= 0" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, argv", SEEDED)
+    def test_large_seeds_parse(self, command, argv):
+        seed = "99999999999999999999999"
+        args = build_parser().parse_args([command, *argv, "--seed", seed])
+        assert args.seed == int(seed)
+
+    def test_large_seed_runs(self, tmp_path):
+        assert main(["--out", str(tmp_path), "gs-bound", "--seed",
+                     "99999999999999999999999", "--hamiltonian",
+                     "pair-hopping"]) == 0
 
     def test_theorem1_requires_seed(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -377,13 +377,14 @@ class TestDualLowerBound:
         for opt, rep in zip(searches, reports):
             assert opt.starts == [rep.lhs]
             assert f"dual lower bound {opt.lower:.12g}" in rep.notes
-        # Four product-p2 and three mu-family corollary witnesses.
+        # The three mu-family corollary witnesses; the product-p2 rows take
+        # their own site state and search none.
         run_verify_corollary(seed=5)
-        assert len(searches) == 67
+        assert len(searches) == 63
         # The two gs-convexity witnesses; the family loop searches none.
         monkeypatch.setattr(suites, "BUILTIN_FAMILIES", ())
         run_gs_bound(seed=7)
-        assert len(searches) == 69
+        assert len(searches) == 65
         for opt in searches:
             assert len(opt.starts) == 1 and opt.distances == 1
             best = opt.starts[0]
@@ -449,25 +450,27 @@ class TestDualLowerBound:
 
 
 class TestExactArithmetic:
-    def test_product_p2_searches_stop_on_eigenvalues(self, monkeypatch):
-        # The four product-p2 corollary targets are exact products, so each
-        # search hits EXACT_HIT at its first distance, read from eigenvalues
-        # alone: no residual block reaches eigh, only the 4 x 4 single-site
-        # solves of the Gibbs components do.  The first start's equal
-        # components share one tensor power, and the real target blocks
-        # and powers go to the real eigensolver.
+    def test_product_p2_searches_hit_at_their_first_distance(self,
+                                                              monkeypatch):
+        # An exact product target hits EXACT_HIT at its first distance:
+        # the residual's two parity blocks each reach eigh once, besides
+        # the 4 x 4 single-site solves of the Gibbs components, and no
+        # eigenvalue-only pass runs.  The first start's equal components
+        # share one tensor power, and the real target blocks and powers go
+        # to the real eigensolver.
         targets = {k: product_power(suites._CORRELATED_P2, k)
                    for k in range(2, 6)}
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
         power = definetti.product_power
-        eigh_sizes, eigvalsh_kinds, powers = [], [], []
+        eigh_blocks, eigvalsh_sizes, powers = [], [], []
 
         def counting_eigh(a, *args, **kwargs):
-            eigh_sizes.append(a.shape[-1])
+            if a.shape[-1] != 4:
+                eigh_blocks.append((a.shape[-1], a.dtype.kind))
             return eigh(a, *args, **kwargs)
 
         def counting_eigvalsh(a, *args, **kwargs):
-            eigvalsh_kinds.append(a.dtype.kind)
+            eigvalsh_sizes.append(a.shape[-1])
             return eigvalsh(a, *args, **kwargs)
 
         def counting_power(xi, k):
@@ -478,14 +481,14 @@ class TestExactArithmetic:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(definetti, "product_power", counting_power)
         for k, target in targets.items():
-            eigh_sizes.clear()
-            eigvalsh_kinds.clear()
+            eigh_blocks.clear()
+            eigvalsh_sizes.clear()
             powers.clear()
             fit = best_mixture_approx(target, seed=5)
             assert fit.distance < EXACT_HIT
             assert powers == [k]
-            assert set(eigh_sizes) == {4}
-            assert eigvalsh_kinds == ["f", "f"]
+            assert eigh_blocks == [(4 ** k // 2, "f")] * 2
+            assert eigvalsh_sizes == []
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               database=None)

@@ -184,9 +184,45 @@ def test_run_all_witness_searches_stop_after_one_start(counted_run_all):
     # all one-word exact.  A weaker dual bound or one-word detection
     # shows here as extra starts or coordinate searches.
     _, counts = counted_run_all
-    assert counts["searches"] == 69
+    assert counts["searches"] == 65
     assert counts["starts"] == counts["searches"]
     assert counts["coordinate"] == 0
+
+
+def test_corollary_product_rows_are_their_own_witness(monkeypatch):
+    # An exact product xi^(x k) is its own de Finetti mixture: its rows
+    # pass xi as the witness and search none, so only the three mu-family
+    # rows (k = 2, 3, 4) call best_mixture_approx.  With one component
+    # the predicted K4 is exactly 0, and the metric is the direct cumulant
+    # alone: k times it is <n1 n2> - <n1><n2> = 0.3 - 0.4 * 0.4 = 0.14
+    # for xi = diag(0.5, 0.1, 0.1, 0.3).
+    searches = []
+    search = definetti.best_mixture_approx
+    deviation = cumulants.gaussian_mixture_deviation
+    predicted = []
+
+    def counting_search(*args, **kwargs):
+        searches.append(args[0].shape.sites)
+        return search(*args, **kwargs)
+
+    def recording_deviation(rho_k, mixture, ops):
+        direct, pred = deviation(rho_k, mixture, ops)
+        predicted.append((rho_k.shape.sites, len(mixture.weights), pred))
+        return direct, pred
+
+    monkeypatch.setattr(suites, "best_mixture_approx", counting_search)
+    monkeypatch.setattr(cumulants, "gaussian_mixture_deviation",
+                        recording_deviation)
+    reports, _ = suites.run_verify_corollary(seed=0)
+    assert searches == [2, 3, 4]
+    products = [r for r in reports if r.inputs.get("source") == "product-p2"]
+    assert [r.inputs["k"] for r in products] == [2, 3, 4, 5]
+    # The product rows run first, one ladder set each.
+    assert predicted[:4] == [(k, 1, 0.0) for k in (2, 3, 4, 5)]
+    for rep in products:
+        k = rep.inputs["k"]
+        assert abs(rep.lhs * k - 0.14) <= 1e-14
+        assert not any("mixture distance" in n for n in rep.notes)
 
 
 def test_vacuous_trace_distance_bounds_are_noted(counted_run_all):
