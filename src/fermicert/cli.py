@@ -105,7 +105,8 @@ def _load_state(args) -> Tuple[OperatorExpansion, Dict[str, object],
     if args.strict_state and not validity.all_ok:
         raise ValueError(
             f"input is not a valid state: trace {validity.trace_value:.6g}, "
-            f"min eigenvalue {validity.min_eigenvalue:.3e}, parity "
+            f"min eigenvalue {validity.min_eigenvalue:.3e}, Hermiticity "
+            f"residual {validity.hermiticity_residual:.3e}, parity "
             f"superselection {'kept' if validity.parity_ok else 'broken'}")
     notes = []
     if not validity.positive_ok:

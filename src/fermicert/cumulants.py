@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import SystemShape
+from .algebra import SystemShape, canonicalize_positions
 from .definetti import ProductMixture, product_power
 from .fock import (DenseOperator, XorTerms, global_parity_signs,
                    ladder_terms, xor_matrix, xor_pair_traces, xor_product)
@@ -99,14 +99,9 @@ def _even_partitions_of(positions: Tuple[int, ...]):
 
 
 def partition_sign(partition: Sequence[Sequence[int]]) -> int:
-    """Sign of the permutation sorting the blockwise concatenation."""
-    seq = [x for block in partition for x in block]
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    """Sign of the permutation sorting the blockwise concatenation of
+    distinct indices (:func:`algebra.canonicalize_positions`)."""
+    return canonicalize_positions(x for block in partition for x in block)[0]
 
 
 #: (sign, partition) pairs over the indices 0 .. w-1.
@@ -389,7 +384,9 @@ def gaussian_mixture_deviation(rho_k: DenseOperator, mixture: ProductMixture,
 def corollary_index_sets(k: int, p: int) -> List[Tuple[LadderIndex, ...]]:
     """Deterministic degree-4 Fourier index sample on a k-site system:
     one resonant plus, when one exists, one off-resonant distinct-triple
-    choice."""
+    choice.  At p = 1 both start with (F_0-dagger, F_0), equal in their
+    m^1 parts, so K_4 cancels on any state with only m^1 pair terms (the
+    mu family): its cumulants sit on four distinct sites, antisymmetric."""
     q_hi = max(fourier_q_range(k))
     sets: List[Tuple[LadderIndex, ...]] = []
     if p == 1:

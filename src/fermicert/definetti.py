@@ -48,7 +48,8 @@ import numpy as np
 from .algebra import OperatorExpansion, SystemShape, reversal_sign
 from .fock import (DenseOperator, check_state, ensure_within_cap,
                    global_parity_signs, jw_matrix, occupations,
-                   partial_trace_sites, real_if_exact, to_matrix)
+                   partial_trace_sites, real_if_exact, require_hermitian,
+                   to_matrix)
 from .invariance import (InvarianceReport, check_invariance,
                          invariant_reduction, lemma3_bound)
 from .report import INEQUALITY, VerificationReport, make_report, vacuous_notes
@@ -265,15 +266,6 @@ def dual_lower_bound(blocks: Sequence[np.ndarray], signs: Sequence[np.ndarray],
     return overlap / norm
 
 
-def _minus(block: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """block - x, for x a matrix or the diagonal of one."""
-    if x.ndim == 2:
-        return block - x
-    out = block.copy()
-    out.flat[::len(x) + 1] -= x
-    return out
-
-
 def coordinate_search(value: Callable[[float], float], lo: float, hi: float,
                       start: float, golden_iters: int) -> Tuple[float, float]:
     """Minimize ``value`` over [lo, hi]; returns ``(x, value(x))``.
@@ -305,6 +297,25 @@ def coordinate_search(value: Callable[[float], float], lo: float, hi: float,
     return (c1, f1) if f1 <= f2 else (c2, f2)
 
 
+def coordinate_sweep(value: Callable[[np.ndarray], float], params: np.ndarray,
+                     lo: float, hi: float, current: float,
+                     golden_iters: int) -> float:
+    """One :func:`coordinate_search` of ``value`` per entry of ``params``,
+    in order, from ``current = value(params)``; an entry moves, in place,
+    if that beats ``current`` by over 1e-15.  Returns the value reached."""
+    for j in range(len(params)):
+        def along(x: float) -> float:
+            trial = params.copy()
+            trial[j] = x
+            return value(trial)
+
+        x_best, v_best = coordinate_search(along, lo, hi, params[j],
+                                           golden_iters)
+        if v_best < current - 1e-15:
+            params[j], current = x_best, v_best
+    return current
+
+
 class _MixtureOptimizer:
     """Alternating minimization of || R - sum_l a_l xi_l^(x k) ||_1.
 
@@ -312,18 +323,16 @@ class _MixtureOptimizer:
     exactly zero entries between the sectors (:func:`parity_blocks`).  The
     components are exactly even, so the distance is the sum of the two
     block trace norms, and the sign matrix and the weight gradient are
-    formed per block.  A power is held as its pair of blocks: at p = 1 as
-    their diagonals, from the closed form :func:`hamming_power` indexed by
-    Hamming weight, at p > 1 as the dense blocks of the tensor power.
+    formed per block.  A power is held as its pair of dense blocks, at
+    p = 1 diagonal with the closed-form :func:`hamming_power` entries.
     Components of a start with equal parameters share one power, and
     target blocks and powers with no imaginary part are held as real
     arrays (:func:`fock.real_if_exact`), so their residuals go to the real
-    eigensolvers.  A coordinate sweep forms the residual without the
-    component it moves once, so each trial point costs one update and one
-    eigenvalue solve per block; only the weight steps need eigenvectors,
-    for the sign matrix.  The eigensolvers read the lower triangle of each
-    residual: the target blocks are made Hermitian once, and the powers
-    are Hermitian up to roundoff.
+    eigensolvers.  Only the weight steps need eigenvectors, for the sign
+    matrix; a coordinate sweep solves for eigenvalues alone.  The
+    eigensolvers read the lower triangle of each residual: the target
+    blocks are made Hermitian once, and the powers are Hermitian up to
+    roundoff.
 
     Every start and every improving coordinate sweep also evaluates
     :func:`dual_lower_bound` at the current sign matrix; the largest value
@@ -344,7 +353,6 @@ class _MixtureOptimizer:
             self.hamming = [np.bitwise_count(s) for s in self.sectors]
         else:
             self.lo, self.hi = -GENERATOR_BOX, GENERATOR_BOX
-        self.n_params = n_component_params(p)
         patterns = site_parity_patterns(SystemShape(k, p))
         self.twirled = [patterns[s][:, None] == patterns[s][None, :]
                         for s in self.sectors]
@@ -354,7 +362,7 @@ class _MixtureOptimizer:
         if self.p == 1:
             alpha = min(max(float(params[0]), 0.0), 1.0)
             by_weight = hamming_power(alpha, self.k)
-            return [by_weight[h] for h in self.hamming]
+            return [np.diag(by_weight[h]) for h in self.hamming]
         xi = component_state(self.p, params)
         xi = DenseOperator(xi.shape, real_if_exact(xi.matrix))
         full = product_power(xi, self.k).matrix
@@ -378,7 +386,7 @@ class _MixtureOptimizer:
             for l, (a, x) in enumerate(zip(weights, powers)):
                 if l != skip:
                     mix += a * x[b]
-            out.append(_minus(target, mix))
+            out.append(target - mix)
         return out
 
     def _distance_and_sign(self, weights, powers):
@@ -393,45 +401,35 @@ class _MixtureOptimizer:
         return dist, signs
 
     def _gradient(self, signs, powers) -> np.ndarray:
-        """Weight gradient -tr(S P_l) of the distance; at p = 1 it reads
-        only the diagonal of S, since the powers are diagonal."""
-        if self.p == 1:
-            mats = [(np.abs(v) ** 2) @ sw for sw, v in signs]
-        else:
-            mats = [(v * sw) @ v.conj().T for sw, v in signs]
+        """Weight gradient -tr(S P_l) of the distance."""
+        mats = [(v * sw) @ v.conj().T for sw, v in signs]
         return np.array([-sum(float(np.real(np.vdot(sb, xb)))
                               for sb, xb in zip(mats, x))
                          for x in powers])
 
-    def _lower_bound(self, signs) -> float:
-        """:func:`dual_lower_bound` at the sign matrices ``signs``."""
-        mats = [(v * sw) @ v.conj().T for sw, v in signs]
-        return dual_lower_bound(self.blocks, mats, self.twirled)
-
     def _proven(self, best: float, signs) -> bool:
-        """Raise ``lower`` by the bound at ``signs``; whether ``best`` is
-        now within :data:`STOP_GAP` of it."""
-        self.lower = max(self.lower, self._lower_bound(signs))
+        """Raise ``lower`` by the :func:`dual_lower_bound` at ``signs``;
+        whether ``best`` is now within :data:`STOP_GAP` of it."""
+        mats = [(v * sw) @ v.conj().T for sw, v in signs]
+        self.lower = max(self.lower,
+                         dual_lower_bound(self.blocks, mats, self.twirled))
         return best - self.lower <= STOP_GAP
 
     def _coordinate_sweep(self, weights, params, powers, best):
+        """One :func:`coordinate_sweep` per component l, of the blockwise
+        trace norm of rest - a_l P(q), rest the residual without l; its
+        power is read by no trial point and is rebuilt once, after."""
         for l in range(self.r):
             rest = self._residual(weights, powers, skip=l)
-            a_l = weights[l]
-            for j in range(self.n_params):
-                def value(x: float) -> float:
-                    trial = params[l].copy()
-                    trial[j] = x
-                    return sum(float(np.sum(np.abs(np.linalg.eigvalsh(
-                        _minus(res, a_l * xb)))))
-                        for res, xb in zip(rest, self._power(trial)))
 
-                x_best, v_best = coordinate_search(
-                    value, self.lo, self.hi, params[l][j], golden_iters=22)
-                if v_best < best - 1e-15:
-                    params[l][j] = x_best
-                    powers[l] = self._power(params[l])
-                    best = v_best
+            def value(trial: np.ndarray) -> float:
+                return sum(float(np.sum(np.abs(np.linalg.eigvalsh(
+                    res - weights[l] * xb))))
+                    for res, xb in zip(rest, self._power(trial)))
+
+            best = coordinate_sweep(value, params[l], self.lo, self.hi,
+                                    best, golden_iters=22)
+            powers[l] = self._power(params[l])
         return best
 
     def run(self, weights: np.ndarray, params: List[np.ndarray]):
@@ -495,9 +493,11 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
     verifier passes; the budget only matters where the bounds do not meet
     early.  The target need not be positive: the search runs on any
     Hermitian operator, and callers check state validity where a state
-    enters from outside.  Raises ``ValueError`` when the target has a
-    nonzero entry between the even and odd global-parity sectors.
+    enters from outside.  Raises ``ValueError``, as :func:`fock.trace_norm`
+    does, on a target further than :data:`fock.HERMITIAN_TOL` from
+    Hermitian, or with a nonzero entry between the parity sectors.
     """
+    require_hermitian(rho_k.matrix, "mixture-approximation target")
     shape = rho_k.shape
     k, p = shape.sites, shape.modes_per_site
     if r is None:

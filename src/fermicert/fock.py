@@ -148,6 +148,7 @@ class StateValidity:
     parity_ok: bool
     min_eigenvalue: float
     trace_value: complex
+    hermiticity_residual: float
 
     @property
     def all_ok(self) -> bool:
@@ -667,12 +668,13 @@ def check_state(dense: DenseOperator) -> StateValidity:
     herm = 0.5 * (dense.matrix + dense.matrix.conj().T)
     min_eig = min(float(np.linalg.eigvalsh(stack)[:, 0].min())
                   for _, stack in diagonal_blocks(herm))
-    positive_ok = (min_eig >= -STATE_EIG_TOL and hermiticity_residual(
-        dense.matrix) < STATE_HERMITIAN_TOL)
+    residual = hermiticity_residual(dense.matrix)
+    positive_ok = min_eig >= -STATE_EIG_TOL and residual < STATE_HERMITIAN_TOL
     signs = global_parity_signs(dense.shape)
     pinched = signs[:, None] * dense.matrix * signs[None, :]
     parity_ok = float(np.max(np.abs(pinched - dense.matrix))) < STATE_PARITY_TOL
-    return StateValidity(trace_ok, positive_ok, parity_ok, min_eig, tr)
+    return StateValidity(trace_ok, positive_ok, parity_ok, min_eig, tr,
+                         residual)
 
 
 def expectation_word_dense(matrix: np.ndarray, mask: int,

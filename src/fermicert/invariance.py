@@ -45,8 +45,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import (OperatorExpansion, SystemShape, relabel_word,
-                      site_blocks, validate_permutation)
+from .algebra import (OperatorExpansion, SystemShape, canonicalize_positions,
+                      relabel_word, site_blocks, validate_permutation)
 from .fock import (DenseOperator, Isometry, reduce_expansion, to_matrix,
                    trace_norm, word_expectations_dense)
 from .quadratic import QuadraticForm
@@ -208,7 +208,8 @@ def _class_report(shape: SystemShape, values: Dict[int, complex],
       the words with the same block multiset, V!/((V-m)! prod mult!) of
       them;
     * full invariance: any word reaches its block multiset, with the sign
-      (-1)^(inversions among odd blocks).  Values are normalised to the
+      (-1)^(inversions among odd blocks), the reordering sign of
+      :func:`algebra.canonicalize_positions`.  Values are normalised to the
       block-sorted order; a class with two equal odd blocks has a
       stabilizer of sign -1, so it holds both signs of every value.
 
@@ -233,9 +234,8 @@ def _class_report(shape: SystemShape, values: Dict[int, complex],
         if len(set(odd)) < len(odd):
             normalised.update((val, -val))
         else:
-            inversions = sum(a > b for i, a in enumerate(odd)
-                             for b in odd[i + 1:])
-            normalised.add(-val if inversions & 1 else val)
+            sign, _ = canonicalize_positions(odd)
+            normalised.add(-val if sign < 0 else val)
     V = shape.sites
     cond1 = cond2 = full = 0.0
     for blocks, vals in by_sequence.items():

@@ -37,7 +37,7 @@ import numpy as np
 
 from .algebra import (OperatorExpansion, SystemShape, expansion_from_text,
                       reversal_sign, site_blocks)
-from .definetti import (GENERATOR_BOX, component_state, coordinate_search,
+from .definetti import (GENERATOR_BOX, component_state, coordinate_sweep,
                         n_component_params)
 from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
                    ensure_within_cap, jw_matrix, operator_norm, real_if_exact,
@@ -269,10 +269,9 @@ def min_product_energy(h_exp: OperatorExpansion, restarts: int = 4,
     A Hamiltonian whose even single-site support holds at most one word
     (every one-mode Hamiltonian) gets the exact minimum of
     :func:`_one_word_minimum`.  Otherwise: cyclic coordinate descent over
-    the even Gibbs generators, each coordinate by
-    :func:`definetti.coordinate_search`, an upper bound, deterministic for
-    a fixed seed; ``restarts`` starts (the zero generator first) of
-    ``iters`` full coordinate sweeps each.
+    the even Gibbs generators, an upper bound, deterministic for a fixed
+    seed; ``restarts`` starts (the zero generator first) of ``iters``
+    :func:`definetti.coordinate_sweep` passes each.
     """
     evaluator = ProductEnergyEvaluator(h_exp)
     if len(evaluator.submasks) <= 1:
@@ -291,26 +290,15 @@ def min_product_energy(h_exp: OperatorExpansion, restarts: int = 4,
 
     best_params = None
     best = math.inf
-    for start in starts:
-        params = np.asarray(start, dtype=float).copy()
+    for params in starts:
         current = value(params)
         for _ in range(iters):
-            for j in range(n_par):
-                def coord(x: float) -> float:
-                    trial = params.copy()
-                    trial[j] = x
-                    return value(trial)
-
-                x_best, v_best = coordinate_search(coord, lo, hi, params[j],
-                                                   golden_iters=30)
-                if v_best < current - 1e-15:
-                    params[j] = x_best
-                    current = v_best
+            current = coordinate_sweep(value, params, lo, hi, current,
+                                       golden_iters=30)
         if current < best - 1e-15:
             best = current
-            best_params = params.copy()
-    xi = component_state(p, best_params)
-    return xi, float(best)
+            best_params = params
+    return component_state(p, best_params), float(best)
 
 
 @dataclass(frozen=True)
@@ -341,12 +329,12 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
     :data:`invariance.DENSE_INVARIANCE_TOL`) on the uniform mixture over
     that ground space, read from its isometry; a violation labels the
     result "precondition failed" but the gap numbers are still reported.
-    The product energy comes from one :func:`min_product_energy` call at
-    its default budget: exact for a one-word even support, otherwise a
-    search's upper bound, so the gap is an upper bound too.  A negative
-    gap fails the claim: no product state undercuts the exact ground
-    energy.  A single CLI run gets the same verdict as the suite row.
-    The mode cap is checked before the Hamiltonian is expanded.
+    The product energy comes from one :func:`min_product_energy` call:
+    exact for a one-word even support, otherwise the upper bound of the
+    coordinate sweeps the witness search shares, so the gap is an upper
+    bound too.  A negative gap fails the claim: no product state undercuts
+    the exact ground energy.  A single CLI run gets the same verdict as
+    the suite row.  The mode cap is checked before H is expanded.
     """
     ensure_within_cap(spec.shape)
     start = time.perf_counter()

@@ -83,4 +83,5 @@ class QuadraticForm:
         trace = complex(self.c0 * self.shape.fock_dim)
         min_eig = self.min_eigenvalue()
         return StateValidity(abs(trace - 1.0) < STATE_TRACE_TOL,
-                             min_eig >= -STATE_EIG_TOL, True, min_eig, trace)
+                             min_eig >= -STATE_EIG_TOL, True, min_eig, trace,
+                             0.0)

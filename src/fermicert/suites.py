@@ -446,6 +446,7 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
     their exact witness, so they run no search.  The mu family at V=6 is
     reported with its empirical constant (no absolute constant is claimed
     for correlated inputs) against its :func:`best_mixture_approx` witness.
+    Its rows read round-off: see :func:`corollary_index_sets` for why.
     """
     reports = []
     rows = []

@@ -356,6 +356,43 @@ class TestCliSingleCommands:
         assert "parity superselection broken" in err
         assert not (tmp_path / "summary.csv").exists()
 
+    @staticmethod
+    def _non_hermitian_fixture(tmp_path) -> str:
+        # A real coefficient on each anti-Hermitian word m_j^1 m_l^1: unit
+        # trace, parity kept, and the Hermitian part is the identity.
+        fixture = tmp_path / "state.txt"
+        fixture.write_text("0.015625 0 1\n" + "".join(
+            f"0.00078125 0 ({j},1)({l},1)\n"
+            for j, l in itertools.combinations(range(1, 7), 2)))
+        return str(fixture)
+
+    @pytest.mark.parametrize("command, what", [
+        (["verify-lemma3"], "trace-norm input"),
+        (["verify-theorem1", "--seed", "0"], "mixture-approximation target"),
+    ], ids=["lemma3", "theorem1"])
+    def test_non_hermitian_input_is_refused(self, tmp_path, capsys, command,
+                                            what):
+        # Both bounds are stated for Hermitian operators; neither command
+        # certifies the Hermitian part of this input in its place.
+        fixture = self._non_hermitian_fixture(tmp_path)
+        assert main(["--out", str(tmp_path), *command, "--V", "6", "--k",
+                     "2", "--fixture", fixture]) == 2
+        assert (f"{what} is not Hermitian (residual 2.500e-02"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_strict_state_names_the_hermiticity_residual(self, tmp_path,
+                                                         capsys):
+        # The Hermitian part's minimum eigenvalue passes; the residual is
+        # what fails the input.
+        fixture = self._non_hermitian_fixture(tmp_path)
+        assert main(["--out", str(tmp_path), "verify-theorem1", "--seed",
+                     "0", "--V", "6", "--k", "2", "--fixture", fixture,
+                     "--strict-state"]) == 2
+        err = capsys.readouterr().err
+        assert ("min eigenvalue 1.562e-02, Hermiticity residual 1.563e-03"
+                in err)
+
     @pytest.mark.parametrize("source", ["fixture", "family"])
     @pytest.mark.parametrize("mu, positive", [(1.0, False), (0.5, True)],
                              ids=["mu1", "mu0.5"])

@@ -14,7 +14,8 @@ from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
                                  MixtureFit, ProductMixture,
                                  _MixtureOptimizer, best_mixture_approx,
                                  component_state,
-                                 coordinate_search, even_hermitian_basis,
+                                 coordinate_search, coordinate_sweep,
+                                 even_hermitian_basis,
                                  hamming_power,
                                  mixture_diagnostics,
                                  n_component_params, params_from_state,
@@ -170,6 +171,46 @@ class TestCoordinateSearch:
         assert x == pytest.approx(0.0, abs=1e-4) and fx >= 0.0
 
 
+class TestCoordinateSweep:
+    """One cyclic pass of the 1-D search, shared by both optimizers."""
+
+    def test_entries_move_in_order_and_in_place(self):
+        targets = np.array([0.3137, -4.2, 1.7071])
+        trials = []
+
+        def value(params):
+            trials.append(params.copy())
+            return float(np.sum((params - targets) ** 2))
+
+        params = np.zeros(3)
+        got = coordinate_sweep(value, params, -GENERATOR_BOX, GENERATOR_BOX,
+                               value(params), golden_iters=30)
+        assert np.max(np.abs(params - targets)) < 1e-6
+        assert got == value(params)
+        # One search per entry, in order: each trial moves only its own
+        # entry, the entries before it already at their new values.
+        per_entry = 9 + 1 + 2 + 30
+        trials = trials[1:-1]
+        assert len(trials) == 3 * per_entry
+        for j in range(3):
+            block = np.array(trials[j * per_entry:(j + 1) * per_entry])
+            others = np.delete(block, j, axis=1)
+            expected = np.concatenate((params[:j], np.zeros(2 - j)))
+            assert np.array_equal(others, np.tile(expected, (per_entry, 1)))
+
+    @pytest.mark.parametrize("gain, moves", [(5e-16, False), (2e-15, True)])
+    def test_moves_only_past_the_threshold(self, gain, moves):
+        # Every trial point improves on the current value by ``gain``; an
+        # entry moves only when the gain exceeds 1e-15.
+        def value(params):
+            return 0.0 if np.all(params == 0.5) else -gain
+
+        params = np.full(2, 0.5)
+        got = coordinate_sweep(value, params, 0.0, 1.0, 0.0, golden_iters=5)
+        assert got == (-gain if moves else 0.0)
+        assert np.any(params != 0.5) == moves
+
+
 class TestBestMixture:
     def test_exact_product_any_r(self, rng):
         xi = DenseOperator(SystemShape(1, 1),
@@ -269,8 +310,7 @@ class TestParityBlocks:
                 want = full_sign[np.ix_(sector, sector)]
                 block = (v * sw) @ v.conj().T
                 assert np.max(np.abs(block - want)) < 1e-10
-            # The weight gradient -tr(S xi_l^(x k)), at p = 1 read off the
-            # diagonal of S only.
+            # The weight gradient -tr(S xi_l^(x k)).
             grad = opt._gradient(signs, [opt._power(q) for q in params])
             want = [-np.real(np.trace(full_sign @ product_power(xi, k).matrix))
                     for xi in comps]
@@ -332,7 +372,8 @@ class TestDualLowerBound:
         weights, params = _random_mixture(p, rng)
         _, signs = opt._distance_and_sign(weights,
                                           [opt._power(q) for q in params])
-        lower = opt._lower_bound(signs)
+        opt._proven(math.inf, signs)
+        lower = opt.lower
         witness = ProductMixture(weights, tuple(component_state(p, q)
                                                 for q in params))
         other = _random_mixture(p, rng)

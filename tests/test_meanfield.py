@@ -353,7 +353,7 @@ class TestProductEnergy:
         def refuse(*args, **kwargs):
             raise AssertionError("coordinate search called at p = 1")
 
-        monkeypatch.setattr(meanfield, "coordinate_search", refuse)
+        monkeypatch.setattr(meanfield, "coordinate_sweep", refuse)
         for name in BUILTIN_FAMILIES:
             spec = builtin_family(name, 6)
             if spec.shape.modes_per_site == 1:
@@ -379,7 +379,7 @@ class TestProductEnergy:
             calls.append(1)
             return one_word(evaluator)
 
-        monkeypatch.setattr(meanfield, "coordinate_search", refuse)
+        monkeypatch.setattr(meanfield, "coordinate_sweep", refuse)
         monkeypatch.setattr(meanfield, "_one_word_minimum", counting)
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, V))
         min_product_energy(h_exp)
@@ -390,13 +390,13 @@ class TestProductEnergy:
         # the search runs.  The words m^1 m^2 and m^1 m^3 anticommute, so
         # the sum of their Hermitian forms has minimum -sqrt(2).
         calls = []
-        original = meanfield.coordinate_search
+        original = meanfield.coordinate_sweep
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(meanfield, "coordinate_search", counting)
+        monkeypatch.setattr(meanfield, "coordinate_sweep", counting)
         sh = SystemShape(2, 2)
         h_exp = OperatorExpansion(sh, {mask_of(sh, (1, 1), (1, 2)): 0.25j,
                                        mask_of(sh, (2, 1), (2, 3)): 0.25j})

@@ -98,6 +98,43 @@ def test_detector_flags_xor():
     assert xor_users(sources) == ["a.py", "b.py"]
 
 
+def callers(sources, name):
+    """``module.function`` (``module.Class.method`` for a method) of every
+    top-level definition whose body calls ``name``, nested functions
+    included."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            defs = (node.body if isinstance(node, ast.ClassDef) else [node])
+            for func in defs:
+                if not isinstance(func, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(call, ast.Call) and name in (
+                        getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None))
+                       for call in ast.walk(func)):
+                    owner = (f"{node.name}." if node is not func else "")
+                    found.append(f"{module[:-3]}.{owner}{func.name}")
+    return sorted(found)
+
+
+def test_coordinate_search_has_one_caller():
+    # Both optimizers run their 1-D searches through one sweep loop.
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert callers(sources, "coordinate_search") == [
+        "definetti.coordinate_sweep"]
+
+
+def test_detector_finds_callers():
+    sources = {"a.py": ("def f():\n    def g():\n        return s(1)\n"
+                        "    return g()\n"
+                        "class C:\n    def m(self):\n"
+                        "        return mod.s()\n"),
+               "b.py": "x = s(2)\ndef h():\n    return s\n"}
+    assert callers(sources, "s") == ["a.C.m", "a.f"]
+
+
 def test_numpy_floor_has_bitwise_count():
     # np.bitwise_count first appeared in NumPy 2.0; an older numpy imports
     # the package and fails on the first dense matrix.

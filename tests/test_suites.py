@@ -7,8 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from fermicert import cumulants, definetti, invariance, meanfield, suites
+from fermicert import cumulants, definetti, invariance, suites
 from fermicert.cumulants import LadderIndex
+from fermicert.fock import reduce_expansion, to_matrix
 from fermicert.report import (INEQUALITY, TRACE_DISTANCE_DIAMETER,
                               make_report, vacuous_notes)
 
@@ -19,7 +20,8 @@ VACUOUS_NOTE = "bound exceeds trace-distance diameter"
 def counted_run_all():
     """``run_all(0)``'s reports with its calls counted: witness searches
     (``best_mixture_approx``), their starts (``_MixtureOptimizer.run``)
-    and coordinate searches, in the mixture and the product optimizer."""
+    and coordinate searches, which the mixture and the product optimizer
+    both reach through ``definetti.coordinate_sweep``."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -34,9 +36,8 @@ def counted_run_all():
         mp.setattr(suites, "best_mixture_approx", search)
         mp.setattr(definetti._MixtureOptimizer, "run",
                    counting("starts", definetti._MixtureOptimizer.run))
-        for module in (definetti, meanfield):
-            mp.setattr(module, "coordinate_search",
-                       counting("coordinate", definetti.coordinate_search))
+        mp.setattr(definetti, "coordinate_search",
+                   counting("coordinate", definetti.coordinate_search))
         reports, _ = suites.run_all(seed=0)
     return reports, counts
 
@@ -223,6 +224,25 @@ def test_corollary_product_rows_are_their_own_witness(monkeypatch):
         k = rep.inputs["k"]
         assert abs(rep.lhs * k - 0.14) <= 1e-14
         assert not any("mixture distance" in n for n in rep.notes)
+
+
+def test_corollary_mu_rows_vanish_by_construction():
+    # The mu family's reductions hold only pair terms in m^1, so its
+    # fourth Majorana cumulants sit on four distinct sites and are
+    # antisymmetric.  The suite's index sets all start with (F0-dagger,
+    # F0), whose m^1 phase vectors are equal, so every term cancels and
+    # the rows read round-off; at k < 4 no four sites exist at all.  Four
+    # distinct frequencies at k = 4 leave a cumulant well above it.
+    reports, _ = suites.run_verify_corollary(seed=9)
+    mu_rows = [r for r in reports if r.inputs.get("source") == "mu-family"]
+    assert [r.inputs["k"] for r in mu_rows] == [2, 3, 4]
+    assert all(r.lhs < 1e-15 for r in mu_rows)
+    rho_4 = to_matrix(reduce_expansion(suites._mu_state(6, 1.0), 4))
+    mixture = definetti.best_mixture_approx(rho_4, seed=9).mixture
+    distinct = (LadderIndex(1, 1, 0), LadderIndex(1, 1, 1),
+                LadderIndex(1, 1, 2), LadderIndex(-1, 1, 1))
+    rep = cumulants.verify_corollary(rho_4, mixture, V=6, ops_sets=[distinct])
+    assert rep.lhs > 1e-3
 
 
 def test_vacuous_trace_distance_bounds_are_noted(counted_run_all):
