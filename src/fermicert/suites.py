@@ -23,11 +23,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape, random_expansion
-from .cumulants import (CUMULANT_TOL, LadderIndex,
+from .cumulants import (CUMULANT_TOL, LadderIndex, ProductState,
                         corollary_index_sets, fourier_cumulant,
                         fourier_q_range, verify_corollary, verify_suppression)
-from .definetti import (ProductMixture, best_mixture_approx, product_power,
-                        verify_theorem1)
+from .definetti import ProductMixture, best_mixture_approx, verify_theorem1
 from .fock import (DenseOperator, operator_norm, permutation_unitary,
                    reduce_expansion, to_matrices, to_matrix)
 from .invariance import (InvarianceReport, MuFamilyParams, check_invariance,
@@ -336,8 +335,8 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     reports = []
     lemma4_rows = []
     rho1, rho2 = _DIAG_THIRDS, _CORRELATED_P2
-    # Each call builds the V-fold copy its direct cumulants read and keeps
-    # nothing after it returns.
+    # Each call reads its direct cumulants from the site program, with no
+    # V-fold copy, and keeps nothing after it returns.
 
     # Factorized-form equality: exhaustive over distinct-triple choices at
     # p = 1, and two choices on a genuinely non-Gaussian two-mode state.
@@ -442,11 +441,14 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
     """Gaussian-mixture deviation scaling.
 
     Exact products xi^(x k) of a non-Gaussian two-mode site state xi must
-    show the 1/k decay (log-log slope within 0.3 of -1); xi itself is
+    show the 1/k decay (log-log slope within 0.3 of -1).  They are passed
+    in product form (:class:`cumulants.ProductState`), so their direct K4
+    comes from the site program with no 2^(2k) matrix, and xi itself is
     their exact witness, so they run no search.  The mu family at V=6 is
     reported with its empirical constant (no absolute constant is claimed
-    for correlated inputs) against its :func:`best_mixture_approx` witness.
-    Its rows read round-off: see :func:`corollary_index_sets` for why.
+    for correlated inputs) against its :func:`best_mixture_approx` witness;
+    its dense reductions take the dense route.  Its rows read round-off:
+    see :func:`corollary_index_sets` for why.
     """
     reports = []
     rows = []
@@ -454,8 +456,7 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
     product = ProductMixture(np.ones(1), (_CORRELATED_P2,))
     for k in range(2, 6):
         start = time.perf_counter()
-        rho_k = product_power(_CORRELATED_P2, k)
-        rep = verify_corollary(rho_k, product, V=k,
+        rep = verify_corollary(ProductState(product, k), product, V=k,
                                ops_sets=corollary_index_sets(k, 2)[:1])
         rep.inputs["source"] = "product-p2"
         rep.wall_time = time.perf_counter() - start

@@ -481,11 +481,19 @@ class TestCliSingleCommands:
         assert "config not found" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
-    def test_clt_over_the_mode_cap_exit_3(self, tmp_path, monkeypatch,
-                                          capsys):
+    def test_clt_over_the_mode_cap_runs(self, tmp_path, monkeypatch):
+        # verify-clt builds no Fock-space array (its direct cumulants come
+        # from the site program), so a cap below its 8-site claims leaves
+        # every table as the uncapped run writes it.
+        assert main(["--out", str(tmp_path / "free"), "verify-clt"]) == 0
         monkeypatch.setenv(MODE_CAP_ENV, "6")
-        assert main(["--out", str(tmp_path), "verify-clt"]) == 3
-        assert "resource cap" in capsys.readouterr().err
+        assert main(["--out", str(tmp_path / "capped"), "verify-clt"]) == 0
+        names = sorted(p.name for p in (tmp_path / "free").glob("*.csv"))
+        assert names == ["clt_delta.csv", "clt_lemma4.csv", "summary.csv",
+                         "suppression.csv"]
+        for name in names:
+            assert ((tmp_path / "capped" / name).read_bytes()
+                    == (tmp_path / "free" / name).read_bytes())
 
     def test_gs_directory_config_exit_2(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path / "out"), "gs-bound", "--seed",

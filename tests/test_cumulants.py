@@ -9,14 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (cumulant, even_partitions, fourier_ladder_matrix,
-                      independent_ladder, moment, moment_from_cumulant_fn,
-                      random_density_matrix, random_even_density_matrix)
+                      independent_ladder, kron_chain, mixture_matrix, moment,
+                      moment_from_cumulant_fn, random_density_matrix,
+                      random_even_density_matrix)
 from fermicert import cumulants, suites
 from fermicert.algebra import SystemShape
-from fermicert.cumulants import (LadderIndex, corollary_index_sets,
-                                 cumulant_mats, fourier_cumulant,
+from fermicert.cumulants import (LadderIndex, ProductState,
+                                 corollary_index_sets, cumulant_mats,
+                                 fourier_cumulant,
                                  fourier_ladder_terms, fourier_q_range,
                                  gaussian_mixture_deviation, ladder_matrix,
                                  partition_sign, verify_corollary,
@@ -374,14 +377,28 @@ class TestFourierCumulants:
         assert res.distinct_triples.tolist() == [False, True, False]
 
     def test_q_out_of_range(self, monkeypatch):
-        # The range check runs before the V-fold copy is built.
-        def no_copy(*args):
-            raise AssertionError("the V-fold copy was built")
+        # The range check runs before the site program's pass.
+        def no_pass(k):
+            raise AssertionError("the site program ran")
 
-        monkeypatch.setattr(cumulants, "product_power", no_copy)
+        monkeypatch.setattr(cumulants, "_site_moves", no_pass)
         with pytest.raises(ValueError, match="outside range"):
             fourier_cumulant(DIAG_THIRDS, 3, [[LadderIndex(-1, 1, 0),
                                                LadderIndex(1, 1, 2)]])
+
+    def test_odd_state_rejected(self):
+        # The copy of a state with an odd part does not factorize over the
+        # sites (this one read direct 0.62 against closed form 0.5), so
+        # fourier_cumulant and the corollary's product route refuse it.
+        odd = DenseOperator(SH1, np.array([[0.5, 0.3], [0.3, 0.5]],
+                                          dtype=complex))
+        pair = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0)]
+        with pytest.raises(ValueError, match="even"):
+            fourier_cumulant(odd, 3, [pair])
+        state = ProductState(ProductMixture(np.ones(1), (odd,)), 2)
+        witness = ProductMixture(np.ones(1), (DIAG_THIRDS,))
+        with pytest.raises(ValueError, match="even"):
+            verify_corollary(state, witness, V=2)
 
     def test_missing_q(self):
         # A ladder is the Fourier ladder, exactly the fields (c, mode, q),
@@ -537,10 +554,11 @@ class TestXorEngine:
         assert abs(moment(rho, [[F, FDAG]])[0] - want) < 1e-12
 
     def test_lemma4_claim_forms_each_half_once(self, monkeypatch):
-        # The suite's V = 4, w = 4 claim in one call: each distinct
-        # two-ladder half of its cases is one xor_product, on the copy
-        # (dim 16) and on the single site (dim 2), and no dense ladder is
-        # formed.
+        # The suite's V = 4, w = 4 claim in one call reads the single site
+        # (dim 2) alone: each distinct two-ladder half of its single-site
+        # words is one xor_product in the site program's local moments and
+        # one in the single-site K_4, nothing of the copy's dimension 16
+        # is formed, and no dense ladder.
         dims = []
         product = cumulants.xor_product
 
@@ -561,9 +579,78 @@ class TestXorEngine:
                 <= cumulants.CUMULANT_TOL)
         halves = {ops[:2] for ops in cases} | {ops[2:] for ops in cases}
         site_halves = {tuple((o.c, o.mode) for o in half) for half in halves}
-        assert dims.count(16) == len(halves) == 56
-        assert dims.count(2) == len(site_halves) == 4
-        assert len(dims) == 60
+        assert len(site_halves) == 4
+        assert dims == [2] * 2 * len(site_halves)
+
+
+class TestSiteProgram:
+    """The site program (:func:`cumulants.site_moments`) against the kron
+    ladders on the dense mixture, and its moves against brute force."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_moves_by_brute_force(self, k):
+        # A move places an even subset T of the k positions on a site
+        # after the even subset S, disjoint from it; its sign is the
+        # inversion sign of the positions of S, then those of T, the
+        # order of a stable sort by site.  The moves are the pairs of
+        # disjoint even subsets, (3^k + 2 + (-1)^k) / 4 of them.
+        evens, src, took, sign, starts = cumulants._site_moves(k)
+        assert evens == [m for m in range(1 << k) if m.bit_count() % 2 == 0]
+        dst = np.repeat(np.arange(len(evens)),
+                        np.diff(np.append(starts, len(src))))
+        got = {(evens[a], evens[t]): (evens[d], g)
+               for d, a, t, g in zip(dst, src, took, sign)}
+        assert len(got) == len(src) == (3 ** k + 2 + (-1) ** k) // 4
+        for placed, taken in itertools.product(evens, repeat=2):
+            if placed & taken:
+                continue
+            order = ([i for i in range(k) if placed >> i & 1]
+                     + [i for i in range(k) if taken >> i & 1])
+            assert got[placed, taken] == (placed | taken,
+                                          inversion_sign(order))
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_moments_match_kron_oracle(self, data):
+        # Mixtures of one to three random even site states (non-diagonal
+        # at p = 2), rows of 2 and 4 Fourier ladders drawn with
+        # replacement, and a row repeating a (c, mode, q) triple: every
+        # even sub-tuple's moment against tr(rho F ... F) on the dense
+        # mixture with the explicit kron ladders.
+        p = data.draw(st.sampled_from([1, 2]), label="p")
+        V = data.draw(st.integers(1, 5 if p == 1 else 4), label="V")
+        count = data.draw(st.integers(1, 3), label="components")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        site = SystemShape(1, p)
+        comps = tuple(DenseOperator(site, random_even_density_matrix(site,
+                                                                     rng))
+                      for _ in range(count))
+        if p == 2:
+            assert all(abs(xi.matrix[0, 3]) > 0 for xi in comps)
+        mixture = ProductMixture(rng.dirichlet(np.ones(count)), comps)
+        state = ProductState(mixture, V)
+        rho = mixture_matrix(mixture, V).matrix
+        pool = [LadderIndex(c, mode, q) for c in (1, -1)
+                for mode in range(1, p + 1) for q in fourier_q_range(V)]
+        mats = {o: oracle_fourier(state.shape, o.c, o.mode, o.q)
+                for o in pool}
+        for w in (2, 4):
+            rows = data.draw(st.lists(st.lists(st.sampled_from(pool),
+                                               min_size=w, max_size=w),
+                                      min_size=1, max_size=3), label="rows")
+            o = rows[0][0]
+            dag = LadderIndex(-o.c, o.mode, o.q)
+            rows.append([dag, o] * (w // 2))
+            got = cumulants.site_moments(state, pool, [
+                [pool.index(x) for x in row] for row in rows])
+            assert set(got) == {sub for m in range(2, w + 1, 2)
+                                for sub in itertools.combinations(range(w),
+                                                                  m)}
+            for sub, values in got.items():
+                for value, row in zip(values, rows):
+                    want = dense_moment(rho, [mats[row[i]] for i in sub])
+                    assert abs(value - want) < 1e-12
 
 
 class TestSuppression:
@@ -604,13 +691,43 @@ class TestSuppression:
 
     @pytest.mark.parametrize("V", [5, 8, 40])
     def test_over_the_mode_cap_raises(self, monkeypatch, V):
-        # The closed form meets the bound by construction, so it cannot
-        # stand in for the direct value: over the cap there is no claim.
+        # The site program builds no Fock-space array, so the mode cap
+        # does not bound fourier_cumulant: under a cap of 4 modes it
+        # returns the uncapped kron oracle's values at V = 5 and 8, and
+        # meets the Lemma-4 closed form of a non-Gaussian site at V = 40.
+        # The dense route still raises over the cap, at the V-fold copy
+        # its cumulant_mats reads, before any ladder of 2^V rows is built.
+        sh = SystemShape(V, 1)
+        qs = fourier_q_range(V)
+        lists = [[(LadderIndex(c, 1, q1), LadderIndex(-c, 1, q2))
+                  for c in (1, -1) for q1 in qs for q2 in qs],
+                 [(LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+                   LadderIndex(-1, 1, q), LadderIndex(1, 1, q))
+                  for q in (1, V // 2)]]
+        want = []
+        if V <= 8:
+            rho = kron_chain([DIAG_THIRDS.matrix] * V)
+            mats = {o: oracle_fourier(sh, o.c, o.mode, o.q)
+                    for cases in lists for ops in cases for o in ops}
+            want = [[dense_cumulant(rho, [mats[o] for o in ops])
+                     for ops in cases] for cases in lists]
         monkeypatch.setenv(MODE_CAP_ENV, "4")
-        ops = [LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
-               LadderIndex(-1, 1, 1), LadderIndex(1, 1, 1)]
+        for cases, values in zip(lists, want):
+            got = fourier_cumulant(DIAG_THIRDS, V, cases).direct
+            assert np.abs(got - values).max() < 1e-12
+        p2 = [(LadderIndex(-1, 1, 0), LadderIndex(1, 1, 0),
+               LadderIndex(-1, 2, q), LadderIndex(1, 2, 0)) for q in (0, 1)]
+        res = fourier_cumulant(CORRELATED, V, p2)
+        assert abs(res.closed_form[0]) == pytest.approx(0.14 / V, abs=1e-15)
+        assert (np.abs(res.direct - res.closed_form).max()
+                <= cumulants.CUMULANT_TOL)
+        def dense_direct(ops):
+            power = product_power(DIAG_THIRDS, V)
+            return cumulant_mats(power.matrix, [fourier_ladder_terms(
+                sh, o.c, o.mode, o.q) for o in ops])
+
         with pytest.raises(ResourceCapError):
-            fourier_cumulant(DIAG_THIRDS, V, [ops])
+            dense_direct(lists[1][0])
 
 
 class TestWick:

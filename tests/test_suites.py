@@ -9,7 +9,7 @@ import pytest
 
 from fermicert import cumulants, definetti, invariance, suites
 from fermicert.cumulants import LadderIndex
-from fermicert.fock import reduce_expansion, to_matrix
+from fermicert.fock import DenseOperator, reduce_expansion, to_matrix
 from fermicert.report import (INEQUALITY, TRACE_DISTANCE_DIAMETER,
                               make_report, vacuous_notes)
 
@@ -192,9 +192,10 @@ def test_run_all_witness_searches_stop_after_one_start(counted_run_all):
 
 def test_corollary_product_rows_are_their_own_witness(monkeypatch):
     # An exact product xi^(x k) is its own de Finetti mixture: its rows
-    # pass xi as the witness and search none, so only the three mu-family
-    # rows (k = 2, 3, 4) call best_mixture_approx.  With one component
-    # the predicted K4 is exactly 0, and the metric is the direct cumulant
+    # pass it in product form, with xi's mixture as the witness, and
+    # search none, so only the three mu-family rows (k = 2, 3, 4) call
+    # best_mixture_approx, on dense reductions.  With one component the
+    # predicted K4 is exactly 0, and the metric is the direct cumulant
     # alone: k times it is <n1 n2> - <n1><n2> = 0.3 - 0.4 * 0.4 = 0.14
     # for xi = diag(0.5, 0.1, 0.1, 0.3).
     searches = []
@@ -206,9 +207,13 @@ def test_corollary_product_rows_are_their_own_witness(monkeypatch):
         searches.append(args[0].shape.sites)
         return search(*args, **kwargs)
 
-    def recording_deviation(rho_k, mixture, ops):
-        direct, pred = deviation(rho_k, mixture, ops)
-        predicted.append((rho_k.shape.sites, len(mixture.weights), pred))
+    def recording_deviation(state, mixture, ops):
+        direct, pred = deviation(state, mixture, ops)
+        product = isinstance(state, cumulants.ProductState)
+        assert product != isinstance(state, DenseOperator)
+        assert not product or state.mixture is mixture
+        predicted.append((product, state.shape.sites, len(mixture.weights),
+                          pred))
         return direct, pred
 
     monkeypatch.setattr(suites, "best_mixture_approx", counting_search)
@@ -219,11 +224,29 @@ def test_corollary_product_rows_are_their_own_witness(monkeypatch):
     products = [r for r in reports if r.inputs.get("source") == "product-p2"]
     assert [r.inputs["k"] for r in products] == [2, 3, 4, 5]
     # The product rows run first, one ladder set each.
-    assert predicted[:4] == [(k, 1, 0.0) for k in (2, 3, 4, 5)]
+    assert predicted[:4] == [(True, k, 1, 0.0) for k in (2, 3, 4, 5)]
+    assert not any(product for product, *_ in predicted[4:])
     for rep in products:
         k = rep.inputs["k"]
         assert abs(rep.lhs * k - 0.14) <= 1e-14
         assert not any("mixture distance" in n for n in rep.notes)
+
+
+def test_clt_and_product_rows_build_no_copy(monkeypatch):
+    # verify-clt and the corollary's product rows read their direct
+    # cumulants from the site program, so with product_power refused
+    # wherever the suites could reach it, both suites still complete.
+    def no_copy(*args):
+        raise AssertionError("a V-fold copy was built")
+
+    monkeypatch.setattr(definetti, "product_power", no_copy)
+    for module in (cumulants, suites):
+        monkeypatch.setattr(module, "product_power", no_copy, raising=False)
+    reports, _ = suites.run_verify_clt()
+    assert len(reports) == 34 and all(r.passed for r in reports)
+    reports, _ = suites.run_verify_corollary(seed=9)
+    products = [r for r in reports if r.inputs.get("source") == "product-p2"]
+    assert len(products) == 4 and all(r.passed for r in reports)
 
 
 def test_corollary_mu_rows_vanish_by_construction():
