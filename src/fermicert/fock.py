@@ -34,7 +34,9 @@ the most significant bits.  That layout has two homes: :func:`occupations`,
 the 0/1 table of the modes each basis state occupies, and the Pauli
 tables, whose Z/X masks :func:`pauli_of_word` writes as basis-index masks.
 The rest of the package reads one of the two; only
-:func:`permutation_unitary` also writes basis indices, of permuted states.
+:func:`signed_permutation` also writes basis indices, of permuted states
+(with their reordering signs); :func:`permutation_unitary` is its dense
+scatter.
 
 All functions are pure; matrices are never mutated in place once returned.
 """
@@ -49,7 +51,8 @@ from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import OperatorExpansion, SystemShape, reversal_sign
+from .algebra import (OperatorExpansion, SystemShape, reversal_sign,
+                      validate_permutation)
 
 #: Dense work refuses systems with more than this many fermionic modes
 #: (Fock dimension 4096) unless :data:`MODE_CAP_ENV` sets another cap.
@@ -546,32 +549,38 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
     return float(norms) if matrix.ndim == 2 else norms
 
 
-def permutation_unitary(pi: Sequence[int], shape: SystemShape) -> DenseOperator:
-    """Fock-space unitary implementing a site permutation.
+def signed_permutation(pi: Sequence[int], shape: SystemShape
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """The site permutation ``pi`` on the Fock basis, as (image, sign):
+    the unitary maps basis state b to sign[b] times basis state image[b].
 
-    Maps the basis state created by an ascending product of mode creation
-    operators to the permuted one, with the fermionic reordering sign (the
-    parity of the permutation induced on the occupied modes).  Conjugation
-    by this unitary realizes the symbolic site-relabeling action:
-    U m_j^a U-dagger = m_{pi(j)}^a.
+    image[b] moves each site's occupations to site pi(site); sign[b] is
+    the fermionic reordering sign of the basis state, an ascending
+    product of creation operators: the parity of the permutation induced
+    on its occupied modes, one transposition per occupied mode pair whose
+    images swap order.  Conjugation by this unitary realizes the
+    symbolic site-relabeling action, U m_j^a U-dagger = m_{pi(j)}^a.  As a
+    gather, (U F)[image] = sign[:, None] * F with no dim x dim array.
     """
-    from .algebra import validate_permutation
-
     pi = validate_permutation(pi, shape.sites)
     n = shape.total_modes
     p = shape.modes_per_site
     modes = np.arange(n)
     mode_map = (np.asarray(pi)[modes // p] - 1) * p + modes % p
-    basis = np.arange(shape.fock_dim)
     occupied = occupations(shape)
     image = occupied @ (1 << (n - 1 - mode_map))
-    # Mode pairs m < m' whose images swap order; each occupied pair is one
-    # transposition of the reordering.
     swapped = ((modes[:, None] < modes[None, :])
                & (mode_map[:, None] > mode_map[None, :])).astype(np.int64)
-    inversions = np.einsum("am,mk,ak->a", occupied, swapped, occupied)
+    inversions = ((occupied @ swapped) * occupied).sum(axis=1)
+    return image, 1.0 - 2.0 * (inversions & 1)
+
+
+def permutation_unitary(pi: Sequence[int], shape: SystemShape) -> DenseOperator:
+    """Fock-space unitary implementing a site permutation: the dense
+    scatter of :func:`signed_permutation`, U[image[b], b] = sign[b]."""
+    image, sign = signed_permutation(pi, shape)
     out = np.zeros((shape.fock_dim, shape.fock_dim), dtype=np.complex128)
-    out[image, basis] = 1.0 - 2.0 * (inversions & 1)
+    out[image, np.arange(shape.fock_dim)] = sign
     return DenseOperator(shape, out)
 
 

@@ -9,7 +9,7 @@ permutations.  A state is *fully* invariant when condition (1) holds for
 all permutations; the anti-commutation relations then force mixed odd-odd
 correlators to vanish, which the weaker definition deliberately avoids.
 
-The checks are exact and enumerate no permutation.  A site permutation
+The class checks are exact and enumerate no permutation.  A site permutation
 moves a word's nonzero per-site Majorana blocks between sites, so each
 condition says that the expectation is constant on a class of words: the
 words with the same block sequence (1), the even-on-every-site words with
@@ -22,6 +22,14 @@ classes are sized in closed form (C(V, m) placements of a sequence of m
 blocks, V!/((V-m)! prod mult!) of a multiset), so a class that the support
 fills only in part also holds the value 0, and a class that it does not
 touch holds only zeros.
+
+A dense ground space, an :class:`fock.Isometry`, is first tried on the
+V - 1 adjacent site transpositions s_i = (i i+1): every permutation is a
+product of at most C(V, 2) of them, so C(V, 2) max_i ||s_i rho s_i -
+rho||_1 bounds every word violation of every degree.  When that bound is
+below the cut the state is certified fully invariant with no word
+enumerated; otherwise the class check decides, as it does for every dense
+matrix.
 
 The mu family built here is the standard witness separating the two
 notions: it is permutation invariant for every mu in [-1, 1] but fully
@@ -47,8 +55,9 @@ import numpy as np
 
 from .algebra import (OperatorExpansion, SystemShape, canonicalize_positions,
                       relabel_word, site_blocks, validate_permutation)
-from .fock import (DenseOperator, Isometry, reduce_expansion, to_matrix,
-                   trace_norm, word_expectations_dense)
+from .fock import (DenseOperator, Isometry, reduce_expansion,
+                   signed_permutation, to_matrix, trace_norm,
+                   word_expectations_dense)
 from .quadratic import QuadraticForm
 from .report import INEQUALITY, VerificationReport, make_report, vacuous_notes
 
@@ -100,6 +109,11 @@ class InvarianceReport:
     closed form: the words outside the support are covered, not visited.
     ``sampled`` is always false: the check is exact, and the field stays
     because ``invariance.csv`` has a column for it.
+
+    A report that :func:`check_invariance_dense` certified from the site
+    transpositions holds their bound B in all three violation fields: an
+    upper bound that covers words of every degree, not an exact class
+    diameter.
     """
 
     condition1_max_violation: float
@@ -249,9 +263,15 @@ def _class_report(shape: SystemShape, values: Dict[int, complex],
         full = max(full, diam)
         if all(b.bit_count() % 2 == 0 for b in key):
             cond2 = max(cond2, diam)
-    covered = sum(math.comb(shape.majorana_count, d)
-                  for d in range(WORD_DEGREE_CAP + 1))
-    return InvarianceReport(cond1, cond2, covered, full < tol, full)
+    return InvarianceReport(cond1, cond2, _covered_words(shape), full < tol,
+                            full)
+
+
+def _covered_words(shape: SystemShape) -> int:
+    """Words of degree at most :data:`WORD_DEGREE_CAP`:
+    sum_{d <= cap} C(2pV, d)."""
+    return sum(math.comb(shape.majorana_count, d)
+               for d in range(WORD_DEGREE_CAP + 1))
 
 
 def check_invariance(rho: OperatorExpansion) -> InvarianceReport:
@@ -268,18 +288,54 @@ def check_invariance(rho: OperatorExpansion) -> InvarianceReport:
     return _class_report(rho.shape, values, INVARIANCE_TOL)
 
 
+def _transposition_bound(ground: Isometry) -> float:
+    """C(V, 2) max_i ||s_i rho s_i - rho||_1 over the adjacent site
+    transpositions s_i = (i i+1), for rho = F F-dagger / r.
+
+    With G = U_(s_i) F (a gather, :func:`fock.signed_permutation`), the
+    singular values of R = G - F (F-dagger G) are the sines of the
+    principal angles between the ranges of F and G, so
+    ||s_i rho s_i - rho||_1 is exactly 2/r times their sum: one dim x r
+    gather and one r-column SVD per transposition, no dim x dim array.  Any
+    permutation is a product of at most C(V, 2) of them, and
+    U w U-dagger = s canon(pi w), so the bound covers every condition-1,
+    condition-2 and full-invariance violation, of every degree.
+    """
+    shape, f = ground.shape, ground.matrix
+    worst = 0.0
+    for i in range(1, shape.sites):
+        pi = list(range(1, shape.sites + 1))
+        pi[i - 1], pi[i] = i + 1, i
+        image, sign = signed_permutation(pi, shape)
+        g = np.empty_like(f)
+        g[image] = sign[:, None] * f
+        sines = np.linalg.svd(g - f @ (f.conj().T @ g), compute_uv=False)
+        worst = max(worst, 2.0 * float(sines.sum()) / f.shape[1])
+    return math.comb(shape.sites, 2) * worst
+
+
 def check_invariance_dense(rho: Union[DenseOperator, Isometry]
                            ) -> InvarianceReport:
     """The exact class check of :func:`check_invariance` on a dense state,
-    fully invariant below :data:`DENSE_INVARIANCE_TOL`.
+    fully invariant below :data:`DENSE_INVARIANCE_TOL`, after a
+    generator check for an isometry.
 
     Used for states only available numerically: a dense matrix, or an
     exact ground space given as an :class:`Isometry` F (the state
-    F F-dagger / r, read without forming it).  The word expectations come
-    from :func:`word_expectations_dense`, one Walsh-Hadamard transform per
-    X pattern that the state's support reaches; only the nonzero ones go
+    F F-dagger / r, read without forming it).  An isometry whose
+    :func:`_transposition_bound` B lies below the cut is certified fully
+    invariant with no word visited: the three violation fields hold B and
+    ``checked_words`` the same closed-form count.  Otherwise, and for
+    every :class:`DenseOperator`, the word expectations come from
+    :func:`word_expectations_dense`, one Walsh-Hadamard transform per X
+    pattern that the state's support reaches; only the nonzero ones go
     to the class report.
     """
+    if isinstance(rho, Isometry):
+        bound = _transposition_bound(rho)
+        if bound < DENSE_INVARIANCE_TOL:
+            return InvarianceReport(bound, bound, _covered_words(rho.shape),
+                                    True, bound)
     words = words_up_to_degree(rho.shape, WORD_DEGREE_CAP)
     values = word_expectations_dense(rho.matrix, words, rho.shape,
                                      factor=isinstance(rho, Isometry))

@@ -324,11 +324,14 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
 
     The exact ground energy and ground space come from
     :func:`ground_state_lowdim` at every size.  The ground-state
-    permutation invariance precondition is checked exactly
-    (:func:`check_invariance_dense`, every word up to degree 4, within
-    :data:`invariance.DENSE_INVARIANCE_TOL`) on the uniform mixture over
-    that ground space, read from its isometry; a violation labels the
-    result "precondition failed" but the gap numbers are still reported.
+    permutation invariance precondition is checked by
+    :func:`check_invariance_dense` on the uniform mixture over that ground
+    space, read from its isometry: first from the V - 1 adjacent site
+    transpositions, whose bound covers words of every degree, and when
+    they do not certify it, by the exact class check of every word up to
+    degree 4, within :data:`invariance.DENSE_INVARIANCE_TOL`.  A violation
+    labels the result "precondition failed" but the gap numbers are still
+    reported.
     The product energy comes from one :func:`min_product_energy` call:
     exact for a one-word even support, otherwise the upper bound of the
     coordinate sweeps the witness search shares, so the gap is an upper

@@ -1,6 +1,7 @@
 """Dense Fock-space numerics: JW matrices, conversions, reductions,
 spectral helpers and state checks."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             operator_norm, partial_trace_sites,
                             permutation_unitary, real_if_exact,
                             reduce_expansion, require_hermitian,
+                            signed_permutation,
                             to_expansion, to_matrices, to_matrix,
                             trace_norm,
                             word_expectations_dense, word_terms, xor_matrix,
@@ -639,6 +641,62 @@ class TestPermutationUnitary:
         m2 = jw_matrix(mask_of(sh, (2, 1)), sh).matrix
         assert np.allclose(u @ m1 @ u.conj().T, m2)
         assert np.allclose(u @ m2 @ u.conj().T, m1)
+
+
+def reference_permutation_unitary(pi, shape):
+    """The dense permutation unitary as written before it became the
+    scatter of :func:`fock.signed_permutation`: the bit-identity oracle."""
+    n = shape.total_modes
+    p = shape.modes_per_site
+    modes = np.arange(n)
+    mode_map = (np.asarray(pi)[modes // p] - 1) * p + modes % p
+    basis = np.arange(shape.fock_dim)
+    occupied = occupations(shape)
+    image = occupied @ (1 << (n - 1 - mode_map))
+    swapped = ((modes[:, None] < modes[None, :])
+               & (mode_map[:, None] > mode_map[None, :])).astype(np.int64)
+    inversions = np.einsum("am,mk,ak->a", occupied, swapped, occupied)
+    out = np.zeros((shape.fock_dim, shape.fock_dim), dtype=np.complex128)
+    out[image, basis] = 1.0 - 2.0 * (inversions & 1)
+    return out
+
+
+class TestSignedPermutation:
+    @pytest.mark.parametrize("V, p", [(V, p) for V in range(2, 7)
+                                      for p in (1, 2)])
+    def test_adjacent_transpositions_closed_form(self, V, p):
+        # Swapping sites i and i+1 exchanges their p-bit blocks of the
+        # basis index and passes n_i occupied modes over n_(i+1) others:
+        # sign (-1)^(n_i n_(i+1)).
+        shape = SystemShape(V, p)
+        full = (1 << p) - 1
+        for i in range(1, V):
+            pi = list(range(1, V + 1))
+            pi[i - 1], pi[i] = i + 1, i
+            image, sign = signed_permutation(pi, shape)
+            for b in range(shape.fock_dim):
+                shift_i, shift_j = p * (V - i), p * (V - i - 1)
+                block_i = (b >> shift_i) & full
+                block_j = (b >> shift_j) & full
+                swapped = (b & ~((full << shift_i) | (full << shift_j))
+                           | block_j << shift_i | block_i << shift_j)
+                n_i, n_j = bin(block_i).count("1"), bin(block_j).count("1")
+                assert image[b] == swapped
+                assert sign[b] == (-1.0) ** (n_i * n_j)
+
+    @pytest.mark.parametrize("V, p", [(2, 1), (3, 1), (4, 1), (5, 1),
+                                      (2, 2), (3, 2), (4, 2)])
+    def test_unitary_is_its_scatter_bit_for_bit(self, V, p):
+        shape = SystemShape(V, p)
+        for pi in itertools.permutations(range(1, V + 1)):
+            u = permutation_unitary(pi, shape).matrix
+            assert np.array_equal(u, reference_permutation_unitary(pi, shape))
+            image, sign = signed_permutation(pi, shape)
+            f = np.arange(shape.fock_dim * 2, dtype=np.complex128).reshape(
+                shape.fock_dim, 2)
+            gathered = np.empty_like(f)
+            gathered[image] = sign[:, None] * f
+            assert np.array_equal(gathered, u @ f)
 
 
 class TestExpectationDense:

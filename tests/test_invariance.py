@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                canonicalize_positions, random_expansion)
-from fermicert.fock import (DenseOperator, partial_trace_sites,
-                            reduce_expansion, to_matrix, trace_norm)
+from fermicert.fock import (DenseOperator, Isometry, partial_trace_sites,
+                            permutation_unitary, reduce_expansion, to_matrix,
+                            trace_norm)
 from fermicert import invariance
 from fermicert.invariance import (InvarianceReport, MuFamilyParams,
                                   check_invariance, check_invariance_dense,
@@ -319,6 +320,28 @@ class TestCheckInvariance:
         assert rep.checked_words == 794
         assert rep.full_max_violation == pytest.approx(2.0 * TAN6, abs=1e-12)
 
+    def test_bosonic_symmetry_is_not_certified(self):
+        # Equal +1 amplitudes on the N = 2 occupations at V = 4: every
+        # site swap maps the set to itself, but the fermionic one gives
+        # the doubly occupied pair a sign -1, so the state is not
+        # invariant and the transpositions must not certify it.
+        shape = SystemShape(4, 1)
+        pairs = np.bitwise_count(np.arange(shape.fock_dim)) == 2
+        f = pairs.astype(np.complex128)[:, None] / math.sqrt(6.0)
+        rep = check_invariance_dense(Isometry(shape, f))
+        exact = check_invariance_dense(DenseOperator(shape, f @ f.conj().T))
+        # Each swap flips one of the six amplitudes: cos = 2/3, so every
+        # generator moves the state by 2 sin = 2 sqrt(5)/3.
+        assert invariance._transposition_bound(Isometry(shape, f)) == (
+            pytest.approx(6 * 2 * math.sqrt(5.0) / 3.0, abs=1e-12))
+        assert not rep.fully_invariant
+        assert rep.max_violation() > 1.0
+        assert (rep.condition1_max_violation, rep.condition2_max_violation,
+                rep.full_max_violation) == pytest.approx(
+                    (exact.condition1_max_violation,
+                     exact.condition2_max_violation,
+                     exact.full_max_violation), abs=1e-12)
+
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(oracle_states())
@@ -421,6 +444,32 @@ class TestCheckInvariance:
 def mu1():
     state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
     return state, check_invariance(state)
+
+
+class TestTranspositionBound:
+    @pytest.mark.parametrize("V, p, rank", [(2, 1, 1), (3, 1, 2), (4, 1, 3),
+                                            (3, 2, 2), (5, 1, 4)])
+    def test_matches_dense_trace_norms(self, V, p, rank, rng):
+        # C(V, 2) max_i ||U_i rho U_i-dagger - rho||_1 from dense unitaries
+        # and an eigenvalue trace norm, for random isometries and for a
+        # span of basis states, which the swaps move only in part.
+        shape = SystemShape(V, p)
+        dim = shape.fock_dim
+        raw = (rng.standard_normal((dim, rank))
+               + 1j * rng.standard_normal((dim, rank)))
+        basis = np.eye(dim, dtype=np.complex128)[:, dim - rank - 1:dim - 1]
+        for f in (np.linalg.qr(raw)[0], basis):
+            rho = f @ f.conj().T / rank
+            worst = 0.0
+            for i in range(1, V):
+                pi = list(range(1, V + 1))
+                pi[i - 1], pi[i] = i + 1, i
+                u = permutation_unitary(pi, shape).matrix
+                worst = max(worst, trace_norm(
+                    DenseOperator(shape, u @ rho @ u.conj().T - rho)))
+            assert invariance._transposition_bound(
+                Isometry(shape, f)) == pytest.approx(
+                    math.comb(V, 2) * worst, abs=1e-10)
 
 
 class TestVerifyLemma3:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,10 @@ from fermicert.algebra import (OperatorExpansion, SystemShape,
                               expansion_from_text)
 from fermicert.fock import (DenseOperator, diagonal_blocks, jw_matrix,
                             operator_norm, to_matrix)
-from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
+from fermicert import invariance
+from fermicert.invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
+                                  MuFamilyParams, check_invariance,
+                                  check_invariance_dense, mu_family_state)
 from fermicert.meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES,
                                  HamiltonianSpec, ProductEnergyEvaluator,
                                  build_hamiltonian_expansion,
@@ -471,6 +475,121 @@ class TestVerifyGsBound:
     def test_bound_formula(self):
         assert gs_bound(6, 1, 2) == pytest.approx(4.0 * 2.0 ** 1.5 / 6.0)
         assert gs_bound(6, 2, 2) == pytest.approx(16.0 * 2.0 ** 1.5 / 6.0)
+
+
+def ground_of(spec):
+    h_exp, _ = build_hamiltonian_expansion(spec)
+    return ground_state_lowdim(h_exp)[1]
+
+
+def class_check(ground, monkeypatch):
+    """The exact class check of a ground space: on its dense projector
+    F F-dagger / r up to Fock dimension 1024, above that (hubbard-like,
+    V = 6, where the projector is a 256 MB array) on the isometry with the
+    generator path switched off."""
+    f = ground.matrix
+    if ground.shape.fock_dim <= 1024:
+        return check_invariance_dense(
+            DenseOperator(ground.shape, f @ f.conj().T / f.shape[1]))
+    with monkeypatch.context() as patch:
+        patch.setattr(invariance, "_transposition_bound",
+                      lambda ground: math.inf)
+        return check_invariance_dense(ground)
+
+
+def verdict(report):
+    return (report.fully_invariant,
+            report.max_violation() <= DENSE_INVARIANCE_TOL)
+
+
+def assert_same_report(report, exact):
+    """Equal up to the rounding of reading the words from F instead of
+    F F-dagger / r."""
+    assert (report.condition1_max_violation,
+            report.condition2_max_violation,
+            report.full_max_violation) == pytest.approx(
+                (exact.condition1_max_violation,
+                 exact.condition2_max_violation,
+                 exact.full_max_violation), abs=1e-12)
+    assert (report.checked_words, report.fully_invariant) == (
+        exact.checked_words, exact.fully_invariant)
+
+
+def site_number_cut(V):
+    """Site-number on sites 1..V-1 only: site V is left free, so the ground
+    space is invariant under every adjacent transposition but (V-1 V)."""
+    return hamiltonian_from_config({
+        "V": V, "p": 1, "k": 1, "template": BUILTIN_CONFIGS[
+            "site-number"]["template"],
+        "subsets": [[site] for site in range(1, V)], "name": "cut"})
+
+
+class TestGeneratorInvariance:
+    @pytest.mark.parametrize("name, V", [
+        (name, V) for name in BUILTIN_FAMILIES for V in (
+            range(4, 7) if name == "hubbard-like" else range(4, 9))])
+    def test_agrees_with_class_check(self, name, V, monkeypatch):
+        # Same verdict as the class check on every built-in ground space;
+        # where the transpositions certify, their bound B is in every
+        # field and covers each exact class diameter.
+        ground = ground_of(builtin_family(name, V))
+        report = check_invariance_dense(ground)
+        exact = class_check(ground, monkeypatch)
+        assert verdict(report) == verdict(exact)
+        bound = invariance._transposition_bound(ground)
+        if bound < DENSE_INVARIANCE_TOL:
+            assert report == InvarianceReport(bound, bound,
+                                              exact.checked_words, True,
+                                              bound)
+            assert exact.condition1_max_violation <= bound
+            assert exact.condition2_max_violation <= bound
+            assert exact.full_max_violation <= bound
+        else:
+            assert_same_report(report, exact)
+        # pair-exchange's template i m_j m_l flips sign under a swap.
+        assert verdict(report) == ((False, False) if name == "pair-exchange"
+                                   else (True, True))
+
+    @pytest.mark.parametrize("V", [4, 5, 6])
+    def test_last_transposition_counts(self, V, monkeypatch):
+        # Every transposition but (V-1 V) fixes the ground space, so a
+        # loop that skips the last one would certify it.
+        ground = ground_of(site_number_cut(V))
+        report = check_invariance_dense(ground)
+        assert not report.fully_invariant
+        assert_same_report(report, class_check(ground, monkeypatch))
+        # Sites V-1 (occupied) and V (half filled) swap: the two rank-2
+        # projectors share one vector and the other pair is orthogonal,
+        # so the distance is 1 and B = C(V, 2).
+        assert invariance._transposition_bound(ground) == pytest.approx(
+            math.comb(V, 2), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["site-number", "pair-hopping",
+                                      "hubbard-like"])
+    def test_certified_without_words(self, name, monkeypatch):
+        def no_words(*args, **kwargs):
+            raise AssertionError("class check reached")
+
+        monkeypatch.setattr(invariance, "word_expectations_dense", no_words)
+        report = check_invariance_dense(ground_of(builtin_family(name, 6)))
+        assert report.fully_invariant
+        assert report.max_violation() < 1e-10
+        result, rep = verify_gs_bound(builtin_family(name, 6), seed=0)
+        assert result.precondition_ok and rep.passed
+
+    def test_memory_far_below_a_projector(self):
+        # The hubbard-like V = 6 ground space (dim 4096, rank 5) is
+        # certified from gathers of its isometry: no 4096 x 4096 complex
+        # array (256 MB) is made.
+        ground = ground_of(builtin_family("hubbard-like", 6))
+        tracemalloc.start()
+        try:
+            report = check_invariance_dense(ground)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.fully_invariant
+        assert peak < 8 * 2 ** 20
 
 
 class TestConvexityStep:
