@@ -32,10 +32,9 @@ XOR engine, where ladder operators are never formed as dense matrices
 and rho is never multiplied by anything: ladders are
 :data:`fock.XorTerms`, a Fourier ladder being V phased site-ladder
 terms.  Its moments are computed for many rows of ladders at once: the
-distinct rows and their distinct halves are numbered as dictionary keys,
-whatever their length or the number of ladders, each distinct half is
-one :func:`fock.xor_product` chain, and one :func:`fock.xor_pair_traces`
-call reads every distinct row (:func:`_row_moments`).  The single-site
+distinct rows are dictionary keys, whatever their length or the number
+of ladders, and each is one :func:`fock.xor_product` chain read by one
+:func:`fock.xor_trace` (:func:`_row_moments`).  The single-site
 cumulants K_w, the site program's local moments and the
 Gaussian-mixture pair values take this route on the site state.
 
@@ -64,7 +63,7 @@ import numpy as np
 from .algebra import SystemShape, canonicalize_positions
 from .definetti import ProductMixture
 from .fock import (DenseOperator, XorTerms, global_parity_signs,
-                   ladder_terms, xor_matrix, xor_pair_traces, xor_product)
+                   ladder_terms, xor_matrix, xor_product, xor_trace)
 from .report import INEQUALITY, PROPERTY, VerificationReport, make_report
 
 #: Tolerance of the central-limit claims on Fourier cumulants: the
@@ -152,26 +151,15 @@ def _row_moments(rho: np.ndarray, ladders: Sequence[XorTerms],
     """tr(rho L_(r_1) ... L_(r_k)) for each row r of an (n, k) index array
     into ``ladders``, one entry per row.
 
-    Equal rows are read once.  A row splits into a left half, its first
-    k // 2 ladders, and a right half.  The distinct rows and halves are
-    numbered in order of first appearance, as dictionary keys, so rows of
-    any length over any number of ladders are told apart; each distinct
-    half is formed once, and one :func:`fock.xor_pair_traces` call reads
-    every distinct row.
+    Equal rows are read once: each distinct row, a dictionary key however
+    long it is, is one :func:`_product` chain and one
+    :func:`fock.xor_trace`.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    h = rows.shape[1] // 2
     distinct: Dict[Tuple[int, ...], int] = {}
     inverse = [distinct.setdefault(row, len(distinct))
-               for row in map(tuple, rows.tolist())]
-    lefts: Dict[Tuple[int, ...], int] = {}
-    rights: Dict[Tuple[int, ...], int] = {}
-    pairs = [(lefts.setdefault(row[:h], len(lefts)),
-              rights.setdefault(row[h:], len(rights))) for row in distinct]
-    halves = {key: _product(ladders, key, len(rho))
-              for key in lefts.keys() | rights.keys()}
-    traces = xor_pair_traces(rho, [halves[key] for key in lefts],
-                             [halves[key] for key in rights], pairs)
+               for row in map(tuple, np.asarray(rows).tolist())]
+    traces = np.array([xor_trace(rho, _product(ladders, row, len(rho)))
+                       for row in distinct])
     return traces[inverse]
 
 
@@ -313,9 +301,10 @@ def site_moments(state: ProductState, ladders: Sequence[LadderIndex],
     moments of all sub-tuples.  O(V 3^k) per row and component, the rows
     and components stacked; the local moments are one
     :func:`_row_moments` call per component and sub-tuple length, on the
-    single-site state.  Raises ``ValueError`` on a component with a
-    nonzero odd entry, where the factorization fails, and on a q outside
-    :func:`fourier_q_range`.
+    single-site state, so each distinct single-site word is one
+    dimension-2^p chain and trace per component.  Raises ``ValueError``
+    on a component with a nonzero odd entry, where the factorization
+    fails, and on a q outside :func:`fourier_q_range`.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n, k = rows.shape

@@ -23,11 +23,10 @@ f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings flip the same bit
 group-sum (:func:`xor_sum`), one product,
 diag(u) X_x diag(v) X_y = diag(u * v[a ^ x]) X_(x ^ y) at O(terms * dim)
 (:func:`xor_product`), one gather against a dense state,
-tr(rho T) = sum_x sum_a v_x[a] rho[a ^ x, a], read for the products
-T = A B of many pairs of operators (:func:`xor_pair_traces`), and one
-scatter into dense matrices (:func:`_scatter`, behind :func:`xor_matrix`
-and the stacked :func:`to_matrices`).  Expansions, Hamiltonians, ladder
-moments and the 1-RDM all go through these.
+tr(rho T) = sum_x sum_a v_x[a] rho[a ^ x, a] (:func:`xor_trace`), and
+one scatter into dense matrices (:func:`_scatter`, behind
+:func:`xor_matrix` and the stacked :func:`to_matrices`).  Expansions,
+Hamiltonians and ladder moments all go through these.
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
 the most significant bits.  That layout has two homes: :func:`occupations`,
@@ -75,9 +74,8 @@ STATE_EIG_TOL = 1e-10
 STATE_HERMITIAN_TOL = 1e-9
 STATE_PARITY_TOL = 1e-10
 
-#: :func:`to_matrices` and :func:`xor_pair_traces` cut their value arrays
-#: to at most this many entries (4 MB of complex values), whatever the
-#: size of their input.
+#: :func:`to_matrices` cuts its value arrays to at most this many entries
+#: (4 MB of complex values), whatever the size of its input.
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -308,61 +306,13 @@ def xor_product(left: XorTerms, right: XorTerms) -> XorTerms:
     return xor_sum(((lmasks[:, None] ^ rmasks[None, :]).ravel(), vals))
 
 
-def _stacked(halves: Sequence[XorTerms]) -> XorTerms:
-    """XOR terms of many operators padded to one term count: masks (n, T)
-    and values (n, T, dim).  A padding term repeats one of the operator's
-    own masks with zero values."""
-    count = max(len(masks) for masks, _ in halves)
-    masks = np.array([np.resize(m, count) for m, _ in halves], dtype=np.int64)
-    vals = np.zeros((len(halves), count, halves[0][1].shape[1]),
-                    dtype=np.result_type(*(v for _, v in halves)))
-    for out, (_, v) in zip(vals, halves):
-        out[:len(v)] = v
-    return masks, vals
-
-
-def xor_pair_traces(rho: np.ndarray, lefts: Sequence[XorTerms],
-                    rights: Sequence[XorTerms], pairs) -> np.ndarray:
-    """tr(rho A B) for each (l, r) row of ``pairs``, A = lefts[l] and
-    B = rights[r], one entry per row.
-
-    With A the terms (x_s, u_s) and B the terms (y_t, v_t),
-
-        tr(rho A B) = sum_s sum_a u_s[a] (B rho)[a ^ x_s, a],
-        (B rho)[a ^ x, a] = sum_t v_t[a ^ x] rho[a ^ x ^ y_t, a],
-
-    so B rho is read only at the masks x of the left halves: one
-    (masks x dim) table per right half, after which each row is one
-    gather from its right half's table, multiplied by its left half's
-    values and summed.  The sums are ``ndarray.sum`` over materialized
-    products, with no BLAS call, so the result does not depend on the
-    thread count.  Halves are padded with zero terms to a common count
-    (:func:`_stacked`), and rows are cut into chunks of at most
-    :data:`_BATCH_ENTRIES` entries.
-    """
-    dim = rho.shape[0]
-    rows = np.arange(dim)
-    lmasks, lvals = _stacked(lefts)
-    xs, slots = np.unique(lmasks, return_inverse=True)
-    slots = slots.reshape(lmasks.shape)
-    rmasks, rvals = _stacked(rights)
-    # read[i, a] = a ^ xs[i], the rows of B rho that the left halves read.
-    read = rows ^ xs[:, None]
-    table = np.empty((len(rights), len(xs), dim),
-                     dtype=np.result_type(rho, rvals))
-    step = max(1, _BATCH_ENTRIES // rvals[0].size // len(xs))
-    for lo in range(0, len(rights), step):
-        m = rmasks[lo:lo + step, :, None, None]
-        table[lo:lo + step] = (rvals[lo:lo + step][:, :, read]
-                               * rho[read ^ m, rows]).sum(axis=1)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    out = np.empty(len(pairs), dtype=np.result_type(lvals, table))
-    step = max(1, _BATCH_ENTRIES // lvals[0].size)
-    for lo in range(0, len(pairs), step):
-        left, right = pairs[lo:lo + step].T
-        prod = lvals[left] * table[right[:, None], slots[left]]
-        out[lo:lo + step] = prod.reshape(len(left), -1).sum(axis=1)
-    return out
+def xor_trace(rho: np.ndarray, terms: XorTerms) -> complex:
+    """tr(rho T) of XOR terms T: sum_x sum_a v_x[a] rho[a ^ x, a], one
+    gather of rho and one ``ndarray.sum`` over the products.  No BLAS
+    call, so the value does not depend on the thread count."""
+    masks, vals = terms
+    rows = np.arange(vals.shape[1])
+    return (vals * rho[rows ^ masks[:, None], rows]).sum()
 
 
 def _scatter(flat: np.ndarray, terms: XorTerms, starts=0):

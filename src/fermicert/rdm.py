@@ -19,9 +19,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import SystemShape
-from .fock import (DenseOperator, hermiticity_residual, ladder_terms,
-                   occupations, xor_pair_traces)
+from .algebra import OperatorExpansion, SystemShape
+from .fock import DenseOperator, hermiticity_residual, occupations
 from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
@@ -63,24 +62,27 @@ class CirculantParams:
                 raise ValueError(f"{name} must be finite, got {value}")
 
 
-def one_rdm(rho: DenseOperator) -> OneRDM:
-    """Compute Gamma[j, k] = tr(rho f_j† f_k) over the site-major flattened
+def one_rdm(op: OperatorExpansion) -> OneRDM:
+    """Compute Gamma[j, k] = tr(op f_j† f_k) over the site-major flattened
     modes, symmetrized with the residual reported.
 
-    Each ladder is one XOR term (:func:`fock.ladder_terms`), so Gamma is
-    one :func:`fock.xor_pair_traces` call: the left halves are the n
-    creators f_j†, the right halves the n annihilators f_k, and the pairs
-    all n² of (j, k), row-major.  No dense ladder or matrix product is
-    formed.  ``rho`` need not be positive: any operator gives its
+    f_j† f_k = (m_j^1 - i m_j^2)(m_k^1 + i m_k^2) / 4 holds words of
+    degree 0 and 2 only, so Gamma = (G11 + i G12 - i G21 + G22) / 4 in
+    the blocks of the two-point matrix G[a, b] = tr(op m_a m_b): tr(op)
+    on the diagonal and, for a < b, G[a, b] = -G[b, a] the expectation of
+    the word m_a m_b.  One pass over the expansion; no Fock-space array
+    and no mode cap.  ``op`` need not be positive: any operator gives its
     correlation matrix, and state validity is the caller's check."""
-    shape = rho.shape
-    modes = [(site, mode) for site in range(1, shape.sites + 1)
-             for mode in range(1, shape.modes_per_site + 1)]
-    n = len(modes)
-    gamma = xor_pair_traces(
-        rho.matrix, [ladder_terms(shape, -1, *sm) for sm in modes],
-        [ladder_terms(shape, 1, *sm) for sm in modes],
-        np.indices((n, n)).reshape(2, -1).T).reshape(n, n)
+    shape = op.shape
+    two = np.zeros((shape.majorana_count,) * 2, dtype=np.complex128)
+    for mask in op.terms:
+        if mask.bit_count() == 2:
+            two[(mask & -mask).bit_length() - 1,
+                mask.bit_length() - 1] = op.expectation(mask)
+    g = op.trace() * np.eye(len(two)) + two - two.T
+    # Mode n's Majoranas m^1 and m^2 are bits 2n and 2n + 1.
+    gamma = 0.25 * (g[0::2, 0::2] + 1j * g[0::2, 1::2]
+                    - 1j * g[1::2, 0::2] + g[1::2, 1::2])
     residual = hermiticity_residual(gamma)
     gamma = 0.5 * (gamma + gamma.conj().T)
     return OneRDM(gamma, shape, residual)
@@ -173,8 +175,9 @@ def mode_occupations(rho: DenseOperator) -> np.ndarray:
     """<n_j> per flattened mode, read off the Fock-basis diagonal through
     :func:`fock.occupations`.
 
-    Independent of the ladder-operator route used by :func:`one_rdm`, so it
-    serves as the trace oracle for the 1-RDM diagonal."""
+    Independent of :func:`one_rdm`, which reads the expansion's word
+    coefficients and no Fock matrix, so it serves as the trace oracle for
+    the 1-RDM diagonal where a dense source exists."""
     diag = np.real(np.diag(rho.matrix))
     return np.array([float(np.dot(diag, bits))
                      for bits in occupations(rho.shape).T])
@@ -188,7 +191,8 @@ def verify_pauli_constraints(rdm: OneRDM,
 
     Verifies eigenvalues within [-BAND_TOL, 1 + BAND_TOL]; when ``source``
     is given, the trace against independently computed mode occupations
-    (TRACE_TOL); and for permutation-invariant single-mode sources the
+    (TRACE_TOL), and otherwise notes that this trace oracle did not run;
+    and for permutation-invariant single-mode sources the
     off-diagonal suppression |b| <= 8/(sqrt(3) V) + OFFDIAG_BOUND_TOL.
     The report's lhs is the worst tolerance-normalized violation (pass at
     lhs <= 0).
@@ -205,6 +209,8 @@ def verify_pauli_constraints(rdm: OneRDM,
         violations.append(trace_dev - TRACE_TOL)
         notes.append(f"trace {rdm.particle_number():.9g} vs occupations "
                      f"{occ_sum:.9g}")
+    else:
+        notes.append("trace oracle not run: no dense source")
     if source_invariant and rdm.shape.modes_per_site == 1:
         a, b, resid = fit_circulant(rdm.gamma)
         bound = OFFDIAG_BOUND_CONST / rdm.shape.sites

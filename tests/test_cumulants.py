@@ -355,9 +355,9 @@ class TestFourierCumulants:
                 != first[1].single_site_cumulant[0])
 
     def test_case_list_matches_one_case_calls(self):
-        # A case read inside the V = 3, w = 4 claim's list (shared halves,
-        # padded to the list's term counts) against the case alone: the
-        # same values up to the summation order.
+        # A case read inside the V = 3, w = 4 claim's list (rows shared
+        # with other cases) against the case alone: the same values up to
+        # the summation order.
         cases = suites._lemma4_cases(3, 4)[::37]
         res = fourier_cumulant(DIAG_THIRDS, 3, cases)
         assert len(res.direct) == len(cases) == 10
@@ -553,12 +553,12 @@ class TestXorEngine:
         assert abs(moment(rho, [[F, FDAG] * 32])[0] - want) < 1e-12
         assert abs(moment(rho, [[F, FDAG]])[0] - want) < 1e-12
 
-    def test_lemma4_claim_forms_each_half_once(self, monkeypatch):
+    def test_lemma4_claim_forms_each_row_once(self, monkeypatch):
         # The suite's V = 4, w = 4 claim in one call reads the single site
-        # (dim 2) alone: each distinct two-ladder half of its single-site
-        # words is one xor_product in the site program's local moments and
-        # one in the single-site K_4, nothing of the copy's dimension 16
-        # is formed, and no dense ladder.
+        # (dim 2) alone: each distinct single-site row, a word of two or
+        # four (c, mode) letters, is one xor_product chain in the site
+        # program's local moments and one in the single-site K_4; nothing
+        # of the copy's dimension 16 is formed, and no dense ladder.
         dims = []
         product = cumulants.xor_product
 
@@ -577,10 +577,13 @@ class TestXorEngine:
         assert res.distinct_triples.all()
         assert (np.abs(res.direct - res.closed_form).max()
                 <= cumulants.CUMULANT_TOL)
-        halves = {ops[:2] for ops in cases} | {ops[2:] for ops in cases}
-        site_halves = {tuple((o.c, o.mode) for o in half) for half in halves}
-        assert len(site_halves) == 4
-        assert dims == [2] * 2 * len(site_halves)
+        words = {tuple((o.c, o.mode) for o in ops) for ops in cases}
+        pairs = {tuple(word[i] for i in sub) for word in words
+                 for sub in itertools.combinations(range(4), 2)}
+        assert (len(words), len(pairs)) == (16, 4)
+        chain = len(pairs) * 1 + len(words) * 3
+        assert dims == [2] * 2 * chain
+        assert len(dims) == 104
 
 
 class TestSiteProgram:

@@ -31,7 +31,7 @@ from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             to_expansion, to_matrices, to_matrix,
                             trace_norm,
                             word_expectations_dense, word_terms, xor_matrix,
-                            xor_pair_traces, xor_product, xor_sum)
+                            xor_product, xor_sum, xor_trace)
 from fermicert.invariance import (MuFamilyParams, mu_family_state,
                                   words_up_to_degree)
 from fermicert.meanfield import (BUILTIN_FAMILIES,
@@ -270,49 +270,16 @@ class TestXorTerms:
                                atol=1e-13)
 
     def test_trace_is_the_dense_trace(self, rng):
-        # Each term apart, as a left half against the identity, and the
-        # terms together.
+        # Each term apart and the terms together.
         rho = random_density_matrix(32, rng)
-        identity = (np.zeros(1, dtype=np.int64), np.ones((1, 32)))
         for n in (1, 4, 9):
             terms = random_xor_terms(32, n, rng)
-            per_term = xor_pair_traces(rho, list(zip(terms[0][:, None],
-                                                     terms[1][:, None])),
-                                       [identity], [(t, 0) for t in range(n)])
-            assert per_term.shape == (n,)
-            for t, (mask, vals) in enumerate(zip(*terms)):
-                assert abs(per_term[t] - np.trace(
-                    rho @ exact_matrix(mask, vals))) < 1e-13
+            for mask, vals in zip(*terms):
+                got = xor_trace(rho, (mask[None], vals[None]))
+                want = np.trace(rho @ exact_matrix(mask, vals))
+                assert abs(got - want) < 1e-13
             want = np.trace(rho @ terms_oracle(terms))
-            assert abs(per_term.sum() - want) < 1e-13
-            whole = xor_pair_traces(rho, [terms], [identity], [(0, 0)])
-            assert abs(whole[0] - want) < 1e-13
-
-    def test_pair_traces_are_the_dense_traces(self, rng):
-        # Halves of different term counts, with repeated masks, and pairs
-        # that repeat and reuse one half on both sides.
-        rho = random_density_matrix(32, rng)
-        halves = [random_xor_terms(32, n, rng) for n in (1, 3, 6, 2)]
-        lefts, rights = halves[:3], halves[1:]
-        pairs = [(0, 0), (2, 1), (1, 0), (2, 2), (0, 2), (2, 1), (1, 2)]
-        got = xor_pair_traces(rho, lefts, rights, pairs)
-        assert got.shape == (len(pairs),)
-        for value, (l, r) in zip(got, pairs):
-            want = np.trace(rho @ terms_oracle(lefts[l])
-                            @ terms_oracle(rights[r]))
-            assert abs(value - want) < 1e-12
-
-    def test_pair_trace_chunks_change_no_bit(self, rng, monkeypatch):
-        # Each right half's table and each row are computed on their own,
-        # so chunks of one entry give the same values bit for bit.
-        rho = random_density_matrix(16, rng)
-        lefts = [random_xor_terms(16, n, rng) for n in (2, 5)]
-        rights = [random_xor_terms(16, n, rng) for n in (4, 1, 3)]
-        pairs = [(l, r) for l in range(2) for r in range(3)]
-        want = xor_pair_traces(rho, lefts, rights, pairs)
-        monkeypatch.setattr(fock, "_BATCH_ENTRIES", 1)
-        assert np.array_equal(xor_pair_traces(rho, lefts, rights, pairs),
-                              want)
+            assert abs(xor_trace(rho, terms) - want) < 1e-13
 
     def test_matrix_adds_in_term_order(self, rng):
         # Repeated masks: the scatter equals the term-by-term sum bit for

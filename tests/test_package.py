@@ -195,23 +195,31 @@ UNREACHED_ALLOWED = {
 }
 
 
+def body_definitions(body):
+    """Functions, classes and assigned names of one statement list, as a
+    map from name to the AST nodes that define it."""
+    defs = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defs.setdefault(node.name, []).append(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defs.setdefault(name.id, []).append(node)
+    return defs
+
+
 def top_level_definitions(sources):
-    """Functions, classes and assigned names at module level, as a map
-    from name to the AST nodes that define it, over ``sources`` (module
-    name -> source text)."""
+    """:func:`body_definitions` at module level over ``sources`` (module
+    name -> source text), merged."""
     defs = {}
     for source in sources.values():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    for name in ast.walk(target):
-                        if isinstance(name, ast.Name):
-                            defs.setdefault(name.id, []).append(node)
+        for name, nodes in body_definitions(ast.parse(source).body).items():
+            defs.setdefault(name, []).extend(nodes)
     return defs
 
 
@@ -244,6 +252,76 @@ def test_every_definition_reached_from_main():
     assert sorted(set(unreached) - UNREACHED_ALLOWED.keys()) == []
     # No stale entries: each exempt name exists and is really unreached.
     assert sorted(UNREACHED_ALLOWED.keys() - set(unreached)) == []
+
+
+#: A Sphinx-style cross reference, ``:func:`fock.xor_trace``` and the like.
+REFERENCE = re.compile(r":(func|class|meth|data):`([\w.]+)`")
+
+
+def stale_references(sources):
+    """``(module, target)`` of each ``:func:``, ``:class:``, ``:meth:`` or
+    ``:data:`` reference in ``sources`` (module name -> source text) whose
+    target names no definition.
+
+    ``module.name`` must be defined at the top level of that module, a
+    bare name at the top level of any module, and ``Class.member`` in the
+    body of that class; a bare ``:meth:`` name may be a member of any
+    class.  Members are the methods and class-level names.
+    """
+    modules = {name: top_level_definitions({name: source})
+               for name, source in sources.items()}
+    anywhere = top_level_definitions(sources)
+    members = {}
+    for nodes in anywhere.values():
+        for node in nodes:
+            if isinstance(node, ast.ClassDef):
+                members.setdefault(node.name, set()).update(
+                    body_definitions(node.body))
+    any_member = set().union(*members.values())
+    found = []
+    for module, source in sources.items():
+        for kind, target in REFERENCE.findall(source):
+            head, *rest = target.split(".")
+            scope = anywhere
+            if head in modules and rest:
+                scope = modules[head]
+                head, *rest = rest
+            if rest:
+                ok = (head in scope and len(rest) == 1
+                      and rest[0] in members.get(head, ()))
+            else:
+                ok = head in scope or (kind == "meth" and head in any_member)
+            if not ok:
+                found.append((module, target))
+    return sorted(found)
+
+
+def test_source_references_name_definitions():
+    # A docstring or comment that names a function, class, method or
+    # constant names one that exists.
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert stale_references(sources) == []
+
+
+def test_detector_flags_stale_references():
+    # A deleted function, a name looked up in the wrong module and a
+    # missing member are reported; a method named bare, a class-level
+    # name and module-qualified names that exist are not.
+    sources = {
+        "fock": ("XorTerms = tuple\n"
+                 "class Isometry:\n    rank: int\n"
+                 "    def dim(self):\n        return 1\n"
+                 "def xor_trace(rho):\n"
+                 '    """Not :func:`_lower_bound`; see :data:`XorTerms`\n'
+                 '    and :meth:`Isometry.rank`."""\n'),
+        "rdm": ('"""Reads :func:`fock.xor_trace`, :func:`fock.one_rdm`,\n'
+                ':meth:`dim`, :class:`fock.Isometry` and\n'
+                ':meth:`Isometry.size`."""\n'
+                "def one_rdm(op):\n    return op\n"),
+    }
+    assert stale_references(sources) == [
+        ("fock", "_lower_bound"), ("rdm", "Isometry.size"),
+        ("rdm", "fock.one_rdm")]
 
 
 def test_detector_flags_helpers_of_exempt_functions():

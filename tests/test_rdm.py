@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (independent_ladder, random_density_matrix,
-                      random_even_density_matrix)
-from fermicert.algebra import SystemShape
-from fermicert import rdm
+                      random_even_density_matrix, word_matrix_oracle)
+from fermicert import fock
+from fermicert.algebra import OperatorExpansion, SystemShape
 from fermicert.definetti import product_power
-from fermicert.fock import DenseOperator, to_matrix
+from fermicert.fock import (DenseOperator, hermiticity_residual, to_expansion,
+                            to_matrix)
 from fermicert.invariance import MuFamilyParams, mu_family_state
 from fermicert.rdm import (CirculantParams, OFFDIAG_BOUND_CONST, OneRDM,
                            circulant_matrix, circulant_spectrum_with_fallback,
@@ -23,19 +24,55 @@ from fermicert.rdm import (CirculantParams, OFFDIAG_BOUND_CONST, OneRDM,
 TAN6 = math.tan(math.pi / 12.0)
 
 
+def expansion_of(shape, matrix):
+    """A dense matrix on ``shape`` as its full word expansion."""
+    return to_expansion(DenseOperator(shape, matrix))
+
+
+def occupied_state(shape, index):
+    """The Fock basis state of ``index`` as an expansion."""
+    rho = np.zeros((shape.fock_dim,) * 2, dtype=complex)
+    rho[index, index] = 1.0
+    return expansion_of(shape, rho)
+
+
+def oracle_gamma(op):
+    """tr(rho f_j† f_k) with rho summed from kron-chain word matrices and
+    kron-chain ladders, none of it through the package's dense route."""
+    shape = op.shape
+    rho = sum((coeff * word_matrix_oracle(mask, shape)
+               for mask, coeff in op.terms.items()),
+              np.zeros((shape.fock_dim,) * 2, dtype=complex))
+    n = shape.total_modes
+    fs = [independent_ladder(n, mode) for mode in range(n)]
+    return np.array([[np.trace(rho @ fj.conj().T @ fk) for fk in fs]
+                     for fj in fs])
+
+
+@st.composite
+def expansions(draw):
+    """Expansions at p = 1 and p = 2 with random complex coefficients,
+    so neither positive nor Hermitian; degree-2 words drawn on their own
+    as well, so every block of the two-point matrix is reached."""
+    shape = SystemShape(*draw(st.sampled_from(
+        [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2)])))
+    bits = shape.majorana_count
+    pair = st.lists(st.integers(0, bits - 1), min_size=2, max_size=2,
+                    unique=True).map(lambda ab: (1 << ab[0]) | (1 << ab[1]))
+    mask = st.one_of(pair, st.integers(0, (1 << bits) - 1))
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    coeff = st.builds(complex, part, part)
+    terms = draw(st.dictionaries(mask, coeff, max_size=8))
+    return OperatorExpansion(shape, terms)
+
+
 class TestOneRDM:
     def test_vacuum_zero(self):
-        sh = SystemShape(3, 1)
-        vac = np.zeros((8, 8), dtype=complex)
-        vac[0, 0] = 1.0
-        rdm = one_rdm(DenseOperator(sh, vac))
+        rdm = one_rdm(occupied_state(SystemShape(3, 1), 0))
         assert np.max(np.abs(rdm.gamma)) == 0.0
 
     def test_fully_occupied_identity(self):
-        sh = SystemShape(2, 1)
-        full = np.zeros((4, 4), dtype=complex)
-        full[3, 3] = 1.0
-        rdm = one_rdm(DenseOperator(sh, full))
+        rdm = one_rdm(occupied_state(SystemShape(2, 1), 3))
         assert np.allclose(rdm.gamma, np.eye(2))
 
     def test_mu_family_circulant(self):
@@ -43,7 +80,7 @@ class TestOneRDM:
         # f_j† f_k = (m_j^1 - i m_j^2)(m_k^1 + i m_k^2)/4 and only the
         # m^1 m^1 expectation survives.
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
-        rdm = one_rdm(to_matrix(state))
+        rdm = one_rdm(state)
         a, b, resid = fit_circulant(rdm.gamma)
         assert a == pytest.approx(0.5, abs=1e-12)
         assert b == pytest.approx(0.25j * TAN6, abs=1e-12)
@@ -52,7 +89,7 @@ class TestOneRDM:
 
     def test_occupation_band(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
-        rdm = one_rdm(to_matrix(state))
+        rdm = one_rdm(state)
         eigs = np.linalg.eigvalsh(rdm.gamma)
         assert eigs[0] > -1e-10 and eigs[-1] < 1.0 + 1e-10
 
@@ -64,26 +101,43 @@ class TestOneRDM:
             fs = [independent_ladder(n, mode) for mode in range(n)]
             want = np.array([[np.trace(rho @ fj.conj().T @ fk) for fk in fs]
                              for fj in fs])
-            rdm = one_rdm(DenseOperator(sh, rho))
+            rdm = one_rdm(expansion_of(sh, rho))
             assert np.max(np.abs(rdm.gamma - want)) < 1e-12
             assert rdm.hermiticity_residual < 1e-12
 
-    def test_one_pair_trace_gather(self, monkeypatch, rng):
-        # Gamma is one xor_pair_traces call: the n creators on the left,
-        # the n annihilators on the right and all n² pairs.
-        sh = SystemShape(2, 2)
-        rho = DenseOperator(sh, random_even_density_matrix(sh, rng))
-        want = one_rdm(rho).gamma
-        calls = []
-        gather = rdm.xor_pair_traces
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(expansions())
+    def test_any_operator_matches_the_word_oracle(self, op):
+        # Gamma of a non-Hermitian operator is symmetrized: its Hermitian
+        # part, with the anti-Hermitian part's size as the residual.
+        want = oracle_gamma(op)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        rdm = one_rdm(op)
+        assert np.max(np.abs(rdm.gamma - 0.5 * (want + want.conj().T))
+                      ) <= 1e-13 * scale
+        assert abs(rdm.hermiticity_residual - hermiticity_residual(want)
+                   ) <= 1e-13 * scale
 
-        def counting(rho, lefts, rights, pairs):
-            calls.append((len(lefts), len(rights), len(pairs)))
-            return gather(rho, lefts, rights, pairs)
+    @pytest.mark.parametrize("V", [40, 200])
+    def test_no_mode_cap_and_no_fock_matrix(self, V, monkeypatch):
+        # Far past the default cap: Gamma is the closed form a = 1/2,
+        # Gamma[j, k] = i tan(pi/2V) mu / 4 for j > k, with no dense
+        # matrix formed.
+        def no_dense(*args):
+            raise AssertionError("a Fock matrix was formed")
 
-        monkeypatch.setattr(rdm, "xor_pair_traces", counting)
-        assert np.array_equal(one_rdm(rho).gamma, want)
-        assert calls == [(4, 4, 16)]
+        monkeypatch.setattr(fock, "to_matrices", no_dense)
+        monkeypatch.setattr(fock, "xor_matrix", no_dense)
+        mu = 0.5
+        state = mu_family_state(MuFamilyParams(V, 1, mu), validate=False)
+        assert state.shape.total_modes > fock.mode_cap()
+        rdm = one_rdm(state)
+        lower = np.tril(np.ones((V, V), dtype=bool), -1)
+        want = np.where(lower, 0.25j * math.tan(math.pi / (2 * V)) * mu, 0)
+        want = want + want.conj().T + 0.5 * np.eye(V)
+        assert np.max(np.abs(rdm.gamma - want)) <= 1e-15
+        assert rdm.hermiticity_residual == 0.0
 
 
 def closed_form(params: CirculantParams) -> np.ndarray:
@@ -181,18 +235,16 @@ class TestCirculantSpectrum:
 
 class TestPauliConstraints:
     def test_vacuum_passes(self):
-        sh = SystemShape(3, 1)
-        vac = np.zeros((8, 8), dtype=complex)
-        vac[0, 0] = 1.0
-        dense = DenseOperator(sh, vac)
-        rep = verify_pauli_constraints(one_rdm(dense), source=dense)
+        state = occupied_state(SystemShape(3, 1), 0)
+        rep = verify_pauli_constraints(one_rdm(state),
+                                       source=to_matrix(state))
         assert rep.passed
+        assert not any("trace oracle" in note for note in rep.notes)
 
     def test_mu_family_bound(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
-        dense = to_matrix(state)
-        rdm = one_rdm(dense)
-        rep = verify_pauli_constraints(rdm, source=dense,
+        rdm = one_rdm(state)
+        rep = verify_pauli_constraints(rdm, source=to_matrix(state),
                                        source_invariant=True)
         assert rep.passed
         _, b, _ = fit_circulant(rdm.gamma)
@@ -204,11 +256,17 @@ class TestPauliConstraints:
         assert not rep.passed
         assert float(np.linalg.eigvalsh(gamma)[0]) < 0
 
+    def test_no_source_says_the_trace_oracle_did_not_run(self):
+        state = occupied_state(SystemShape(3, 1), 0)
+        rep = verify_pauli_constraints(one_rdm(state))
+        assert rep.passed
+        assert "trace oracle not run: no dense source" in rep.notes
+
     def test_mode_occupations_oracle(self, rng):
         sh = SystemShape(2, 1)
         rho = DenseOperator(sh, random_density_matrix(4, rng))
         occ = mode_occupations(rho)
-        rdm = one_rdm(rho)
+        rdm = one_rdm(to_expansion(rho))
         assert np.allclose(occ, np.real(np.diag(rdm.gamma)), atol=1e-12)
 
 
@@ -225,8 +283,16 @@ class TestBlockStructure:
     def test_product_state_has_zero_offdiagonal_block(self):
         xi = DenseOperator(SystemShape(1, 2),
                            np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex))
-        blocks = site_blocks(one_rdm(product_power(xi, 4)))
-        single = one_rdm(xi).gamma
+        # xi is even, so the product of its expansion moved to each site
+        # is the tensor power (to_expansion's cap excludes 8 modes).
+        site = to_expansion(xi)
+        power = OperatorExpansion.identity(SystemShape(4, 2))
+        for j in range(1, 5):
+            power = power * site.relabel([j], power.shape)
+        assert np.allclose(to_matrix(power).matrix,
+                           product_power(xi, 4).matrix, rtol=0, atol=1e-15)
+        blocks = site_blocks(one_rdm(power))
+        single = one_rdm(site).gamma
         for j in range(4):
             # Each diagonal block is the 1-RDM of the single-site state.
             assert np.max(np.abs(blocks[j, j] - single)) < 1e-12
@@ -236,7 +302,7 @@ class TestBlockStructure:
 
     def test_mu_family_p2_nonzero_block(self):
         state = mu_family_state(MuFamilyParams(4, 2, 0.8), validate=False)
-        blocks = site_blocks(one_rdm(to_matrix(state)))
+        blocks = site_blocks(one_rdm(state))
         t4 = math.tan(math.pi / 8.0)
         for j in range(4):
             assert np.real(np.trace(blocks[j, j])) == pytest.approx(
@@ -252,7 +318,7 @@ class TestSuppressionWithSize:
         # Fitted |b| V = V tan(pi/2V) / 4 -> pi/8 for the mu family.
         for V in (6, 8, 10):
             state = mu_family_state(MuFamilyParams(V, 1, 1.0), validate=False)
-            rdm = one_rdm(to_matrix(state))
+            rdm = one_rdm(state)
             _, b, _ = fit_circulant(rdm.gamma)
             expected = math.tan(math.pi / (2 * V)) / 4.0
             assert abs(b) == pytest.approx(expected, abs=1e-12)
