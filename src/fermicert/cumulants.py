@@ -27,26 +27,26 @@ taking an even subset with its local moment, its phases and the sign of
 the ladders it passes.  It costs O(V 3^w) per row and builds no
 Fock-space array, so it has no mode cap; :func:`fourier_cumulant` and
 the product rows of the corollary read their direct cumulants from it.
-A dense state, such as a reduction of the mu family, goes through the
-XOR engine, where ladder operators are never formed as dense matrices
-and rho is never multiplied by anything: ladders are
-:data:`fock.XorTerms`, a Fourier ladder being V phased site-ladder
-terms.  Its moments are computed for many rows of ladders at once: the
-distinct rows are dictionary keys, whatever their length or the number
-of ladders, and each is one :func:`fock.xor_product` chain read by one
-:func:`fock.xor_trace` (:func:`_row_moments`).  The single-site
-cumulants K_w, the site program's local moments and the
-Gaussian-mixture pair values take this route on the site state.
+A dense state, such as a reduction of the mu family, goes through
+:func:`cumulant_mats` with dense Fourier ladders, each the matrix of V
+phased site-ladder terms (:func:`fourier_ladder_terms`).
+
+Both routes end in one moment kernel, :func:`_row_moments`: ladders are
+a stack of dense matrices and rows index into it.  The distinct rows are
+dictionary keys, whatever their length, multiplied out together by one
+batched ``@`` per column and read by one trace ``einsum``.  The site
+program's local moments and the Gaussian-mixture pair values run it on
+the single-site state, with the site ladders of :func:`ladder_matrix`,
+so the product mixtures' moments multiply only matrices of dimension
+2^p; the single-site cumulants K_w are the site program at V = 1.
 
 The package has one ladder type, :class:`LadderIndex`, the Fourier ladder
-(c, mode, q); a site ladder is read only on a single site, straight from
-:func:`fock.ladder_terms`.  Cumulants are array arithmetic over the
-signed even partitions, on the moments of every even sub-tuple of every
-row (:func:`_cumulant_rows`), so :func:`fourier_cumulant` computes a
-whole case list in one stacked pass and keeps nothing after it returns;
-:func:`cumulant_mats` is a call of the dense route, and the only
-cumulant API: there is no callback form.  :func:`ladder_matrix` is a
-dense view of the site-ladder terms.
+(c, mode, q); a site ladder is read only on a single site.  Cumulants
+are array arithmetic over the signed even partitions, on the moments of
+every even sub-tuple of every row (:func:`_cumulant_rows`), so
+:func:`fourier_cumulant` computes a whole case list in one stacked pass
+and keeps nothing after it returns; :func:`cumulant_mats` is the dense
+route, and the only cumulant API: there is no callback form.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 from .algebra import SystemShape, canonicalize_positions
 from .definetti import ProductMixture
 from .fock import (DenseOperator, XorTerms, global_parity_signs,
-                   ladder_terms, xor_matrix, xor_product, xor_trace)
+                   ladder_terms, xor_matrix)
 from .report import INEQUALITY, PROPERTY, VerificationReport, make_report
 
 #: Tolerance of the central-limit claims on Fourier cumulants: the
@@ -137,30 +137,23 @@ def _signed_pairings(w: int) -> SignedPartitions:
 
 # -- moment / cumulant engine --------------------------------------------------
 
-def _product(ladders: Sequence[XorTerms], ids: Tuple[int, ...],
-             dim: int) -> XorTerms:
-    """The product of ``ladders[i]`` over ``ids`` in order, one
-    :func:`fock.xor_product` chain; the empty product is the identity."""
-    if not ids:
-        return np.zeros(1, dtype=np.int64), np.ones((1, dim))
-    return functools.reduce(xor_product, (ladders[i] for i in ids))
+def _row_moments(rho: np.ndarray, ladders: np.ndarray, rows) -> np.ndarray:
+    """tr(rho L_(r_1) ... L_(r_k)) for each row r of an (n, k) index array,
+    k >= 1, into the stacked dense ladders L, an (m, d, d) array, one entry
+    per row.
 
-
-def _row_moments(rho: np.ndarray, ladders: Sequence[XorTerms],
-                 rows) -> np.ndarray:
-    """tr(rho L_(r_1) ... L_(r_k)) for each row r of an (n, k) index array
-    into ``ladders``, one entry per row.
-
-    Equal rows are read once: each distinct row, a dictionary key however
-    long it is, is one :func:`_product` chain and one
-    :func:`fock.xor_trace`.
+    Equal rows are read once: the distinct rows, dictionary keys however
+    long they are, are multiplied out together, one batched ``@`` per
+    column, and read by one trace ``einsum``.
     """
     distinct: Dict[Tuple[int, ...], int] = {}
     inverse = [distinct.setdefault(row, len(distinct))
                for row in map(tuple, np.asarray(rows).tolist())]
-    traces = np.array([xor_trace(rho, _product(ladders, row, len(rho)))
-                       for row in distinct])
-    return traces[inverse]
+    keys = np.array(list(distinct), dtype=np.int64).T
+    prod = ladders[keys[0]]
+    for col in keys[1:]:
+        prod = prod @ ladders[col]
+    return np.einsum("ab,nba->n", rho, prod)[inverse]
 
 
 def _cumulant_rows(moments: Dict[Tuple[int, ...], np.ndarray],
@@ -168,9 +161,8 @@ def _cumulant_rows(moments: Dict[Tuple[int, ...], np.ndarray],
     """Order-w cumulants from the moments of every even sub-tuple of
     positions, given as row arrays keyed by increasing position tuple:
     K(S) = moment(S) minus, over the even partitions of S into two or more
-    blocks, sign * prod K(block), from the smallest sub-tuples up."""
-    if w % 2 or w < 2:
-        raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
+    blocks, sign * prod K(block), from the smallest sub-tuples up; w is
+    even and at least 2."""
     cumulants: Dict[Tuple[int, ...], np.ndarray] = {}
     for k in range(2, w + 1, 2):
         for subset in itertools.combinations(range(w), k):
@@ -185,21 +177,6 @@ def _cumulant_rows(moments: Dict[Tuple[int, ...], np.ndarray],
                 total = total - term
             cumulants[subset] = total
     return cumulants[tuple(range(w))]
-
-
-def _row_cumulants(rho: np.ndarray, ladders: Sequence[XorTerms],
-                   rows) -> np.ndarray:
-    """Joint cumulant of ``ladders`` over each row of an (n, w) index
-    array, one entry per row: the moments of each even sub-tuple length
-    come from one :func:`_row_moments` call over every row."""
-    rows = np.asarray(rows, dtype=np.int64)
-    n, w = rows.shape
-    moments = {}
-    for k in range(2, w + 1, 2):
-        subsets = list(itertools.combinations(range(w), k))
-        values = _row_moments(rho, ladders, rows[:, subsets].reshape(-1, k))
-        moments.update(zip(subsets, values.reshape(n, -1).T))
-    return _cumulant_rows(moments, w)
 
 
 @functools.lru_cache(maxsize=256)
@@ -221,15 +198,26 @@ def fourier_ladder_terms(shape: SystemShape, c: int, mode: int,
 
 
 def ladder_matrix(shape: SystemShape, c: int, site: int, mode: int) -> np.ndarray:
-    """Dense ladder operator f (c = +1) or f-dagger (c = -1) from the two
-    Majoranas of the mode: f = (m^(2a-1) + i m^(2a))/2."""
+    """Dense ladder operator f (c = +1) or f-dagger (c = -1), the matrix of
+    :func:`fock.ladder_terms`: f = (m^(2a-1) + i m^(2a))/2 from the two
+    Majoranas of the mode.  The ladders of :func:`site_moments` and of the
+    Gaussian-mixture pair values."""
     return xor_matrix(shape, ladder_terms(shape, c, site, mode))
 
 
-def cumulant_mats(rho: np.ndarray, ladders: Sequence[XorTerms]) -> complex:
-    """Joint cumulant of ladder operators given as XOR terms
-    (:func:`fock.ladder_terms`, :func:`fourier_ladder_terms`)."""
-    return complex(_row_cumulants(rho, ladders, [range(len(ladders))])[0])
+def cumulant_mats(rho: np.ndarray, ladders: Sequence[np.ndarray]) -> complex:
+    """Joint cumulant of dense ladder operators (:func:`ladder_matrix`, or
+    :func:`fock.xor_matrix` of :func:`fourier_ladder_terms`): the moments
+    of each even sub-tuple length are one :func:`_row_moments` call."""
+    w = len(ladders)
+    if w % 2 or w < 2:
+        raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
+    stacked = np.stack(ladders)
+    moments = {}
+    for k in range(2, w + 1, 2):
+        subsets = list(itertools.combinations(range(w), k))
+        moments.update(zip(subsets, _row_moments(rho, stacked, subsets)))
+    return complex(_cumulant_rows(moments, w))
 
 
 # -- the site program: moments of product mixtures -----------------------------
@@ -301,8 +289,9 @@ def site_moments(state: ProductState, ladders: Sequence[LadderIndex],
     moments of all sub-tuples.  O(V 3^k) per row and component, the rows
     and components stacked; the local moments are one
     :func:`_row_moments` call per component and sub-tuple length, on the
-    single-site state, so each distinct single-site word is one
-    dimension-2^p chain and trace per component.  Raises ``ValueError``
+    single-site state and the stacked site ladders of
+    :func:`ladder_matrix`, so each distinct single-site word is one
+    product of dimension-2^p matrices per component.  Raises ``ValueError``
     on a component with a nonzero odd entry, where the factorization
     fails, and on a q outside :func:`fourier_q_range`.
     """
@@ -322,7 +311,8 @@ def site_moments(state: ProductState, ladders: Sequence[LadderIndex],
     letters: Dict[Tuple[int, int], int] = {}
     words = np.array([letters.setdefault((o.c, o.mode), len(letters))
                       for o in ladders], dtype=np.int64)[rows]
-    site_ladders = [ladder_terms(site, c, 1, mode) for c, mode in letters]
+    site_ladders = np.stack([ladder_matrix(site, c, 1, mode)
+                             for c, mode in letters])
     local = np.empty((len(components), n, len(evens)), dtype=np.complex128)
     local[:, :, 0] = np.array([np.trace(xi.matrix)
                                for xi in components])[:, None]
@@ -378,8 +368,9 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
 
     Computes the direct values from the moments of the site program
     (:func:`site_moments`), which builds no Fock-space array and so has no
-    mode cap, the single-site cumulants K_w on the state itself
-    (:func:`_row_cumulants`), and the closed factorized predictions
+    mode cap, the single-site cumulants K_w as the same program at V = 1,
+    where each ladder is its site ladder, and the closed factorized
+    predictions
     V^(-w/2) * K_w(single site) * sum_j exp(2 pi i sum_l c_l q_l j / V),
     each side in one stacked pass over the cases.  The result flags
     whether each case's (c, mode, q) triples are distinct, the hypothesis
@@ -387,8 +378,7 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
     a state with a nonzero odd entry, whose copy does not factorize over
     the sites.
     """
-    shape = rho_single.shape
-    if shape.sites != 1:
+    if rho_single.shape.sites != 1:
         raise ValueError("rho_single must live on a single site")
     if not cases:
         raise ValueError("fourier_cumulant needs at least one case")
@@ -402,13 +392,9 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
                      for ops in cases], dtype=np.int64)
     product = ProductState(ProductMixture(np.ones(1), (rho_single,)), V)
     direct = _cumulant_rows(site_moments(product, list(index), rows), w)
-
-    site: Dict[Tuple[int, int], int] = {}
-    site_of = np.array([site.setdefault((o.c, o.mode), len(site))
-                        for o in index], dtype=np.int64)
-    k_single = _row_cumulants(rho_single.matrix, [
-        fourier_ladder_terms(shape, c, mode, 0) for c, mode in site],
-        site_of[rows])
+    k_single = _cumulant_rows(site_moments(
+        ProductState(product.mixture, 1),
+        [LadderIndex(o.c, o.mode, 0) for o in index], rows), w)
     total_q = np.array([o.c * o.q for o in index], dtype=np.int64)[
         rows].sum(axis=1)
     closed = (V ** (-w / 2.0)) * k_single * _phase_sum(total_q, V)
@@ -451,8 +437,11 @@ def gaussian_mixture_deviation(rho_k: Union[DenseOperator, ProductState],
     of the matching mixture of Gaussian states.
 
     The direct value of a dense ``rho_k`` is :func:`cumulant_mats` on its
-    Fourier ladders; that of a :class:`ProductState` comes from the site
-    program (:func:`site_moments`), with no Fock-space array.
+    dense Fourier ladders, the matrices of :func:`fourier_ladder_terms`;
+    that of a :class:`ProductState` comes from the site program
+    (:func:`site_moments`), with no Fock-space array.  The pair values
+    are one :func:`_row_moments` call per component, on the site state
+    and the site ladders of :func:`ladder_matrix`.
 
     Each mixture component is replaced by the Gaussian state with the same
     second Fourier moments, its pair values P(i, j).  A Gaussian state has
@@ -472,8 +461,9 @@ def gaussian_mixture_deviation(rho_k: Union[DenseOperator, ProductState],
     shape = rho_k.shape
     k, p = shape.sites, shape.modes_per_site
     if isinstance(rho_k, DenseOperator):
-        direct = cumulant_mats(rho_k.matrix, [
-            fourier_ladder_terms(shape, o.c, o.mode, o.q) for o in ops])
+        direct = cumulant_mats(rho_k.matrix, [xor_matrix(
+            shape, fourier_ladder_terms(shape, o.c, o.mode, o.q))
+            for o in ops])
     else:
         direct = complex(_cumulant_rows(site_moments(rho_k, ops, [range(4)]),
                                         4)[0])
@@ -486,7 +476,8 @@ def gaussian_mixture_deviation(rho_k: Union[DenseOperator, ProductState],
     phases = _phase_sum(np.array([ops[i].c * ops[i].q + ops[j].c * ops[j].q
                                   for i, j in index_pairs]), k) / k
     _require_even(mixture, "Gaussian-mixture pair values")
-    site_ladders = [ladder_terms(site, o.c, 1, o.mode) for o in ops]
+    site_ladders = np.stack([ladder_matrix(site, o.c, 1, o.mode)
+                             for o in ops])
     pairs = np.array([phases * _row_moments(xi.matrix, site_ladders,
                                             index_pairs)
                       for xi in mixture.components])

@@ -20,13 +20,10 @@ sum_x diag(v_x) X_x with X_x[a, a ^ x] = 1: a word i^e Z^z X^x is one term
 of mask x (:func:`word_terms`), and so is a site ladder
 f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings flip the same bit
 (:func:`ladder_terms`, v_x[a] in {0, +-1, +-i}).  The form has one
-group-sum (:func:`xor_sum`), one product,
-diag(u) X_x diag(v) X_y = diag(u * v[a ^ x]) X_(x ^ y) at O(terms * dim)
-(:func:`xor_product`), one gather against a dense state,
-tr(rho T) = sum_x sum_a v_x[a] rho[a ^ x, a] (:func:`xor_trace`), and
-one scatter into dense matrices (:func:`_scatter`, behind
-:func:`xor_matrix` and the stacked :func:`to_matrices`).  Expansions,
-Hamiltonians and ladder moments all go through these.
+group-sum (:func:`xor_sum`) and one scatter into dense matrices
+(:func:`_scatter`, behind :func:`xor_matrix` and the stacked
+:func:`to_matrices`).  Expansions and Hamiltonians go through these, and
+ladders leave the form as dense matrices, which the moments multiply.
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
 the most significant bits.  That layout has two homes: :func:`occupations`,
@@ -241,8 +238,7 @@ def pauli_strings(masks, shape: SystemShape
 
 #: An operator as XOR terms (masks, vals): the matrix sum over terms t of
 #: diag(vals[t]) X_masks[t], that is the entries [a, a ^ masks[t]] =
-#: vals[t, a].  Words, ladders, their products and Hamiltonians keep this
-#: form.
+#: vals[t, a].  Words, ladders and Hamiltonians keep this form.
 XorTerms = Tuple[np.ndarray, np.ndarray]
 
 
@@ -287,32 +283,6 @@ def xor_sum(terms: XorTerms) -> XorTerms:
     masks = masks[order]
     first = np.concatenate(([0], np.flatnonzero(masks[1:] != masks[:-1]) + 1))
     return masks[first], np.add.reduceat(vals[order], first, axis=0)
-
-
-def xor_product(left: XorTerms, right: XorTerms) -> XorTerms:
-    """left @ right as summed XOR terms: the product of left term i and
-    right term j is diag(u_i) X_x diag(v_j) X_y = diag(u_i * v_j[a ^ x])
-    X_(x ^ y), and the len(left) * len(right) products are summed by mask
-    (:func:`xor_sum`).  O(terms * dim) and independent of any state."""
-    lmasks, lvals = left
-    rmasks, rvals = right
-    dim = lvals.shape[1]
-    rows = np.arange(dim)
-    # vals[i * len(right) + j, a] = lvals[i, a] * rvals[j, a ^ lmasks[i]];
-    # np.take gathers along one axis faster than fancy indexing, and a
-    # C-ordered product reshapes without a copy.
-    moved = np.take(rvals, rows ^ lmasks[:, None], axis=1).swapaxes(0, 1)
-    vals = np.multiply(lvals[:, None, :], moved, order="C").reshape(-1, dim)
-    return xor_sum(((lmasks[:, None] ^ rmasks[None, :]).ravel(), vals))
-
-
-def xor_trace(rho: np.ndarray, terms: XorTerms) -> complex:
-    """tr(rho T) of XOR terms T: sum_x sum_a v_x[a] rho[a ^ x, a], one
-    gather of rho and one ``ndarray.sum`` over the products.  No BLAS
-    call, so the value does not depend on the thread count."""
-    masks, vals = terms
-    rows = np.arange(vals.shape[1])
-    return (vals * rho[rows ^ masks[:, None], rows]).sum()
 
 
 def _scatter(flat: np.ndarray, terms: XorTerms, starts=0):

@@ -4,11 +4,11 @@ The Majorana matrices built here use the textbook kron construction
 directly, independent of the package's Pauli-string route, so they can
 serve as an oracle for it.  :func:`moment`, :func:`cumulant` and
 :func:`fourier_ladder_matrix` are the exception: views of the package's
-own ladder terms that only the tests read.  The package's one ladder type
+own dense ladders that only the tests read.  The package's one ladder type
 is the Fourier ladder (c, mode, q); :func:`moment` and :func:`cumulant`
 take site ladders as (c, site, mode) tuples, the arguments of
-:func:`fock.ladder_terms`, and run the package's moment and cumulant
-engine on them.  :func:`even_partitions`,
+:func:`cumulants.ladder_matrix`, and run the package's moment and
+cumulant engine on them.  :func:`even_partitions`,
 :func:`moment_from_cumulant_fn`, :func:`mixture_matrix` and
 :func:`build_hamiltonian` are likewise views of package code (the
 partition enumerator, the signed partitions, product powers, the symbolic
@@ -76,24 +76,22 @@ def summed_word_terms(h_exp):
 def moment(rho, rows):
     """tr(rho f^{c_1} ... f^{c_w}) of each row of site ladders, given as
     (c, site, mode) tuples, on the dense state ``rho``: rows of one length
-    w, one entry per row."""
-    from fermicert.cumulants import _row_moments
-    from fermicert.fock import ladder_terms
+    w >= 1, one entry per row."""
+    from fermicert.cumulants import _row_moments, ladder_matrix
 
     index = {}
     ids = [[index.setdefault(o, len(index)) for o in ops]
            for ops in rows]
-    return _row_moments(rho.matrix, [ladder_terms(rho.shape, *key)
-                                     for key in index], ids)
+    return _row_moments(rho.matrix, np.stack([ladder_matrix(rho.shape, *key)
+                                              for key in index]), ids)
 
 
 def cumulant(rho, ops):
     """Order-|ops| joint cumulant of the site ladders ``ops``, given as
     (c, site, mode) tuples, on the dense state ``rho``."""
-    from fermicert.cumulants import cumulant_mats
-    from fermicert.fock import ladder_terms
+    from fermicert.cumulants import cumulant_mats, ladder_matrix
 
-    return cumulant_mats(rho.matrix, [ladder_terms(rho.shape, *o)
+    return cumulant_mats(rho.matrix, [ladder_matrix(rho.shape, *o)
                                       for o in ops])
 
 

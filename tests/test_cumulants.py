@@ -19,14 +19,12 @@ from fermicert import cumulants, suites
 from fermicert.algebra import SystemShape
 from fermicert.cumulants import (LadderIndex, ProductState,
                                  corollary_index_sets, cumulant_mats,
-                                 fourier_cumulant,
-                                 fourier_ladder_terms, fourier_q_range,
+                                 fourier_cumulant, fourier_q_range,
                                  gaussian_mixture_deviation, ladder_matrix,
                                  partition_sign, verify_corollary,
                                  verify_suppression)
 from fermicert.definetti import ProductMixture, product_power
-from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
-                            ladder_terms)
+from fermicert.fock import MODE_CAP_ENV, DenseOperator, ResourceCapError
 
 SH1 = SystemShape(1, 1)
 SH12 = SystemShape(1, 2)
@@ -109,15 +107,6 @@ def dense_cumulant(rho, mats):
         return total
 
     return k(tuple(range(len(mats))))
-
-
-def xor_terms_matrix(terms, dim):
-    """Dense matrix of XOR terms (masks, vals): [a, a ^ mask] = vals[a]."""
-    rows = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for mask, vals in zip(*terms):
-        out[rows, rows ^ mask] += vals
-    return out
 
 
 def random_site_ops(shape, w, rng):
@@ -430,7 +419,7 @@ class TestFourierCumulants:
                             oracle_fourier(sh, c, mode, q), atol=1e-15)
 
     def test_fourier_moments_match_kron_oracle(self, rng):
-        # Several phased terms per ladder: the multi-term gather and trace.
+        # Dense Fourier ladders, each a phased sum over the sites.
         for sh in ORACLE_SHAPES:
             rho = random_even_density_matrix(sh, rng)
             qs = list(fourier_q_range(sh.sites))
@@ -438,7 +427,7 @@ class TestFourierCumulants:
                 ops = [LadderIndex(int(c), int(rng.integers(
                            1, sh.modes_per_site + 1)), int(rng.choice(qs)))
                        for c in rng.choice([1, -1], size=4)]
-                ladders = [fourier_ladder_terms(sh, o.c, o.mode, o.q)
+                ladders = [fourier_ladder_matrix(sh, o.c, o.mode, o.q)
                            for o in ops]
                 mats = [oracle_fourier(sh, o.c, o.mode, o.q) for o in ops]
                 assert abs(cumulant_mats(rho, ladders)
@@ -446,16 +435,17 @@ class TestFourierCumulants:
 
 
 class TestXorEngine:
-    """Ladder products as :func:`fock.xor_product` chains, and the row
-    moments and cumulants, against dense kron-chain matrices."""
+    """The moment and cumulant engine on dense ladders: the row moments of
+    a ladder stack (:func:`cumulants._row_moments`) and
+    :func:`cumulants.cumulant_mats`, against dense kron-chain matrices."""
 
     @staticmethod
     def oracle_pair(sh, o):
-        """(XOR terms, dense oracle) of a site ladder, a (c, site, mode)
-        tuple, or a Fourier ladder."""
+        """(the package's dense ladder, the kron oracle) of a site ladder,
+        a (c, site, mode) tuple, or a Fourier ladder."""
         if not isinstance(o, LadderIndex):
-            return ladder_terms(sh, *o), oracle_ladder(sh, *o)
-        return (fourier_ladder_terms(sh, o.c, o.mode, o.q),
+            return ladder_matrix(sh, *o), oracle_ladder(sh, *o)
+        return (fourier_ladder_matrix(sh, o.c, o.mode, o.q),
                 oracle_fourier(sh, o.c, o.mode, o.q))
 
     @staticmethod
@@ -473,7 +463,7 @@ class TestXorEngine:
         return ops
 
     def case_list(self, sh, w, rng, fourier):
-        """Ladder terms, their dense oracles and an (n, w) index array of
+        """Dense ladders, their kron oracles and an (n, w) index array of
         rows over them: two random rows, the first again, and a row that
         repeats each of its ladders."""
         pairs = [self.oracle_pair(sh, o)
@@ -483,28 +473,19 @@ class TestXorEngine:
         return [t for t, _ in pairs], [m for _, m in pairs], np.array(rows)
 
     def assert_rows_match_oracle(self, rho, ladders, mats, rows):
-        got = cumulants._row_cumulants(rho, ladders, rows)
+        # The moments of all rows in one call on the stacked ladders, and
+        # the cumulant of each distinct row.
+        got = cumulants._row_moments(rho, np.stack(ladders), rows)
         assert got.shape == (len(rows),)
         want = {}
         for value, row in zip(got, rows.tolist()):
             key = tuple(row)
             if key not in want:
-                want[key] = dense_cumulant(rho, [mats[i] for i in row])
+                oracle = [mats[i] for i in row]
+                want[key] = dense_moment(rho, oracle)
+                assert abs(cumulant_mats(rho, [ladders[i] for i in row])
+                           - dense_cumulant(rho, oracle)) < 1e-12
             assert abs(value - want[key]) < 1e-12
-
-    def test_products_match_dense_products(self, rng):
-        for sh in ORACLE_SHAPES:
-            assert np.array_equal(xor_terms_matrix(cumulants._product(
-                [], (), sh.fock_dim), sh.fock_dim), np.eye(sh.fock_dim))
-            for w in (2, 3, 4):
-                for fourier in (False, True):
-                    ops = self.random_ops(sh, w, rng, fourier)
-                    pairs = [self.oracle_pair(sh, o) for o in ops]
-                    chain = cumulants._product([t for t, _ in pairs],
-                                               tuple(range(w)), sh.fock_dim)
-                    got = xor_terms_matrix(chain, sh.fock_dim)
-                    want = functools.reduce(np.matmul, [m for _, m in pairs])
-                    assert np.max(np.abs(got - want)) < 1e-14
 
     @pytest.mark.parametrize("sh", ORACLE_SHAPES + (SystemShape(4, 2),),
                              ids=str)
@@ -555,22 +536,26 @@ class TestXorEngine:
 
     def test_lemma4_claim_forms_each_row_once(self, monkeypatch):
         # The suite's V = 4, w = 4 claim in one call reads the single site
-        # (dim 2) alone: each distinct single-site row, a word of two or
-        # four (c, mode) letters, is one xor_product chain in the site
-        # program's local moments and one in the single-site K_4; nothing
-        # of the copy's dimension 16 is formed, and no dense ladder.
-        dims = []
-        product = cumulants.xor_product
+        # (dim 2) alone: the site program's local moments and the
+        # single-site K_4 each make one _row_moments call per sub-tuple
+        # length, on a stack of the two (c, mode) letters, and each call
+        # multiplies out every distinct word of its length once.  No
+        # ladder or product of the copy's dimension 16 is formed.
+        calls = []
+        row_moments = cumulants._row_moments
+        matrix = cumulants.xor_matrix
 
-        def counting(left, right):
-            dims.append(left[1].shape[1])
-            return product(left, right)
+        def counting(rho, ladders, rows):
+            distinct = {tuple(row) for row in np.asarray(rows).tolist()}
+            calls.append((rho.shape, ladders.shape, len(distinct)))
+            return row_moments(rho, ladders, rows)
 
-        def no_dense(*args):
-            raise AssertionError("a moment formed a dense ladder")
+        def site_only(shape, terms):
+            assert shape.fock_dim == 2, "a ladder of the copy was formed"
+            return matrix(shape, terms)
 
-        monkeypatch.setattr(cumulants, "xor_product", counting)
-        monkeypatch.setattr(cumulants, "xor_matrix", no_dense)
+        monkeypatch.setattr(cumulants, "_row_moments", counting)
+        monkeypatch.setattr(cumulants, "xor_matrix", site_only)
         cases = suites._lemma4_cases(4, 4)
         res = fourier_cumulant(DIAG_THIRDS, 4, cases)
         assert len(res.direct) == len(cases) == 1680
@@ -581,9 +566,10 @@ class TestXorEngine:
         pairs = {tuple(word[i] for i in sub) for word in words
                  for sub in itertools.combinations(range(4), 2)}
         assert (len(words), len(pairs)) == (16, 4)
-        chain = len(pairs) * 1 + len(words) * 3
-        assert dims == [2] * 2 * chain
-        assert len(dims) == 104
+        assert [n for *_, n in calls] == [len(pairs), len(words)] * 2
+        assert sum(n for *_, n in calls) == 40
+        assert {(rho, ladders) for rho, ladders, _ in calls} == {
+            ((2, 2), (2, 2, 2))}
 
 
 class TestSiteProgram:
@@ -726,7 +712,7 @@ class TestSuppression:
                 <= cumulants.CUMULANT_TOL)
         def dense_direct(ops):
             power = product_power(DIAG_THIRDS, V)
-            return cumulant_mats(power.matrix, [fourier_ladder_terms(
+            return cumulant_mats(power.matrix, [fourier_ladder_matrix(
                 sh, o.c, o.mode, o.q) for o in ops])
 
         with pytest.raises(ResourceCapError):

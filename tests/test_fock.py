@@ -31,7 +31,7 @@ from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             to_expansion, to_matrices, to_matrix,
                             trace_norm,
                             word_expectations_dense, word_terms, xor_matrix,
-                            xor_product, xor_sum, xor_trace)
+                            xor_sum)
 from fermicert.invariance import (MuFamilyParams, mu_family_state,
                                   words_up_to_degree)
 from fermicert.meanfield import (BUILTIN_FAMILIES,
@@ -258,28 +258,6 @@ class TestXorTerms:
                            rtol=0, atol=1e-14)
         empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 16)))
         assert xor_sum(empty) is empty
-
-    def test_product_is_the_matmul(self, rng):
-        for n_left, n_right in ((1, 1), (3, 5), (6, 2)):
-            left = random_xor_terms(16, n_left, rng)
-            right = random_xor_terms(16, n_right, rng)
-            masks, vals = xor_product(left, right)
-            assert len(set(masks.tolist())) == len(masks)
-            want = terms_oracle(left) @ terms_oracle(right)
-            assert np.allclose(terms_oracle((masks, vals)), want, rtol=0,
-                               atol=1e-13)
-
-    def test_trace_is_the_dense_trace(self, rng):
-        # Each term apart and the terms together.
-        rho = random_density_matrix(32, rng)
-        for n in (1, 4, 9):
-            terms = random_xor_terms(32, n, rng)
-            for mask, vals in zip(*terms):
-                got = xor_trace(rho, (mask[None], vals[None]))
-                want = np.trace(rho @ exact_matrix(mask, vals))
-                assert abs(got - want) < 1e-13
-            want = np.trace(rho @ terms_oracle(terms))
-            assert abs(xor_trace(rho, terms) - want) < 1e-13
 
     def test_matrix_adds_in_term_order(self, rng):
         # Repeated masks: the scatter equals the term-by-term sum bit for

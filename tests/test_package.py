@@ -184,7 +184,6 @@ def test_detector_flags_write_only_locals():
 #: the reason given.
 UNREACHED_ALLOWED = {
     # Named in the benchmark's span list (perfbench/spans.py TARGETS).
-    "ladder_matrix": "benchmark span target",
     "expectation_word_dense": "benchmark span target",
     "ground_state": "benchmark span target",
     # Public API, exported by the package.
@@ -254,7 +253,7 @@ def test_every_definition_reached_from_main():
     assert sorted(UNREACHED_ALLOWED.keys() - set(unreached)) == []
 
 
-#: A Sphinx-style cross reference, ``:func:`fock.xor_trace``` and the like.
+#: A Sphinx-style cross reference, ``:func:`fock.xor_matrix``` and the like.
 REFERENCE = re.compile(r":(func|class|meth|data):`([\w.]+)`")
 
 
@@ -311,10 +310,10 @@ def test_detector_flags_stale_references():
         "fock": ("XorTerms = tuple\n"
                  "class Isometry:\n    rank: int\n"
                  "    def dim(self):\n        return 1\n"
-                 "def xor_trace(rho):\n"
+                 "def xor_matrix(terms):\n"
                  '    """Not :func:`_lower_bound`; see :data:`XorTerms`\n'
                  '    and :meth:`Isometry.rank`."""\n'),
-        "rdm": ('"""Reads :func:`fock.xor_trace`, :func:`fock.one_rdm`,\n'
+        "rdm": ('"""Reads :func:`fock.xor_matrix`, :func:`fock.one_rdm`,\n'
                 ':meth:`dim`, :class:`fock.Isometry` and\n'
                 ':meth:`Isometry.size`."""\n'
                 "def one_rdm(op):\n    return op\n"),
