@@ -8,8 +8,8 @@ Cumulants K_w of a state are defined implicitly through
 
 where sign(P) is the parity of the permutation that sorts the blockwise
 concatenation, and f^{+1} = f (annihilation), f^{-1} = f-dagger.  The
-module extracts cumulants recursively from moments, exactly mirroring that
-definition, and certifies:
+module extracts cumulants from moments by the recursion that groups those
+partitions by the block holding the first position, and certifies:
 
 * the closed factorized form of Fourier-mode cumulants of V-fold product
   states (direct numerics against the phase-sum formula),
@@ -42,8 +42,8 @@ so the product mixtures' moments multiply only matrices of dimension
 
 The package has one ladder type, :class:`LadderIndex`, the Fourier ladder
 (c, mode, q); a site ladder is read only on a single site.  Cumulants
-are array arithmetic over the signed even partitions, on the moments of
-every even sub-tuple of every row (:func:`_cumulant_rows`), so
+are array arithmetic on the moments of every even sub-tuple of every row,
+by the first-position recursion (:func:`_cumulant_rows`), so
 :func:`fourier_cumulant` computes a whole case list in one stacked pass
 and keeps nothing after it returns; :func:`cumulant_mats` is the dense
 route, and the only cumulant API: there is no callback form.
@@ -91,50 +91,6 @@ def fourier_q_range(V: int) -> range:
     return range(-((V - 1) // 2), V // 2 + 1)
 
 
-# -- even partitions ----------------------------------------------------------
-
-def _even_partitions_of(positions: Tuple[int, ...]):
-    """All partitions of a position tuple into even-sized blocks, each block
-    increasing, blocks anchored on their least element."""
-    if not positions:
-        yield ()
-        return
-    anchor = positions[0]
-    rest = positions[1:]
-    for odd_size in range(1, len(rest) + 1, 2):
-        for combo in itertools.combinations(rest, odd_size):
-            block = (anchor,) + combo
-            remaining = tuple(x for x in rest if x not in combo)
-            for sub in _even_partitions_of(remaining):
-                yield (block,) + sub
-
-
-def partition_sign(partition: Sequence[Sequence[int]]) -> int:
-    """Sign of the permutation sorting the blockwise concatenation of
-    distinct indices (:func:`algebra.canonicalize_positions`)."""
-    return canonicalize_positions(x for block in partition for x in block)[0]
-
-
-#: (sign, partition) pairs over the indices 0 .. w-1.
-SignedPartitions = Tuple[Tuple[int, Tuple[Tuple[int, ...], ...]], ...]
-
-
-@functools.lru_cache(maxsize=None)
-def _signed_partitions(w: int) -> SignedPartitions:
-    """Every even partition of (0, .., w-1) with its sign, in the order of
-    :func:`_even_partitions_of`.  The partitions of any increasing tuple of
-    w positions are these relabeled, with the same signs."""
-    return tuple((partition_sign(part), part)
-                 for part in _even_partitions_of(tuple(range(w))))
-
-
-@functools.lru_cache(maxsize=None)
-def _signed_pairings(w: int) -> SignedPartitions:
-    """The even partitions of (0, .., w-1) into pairs, in the same order."""
-    return tuple((sign, part) for sign, part in _signed_partitions(w)
-                 if all(len(block) == 2 for block in part))
-
-
 # -- moment / cumulant engine --------------------------------------------------
 
 def _row_moments(rho: np.ndarray, ladders: np.ndarray, rows) -> np.ndarray:
@@ -159,23 +115,29 @@ def _row_moments(rho: np.ndarray, ladders: np.ndarray, rows) -> np.ndarray:
 def _cumulant_rows(moments: Dict[Tuple[int, ...], np.ndarray],
                    w: int) -> np.ndarray:
     """Order-w cumulants from the moments of every even sub-tuple of
-    positions, given as row arrays keyed by increasing position tuple:
-    K(S) = moment(S) minus, over the even partitions of S into two or more
-    blocks, sign * prod K(block), from the smallest sub-tuples up; w is
-    even and at least 2."""
+    positions, given as row arrays keyed by increasing position tuple; w
+    is even and at least 2.
+
+    The even partitions of a sub-tuple S, grouped by the block B that
+    holds S's first position, give the moment-cumulant recursion
+    moment(S) = sum_B sign(B, S - B) K(B) moment(S - B), with sign that of
+    sorting B followed by the rest (:func:`algebra.canonicalize_positions`)
+    and K(S) the term B = S.  So K is formed only for the sub-tuples that
+    hold position 0, from the smallest up; at w = 4 it is
+    m_0123 - m_01 m_23 + m_02 m_13 - m_03 m_12, since K of a pair is its
+    moment.
+    """
     cumulants: Dict[Tuple[int, ...], np.ndarray] = {}
     for k in range(2, w + 1, 2):
-        for subset in itertools.combinations(range(w), k):
-            total = moments[subset]
-            for sign, partition in _signed_partitions(k):
-                if len(partition) == 1:
-                    continue
-                term = sign * cumulants[tuple(subset[i]
-                                              for i in partition[0])]
-                for block in partition[1:]:
-                    term = term * cumulants[tuple(subset[i] for i in block)]
-                total = total - term
-            cumulants[subset] = total
+        for others in itertools.combinations(range(1, w), k - 1):
+            total = moments[(0,) + others]
+            for size in range(1, k - 1, 2):
+                for combo in itertools.combinations(others, size):
+                    block = (0,) + combo
+                    rest = tuple(x for x in others if x not in combo)
+                    sign = canonicalize_positions(block + rest)[0]
+                    total = total - sign * cumulants[block] * moments[rest]
+            cumulants[(0,) + others] = total
     return cumulants[tuple(range(w))]
 
 
@@ -447,7 +409,9 @@ def gaussian_mixture_deviation(rho_k: Union[DenseOperator, ProductState],
     second Fourier moments, its pair values P(i, j).  A Gaussian state has
     no cumulants above order 2, so by the law of total cumulance the
     mixture's K_4 is the signed sum, over the three pairings {x, y} of the
-    four ladders, of the weighted covariance of the pair values:
+    four ladders, 01|23, 02|13 and 03|12 with the signs +1, -1, +1 of
+    their concatenations' parities, of the weighted covariance of the pair
+    values:
 
         predicted = sum sign * (E_a[P_x P_y] - E_a[P_x] E_a[P_y]),
 
@@ -483,7 +447,8 @@ def gaussian_mixture_deviation(rho_k: Union[DenseOperator, ProductState],
                       for xi in mixture.components])
     weights = np.asarray(mixture.weights, dtype=float)
     predicted = 0.0 + 0.0j
-    for sign, (x, y) in _signed_pairings(4):
+    for sign, x, y in ((1, (0, 1), (2, 3)), (-1, (0, 2), (1, 3)),
+                       (1, (0, 3), (1, 2))):
         px = pairs[:, index_pairs.index(x)]
         py = pairs[:, index_pairs.index(y)]
         predicted += sign * (weights @ (px * py)

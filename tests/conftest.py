@@ -2,17 +2,20 @@
 
 The Majorana matrices built here use the textbook kron construction
 directly, independent of the package's Pauli-string route, so they can
-serve as an oracle for it.  :func:`moment`, :func:`cumulant` and
+serve as an oracle for it.  So is the partition oracle: brute-force set
+partitions (:func:`oracle_set_partitions`), their even-block filter, the
+inversion-count sign (:func:`inversion_sign`) and the recombination of
+cumulants into moments over them (:func:`moment_from_cumulant_fn`), which
+import nothing from the package.  :func:`moment`, :func:`cumulant` and
 :func:`fourier_ladder_matrix` are the exception: views of the package's
 own dense ladders that only the tests read.  The package's one ladder type
 is the Fourier ladder (c, mode, q); :func:`moment` and :func:`cumulant`
 take site ladders as (c, site, mode) tuples, the arguments of
 :func:`cumulants.ladder_matrix`, and run the package's moment and
-cumulant engine on them.  :func:`even_partitions`,
-:func:`moment_from_cumulant_fn`, :func:`mixture_matrix` and
-:func:`build_hamiltonian` are likewise views of package code (the
-partition enumerator, the signed partitions, product powers, the symbolic
-Hamiltonian) that only the tests compare the package against.
+cumulant engine on them.  :func:`mixture_matrix` and
+:func:`build_hamiltonian` are likewise views of package code (product
+powers, the symbolic Hamiltonian) that only the tests compare the package
+against.
 """
 
 from __future__ import annotations
@@ -105,27 +108,45 @@ def fourier_ladder_matrix(shape: SystemShape, c: int, mode: int,
     return xor_matrix(shape, fourier_ladder_terms(shape, c, mode, q))
 
 
-def even_partitions(w: int):
-    """Exhaustive, duplicate-free even partitions of {1, .., w}, as the
-    package enumerates them."""
-    from fermicert.cumulants import _even_partitions_of
+def oracle_set_partitions(items):
+    """Every set partition of a tuple: the first item opens a block of its
+    own or joins a block of a partition of the rest.  Blocks keep the
+    order of ``items``."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for sub in oracle_set_partitions(items[1:]):
+        yield [(first,)] + sub
+        for i, block in enumerate(sub):
+            yield sub[:i] + [(first,) + block] + sub[i + 1:]
 
-    if w % 2 or w < 2:
-        raise ValueError(f"even partitions need even w >= 2, got {w}")
-    return list(_even_partitions_of(tuple(range(1, w + 1))))
+
+def even_block_partitions(items):
+    """The set partitions of ``items`` whose blocks all have even size."""
+    return [part for part in oracle_set_partitions(tuple(items))
+            if all(len(block) % 2 == 0 for block in part)]
 
 
-def moment_from_cumulant_fn(cumulant_fn, w: int) -> complex:
-    """Recombine cumulants into the order-w moment: the sum over signed
-    even partitions of (0, .., w-1) of sign * prod cumulant_fn(block)."""
-    from fermicert.cumulants import _signed_partitions
+def inversion_sign(seq):
+    """(-1) to the number of pairs out of order in ``seq``."""
+    inversions = sum(1 for i in range(len(seq))
+                     for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
 
+
+def moment_from_cumulant_fn(cumulant_fn, w: int):
+    """Recombine cumulants into the order-w moment: the sum over the even
+    partitions of (0, .., w-1) of the inversion sign of the blockwise
+    concatenation times prod cumulant_fn(block), each block increasing.
+    A value, or a row array when ``cumulant_fn`` returns row arrays."""
     total = 0.0 + 0.0j
-    for sign, partition in _signed_partitions(w):
-        prod = complex(sign)
+    for partition in even_block_partitions(range(w)):
+        prod = complex(inversion_sign([x for block in partition
+                                       for x in block]))
         for block in partition:
-            prod *= cumulant_fn(block)
-        total += prod
+            prod = prod * cumulant_fn(block)
+        total = total + prod
     return total
 
 

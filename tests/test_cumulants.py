@@ -1,5 +1,5 @@
-"""Even-partition combinatorics, cumulant extraction, and the Fourier-mode
-central-limit machinery."""
+"""The conftest partition oracle, cumulant extraction by the first-position
+recursion against it, and the Fourier-mode central-limit machinery."""
 
 import cmath
 import dataclasses
@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (cumulant, even_partitions, fourier_ladder_matrix,
-                      independent_ladder, kron_chain, mixture_matrix, moment,
-                      moment_from_cumulant_fn, random_density_matrix,
+from conftest import (cumulant, even_block_partitions, fourier_ladder_matrix,
+                      independent_ladder, inversion_sign, kron_chain,
+                      mixture_matrix, moment, moment_from_cumulant_fn,
+                      oracle_set_partitions, random_density_matrix,
                       random_even_density_matrix)
 from fermicert import cumulants, suites
 from fermicert.algebra import SystemShape
@@ -21,8 +22,7 @@ from fermicert.cumulants import (LadderIndex, ProductState,
                                  corollary_index_sets, cumulant_mats,
                                  fourier_cumulant, fourier_q_range,
                                  gaussian_mixture_deviation, ladder_matrix,
-                                 partition_sign, verify_corollary,
-                                 verify_suppression)
+                                 verify_corollary, verify_suppression)
 from fermicert.definetti import ProductMixture, product_power
 from fermicert.fock import MODE_CAP_ENV, DenseOperator, ResourceCapError
 
@@ -57,25 +57,6 @@ def oracle_fourier(shape, c, mode, q):
 
 def dense_moment(rho, mats):
     return complex(np.trace(rho @ functools.reduce(np.matmul, mats)))
-
-
-def oracle_set_partitions(items):
-    """Every set partition of a tuple: the first item opens a block of its
-    own or joins a block of a partition of the rest."""
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for sub in oracle_set_partitions(items[1:]):
-        yield [(first,)] + sub
-        for i, block in enumerate(sub):
-            yield sub[:i] + [(first,) + block] + sub[i + 1:]
-
-
-def inversion_sign(seq):
-    inversions = sum(1 for i in range(len(seq))
-                     for j in range(i + 1, len(seq)) if seq[i] > seq[j])
-    return -1 if inversions % 2 else 1
 
 
 def dense_cumulant(rho, mats):
@@ -124,55 +105,104 @@ def independent_even_partition_count(w: int) -> int:
                for b in range(2, w + 1, 2))
 
 
+def normalized(partitions):
+    """Partitions as a set of block tuples in a fixed order."""
+    return {tuple(sorted(part)) for part in partitions}
+
+
+def even_subtuples(w):
+    """The even sub-tuples of (0, .., w-1), increasing, the empty one
+    left out."""
+    return [sub for k in range(2, w + 1, 2)
+            for sub in itertools.combinations(range(w), k)]
+
+
+def random_moment_rows(w, rng, n=5):
+    """Random complex row arrays of length ``n`` for every even sub-tuple
+    of (0, .., w-1): a moment dict in the form of _cumulant_rows."""
+    return {sub: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for sub in even_subtuples(w)}
+
+
 class TestEvenPartitions:
+    """The conftest oracle's even-block filter of brute-force set
+    partitions, which the recombination oracle sums over."""
+
     def test_w2(self):
-        assert even_partitions(2) == [((1, 2),)]
+        assert even_block_partitions((1, 2)) == [[(1, 2)]]
 
     def test_w4_exact_list(self):
-        got = set(even_partitions(4))
+        got = even_block_partitions((1, 2, 3, 4))
         want = {((1, 2, 3, 4),), ((1, 2), (3, 4)), ((1, 3), (2, 4)),
                 ((1, 4), (2, 3))}
-        assert got == want
+        assert len(got) == len(want)
+        assert normalized(got) == want
 
     def test_counts_against_recurrence(self):
         for w in (2, 4, 6, 8):
-            assert len(even_partitions(w)) == independent_even_partition_count(w)
-        assert len(even_partitions(6)) == 31
+            got = even_block_partitions(range(1, w + 1))
+            assert len(got) == len(normalized(got))
+            assert len(got) == independent_even_partition_count(w)
+        assert len(even_block_partitions(range(6))) == 31
 
-    def test_blocks_are_even_sorted_anchored(self):
-        for part in even_partitions(6):
-            seen = []
-            for block in part:
-                assert len(block) % 2 == 0
-                assert list(block) == sorted(block)
-                seen.append(block[0])
-            assert seen == sorted(seen)
-
-    def test_odd_rejected(self):
-        with pytest.raises(ValueError):
-            even_partitions(3)
+    def test_blocks_increasing_and_covering(self):
+        for part in even_block_partitions(range(6)):
+            assert all(len(block) % 2 == 0 and list(block) == sorted(block)
+                       for block in part)
+            assert sorted(x for block in part for x in block) == list(range(6))
 
 
 class TestPartitionSign:
+    """The oracle sign of a partition, :func:`conftest.inversion_sign` of
+    its blockwise concatenation."""
+
     def test_sorted_is_plus(self):
-        assert partition_sign(((1, 2), (3, 4))) == 1
+        assert inversion_sign((1, 2, 3, 4)) == 1
 
     def test_one_inversion(self):
-        assert partition_sign(((1, 3), (2, 4))) == -1
+        assert inversion_sign((1, 3, 2, 4)) == -1
 
     def test_two_inversions(self):
-        assert partition_sign(((1, 4), (2, 3))) == 1
+        assert inversion_sign((1, 4, 2, 3)) == 1
 
     def test_matches_numpy_parity(self, rng):
+        # The determinant of the permutation matrix is the parity.
         for _ in range(30):
             perm = rng.permutation(6)
-            blocks = (tuple(int(x) + 1 for x in perm[:2]),
-                      tuple(int(x) + 1 for x in perm[2:4]),
-                      tuple(int(x) + 1 for x in perm[4:]))
-            seq = [x for b in blocks for x in b]
-            inv = sum(1 for i in range(6) for j in range(i + 1, 6)
-                      if seq[i] > seq[j])
-            assert partition_sign(blocks) == (-1) ** inv
+            det = np.linalg.det(np.eye(6)[perm])
+            assert inversion_sign(perm.tolist()) == round(det)
+
+
+class TestRecursion:
+    """:func:`cumulants._cumulant_rows`, the first-position recursion, on
+    random moment dicts against the conftest partition oracle."""
+
+    @pytest.mark.parametrize("w", (2, 4, 6, 8))
+    def test_matches_partition_oracle(self, w, rng):
+        # Each even sub-tuple's cumulants, read by the recursion on the
+        # sub-tuple's own moments, recombine over the oracle's signed even
+        # partitions into its moment.
+        moments = random_moment_rows(w, rng)
+        cumulant_of = {}
+        for sub in moments:
+            relabeled = {inner: moments[tuple(sub[i] for i in inner)]
+                         for inner in even_subtuples(len(sub))}
+            cumulant_of[sub] = cumulants._cumulant_rows(relabeled, len(sub))
+        assert cumulant_of[tuple(range(w))].shape == (5,)
+        for sub, moment_row in moments.items():
+            recombined = moment_from_cumulant_fn(
+                lambda block: cumulant_of[tuple(sub[i] for i in block)],
+                len(sub))
+            scale = np.abs(moment_row).max()
+            assert np.abs(recombined - moment_row).max() <= 1e-12 * scale
+
+    def test_w4_is_the_written_out_sum(self, rng):
+        # The three pair products in the partition sum's order and sign,
+        # bit for bit: K of a pair is its moment.
+        m = random_moment_rows(4, rng)
+        want = (m[0, 1, 2, 3] - m[0, 1] * m[2, 3] + m[0, 2] * m[1, 3]
+                - m[0, 3] * m[1, 2])
+        assert np.array_equal(cumulants._cumulant_rows(m, 4), want)
 
 
 class TestMoments:

@@ -135,6 +135,60 @@ def test_detector_finds_callers():
     assert callers(sources, "s") == ["a.C.m", "a.f"]
 
 
+def package_users(source, package="fermicert"):
+    """Top-level functions of a module that reach ``package``: they import
+    from it, read a name the module imports from it, or call a top-level
+    function of the module that does."""
+    tree = ast.parse(source)
+
+    def imports(node):
+        if isinstance(node, ast.Import):
+            return [a for a in node.names if a.name.split(".")[0] == package]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == package:
+                return node.names
+        return []
+
+    package_names = {(a.asname or a.name).split(".")[0]
+                     for node in tree.body for a in imports(node)}
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    reads = {name: {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+             for name, func in funcs.items()}
+    users = {name for name, func in funcs.items()
+             if reads[name] & package_names
+             or any(imports(n) for n in ast.walk(func))}
+    while True:
+        new = {name for name in funcs if reads[name] & users} - users
+        if not new:
+            return sorted(users)
+        users |= new
+
+
+def test_partition_oracle_is_independent():
+    # The recombination oracle the cumulant tests compare the package
+    # against reads nothing of the package.
+    source = (ROOT / "tests" / "conftest.py").read_text()
+    oracle = ["even_block_partitions", "inversion_sign",
+              "moment_from_cumulant_fn", "oracle_set_partitions"]
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(oracle) <= defined
+    assert set(oracle).isdisjoint(package_users(source))
+
+
+def test_detector_flags_package_users():
+    source = ("import numpy as np\n"
+              "from fermicert.algebra import SystemShape\n"
+              "def a():\n    from fermicert import fock\n    return fock\n"
+              "def b():\n    return SystemShape(1, 1)\n"
+              "def c():\n    return d() + a()\n"
+              "def d():\n    return np.ones(2)\n"
+              "def e():\n    import fermicert.cli\n"
+              "def f():\n    return c\n")
+    assert package_users(source) == ["a", "b", "c", "e", "f"]
+
+
 def test_numpy_floor_has_bitwise_count():
     # np.bitwise_count first appeared in NumPy 2.0; an older numpy imports
     # the package and fails on the first dense matrix.
