@@ -40,7 +40,8 @@ from .fock import (ResourceCapError, check_state, ensure_within_cap,
                    to_matrix)
 from .invariance import MuFamilyParams, mu_family_state, verify_lemma3
 from .meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES, builtin_family,
-                        hamiltonian_from_config, verify_gs_bound)
+                        family_subsets, hamiltonian_from_config,
+                        verify_gs_bound)
 from .quadratic import QuadraticForm
 from .rdm import CirculantParams, compare_circulant_spectrum, spectrum_report
 from .report import (VerificationReport, render_reports, reports_to_rows,
@@ -65,8 +66,8 @@ def _families_doc() -> str:
     at V = 3 and its template text."""
     lines = ["Built-in families as --config templates (subsets at V=3):"]
     for name, cfg in BUILTIN_CONFIGS.items():
-        subsets = " ".join(str(list(sub)).replace(" ", "")
-                           for sub in builtin_family(name, 3).subsets)
+        subsets = " ".join(str(sub).replace(" ", "")
+                           for sub in family_subsets(name, 3))
         lines.append(f"  {name}: p={cfg['p']}, k={cfg['k']}, subsets {subsets}")
         lines.extend(f"    {line}" for line in cfg["template"].splitlines())
     return "\n".join(lines) + "\n\n"

@@ -28,8 +28,7 @@ the ladders it passes.  It costs O(V 3^w) per row and builds no
 Fock-space array, so it has no mode cap; :func:`fourier_cumulant` and
 the product rows of the corollary read their direct cumulants from it.
 A dense state, such as a reduction of the mu family, goes through
-:func:`cumulant_mats` with dense Fourier ladders, each the matrix of V
-phased site-ladder terms (:func:`fourier_ladder_terms`).
+:func:`cumulant_mats` with dense Fourier ladders.
 
 Both routes end in one moment kernel, :func:`_row_moments`: ladders are
 a stack of dense matrices and rows index into it.  The distinct rows are
@@ -38,11 +37,13 @@ batched ``@`` per column and read by one trace ``einsum``.  The site
 program's local moments and the Gaussian-mixture pair values run it on
 the single-site state, with the site ladders of :func:`ladder_matrix`,
 so the product mixtures' moments multiply only matrices of dimension
-2^p; the single-site cumulants K_w are the site program at V = 1.
+2^p; the single-site cumulants K_w are read from the same local moments.
 
-The package has one ladder type, :class:`LadderIndex`, the Fourier ladder
-(c, mode, q); a site ladder is read only on a single site.  Cumulants
-are array arithmetic on the moments of every even sub-tuple of every row,
+Ladders are expansions (:func:`ladder`, :func:`fourier_ladder`), made
+dense by :func:`fock.to_matrices` like any other.  The one ladder index
+type is :class:`LadderIndex`, the Fourier ladder (c, mode, q); dense
+site ladders are read only on a single site.  Cumulants are array
+arithmetic on the moments of every even sub-tuple of every row,
 by the first-position recursion (:func:`_cumulant_rows`), so
 :func:`fourier_cumulant` computes a whole case list in one stacked pass
 and keeps nothing after it returns; :func:`cumulant_mats` is the dense
@@ -60,10 +61,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import SystemShape, canonicalize_positions
+from .algebra import OperatorExpansion, SystemShape, canonicalize_positions
 from .definetti import ProductMixture
-from .fock import (DenseOperator, XorTerms, global_parity_signs,
-                   ladder_terms, xor_matrix)
+from .fock import DenseOperator, global_parity_signs, to_matrices, to_matrix
 from .report import INEQUALITY, PROPERTY, VerificationReport, make_report
 
 #: Tolerance of the central-limit claims on Fourier cumulants: the
@@ -141,36 +141,42 @@ def _cumulant_rows(moments: Dict[Tuple[int, ...], np.ndarray],
     return cumulants[tuple(range(w))]
 
 
-@functools.lru_cache(maxsize=256)
-def fourier_ladder_terms(shape: SystemShape, c: int, mode: int,
-                         q: int) -> XorTerms:
-    """Fourier ladder (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c as V
-    phased site-ladder terms, one mask per site.  Cached; the arrays are
-    read-only."""
+def ladder(shape: SystemShape, c: int, site: int,
+           mode: int) -> OperatorExpansion:
+    """Site ladder f (c = +1) or f-dagger (c = -1) of ``mode`` on ``site``,
+    (m^(2a-1) + i c m^(2a))/2; ``ValueError`` unless c is +1 or -1."""
+    if c not in (1, -1):
+        raise ValueError(f"c must be +1 or -1, got {c}")
+    return OperatorExpansion(shape, {
+        1 << shape.bit_position(site, 2 * mode - 1): 0.5,
+        1 << shape.bit_position(site, 2 * mode): 0.5j * c})
+
+
+def fourier_ladder(shape: SystemShape, o: LadderIndex) -> OperatorExpansion:
+    """Fourier ladder (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c: the
+    words of the V site ladders (:func:`ladder`), each phased.  Raises
+    ``ValueError`` on a q outside :func:`fourier_q_range`."""
     V = shape.sites
-    if q not in fourier_q_range(V):
-        raise ValueError(f"q = {q} outside {fourier_q_range(V)} for V = {V}")
-    sites = [ladder_terms(shape, c, j, mode) for j in range(1, V + 1)]
-    phases = np.array([cmath.exp(2j * math.pi * c * q * j / V)
-                       for j in range(1, V + 1)])
-    masks = np.concatenate([m for m, _ in sites])
-    vals = phases[:, None] * np.concatenate([v for _, v in sites]) / math.sqrt(V)
-    masks.flags.writeable = vals.flags.writeable = False
-    return masks, vals
+    if o.q not in fourier_q_range(V):
+        raise ValueError(f"q = {o.q} outside {fourier_q_range(V)} for V = {V}")
+    scale = 1 / math.sqrt(V)
+    return OperatorExpansion(shape, {
+        mask: cmath.exp(2j * math.pi * o.c * o.q * j / V) * scale * coeff
+        for j in range(1, V + 1)
+        for mask, coeff in ladder(shape, o.c, j, o.mode).terms.items()})
 
 
 def ladder_matrix(shape: SystemShape, c: int, site: int, mode: int) -> np.ndarray:
-    """Dense ladder operator f (c = +1) or f-dagger (c = -1), the matrix of
-    :func:`fock.ladder_terms`: f = (m^(2a-1) + i m^(2a))/2 from the two
-    Majoranas of the mode.  The ladders of :func:`site_moments` and of the
-    Gaussian-mixture pair values."""
-    return xor_matrix(shape, ladder_terms(shape, c, site, mode))
+    """Dense site ladder, the matrix of :func:`ladder`: the ladders of
+    :func:`site_moments` and of the Gaussian-mixture pair values."""
+    return to_matrix(ladder(shape, c, site, mode)).matrix
 
 
 def cumulant_mats(rho: np.ndarray, ladders: Sequence[np.ndarray]) -> complex:
     """Joint cumulant of dense ladder operators (:func:`ladder_matrix`, or
-    :func:`fock.xor_matrix` of :func:`fourier_ladder_terms`): the moments
-    of each even sub-tuple length are one :func:`_row_moments` call."""
+    the :func:`fock.to_matrices` stack of :func:`fourier_ladder`
+    expansions): the moments of each even sub-tuple length are one
+    :func:`_row_moments` call."""
     w = len(ladders)
     if w % 2 or w < 2:
         raise ValueError(f"cumulants are defined for even w >= 2, got {w}")
@@ -232,11 +238,12 @@ def _site_moves(k: int):
 
 
 def site_moments(state: ProductState, ladders: Sequence[LadderIndex],
-                 rows) -> Dict[Tuple[int, ...], np.ndarray]:
-    """tr(rho F_(r_i) ... F_(r_j)) for every even sub-tuple (i < .. < j) of
-    positions of each row r of an (n, k) index array into the Fourier
-    ``ladders``, on the product state ``rho``, keyed by the sub-tuple: the
-    row arrays :func:`_cumulant_rows` reads.
+                 rows) -> Tuple[Dict, Dict]:
+    """(local, moments) of each row r of an (n, k) index array into the
+    Fourier ``ladders`` on the product state ``rho``, keyed by the even
+    sub-tuples (i < .. < j) of positions, as :func:`_cumulant_rows` reads
+    them: tr(rho F_(r_i) ... F_(r_j)), and the (components, n) single-site
+    moments tr(xi_l f_(r_i) ... f_(r_j)) the pass starts from.
 
     The site program.  A Fourier ladder is V^(-1/2) sum_s phi(s) f_s with
     phi(s) = exp(2 pi i c q s / V).  Sorting a product of site ladders
@@ -297,8 +304,9 @@ def site_moments(state: ProductState, ladders: Sequence[LadderIndex],
                                  starts, axis=2)
     weights = np.asarray(state.mixture.weights, dtype=float)
     moments = (weights[:, None, None] * placed).sum(axis=0)
-    return {sub: moments[:, e] * V ** (-len(sub) / 2.0)
-            for e, sub in enumerate(subsets) if sub}
+    return ({sub: local[:, :, e] for e, sub in enumerate(subsets) if sub},
+            {sub: moments[:, e] * V ** (-len(sub) / 2.0)
+             for e, sub in enumerate(subsets) if sub})
 
 
 # -- Fourier cumulants of product states ---------------------------------------
@@ -329,10 +337,9 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
     Fourier modes, for each case of one order w.
 
     Computes the direct values from the moments of the site program
-    (:func:`site_moments`), which builds no Fock-space array and so has no
-    mode cap, the single-site cumulants K_w as the same program at V = 1,
-    where each ladder is its site ladder, and the closed factorized
-    predictions
+    (:func:`site_moments`), which builds no Fock-space array and so has
+    no mode cap, the single-site cumulants K_w from its local moments
+    (the program's moments at V = 1), and the closed factorized predictions
     V^(-w/2) * K_w(single site) * sum_j exp(2 pi i sum_l c_l q_l j / V),
     each side in one stacked pass over the cases.  The result flags
     whether each case's (c, mode, q) triples are distinct, the hypothesis
@@ -353,10 +360,9 @@ def fourier_cumulant(rho_single: DenseOperator, V: int,
     rows = np.array([[index.setdefault(o, len(index)) for o in ops]
                      for ops in cases], dtype=np.int64)
     product = ProductState(ProductMixture(np.ones(1), (rho_single,)), V)
-    direct = _cumulant_rows(site_moments(product, list(index), rows), w)
-    k_single = _cumulant_rows(site_moments(
-        ProductState(product.mixture, 1),
-        [LadderIndex(o.c, o.mode, 0) for o in index], rows), w)
+    local, moments = site_moments(product, list(index), rows)
+    direct = _cumulant_rows(moments, w)
+    k_single = _cumulant_rows(local, w)[0]
     total_q = np.array([o.c * o.q for o in index], dtype=np.int64)[
         rows].sum(axis=1)
     closed = (V ** (-w / 2.0)) * k_single * _phase_sum(total_q, V)
@@ -399,11 +405,12 @@ def gaussian_mixture_deviation(rho_k: Union[DenseOperator, ProductState],
     of the matching mixture of Gaussian states.
 
     The direct value of a dense ``rho_k`` is :func:`cumulant_mats` on its
-    dense Fourier ladders, the matrices of :func:`fourier_ladder_terms`;
-    that of a :class:`ProductState` comes from the site program
-    (:func:`site_moments`), with no Fock-space array.  The pair values
-    are one :func:`_row_moments` call per component, on the site state
-    and the site ladders of :func:`ladder_matrix`.
+    four Fourier ladders (:func:`fourier_ladder`), built in one
+    :func:`fock.to_matrices` call; that of a :class:`ProductState` comes
+    from the site program (:func:`site_moments`), with no Fock-space
+    array.  The pair values are one :func:`_row_moments` call per
+    component, on the site state and the site ladders of
+    :func:`ladder_matrix`.
 
     Each mixture component is replaced by the Gaussian state with the same
     second Fourier moments, its pair values P(i, j).  A Gaussian state has
@@ -425,12 +432,11 @@ def gaussian_mixture_deviation(rho_k: Union[DenseOperator, ProductState],
     shape = rho_k.shape
     k, p = shape.sites, shape.modes_per_site
     if isinstance(rho_k, DenseOperator):
-        direct = cumulant_mats(rho_k.matrix, [xor_matrix(
-            shape, fourier_ladder_terms(shape, o.c, o.mode, o.q))
-            for o in ops])
+        direct = cumulant_mats(rho_k.matrix, to_matrices(
+            [fourier_ladder(shape, o) for o in ops]))
     else:
-        direct = complex(_cumulant_rows(site_moments(rho_k, ops, [range(4)]),
-                                        4)[0])
+        _, moments = site_moments(rho_k, ops, [range(4)])
+        direct = complex(_cumulant_rows(moments, 4)[0])
 
     # For an even site state xi the cross-site terms of tr(xi^(x k) A_i A_j)
     # vanish and the Jordan-Wigner strings cancel, leaving one site:

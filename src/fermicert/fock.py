@@ -15,15 +15,13 @@ combined by the Pauli product rule, i^(e1+e2) (-1)^|x1 & z2| with the
 masks XORed.  Word expectations are read from one Walsh-Hadamard
 transform per X pattern.
 
-Every other operator is kept as XOR terms (:data:`XorTerms`),
-sum_x diag(v_x) X_x with X_x[a, a ^ x] = 1: a word i^e Z^z X^x is one term
-of mask x (:func:`word_terms`), and so is a site ladder
-f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings flip the same bit
-(:func:`ladder_terms`, v_x[a] in {0, +-1, +-i}).  The form has one
-group-sum (:func:`xor_sum`) and one scatter into dense matrices
-(:func:`_scatter`, behind :func:`xor_matrix` and the stacked
-:func:`to_matrices`).  Expansions and Hamiltonians go through these, and
-ladders leave the form as dense matrices, which the moments multiply.
+Dense matrices of expansions, ladders and single words included, come
+from one word-by-word scatter, :func:`to_matrices`.  XOR terms
+(:data:`XorTerms`), sum_x diag(v_x) X_x with X_x[a, a ^ x] = 1, serve
+words and Hamiltonian sectors only: a word i^e Z^z X^x is one term of
+mask x (:func:`word_terms`), :func:`xor_sum` adds the terms of one mask,
+and :func:`diagonal_blocks` reads a Hamiltonian's sectors off the sum
+with no dim x dim matrix.
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
 the most significant bits.  That layout has two homes: :func:`occupations`,
@@ -238,7 +236,7 @@ def pauli_strings(masks, shape: SystemShape
 
 #: An operator as XOR terms (masks, vals): the matrix sum over terms t of
 #: diag(vals[t]) X_masks[t], that is the entries [a, a ^ masks[t]] =
-#: vals[t, a].  Words, ladders and Hamiltonians keep this form.
+#: vals[t, a].  Words and Hamiltonians keep this form.
 XorTerms = Tuple[np.ndarray, np.ndarray]
 
 
@@ -249,23 +247,6 @@ def word_terms(masks, shape: SystemShape) -> XorTerms:
     rows = np.arange(shape.fock_dim, dtype=np.int64)
     signs = 1.0 - 2.0 * (np.bitwise_count(rows & z[:, None]) & 1)
     return x, _I4[phase][:, None] * signs
-
-
-@functools.lru_cache(maxsize=512)
-def ladder_terms(shape: SystemShape, c: int, site: int, mode: int
-                 ) -> XorTerms:
-    """Site ladder f (c = +1) or f-dagger (c = -1) as one XOR term:
-    f = (m^(2a-1) + i m^(2a))/2, whose two Majorana strings flip the same
-    bits.  Cached; the arrays are read-only."""
-    if c not in (1, -1):
-        raise ValueError(f"c must be +1 or -1, got {c}")
-    x, (v1, v2) = word_terms(
-        [1 << shape.bit_position(site, 2 * mode - 1),
-         1 << shape.bit_position(site, 2 * mode)], shape)
-    vals = 0.5 * (v1 + 1j * v2) if c == 1 else 0.5 * (v1 - 1j * v2)
-    masks, vals = x[:1], vals[None, :]
-    masks.flags.writeable = vals.flags.writeable = False
-    return masks, vals
 
 
 def xor_sum(terms: XorTerms) -> XorTerms:
@@ -285,36 +266,9 @@ def xor_sum(terms: XorTerms) -> XorTerms:
     return masks[first], np.add.reduceat(vals[order], first, axis=0)
 
 
-def _scatter(flat: np.ndarray, terms: XorTerms, starts=0):
-    """Add XOR terms into the flattened (dim x dim) matrix that begins at
-    ``flat[starts]``, or, for a column ``starts``, term t into the one at
-    ``flat[starts[t, 0]]``.
-
-    The entries are added in term order by ``np.add.at``, which
-    accumulates repeated positions one after another, so each matrix
-    equals a term-by-term sum bit for bit.
-    """
-    masks, vals = terms
-    dim = vals.shape[1]
-    rows = np.arange(dim)
-    offsets = starts + rows * dim
-    # One-dimensional index and value arrays take ufunc.at's fast path.
-    np.add.at(flat, (offsets + (rows ^ masks[:, None])).ravel(), vals.ravel())
-
-
-def xor_matrix(shape: SystemShape, terms: XorTerms) -> np.ndarray:
-    """Dense matrix of XOR terms, read only after the mode-cap check, the
-    terms added in order (:func:`_scatter`)."""
-    ensure_within_cap(shape)
-    dim = shape.fock_dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    _scatter(out.reshape(-1), terms)
-    return out
-
-
 def jw_matrix(mask: int, shape: SystemShape) -> DenseOperator:
     """Dense Jordan-Wigner matrix of a canonical word bitmask."""
-    return DenseOperator(shape, xor_matrix(shape, word_terms([mask], shape)))
+    return to_matrix(OperatorExpansion(shape, {mask: 1.0}))
 
 
 def to_matrices(ops: Sequence[OperatorExpansion]) -> np.ndarray:
@@ -323,7 +277,8 @@ def to_matrices(ops: Sequence[OperatorExpansion]) -> np.ndarray:
 
     The words of all expansions are scattered together, in batches of at
     most :data:`_BATCH_ENTRIES` entries; each term carries the start of
-    its own matrix, so every matrix gets its own terms in term order.
+    its own matrix, and ``np.add.at`` adds repeated positions one after
+    another, so every matrix is the sum of its own terms in term order.
     """
     if not ops:
         raise ValueError("to_matrices needs at least one expansion")
@@ -340,11 +295,14 @@ def to_matrices(ops: Sequence[OperatorExpansion]) -> np.ndarray:
     starts = np.fromiter(chain(itertools.repeat(i * dim * dim, len(op.terms))
                                for i, op in enumerate(ops)), np.int64, n)
     out = np.zeros((len(ops), dim, dim), dtype=np.complex128)
+    rows = np.arange(dim)
     step = max(1, _BATCH_ENTRIES // dim)
     for lo in range(0, n, step):
         x, vals = word_terms(masks[lo:lo + step], shape)
-        _scatter(out.reshape(-1), (x, coeffs[lo:lo + step, None] * vals),
-                 starts[lo:lo + step, None])
+        flat = starts[lo:lo + step, None] + rows * dim + (rows ^ x[:, None])
+        # One-dimensional index and value arrays take ufunc.at's fast path.
+        np.add.at(out.reshape(-1), flat.ravel(),
+                  (coeffs[lo:lo + step, None] * vals).ravel())
     return out
 
 

@@ -376,7 +376,8 @@ def hamiltonian_from_config(cfg: object) -> HamiltonianSpec:
     template in the fixture text format, ``subsets`` (a list of integer
     lists, default "all-k-subsets"), ``normalize`` and a string ``name``.
     A field of the wrong JSON type, or a key outside :data:`CONFIG_KEYS`,
-    is a ``ValueError``, never coerced or ignored."""
+    is a ``ValueError``, never coerced or ignored.  The mode cap of the
+    dense Hamiltonian is checked before the template and subsets are built."""
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     for key in cfg:
@@ -397,6 +398,7 @@ def hamiltonian_from_config(cfg: object) -> HamiltonianSpec:
                          "subsets \"all-k-subsets\" or a list of integer "
                          "lists, normalize true or false, and a name "
                          "string")
+    ensure_within_cap(SystemShape(V, p))
     try:
         template = expansion_from_text(text, SystemShape(k, p))
     except ValueError as exc:
@@ -430,15 +432,22 @@ BUILTIN_CONFIGS: Dict[str, Dict[str, object]] = {
 BUILTIN_FAMILIES = tuple(BUILTIN_CONFIGS)
 
 
+def family_subsets(name: str, V: int) -> List[List[int]]:
+    """The site subsets of the built-in family ``name`` on V sites: every
+    ordered pair for hubbard-like, whose on-site part singles out the
+    first template site, so site symmetry of H needs every (j, l) with
+    j != l; every increasing k-subset otherwise."""
+    pick = (itertools.permutations if name == "hubbard-like"
+            else itertools.combinations)
+    return list(map(list, pick(range(1, V + 1), BUILTIN_CONFIGS[name]["k"])))
+
+
 def builtin_family(name: str, V: int) -> HamiltonianSpec:
     """The built-in family ``name`` on V sites, built from its
-    :data:`BUILTIN_CONFIGS` entry like any ``--config``."""
+    :data:`BUILTIN_CONFIGS` entry and :func:`family_subsets` like any
+    ``--config``, the mode cap checked before the subsets are listed."""
     if name not in BUILTIN_CONFIGS:
         raise ValueError(f"unknown Hamiltonian family {name!r}")
     cfg = {**BUILTIN_CONFIGS[name], "V": V, "name": name}
-    if name == "hubbard-like":
-        # Ordered pairs: the on-site part singles out the first template
-        # site, so site symmetry of H needs every (j, l) with j != l.
-        cfg["subsets"] = list(map(list, itertools.permutations(
-            range(1, V + 1), 2)))
-    return hamiltonian_from_config(cfg)
+    ensure_within_cap(SystemShape(V, cfg["p"]))
+    return hamiltonian_from_config({**cfg, "subsets": family_subsets(name, V)})

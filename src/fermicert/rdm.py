@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape
-from .fock import DenseOperator, hermiticity_residual, occupations
+from .fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
+                   hermiticity_residual, mode_cap, occupations)
 from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
@@ -138,7 +139,13 @@ def compare_circulant_spectrum(params: CirculantParams
     lambda_direct, abs_dev]`` per sorted eigenvalue, where ``k`` is the
     position in ascending order (the ``k`` column of ``rdm_spectrum.csv``),
     not the formula index, and the largest deviation over the rows.
+    Raises :class:`fock.ResourceCapError`, before any array is made, when
+    V x V is larger than the largest Fock matrix the mode cap allows.
     """
+    if params.V > 2 ** mode_cap():
+        raise ResourceCapError(
+            f"a {params.V} x {params.V} matrix exceeds the Fock dimension "
+            f"2^{mode_cap()} of the mode cap (set {MODE_CAP_ENV} to lift it)")
     values, _ = circulant_spectrum_with_fallback(params)
     direct = np.sort(np.linalg.eigvalsh(circulant_matrix(params)))
     order = np.argsort(values, kind="stable")

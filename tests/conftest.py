@@ -100,12 +100,12 @@ def cumulant(rho, ops):
 
 def fourier_ladder_matrix(shape: SystemShape, c: int, mode: int,
                           q: int) -> np.ndarray:
-    """Dense Fourier ladder (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c
-    from the package's XOR terms."""
-    from fermicert.cumulants import fourier_ladder_terms
-    from fermicert.fock import xor_matrix
+    """Dense Fourier ladder (1/sqrt(V)) sum_j exp(2 pi i c q j / V) f_j^c,
+    the matrix of the package's expansion."""
+    from fermicert.cumulants import LadderIndex, fourier_ladder
+    from fermicert.fock import to_matrix
 
-    return xor_matrix(shape, fourier_ladder_terms(shape, c, mode, q))
+    return to_matrix(fourier_ladder(shape, LadderIndex(c, mode, q))).matrix
 
 
 def oracle_set_partitions(items):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -525,26 +526,56 @@ class TestCliSingleCommands:
                      "--hamiltonian", "site-number", "--V", str(V)]) == code
         assert ("resource cap" in capsys.readouterr().err) == (code == 3)
 
-    @pytest.mark.parametrize("source", ["hamiltonian", "config"])
+    @pytest.mark.parametrize("source", ["hamiltonian", "config",
+                                        "k4-config", "hubbard-like"])
     def test_gs_over_the_mode_cap_builds_nothing(self, tmp_path,
                                                  monkeypatch, capsys,
                                                  source):
         # The cap is checked before the Hamiltonian's expansion is built,
-        # so a large V exits 3 at once instead of expanding every term.
+        # so a large V exits 3 at once instead of expanding every term,
+        # and before the subsets are listed: a V = 60, k = 4 config
+        # refuses without its 487,635 subsets, and hubbard-like at V = 600
+        # without its 359,400 ordered pairs (tens of MB either way).
         def refuse(spec):
             raise AssertionError("expansion built over the mode cap")
 
         monkeypatch.setattr(meanfield, "build_hamiltonian_expansion", refuse)
-        if source == "config":
+        configs = {"config": {"V": 13, "p": 1, "k": 1,
+                              "template": "0 -1 (1,1)(1,2)"},
+                   "k4-config": {"V": 60, "p": 1, "k": 4,
+                                 "template": "1 0 (1,1)(2,1)(3,1)(4,1)"}}
+        families = {"hamiltonian": ("pair-hopping", 13),
+                    "hubbard-like": ("hubbard-like", 600)}
+        if source in configs:
             path = tmp_path / "ham.json"
-            path.write_text(json.dumps({"V": 13, "p": 1, "k": 1,
-                                        "template": "0 -1 (1,1)(1,2)"}))
+            path.write_text(json.dumps(configs[source]))
             argv = ["--config", str(path)]
         else:
-            argv = ["--hamiltonian", "pair-hopping", "--V", "13"]
-        assert main(["--out", str(tmp_path / "out"), "gs-bound",
-                     "--seed", "0", *argv]) == 3
+            name, V = families[source]
+            argv = ["--hamiltonian", name, "--V", str(V)]
+        tracemalloc.start()
+        try:
+            code = main(["--out", str(tmp_path / "out"), "gs-bound",
+                         "--seed", "0", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
         assert "resource cap" in capsys.readouterr().err
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("cap, V, code", [("12", 10 ** 6, 3),
+                                              ("3", 8, 0), ("3", 9, 3)])
+    def test_rdm_spectrum_over_the_mode_cap_exit_3(self, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   cap, V, code):
+        # No V x V matrix larger than the largest Fock matrix the mode
+        # cap allows, 2^cap: V = 10^6 would need 14.6 TiB and exits 3
+        # before any array is made.
+        monkeypatch.setenv(MODE_CAP_ENV, cap)
+        assert main(["--out", str(tmp_path), "rdm-spectrum", "--a", "0.5",
+                     "--V", str(V)]) == code
+        assert ("resource cap" in capsys.readouterr().err) == (code == 3)
 
     @pytest.mark.parametrize("value", ["abc", ""])
     def test_non_integer_mode_cap_exit_2(self, tmp_path, monkeypatch, capsys,

@@ -325,6 +325,31 @@ class TestFourierCumulants:
         assert list(fourier_q_range(4)) == [-1, 0, 1, 2]
         assert list(fourier_q_range(5)) == [-2, -1, 0, 1, 2]
 
+    def test_ladders_reject_bad_c_and_q(self):
+        sh = SystemShape(3, 1)
+        for c in (0, 2, -2):
+            with pytest.raises(ValueError, match="c must be"):
+                cumulants.ladder(sh, c, 1, 1)
+        for q in (-2, 2, 5):
+            with pytest.raises(ValueError, match="outside"):
+                cumulants.fourier_ladder(sh, LadderIndex(1, 1, q))
+
+    def test_single_site_cumulant_is_the_one_site_direct_value(self, rng):
+        # K_w of the site, read from the local moments of the V-site call,
+        # is the direct cumulant of the V = 1 copy bit for bit: at V = 1
+        # each Fourier ladder is its site ladder, and the pass over the one
+        # site returns the local moments unchanged.
+        xi = DenseOperator(SH12, random_even_density_matrix(SH12, rng))
+        qs = list(fourier_q_range(3))
+        for w in (2, 4, 6):
+            cases = [[LadderIndex(int(rng.choice([1, -1])),
+                                  int(rng.integers(1, 3)), int(rng.choice(qs)))
+                      for _ in range(w)] for _ in range(5)]
+            res = fourier_cumulant(xi, 3, cases)
+            at_one = fourier_cumulant(xi, 1, [
+                [LadderIndex(o.c, o.mode, 0) for o in ops] for ops in cases])
+            assert np.array_equal(res.single_site_cumulant, at_one.direct)
+
     def test_resonant_second_cumulant(self):
         ops = [LadderIndex(-1, 1, 1), LadderIndex(1, 1, 1)]
         res = fourier_cumulant(DIAG_THIRDS, 3, [ops])
@@ -566,26 +591,26 @@ class TestXorEngine:
 
     def test_lemma4_claim_forms_each_row_once(self, monkeypatch):
         # The suite's V = 4, w = 4 claim in one call reads the single site
-        # (dim 2) alone: the site program's local moments and the
-        # single-site K_4 each make one _row_moments call per sub-tuple
-        # length, on a stack of the two (c, mode) letters, and each call
-        # multiplies out every distinct word of its length once.  No
-        # ladder or product of the copy's dimension 16 is formed.
+        # (dim 2) alone: the site program's local moments, which the
+        # single-site K_4 reads too, are one _row_moments call per
+        # sub-tuple length, on a stack of the two (c, mode) letters, and
+        # each call multiplies out every distinct word of its length once.
+        # No ladder or product of the copy's dimension 16 is formed.
         calls = []
         row_moments = cumulants._row_moments
-        matrix = cumulants.xor_matrix
+        matrix = cumulants.to_matrix
 
         def counting(rho, ladders, rows):
             distinct = {tuple(row) for row in np.asarray(rows).tolist()}
             calls.append((rho.shape, ladders.shape, len(distinct)))
             return row_moments(rho, ladders, rows)
 
-        def site_only(shape, terms):
-            assert shape.fock_dim == 2, "a ladder of the copy was formed"
-            return matrix(shape, terms)
+        def site_only(op):
+            assert op.shape.fock_dim == 2, "a ladder of the copy was formed"
+            return matrix(op)
 
         monkeypatch.setattr(cumulants, "_row_moments", counting)
-        monkeypatch.setattr(cumulants, "xor_matrix", site_only)
+        monkeypatch.setattr(cumulants, "to_matrix", site_only)
         cases = suites._lemma4_cases(4, 4)
         res = fourier_cumulant(DIAG_THIRDS, 4, cases)
         assert len(res.direct) == len(cases) == 1680
@@ -596,8 +621,8 @@ class TestXorEngine:
         pairs = {tuple(word[i] for i in sub) for word in words
                  for sub in itertools.combinations(range(4), 2)}
         assert (len(words), len(pairs)) == (16, 4)
-        assert [n for *_, n in calls] == [len(pairs), len(words)] * 2
-        assert sum(n for *_, n in calls) == 40
+        assert [n for *_, n in calls] == [len(pairs), len(words)]
+        assert sum(n for *_, n in calls) == 20
         assert {(rho, ladders) for rho, ladders, _ in calls} == {
             ((2, 2), (2, 2, 2))}
 
@@ -636,7 +661,8 @@ class TestSiteProgram:
         # at p = 2), rows of 2 and 4 Fourier ladders drawn with
         # replacement, and a row repeating a (c, mode, q) triple: every
         # even sub-tuple's moment against tr(rho F ... F) on the dense
-        # mixture with the explicit kron ladders.
+        # mixture with the explicit kron ladders, and its local moments
+        # against tr(xi_l f ... f) on one site.
         p = data.draw(st.sampled_from([1, 2]), label="p")
         V = data.draw(st.integers(1, 5 if p == 1 else 4), label="V")
         count = data.draw(st.integers(1, 3), label="components")
@@ -661,15 +687,20 @@ class TestSiteProgram:
             o = rows[0][0]
             dag = LadderIndex(-o.c, o.mode, o.q)
             rows.append([dag, o] * (w // 2))
-            got = cumulants.site_moments(state, pool, [
+            local, got = cumulants.site_moments(state, pool, [
                 [pool.index(x) for x in row] for row in rows])
-            assert set(got) == {sub for m in range(2, w + 1, 2)
-                                for sub in itertools.combinations(range(w),
-                                                                  m)}
+            assert set(got) == set(local) == {
+                sub for m in range(2, w + 1, 2)
+                for sub in itertools.combinations(range(w), m)}
             for sub, values in got.items():
                 for value, row in zip(values, rows):
                     want = dense_moment(rho, [mats[row[i]] for i in sub])
                     assert abs(value - want) < 1e-12
+                for xi, site_values in zip(comps, local[sub]):
+                    for value, row in zip(site_values, rows):
+                        want = dense_moment(xi.matrix, [oracle_ladder(
+                            site, row[i].c, 1, row[i].mode) for i in sub])
+                        assert abs(value - want) < 1e-12
 
 
 class TestSuppression:

@@ -30,7 +30,7 @@ from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             signed_permutation,
                             to_expansion, to_matrices, to_matrix,
                             trace_norm,
-                            word_expectations_dense, word_terms, xor_matrix,
+                            word_expectations_dense, word_terms,
                             xor_sum)
 from fermicert.invariance import (MuFamilyParams, mu_family_state,
                                   words_up_to_degree)
@@ -238,6 +238,23 @@ class TestToMatrices:
         for op, mat in zip(ops, to_matrices(ops)):
             assert np.array_equal(mat, to_matrix(op).matrix)
 
+    def test_adds_in_term_order(self, rng):
+        # Words that share an X pattern write the same entries: each
+        # matrix is the term-by-term sum of its words, in term order, bit
+        # for bit.
+        shape = SystemShape(2, 2)
+        masks = rng.choice(1 << shape.majorana_count, size=4,
+                           replace=False).tolist()
+        masks += [m ^ 0b11 for m in masks[:3]]
+        op = OperatorExpansion(shape, {m: complex(*rng.standard_normal(2))
+                                       for m in masks})
+        xs, vals = word_terms(list(op.terms), shape)
+        assert len(set(xs.tolist())) < len(xs)
+        want = np.zeros((16, 16), dtype=np.complex128)
+        for x, coeff, val in zip(xs, op.terms.values(), vals):
+            want += exact_matrix(x, coeff * val)
+        assert np.array_equal(to_matrices([op, op])[1], want)
+
     def test_empty_list_and_mixed_shapes_rejected(self):
         with pytest.raises(ValueError):
             to_matrices([])
@@ -258,17 +275,6 @@ class TestXorTerms:
                            rtol=0, atol=1e-14)
         empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 16)))
         assert xor_sum(empty) is empty
-
-    def test_matrix_adds_in_term_order(self, rng):
-        # Repeated masks: the scatter equals the term-by-term sum bit for
-        # bit.
-        shape = SystemShape(2, 2)
-        masks, vals = random_xor_terms(16, 7, rng)
-        masks[4:] = masks[:3]
-        want = np.zeros((16, 16), dtype=np.complex128)
-        for mask, val in zip(masks, vals):
-            want += exact_matrix(mask, val)
-        assert np.array_equal(xor_matrix(shape, (masks, vals)), want)
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_blocks_of_the_summed_terms_are_the_dense_blocks(self, name):

@@ -17,8 +17,8 @@ from conftest import (build_hamiltonian, random_even_density_matrix,
                       summed_word_terms)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                               expansion_from_text)
-from fermicert.fock import (DenseOperator, diagonal_blocks, jw_matrix,
-                            operator_norm, to_matrix)
+from fermicert.fock import (MODE_CAP_ENV, DenseOperator, diagonal_blocks,
+                            jw_matrix, operator_norm, to_matrix)
 from fermicert import invariance
 from fermicert.invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                                   MuFamilyParams, check_invariance,
@@ -88,10 +88,15 @@ class TestBuild:
 
     @pytest.mark.parametrize("V", [6, 8])
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
-    def test_one_dict_sum_matches_per_subset_fold(self, name, V):
+    def test_one_dict_sum_matches_per_subset_fold(self, name, V,
+                                                  monkeypatch):
         # The assembly adds every subset's terms into one dict; the fold
         # that rebuilt the growing sum once per subset must give the same
-        # coefficients, bit for bit and in the same term order.
+        # coefficients, bit for bit and in the same term order.  The
+        # assembly is symbolic, so the mode cap, which a family checks
+        # before it lists its subsets, is lifted to the 16 modes of
+        # hubbard-like at V = 8.
+        monkeypatch.setenv(MODE_CAP_ENV, "16")
         spec = builtin_family(name, V)
         h_exp, _ = build_hamiltonian_expansion(spec)
         acc = OperatorExpansion(spec.shape, {})

@@ -307,7 +307,7 @@ def test_every_definition_reached_from_main():
     assert sorted(UNREACHED_ALLOWED.keys() - set(unreached)) == []
 
 
-#: A Sphinx-style cross reference, ``:func:`fock.xor_matrix``` and the like.
+#: A Sphinx-style cross reference, ``:func:`fock.to_matrix``` and the like.
 REFERENCE = re.compile(r":(func|class|meth|data):`([\w.]+)`")
 
 

@@ -128,7 +128,6 @@ class TestOneRDM:
             raise AssertionError("a Fock matrix was formed")
 
         monkeypatch.setattr(fock, "to_matrices", no_dense)
-        monkeypatch.setattr(fock, "xor_matrix", no_dense)
         mu = 0.5
         state = mu_family_state(MuFamilyParams(V, 1, mu), validate=False)
         assert state.shape.total_modes > fock.mode_cap()
