@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 #: After every arithmetic operation a coefficient c is dropped when the
 #: expectation value it stands for, c * 2^(pV), is at most this.  A state's
@@ -449,18 +451,31 @@ def expansion_from_text(text: str, shape: SystemShape) -> OperatorExpansion:
     return OperatorExpansion(shape, terms)
 
 
-def random_expansion(shape: SystemShape, rng, n_terms: int = 5,
-                     max_degree: int | None = None) -> OperatorExpansion:
-    """Random sparse expansion with standard-normal complex coefficients."""
+def random_expansions(shape: SystemShape, rng, count: int, n_terms: int = 5,
+                      max_degree: int | None = None
+                      ) -> List[OperatorExpansion]:
+    """``count`` random sparse expansions of ``n_terms`` drawn words each.
+
+    A word's degree is uniform in [0, max_degree] (at most every Majorana
+    of the shape); the word is a uniform subset of that size, the positions
+    whose rank in a uniform random order falls below the degree; its
+    coefficient is complex standard normal.  Repeated words of one
+    expansion are summed.  All draws are three vectorized ``rng`` calls.
+    """
     nbits = shape.majorana_count
     max_degree = nbits if max_degree is None else min(max_degree, nbits)
-    terms: Dict[int, complex] = {}
-    for _ in range(n_terms):
-        degree = int(rng.integers(0, max_degree + 1))
-        positions = rng.choice(nbits, size=degree, replace=False) if degree else []
-        mask = 0
-        for pos in positions:
-            mask |= 1 << int(pos)
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        terms[mask] = terms.get(mask, 0.0) + coeff
-    return OperatorExpansion(shape, terms)
+    degrees = rng.integers(0, max_degree + 1, size=(count, n_terms, 1))
+    order = rng.random((count, n_terms, nbits)).argsort(axis=-1)
+    ranks = order.argsort(axis=-1)
+    # Object weights keep the masks exact Python ints at any width.
+    masks = ((ranks < degrees)
+             @ np.array([1 << pos for pos in range(nbits)], dtype=object))
+    coeffs = rng.standard_normal((count, n_terms, 2)).view(np.complex128)
+    out = []
+    for row_masks, row_coeffs in zip(masks.tolist(),
+                                      coeffs[..., 0].tolist()):
+        terms: Dict[int, complex] = {}
+        for mask, coeff in zip(row_masks, row_coeffs):
+            terms[mask] = terms.get(mask, 0.0) + coeff
+        out.append(OperatorExpansion(shape, terms))
+    return out

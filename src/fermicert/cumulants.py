@@ -35,7 +35,7 @@ a stack of dense matrices and rows index into it.  The distinct rows are
 dictionary keys, whatever their length, multiplied out together by one
 batched ``@`` per column and read by one trace ``einsum``.  The site
 program's local moments and the Gaussian-mixture pair values run it on
-the single-site state, with the site ladders of :func:`ladder_matrix`,
+the single-site state, with dense site ladders of :func:`ladder`,
 so the product mixtures' moments multiply only matrices of dimension
 2^p; the single-site cumulants K_w are read from the same local moments.
 
@@ -409,8 +409,8 @@ def gaussian_mixture_deviation(rho_k: Union[DenseOperator, ProductState],
     :func:`fock.to_matrices` call; that of a :class:`ProductState` comes
     from the site program (:func:`site_moments`), with no Fock-space
     array.  The pair values are one :func:`_row_moments` call per
-    component, on the site state and the site ladders of
-    :func:`ladder_matrix`.
+    component, on the site state and the four site ladders
+    (:func:`ladder`), built in one :func:`fock.to_matrices` call.
 
     Each mixture component is replaced by the Gaussian state with the same
     second Fourier moments, its pair values P(i, j).  A Gaussian state has
@@ -446,8 +446,7 @@ def gaussian_mixture_deviation(rho_k: Union[DenseOperator, ProductState],
     phases = _phase_sum(np.array([ops[i].c * ops[i].q + ops[j].c * ops[j].q
                                   for i, j in index_pairs]), k) / k
     _require_even(mixture, "Gaussian-mixture pair values")
-    site_ladders = np.stack([ladder_matrix(site, o.c, 1, o.mode)
-                             for o in ops])
+    site_ladders = to_matrices([ladder(site, o.c, 1, o.mode) for o in ops])
     pairs = np.array([phases * _row_moments(xi.matrix, site_ladders,
                                             index_pairs)
                       for xi in mixture.components])

@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import OperatorExpansion, SystemShape, random_expansion
+from .algebra import OperatorExpansion, SystemShape, random_expansions
 from .cumulants import (CUMULANT_TOL, LadderIndex, ProductState,
                         corollary_index_sets, fourier_cumulant,
                         fourier_q_range, verify_corollary, verify_suppression)
@@ -115,35 +115,36 @@ def run_check_algebra(seed: int = 0) -> Tuple[List[VerificationReport], Dict[str
 
     Random products, adjoints and site permutations on every shape with at
     most four modes must reproduce the corresponding dense matrix algebra
-    to 1e-10; anti-commutators are checked exhaustively.  The cases are
-    drawn first; then the five matrices (a, b, ab, a-dagger, pi.a) of every
-    case of a shape come from one :func:`to_matrices` call and are
+    to 1e-10; anti-commutators are checked exhaustively.  The
+    :data:`ALGEBRA_CASES` cases are dealt to :data:`SMALL_SHAPES` in turn
+    (63 or 62 each), and each shape's cases are drawn as one batch: 2n
+    expansions of five words (:func:`random_expansions`), the first n the
+    a's and the last n the b's, then n uniform site permutations (argsort
+    of uniform draws).  The five matrices (a, b, ab, a-dagger, pi.a) of
+    every case of a shape come from one :func:`to_matrices` call and are
     compared in stacked products.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    cases: Dict[SystemShape, list] = {shape: [] for shape in SMALL_SHAPES}
-    for i in range(ALGEBRA_CASES):
-        shape = SMALL_SHAPES[i % len(SMALL_SHAPES)]
-        a = random_expansion(shape, rng, n_terms=5)
-        b = random_expansion(shape, rng, n_terms=5)
-        pi = tuple(int(x) + 1 for x in rng.permutation(shape.sites))
-        cases[shape].append((a, b, pi))
     rows = []
-    for shape, drawn in cases.items():
-        mats = to_matrices([op for a, b, pi in drawn for op in (
+    for i, shape in enumerate(SMALL_SHAPES):
+        n = len(range(i, ALGEBRA_CASES, len(SMALL_SHAPES)))
+        drawn = random_expansions(shape, rng, 2 * n, n_terms=5)
+        perms = rng.random((n, shape.sites)).argsort(axis=1) + 1
+        cases = [(a, b, tuple(pi)) for a, b, pi in
+                 zip(drawn[:n], drawn[n:], perms.tolist())]
+        mats = to_matrices([op for a, b, pi in cases for op in (
             a, b, a * b, a.adjoint(), a.apply_permutation(pi))])
         ma, mb, mab, madj, mperm = mats.reshape(
-            len(drawn), 5, shape.fock_dim, shape.fock_dim).swapaxes(0, 1)
+            n, 5, shape.fock_dim, shape.fock_dim).swapaxes(0, 1)
         units = {pi: permutation_unitary(pi, shape).matrix
-                 for pi in {pi for _, _, pi in drawn}}
-        u = np.stack([units[pi] for _, _, pi in drawn])
+                 for pi in {pi for _, _, pi in cases}}
+        u = np.stack([units[pi] for _, _, pi in cases])
         worst = max(float(np.max(np.abs(mab - ma @ mb))),
                     float(np.max(np.abs(madj - ma.conj().swapaxes(1, 2)))),
                     float(np.max(np.abs(
                         mperm - u @ ma @ u.conj().swapaxes(1, 2)))))
-        rows.append([f"({shape.sites},{shape.modes_per_site})", len(drawn),
-                     worst])
+        rows.append([f"({shape.sites},{shape.modes_per_site})", n, worst])
     t_oracle = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -171,40 +172,53 @@ def run_check_algebra(seed: int = 0) -> Tuple[List[VerificationReport], Dict[str
     return reports, {"algebra": table("algebra", rows)}
 
 
+def _instances_per_shape(rng) -> List[Tuple[SystemShape, int]]:
+    """:data:`LEMMA_INSTANCES` shapes drawn uniformly from
+    :data:`SMALL_SHAPES` in one call, as (shape, count) in the order of
+    :data:`SMALL_SHAPES`, shapes never drawn left out."""
+    counts = np.bincount(rng.integers(len(SMALL_SHAPES), size=LEMMA_INSTANCES),
+                         minlength=len(SMALL_SHAPES))
+    return [(shape, int(n)) for shape, n in zip(SMALL_SHAPES, counts) if n]
+
+
 def run_lemma_properties(seed: int = 1
                          ) -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Pinching norm bound and the trace Cauchy-Schwarz variant on
-    :data:`LEMMA_INSTANCES` random instances each.  The pinching
-    instances are drawn first; the norms of a shape's instances come from
-    one stacked :func:`operator_norm`."""
+    :data:`LEMMA_INSTANCES` random instances each.
+
+    Each claim first draws the shape of every instance, uniform over
+    :data:`SMALL_SHAPES`, then the instances of each shape as one batch.
+    A pinching instance is an expansion of six words
+    (:func:`random_expansions`), a uniform site and a fair sign; the
+    norms of a shape's instances and their pinchings come from one stacked
+    :func:`operator_norm`.  A Cauchy-Schwarz instance is a state
+    g g-dagger / tr and an operator A, both from complex standard-normal
+    (n, dim, dim) stacks, and both traces are ``einsum`` contractions.
+    """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    pinched: Dict[SystemShape, list] = {}
-    for _ in range(LEMMA_INSTANCES):
-        shape = SMALL_SHAPES[int(rng.integers(len(SMALL_SHAPES)))]
-        a = random_expansion(shape, rng, n_terms=6)
-        site = int(rng.integers(1, shape.sites + 1))
-        sign = "+" if rng.random() < 0.5 else "-"
-        pinched.setdefault(shape, []).extend(
-            (a, a.parity_project(site, sign)))
     worst_norm = -math.inf
-    for ops in pinched.values():
-        norms = operator_norm(to_matrices(ops))
+    for shape, n in _instances_per_shape(rng):
+        ops = random_expansions(shape, rng, n, n_terms=6)
+        sites = rng.integers(1, shape.sites + 1, size=n).tolist()
+        signs = np.where(rng.random(n) < 0.5, "+", "-").tolist()
+        norms = operator_norm(to_matrices(
+            [op for a, site, sign in zip(ops, sites, signs)
+             for op in (a, a.parity_project(site, sign))]))
         worst_norm = max(worst_norm, float(np.max(norms[1::2] - norms[::2])))
     t_norm = time.perf_counter() - start
 
     start2 = time.perf_counter()
     worst_cs = -math.inf
-    for _ in range(LEMMA_INSTANCES):
-        shape = SMALL_SHAPES[int(rng.integers(len(SMALL_SHAPES)))]
-        dim = shape.fock_dim
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = g @ g.conj().T
-        rho /= np.real(np.trace(rho))
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        lhs = abs(np.trace(rho @ a)) ** 2
-        rhs = float(np.real(np.trace(rho @ a @ a.conj().T)))
-        worst_cs = max(worst_cs, lhs - rhs)
+    for shape, n in _instances_per_shape(rng):
+        size = (n, shape.fock_dim, shape.fock_dim)
+        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        rho = g @ g.conj().swapaxes(1, 2)
+        rho /= np.einsum("nii->n", rho).real[:, None, None]
+        a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        lhs = np.abs(np.einsum("nij,nji->n", rho, a)) ** 2
+        rhs = np.einsum("nij,nij->n", rho @ a, a.conj()).real
+        worst_cs = max(worst_cs, float(np.max(lhs - rhs)))
     reports = [
         make_report("lemma1-pinch-norm", INEQUALITY,
                     {"instances": LEMMA_INSTANCES}, worst_norm, 0.0, 1e-9,

@@ -175,6 +175,14 @@ def build_hamiltonian(spec):
     return dense
 
 
+def random_expansion(shape: SystemShape, rng, n_terms: int = 5,
+                     max_degree: int | None = None):
+    """One draw of :func:`algebra.random_expansions`."""
+    from fermicert.algebra import random_expansions
+
+    return random_expansions(shape, rng, 1, n_terms, max_degree)[0]
+
+
 def random_density_matrix(dim: int, rng) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import independent_majoranas, word_matrix_oracle
+from conftest import (independent_majoranas, random_expansion,
+                      word_matrix_oracle)
 from fermicert.algebra import (OperatorExpansion, SystemShape, canonicalize,
                                expansion_from_text, expansion_to_text,
-                               merge_bitmasks, random_expansion,
+                               merge_bitmasks, random_expansions,
                                relabel_word, reversal_sign, word_indices)
 from fermicert.fock import jw_matrix, to_matrix
 
@@ -77,10 +78,74 @@ def relabel_cases(draw):
 def expansion_triples(draw):
     shape = draw(st.sampled_from(ORACLE_SHAPES))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    ops = tuple(random_expansion(shape, rng, n_terms=4) for _ in range(3))
+    ops = tuple(random_expansions(shape, rng, 3, n_terms=4))
     pi = tuple(draw(st.permutations(range(1, shape.sites + 1))))
     tau = tuple(draw(st.permutations(range(1, shape.sites + 1))))
     return ops, pi, tau
+
+
+class TestRandomExpansions:
+    def test_count_and_shape(self, rng):
+        sh = SystemShape(2, 2)
+        drawn = random_expansions(sh, rng, 7, n_terms=3)
+        assert len(drawn) == 7
+        assert all(a.shape == sh and 1 <= len(a) <= 3 for a in drawn)
+        assert random_expansions(sh, rng, 0) == []
+
+    def test_degrees_respect_and_cover_max_degree(self, rng):
+        sh = SystemShape(3, 1)
+        drawn = random_expansions(sh, rng, 200, n_terms=5, max_degree=3)
+        degrees = {mask.bit_count() for a in drawn for mask in a.terms}
+        assert degrees == {0, 1, 2, 3}
+
+    def test_max_degree_beyond_the_shape_is_every_majorana(self, rng):
+        sh = SystemShape(1, 1)
+        drawn = random_expansions(sh, rng, 100, max_degree=10)
+        assert {mask for a in drawn for mask in a.terms} == {0, 1, 2, 3}
+
+    def test_every_word_is_drawn(self, rng):
+        sh = SystemShape(1, 2)
+        drawn = random_expansions(sh, rng, 200)
+        assert ({mask for a in drawn for mask in a.terms}
+                == set(range(1 << sh.majorana_count)))
+
+    def test_repeated_words_are_summed(self):
+        # A seeded draw on SystemShape(1, 1) that repeats one word of four.
+        sh = SystemShape(1, 1)
+        seed = next(s for s in range(100) if len(random_expansions(
+            sh, np.random.default_rng(s), 1, n_terms=4)[0]) == 3)
+        rng = np.random.default_rng(seed)
+        degrees = rng.integers(0, 3, size=4)
+        ranks = rng.random((4, 2)).argsort(axis=1).argsort(axis=1)
+        masks = [int(sum(1 << pos for pos in range(2) if ranks[t, pos] < d))
+                 for t, d in enumerate(degrees)]
+        coeffs = rng.standard_normal((4, 2)) @ np.array([1, 1j])
+        want = {}
+        for mask, coeff in zip(masks, coeffs):
+            want[mask] = want.get(mask, 0.0) + coeff
+        (a,) = random_expansions(sh, np.random.default_rng(seed), 1,
+                                 n_terms=4)
+        assert len(want) == 3 and a.terms == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.builds(SystemShape, st.integers(1, 4), st.integers(1, 3)),
+           count=st.integers(0, 6), n_terms=st.integers(0, 6),
+           max_degree=st.one_of(st.none(), st.integers(0, 30)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_draws_are_well_formed(self, shape, count, n_terms, max_degree,
+                                   seed):
+        drawn = random_expansions(shape, np.random.default_rng(seed), count,
+                                  n_terms, max_degree)
+        cap = shape.majorana_count if max_degree is None else max_degree
+        assert len(drawn) == count
+        for a in drawn:
+            assert a.shape == shape and len(a) <= n_terms
+            assert all(0 <= mask < 1 << shape.majorana_count
+                       and mask.bit_count() <= cap for mask in a.terms)
+        # The same seed draws the same expansions.
+        again = random_expansions(shape, np.random.default_rng(seed), count,
+                                  n_terms, max_degree)
+        assert [a.terms for a in again] == [a.terms for a in drawn]
 
 
 class TestCanonicalize:
@@ -189,9 +254,7 @@ class TestAdjoint:
         assert op.adjoint().is_close(op)
 
     def test_involution(self, rng):
-        for _ in range(20):
-            sh = SystemShape(2, 2)
-            a = random_expansion(sh, rng)
+        for a in random_expansions(SystemShape(2, 2), rng, 20):
             assert a.adjoint().adjoint().is_close(a)
 
     def test_matches_dense(self, rng):
@@ -361,9 +424,8 @@ class TestJordanWignerConsistency:
     def test_products_match_dense(self, rng):
         for sh in (SystemShape(2, 1), SystemShape(4, 1), SystemShape(2, 2),
                    SystemShape(1, 4)):
-            for _ in range(10):
-                a = random_expansion(sh, rng, n_terms=4)
-                b = random_expansion(sh, rng, n_terms=4)
+            drawn = random_expansions(sh, rng, 20, n_terms=4)
+            for a, b in zip(drawn[:10], drawn[10:]):
                 lhs = to_matrix(a * b).matrix
                 rhs = to_matrix(a).matrix @ to_matrix(b).matrix
                 assert np.max(np.abs(lhs - rhs)) < 1e-10

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 import fermicert
 from conftest import (independent_ladder, independent_majoranas,
                       random_density_matrix, random_even_density_matrix,
-                      summed_word_terms, word_matrix_oracle)
+                      random_expansion, summed_word_terms,
+                      word_matrix_oracle)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
-                               expansion_from_text, expansion_to_text,
-                               random_expansion)
+                               expansion_from_text, expansion_to_text)
 from fermicert import fock
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             check_state, diagonal_blocks,

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_expansion
 from fermicert.algebra import (OperatorExpansion, SystemShape,
-                               canonicalize_positions, random_expansion)
+                               canonicalize_positions)
 from fermicert.fock import (DenseOperator, Isometry, partial_trace_sites,
                             permutation_unitary, reduce_expansion, to_matrix,
                             trace_norm)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fermicert import cumulants, definetti, invariance, suites
+from fermicert import algebra, cumulants, definetti, invariance, suites
 from fermicert.cumulants import LadderIndex
 from fermicert.fock import DenseOperator, reduce_expansion, to_matrix
 from fermicert.report import (INEQUALITY, TRACE_DISTANCE_DIAMETER,
@@ -62,6 +62,52 @@ def test_algebra_claims_carry_their_own_time():
     oracle, anti = reports
     assert oracle.wall_time > 0.0 and anti.wall_time > 0.0
     assert oracle.wall_time + anti.wall_time <= elapsed
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_drawn_suites_pass_across_seeds(seed):
+    for run in (suites.run_check_algebra, suites.run_lemma_properties):
+        reports, _ = run(seed=seed)
+        assert [r.passed for r in reports] == [True, True], [
+            (r.claim_id, r.lhs) for r in reports]
+
+
+def _verdicts(run):
+    return {r.claim_id: r.passed for r in run(seed=0)[0]}
+
+
+def test_unsigned_products_fail_the_oracle_and_anticommutation(monkeypatch):
+    monkeypatch.setattr(algebra, "merge_bitmasks",
+                        lambda left, right: (1, left ^ right))
+    assert _verdicts(suites.run_check_algebra) == {
+        "algebra-oracle": False, "anticommutation": False}
+
+
+def test_unsigned_adjoint_fails_the_oracle(monkeypatch):
+    monkeypatch.setattr(algebra, "reversal_sign", lambda length: 1)
+    assert not _verdicts(suites.run_check_algebra)["algebra-oracle"]
+
+
+def test_unsigned_relabeling_fails_the_oracle(monkeypatch):
+    # The reordering sign of relabel_word reaches the suite only through
+    # its permuted cases.
+    relabel_word = algebra.relabel_word
+
+    def unsigned(mask, site_map, shape):
+        _, out, preserved = relabel_word(mask, site_map, shape)
+        return 1, out, preserved
+
+    monkeypatch.setattr(algebra, "relabel_word", unsigned)
+    assert not _verdicts(suites.run_check_algebra)["algebra-oracle"]
+
+
+def test_inflated_pinching_fails_the_pinch_norm(monkeypatch):
+    parity_project = algebra.OperatorExpansion.parity_project
+    monkeypatch.setattr(algebra.OperatorExpansion, "parity_project",
+                        lambda self, site, sign: (1 + 1e-6) * parity_project(
+                            self, site, sign))
+    assert _verdicts(suites.run_lemma_properties) == {
+        "lemma1-pinch-norm": False, "lemma2-cauchy-schwarz": True}
 
 
 def test_mu_cases_checked_once_across_suites(monkeypatch):
