@@ -21,16 +21,19 @@ from one word-by-word scatter, :func:`to_matrices`.  XOR terms
 words and Hamiltonian sectors only: a word i^e Z^z X^x is one term of
 mask x (:func:`word_terms`), :func:`xor_sum` adds the terms of one mask,
 and :func:`diagonal_blocks` reads a Hamiltonian's sectors off the sum
-with no dim x dim matrix.
+with no dim x dim matrix.  Hermiticity is checked on that sum too: the
+mean-field ground solve passes the summed terms to
+:func:`require_hermitian`, whose residual, read from one gather of the
+term values, is the one their dense matrix or its blocks would give.
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
 the most significant bits.  That layout has two homes: :func:`occupations`,
 the 0/1 table of the modes each basis state occupies, and the Pauli
 tables, whose Z/X masks :func:`pauli_of_word` writes as basis-index masks.
 The rest of the package reads one of the two; only
-:func:`signed_permutation` also writes basis indices, of permuted states
-(with their reordering signs); :func:`permutation_unitary` is its dense
-scatter.
+:func:`signed_permutation` works on basis indices itself, moving each
+site's block of p bits to compute permuted states (with their reordering
+signs); :func:`permutation_unitary` is its dense scatter.
 
 All functions are pure; matrices are never mutated in place once returned.
 """
@@ -378,15 +381,26 @@ def partial_trace_sites(dense: DenseOperator, k: int) -> DenseOperator:
 
 # -- spectral helpers ---------------------------------------------------------
 
-def hermiticity_residual(matrix: np.ndarray) -> float:
-    """max |M - M-dagger| of a dense array, or the largest over a stack of
-    them (the last two axes are the matrix axes)."""
+def hermiticity_residual(matrix) -> float:
+    """max |M - M-dagger| of a dense array, the largest over a stack of
+    them (the last two axes are the matrix axes), or that of the operator
+    of :data:`XorTerms` with each mask once, as :func:`xor_sum` returns
+    them.  Entry [b, b ^ x] of a term is vals[t, b] and its mirror
+    [b ^ x, b] is vals[t, b ^ x], so the terms give the residual of the
+    matrix they stand for, the same float, from one gather of their
+    values."""
+    if isinstance(matrix, tuple):
+        masks, vals = matrix
+        mirror = np.take_along_axis(
+            vals, np.arange(vals.shape[1]) ^ masks[:, None], axis=1)
+        return float(abs(vals - mirror.conj()).max(initial=0.0))
     return float(abs(matrix - matrix.conj().swapaxes(-1, -2)).max())
 
 
-def require_hermitian(matrix: np.ndarray, what: str):
-    """Raise ``ValueError`` when ``matrix`` (a dense array or a stack of
-    them) is further than :data:`HERMITIAN_TOL` from Hermitian."""
+def require_hermitian(matrix, what: str):
+    """Raise ``ValueError`` when ``matrix`` (a dense array, a stack of
+    them, or :data:`XorTerms` as :func:`hermiticity_residual` takes them)
+    is further than :data:`HERMITIAN_TOL` from Hermitian."""
     res = hermiticity_residual(matrix)
     if res > HERMITIAN_TOL:
         raise ValueError(f"{what} is not Hermitian (residual {res:.3e} "
@@ -396,8 +410,11 @@ def require_hermitian(matrix: np.ndarray, what: str):
 def real_if_exact(matrix: np.ndarray) -> np.ndarray:
     """``matrix.real`` when every imaginary part is exactly 0, else
     ``matrix``: a real matrix then goes to the real LAPACK routines, which
-    take a fraction of the complex ones' time."""
-    return matrix.real if not matrix.imag.any() else matrix
+    take a fraction of the complex ones' time.  A real ``matrix`` is
+    returned as it is."""
+    if matrix.dtype.kind == "c" and not matrix.imag.any():
+        return matrix.real
+    return matrix
 
 
 def hermitian_eig(dense: DenseOperator):
@@ -436,21 +453,32 @@ def signed_permutation(pi: Sequence[int], shape: SystemShape
     the fermionic reordering sign of the basis state, an ascending
     product of creation operators: the parity of the permutation induced
     on its occupied modes, one transposition per occupied mode pair whose
-    images swap order.  Conjugation by this unitary realizes the
-    symbolic site-relabeling action, U m_j^a U-dagger = m_{pi(j)}^a.  As a
-    gather, (U F)[image] = sign[:, None] * F with no dim x dim array.
+    images swap order.  A site keeps the order of its own modes, so that
+    parity is the sum of n_i n_j over the site pairs i < j with
+    pi(i) > pi(j), n_i the occupied modes of site i.  Both are read off
+    the basis indices with bit operations, one pass per site: site i is
+    the p-bit block at shift p(V - i).  Conjugation by this unitary
+    realizes the symbolic site-relabeling action, U m_j^a U-dagger =
+    m_{pi(j)}^a.  As a gather, (U F)[image] = sign[:, None] * F with no
+    dim x dim array.
     """
     pi = validate_permutation(pi, shape.sites)
-    n = shape.total_modes
-    p = shape.modes_per_site
-    modes = np.arange(n)
-    mode_map = (np.asarray(pi)[modes // p] - 1) * p + modes % p
-    occupied = occupations(shape)
-    image = occupied @ (1 << (n - 1 - mode_map))
-    swapped = ((modes[:, None] < modes[None, :])
-               & (mode_map[:, None] > mode_map[None, :])).astype(np.int64)
-    inversions = ((occupied @ swapped) * occupied).sum(axis=1)
-    return image, 1.0 - 2.0 * (inversions & 1)
+    V, p = shape.sites, shape.modes_per_site
+    full = (1 << p) - 1
+    basis = np.arange(shape.fock_dim)
+    image = np.zeros_like(basis)
+    parity = np.zeros_like(basis)
+    for i, target in enumerate(pi, start=1):
+        shift = p * (V - i)
+        block = basis & (full << shift)
+        image |= (block >> shift) << (p * (V - target))
+        # The later sites that site i passes on its way to pi(i).
+        passed = sum(full << (p * (V - j)) for j in range(i + 1, V + 1)
+                     if pi[j - 1] < target)
+        if passed:
+            parity ^= (np.bitwise_count(block)
+                       & np.bitwise_count(basis & passed))
+    return image, 1.0 - 2.0 * (parity & 1)
 
 
 def permutation_unitary(pi: Sequence[int], shape: SystemShape) -> DenseOperator:

@@ -141,6 +141,25 @@ def ground_state(h: DenseOperator) -> Tuple[float, DenseOperator]:
     return e_gs, DenseOperator(h.shape, proj)
 
 
+def _above_cut(stack: np.ndarray, cut: float) -> bool:
+    """Whether the Cholesky test of :func:`ground_state_lowdim` shows every
+    eigenvalue of every block of ``stack`` to lie strictly above ``cut``.
+    A complex stack is not tried."""
+    if stack.dtype.kind == "c":
+        return False
+    n = stack.shape[-1]
+    u = np.finfo(np.float64).eps / 2
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    c = n * gamma / (1 - n * gamma) + u
+    frob = math.sqrt(2.0 * float(np.einsum("mij,mij->m", stack, stack).max()))
+    sigma = cut + 2.0 * c * (frob + abs(cut))
+    try:
+        np.linalg.cholesky(stack - sigma * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     """Exact ground energy and ground space, block by conserved block.
 
@@ -150,16 +169,39 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     conserved sectors, found with no symmetry assumed.  The terms are
     summed before the graph is built, so terms that cancel join no
     sectors (pair-hopping's f-dagger f-dagger parts cancel this way, which
-    keeps its particle-number sectors apart).  Every stored entry lies in
-    one block, so checking Hermiticity block by block is exact.  A block
-    stack with no imaginary part is solved in real arithmetic
-    (:func:`fock.real_if_exact`).  Every block is diagonalized densely,
-    equal sizes in one batched ``eigvalsh``; the ground vectors come from
-    one ``eigh`` of each block whose minimum lies within
-    :data:`DEGENERACY_TOL` of the ground energy, so a degenerate ground
-    space is resolved in full.  The ground space is returned as an
-    :class:`Isometry` (dim x r), whose state F F-dagger / r is the
-    projector :func:`ground_state` returns.  The mode cap
+    keeps its particle-number sectors apart).  Hermiticity is checked on
+    the summed terms (:func:`fock.hermiticity_residual`), which gives the
+    residual the blocks would.  Summed values with no imaginary part are
+    scattered straight into real blocks, and a block stack with no
+    imaginary part is solved in real arithmetic (:func:`fock.real_if_exact`).
+
+    Equal-size blocks are diagonalized together, densely, by one batched
+    ``eigvalsh``, the stack of the largest blocks first; its lowest
+    eigenvalue starts the running minimum e.  Every other real stack,
+    blocks S_j of size n, is first tested: with cut = e +
+    :data:`DEGENERACY_TOL`, u the unit roundoff, gamma_k = ku / (1 - ku),
+    c = n gamma_(n+1) / (1 - n gamma_(n+1)) + u, F = sqrt(2) max_j
+    ||S_j||_F and eps = c (F + |cut|), each S_j - sigma I with sigma =
+    cut + 2 eps is given to ``np.linalg.cholesky``.  A factorization that
+    runs to completion on the computed A = fl(S_j - sigma I) gives
+    R^T R = A + dA with |dA| <= gamma_(n+1) |R^T| |R| (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+    Sec. 10.1.1), so ||dA||_2 <= n gamma_(n+1) ||R||_2^2 and
+    ||dA||_2 <= n gamma_(n+1) / (1 - n gamma_(n+1)) ||A||_2; forming A
+    adds at most u (F + |sigma|), F bounding the 2-norm of the symmetric
+    matrix that LAPACK reads off the lower triangle of S_j.  So
+    lambda_min(S_j) >= sigma - c (F + |sigma|) >= sigma - (1 + 2c) eps,
+    strictly above cut: no block of the stack holds a ground vector, and
+    its ``eigvalsh`` is skipped.  When a factorization fails the stack is
+    solved and e updated.  The ground energy is thus the minimum over the
+    solved stacks, as it would be over all of them.
+
+    The ground vectors come from one ``eigh`` of each block whose minimum
+    lies within :data:`DEGENERACY_TOL` of the ground energy, taken in
+    increasing block size, so a degenerate ground space is resolved in
+    full.  The ground space is returned as an :class:`Isometry`
+    (dim x r), whose state F F-dagger / r is the projector
+    :func:`ground_state` returns.  The mode cap
     (:func:`fock.ensure_within_cap`) is checked before any array of the
     Fock dimension is made.
     """
@@ -169,16 +211,24 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     masks, vals = word_terms(np.fromiter(h_exp.terms.keys(), np.int64, n),
                              h_exp.shape)
     coeffs = np.fromiter(h_exp.terms.values(), np.complex128, n)
-    terms = xor_sum((masks, coeffs[:, None] * vals))
-    blocks = []
-    for idx, stack in diagonal_blocks(terms):
-        require_hermitian(stack, "Hamiltonian block")
-        stack = real_if_exact(stack)
-        blocks.append((idx, stack, np.linalg.eigvalsh(stack)[:, 0]))
-    e_gs = float(min(lows.min() for _, _, lows in blocks))
+    masks, vals = xor_sum((masks, coeffs[:, None] * vals))
+    require_hermitian((masks, vals), "Hamiltonian block")
+    stacks = [(idx, real_if_exact(stack)) for idx, stack
+              in diagonal_blocks((masks, real_if_exact(vals)))]
+    del vals  # the complex term values are not read past the scatter
+    # diagonal_blocks yields the stacks in increasing block size.
+    lows = {}
+    e_gs = math.inf
+    for i in reversed(range(len(stacks))):
+        stack = stacks[i][1]
+        if lows and _above_cut(stack, e_gs + DEGENERACY_TOL):
+            continue
+        lows[i] = np.linalg.eigvalsh(stack)[:, 0]
+        e_gs = min(e_gs, float(lows[i].min()))
     columns = []
-    for idx, stack, lows in blocks:
-        for j in np.flatnonzero(lows <= e_gs + DEGENERACY_TOL):
+    for i in sorted(lows):
+        idx, stack = stacks[i]
+        for j in np.flatnonzero(lows[i] <= e_gs + DEGENERACY_TOL):
             w, v = np.linalg.eigh(stack[j])
             vecs = v[:, w <= e_gs + DEGENERACY_TOL]
             col = np.zeros((dim, vecs.shape[1]), dtype=np.complex128)

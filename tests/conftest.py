@@ -15,7 +15,8 @@ take site ladders as (c, site, mode) tuples, the arguments of
 cumulant engine on them.  :func:`mixture_matrix` and
 :func:`build_hamiltonian` are likewise views of package code (product
 powers, the symbolic Hamiltonian) that only the tests compare the package
-against.
+against, and :func:`unpruned_ground_state` is the block ground solve
+with every sector diagonalized.
 """
 
 from __future__ import annotations
@@ -74,6 +75,35 @@ def summed_word_terms(h_exp):
     masks, vals = word_terms(list(h_exp.terms), h_exp.shape)
     coeffs = np.array(list(h_exp.terms.values()), dtype=np.complex128)
     return xor_sum((masks, coeffs[:, None] * vals))
+
+
+def unpruned_ground_state(h_exp):
+    """Ground energy and ground isometry matrix with no sector skipped:
+    every block stack of the summed word terms checked for Hermiticity and
+    diagonalized with ``eigvalsh``, the ground columns taken in increasing
+    block size.  The bit-identity oracle of
+    meanfield.ground_state_lowdim, which skips the stacks above the
+    ground."""
+    from fermicert.fock import (diagonal_blocks, real_if_exact,
+                                require_hermitian)
+    from fermicert.meanfield import DEGENERACY_TOL
+
+    blocks = []
+    for idx, stack in diagonal_blocks(summed_word_terms(h_exp)):
+        require_hermitian(stack, "Hamiltonian block")
+        stack = real_if_exact(stack)
+        blocks.append((idx, stack, np.linalg.eigvalsh(stack)[:, 0]))
+    e_gs = float(min(lows.min() for _, _, lows in blocks))
+    columns = []
+    for idx, stack, lows in blocks:
+        for j in np.flatnonzero(lows <= e_gs + DEGENERACY_TOL):
+            w, v = np.linalg.eigh(stack[j])
+            vecs = v[:, w <= e_gs + DEGENERACY_TOL]
+            col = np.zeros((h_exp.shape.fock_dim, vecs.shape[1]),
+                           dtype=np.complex128)
+            col[idx[j]] = vecs
+            columns.append(col)
+    return e_gs, np.hstack(columns)
 
 
 def moment(rho, rows):

@@ -594,21 +594,28 @@ class TestPermutationUnitary:
         assert np.allclose(u @ m2 @ u.conj().T, m1)
 
 
-def reference_permutation_unitary(pi, shape):
-    """The dense permutation unitary as written before it became the
-    scatter of :func:`fock.signed_permutation`: the bit-identity oracle."""
+def reference_signed_permutation(pi, shape):
+    """(image, sign) of a site permutation from the occupation table: the
+    image by mapping each mode, the sign from the inversions counted over
+    every occupied mode pair."""
     n = shape.total_modes
     p = shape.modes_per_site
     modes = np.arange(n)
     mode_map = (np.asarray(pi)[modes // p] - 1) * p + modes % p
-    basis = np.arange(shape.fock_dim)
     occupied = occupations(shape)
     image = occupied @ (1 << (n - 1 - mode_map))
     swapped = ((modes[:, None] < modes[None, :])
                & (mode_map[:, None] > mode_map[None, :])).astype(np.int64)
     inversions = np.einsum("am,mk,ak->a", occupied, swapped, occupied)
+    return image, 1.0 - 2.0 * (inversions & 1)
+
+
+def reference_permutation_unitary(pi, shape):
+    """The dense permutation unitary as written before it became the
+    scatter of :func:`fock.signed_permutation`: the bit-identity oracle."""
+    image, sign = reference_signed_permutation(pi, shape)
     out = np.zeros((shape.fock_dim, shape.fock_dim), dtype=np.complex128)
-    out[image, basis] = 1.0 - 2.0 * (inversions & 1)
+    out[image, np.arange(shape.fock_dim)] = sign
     return out
 
 
@@ -648,6 +655,20 @@ class TestSignedPermutation:
             gathered = np.empty_like(f)
             gathered[image] = sign[:, None] * f
             assert np.array_equal(gathered, u @ f)
+
+    @pytest.mark.parametrize("V, p", [(6, 2), (12, 1)])
+    def test_random_permutations_match_the_oracle(self, V, p):
+        # Fock dimension 4096, where the dense oracle unitary would be a
+        # 256 MB array: image and sign are compared bit for bit instead.
+        shape = SystemShape(V, p)
+        rng = np.random.default_rng(V)
+        for _ in range(10):
+            pi = tuple((rng.permutation(V) + 1).tolist())
+            image, sign = signed_permutation(pi, shape)
+            want_image, want_sign = reference_signed_permutation(pi, shape)
+            assert image.dtype == want_image.dtype
+            assert np.array_equal(image, want_image)
+            assert np.array_equal(sign, want_sign)
 
 
 class TestExpectationDense:

@@ -4,6 +4,7 @@ the gap certificate."""
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,17 +15,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (build_hamiltonian, random_even_density_matrix,
-                      summed_word_terms)
+                      random_expansion, summed_word_terms,
+                      unpruned_ground_state)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
-                              expansion_from_text)
+                              expansion_from_text, expansion_to_text,
+                              reversal_sign)
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, diagonal_blocks,
-                            jw_matrix, operator_norm, to_matrix)
+                            hermiticity_residual, jw_matrix, operator_norm,
+                            to_matrix)
 from fermicert import invariance
 from fermicert.invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                                   MuFamilyParams, check_invariance,
                                   check_invariance_dense, mu_family_state)
 from fermicert.meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES,
-                                 HamiltonianSpec, ProductEnergyEvaluator,
+                                 DEGENERACY_TOL, HamiltonianSpec,
+                                 ProductEnergyEvaluator,
                                  build_hamiltonian_expansion,
                                  builtin_family, ground_state,
                                  ground_state_lowdim, gs_bound,
@@ -43,6 +48,20 @@ def mask_of(shape, *indices):
 def site_number_template():
     tshape = SystemShape(1, 1)
     return OperatorExpansion(tshape, {mask_of(tshape, (1, 1), (1, 2)): -1j})
+
+
+def recording_solvers(monkeypatch):
+    """Patch ``eigvalsh`` and ``eigh`` to record the dtype kind and shape
+    of each input; returns the two record lists."""
+    calls = {"eigvalsh": [], "eigh": []}
+    for name, record in calls.items():
+        solver = getattr(np.linalg, name)
+
+        def solve(a, *args, solver=solver, record=record, **kwargs):
+            record.append((a.dtype.kind, a.shape))
+            return solver(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, solve)
+    return calls["eigvalsh"], calls["eigh"]
 
 
 class TestBuild:
@@ -223,20 +242,10 @@ class TestGroundState:
         # pair-exchange, i m_1 m_2 = Y X on two modes, has imaginary
         # entries; the other families have none, and their blocks reach
         # the eigensolvers as real arrays.
-        kinds = []
-        eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
-
-        def recording(solver):
-            def solve(a, *args, **kwargs):
-                kinds.append(a.dtype.kind)
-                return solver(a, *args, **kwargs)
-            return solve
-
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording(eigvalsh))
-        monkeypatch.setattr(np.linalg, "eigh", recording(eigh))
+        eigvalsh, eigh = recording_solvers(monkeypatch)
         e, ground = ground_state_lowdim(h_exp)
-        assert set(kinds) == {"f" if real else "c"}
+        assert {kind for kind, _ in eigvalsh + eigh} == {"f" if real else "c"}
         monkeypatch.undo()
         e_dense, _ = ground_state(to_matrix(h_exp))
         assert e == pytest.approx(e_dense, abs=1e-12)
@@ -273,6 +282,189 @@ class TestGroundState:
             spec = builtin_family(name, 6)
             e, _ = ground_state(build_hamiltonian(spec))
             assert e == pytest.approx(-1.0 / 3.0, abs=1e-12)
+
+
+def assert_same_as_unpruned(h_exp):
+    """The pruned solve gives the unpruned one's energy and isometry bit
+    for bit; returns them."""
+    e_gs, ground = ground_state_lowdim(h_exp)
+    e_ref, f_ref = unpruned_ground_state(h_exp)
+    assert type(e_gs) is float and e_gs == e_ref
+    assert np.array_equal(ground.matrix, f_ref)
+    return e_gs, ground
+
+
+def sectors_of(ground):
+    """The particle numbers of the basis states the ground space touches."""
+    rows = np.flatnonzero(np.abs(ground.matrix).sum(axis=1))
+    return sorted(set(np.bitwise_count(rows).tolist()))
+
+
+@st.composite
+def hermitian_configs(draw):
+    """A config with a random Hermitian k-site template, k <= 2, on at
+    least two modes, built from parts that conserve the particle number,
+    so that H has sectors of several sizes: products of i m^(2a-1) m^(2a)
+    over a set of modes, and at least one hopping f_a-dagger f_b +
+    f_b-dagger f_a, some with a current.  One draw in four adds an
+    arbitrary word, made Hermitian by its reversal-sign phase, which can
+    join sectors.  Coefficients come from a few exact values, so that
+    sectors can tie, or are any float; the template is rescaled to
+    operator norm one when above it."""
+    k, p = draw(st.sampled_from([(1, 2), (2, 1), (2, 2)]))
+    V = draw(st.integers(4 // p, 6 // p))
+    shape = SystemShape(k, p)
+    modes = k * p
+    values = st.sampled_from([-1.0, -0.5, 0.25, 0.5, 1.0]) | st.floats(
+        -1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
+
+    def majorana(mode, which):
+        return mask_of(shape, (mode // p + 1, 2 * (mode % p) + 1 + which))
+
+    terms = {}
+    for subset in draw(st.lists(st.sets(st.integers(0, modes - 1),
+                                        min_size=1), min_size=1, max_size=3)):
+        mask = sum(majorana(a, 0) | majorana(a, 1) for a in subset)
+        terms[mask] = draw(values) * (1, 1j, -1, -1j)[len(subset) % 4]
+    pairs = list(itertools.combinations(range(modes), 2))
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1,
+                              max_size=3)):
+        t = draw(values)
+        terms[majorana(a, 0) | majorana(b, 1)] = 0.5j * t
+        terms[majorana(a, 1) | majorana(b, 0)] = -0.5j * t
+        if draw(st.booleans()):
+            # A current i(f_a-dagger f_b - f_b-dagger f_a): imaginary
+            # entries inside the sectors, so complex stacks.
+            s = draw(values)
+            terms[majorana(a, 0) | majorana(b, 0)] = 0.5j * s
+            terms[majorana(a, 1) | majorana(b, 1)] = 0.5j * s
+    if draw(st.integers(0, 3)) == 0:
+        mask = draw(st.integers(1, (1 << shape.majorana_count) - 1))
+        terms[mask] = draw(values) * (
+            1 if reversal_sign(mask.bit_count()) > 0 else 1j)
+    template = OperatorExpansion(shape, terms)
+    return {"V": V, "p": p, "k": k, "template": expansion_to_text(template),
+            "normalize": True}
+
+
+class TestPrunedGroundSolve:
+    """The sectors above the ground skipped by the Cholesky test change
+    nothing: energy and isometry equal the unpruned solve bit for bit."""
+
+    @pytest.mark.parametrize("name, V", [
+        (name, V) for name in BUILTIN_FAMILIES for V in range(3, 7)]
+        + [("pair-hopping", 8), ("pair-hopping", 10)])
+    def test_builtin_families(self, name, V):
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, V))
+        assert_same_as_unpruned(h_exp)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(hermitian_configs())
+    def test_random_hermitian_templates(self, cfg):
+        h_exp, _ = build_hamiltonian_expansion(hamiltonian_from_config(cfg))
+        assert_same_as_unpruned(h_exp)
+
+    def test_ground_outside_the_largest_stack(self, monkeypatch):
+        # Hopping of the opposite sign has one negative single-particle
+        # level, and a small chemical potential keeps it so: the ground
+        # is at N = 1, in the stack of size-6 blocks, while the largest
+        # stack is N = 3 (size 20).  The stacks are solved largest first
+        # until the ground's; N = 2 (-0.3) lies below N = 3 (-0.2) and is
+        # solved too, and only the 1 x 1 stack (N = 0 and 6, minimum
+        # -0.1) is skipped.
+        h_exp, _ = build_hamiltonian_expansion(hamiltonian_from_config({
+            "V": 6, "p": 1, "k": 2, "template": (
+                "0 -0.5 (1,1)(2,2)\n0 0.5 (1,2)(2,1)\n"
+                "0 0.05 (1,1)(1,2)\n0 0.05 (2,1)(2,2)\n"),
+            "normalize": True}))
+        eigvalsh, _ = recording_solvers(monkeypatch)
+        ground_state_lowdim(h_exp)
+        monkeypatch.undo()
+        _, ground = assert_same_as_unpruned(h_exp)
+        assert sectors_of(ground) == [1]
+        assert [shape[-1] for _, shape in eigvalsh] == [20, 15, 6]
+
+    def test_ground_spread_over_blocks_of_several_sizes(self):
+        # Hopping plus the chemical potential 1/6 per particle puts the
+        # V - 1 low single-particle levels at 0, so the sectors N = 0..3
+        # (block sizes 1, 4, 6) all hold ground vectors.
+        h_exp, _ = build_hamiltonian_expansion(hamiltonian_from_config({
+            "V": 4, "p": 1, "k": 2, "template": (
+                "0 0.5 (1,1)(2,2)\n0 -0.5 (1,2)(2,1)\n"
+                f"0 {1 / 6!r} (1,1)(1,2)\n0 {1 / 6!r} (2,1)(2,2)\n"),
+            "normalize": True}))
+        _, ground = assert_same_as_unpruned(h_exp)
+        assert sectors_of(ground) == [0, 1, 2, 3]
+
+    def test_stack_at_the_cut_is_solved(self):
+        # Two modes: hopping makes the 2 x 2 block [[0, 1], [1, 0]], the
+        # largest stack, with lowest eigenvalue exactly -1, and the
+        # diagonal terms put both 1 x 1 blocks at exactly
+        # -1 + DEGENERACY_TOL.  They belong to the ground space, so their
+        # stack must not be skipped.
+        tie = -1.0 + DEGENERACY_TOL
+        h_exp = expansion_from_text(
+            f"{tie / 2!r} 0 1\n{-tie / 2!r} 0 (1,1)(1,2)(2,1)(2,2)\n"
+            "0 0.5 (1,1)(2,2)\n0 -0.5 (1,2)(2,1)\n", SystemShape(2, 1))
+        e_gs, ground = assert_same_as_unpruned(h_exp)
+        assert e_gs == -1.0 and e_gs + DEGENERACY_TOL == tie
+        assert ground.matrix.shape == (4, 3)
+
+    def test_hubbard_like_v6_solves_one_stack(self, monkeypatch):
+        # The ground sector (three up, three down: 400 states) is the
+        # largest block, and the Cholesky test skips the other nine
+        # stacks: one eigvalsh and one eigh, both real.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
+                                                              6))
+        eigvalsh, eigh = recording_solvers(monkeypatch)
+        ground_state_lowdim(h_exp)
+        assert eigvalsh == [("f", (1, 400, 400))]
+        assert eigh == [("f", (400, 400))]
+
+    def test_hubbard_like_v6_memory(self):
+        # No complex copy of the real blocks: the traced peak of the call
+        # stays under 16 MB (14.3 MB measured; 18.6 MB when the real
+        # blocks are cut from complex stacks, 31 MB with every stack
+        # solved and checked as complex).
+        h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
+                                                              6))
+        tracemalloc.start()
+        try:
+            ground_state_lowdim(h_exp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("shape", [SystemShape(2, 1), SystemShape(3, 1),
+                                       SystemShape(2, 2)])
+    def test_term_residual_is_the_block_residual(self, shape, rng):
+        # Random expansions with complex coefficients are not Hermitian.
+        # The residual read off the summed terms is, bit for bit, that of
+        # their dense scatter and the largest over their blocks (the
+        # check the solve made before), and it is the one the ground
+        # solve reports.  to_matrix adds three or more words of one X
+        # pattern in another order than xor_sum, so its residual can
+        # differ in the last bit.
+        for _ in range(20):
+            h_exp = random_expansion(shape, rng, n_terms=6)
+            terms = summed_word_terms(h_exp)
+            res = hermiticity_residual(terms)
+            dense = np.zeros((shape.fock_dim, shape.fock_dim), dtype=complex)
+            rows = np.arange(shape.fock_dim)
+            for mask, vals in zip(*terms):
+                dense[rows, rows ^ mask] = vals
+            assert res == hermiticity_residual(dense)
+            assert res == max(hermiticity_residual(stack)
+                              for _, stack in diagonal_blocks(terms))
+            assert res == pytest.approx(
+                hermiticity_residual(to_matrix(h_exp).matrix), rel=1e-14)
+            assert res > 1e-10
+            with pytest.raises(ValueError, match=re.escape(
+                    f"Hamiltonian block is not Hermitian (residual "
+                    f"{res:.3e} above")):
+                ground_state_lowdim(h_exp)
 
 
 class TestProductEnergy:
