@@ -18,11 +18,12 @@ transform per X pattern.
 Dense matrices of expansions, ladders and single words included, come
 from one word-by-word scatter, :func:`to_matrices`.  XOR terms
 (:data:`XorTerms`), sum_x diag(v_x) X_x with X_x[a, a ^ x] = 1, serve
-words and Hamiltonian sectors only: a word i^e Z^z X^x is one term of
-mask x (:func:`word_terms`), :func:`xor_sum` adds the terms of one mask,
-and :func:`diagonal_blocks` reads a Hamiltonian's sectors off the sum
-with no dim x dim matrix.  Hermiticity is checked on that sum too: the
-mean-field ground solve passes the summed terms to
+words, Hamiltonian sectors and Fock diagonals: a word i^e Z^z X^x is one
+term of mask x (:func:`word_terms`), :func:`xor_terms` sums an
+expansion's words into one row per mask, the entries of its dense matrix
+bit for bit, and :func:`diagonal_blocks` reads a Hamiltonian's sectors
+off those rows with no dim x dim matrix.  Hermiticity is checked on them
+too: the mean-field ground solve passes the summed terms to
 :func:`require_hermitian`, whose residual, read from one gather of the
 term values, is the one their dense matrix or its blocks would give.
 
@@ -252,21 +253,35 @@ def word_terms(masks, shape: SystemShape) -> XorTerms:
     return x, _I4[phase][:, None] * signs
 
 
-def xor_sum(terms: XorTerms) -> XorTerms:
-    """The terms of equal mask summed, masks ascending.
+def xor_terms(op: OperatorExpansion) -> XorTerms:
+    """An expansion's XOR terms summed: one value row per distinct X mask,
+    masks ascending, whose entry vals[t, a] is entry [a, a ^ masks[t]] of
+    ``to_matrix(op)`` bit for bit.
 
-    A stable sort puts equal masks next to each other in term order, and
-    ``np.add.reduceat`` adds each run: one term per mask, each position of
-    the matrix listed once.  Terms already in that form are returned as
-    they are.
+    Word t, i^e Z^z X^x (:func:`pauli_strings`) with coefficient c, adds
+    c i^e (-1)^|a & z| to row a of its mask's values, the words of one
+    mask in term order: the additions :func:`to_matrices` makes with
+    ``np.add.at``, of the same exact addends (c times +-1 or +-i), so the
+    same floats.  When every phased coefficient c i^e is real the rows are
+    summed in real arithmetic, whose floats are the real parts the complex
+    sums would have.  One word's signs are alive at a time: the rows and
+    O(dim) scratch, never a (words x dim) array.
     """
-    masks, vals = terms
-    if (masks[1:] > masks[:-1]).all():
-        return terms
-    order = np.argsort(masks, kind="stable")
-    masks = masks[order]
-    first = np.concatenate(([0], np.flatnonzero(masks[1:] != masks[:-1]) + 1))
-    return masks[first], np.add.reduceat(vals[order], first, axis=0)
+    shape = op.shape
+    ensure_within_cap(shape)
+    n = len(op.terms)
+    phase, z, x = pauli_strings(np.fromiter(op.terms.keys(), np.int64, n),
+                                shape)
+    phased = real_if_exact(
+        _I4[phase] * np.fromiter(op.terms.values(), np.complex128, n))
+    masks = np.sort(x)
+    masks = masks[np.diff(masks, prepend=-1) != 0]
+    rows = np.arange(shape.fock_dim, dtype=np.int64)
+    vals = np.zeros((len(masks), shape.fock_dim), dtype=phased.dtype)
+    for t, row in enumerate(np.searchsorted(masks, x)):
+        odd = np.bitwise_count(rows & z[t]) & 1
+        vals[row] += np.where(odd, -phased[t], phased[t])
+    return masks, vals
 
 
 def jw_matrix(mask: int, shape: SystemShape) -> DenseOperator:
@@ -384,7 +399,7 @@ def partial_trace_sites(dense: DenseOperator, k: int) -> DenseOperator:
 def hermiticity_residual(matrix) -> float:
     """max |M - M-dagger| of a dense array, the largest over a stack of
     them (the last two axes are the matrix axes), or that of the operator
-    of :data:`XorTerms` with each mask once, as :func:`xor_sum` returns
+    of :data:`XorTerms` with each mask once, as :func:`xor_terms` returns
     them.  Entry [b, b ^ x] of a term is vals[t, b] and its mirror
     [b ^ x, b] is vals[t, b ^ x], so the terms give the residual of the
     matrix they stand for, the same float, from one gather of their
@@ -525,11 +540,12 @@ def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     spectrum is the union of the blocks' spectra and its eigenvectors live
     inside single blocks; for a Hamiltonian they are the conserved sectors,
     found with no symmetry assumed.  ``matrix`` is a dense array, or
-    :data:`XorTerms` with each mask once, as :func:`xor_sum` returns them
+    :data:`XorTerms` with each mask once, as :func:`xor_terms` returns them
     (explicit zeros are dropped).  Yields ``(idx, stack)`` per block size
-    s, in increasing size: ``idx`` is an (m, s) array whose rows hold the
-    ascending basis indices of one block each, and ``stack`` the (m, s, s)
-    dense blocks matrix[idx[j]][:, idx[j]].
+    s, from the largest size down, each stack built only when it is asked
+    for: ``idx`` is an (m, s) array whose rows hold the ascending basis
+    indices of one block each, in the order of their smallest index, and
+    ``stack`` the (m, s, s) dense blocks matrix[idx[j]][:, idx[j]].
     """
     terms = isinstance(matrix, tuple)
     if terms:
@@ -555,7 +571,7 @@ def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         pos[order] = np.arange(len(order)) - np.repeat(starts, sizes)
         entry_block = labels[rows]
     # bincount, not np.unique: unique imports numpy.ma on first use.
-    for s in np.flatnonzero(np.bincount(sizes)):
+    for s in np.flatnonzero(np.bincount(sizes))[::-1]:
         ids = np.flatnonzero(sizes == s)
         idx = order[starts[ids][:, None] + np.arange(s)]
         if terms:

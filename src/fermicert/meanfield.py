@@ -42,7 +42,7 @@ from .definetti import (GENERATOR_BOX, component_state, coordinate_sweep,
 from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
                    ensure_within_cap, jw_matrix, operator_norm, real_if_exact,
                    require_hermitian, to_matrix, word_expectations_dense,
-                   word_terms, xor_sum)
+                   xor_terms)
 from .invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                          check_invariance_dense)
 from .report import INEQUALITY, VerificationReport, make_report
@@ -144,7 +144,9 @@ def ground_state(h: DenseOperator) -> Tuple[float, DenseOperator]:
 def _above_cut(stack: np.ndarray, cut: float) -> bool:
     """Whether the Cholesky test of :func:`ground_state_lowdim` shows every
     eigenvalue of every block of ``stack`` to lie strictly above ``cut``.
-    A complex stack is not tried."""
+    The blocks are tried one at a time, each on a copy whose diagonal is
+    shifted in place (the floats of block - sigma I), and the first
+    failure ends the test.  A complex stack is not tried."""
     if stack.dtype.kind == "c":
         return False
     n = stack.shape[-1]
@@ -153,10 +155,13 @@ def _above_cut(stack: np.ndarray, cut: float) -> bool:
     c = n * gamma / (1 - n * gamma) + u
     frob = math.sqrt(2.0 * float(np.einsum("mij,mij->m", stack, stack).max()))
     sigma = cut + 2.0 * c * (frob + abs(cut))
-    try:
-        np.linalg.cholesky(stack - sigma * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
+    for block in stack:
+        shifted = block.copy()
+        shifted.flat[::n + 1] -= sigma
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
     return True
 
 
@@ -165,36 +170,39 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
 
     The blocks are the connected components of the sparsity graph
     (:func:`fock.diagonal_blocks`) of the Hamiltonian's word terms, summed
-    by X pattern (:func:`fock.word_terms`, :func:`fock.xor_sum`): the
-    conserved sectors, found with no symmetry assumed.  The terms are
-    summed before the graph is built, so terms that cancel join no
-    sectors (pair-hopping's f-dagger f-dagger parts cancel this way, which
-    keeps its particle-number sectors apart).  Hermiticity is checked on
-    the summed terms (:func:`fock.hermiticity_residual`), which gives the
-    residual the blocks would.  Summed values with no imaginary part are
-    scattered straight into real blocks, and a block stack with no
-    imaginary part is solved in real arithmetic (:func:`fock.real_if_exact`).
+    into one row per X pattern (:func:`fock.xor_terms`, the entries of
+    its dense matrix bit for bit): the conserved sectors, found with no
+    symmetry assumed.  The terms are summed before the graph is built, so
+    terms that cancel join no sectors (pair-hopping's f-dagger f-dagger
+    parts cancel this way, which keeps its particle-number sectors
+    apart).  Hermiticity is checked on the summed terms
+    (:func:`fock.hermiticity_residual`), which gives the residual the
+    blocks would.  Summed values with no imaginary part are scattered
+    straight into real blocks, and a block stack with no imaginary part is
+    solved in real arithmetic (:func:`fock.real_if_exact`).
 
     Equal-size blocks are diagonalized together, densely, by one batched
-    ``eigvalsh``, the stack of the largest blocks first; its lowest
-    eigenvalue starts the running minimum e.  Every other real stack,
-    blocks S_j of size n, is first tested: with cut = e +
-    :data:`DEGENERACY_TOL`, u the unit roundoff, gamma_k = ku / (1 - ku),
-    c = n gamma_(n+1) / (1 - n gamma_(n+1)) + u, F = sqrt(2) max_j
-    ||S_j||_F and eps = c (F + |cut|), each S_j - sigma I with sigma =
-    cut + 2 eps is given to ``np.linalg.cholesky``.  A factorization that
-    runs to completion on the computed A = fl(S_j - sigma I) gives
-    R^T R = A + dA with |dA| <= gamma_(n+1) |R^T| |R| (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
-    Sec. 10.1.1), so ||dA||_2 <= n gamma_(n+1) ||R||_2^2 and
+    ``eigvalsh``.  The stacks are built and taken one at a time from the
+    largest blocks down; the first one's lowest eigenvalue starts the
+    running minimum e.  Every other real stack, blocks S_j of size n, is
+    first tested: with cut = e + :data:`DEGENERACY_TOL`, u the unit
+    roundoff, gamma_k = ku / (1 - ku), c = n gamma_(n+1) /
+    (1 - n gamma_(n+1)) + u, F = sqrt(2) max_j ||S_j||_F and
+    eps = c (F + |cut|), each S_j - sigma I with sigma = cut + 2 eps is
+    given to ``np.linalg.cholesky``, one block at a time
+    (:func:`_above_cut`).  A factorization that runs to completion on the
+    computed A = fl(S_j - sigma I) gives R^T R = A + dA with
+    |dA| <= gamma_(n+1) |R^T| |R| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., SIAM 2002, Sec. 10.1.1), so ||dA||_2 <= n gamma_(n+1) ||R||_2^2 and
     ||dA||_2 <= n gamma_(n+1) / (1 - n gamma_(n+1)) ||A||_2; forming A
     adds at most u (F + |sigma|), F bounding the 2-norm of the symmetric
     matrix that LAPACK reads off the lower triangle of S_j.  So
     lambda_min(S_j) >= sigma - c (F + |sigma|) >= sigma - (1 + 2c) eps,
     strictly above cut: no block of the stack holds a ground vector, and
-    its ``eigvalsh`` is skipped.  When a factorization fails the stack is
-    solved and e updated.  The ground energy is thus the minimum over the
-    solved stacks, as it would be over all of them.
+    the stack is dropped unsolved; only the solved stacks are kept.  When
+    a factorization fails the stack is solved and e updated.  The ground
+    energy is thus the minimum over the solved stacks, as it would be over
+    all of them.
 
     The ground vectors come from one ``eigh`` of each block whose minimum
     lies within :data:`DEGENERACY_TOL` of the ground energy, taken in
@@ -207,28 +215,22 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     """
     ensure_within_cap(h_exp.shape)
     dim = h_exp.shape.fock_dim
-    n = len(h_exp.terms)
-    masks, vals = word_terms(np.fromiter(h_exp.terms.keys(), np.int64, n),
-                             h_exp.shape)
-    coeffs = np.fromiter(h_exp.terms.values(), np.complex128, n)
-    masks, vals = xor_sum((masks, coeffs[:, None] * vals))
+    masks, vals = xor_terms(h_exp)
     require_hermitian((masks, vals), "Hamiltonian block")
-    stacks = [(idx, real_if_exact(stack)) for idx, stack
-              in diagonal_blocks((masks, real_if_exact(vals)))]
-    del vals  # the complex term values are not read past the scatter
-    # diagonal_blocks yields the stacks in increasing block size.
-    lows = {}
+    blocks = diagonal_blocks((masks, real_if_exact(vals)))
+    del masks, vals  # the generator holds them until its last stack
+    solved = []  # (idx, stack, lows), largest blocks first
     e_gs = math.inf
-    for i in reversed(range(len(stacks))):
-        stack = stacks[i][1]
-        if lows and _above_cut(stack, e_gs + DEGENERACY_TOL):
+    for idx, stack in blocks:
+        stack = real_if_exact(stack)
+        if solved and _above_cut(stack, e_gs + DEGENERACY_TOL):
             continue
-        lows[i] = np.linalg.eigvalsh(stack)[:, 0]
-        e_gs = min(e_gs, float(lows[i].min()))
+        lows = np.linalg.eigvalsh(stack)[:, 0]
+        e_gs = min(e_gs, float(lows.min()))
+        solved.append((idx, stack, lows))
     columns = []
-    for i in sorted(lows):
-        idx, stack = stacks[i]
-        for j in np.flatnonzero(lows[i] <= e_gs + DEGENERACY_TOL):
+    for idx, stack, lows in reversed(solved):
+        for j in np.flatnonzero(lows <= e_gs + DEGENERACY_TOL):
             w, v = np.linalg.eigh(stack[j])
             vecs = v[:, w <= e_gs + DEGENERACY_TOL]
             col = np.zeros((dim, vecs.shape[1]), dtype=np.complex128)

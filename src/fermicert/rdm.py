@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape
-from .fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
-                   hermiticity_residual, mode_cap, occupations)
+from .fock import (MODE_CAP_ENV, ResourceCapError, hermiticity_residual,
+                   mode_cap, occupations, xor_terms)
 from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
@@ -178,27 +178,33 @@ def fit_circulant(gamma: np.ndarray) -> Tuple[float, complex, float]:
     return a, b, residual
 
 
-def mode_occupations(rho: DenseOperator) -> np.ndarray:
-    """<n_j> per flattened mode, read off the Fock-basis diagonal through
-    :func:`fock.occupations`.
+def mode_occupations(source: OperatorExpansion) -> np.ndarray:
+    """<n_j> per flattened mode, read off the Fock-basis diagonal of
+    ``source`` through :func:`fock.occupations`.
 
-    Independent of :func:`one_rdm`, which reads the expansion's word
-    coefficients and no Fock matrix, so it serves as the trace oracle for
-    the 1-RDM diagonal where a dense source exists."""
-    diag = np.real(np.diag(rho.matrix))
+    The diagonal is the mask-0 row of :func:`fock.xor_terms`, built from
+    the Jordan-Wigner Pauli tables with no dim x dim matrix.  That keeps
+    the oracle independent of :func:`one_rdm`, which reads the degree-2
+    coefficients, so it serves as the trace oracle for the 1-RDM
+    diagonal."""
+    masks, vals = xor_terms(source)
+    diag = np.zeros(source.shape.fock_dim)
+    if len(masks) and masks[0] == 0:
+        diag = np.real(vals[0])
     return np.array([float(np.dot(diag, bits))
-                     for bits in occupations(rho.shape).T])
+                     for bits in occupations(source.shape).T])
 
 
 def verify_pauli_constraints(rdm: OneRDM,
-                             source: Optional[DenseOperator] = None,
+                             source: Optional[OperatorExpansion] = None,
                              source_invariant: bool = False
                              ) -> VerificationReport:
     """Occupation-band check on a 1-RDM.
 
-    Verifies eigenvalues within [-BAND_TOL, 1 + BAND_TOL]; when ``source``
-    is given, the trace against independently computed mode occupations
-    (TRACE_TOL), and otherwise notes that this trace oracle did not run;
+    Verifies eigenvalues within [-BAND_TOL, 1 + BAND_TOL]; when ``source``,
+    the expansion the 1-RDM was read from, is given, the trace against
+    its mode occupations (:func:`mode_occupations`, TRACE_TOL), and
+    otherwise notes that this trace oracle did not run;
     and for permutation-invariant single-mode sources the
     off-diagonal suppression |b| <= 8/(sqrt(3) V) + OFFDIAG_BOUND_TOL.
     The report's lhs is the worst tolerance-normalized violation (pass at

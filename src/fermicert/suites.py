@@ -540,8 +540,7 @@ def run_rdm_spectrum() -> Tuple[List[VerificationReport], Dict[str, Table]]:
             rdm = one_rdm(state)
             a, b, _ = fit_circulant(rdm.gamma)
             bound = OFFDIAG_BOUND_CONST / V
-            # The Fock matrix serves only the independent trace oracle.
-            rep = verify_pauli_constraints(rdm, source=to_matrix(state),
+            rep = verify_pauli_constraints(rdm, source=state,
                                            source_invariant=True)
             rep.inputs["mu"] = mu
             reports.append(rep)

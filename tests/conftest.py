@@ -16,7 +16,7 @@ cumulant engine on them.  :func:`mixture_matrix` and
 :func:`build_hamiltonian` are likewise views of package code (product
 powers, the symbolic Hamiltonian) that only the tests compare the package
 against, and :func:`unpruned_ground_state` is the block ground solve
-with every sector diagonalized.
+of the dense matrix with every sector diagonalized.
 """
 
 from __future__ import annotations
@@ -67,32 +67,23 @@ def word_matrix_oracle(mask: int, shape: SystemShape) -> np.ndarray:
     return out
 
 
-def summed_word_terms(h_exp):
-    """An expansion's word terms times their coefficients, summed by X
-    pattern, as meanfield.ground_state_lowdim builds them."""
-    from fermicert.fock import word_terms, xor_sum
-
-    masks, vals = word_terms(list(h_exp.terms), h_exp.shape)
-    coeffs = np.array(list(h_exp.terms.values()), dtype=np.complex128)
-    return xor_sum((masks, coeffs[:, None] * vals))
-
-
 def unpruned_ground_state(h_exp):
     """Ground energy and ground isometry matrix with no sector skipped:
-    every block stack of the summed word terms checked for Hermiticity and
-    diagonalized with ``eigvalsh``, the ground columns taken in increasing
-    block size.  The bit-identity oracle of
-    meanfield.ground_state_lowdim, which skips the stacks above the
-    ground."""
+    the blocks of the dense matrix ``to_matrix(h_exp)``, every block
+    stack checked for Hermiticity and diagonalized with ``eigvalsh``, the
+    ground columns taken in increasing block size.  The bit-identity
+    oracle of meanfield.ground_state_lowdim, which builds its blocks from
+    the summed XOR terms and skips the stacks above the ground."""
     from fermicert.fock import (diagonal_blocks, real_if_exact,
-                                require_hermitian)
+                                require_hermitian, to_matrix)
     from fermicert.meanfield import DEGENERACY_TOL
 
     blocks = []
-    for idx, stack in diagonal_blocks(summed_word_terms(h_exp)):
+    for idx, stack in diagonal_blocks(to_matrix(h_exp).matrix):
         require_hermitian(stack, "Hamiltonian block")
         stack = real_if_exact(stack)
         blocks.append((idx, stack, np.linalg.eigvalsh(stack)[:, 0]))
+    blocks.sort(key=lambda block: block[0].shape[1])
     e_gs = float(min(lows.min() for _, _, lows in blocks))
     columns = []
     for idx, stack, lows in blocks:

@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (build_hamiltonian, random_even_density_matrix,
-                      random_expansion, summed_word_terms,
-                      unpruned_ground_state)
+                      random_expansion, unpruned_ground_state)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                               expansion_from_text, expansion_to_text,
                               reversal_sign)
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, diagonal_blocks,
                             hermiticity_residual, jw_matrix, operator_norm,
-                            to_matrix)
+                            to_matrix, xor_terms)
 from fermicert import invariance
 from fermicert.invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                                   MuFamilyParams, check_invariance,
@@ -230,7 +229,7 @@ class TestGroundState:
         # (hubbard-like).
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 6))
         found = [idx.shape[1] for idx, _ in
-                 diagonal_blocks(summed_word_terms(h_exp))
+                 diagonal_blocks(xor_terms(h_exp))
                  for _ in range(len(idx))]
         assert sorted(found) == sorted(sizes)
 
@@ -423,10 +422,11 @@ class TestPrunedGroundSolve:
         assert eigh == [("f", (400, 400))]
 
     def test_hubbard_like_v6_memory(self):
-        # No complex copy of the real blocks: the traced peak of the call
-        # stays under 16 MB (14.3 MB measured; 18.6 MB when the real
-        # blocks are cut from complex stacks, 31 MB with every stack
-        # solved and checked as complex).
+        # No (words x dim) term stack and no block stack the solve does
+        # not need: the traced peak of the call stays under 11 MB
+        # (9.8 MB measured; 14.3 MB with the word terms stacked and every
+        # block stack kept, 31 MB with every stack solved and checked as
+        # complex).
         h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
                                                               6))
         tracemalloc.start()
@@ -435,7 +435,7 @@ class TestPrunedGroundSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert peak < 11 * 2 ** 20
 
     @pytest.mark.parametrize("shape", [SystemShape(2, 1), SystemShape(3, 1),
                                        SystemShape(2, 2)])
@@ -444,12 +444,11 @@ class TestPrunedGroundSolve:
         # The residual read off the summed terms is, bit for bit, that of
         # their dense scatter and the largest over their blocks (the
         # check the solve made before), and it is the one the ground
-        # solve reports.  to_matrix adds three or more words of one X
-        # pattern in another order than xor_sum, so its residual can
-        # differ in the last bit.
+        # solve reports.  The summed terms hold to_matrix's entries bit for
+        # bit, so its residual is the same float too.
         for _ in range(20):
             h_exp = random_expansion(shape, rng, n_terms=6)
-            terms = summed_word_terms(h_exp)
+            terms = xor_terms(h_exp)
             res = hermiticity_residual(terms)
             dense = np.zeros((shape.fock_dim, shape.fock_dim), dtype=complex)
             rows = np.arange(shape.fock_dim)
@@ -458,8 +457,7 @@ class TestPrunedGroundSolve:
             assert res == hermiticity_residual(dense)
             assert res == max(hermiticity_residual(stack)
                               for _, stack in diagonal_blocks(terms))
-            assert res == pytest.approx(
-                hermiticity_residual(to_matrix(h_exp).matrix), rel=1e-14)
+            assert res == hermiticity_residual(to_matrix(h_exp).matrix)
             assert res > 1e-10
             with pytest.raises(ValueError, match=re.escape(
                     f"Hamiltonian block is not Hermitian (residual "

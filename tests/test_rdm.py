@@ -2,6 +2,7 @@
 block structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from fermicert.invariance import MuFamilyParams, mu_family_state
 from fermicert.rdm import (CirculantParams, OFFDIAG_BOUND_CONST, OneRDM,
                            circulant_matrix, circulant_spectrum_with_fallback,
                            compare_circulant_spectrum, fit_circulant,
-                           mode_occupations, one_rdm,
+                           TRACE_TOL, mode_occupations, one_rdm,
                            verify_pauli_constraints)
+from fermicert.suites import run_rdm_spectrum
 
 TAN6 = math.tan(math.pi / 12.0)
 
@@ -235,19 +237,33 @@ class TestCirculantSpectrum:
 class TestPauliConstraints:
     def test_vacuum_passes(self):
         state = occupied_state(SystemShape(3, 1), 0)
-        rep = verify_pauli_constraints(one_rdm(state),
-                                       source=to_matrix(state))
+        rep = verify_pauli_constraints(one_rdm(state), source=state)
         assert rep.passed
         assert not any("trace oracle" in note for note in rep.notes)
 
     def test_mu_family_bound(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         rdm = one_rdm(state)
-        rep = verify_pauli_constraints(rdm, source=to_matrix(state),
+        rep = verify_pauli_constraints(rdm, source=state,
                                        source_invariant=True)
         assert rep.passed
         _, b, _ = fit_circulant(rdm.gamma)
         assert abs(b) <= OFFDIAG_BOUND_CONST / 6.0 + 1e-9
+
+    def test_trace_off_by_twice_the_tolerance_fails(self):
+        # A 1-RDM whose trace misses the source's occupations by
+        # 2 TRACE_TOL, its band left intact, fails against the expansion
+        # it claims to come from, with the trace as the worst violation.
+        state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
+        rdm = one_rdm(state)
+        assert verify_pauli_constraints(rdm, source=state).passed
+        gamma = rdm.gamma + 2 * TRACE_TOL / 6 * np.eye(6)
+        off = OneRDM(gamma, rdm.shape, rdm.hermiticity_residual)
+        assert off.particle_number() == pytest.approx(
+            rdm.particle_number() + 2 * TRACE_TOL, rel=0, abs=1e-15)
+        rep = verify_pauli_constraints(off, source=state)
+        assert not rep.passed
+        assert rep.lhs == pytest.approx(TRACE_TOL, rel=1e-4)
 
     def test_hand_built_violation_fails(self):
         gamma = circulant_matrix(CirculantParams(4, 0.5, complex(1.0)))
@@ -261,12 +277,35 @@ class TestPauliConstraints:
         assert rep.passed
         assert "trace oracle not run: no dense source" in rep.notes
 
+    def test_suite_memory(self):
+        # The trace oracle reads the Fock diagonal off the expansion, so no
+        # dense state is built: the traced peak of the suite stays under
+        # 4 MB (1.1 MB measured; 18.1 MB when the V = 10 mu state's
+        # 1024 x 1024 complex matrix was the oracle's source).
+        tracemalloc.start()
+        try:
+            run_rdm_spectrum()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_mode_occupations_oracle(self, rng):
+        # The occupations of an expansion against tr(rho f_j-dagger f_j)
+        # with kron-chain ladders on its dense matrix, and against the
+        # 1-RDM diagonal.
         sh = SystemShape(2, 1)
-        rho = DenseOperator(sh, random_density_matrix(4, rng))
-        occ = mode_occupations(rho)
-        rdm = one_rdm(to_expansion(rho))
-        assert np.allclose(occ, np.real(np.diag(rdm.gamma)), atol=1e-12)
+        rho = random_density_matrix(4, rng)
+        state = expansion_of(sh, rho)
+        occ = mode_occupations(state)
+        fs = [independent_ladder(2, mode) for mode in range(2)]
+        want = [np.real(np.trace(rho @ f.conj().T @ f)) for f in fs]
+        assert np.allclose(occ, want, rtol=0, atol=1e-12)
+        assert np.allclose(occ, np.real(np.diag(one_rdm(state).gamma)),
+                           rtol=0, atol=1e-12)
+        # No diagonal word, so no occupation at all.
+        hop = OperatorExpansion(sh, {0b0110: 1.0})
+        assert not mode_occupations(hop).any()
 
 
 def site_blocks(rdm: OneRDM) -> np.ndarray:
