@@ -22,9 +22,9 @@ words, Hamiltonian sectors and Fock diagonals: a word i^e Z^z X^x is one
 term of mask x (:func:`word_terms`), :func:`xor_terms` sums an
 expansion's words into one row per mask, the entries of its dense matrix
 bit for bit, and :func:`diagonal_blocks` reads a Hamiltonian's sectors
-off those rows with no dim x dim matrix.  Hermiticity is checked on them
-too: the mean-field ground solve passes the summed terms to
-:func:`require_hermitian`, whose residual, read from one gather of the
+off those rows with no dim x dim matrix and no edge list.  Hermiticity is
+checked on them too: the mean-field ground solve passes the summed terms
+to :func:`require_hermitian`, whose residual, read from one gather of the
 term values, is the one their dense matrix or its blocks would give.
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
@@ -532,6 +532,31 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         labels = new
 
 
+def _xor_component_labels(partner: np.ndarray, link: np.ndarray
+                          ) -> np.ndarray:
+    """Connected-component label of each basis index of XOR rows, vertex
+    a joined to partner[t, a] = a ^ masks[t] wherever link[t, a], numbered
+    in the order of each component's smallest vertex: the labels
+    :func:`_component_labels` gives the same edges.
+
+    Minimum-label propagation with pointer jumping, one (rows x dim)
+    gather a round; the links are made symmetric first (a row's entry
+    [a, a ^ x] or its mirror [a ^ x, a] joins the pair), so the gather of
+    each index's partners reaches every neighbour.
+    """
+    n = partner.shape[1]
+    link = link | np.take_along_axis(link, partner, axis=1)
+    labels = np.arange(n, dtype=partner.dtype)
+    while True:
+        new = np.minimum(labels, labels[partner].min(axis=0, where=link,
+                                                     initial=n))
+        new = new[new]
+        if (new == labels).all():
+            smallest = labels == np.arange(n)
+            return (np.cumsum(smallest) - 1)[labels]
+        labels = new
+
+
 def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The diagonal blocks of a square matrix on the connected components
     of its sparsity graph, equal-size blocks batched.
@@ -546,44 +571,55 @@ def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     for: ``idx`` is an (m, s) array whose rows hold the ascending basis
     indices of one block each, in the order of their smallest index, and
     ``stack`` the (m, s, s) dense blocks matrix[idx[j]][:, idx[j]].
+
+    XOR terms are never spread into edge lists: the components come from
+    the rows themselves (:func:`_xor_component_labels`, on the partners
+    a ^ masks[t] as int32 and the nonzero pattern of the values), and each
+    stack is filled from the value columns of its blocks, vals[:, idx],
+    entry [j, i, pos(a ^ masks[t])] = vals[t, a] for a = idx[j, i], pos
+    being an index's place in its block.
     """
     terms = isinstance(matrix, tuple)
     if terms:
         masks, vals = matrix
         dim = vals.shape[1]
-        rows = np.broadcast_to(np.arange(dim), vals.shape)
-        cols = (rows ^ masks[:, None]).ravel()
-        rows, vals = rows.ravel(), vals.ravel()
-        stored = vals != 0
-        rows, cols, vals = rows[stored], cols[stored], vals[stored]
+        kind = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+        partner = np.arange(dim, dtype=kind) ^ masks.astype(kind)[:, None]
+        link = vals != 0
+        labels = _xor_component_labels(partner, link)
     else:
         dim = matrix.shape[0]
-        rows, cols = np.nonzero(matrix)
-    labels = _component_labels(rows, cols, dim)
+        labels = _component_labels(*np.nonzero(matrix), dim)
     n_blocks = int(labels.max()) + 1
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=n_blocks)
     starts = np.cumsum(sizes) - sizes
     if terms:
         # Position of each basis index inside its block, for scattering
-        # the entries straight into the stacks.
+        # the values straight into the stacks.
         pos = np.empty_like(order)
-        pos[order] = np.arange(len(order)) - np.repeat(starts, sizes)
-        entry_block = labels[rows]
+        pos[order] = np.arange(dim) - np.repeat(starts, sizes)
     # bincount, not np.unique: unique imports numpy.ma on first use.
     for s in np.flatnonzero(np.bincount(sizes))[::-1]:
         ids = np.flatnonzero(sizes == s)
         idx = order[starts[ids][:, None] + np.arange(s)]
-        if terms:
-            slot = np.full(n_blocks, -1)
-            slot[ids] = np.arange(len(ids))
-            which = slot[entry_block]
-            sel = which >= 0
-            stack = np.zeros((len(ids), s, s), dtype=vals.dtype)
-            stack[which[sel], pos[rows[sel]], pos[cols[sel]]] = vals[sel]
-        else:
-            stack = matrix[idx[:, :, None], idx[:, None, :]]
-        yield idx, stack
+        # Yielded unnamed, so that this frame holds no stack while the
+        # caller works on it or the next one is built.
+        yield idx, (_xor_stack(idx, pos, partner, link, vals) if terms
+                    else matrix[idx[:, :, None], idx[:, None, :]])
+
+
+def _xor_stack(idx: np.ndarray, pos: np.ndarray, partner: np.ndarray,
+               link: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The (m, s, s) blocks on the rows of ``idx`` of the XOR terms whose
+    partners, nonzero pattern and values :func:`diagonal_blocks` holds:
+    entry [j, i, pos[a ^ x]] = vals[t, a] for a = idx[j, i] and every
+    term t, of mask x, with a nonzero value there."""
+    t, j, i = np.nonzero(link[:, idx])
+    a = idx[j, i]
+    stack = np.zeros(idx.shape + idx.shape[-1:], dtype=vals.dtype)
+    stack[j, i, pos[partner[t, a]]] = vals[t, a]
+    return stack
 
 
 def check_state(dense: DenseOperator) -> StateValidity:

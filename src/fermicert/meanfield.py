@@ -14,10 +14,14 @@ certificate.
 
 The ground energy is exact at every size: the Hamiltonian's word terms
 are summed by X pattern (:data:`fock.XorTerms`), it splits into the
-connected blocks of their sparsity graph (its conserved sectors), each
+connected blocks of their sparsity graph (its conserved sectors), and each
 block is diagonalized densely, in real arithmetic when it has no imaginary
-part, and the full, possibly degenerate ground space is kept as a dim x r
-isometry rather than a dim x dim projector.
+part.  The invariance precondition comes from H's own symmetry when its
+expansion shows one (U_pi H U_pi-dagger = H for every site permutation pi
+makes the ground space invariant at every degree), and then only the
+ground energy is solved for.  Otherwise the full, possibly degenerate
+ground space is kept as a dim x r isometry rather than a dim x dim
+projector, and its invariance is checked on that.
 
 Product-state energies are evaluated symbolically: mixed-site correlations
 of even single-site states factorize site by site, so tr(H xi^(x V)) is a
@@ -31,7 +35,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +47,8 @@ from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
                    ensure_within_cap, jw_matrix, operator_norm, real_if_exact,
                    require_hermitian, to_matrix, word_expectations_dense,
                    xor_terms)
-from .invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
+from .invariance import (DENSE_INVARIANCE_TOL, WORD_DEGREE_CAP,
+                         InvarianceReport, check_invariance,
                          check_invariance_dense)
 from .report import INEQUALITY, VerificationReport, make_report
 
@@ -165,6 +170,40 @@ def _above_cut(stack: np.ndarray, cut: float) -> bool:
     return True
 
 
+def _sector_sweep(h_exp: OperatorExpansion, keep: bool
+                  ) -> Tuple[float, List[Tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]]]:
+    """The sector sweep of :func:`ground_state_lowdim` and
+    :func:`ground_energy`: the ground energy, and with ``keep`` the
+    ``(idx, stack, lows)`` of each block stack solved, largest blocks
+    first, ``lows`` the lowest eigenvalue of each block.  A stack the
+    Cholesky test skips, or one solved without ``keep``, is released
+    before the next is built."""
+    ensure_within_cap(h_exp.shape)
+    masks, vals = xor_terms(h_exp)
+    require_hermitian((masks, vals), "Hamiltonian block")
+    blocks = diagonal_blocks((masks, real_if_exact(vals)))
+    del masks, vals  # the generator holds them until its last stack
+    solved = []
+    e_gs = math.inf
+    for idx, stack in blocks:
+        stack = real_if_exact(stack)
+        if e_gs == math.inf or not _above_cut(stack, e_gs + DEGENERACY_TOL):
+            lows = np.linalg.eigvalsh(stack)[:, 0]
+            e_gs = min(e_gs, float(lows.min()))
+            if keep:
+                solved.append((idx, stack, lows))
+        del stack  # released before the next stack is built
+    return e_gs, solved
+
+
+def ground_energy(h_exp: OperatorExpansion) -> float:
+    """The exact ground energy of :func:`ground_state_lowdim`, the same
+    float from the same sector sweep, with no ground vector computed and
+    no block stack kept past its own solve."""
+    return _sector_sweep(h_exp, keep=False)[0]
+
+
 def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     """Exact ground energy and ground space, block by conserved block.
 
@@ -183,13 +222,13 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
 
     Equal-size blocks are diagonalized together, densely, by one batched
     ``eigvalsh``.  The stacks are built and taken one at a time from the
-    largest blocks down; the first one's lowest eigenvalue starts the
-    running minimum e.  Every other real stack, blocks S_j of size n, is
-    first tested: with cut = e + :data:`DEGENERACY_TOL`, u the unit
-    roundoff, gamma_k = ku / (1 - ku), c = n gamma_(n+1) /
-    (1 - n gamma_(n+1)) + u, F = sqrt(2) max_j ||S_j||_F and
-    eps = c (F + |cut|), each S_j - sigma I with sigma = cut + 2 eps is
-    given to ``np.linalg.cholesky``, one block at a time
+    largest blocks down (:func:`_sector_sweep`); the first one's lowest
+    eigenvalue starts the running minimum e.  Every other real stack,
+    blocks S_j of size n, is first tested: with cut = e +
+    :data:`DEGENERACY_TOL`, u the unit roundoff, gamma_k = ku / (1 - ku),
+    c = n gamma_(n+1) / (1 - n gamma_(n+1)) + u, F = sqrt(2) max_j
+    ||S_j||_F and eps = c (F + |cut|), each S_j - sigma I with sigma =
+    cut + 2 eps is given to ``np.linalg.cholesky``, one block at a time
     (:func:`_above_cut`).  A factorization that runs to completion on the
     computed A = fl(S_j - sigma I) gives R^T R = A + dA with
     |dA| <= gamma_(n+1) |R^T| |R| (Higham, *Accuracy and Stability of
@@ -213,21 +252,8 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     (:func:`fock.ensure_within_cap`) is checked before any array of the
     Fock dimension is made.
     """
-    ensure_within_cap(h_exp.shape)
     dim = h_exp.shape.fock_dim
-    masks, vals = xor_terms(h_exp)
-    require_hermitian((masks, vals), "Hamiltonian block")
-    blocks = diagonal_blocks((masks, real_if_exact(vals)))
-    del masks, vals  # the generator holds them until its last stack
-    solved = []  # (idx, stack, lows), largest blocks first
-    e_gs = math.inf
-    for idx, stack in blocks:
-        stack = real_if_exact(stack)
-        if solved and _above_cut(stack, e_gs + DEGENERACY_TOL):
-            continue
-        lows = np.linalg.eigvalsh(stack)[:, 0]
-        e_gs = min(e_gs, float(lows.min()))
-        solved.append((idx, stack, lows))
+    e_gs, solved = _sector_sweep(h_exp, keep=True)
     columns = []
     for idx, stack, lows in reversed(solved):
         for j in np.flatnonzero(lows <= e_gs + DEGENERACY_TOL):
@@ -356,7 +382,9 @@ def min_product_energy(h_exp: OperatorExpansion, restarts: int = 4,
 @dataclass(frozen=True)
 class MeanFieldResult:
     """The numbers behind the product-state energy-gap certificate; the
-    verdict and the notes are in its report."""
+    verdict and the notes are in its report.  ``invariance`` is the report
+    the precondition rests on: H's own when H is symmetric
+    (:func:`symmetry_report`), the ground space's otherwise."""
 
     e_product_min: float
     e_ground: float
@@ -370,20 +398,43 @@ def gs_bound(V: int, p: int, k: int) -> float:
     return (4.0 ** p) * k ** 1.5 / V
 
 
+def symmetry_report(h_exp: OperatorExpansion) -> Optional[InvarianceReport]:
+    """H's own :func:`invariance.check_invariance` report when it shows
+    U_pi H U_pi-dagger = H for every site permutation pi, else None.
+
+    H is an expansion, so its class check is exact and symbolic, but it
+    covers only the words up to :data:`invariance.WORD_DEGREE_CAP`: the
+    report shows the symmetry when H is fully invariant and has no word
+    above the cap.  Conditions 1 and 2 alone would not do (pair-exchange
+    meets both, and its ground space is not invariant)."""
+    report = check_invariance(h_exp)
+    if report.fully_invariant and all(
+            w.bit_count() <= WORD_DEGREE_CAP for w in h_exp.terms):
+        return report
+    return None
+
+
 def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
                     ) -> Tuple[MeanFieldResult, VerificationReport]:
     """Certify the product-state energy gap of one Hamiltonian family.
 
-    The exact ground energy and ground space come from
-    :func:`ground_state_lowdim` at every size.  The ground-state
-    permutation invariance precondition is checked by
-    :func:`check_invariance_dense` on the uniform mixture over that ground
-    space, read from its isometry: first from the V - 1 adjacent site
-    transpositions, whose bound covers words of every degree, and when
-    they do not certify it, by the exact class check of every word up to
-    degree 4, within :data:`invariance.DENSE_INVARIANCE_TOL`.  A violation
-    labels the result "precondition failed" but the gap numbers are still
-    reported.
+    The ground-state permutation invariance precondition is taken from
+    H's own symmetry first (:func:`symmetry_report`): when U_pi H
+    U_pi-dagger = H for every site permutation pi, every spectral
+    projector of H commutes with every U_pi, so the uniform mixture over
+    the ground space is fully invariant, at every degree, exactly.  Then
+    the precondition holds with H's report, and the exact ground energy
+    comes from :func:`ground_energy`, the sector sweep with no ground
+    vector.  Every other H (one that is not fully invariant, or has a word
+    above :data:`invariance.WORD_DEGREE_CAP`) may still have an invariant
+    ground space, so the state decides: the ground space comes from
+    :func:`ground_state_lowdim` and :func:`check_invariance_dense` checks
+    the uniform mixture over it, read from its isometry: first from the
+    V - 1 adjacent site transpositions, whose bound covers words of every
+    degree, and when they do not certify it, by the exact class check of
+    every word up to degree 4, within
+    :data:`invariance.DENSE_INVARIANCE_TOL`.  A violation labels the
+    result "precondition failed" but the gap numbers are still reported.
     The product energy comes from one :func:`min_product_energy` call:
     exact for a one-word even support, otherwise the upper bound of the
     coordinate sweeps the witness search shares, so the gap is an upper
@@ -394,8 +445,12 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
     ensure_within_cap(spec.shape)
     start = time.perf_counter()
     h_exp, notes = build_hamiltonian_expansion(spec)
-    e_gs, ground = ground_state_lowdim(h_exp)
-    inv = check_invariance_dense(ground)
+    inv = symmetry_report(h_exp)
+    if inv is not None:
+        e_gs = ground_energy(h_exp)
+    else:
+        e_gs, ground = ground_state_lowdim(h_exp)
+        inv = check_invariance_dense(ground)
     precondition_ok = inv.max_violation() <= DENSE_INVARIANCE_TOL
 
     _, e_prod = min_product_energy(h_exp, seed=seed)

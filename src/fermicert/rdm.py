@@ -182,17 +182,22 @@ def mode_occupations(source: OperatorExpansion) -> np.ndarray:
     """<n_j> per flattened mode, read off the Fock-basis diagonal of
     ``source`` through :func:`fock.occupations`.
 
-    The diagonal is the mask-0 row of :func:`fock.xor_terms`, built from
-    the Jordan-Wigner Pauli tables with no dim x dim matrix.  That keeps
+    The diagonal is the sum of the words with X mask 0, those made of
+    whole pairs m^(2a-1) m^(2a) (flattened mode n holds Majorana bits 2n
+    and 2n + 1, both or neither): their :func:`fock.xor_terms` row, the mask-0 row
+    of the whole expansion's bit for bit, built from the Jordan-Wigner
+    Pauli tables with no dim x dim matrix and no other row.  That keeps
     the oracle independent of :func:`one_rdm`, which reads the degree-2
     coefficients, so it serves as the trace oracle for the 1-RDM
     diagonal."""
-    masks, vals = xor_terms(source)
-    diag = np.zeros(source.shape.fock_dim)
-    if len(masks) and masks[0] == 0:
-        diag = np.real(vals[0])
+    shape = source.shape
+    low = int("01" * shape.total_modes, 2)
+    pairs = {w: c for w, c in source.terms.items()
+             if w & low == (w >> 1) & low}
+    masks, vals = xor_terms(OperatorExpansion(shape, pairs))
+    diag = np.real(vals[0]) if len(masks) else np.zeros(shape.fock_dim)
     return np.array([float(np.dot(diag, bits))
-                     for bits in occupations(source.shape).T])
+                     for bits in occupations(shape).T])
 
 
 def verify_pauli_constraints(rdm: OneRDM,

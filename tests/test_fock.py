@@ -291,12 +291,31 @@ class TestXorTerms:
         # diagonal_blocks on the summed word terms against the same call on
         # the dense matrix: the same blocks holding the same entries.
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
-        from_terms = list(diagonal_blocks(xor_terms(h_exp)))
-        from_dense = list(diagonal_blocks(to_matrix(h_exp).matrix))
-        assert len(from_terms) == len(from_dense)
-        for (idx_t, stack_t), (idx_d, stack_d) in zip(from_terms, from_dense):
-            assert np.array_equal(idx_t, idx_d)
-            assert np.array_equal(stack_t, stack_d)
+        assert_same_blocks(h_exp)
+
+    @pytest.mark.parametrize("name, V", [
+        (name, V) for name in BUILTIN_FAMILIES if name != "hubbard-like"
+        for V in (6, 8)])
+    def test_blocks_at_six_and_eight_sites(self, name, V):
+        # The same at V = 6 and 8 for the one-mode families; hubbard-like's
+        # dense matrix at V = 6 would be a 256 MB array.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, V))
+        assert_same_blocks(h_exp)
+
+
+def assert_same_blocks(h_exp):
+    """diagonal_blocks of the summed XOR terms and of the dense matrix give
+    equal ``idx`` and, bit for bit, equal stacks (real terms give the real
+    parts of the dense blocks)."""
+    from_terms = list(diagonal_blocks(xor_terms(h_exp)))
+    from_dense = list(diagonal_blocks(to_matrix(h_exp).matrix))
+    assert len(from_terms) == len(from_dense)
+    for (idx_t, stack_t), (idx_d, stack_d) in zip(from_terms, from_dense):
+        assert np.array_equal(idx_t, idx_d)
+        stack_d = real_if_exact(stack_d)
+        assert (stack_t.dtype, stack_t.shape) == (stack_d.dtype,
+                                                  stack_d.shape)
+        assert stack_t.tobytes() == stack_d.tobytes()
 
 
 class TestConversions:
@@ -776,6 +795,43 @@ class TestDiagonalBlocks:
                 assert sorted(found) == want
                 assert np.array_equal(rebuilt, dense)
 
+
+    def test_xor_labels_are_the_edge_list_labels(self, rng):
+        # The propagation over XOR rows against the one over edge lists on
+        # the same links: random masks, sparse and dense, one-sided links
+        # included (a row may hold [a, a ^ x] and not its mirror).
+        dim = 64
+        for density in (0.5, 0.1, 0.03, 0.0):
+            masks = np.sort(rng.choice(dim, size=6, replace=False))
+            link = rng.random((len(masks), dim)) < density
+            partner = (np.arange(dim, dtype=np.int32)
+                       ^ masks.astype(np.int32)[:, None])
+            t, a = np.nonzero(link)
+            want = fock._component_labels(a, partner[t, a], dim)
+            assert np.array_equal(
+                fock._xor_component_labels(partner, link), want)
+
+    def test_explicit_zeros_join_no_blocks(self):
+        # A row of explicit zeros links nothing, and a one-sided entry
+        # links its pair as the dense matrix's nonzero entry does: the
+        # XOR path gives the dense path's blocks bit for bit.
+        dim = 8
+        vals = np.zeros((3, dim))
+        vals[0] = np.arange(1.0, dim + 1.0)  # the diagonal, mask 0
+        vals[2, 1] = 0.5  # entry [1, 1 ^ 6] = [1, 7] only
+        masks = np.array([0, 3, 6])
+        dense = np.zeros((dim, dim))
+        basis = np.arange(dim)
+        for mask, row in zip(masks, vals):
+            dense[basis, basis ^ mask] += row
+        from_terms = list(diagonal_blocks((masks, vals)))
+        from_dense = list(diagonal_blocks(dense))
+        assert [idx.tolist() for idx, _ in from_terms] == [
+            [[1, 7]], [[0], [2], [3], [4], [5], [6]]]
+        assert len(from_terms) == len(from_dense)
+        for (idx_t, stack_t), (idx_d, stack_d) in zip(from_terms, from_dense):
+            assert np.array_equal(idx_t, idx_d)
+            assert stack_t.tobytes() == stack_d.tobytes()
 
     def test_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use, 10-15 ms inside a

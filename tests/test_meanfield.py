@@ -21,7 +21,7 @@ from fermicert.algebra import (OperatorExpansion, SystemShape,
                               reversal_sign)
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, diagonal_blocks,
                             hermiticity_residual, jw_matrix, operator_norm,
-                            to_matrix, xor_terms)
+                            permutation_unitary, to_matrix, xor_terms)
 from fermicert import invariance
 from fermicert.invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                                   MuFamilyParams, check_invariance,
@@ -30,10 +30,11 @@ from fermicert.meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES,
                                  DEGENERACY_TOL, HamiltonianSpec,
                                  ProductEnergyEvaluator,
                                  build_hamiltonian_expansion,
-                                 builtin_family, ground_state,
-                                 ground_state_lowdim, gs_bound,
+                                 builtin_family, ground_energy,
+                                 ground_state, ground_state_lowdim, gs_bound,
                                  hamiltonian_from_config,
-                                 min_product_energy, verify_gs_bound)
+                                 min_product_energy, symmetry_report,
+                                 verify_gs_bound)
 from fermicert import meanfield
 
 
@@ -285,11 +286,14 @@ class TestGroundState:
 
 def assert_same_as_unpruned(h_exp):
     """The pruned solve gives the unpruned one's energy and isometry bit
-    for bit; returns them."""
+    for bit, and :func:`meanfield.ground_energy` the same energy; returns
+    them."""
     e_gs, ground = ground_state_lowdim(h_exp)
     e_ref, f_ref = unpruned_ground_state(h_exp)
     assert type(e_gs) is float and e_gs == e_ref
     assert np.array_equal(ground.matrix, f_ref)
+    e_only = ground_energy(h_exp)
+    assert type(e_only) is float and e_only == e_gs
     return e_gs, ground
 
 
@@ -422,10 +426,11 @@ class TestPrunedGroundSolve:
         assert eigh == [("f", (400, 400))]
 
     def test_hubbard_like_v6_memory(self):
-        # No (words x dim) term stack and no block stack the solve does
-        # not need: the traced peak of the call stays under 11 MB
-        # (9.8 MB measured; 14.3 MB with the word terms stacked and every
-        # block stack kept, 31 MB with every stack solved and checked as
+        # No (words x dim) term stack, no edge list of the sectors' graph
+        # and no block stack the solve does not need: the traced peak of
+        # the call stays under 8 MB (7.05 MB measured; 9.8 MB with int64
+        # edge lists, 14.3 MB with the word terms stacked and every block
+        # stack kept, 31 MB with every stack solved and checked as
         # complex).
         h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
                                                               6))
@@ -435,7 +440,7 @@ class TestPrunedGroundSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 11 * 2 ** 20
+        assert peak < 8 * 2 ** 20
 
     @pytest.mark.parametrize("shape", [SystemShape(2, 1), SystemShape(3, 1),
                                        SystemShape(2, 2)])
@@ -785,6 +790,180 @@ class TestGeneratorInvariance:
             tracemalloc.stop()
         assert report.fully_invariant
         assert peak < 8 * 2 ** 20
+
+
+def route_calls(monkeypatch):
+    """Record which of the two routes' solvers and checks
+    ``verify_gs_bound`` calls, by name, in order."""
+    calls = []
+    for name in ("ground_energy", "ground_state_lowdim",
+                 "check_invariance_dense"):
+        def record(*args, name=name, original=getattr(meanfield, name),
+                   **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(meanfield, name, record)
+    return calls
+
+
+DENSE_ROUTE = ["ground_state_lowdim", "check_invariance_dense"]
+
+
+def conjugation_residual(h_exp):
+    """max over the adjacent site transpositions s of |U_s H U_s-dagger -
+    H| on the dense matrix, with U_s from fock.permutation_unitary: 0 up
+    to rounding exactly when H commutes with every site permutation."""
+    shape, h = h_exp.shape, to_matrix(h_exp).matrix
+    worst = 0.0
+    for i in range(1, shape.sites):
+        pi = list(range(1, shape.sites + 1))
+        pi[i - 1], pi[i] = i + 1, i
+        u = permutation_unitary(pi, shape).matrix
+        worst = max(worst, float(np.abs(u @ h @ u.conj().T - h).max()))
+    return worst
+
+
+@st.composite
+def averaged_templates(draw):
+    """(spec, dropped): a random Hermitian, parity-even k-site template
+    with words of degree 2 and 4 averaged over every ordered k-tuple of
+    V > k sites, and the index of one tuple to leave out."""
+    k, p = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    V = draw(st.integers(k + 1, 6 if p == 1 else 3))
+    shape = SystemShape(k, p)
+    values = st.sampled_from([-1.0, -0.5, 0.25, 0.5, 1.0]) | st.floats(
+        -1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
+    bits = st.sets(st.integers(0, shape.majorana_count - 1), min_size=2,
+                   max_size=min(4, shape.majorana_count)).filter(
+                       lambda b: len(b) % 2 == 0)
+    terms = {}
+    for word in draw(st.lists(bits, min_size=1, max_size=4)):
+        mask = sum(1 << b for b in word)
+        terms[mask] = draw(values) * (
+            1 if reversal_sign(len(word)) > 0 else 1j)
+    subsets = tuple(itertools.permutations(range(1, V + 1), k))
+    spec = HamiltonianSpec(SystemShape(V, p), subsets,
+                           OperatorExpansion(shape, terms), normalize=True)
+    return spec, draw(st.integers(0, len(subsets) - 1))
+
+
+class TestSymmetricRoute:
+    """The precondition from H's own symmetry, and the ground energy with
+    no ground vector."""
+
+    @pytest.mark.parametrize("name, V", [
+        (name, V) for name in BUILTIN_FAMILIES for V in (
+            range(4, 7) if name == "hubbard-like" else range(4, 9))])
+    def test_agrees_with_the_dense_check(self, name, V):
+        # H certified symmetric exactly when the dense check certifies its
+        # ground space: site-number, pair-hopping and hubbard-like, not
+        # pair-exchange.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, V))
+        symmetric = symmetry_report(h_exp) is not None
+        assert symmetric == (name != "pair-exchange")
+        _, ground = ground_state_lowdim(h_exp)
+        assert check_invariance_dense(ground).fully_invariant == symmetric
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_symmetry_is_commutation_with_permutations(self, name):
+        # Against the dense permutation unitaries at V = 4: the certified
+        # Hamiltonians commute with every adjacent transposition, and
+        # pair-exchange, which meets conditions 1 and 2, does not.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
+        report = check_invariance(h_exp)
+        if name == "pair-exchange":
+            assert symmetry_report(h_exp) is None
+            assert report.max_violation() == 0.0
+            assert conjugation_residual(h_exp) > 0.1
+        else:
+            assert symmetry_report(h_exp) == report
+            assert conjugation_residual(h_exp) < 1e-14
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(averaged_templates())
+    def test_averaged_template_certifies_and_one_tuple_less_does_not(
+            self, case):
+        # Averaged over every ordered k-tuple, H commutes with every site
+        # permutation: certified, and the dense check of its ground space
+        # agrees.  Without one tuple a site outside it sees the template
+        # otherwise than the tuple's sites do, so H is not symmetric.
+        spec, dropped = case
+        h_exp, _ = build_hamiltonian_expansion(spec)
+        assert symmetry_report(h_exp) is not None
+        assert conjugation_residual(h_exp) < 1e-12
+        _, ground = ground_state_lowdim(h_exp)
+        assert check_invariance_dense(ground).fully_invariant
+        subsets = spec.subsets[:dropped] + spec.subsets[dropped + 1:]
+        h_less, _ = build_hamiltonian_expansion(HamiltonianSpec(
+            spec.shape, subsets, spec.template, normalize=True))
+        assert symmetry_report(h_less) is None
+        assert conjugation_residual(h_less) > 1e-6
+
+    def test_pair_exchange_takes_the_dense_route(self, monkeypatch):
+        calls = route_calls(monkeypatch)
+        result, rep = verify_gs_bound(builtin_family("pair-exchange", 6),
+                                      seed=1)
+        assert calls == DENSE_ROUTE
+        assert not result.precondition_ok
+        assert any("violation 6.667e-01" in n for n in rep.notes)
+
+    def test_word_above_the_degree_cap_takes_the_dense_route(self,
+                                                             monkeypatch):
+        # P_j P_l P_m over all 3-subsets: a degree-6 word on each, even on
+        # every site, so H is symmetric, but its class check covers only
+        # degree 4 and does not see these words; the ground space decides.
+        spec = hamiltonian_from_config({
+            "V": 6, "p": 1, "k": 3,
+            "template": "0 1 (1,1)(1,2)(2,1)(2,2)(3,1)(3,2)\n"})
+        h_exp, _ = build_hamiltonian_expansion(spec)
+        assert {w.bit_count() for w in h_exp.terms} == {6}
+        assert check_invariance(h_exp).fully_invariant
+        assert symmetry_report(h_exp) is None
+        calls = route_calls(monkeypatch)
+        result, rep = verify_gs_bound(spec, seed=0)
+        assert calls == DENSE_ROUTE
+        _, ground = ground_state_lowdim(h_exp)
+        assert result.invariance == check_invariance_dense(ground)
+        assert result.e_ground == pytest.approx(-1.0, abs=1e-12)
+
+    def test_hubbard_like_v6_solves_one_stack_and_no_vector(self,
+                                                            monkeypatch):
+        # The symmetric route: the ground stack (three up, three down:
+        # 400 states) is solved by one eigvalsh, the Cholesky test skips
+        # the other nine stacks, and no eigh or dense invariance check
+        # runs.  The other eigvalsh is the template's norm (16 x 16,
+        # complex); the product search, which solves single-site states,
+        # is stubbed out.
+        monkeypatch.setattr(meanfield, "min_product_energy",
+                            lambda h_exp, seed: (None, 0.0))
+        calls = route_calls(monkeypatch)
+        eigvalsh, eigh = recording_solvers(monkeypatch)
+        result, _ = verify_gs_bound(builtin_family("hubbard-like", 6), seed=0)
+        assert calls == ["ground_energy"]
+        assert eigvalsh == [("c", (16, 16)), ("f", (1, 400, 400))]
+        assert eigh == []
+        monkeypatch.undo()
+        h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
+                                                              6))
+        assert result.e_ground == ground_state_lowdim(h_exp)[0]
+        assert result.precondition_ok
+        assert result.invariance == check_invariance(h_exp)
+
+    def test_symmetric_route_memory(self):
+        # Only the block stack being solved or tested is alive: the
+        # traced peak of the whole hubbard-like V = 6 certificate stays
+        # under 6.5 MB (5.8 MB measured; 8.0 MB when the sweep held the
+        # previous stack while building the next, 9.8 MB on the dense
+        # route with int64 edge lists).
+        spec = builtin_family("hubbard-like", 6)
+        tracemalloc.start()
+        try:
+            verify_gs_bound(spec, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 2 ** 20
 
 
 class TestConvexityStep:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (independent_ladder, random_density_matrix,
-                      random_even_density_matrix, word_matrix_oracle)
+                      random_even_density_matrix, random_expansion,
+                      word_matrix_oracle)
 from fermicert import fock
 from fermicert.algebra import OperatorExpansion, SystemShape
 from fermicert.definetti import product_power
@@ -306,6 +307,34 @@ class TestPauliConstraints:
         # No diagonal word, so no occupation at all.
         hop = OperatorExpansion(sh, {0b0110: 1.0})
         assert not mode_occupations(hop).any()
+
+    def test_pair_words_give_the_whole_mask_zero_row(self, rng):
+        # Summing only the words of whole m^(2a-1) m^(2a) pairs gives the
+        # occupations that the mask-0 row of every word's XOR terms gives,
+        # bit for bit: random complex expansions, some with no pair word,
+        # and mu states up to the V = 10 of rdm-spectrum.
+        def from_all_words(source):
+            masks, vals = fock.xor_terms(source)
+            diag = np.zeros(source.shape.fock_dim)
+            if len(masks) and masks[0] == 0:
+                diag = np.real(vals[0])
+            return np.array([float(np.dot(diag, bits))
+                             for bits in fock.occupations(source.shape).T])
+
+        sources = [mu_family_state(MuFamilyParams(V, p, 0.5), validate=False)
+                   for V, p in ((6, 1), (10, 1), (3, 2))]
+        for shape in (SystemShape(2, 1), SystemShape(2, 2), SystemShape(3, 1)):
+            for n_terms in (1, 3, 12):
+                sources.extend(random_expansion(shape, rng, n_terms=n_terms)
+                               for _ in range(10))
+        no_pairs = 0
+        for source in sources:
+            low = int("01" * source.shape.total_modes, 2)
+            no_pairs += not any(w & low == (w >> 1) & low
+                                for w in source.terms)
+            assert mode_occupations(source).tobytes() == (
+                from_all_words(source).tobytes())
+        assert no_pairs > 0
 
 
 def site_blocks(rdm: OneRDM) -> np.ndarray:
