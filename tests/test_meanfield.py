@@ -731,9 +731,13 @@ class TestGeneratorInvariance:
     def test_agrees_with_class_check(self, name, V, monkeypatch):
         # Same verdict as the class check on every built-in ground space;
         # where the transpositions certify, their bound B is in every
-        # field and covers each exact class diameter.
-        ground = ground_of(builtin_family(name, V))
+        # field and covers each exact class diameter.  H's own symmetry
+        # (the symmetric route of verify_gs_bound) gives the same verdict.
+        spec = builtin_family(name, V)
+        ground = ground_of(spec)
         report = check_invariance_dense(ground)
+        h_exp, _ = build_hamiltonian_expansion(spec)
+        assert (symmetry_report(h_exp) is not None) == report.fully_invariant
         exact = class_check(ground, monkeypatch)
         assert verdict(report) == verdict(exact)
         bound = invariance._transposition_bound(ground)
@@ -850,19 +854,6 @@ def averaged_templates(draw):
 class TestSymmetricRoute:
     """The precondition from H's own symmetry, and the ground energy with
     no ground vector."""
-
-    @pytest.mark.parametrize("name, V", [
-        (name, V) for name in BUILTIN_FAMILIES for V in (
-            range(4, 7) if name == "hubbard-like" else range(4, 9))])
-    def test_agrees_with_the_dense_check(self, name, V):
-        # H certified symmetric exactly when the dense check certifies its
-        # ground space: site-number, pair-hopping and hubbard-like, not
-        # pair-exchange.
-        h_exp, _ = build_hamiltonian_expansion(builtin_family(name, V))
-        symmetric = symmetry_report(h_exp) is not None
-        assert symmetric == (name != "pair-exchange")
-        _, ground = ground_state_lowdim(h_exp)
-        assert check_invariance_dense(ground).fully_invariant == symmetric
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_symmetry_is_commutation_with_permutations(self, name):
