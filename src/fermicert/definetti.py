@@ -12,10 +12,10 @@ the even (parity-superselected) sector by construction, diagonal occupation
 for one mode per site and a Gibbs form over even Hermitian generators
 otherwise, so every witness is automatically a physical state.
 
-The search works on the even and odd global-parity blocks of the target.
-Every component is exactly even, so every mixture commutes with global
-parity and its distance to a target that does too is the sum of two
-half-size block trace norms.  The target must have exactly zero entries
+The search works on the even and odd global-parity blocks of the target,
+on the sectors of :func:`fock.parity_sectors`.  Every component is exactly
+even, so every mixture commutes with global parity and its distance to a
+target that does too is the sum of two half-size block trace norms.  The target must have exactly zero entries
 between the two sectors; :func:`best_mixture_approx` raises otherwise,
 because blockwise norms would understate the distance.  At one mode per
 site a k-fold power is diagonal with the closed-form entries
@@ -45,11 +45,11 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import OperatorExpansion, SystemShape, reversal_sign
+from .algebra import OperatorExpansion, SystemShape
 from .fock import (DenseOperator, check_state, ensure_within_cap,
-                   global_parity_signs, jw_matrix, occupations,
-                   partial_trace_sites, real_if_exact, require_hermitian,
-                   to_matrix)
+                   global_parity_signs, hermitian_word, occupations,
+                   parity_sectors, partial_trace_sites, real_if_exact,
+                   require_hermitian, to_matrix)
 from .invariance import (InvarianceReport, check_invariance,
                          invariant_reduction, lemma3_bound)
 from .report import INEQUALITY, VerificationReport, make_report, vacuous_notes
@@ -110,9 +110,7 @@ def even_hermitian_basis(p: int) -> Tuple[np.ndarray, ...]:
     for mask in range(1, 1 << (2 * p)):
         if mask.bit_count() % 2:
             continue
-        mat = jw_matrix(mask, shape).matrix
-        if reversal_sign(mask.bit_count()) < 0:
-            mat = 1j * mat
+        _, mat = hermitian_word(mask, shape)
         mat.flags.writeable = False
         basis.append(mat)
     return tuple(basis)
@@ -213,12 +211,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     rho = int(np.nonzero(cond)[0][-1])
     theta = (css[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def parity_sectors(shape: SystemShape) -> Tuple[np.ndarray, np.ndarray]:
-    """Fock-basis indices of the even and the odd global-parity sector."""
-    signs = global_parity_signs(shape)
-    return np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
 
 
 def parity_blocks(dense: DenseOperator) -> Tuple[np.ndarray, np.ndarray]:

@@ -21,11 +21,13 @@ from one word-by-word scatter, :func:`to_matrices`.  XOR terms
 words, Hamiltonian sectors and Fock diagonals: a word i^e Z^z X^x is one
 term of mask x (:func:`word_terms`), :func:`xor_terms` sums an
 expansion's words into one row per mask, the entries of its dense matrix
-bit for bit, and :func:`diagonal_blocks` reads a Hamiltonian's sectors
-off those rows with no dim x dim matrix and no edge list.  Hermiticity is
-checked on them too: the mean-field ground solve passes the summed terms
-to :func:`require_hermitian`, whose residual, read from one gather of the
-term values, is the one their dense matrix or its blocks would give.
+bit for bit, and :func:`diagonal_blocks`, the one sector finder, reads a
+Hamiltonian's sectors off those rows with no dim x dim matrix and no edge
+list.  Hermiticity is checked on them too: the mean-field ground solve
+passes the summed terms to :func:`require_hermitian`, whose residual, read
+from one gather of the term values, is the one their dense matrix or its
+blocks would give.  A state's blocks need no search: by parity
+superselection they are its global-parity halves (:func:`parity_sectors`).
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
 the most significant bits.  That layout has two homes: :func:`occupations`,
@@ -289,6 +291,17 @@ def jw_matrix(mask: int, shape: SystemShape) -> DenseOperator:
     return to_matrix(OperatorExpansion(shape, {mask: 1.0}))
 
 
+def hermitian_word(mask: int, shape: SystemShape
+                   ) -> Tuple[complex, np.ndarray]:
+    """A word made Hermitian, (phase, phase * W) with W its
+    :func:`jw_matrix`: phase 1 when W is Hermitian, i when it is
+    anti-Hermitian (W-dagger = :func:`algebra.reversal_sign` W)."""
+    matrix = jw_matrix(mask, shape).matrix
+    if reversal_sign(mask.bit_count()) > 0:
+        return 1.0, matrix
+    return 1j, 1j * matrix
+
+
 def to_matrices(ops: Sequence[OperatorExpansion]) -> np.ndarray:
     """Dense matrices of expansions of one shape, a (len(ops), dim, dim)
     stack whose matrix i equals ``to_matrix(ops[i])`` bit for bit.
@@ -510,39 +523,24 @@ def global_parity_signs(shape: SystemShape) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(np.arange(shape.fock_dim)) & 1)
 
 
-def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Connected-component label of each of n vertices joined by the edges
-    (rows[e], cols[e]), numbered in the order of each component's smallest
-    vertex.
-
-    Minimum-label propagation with pointer jumping: every label is a
-    vertex of the same component and never grows, so the fixed point holds
-    each component's smallest vertex.
-    """
-    heads = np.concatenate((rows, cols))
-    tails = np.concatenate((cols, rows))
-    labels = np.arange(n)
-    while True:
-        new = labels.copy()
-        np.minimum.at(new, heads, labels[tails])
-        new = new[new]
-        if (new == labels).all():
-            smallest = labels == np.arange(n)
-            return (np.cumsum(smallest) - 1)[labels]
-        labels = new
+def parity_sectors(shape: SystemShape) -> Tuple[np.ndarray, np.ndarray]:
+    """Fock-basis indices of the even and the odd global-parity sector."""
+    signs = global_parity_signs(shape)
+    return np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
 
 
 def _xor_component_labels(partner: np.ndarray, link: np.ndarray
                           ) -> np.ndarray:
     """Connected-component label of each basis index of XOR rows, vertex
     a joined to partner[t, a] = a ^ masks[t] wherever link[t, a], numbered
-    in the order of each component's smallest vertex: the labels
-    :func:`_component_labels` gives the same edges.
+    in the order of each component's smallest vertex.
 
     Minimum-label propagation with pointer jumping, one (rows x dim)
-    gather a round; the links are made symmetric first (a row's entry
-    [a, a ^ x] or its mirror [a ^ x, a] joins the pair), so the gather of
-    each index's partners reaches every neighbour.
+    gather a round: every label is a vertex of the same component and
+    never grows, so the fixed point holds each component's smallest
+    vertex.  The links are made symmetric first (a row's entry [a, a ^ x]
+    or its mirror [a ^ x, a] joins the pair), so the gather of each
+    index's partners reaches every neighbour.
     """
     n = partner.shape[1]
     link = link | np.take_along_axis(link, partner, axis=1)
@@ -557,56 +555,49 @@ def _xor_component_labels(partner: np.ndarray, link: np.ndarray
         labels = new
 
 
-def diagonal_blocks(matrix) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The diagonal blocks of a square matrix on the connected components
+def diagonal_blocks(terms: XorTerms) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The diagonal blocks of the operator of :data:`XorTerms`, each mask
+    once as :func:`xor_terms` returns them, on the connected components
     of its sparsity graph, equal-size blocks batched.
 
-    A matrix is exactly block diagonal on these components, so its
+    The operator is exactly block diagonal on these components, so its
     spectrum is the union of the blocks' spectra and its eigenvectors live
     inside single blocks; for a Hamiltonian they are the conserved sectors,
-    found with no symmetry assumed.  ``matrix`` is a dense array, or
-    :data:`XorTerms` with each mask once, as :func:`xor_terms` returns them
-    (explicit zeros are dropped).  Yields ``(idx, stack)`` per block size
-    s, from the largest size down, each stack built only when it is asked
-    for: ``idx`` is an (m, s) array whose rows hold the ascending basis
-    indices of one block each, in the order of their smallest index, and
-    ``stack`` the (m, s, s) dense blocks matrix[idx[j]][:, idx[j]].
+    found with no symmetry assumed.  Explicit zeros join no blocks.  Yields
+    ``(idx, stack)`` per block size s, from the largest size down, each
+    stack built only when it is asked for: ``idx`` is an (m, s) array
+    whose rows hold the ascending basis indices of one block each, in the
+    order of their smallest index, and ``stack`` the (m, s, s) blocks of
+    the dense matrix, M[idx[j]][:, idx[j]].
 
-    XOR terms are never spread into edge lists: the components come from
-    the rows themselves (:func:`_xor_component_labels`, on the partners
+    No edge list or dense matrix is built: the components come from the
+    rows themselves (:func:`_xor_component_labels`, on the partners
     a ^ masks[t] as int32 and the nonzero pattern of the values), and each
     stack is filled from the value columns of its blocks, vals[:, idx],
     entry [j, i, pos(a ^ masks[t])] = vals[t, a] for a = idx[j, i], pos
     being an index's place in its block.
     """
-    terms = isinstance(matrix, tuple)
-    if terms:
-        masks, vals = matrix
-        dim = vals.shape[1]
-        kind = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-        partner = np.arange(dim, dtype=kind) ^ masks.astype(kind)[:, None]
-        link = vals != 0
-        labels = _xor_component_labels(partner, link)
-    else:
-        dim = matrix.shape[0]
-        labels = _component_labels(*np.nonzero(matrix), dim)
+    masks, vals = terms
+    dim = vals.shape[1]
+    kind = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    partner = np.arange(dim, dtype=kind) ^ masks.astype(kind)[:, None]
+    link = vals != 0
+    labels = _xor_component_labels(partner, link)
     n_blocks = int(labels.max()) + 1
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=n_blocks)
     starts = np.cumsum(sizes) - sizes
-    if terms:
-        # Position of each basis index inside its block, for scattering
-        # the values straight into the stacks.
-        pos = np.empty_like(order)
-        pos[order] = np.arange(dim) - np.repeat(starts, sizes)
+    # Position of each basis index inside its block, for scattering the
+    # values straight into the stacks.
+    pos = np.empty_like(order)
+    pos[order] = np.arange(dim) - np.repeat(starts, sizes)
     # bincount, not np.unique: unique imports numpy.ma on first use.
     for s in np.flatnonzero(np.bincount(sizes))[::-1]:
         ids = np.flatnonzero(sizes == s)
         idx = order[starts[ids][:, None] + np.arange(s)]
         # Yielded unnamed, so that this frame holds no stack while the
         # caller works on it or the next one is built.
-        yield idx, (_xor_stack(idx, pos, partner, link, vals) if terms
-                    else matrix[idx[:, :, None], idx[:, None, :]])
+        yield idx, _xor_stack(idx, pos, partner, link, vals)
 
 
 def _xor_stack(idx: np.ndarray, pos: np.ndarray, partner: np.ndarray,
@@ -626,15 +617,22 @@ def check_state(dense: DenseOperator) -> StateValidity:
     """Density-matrix sanity check, each within its ``STATE_*_TOL``: unit
     trace, positivity, parity superselection (commuting with global parity).
 
-    The minimum eigenvalue of the Hermitian part is taken block by block
-    over :func:`diagonal_blocks`, which is exact for any input; a
-    parity-even state has at least two blocks.
+    The minimum eigenvalue of the Hermitian part comes from one batched
+    ``eigvalsh`` of its two equal-size parity halves when it has no entry
+    between them (:func:`parity_sectors`), as for every parity-superselected
+    state, and from one ``eigvalsh`` of the whole matrix otherwise; both
+    are exact for any input.
     """
     tr = complex(np.trace(dense.matrix))
     trace_ok = abs(tr - 1.0) < STATE_TRACE_TOL
     herm = 0.5 * (dense.matrix + dense.matrix.conj().T)
-    min_eig = min(float(np.linalg.eigvalsh(stack)[:, 0].min())
-                  for _, stack in diagonal_blocks(herm))
+    even, odd = parity_sectors(dense.shape)
+    # herm is exactly Hermitian, so its odd-even block mirrors this one.
+    if herm[even[:, None], odd].any():
+        min_eig = float(np.linalg.eigvalsh(herm)[0])
+    else:
+        halves = np.stack((herm[even[:, None], even], herm[odd[:, None], odd]))
+        min_eig = float(np.linalg.eigvalsh(halves)[:, 0].min())
     residual = hermiticity_residual(dense.matrix)
     positive_ok = min_eig >= -STATE_EIG_TOL and residual < STATE_HERMITIAN_TOL
     signs = global_parity_signs(dense.shape)

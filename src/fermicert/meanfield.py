@@ -40,13 +40,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import (OperatorExpansion, SystemShape, expansion_from_text,
-                      reversal_sign, site_blocks)
+                      site_blocks)
 from .definetti import (GENERATOR_BOX, component_state, coordinate_sweep,
                         n_component_params)
 from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
-                   ensure_within_cap, jw_matrix, operator_norm, real_if_exact,
-                   require_hermitian, to_matrix, word_expectations_dense,
-                   xor_terms)
+                   ensure_within_cap, hermitian_word, operator_norm,
+                   real_if_exact, require_hermitian, to_matrix,
+                   word_expectations_dense, xor_terms)
 from .invariance import (DENSE_INVARIANCE_TOL, WORD_DEGREE_CAP,
                          InvarianceReport, check_invariance,
                          check_invariance_dense)
@@ -322,8 +322,7 @@ def _one_word_minimum(evaluator: ProductEnergyEvaluator
         xi = eye / dim
         return DenseOperator(SystemShape(1, p), xi), evaluator.energy(xi)
     (mask,) = evaluator.submasks
-    phase = 1.0 if reversal_sign(mask.bit_count()) > 0 else 1j
-    h = phase * jw_matrix(mask, SystemShape(1, p)).matrix
+    phase, h = hermitian_word(mask, SystemShape(1, p))
     powers = np.zeros(max(len(subs) for _, subs in evaluator.compiled) + 1,
                       dtype=np.complex128)
     for coeff, subs in evaluator.compiled:

@@ -22,6 +22,7 @@ import numpy as np
 from .algebra import OperatorExpansion, SystemShape
 from .fock import (MODE_CAP_ENV, ResourceCapError, hermiticity_residual,
                    mode_cap, occupations, xor_terms)
+from .invariance import INVARIANCE_TOL, InvarianceReport, check_invariance
 from .report import EQUALITY, INEQUALITY, VerificationReport, make_report
 
 #: Permutation invariance forces |b| <= OFFDIAG_BOUND_CONST / V.
@@ -202,7 +203,7 @@ def mode_occupations(source: OperatorExpansion) -> np.ndarray:
 
 def verify_pauli_constraints(rdm: OneRDM,
                              source: Optional[OperatorExpansion] = None,
-                             source_invariant: bool = False
+                             inv_report: Optional[InvarianceReport] = None
                              ) -> VerificationReport:
     """Occupation-band check on a 1-RDM.
 
@@ -210,7 +211,9 @@ def verify_pauli_constraints(rdm: OneRDM,
     the expansion the 1-RDM was read from, is given, the trace against
     its mode occupations (:func:`mode_occupations`, TRACE_TOL), and
     otherwise notes that this trace oracle did not run;
-    and for permutation-invariant single-mode sources the
+    and for single-mode sources invariant within
+    :data:`invariance.INVARIANCE_TOL` by ``inv_report``, their
+    :func:`invariance.check_invariance` (computed when not given), the
     off-diagonal suppression |b| <= 8/(sqrt(3) V) + OFFDIAG_BOUND_TOL.
     The report's lhs is the worst tolerance-normalized violation (pass at
     lhs <= 0).
@@ -229,12 +232,15 @@ def verify_pauli_constraints(rdm: OneRDM,
                      f"{occ_sum:.9g}")
     else:
         notes.append("trace oracle not run: no dense source")
-    if source_invariant and rdm.shape.modes_per_site == 1:
-        a, b, resid = fit_circulant(rdm.gamma)
-        bound = OFFDIAG_BOUND_CONST / rdm.shape.sites
-        violations.append(abs(b) - bound - OFFDIAG_BOUND_TOL)
-        notes.append(f"fit a={a:.6g} |b|={abs(b):.6g} bound={bound:.6g} "
-                     f"pattern residual {resid:.2e}")
+    if source is not None and rdm.shape.modes_per_site == 1:
+        if inv_report is None:
+            inv_report = check_invariance(source)
+        if inv_report.max_violation() <= INVARIANCE_TOL:
+            a, b, resid = fit_circulant(rdm.gamma)
+            bound = OFFDIAG_BOUND_CONST / rdm.shape.sites
+            violations.append(abs(b) - bound - OFFDIAG_BOUND_TOL)
+            notes.append(f"fit a={a:.6g} |b|={abs(b):.6g} bound={bound:.6g} "
+                         f"pattern residual {resid:.2e}")
     lhs = max(violations)
     return make_report("rdm-pauli", INEQUALITY,
                        {"V": rdm.shape.sites, "p": rdm.shape.modes_per_site},

@@ -101,7 +101,8 @@ def _mu_state(V: int, mu: float) -> OperatorExpansion:
 def _mu_case(V: int, mu: float) -> Tuple[OperatorExpansion, InvarianceReport]:
     """The mu-family state with its :func:`check_invariance` report,
     computed once per process and shared by check-invariance,
-    verify-lemma3 and verify-theorem1; neither is ever mutated."""
+    verify-lemma3, verify-theorem1 and rdm-spectrum; neither is ever
+    mutated."""
     state = _mu_state(V, mu)
     return state, check_invariance(state)
 
@@ -536,12 +537,11 @@ def run_rdm_spectrum() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     bound_rows = []
     for V in (6, 8, 10):
         for mu in (0.5, 1.0):
-            state = _mu_state(V, mu)
+            state, inv = _mu_case(V, mu)
             rdm = one_rdm(state)
             a, b, _ = fit_circulant(rdm.gamma)
             bound = OFFDIAG_BOUND_CONST / V
-            rep = verify_pauli_constraints(rdm, source=state,
-                                           source_invariant=True)
+            rep = verify_pauli_constraints(rdm, source=state, inv_report=inv)
             rep.inputs["mu"] = mu
             reports.append(rep)
             bound_rows.append([V, mu, a, abs(b), abs(b) * V, bound,

@@ -15,8 +15,10 @@ take site ladders as (c, site, mode) tuples, the arguments of
 cumulant engine on them.  :func:`mixture_matrix` and
 :func:`build_hamiltonian` are likewise views of package code (product
 powers, the symbolic Hamiltonian) that only the tests compare the package
-against, and :func:`unpruned_ground_state` is the block ground solve
-of the dense matrix with every sector diagonalized.
+against.  :func:`scipy_blocks` is the sector oracle, the diagonal
+blocks of a dense matrix on the connected components that scipy finds in
+its nonzero pattern, and :func:`unpruned_ground_state` is the block
+ground solve on them with every sector diagonalized.
 """
 
 from __future__ import annotations
@@ -67,19 +69,44 @@ def word_matrix_oracle(mask: int, shape: SystemShape) -> np.ndarray:
     return out
 
 
+def scipy_blocks(matrix):
+    """The diagonal blocks of a square dense matrix on the connected
+    components of its nonzero pattern, as scipy's ``connected_components``
+    labels them: a list of ``(idx, stack)`` per block size, largest first,
+    whose ``idx`` rows hold the ascending indices of one block each in the
+    order of their smallest index, and ``stack`` the dense gather
+    matrix[idx[j]][:, idx[j]].  The independent oracle of
+    fock.diagonal_blocks."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(csr_matrix(matrix != 0),
+                                     directed=False)
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    by_size = {}
+    for comp in sorted(comps, key=lambda comp: comp[0]):
+        by_size.setdefault(len(comp), []).append(comp)
+    blocks = []
+    for size in sorted(by_size, reverse=True):
+        idx = np.array(by_size[size])
+        blocks.append((idx, matrix[idx[:, :, None], idx[:, None, :]]))
+    return blocks
+
+
 def unpruned_ground_state(h_exp):
     """Ground energy and ground isometry matrix with no sector skipped:
-    the blocks of the dense matrix ``to_matrix(h_exp)``, every block
-    stack checked for Hermiticity and diagonalized with ``eigvalsh``, the
-    ground columns taken in increasing block size.  The bit-identity
-    oracle of meanfield.ground_state_lowdim, which builds its blocks from
-    the summed XOR terms and skips the stacks above the ground."""
-    from fermicert.fock import (diagonal_blocks, real_if_exact,
-                                require_hermitian, to_matrix)
+    the :func:`scipy_blocks` of the dense matrix ``to_matrix(h_exp)``,
+    every block stack checked for Hermiticity and diagonalized with
+    ``eigvalsh``, the ground columns taken in increasing block size.  The
+    bit-identity oracle of meanfield.ground_state_lowdim, which builds its
+    blocks from the summed XOR terms and skips the stacks above the
+    ground."""
+    from fermicert.fock import real_if_exact, require_hermitian, to_matrix
     from fermicert.meanfield import DEGENERACY_TOL
 
     blocks = []
-    for idx, stack in diagonal_blocks(to_matrix(h_exp).matrix):
+    for idx, stack in scipy_blocks(to_matrix(h_exp).matrix):
         require_hermitian(stack, "Hamiltonian block")
         stack = real_if_exact(stack)
         blocks.append((idx, stack, np.linalg.eigvalsh(stack)[:, 0]))

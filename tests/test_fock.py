@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import fermicert
 from conftest import (independent_ladder, independent_majoranas,
                       random_density_matrix, random_even_density_matrix,
-                      random_expansion, word_matrix_oracle)
+                      random_expansion, scipy_blocks, word_matrix_oracle)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                expansion_from_text, expansion_to_text)
 from fermicert import fock
@@ -101,6 +101,22 @@ class TestJwMatrix:
         for mask in range(16):
             m = jw_matrix(mask, sh).matrix
             assert np.allclose(m @ m.conj().T, np.eye(4))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_hermitian_word_is_the_phased_matrix(self, p):
+        # Phase 1 or i by the word's degree, and bit for bit the two forms
+        # the witness basis and the one-word minimum built before: the
+        # matrix itself or 1j times it, and phase times it.
+        sh = SystemShape(1, p)
+        for mask in range(1, 1 << (2 * p)):
+            phase, h = fock.hermitian_word(mask, sh)
+            m = jw_matrix(mask, sh).matrix
+            assert phase == (1.0 if mask.bit_count() % 4 in (0, 1) else 1j)
+            basis_form = m if phase == 1.0 else 1j * m
+            assert h.dtype == np.complex128
+            assert h.tobytes() == basis_form.tobytes()
+            assert h.tobytes() == (phase * m).tobytes()
+            assert np.array_equal(h, h.conj().T)
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapError):
@@ -288,8 +304,9 @@ class TestXorTerms:
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_blocks_of_the_summed_terms_are_the_dense_blocks(self, name):
-        # diagonal_blocks on the summed word terms against the same call on
-        # the dense matrix: the same blocks holding the same entries.
+        # diagonal_blocks on the summed word terms against scipy's
+        # components of the dense matrix: the same blocks holding the same
+        # entries.
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
         assert_same_blocks(h_exp)
 
@@ -304,11 +321,12 @@ class TestXorTerms:
 
 
 def assert_same_blocks(h_exp):
-    """diagonal_blocks of the summed XOR terms and of the dense matrix give
-    equal ``idx`` and, bit for bit, equal stacks (real terms give the real
-    parts of the dense blocks)."""
+    """diagonal_blocks of the summed XOR terms and the scipy-labelled
+    gather of the dense matrix (:func:`conftest.scipy_blocks`) give equal
+    ``idx`` and, bit for bit, equal stacks (real terms give the real parts
+    of the dense blocks)."""
     from_terms = list(diagonal_blocks(xor_terms(h_exp)))
-    from_dense = list(diagonal_blocks(to_matrix(h_exp).matrix))
+    from_dense = scipy_blocks(to_matrix(h_exp).matrix)
     assert len(from_terms) == len(from_dense)
     for (idx_t, stack_t), (idx_d, stack_d) in zip(from_terms, from_dense):
         assert np.array_equal(idx_t, idx_d)
@@ -506,11 +524,29 @@ class TestCheckState:
         assert abs(validity.min_eigenvalue - expected_min) < 1e-12
 
     def test_blockwise_minimum_matches_full_eigvalsh(self, tmp_path, rng):
-        # The blockwise minimum eigenvalue against one eigvalsh of the whole
-        # Hermitian part, with the flags read independently: the mu family
-        # on both sides of its positivity range, a non-positive fixture read
-        # back from text, and inputs that break parity or Hermiticity (one
-        # block).
+        # The minimum eigenvalue, read from the parity halves or from the
+        # whole matrix, against one eigvalsh of the whole Hermitian part,
+        # with the flags read independently: the mu family on both sides
+        # of its positivity range, a non-positive fixture read back from
+        # text, inputs that break parity or Hermiticity, even 2 x 2 and
+        # 4 x 4 components whose minimum sits in the odd half, and a
+        # cross-parity part that is anti-Hermitian, so that the Hermitian
+        # part has no entry between the halves.
+        small = []
+        for p, even_half, odd_half in [
+                (1, [[0.7]], [[0.3]]),
+                (2, [[0.4, 0.1], [0.1, 0.3]], [[0.2, 0.05j], [-0.05j, 0.1]])]:
+            shape = SystemShape(1, p)
+            even, odd = fock.parity_sectors(shape)
+            matrix = np.zeros((shape.fock_dim, shape.fock_dim), dtype=complex)
+            matrix[np.ix_(even, even)] = even_half
+            matrix[np.ix_(odd, odd)] = odd_half
+            small.append((shape, matrix))
+        for shape, matrix in small:
+            validity = check_state(DenseOperator(shape, matrix))
+            oracle = float(np.linalg.eigvalsh(matrix)[0])
+            assert abs(validity.min_eigenvalue - oracle) < 1e-12
+            assert validity.all_ok
         sh = SystemShape(6, 1)
         inputs = [to_matrix(mu_family_state(MuFamilyParams(6, 1, mu),
                                             validate=False)).matrix
@@ -530,6 +566,9 @@ class TestCheckState:
         noisy = random_density_matrix(sh.fock_dim, rng)
         inputs.append(noisy - 0.02 * np.eye(sh.fock_dim))
         inputs.append(noisy + 0.01j * np.triu(noisy))
+        signs = global_parity_signs(sh)
+        cross = (signs[:, None] != signs[None, :]) * (g - g.conj().T)
+        inputs.append(random_even_density_matrix(sh, rng) + 0.01 * cross)
         for matrix in inputs:
             validity = check_state(DenseOperator(sh, matrix))
             herm = 0.5 * (matrix + matrix.conj().T)
@@ -760,6 +799,12 @@ class TestExpectationDense:
                 assert abs(values[mask] - oracle) < 1e-12
 
 
+def component_sets(labels):
+    """The components of a labelling as sorted lists of vertices, sorted."""
+    return sorted(np.flatnonzero(labels == c).tolist()
+                  for c in np.flatnonzero(np.bincount(labels)))
+
+
 class TestDiagonalBlocks:
     def test_blocks_are_the_connected_components(self, rng):
         # Against scipy's connected components as an independent oracle, on
@@ -777,29 +822,29 @@ class TestDiagonalBlocks:
             dense = upper + upper.T + np.diag(rng.standard_normal(dim))
             _, labels = connected_components(sp.csr_matrix(dense != 0),
                                              directed=False)
-            want = sorted(sorted(np.flatnonzero(labels == c).tolist())
-                          for c in set(labels.tolist()))
             # The XOR form lists every position, explicit zeros too, which
             # must not join blocks: term x holds the entries [a, a ^ x].
             masks = np.arange(dim)
-            terms = (masks, dense[basis, basis ^ masks[:, None]])
-            for matrix in (dense, terms):
-                rebuilt = np.zeros((dim, dim))
-                found = []
-                for idx, stack in diagonal_blocks(matrix):
-                    assert stack.shape == (len(idx), idx.shape[1],
-                                           idx.shape[1])
-                    for rows, block in zip(idx, stack):
-                        rebuilt[np.ix_(rows, rows)] = block
-                        found.append(rows.tolist())
-                assert sorted(found) == want
-                assert np.array_equal(rebuilt, dense)
-
+            rebuilt = np.zeros((dim, dim))
+            found = []
+            for idx, stack in diagonal_blocks(
+                    (masks, dense[basis, basis ^ masks[:, None]])):
+                assert stack.shape == (len(idx), idx.shape[1], idx.shape[1])
+                for rows, block in zip(idx, stack):
+                    rebuilt[np.ix_(rows, rows)] = block
+                    found.append(rows.tolist())
+            assert sorted(found) == component_sets(labels)
+            assert np.array_equal(rebuilt, dense)
 
     def test_xor_labels_are_the_edge_list_labels(self, rng):
-        # The propagation over XOR rows against the one over edge lists on
-        # the same links: random masks, sparse and dense, one-sided links
-        # included (a row may hold [a, a ^ x] and not its mirror).
+        # The propagation over XOR rows against scipy's components of the
+        # same links as an edge list: random masks, sparse and dense,
+        # one-sided links included (a row may hold [a, a ^ x] and not its
+        # mirror).  The labels number the components in the order of their
+        # smallest vertex.
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
         dim = 64
         for density in (0.5, 0.1, 0.03, 0.0):
             masks = np.sort(rng.choice(dim, size=6, replace=False))
@@ -807,14 +852,19 @@ class TestDiagonalBlocks:
             partner = (np.arange(dim, dtype=np.int32)
                        ^ masks.astype(np.int32)[:, None])
             t, a = np.nonzero(link)
-            want = fock._component_labels(a, partner[t, a], dim)
-            assert np.array_equal(
-                fock._xor_component_labels(partner, link), want)
+            edges = sp.coo_matrix((np.ones(len(a)), (a, partner[t, a])),
+                                  shape=(dim, dim))
+            _, want = connected_components(edges, directed=False)
+            got = fock._xor_component_labels(partner, link)
+            assert component_sets(got) == component_sets(want)
+            firsts = [np.flatnonzero(got == c)[0]
+                      for c in range(int(got.max()) + 1)]
+            assert firsts == sorted(firsts)
 
     def test_explicit_zeros_join_no_blocks(self):
         # A row of explicit zeros links nothing, and a one-sided entry
         # links its pair as the dense matrix's nonzero entry does: the
-        # XOR path gives the dense path's blocks bit for bit.
+        # XOR path gives scipy's blocks of the dense matrix bit for bit.
         dim = 8
         vals = np.zeros((3, dim))
         vals[0] = np.arange(1.0, dim + 1.0)  # the diagonal, mask 0
@@ -825,7 +875,7 @@ class TestDiagonalBlocks:
         for mask, row in zip(masks, vals):
             dense[basis, basis ^ mask] += row
         from_terms = list(diagonal_blocks((masks, vals)))
-        from_dense = list(diagonal_blocks(dense))
+        from_dense = scipy_blocks(dense)
         assert [idx.tolist() for idx, _ in from_terms] == [
             [[1, 7]], [[0], [2], [3], [4], [5], [6]]]
         assert len(from_terms) == len(from_dense)
@@ -842,9 +892,9 @@ class TestDiagonalBlocks:
         code = ("import sys\n"
                 "import numpy as np\n"
                 "from fermicert.fock import diagonal_blocks\n"
-                "m = np.diag([1.0, 2.0, 3.0])\n"
-                "m[0, 1] = m[1, 0] = 0.5\n"
-                "sizes = [idx.shape[1] for idx, _ in diagonal_blocks(m)]\n"
+                "vals = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0, 0]])\n"
+                "terms = (np.array([0, 1]), vals)\n"
+                "sizes = [idx.shape[1] for idx, _ in diagonal_blocks(terms)]\n"
                 "print(sizes, 'numpy.ma' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True)

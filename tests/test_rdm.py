@@ -16,7 +16,8 @@ from fermicert.algebra import OperatorExpansion, SystemShape
 from fermicert.definetti import product_power
 from fermicert.fock import (DenseOperator, hermiticity_residual, to_expansion,
                             to_matrix)
-from fermicert.invariance import MuFamilyParams, mu_family_state
+from fermicert.invariance import (MuFamilyParams, check_invariance,
+                                  mu_family_state)
 from fermicert.rdm import (CirculantParams, OFFDIAG_BOUND_CONST, OneRDM,
                            circulant_matrix, circulant_spectrum_with_fallback,
                            compare_circulant_spectrum, fit_circulant,
@@ -243,13 +244,31 @@ class TestPauliConstraints:
         assert not any("trace oracle" in note for note in rep.notes)
 
     def test_mu_family_bound(self):
+        # The source's invariance is checked inside, with no flag: the mu
+        # family is invariant, so the |b| bound applies and is noted, the
+        # same note as with its check_invariance report passed in.
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         rdm = one_rdm(state)
-        rep = verify_pauli_constraints(rdm, source=state,
-                                       source_invariant=True)
+        rep = verify_pauli_constraints(rdm, source=state)
         assert rep.passed
         _, b, _ = fit_circulant(rdm.gamma)
         assert abs(b) <= OFFDIAG_BOUND_CONST / 6.0 + 1e-9
+        bound_notes = [note for note in rep.notes if note.startswith("fit ")]
+        assert len(bound_notes) == 1
+        given = verify_pauli_constraints(rdm, source=state,
+                                         inv_report=check_invariance(state))
+        assert given.notes == rep.notes and given.lhs == rep.lhs
+
+    def test_non_invariant_source_gets_no_bound(self):
+        # One particle on site 1 only: the occupations differ by site, so
+        # the source is not permutation invariant and no |b| bound is
+        # applied or noted; neither is one without a source.
+        state = occupied_state(SystemShape(3, 1), 0b100)
+        assert check_invariance(state).max_violation() > 1e-9
+        rdm = one_rdm(state)
+        for rep in (verify_pauli_constraints(rdm, source=state),
+                    verify_pauli_constraints(rdm)):
+            assert not any(note.startswith("fit ") for note in rep.notes)
 
     def test_trace_off_by_twice_the_tolerance_fails(self):
         # A 1-RDM whose trace misses the source's occupations by
