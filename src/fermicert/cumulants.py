@@ -500,7 +500,7 @@ def verify_corollary(rho_k: Union[DenseOperator, ProductState],
     a set of four Fourier ladders (default :func:`corollary_index_sets`).  No
     absolute constant is claimed; the report records the empirical ratio
     and the sweep driver applies the scaling (slope) gate and times the
-    claim, witness search included where the witness is searched for.
+    claim.
     """
     shape = rho_k.shape
     k, p = shape.sites, shape.modes_per_site

@@ -681,32 +681,20 @@ def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
     vector is sum_i F[b ^ x, i] conj(F[b, i]) / r: no dim x dim matrix is
     formed.
 
-    Patterns that no support pair reaches are skipped.  The support S is
-    the set of nonzero rows of F, or of nonzero rows and columns of M;
-    the gathered vector of x is exactly 0 unless some b in S has b ^ x in
-    S, so such a pattern's words get an exact 0.  The reachable patterns
-    are those where the XOR autocorrelation of S's indicator is positive,
-    computed with two transforms; its entries are integers far below
-    2^53, so the float transform is exact.  A state with full support
-    visits every pattern.
+    Every pattern is visited: one that joins no two states of the support
+    gathers an exactly-zero vector, so its words read an exact 0.
     """
     masks = np.fromiter(masks, np.int64)
     phase, z, x = pauli_strings(masks, shape)
     rows = np.arange(shape.fock_dim, dtype=np.int64)
     if factor:
-        support = matrix.any(axis=1)
         f_conj = matrix.conj() / matrix.shape[1]
-    else:
-        support = matrix.any(axis=0) | matrix.any(axis=1)
-    indicator = support.astype(np.float64)
-    reachable = _walsh_hadamard(_walsh_hadamard(indicator) ** 2) > 0
     patterns, group = np.unique(x, return_inverse=True)
     order = np.argsort(group, kind="stable")
     counts = np.bincount(group, minlength=len(patterns))
     ends = np.cumsum(counts)
     values = np.zeros(len(masks), dtype=np.complex128)
-    for j in np.flatnonzero(reachable[patterns]):
-        pattern = patterns[j]
+    for j, pattern in enumerate(patterns):
         if factor:
             gathered = np.einsum("bi,bi->b", matrix[rows ^ pattern], f_conj)
         else:

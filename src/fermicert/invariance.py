@@ -328,8 +328,7 @@ def check_invariance_dense(rho: Union[DenseOperator, Isometry]
     ``checked_words`` the same closed-form count.  Otherwise, and for
     every :class:`DenseOperator`, the word expectations come from
     :func:`word_expectations_dense`, one Walsh-Hadamard transform per X
-    pattern that the state's support reaches; only the nonzero ones go
-    to the class report.
+    pattern; only the nonzero ones go to the class report.
     """
     if isinstance(rho, Isometry):
         bound = _transposition_bound(rho)

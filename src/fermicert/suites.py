@@ -10,6 +10,11 @@ outputs decide lives in the verifier, so a single CLI command gets the
 suite row's verdict; a suite adds only rules that compare its rows or
 know its family (Lemma-3 lhs monotone in k, mu = 0 an exact product, the
 corollary slope).
+
+Only verify-theorem1 searches for a Theorem-1 witness.  The corollary and
+the gs-bound convexity step take the mu family's witness to be the
+product of its one-site reduction, which verify-theorem1's dual bound
+proves optimal on every row.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .algebra import OperatorExpansion, SystemShape, random_expansions
 from .cumulants import (CUMULANT_TOL, LadderIndex, ProductState,
                         corollary_index_sets, fourier_cumulant,
                         fourier_q_range, verify_corollary, verify_suppression)
-from .definetti import ProductMixture, best_mixture_approx, verify_theorem1
+from .definetti import ProductMixture, verify_theorem1
 from .fock import (DenseOperator, operator_norm, permutation_unitary,
                    reduce_expansion, to_matrices, to_matrix)
 from .invariance import (InvarianceReport, MuFamilyParams, check_invariance,
@@ -89,21 +94,13 @@ _CORRELATED_P2 = DenseOperator(SystemShape(1, 2), np.diag(
 
 
 @functools.lru_cache(maxsize=None)
-def _mu_state(V: int, mu: float) -> OperatorExpansion:
-    """The mu-family state, built once per process and shared by every
-    suite that reads it; it is never mutated."""
-    # |mu| close to 1 exceeds the positivity range of the family; the
-    # bound certifications run on the Hermitian unit-trace operator.
-    return mu_family_state(MuFamilyParams(V, 1, mu), validate=False)
-
-
-@functools.lru_cache(maxsize=None)
 def _mu_case(V: int, mu: float) -> Tuple[OperatorExpansion, InvarianceReport]:
     """The mu-family state with its :func:`check_invariance` report,
-    computed once per process and shared by check-invariance,
-    verify-lemma3, verify-theorem1 and rdm-spectrum; neither is ever
-    mutated."""
-    state = _mu_state(V, mu)
+    computed once per process and shared by every suite that reads the
+    family; neither is ever mutated."""
+    # |mu| close to 1 exceeds the positivity range of the family; the
+    # bound certifications run on the Hermitian unit-trace operator.
+    state = mu_family_state(MuFamilyParams(V, 1, mu), validate=False)
     return state, check_invariance(state)
 
 
@@ -452,18 +449,20 @@ def run_verify_clt() -> Tuple[List[VerificationReport], Dict[str, Table]]:
 # verify-corollary
 # ---------------------------------------------------------------------------
 
-def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[str, Table]]:
+def run_verify_corollary() -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Gaussian-mixture deviation scaling.
 
     Exact products xi^(x k) of a non-Gaussian two-mode site state xi must
     show the 1/k decay (log-log slope within 0.3 of -1).  They are passed
     in product form (:class:`cumulants.ProductState`), so their direct K4
     comes from the site program with no 2^(2k) matrix, and xi itself is
-    their exact witness, so they run no search.  The mu family at V=6 is
-    reported with its empirical constant (no absolute constant is claimed
-    for correlated inputs) against its :func:`best_mixture_approx` witness;
-    its dense reductions take the dense route.  Its rows read round-off:
-    see :func:`corollary_index_sets` for why.
+    their exact witness.  The mu family at V=6 is reported with its
+    empirical constant (no absolute constant is claimed for correlated
+    inputs) against the product of its one-site reduction, the optimal
+    witness that :func:`verify_theorem1` certifies on every row; its
+    dense reductions take the dense route.  No witness is searched for,
+    so the suite is deterministic.  Its mu rows read round-off: see
+    :func:`corollary_index_sets` for why.
     """
     reports = []
     rows = []
@@ -489,12 +488,13 @@ def run_verify_corollary(seed: int = 9) -> Tuple[List[VerificationReport], Dict[
 
     # Correlated family: report the metric against the reference rate.
     V = 6
-    state = _mu_state(V, 1.0)
+    state = _mu_case(V, 1.0)[0]
+    xi = to_matrix(reduce_expansion(state, 1))
+    marginal = ProductMixture(np.ones(1), (xi,))
     for k in (2, 3, 4):
         start = time.perf_counter()
-        rho_k = to_matrix(reduce_expansion(state, k))
-        mixture = best_mixture_approx(rho_k, seed=seed).mixture
-        rep = verify_corollary(rho_k, mixture, V=V)
+        rep = verify_corollary(to_matrix(reduce_expansion(state, k)),
+                               marginal, V=V)
         rep.inputs["source"] = "mu-family"
         rep.wall_time = time.perf_counter() - start
         reports.append(rep)
@@ -567,9 +567,10 @@ def gs_bound_row(spec: HamiltonianSpec, result: MeanFieldResult,
 
 def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Table]]:
     """Mean-field gap certificates for the built-in families at V = 6,
-    plus the convexity step on the :func:`best_mixture_approx` witnesses
-    of the k = 2, 3 reductions of the mu = 0.5 state, against the product
-    minima that the family loop found for the one-mode families."""
+    plus the convexity step on the product of the one-site reduction of
+    the mu = 0.5 state, the optimal Theorem-1 witness of its reductions,
+    against the product minima that the family loop found for the
+    one-mode families."""
     reports = []
     rows = []
     minima = []
@@ -581,21 +582,14 @@ def run_gs_bound(seed: int = 13) -> Tuple[List[VerificationReport], Dict[str, Ta
         if spec.shape.modes_per_site == 1:
             minima.append((spec, result.e_product_min))
 
-    # Convexity step: mixture energies dominate the product minimum.
+    # Convexity step: the witness energy dominates the product minimum.
     start = time.perf_counter()
     worst = -math.inf
-    state = _mu_state(6, 0.5)
-    mixtures = []
-    for k in (2, 3):
-        rho_k = to_matrix(reduce_expansion(state, k))
-        mixtures.append(best_mixture_approx(rho_k, seed=seed).mixture)
+    xi = to_matrix(reduce_expansion(_mu_case(6, 0.5)[0], 1))
     for spec, e_min in minima:
         h_exp, _ = build_hamiltonian_expansion(spec)
-        evaluator = ProductEnergyEvaluator(h_exp)
-        for mixture in mixtures:
-            e_mix = sum(a * evaluator.energy(xi.matrix)
-                        for a, xi in zip(mixture.weights, mixture.components))
-            worst = max(worst, e_min - e_mix)
+        e_witness = ProductEnergyEvaluator(h_exp).energy(xi.matrix)
+        worst = max(worst, e_min - e_witness)
     reports.append(make_report(
         "gs-convexity-step", INEQUALITY, {"V": 6, "families": len(minima)},
         worst, 0.0, 1e-9, time.perf_counter() - start,
@@ -614,7 +608,7 @@ SUITES = {
     "verify-lemma3": lambda seed: run_verify_lemma3(),
     "verify-theorem1": lambda seed: run_verify_theorem1(seed=seed),
     "verify-clt": lambda seed: run_verify_clt(),
-    "verify-corollary": lambda seed: run_verify_corollary(seed=seed),
+    "verify-corollary": lambda seed: run_verify_corollary(),
     "rdm-spectrum": lambda seed: run_rdm_spectrum(),
     "gs-bound": lambda seed: run_gs_bound(seed=seed),
 }

@@ -186,7 +186,7 @@ def test_criterion_6_suppression_equality_case(clt_suite):
 
 
 def test_criterion_7_corollary_slope():
-    reports, _ = suites.run_verify_corollary(seed=9)
+    reports, _ = suites.run_verify_corollary()
     slope_reports = [r for r in reports if r.claim_id == "corollary-slope"]
     assert len(slope_reports) == 1
     slope = slope_reports[0].lhs

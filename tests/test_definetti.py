@@ -23,7 +23,8 @@ from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
                                  project_simplex, theorem1_bound,
                                  verify_theorem1)
 from fermicert.fock import (DenseOperator, ResourceCapError, check_state,
-                            global_parity_signs, trace_norm)
+                            global_parity_signs, reduce_expansion, to_matrix,
+                            trace_norm)
 from fermicert.invariance import MuFamilyParams, check_invariance, mu_family_state
 from fermicert.suites import (run_gs_bound, run_verify_corollary,
                               run_verify_theorem1)
@@ -386,10 +387,11 @@ class TestDualLowerBound:
 
     def test_tight_on_every_theorem1_row(self, monkeypatch):
         # Every witness search of the suites, at the seeds of
-        # `fermicert all --seed 0`, ends after its first start and its
-        # first distance, proven optimal or an exact hit; so the suites
-        # need no search budget of their own.  The optimizer is patched at
-        # class level, which also sees searches the suites start directly.
+        # `fermicert all --seed 0`, is one of verify-theorem1's 60 and ends
+        # after its first start and its first distance, proven optimal or
+        # an exact hit; so the suites need no search budget of their own.
+        # The optimizer is patched at class level, which would also see a
+        # search that another suite started directly.
         searches = []
         init = _MixtureOptimizer.__init__
         run = _MixtureOptimizer.run
@@ -418,18 +420,32 @@ class TestDualLowerBound:
         for opt, rep in zip(searches, reports):
             assert opt.starts == [rep.lhs]
             assert f"dual lower bound {opt.lower:.12g}" in rep.notes
-        # The three mu-family corollary witnesses; the product-p2 rows take
-        # their own site state and search none.
-        run_verify_corollary(seed=5)
-        assert len(searches) == 63
-        # The two gs-convexity witnesses; the family loop searches none.
+        # The corollary and the gs-convexity step take the one-site
+        # marginal's product as their witness and search none.
+        run_verify_corollary()
         monkeypatch.setattr(suites, "BUILTIN_FAMILIES", ())
         run_gs_bound(seed=7)
-        assert len(searches) == 65
+        assert len(searches) == 60
         for opt in searches:
             assert len(opt.starts) == 1 and opt.distances == 1
             best = opt.starts[0]
             assert best < EXACT_HIT or best - opt.lower <= STOP_GAP
+
+    @pytest.mark.parametrize("mu, k", [(1.0, 2), (1.0, 3), (1.0, 4),
+                                       (0.5, 2), (0.5, 3)])
+    def test_marginal_product_is_the_suites_optimal_witness(self, mu, k):
+        # The corollary (mu = 1.0) and the gs-convexity step (mu = 0.5)
+        # take xi^(x k), xi the V = 6 state's one-site reduction, as their
+        # witness.  At every seed the search's own dual lower bound meets
+        # its distance, so no mixture of even products does better.
+        state = suites._mu_case(6, mu)[0]
+        rho_k = to_matrix(reduce_expansion(state, k))
+        xi = to_matrix(reduce_expansion(state, 1))
+        dist = trace_norm(DenseOperator(
+            rho_k.shape, rho_k.matrix - product_power(xi, k).matrix))
+        for seed in range(5):
+            fit = best_mixture_approx(rho_k, seed=seed)
+            assert abs(dist - fit.lower_bound) <= STOP_GAP
 
     @pytest.mark.parametrize("occupied, parent_distance", [
         # Exactly one occupied mode: the first start is already the best

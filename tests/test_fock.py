@@ -752,8 +752,9 @@ class TestExpectationDense:
 
     def test_unreachable_patterns_are_exact_zeros(self):
         # The hubbard-like V = 4 ground space lives in one number sector,
-        # so many X patterns join no two support states.  Those words read
-        # exactly 0, and the factor and dense routes agree on the rest.
+        # so many X patterns join no two support states.  Their gathered
+        # vectors are exactly zero, so those words read exactly 0, and the
+        # factor and dense routes agree on the rest.
         h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
                                                               4))
         _, ground = ground_state_lowdim(h_exp)
@@ -780,10 +781,11 @@ class TestExpectationDense:
         assert 0 < unreachable < len(masks)
 
     def test_dense_matrices_with_zero_rows_and_columns(self, rng):
-        # A state with one zero row and column still reaches every X
-        # pattern.  A matrix whose nonzero rows {1, 2, 4} and columns
-        # {2, 4, 8} differ reaches only some, several of them only through
-        # an index outside the rows or outside the columns.
+        # A state with one zero row and column still joins support states
+        # under every X pattern.  A matrix whose nonzero rows {1, 2, 4} and
+        # columns {2, 4, 8} differ has nonzero gathered vectors under only
+        # some, several of them only through an index outside the rows or
+        # outside the columns.
         sh = SystemShape(2, 2)
         state = random_even_density_matrix(sh, rng)
         state[5, :] = 0.0

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_expansion
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                canonicalize_positions)
-from fermicert.fock import (DenseOperator, Isometry, partial_trace_sites,
+from fermicert.cumulants import ladder
+from fermicert.fock import (DenseOperator, Isometry, check_state,
+                            partial_trace_sites,
                             permutation_unitary, reduce_expansion, to_matrix,
                             trace_norm)
 from fermicert import invariance
@@ -439,6 +441,42 @@ class TestCheckInvariance:
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         assert state.even_channel().is_close(
             OperatorExpansion.identity(SystemShape(6, 1), 1.0 / 64.0))
+
+    @staticmethod
+    def three_site_parity_state():
+        """2^-6 (1 + 0.9 P1 P2 P3) at V = 6, p = 1, with P_j = 1 - 2 n_j:
+        its only correlation is a degree-6 word, so it breaks condition 2
+        by 0.9 above the degree cap.  Returns (rho, P1 P2 P3, P4 P5 P6)."""
+        shape = SystemShape(6, 1)
+        one = OperatorExpansion.identity(shape)
+        parity = [one - 2 * (ladder(shape, -1, j, 1) * ladder(shape, 1, j, 1))
+                  for j in range(1, 7)]
+        first = parity[0] * parity[1] * parity[2]
+        last = parity[3] * parity[4] * parity[5]
+        return 2.0 ** -6 * (one + 0.9 * first), first, last
+
+    def test_three_site_parity_state_is_valid_and_not_invariant(self):
+        rho, first, last = self.three_site_parity_state()
+        dense = to_matrix(rho)
+        validity = check_state(dense)
+        assert validity.all_ok
+        assert validity.min_eigenvalue == pytest.approx(0.1 / 64, rel=1e-12)
+        # Condition 2 maps P1 P2 P3, even on every site, to P4 P5 P6.
+        assert np.trace(dense.matrix @ to_matrix(first).matrix) == (
+            pytest.approx(0.9, abs=1e-15))
+        assert abs(np.trace(dense.matrix @ to_matrix(last).matrix)) < 1e-15
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 16: the checks cover words of "
+                              "degree <= 4 only, so this degree-6 violation "
+                              "reads 0 and the state is certified invariant")
+    def test_condition2_violation_above_the_degree_cap(self):
+        rho, _, _ = self.three_site_parity_state()
+        for rep in (check_invariance(rho), check_invariance_dense(
+                to_matrix(rho))):
+            assert rep.condition2_max_violation == pytest.approx(0.9,
+                                                                 rel=1e-12)
+            assert not rep.fully_invariant
 
 
 @pytest.fixture(scope="module")

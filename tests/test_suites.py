@@ -5,6 +5,7 @@ import math
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from fermicert import algebra, cumulants, definetti, invariance, suites
@@ -31,9 +32,8 @@ def counted_run_all():
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        search = counting("searches", definetti.best_mixture_approx)
-        mp.setattr(definetti, "best_mixture_approx", search)
-        mp.setattr(suites, "best_mixture_approx", search)
+        mp.setattr(definetti, "best_mixture_approx",
+                   counting("searches", definetti.best_mixture_approx))
         mp.setattr(definetti._MixtureOptimizer, "run",
                    counting("starts", definetti._MixtureOptimizer.run))
         mp.setattr(definetti, "coordinate_search",
@@ -129,10 +129,23 @@ def test_mu_cases_checked_once_across_suites(monkeypatch):
     suites._mu_case.cache_clear()
 
 
-def test_mu_states_shared_across_suites():
-    # The mu-family states are built once per process: the suites that
-    # read only the state get the one that the invariance checks read.
-    assert suites._mu_state(6, 1.0) is suites._mu_case(6, 1.0)[0]
+def test_mu_states_shared_across_suites(monkeypatch):
+    # The mu-family states are built once per process: the corollary and
+    # the gs-convexity step reduce the state that the invariance checks
+    # read.
+    reduced = []
+
+    def recording(state, k):
+        reduced.append(state)
+        return reduce_expansion(state, k)
+
+    monkeypatch.setattr(suites, "reduce_expansion", recording)
+    monkeypatch.setattr(suites, "BUILTIN_FAMILIES", ())
+    suites.run_verify_corollary()
+    assert len(reduced) == 4
+    assert all(s is suites._mu_case(6, 1.0)[0] for s in reduced)
+    suites.run_gs_bound(seed=0)
+    assert reduced[4:] == [suites._mu_case(6, 0.5)[0]]
 
 
 def test_lemma3_suite_fails_a_drop_in_k(monkeypatch):
@@ -225,33 +238,33 @@ def test_clt_rejects_a_repeated_triple_case(monkeypatch):
 
 
 def test_run_all_witness_searches_stop_after_one_start(counted_run_all):
-    # Every witness search of run_all(0) is proven optimal, or hits the
-    # target exactly, at its first start: the dual lower bound meets the
-    # distance before any coordinate sweep, and the product minima are
-    # all one-word exact.  A weaker dual bound or one-word detection
-    # shows here as extra starts or coordinate searches.
+    # Every witness search of run_all(0), one per verify-theorem1 row, is
+    # proven optimal, or hits the target exactly, at its first start: the
+    # dual lower bound meets the distance before any coordinate sweep, and
+    # the product minima are all one-word exact.  A weaker dual bound or
+    # one-word detection shows here as extra starts or coordinate searches.
     _, counts = counted_run_all
-    assert counts["searches"] == 65
+    assert counts["searches"] == 60
     assert counts["starts"] == counts["searches"]
     assert counts["coordinate"] == 0
 
 
 def test_corollary_product_rows_are_their_own_witness(monkeypatch):
     # An exact product xi^(x k) is its own de Finetti mixture: its rows
-    # pass it in product form, with xi's mixture as the witness, and
-    # search none, so only the three mu-family rows (k = 2, 3, 4) call
-    # best_mixture_approx, on dense reductions.  With one component the
-    # predicted K4 is exactly 0, and the metric is the direct cumulant
-    # alone: k times it is <n1 n2> - <n1><n2> = 0.3 - 0.4 * 0.4 = 0.14
-    # for xi = diag(0.5, 0.1, 0.1, 0.3).
+    # pass it in product form, with xi's mixture as the witness.  The
+    # mu-family rows pass dense reductions against their one-site
+    # marginal's product, so the suite starts no witness search.
+    # With one component the predicted K4 is exactly 0, and the metric is
+    # the direct cumulant alone: k times it is <n1 n2> - <n1><n2> =
+    # 0.3 - 0.4 * 0.4 = 0.14 for xi = diag(0.5, 0.1, 0.1, 0.3).
     searches = []
-    search = definetti.best_mixture_approx
+    init = definetti._MixtureOptimizer.__init__
     deviation = cumulants.gaussian_mixture_deviation
     predicted = []
 
-    def counting_search(*args, **kwargs):
-        searches.append(args[0].shape.sites)
-        return search(*args, **kwargs)
+    def counting_search(self, blocks, k, *args, **kwargs):
+        searches.append(k)
+        init(self, blocks, k, *args, **kwargs)
 
     def recording_deviation(state, mixture, ops):
         direct, pred = deviation(state, mixture, ops)
@@ -262,16 +275,21 @@ def test_corollary_product_rows_are_their_own_witness(monkeypatch):
                           pred))
         return direct, pred
 
-    monkeypatch.setattr(suites, "best_mixture_approx", counting_search)
+    monkeypatch.setattr(definetti._MixtureOptimizer, "__init__",
+                        counting_search)
     monkeypatch.setattr(cumulants, "gaussian_mixture_deviation",
                         recording_deviation)
-    reports, _ = suites.run_verify_corollary(seed=0)
-    assert searches == [2, 3, 4]
+    reports, _ = suites.run_verify_corollary()
+    assert searches == []
     products = [r for r in reports if r.inputs.get("source") == "product-p2"]
     assert [r.inputs["k"] for r in products] == [2, 3, 4, 5]
     # The product rows run first, one ladder set each.
     assert predicted[:4] == [(True, k, 1, 0.0) for k in (2, 3, 4, 5)]
-    assert not any(product for product, *_ in predicted[4:])
+    # The mu rows pass dense reductions against one component each, whose
+    # prediction is 0 up to round-off in the products of pair values.
+    assert {(product, k, n) for product, k, n, _ in predicted[4:]} == {
+        (False, k, 1) for k in (2, 3, 4)}
+    assert max(abs(pred) for *_, pred in predicted[4:]) < 1e-30
     for rep in products:
         k = rep.inputs["k"]
         assert abs(rep.lhs * k - 0.14) <= 1e-14
@@ -290,7 +308,7 @@ def test_clt_and_product_rows_build_no_copy(monkeypatch):
         monkeypatch.setattr(module, "product_power", no_copy, raising=False)
     reports, _ = suites.run_verify_clt()
     assert len(reports) == 34 and all(r.passed for r in reports)
-    reports, _ = suites.run_verify_corollary(seed=9)
+    reports, _ = suites.run_verify_corollary()
     products = [r for r in reports if r.inputs.get("source") == "product-p2"]
     assert len(products) == 4 and all(r.passed for r in reports)
 
@@ -302,12 +320,14 @@ def test_corollary_mu_rows_vanish_by_construction():
     # F0), whose m^1 phase vectors are equal, so every term cancels and
     # the rows read round-off; at k < 4 no four sites exist at all.  Four
     # distinct frequencies at k = 4 leave a cumulant well above it.
-    reports, _ = suites.run_verify_corollary(seed=9)
+    reports, _ = suites.run_verify_corollary()
     mu_rows = [r for r in reports if r.inputs.get("source") == "mu-family"]
     assert [r.inputs["k"] for r in mu_rows] == [2, 3, 4]
     assert all(r.lhs < 1e-15 for r in mu_rows)
-    rho_4 = to_matrix(reduce_expansion(suites._mu_state(6, 1.0), 4))
-    mixture = definetti.best_mixture_approx(rho_4, seed=9).mixture
+    state = suites._mu_case(6, 1.0)[0]
+    rho_4 = to_matrix(reduce_expansion(state, 4))
+    xi = to_matrix(reduce_expansion(state, 1))
+    mixture = definetti.ProductMixture(np.ones(1), (xi,))
     distinct = (LadderIndex(1, 1, 0), LadderIndex(1, 1, 1),
                 LadderIndex(1, 1, 2), LadderIndex(-1, 1, 1))
     rep = cumulants.verify_corollary(rho_4, mixture, V=6, ops_sets=[distinct])
