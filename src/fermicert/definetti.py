@@ -33,6 +33,13 @@ bounds meet to :data:`STOP_GAP`, which proves the witness optimal, and a
 lower bound above the stated bound refutes it whatever the search found.
 The lower bound is 0 when C fixes the target (a diagonal target at one
 mode per site); the search then runs its full course.
+
+The search builds only what the start it has reached reads.  The two
+structured starts come first, and the random starts are drawn from their
+generator only when the third start is reached, so a search that ends
+earlier draws none.  Components are built once per distinct parameter
+vector: a search proven at its first start, whose r components are all
+the target's one-site marginal, builds one component.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, TypeVar)
 
 import numpy as np
 
@@ -72,6 +80,8 @@ STOP_GAP = 1e-12
 
 #: A witness distance below this is an exact hit, and the search stops.
 EXACT_HIT = 5e-12
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +318,17 @@ def coordinate_sweep(value: Callable[[np.ndarray], float], params: np.ndarray,
     return current
 
 
+def _per_distinct(build: Callable[[np.ndarray], T],
+                  params: Sequence[np.ndarray]) -> List[T]:
+    """``build(q)`` for each parameter vector q of ``params``, called once
+    per distinct vector: equal vectors share one result."""
+    built: Dict[bytes, T] = {}
+    for q in params:
+        if q.tobytes() not in built:
+            built[q.tobytes()] = build(q)
+    return [built[q.tobytes()] for q in params]
+
+
 class _MixtureOptimizer:
     """Alternating minimization of || R - sum_l a_l xi_l^(x k) ||_1.
 
@@ -359,15 +380,6 @@ class _MixtureOptimizer:
         xi = DenseOperator(xi.shape, real_if_exact(xi.matrix))
         full = product_power(xi, self.k).matrix
         return [full[np.ix_(s, s)] for s in self.sectors]
-
-    def _powers(self, params: Sequence[np.ndarray]) -> List[List[np.ndarray]]:
-        """:meth:`_power` of every component; components with equal
-        parameters share one."""
-        built: Dict[bytes, List[np.ndarray]] = {}
-        for q in params:
-            if q.tobytes() not in built:
-                built[q.tobytes()] = self._power(q)
-        return [built[q.tobytes()] for q in params]
 
     def _residual(self, weights, powers, skip: Optional[int] = None):
         """Blocks of R - sum_l a_l P_l, leaving out component ``skip``."""
@@ -427,7 +439,7 @@ class _MixtureOptimizer:
     def run(self, weights: np.ndarray, params: List[np.ndarray]):
         weights = project_simplex(np.asarray(weights, dtype=float))
         params = [np.asarray(q, dtype=float).copy() for q in params]
-        powers = self._powers(params)
+        powers = _per_distinct(self._power, params)
         best, sign = self._distance_and_sign(weights, powers)
         best_state = (weights.copy(), [q.copy() for q in params])
         if best < EXACT_HIT or self._proven(best, sign):
@@ -466,6 +478,31 @@ class MixtureFit(NamedTuple):
     lower_bound: float
 
 
+def _starts(p: int, seed_params: np.ndarray, r: int, restarts: int,
+            seed: int) -> Iterator[Tuple[np.ndarray, List[np.ndarray]]]:
+    """The starts of :func:`best_mixture_approx`, in order, as
+    ``(weights, params)``: uniform weights on r copies of ``seed_params``,
+    then on r maximally mixed components, then ``restarts - 2`` random
+    starts.  The generator ``np.random.default_rng(seed)`` is created when
+    the third start is requested, so a search that stops earlier draws
+    nothing, and the draws are those of a generator created up front."""
+    uniform = np.full(r, 1.0 / r)
+    yield uniform, [seed_params] * r
+    n_par = n_component_params(p)
+    yield uniform, [np.array([0.5]) if p == 1 else np.zeros(n_par)] * r
+    if restarts <= 2:
+        return
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts - 2):
+        w0 = rng.random(r) + 0.1
+        w0 /= w0.sum()
+        if p == 1:
+            pars = [rng.random(1) for _ in range(r)]
+        else:
+            pars = [rng.uniform(-1.0, 1.0, n_par) for _ in range(r)]
+        yield w0, pars
+
+
 def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
                         restarts: int = 8, iters: int = 500,
                         seed: int = 0) -> MixtureFit:
@@ -474,12 +511,16 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
 
     Deterministic for a fixed seed.  The first two starts are structured
     (single-site marginal of the target, maximally mixed); the rest are
-    random.  The distance upper-bounds the true minimum over mixtures and
-    the lower bound, the largest :func:`dual_lower_bound` seen at the start
-    of each start and after each improving coordinate sweep, bounds it from
-    below.  The search ends, skipping the remaining starts, once the two
-    are within :data:`STOP_GAP`, which proves the witness optimal, or the
-    distance is below :data:`EXACT_HIT`.
+    random, drawn from ``np.random.default_rng(seed)`` only when reached
+    (:func:`_starts`).  The witness holds one component state per distinct
+    parameter vector, shared by the components that have it, so a search
+    proven at its first start builds one.  The distance upper-bounds the
+    true minimum over mixtures and the lower bound, the largest
+    :func:`dual_lower_bound` seen at the start of each start and after each
+    improving coordinate sweep, bounds it from below.  The search ends,
+    skipping the remaining starts, once the two are within
+    :data:`STOP_GAP`, which proves the witness optimal, or the distance is
+    below :data:`EXACT_HIT`.
 
     ``r``, ``restarts`` and ``iters`` are the search's own, which no
     verifier passes; the budget only matters where the bounds do not meet
@@ -494,30 +535,13 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
     k, p = shape.sites, shape.modes_per_site
     if r is None:
         r = 2 * p + 2
-    n_par = n_component_params(p)
-    rng = np.random.default_rng(seed)
     opt = _MixtureOptimizer(parity_blocks(rho_k), k, p, r, iters)
-
     marginal = partial_trace_sites(rho_k, 1).matrix
-    seed_params = params_from_state(p, marginal)
-    mixed_params = (np.array([0.5]) if p == 1 else np.zeros(n_par))
-
-    starts = [
-        (np.full(r, 1.0 / r), [seed_params.copy() for _ in range(r)]),
-        (np.full(r, 1.0 / r), [mixed_params.copy() for _ in range(r)]),
-    ]
-    while len(starts) < restarts:
-        w0 = rng.random(r) + 0.1
-        w0 /= w0.sum()
-        if p == 1:
-            pars = [rng.random(1) for _ in range(r)]
-        else:
-            pars = [rng.uniform(-1.0, 1.0, n_par) for _ in range(r)]
-        starts.append((w0, pars))
 
     best = math.inf
     best_state = None
-    for w0, pars in starts:
+    for w0, pars in _starts(p, params_from_state(p, marginal), r, restarts,
+                            seed):
         dist, state = opt.run(w0, pars)
         if dist < best - 1e-15:
             best = dist
@@ -526,7 +550,7 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
             break
 
     weights, params = best_state
-    comps = tuple(component_state(p, q) for q in params)
+    comps = tuple(_per_distinct(lambda q: component_state(p, q), params))
     weights = weights / weights.sum()
     return MixtureFit(ProductMixture(weights, comps), float(best), opt.lower)
 
@@ -535,19 +559,21 @@ def mixture_diagnostics(mixture: ProductMixture) -> Dict[str, object]:
     """Whether every component is a valid even state (one
     :meth:`fock.StateValidity.all_ok` per distinct component matrix), the
     largest off-diagonal entry of any component, and each component's
-    purity."""
+    purity; the entry and the purity are also computed once per distinct
+    component matrix."""
     distinct = {xi.matrix.tobytes(): xi for xi in mixture.components}
     max_offdiag = 0.0
-    purities = []
-    for xi in mixture.components:
+    purity = {}
+    for key, xi in distinct.items():
         off = xi.matrix - np.diag(np.diag(xi.matrix))
         max_offdiag = max(max_offdiag, float(np.max(np.abs(off))))
-        purities.append(float(np.real(np.trace(xi.matrix @ xi.matrix))))
+        purity[key] = float(np.real(np.trace(xi.matrix @ xi.matrix)))
     return {
         "components_valid": all(check_state(xi).all_ok
                                 for xi in distinct.values()),
         "max_offdiagonal": max_offdiag,
-        "purities": purities,
+        "purities": [purity[xi.matrix.tobytes()]
+                     for xi in mixture.components],
     }
 
 

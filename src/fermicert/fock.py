@@ -25,7 +25,7 @@ bit for bit, and :func:`diagonal_blocks`, the one sector finder, reads a
 Hamiltonian's sectors off those rows with no dim x dim matrix and no edge
 list.  Hermiticity is checked on them too: the mean-field ground solve
 passes the summed terms to :func:`require_hermitian`, whose residual, read
-from one gather of the term values, is the one their dense matrix or its
+row by row from the term values, is the one their dense matrix or its
 blocks would give.  A state's blocks need no search: by parity
 superselection they are its global-parity halves (:func:`parity_sectors`).
 
@@ -415,13 +415,24 @@ def hermiticity_residual(matrix) -> float:
     of :data:`XorTerms` with each mask once, as :func:`xor_terms` returns
     them.  Entry [b, b ^ x] of a term is vals[t, b] and its mirror
     [b ^ x, b] is vals[t, b ^ x], so the terms give the residual of the
-    matrix they stand for, the same float, from one gather of their
-    values."""
+    matrix they stand for, the same float.  The terms are read row by row:
+    on a row viewed as a 2 x ... x 2 array, b -> b ^ x flips the axes of
+    the bits set in x, so the mirror is a view, and one row-sized buffer
+    (with a real one for the absolute values of complex rows) is all the
+    scratch."""
     if isinstance(matrix, tuple):
         masks, vals = matrix
-        mirror = np.take_along_axis(
-            vals, np.arange(vals.shape[1]) ^ masks[:, None], axis=1)
-        return float(abs(vals - mirror.conj()).max(initial=0.0))
+        n = vals.shape[1].bit_length() - 1
+        diff = np.empty((2,) * n, vals.dtype)
+        size = np.empty(diff.shape) if diff.dtype.kind == "c" else diff
+        worst = 0.0
+        for x, row in zip(masks.tolist(), vals):
+            row = row.reshape(diff.shape)
+            np.copyto(diff, np.flip(row, [n - 1 - j for j in range(n)
+                                          if x >> j & 1]))
+            np.subtract(row, np.conjugate(diff, out=diff), out=diff)
+            worst = np.maximum(worst, np.abs(diff, out=size).max())
+        return float(worst)
     return float(abs(matrix - matrix.conj().swapaxes(-1, -2)).max())
 
 

@@ -327,7 +327,7 @@ def _one_word_minimum(evaluator: ProductEnergyEvaluator
                       dtype=np.complex128)
     for coeff, subs in evaluator.compiled:
         powers[len(subs)] += coeff / phase ** len(subs)
-    critical = np.polynomial.Polynomial(powers.real).deriv().roots()
+    critical = np.roots(np.polyder(powers.real[::-1]))
     best_xi, best = None, math.inf
     for x in [-1.0, 1.0, *np.clip(critical.real, -1.0, 1.0)]:
         xi = (eye + x * h) / dim

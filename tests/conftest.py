@@ -19,9 +19,16 @@ against.  :func:`scipy_blocks` is the sector oracle, the diagonal
 blocks of a dense matrix on the connected components that scipy finds in
 its nonzero pattern, and :func:`unpruned_ground_state` is the block
 ground solve on them with every sector diagonalized.
+:func:`fresh_process_output` runs a snippet in a new interpreter, where
+what a call leaves imported can be read from ``sys.modules``.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +74,19 @@ def word_matrix_oracle(mask: int, shape: SystemShape) -> np.ndarray:
         if (mask >> g) & 1:
             out = out @ ms[g]
     return out
+
+
+def fresh_process_output(code: str) -> str:
+    """Standard output, stripped, of ``code`` run in a new Python process
+    that imports ``fermicert`` from this tree's ``src``.  The test process
+    has imported nearly every module by the time a test runs, so only a
+    fresh one shows which modules a call loads."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
 
 
 def scipy_blocks(matrix):

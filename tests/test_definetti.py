@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (cumulant, mixture_matrix, random_even_density_matrix,
-                      word_matrix_oracle)
+from conftest import (cumulant, fresh_process_output, mixture_matrix,
+                      random_even_density_matrix, word_matrix_oracle)
 from fermicert import definetti, suites
 from fermicert.algebra import SystemShape
 from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
@@ -270,6 +270,100 @@ class TestBestMixture:
         _, d1, _ = best_mixture_approx(target, restarts=3, iters=50, seed=9)
         _, d2, _ = best_mixture_approx(target, restarts=3, iters=50, seed=9)
         assert d1 == d2
+
+
+def _two_power_target() -> DenseOperator:
+    """1/2 (xi_0.2^(x 3) + xi_0.8^(x 3)), xi_a = diag(a, 1 - a): diagonal,
+    so the dual bound is 0, and no start meets it, so the search goes on
+    to its random starts."""
+    sh1 = SystemShape(1, 1)
+    mats = [product_power(DenseOperator(sh1, np.diag([a, 1.0 - a])
+                                        .astype(complex)), 3).matrix
+            for a in (0.2, 0.8)]
+    return DenseOperator(SystemShape(3, 1), 0.5 * (mats[0] + mats[1]))
+
+
+NUMPY_RANDOM_LOADED_AFTER = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from fermicert.algebra import SystemShape\n"
+    "from fermicert.definetti import (best_mixture_approx, product_power,\n"
+    "                                 verify_theorem1)\n"
+    "from fermicert.fock import DenseOperator\n"
+    "from fermicert.suites import _mu_case\n"
+    "{}\n"
+    "print('numpy.random' in sys.modules)\n")
+
+
+class TestStartsWhenReached:
+    def test_proven_first_starts_leave_numpy_random_unimported(self):
+        # Every V = 6, mu = 0.5 row is proven at its first start, so no
+        # random start is drawn and numpy.random is never loaded.
+        code = NUMPY_RANDOM_LOADED_AFTER.format(
+            "state, inv = _mu_case(6, 0.5)\n"
+            "for k in range(1, 6):\n"
+            "    rep, _, _ = verify_theorem1(state, k, seed=3,"
+            " inv_report=inv)\n"
+            "    assert rep.passed")
+        assert fresh_process_output(code) == "False"
+
+    def test_a_third_start_loads_numpy_random(self):
+        # The other side: a search that goes on draws its random starts.
+        code = NUMPY_RANDOM_LOADED_AFTER.format(
+            "xi = [DenseOperator(SystemShape(1, 1), np.diag([a, 1 - a])\n"
+            "                    .astype(complex)) for a in (0.2, 0.8)]\n"
+            "mat = sum(0.5 * product_power(x, 3).matrix for x in xi)\n"
+            "fit = best_mixture_approx(DenseOperator(SystemShape(3, 1), mat),\n"
+            "                          restarts=3, iters=25)\n"
+            "assert fit.lower_bound == 0.0")
+        assert fresh_process_output(code) == "True"
+
+    def test_draw_order_is_the_eager_one(self, monkeypatch):
+        # Each start receives what the search drew when it built every
+        # start up front, from one generator, in this order.
+        seed, r = 11, 4
+        received = []
+        run = _MixtureOptimizer.run
+
+        def recording(self, weights, params):
+            received.append((weights.copy(), [q.copy() for q in params]))
+            return run(self, weights, params)
+
+        monkeypatch.setattr(_MixtureOptimizer, "run", recording)
+        fit = best_mixture_approx(_two_power_target(), seed=seed)
+        assert fit.lower_bound == 0.0
+        assert len(received) >= 3
+
+        rng = np.random.default_rng(seed)
+        expected = [(np.full(r, 1.0 / r), [np.array([0.5])] * r),
+                    (np.full(r, 1.0 / r), [np.array([0.5])] * r)]
+        while len(expected) < 8:
+            w0 = rng.random(r) + 0.1
+            w0 /= w0.sum()
+            expected.append((w0, [rng.random(1) for _ in range(r)]))
+        for (w_got, p_got), (w_want, p_want) in zip(received, expected):
+            assert w_got.tobytes() == w_want.tobytes()
+            assert [q.tobytes() for q in p_got] == [q.tobytes()
+                                                    for q in p_want]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_proven_first_start_builds_one_component(self, monkeypatch, k):
+        # The r components of the first start are all the one-site
+        # marginal: one component state is built and shared by all four.
+        built = []
+        component = definetti.component_state
+
+        def counting(p, params):
+            built.append(params.copy())
+            return component(p, params)
+
+        monkeypatch.setattr(definetti, "component_state", counting)
+        state = suites._mu_case(6, 0.5)[0]
+        fit = best_mixture_approx(to_matrix(reduce_expansion(state, k)))
+        assert len(built) == 1
+        comps = fit.mixture.components
+        assert len(comps) == 4
+        assert all(xi is comps[0] for xi in comps)
 
 
 class TestParityBlocks:

@@ -3,19 +3,17 @@ spectral helpers and state checks."""
 
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fermicert
-from conftest import (independent_ladder, independent_majoranas,
-                      random_density_matrix, random_even_density_matrix,
-                      random_expansion, scipy_blocks, word_matrix_oracle)
+from conftest import (fresh_process_output, independent_ladder,
+                      independent_majoranas, random_density_matrix,
+                      random_even_density_matrix, random_expansion,
+                      scipy_blocks, word_matrix_oracle)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                expansion_from_text, expansion_to_text)
 from fermicert import fock
@@ -475,6 +473,41 @@ class TestSpectral:
         with pytest.raises(ValueError, match="stack is not Hermitian"):
             require_hermitian(stack, "stack")
 
+    @pytest.mark.parametrize("n_modes", [0, 1, 3, 6])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_xor_terms_residual_is_the_dense_one(self, rng, n_modes, dtype):
+        # Random masks and rows, written into the dense matrix entry by
+        # entry, M[b, b ^ x] = vals[t, b]: the residual of the terms is
+        # abs(M - M-dagger).max() bit for bit.
+        dim = 1 << n_modes
+        rows = np.arange(dim)
+        for n_terms in (0, 1, min(dim, 5)):
+            masks = np.sort(rng.choice(dim, n_terms, replace=False))
+            vals = rng.standard_normal((n_terms, dim)).astype(dtype)
+            if dtype == np.complex128:
+                vals += 1j * rng.standard_normal((n_terms, dim))
+            dense = np.zeros((dim, dim), dtype)
+            for x, row in zip(masks, vals):
+                dense[rows, rows ^ x] = row
+            want = float(abs(dense - dense.conj().T).max())
+            assert hermiticity_residual((masks, vals)) == want
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_xor_terms_residual_scratch_is_about_one_row(self, rng, dtype):
+        # Hubbard-like's terms at V = 6 are 31 rows of 4096 values; the
+        # residual reads them with scratch below 1.25 rows plus one index
+        # vector, not the terms' own size.
+        masks = np.sort(rng.choice(4096, 31, replace=False))
+        vals = rng.standard_normal((31, 4096)).astype(dtype)
+        hermiticity_residual((masks, vals))
+        tracemalloc.start()
+        try:
+            hermiticity_residual((masks, vals))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * vals[0].nbytes + np.arange(4096).nbytes
+
     def test_real_if_exact(self, rng):
         # Real exactly when no imaginary part is nonzero; no tolerance.
         mat = rng.standard_normal((4, 4)).astype(np.complex128)
@@ -888,9 +921,6 @@ class TestDiagonalBlocks:
     def test_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use, 10-15 ms inside a
         # suite's wall time; the block sizes are found without it.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys\n"
                 "import numpy as np\n"
                 "from fermicert.fock import diagonal_blocks\n"
@@ -898,9 +928,7 @@ class TestDiagonalBlocks:
                 "terms = (np.array([0, 1]), vals)\n"
                 "sizes = [idx.shape[1] for idx, _ in diagonal_blocks(terms)]\n"
                 "print(sizes, 'numpy.ma' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             check=True, capture_output=True, text=True)
-        assert out.stdout.strip() == "[2, 1] False"
+        assert fresh_process_output(code) == "[2, 1] False"
 
 
 @st.composite

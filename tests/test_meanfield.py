@@ -3,25 +3,23 @@ the gap certificate."""
 
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (build_hamiltonian, random_even_density_matrix,
+from conftest import (build_hamiltonian, fresh_process_output,
+                      random_even_density_matrix,
                       random_expansion, unpruned_ground_state)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                               expansion_from_text, expansion_to_text,
                               reversal_sign)
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, diagonal_blocks,
-                            hermiticity_residual, jw_matrix, operator_norm,
-                            permutation_unitary, to_matrix, xor_terms)
+                            hermitian_word, hermiticity_residual, jw_matrix,
+                            operator_norm, permutation_unitary, to_matrix,
+                            xor_terms)
 from fermicert import invariance
 from fermicert.invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                                   MuFamilyParams, check_invariance,
@@ -262,18 +260,13 @@ class TestGroundState:
     def test_gs_bound_imports_no_scipy(self):
         # The ground solve runs on numpy alone: a fresh process that runs
         # the whole gs-bound suite has loaded no scipy module.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys\n"
                 "from fermicert.suites import run_gs_bound\n"
                 "reports, _ = run_gs_bound()\n"
                 "assert all(r.passed for r in reports)\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if m.split('.')[0] == 'scipy'))\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             check=True, capture_output=True, text=True)
-        assert out.stdout.strip() == "[]"
+        assert fresh_process_output(code) == "[]"
 
     def test_pair_family_energies(self):
         # Quadratic forms with known single-particle content: both pair
@@ -613,6 +606,72 @@ class TestProductEnergy:
         h_exp = OperatorExpansion.identity(sh)
         _, energy = min_product_energy(h_exp, restarts=2, iters=1, seed=0)
         assert energy == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_one_word_minimum_against_numpy_polynomial(self, degree, rng):
+        # Energies sum_d c_d x^d of every degree up to 6, against the
+        # critical points that numpy.polynomial finds: the same state and
+        # energy bit for bit up to degree 2 (one critical point at most),
+        # the same energy within 1e-12 above.
+        for trial in range(40):
+            coeffs = rng.standard_normal(degree + 1)
+            if trial == 0 and degree > 1:
+                coeffs[1] = 0.0
+            evaluator = one_word_evaluator(coeffs)
+            xi, energy = meanfield._one_word_minimum(evaluator)
+            want_xi, want = polynomial_one_word_minimum(evaluator)
+            if degree <= 2:
+                assert xi.matrix.tobytes() == want_xi.tobytes()
+                assert energy == want
+            else:
+                assert abs(energy - want) <= 1e-12
+
+    def test_site_number_minimum_leaves_numpy_polynomial_unimported(self):
+        code = ("import sys\n"
+                "from fermicert.meanfield import (build_hamiltonian_expansion,"
+                "\n    builtin_family, min_product_energy)\n"
+                "h_exp, _ = build_hamiltonian_expansion("
+                "builtin_family('site-number', 6))\n"
+                "_, energy = min_product_energy(h_exp)\n"
+                "assert abs(energy + 1.0) < 1e-12\n"
+                "print('numpy.polynomial' in sys.modules)\n")
+        assert fresh_process_output(code) == "False"
+
+
+def one_word_evaluator(coeffs):
+    """The product energy of sum_d coeffs[d] phase^d W_1 ... W_d on
+    ``SystemShape(6, 1)``, W_j the word m^1 m^2 of site j and phase * W its
+    Hermitian form h: with tr(W xi) = x / phase it is sum_d coeffs[d] x^d
+    in x = tr(h xi)."""
+    sh = SystemShape(6, 1)
+    phase, _ = hermitian_word(0b11, SystemShape(1, 1))
+    terms = {}
+    for d, c in enumerate(coeffs):
+        mask = mask_of(sh, *[(j, mi) for j in range(1, d + 1)
+                             for mi in (1, 2)])
+        terms[mask] = c * phase ** d
+    return ProductEnergyEvaluator(OperatorExpansion(sh, terms))
+
+
+def polynomial_one_word_minimum(evaluator):
+    """The one-word minimum with numpy.polynomial as the root finder: the
+    endpoints x = +-1 and the clipped real parts of the roots of the
+    energy's derivative, each read as (1 + x h) / 2, the first lowest
+    energy kept."""
+    (mask,) = evaluator.submasks
+    phase, h = hermitian_word(mask, SystemShape(1, 1))
+    powers = np.zeros(max(len(subs) for _, subs in evaluator.compiled) + 1,
+                      dtype=np.complex128)
+    for coeff, subs in evaluator.compiled:
+        powers[len(subs)] += coeff / phase ** len(subs)
+    critical = np.polynomial.Polynomial(powers.real).deriv().roots()
+    best_xi, best = None, math.inf
+    for x in [-1.0, 1.0, *np.clip(critical.real, -1.0, 1.0)]:
+        xi = (np.eye(2, dtype=np.complex128) + x * h) / 2
+        energy = evaluator.energy(xi)
+        if energy < best:
+            best_xi, best = xi, energy
+    return best_xi, best
 
 
 class TestVerifyGsBound:
