@@ -13,7 +13,8 @@ Single commands (``verify-lemma3 --k``, ``verify-theorem1 --k``,
 the same verdict rules as the suites, because those rules live in the
 verifiers: this module decides no verdict, and its table columns come
 from :data:`suites.TABLES`.  A single command adds notes only: the input
-state's validity and, for Theorem 1, the component purities.  A
+state's validity and, for Theorem 1, each witness component's purity
+tr(xi^2), computed here because no suite reads it.  A
 ``--config`` and a built-in ``--hamiltonian`` share one builder,
 :func:`meanfield.hamiltonian_from_config`.
 
@@ -33,6 +34,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .algebra import OperatorExpansion, SystemShape, expansion_from_text
 from .definetti import verify_theorem1
@@ -245,9 +248,11 @@ def _single_lemma3(args) -> Run:
 
 def _single_theorem1(args) -> Run:
     state, inputs, notes = _load_state(args)
-    rep, _, diag = verify_theorem1(state, args.k, seed=args.seed,
-                                   inputs=inputs)
-    rep.notes.append(f"component purities {diag['purities']}")
+    rep, mixture, _ = verify_theorem1(state, args.k, seed=args.seed,
+                                      inputs=inputs)
+    purities = [float(np.real(np.trace(xi.matrix @ xi.matrix)))
+                for xi in mixture.components]
+    rep.notes.append(f"component purities {purities}")
     rep.notes.extend(notes)
     return [rep], {}
 

@@ -557,23 +557,18 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
 
 def mixture_diagnostics(mixture: ProductMixture) -> Dict[str, object]:
     """Whether every component is a valid even state (one
-    :meth:`fock.StateValidity.all_ok` per distinct component matrix), the
-    largest off-diagonal entry of any component, and each component's
-    purity; the entry and the purity are also computed once per distinct
-    component matrix."""
+    :meth:`fock.StateValidity.all_ok` per distinct component matrix) and
+    the largest off-diagonal entry of any component, also computed once
+    per distinct component matrix."""
     distinct = {xi.matrix.tobytes(): xi for xi in mixture.components}
     max_offdiag = 0.0
-    purity = {}
-    for key, xi in distinct.items():
+    for xi in distinct.values():
         off = xi.matrix - np.diag(np.diag(xi.matrix))
         max_offdiag = max(max_offdiag, float(np.max(np.abs(off))))
-        purity[key] = float(np.real(np.trace(xi.matrix @ xi.matrix)))
     return {
         "components_valid": all(check_state(xi).all_ok
                                 for xi in distinct.values()),
         "max_offdiagonal": max_offdiag,
-        "purities": [purity[xi.matrix.tobytes()]
-                     for xi in mixture.components],
     }
 
 

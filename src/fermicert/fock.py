@@ -23,11 +23,12 @@ term of mask x (:func:`word_terms`), :func:`xor_terms` sums an
 expansion's words into one row per mask, the entries of its dense matrix
 bit for bit, and :func:`diagonal_blocks`, the one sector finder, reads a
 Hamiltonian's sectors off those rows with no dim x dim matrix and no edge
-list.  Hermiticity is checked on them too: the mean-field ground solve
-passes the summed terms to :func:`require_hermitian`, whose residual, read
-row by row from the term values, is the one their dense matrix or its
-blocks would give.  A state's blocks need no search: by parity
-superselection they are its global-parity halves (:func:`parity_sectors`).
+list.  Hermiticity needs no rows: an expansion is Hermitian exactly when
+its coefficients equal its adjoint's, distinct words being
+trace-orthogonal, so :func:`require_hermitian` reads an expansion's
+coefficients and a dense array's entries.  A state's blocks need no
+search: by parity superselection they are its global-parity halves
+(:func:`parity_sectors`).
 
 Qubit n is bit N-1-n of a basis index (N = pV modes), so site 1 holds
 the most significant bits.  That layout has two homes: :func:`occupations`,
@@ -63,8 +64,8 @@ MODE_CAP_ENV = "FERMICERT_MAX_MODES"
 
 _I4 = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
-#: Largest Hermiticity residual max |M - M-dagger| that
-#: :func:`require_hermitian` and the mean-field Hamiltonian's check accept.
+#: Largest Hermiticity residual (:func:`hermiticity_residual`) that
+#: :func:`require_hermitian` accepts.
 HERMITIAN_TOL = 1e-10
 
 #: :func:`check_state` accepts |tr - 1| < STATE_TRACE_TOL, a minimum
@@ -411,35 +412,20 @@ def partial_trace_sites(dense: DenseOperator, k: int) -> DenseOperator:
 
 def hermiticity_residual(matrix) -> float:
     """max |M - M-dagger| of a dense array, the largest over a stack of
-    them (the last two axes are the matrix axes), or that of the operator
-    of :data:`XorTerms` with each mask once, as :func:`xor_terms` returns
-    them.  Entry [b, b ^ x] of a term is vals[t, b] and its mirror
-    [b ^ x, b] is vals[t, b ^ x], so the terms give the residual of the
-    matrix they stand for, the same float.  The terms are read row by row:
-    on a row viewed as a 2 x ... x 2 array, b -> b ^ x flips the axes of
-    the bits set in x, so the mirror is a view, and one row-sized buffer
-    (with a real one for the absolute values of complex rows) is all the
-    scratch."""
-    if isinstance(matrix, tuple):
-        masks, vals = matrix
-        n = vals.shape[1].bit_length() - 1
-        diff = np.empty((2,) * n, vals.dtype)
-        size = np.empty(diff.shape) if diff.dtype.kind == "c" else diff
-        worst = 0.0
-        for x, row in zip(masks.tolist(), vals):
-            row = row.reshape(diff.shape)
-            np.copyto(diff, np.flip(row, [n - 1 - j for j in range(n)
-                                          if x >> j & 1]))
-            np.subtract(row, np.conjugate(diff, out=diff), out=diff)
-            worst = np.maximum(worst, np.abs(diff, out=size).max())
-        return float(worst)
+    them (the last two axes are the matrix axes), or, for an
+    :class:`~fermicert.algebra.OperatorExpansion`, the largest difference
+    between a coefficient and its adjoint's.  Distinct canonical words are
+    trace-orthogonal, so an expansion's residual is 0 exactly when its
+    dense matrix's is, and it reads no array of the Fock dimension."""
+    if isinstance(matrix, OperatorExpansion):
+        return float(matrix.max_coeff_diff(matrix.adjoint()))
     return float(abs(matrix - matrix.conj().swapaxes(-1, -2)).max())
 
 
 def require_hermitian(matrix, what: str):
     """Raise ``ValueError`` when ``matrix`` (a dense array, a stack of
-    them, or :data:`XorTerms` as :func:`hermiticity_residual` takes them)
-    is further than :data:`HERMITIAN_TOL` from Hermitian."""
+    them, or an expansion, as :func:`hermiticity_residual` takes them) is
+    further than :data:`HERMITIAN_TOL` from Hermitian."""
     res = hermiticity_residual(matrix)
     if res > HERMITIAN_TOL:
         raise ValueError(f"{what} is not Hermitian (residual {res:.3e} "

@@ -43,10 +43,10 @@ from .algebra import (OperatorExpansion, SystemShape, expansion_from_text,
                       site_blocks)
 from .definetti import (GENERATOR_BOX, component_state, coordinate_sweep,
                         n_component_params)
-from .fock import (HERMITIAN_TOL, DenseOperator, Isometry, diagonal_blocks,
-                   ensure_within_cap, hermitian_word, operator_norm,
-                   real_if_exact, require_hermitian, to_matrix,
-                   word_expectations_dense, xor_terms)
+from .fock import (DenseOperator, Isometry, diagonal_blocks, ensure_within_cap,
+                   hermitian_word, operator_norm, real_if_exact,
+                   require_hermitian, to_matrix, word_expectations_dense,
+                   xor_terms)
 from .invariance import (DENSE_INVARIANCE_TOL, WORD_DEGREE_CAP,
                          InvarianceReport, check_invariance,
                          check_invariance_dense)
@@ -105,8 +105,7 @@ def build_hamiltonian_expansion(spec: HamiltonianSpec
     The relabeled copies go into one term dict in subset order, in time
     linear in the number of subsets.  Checks the template normalization
     (operator norm <= 1 within 1e-9) and Hermiticity of the assembled
-    operator (coefficients within :data:`fock.HERMITIAN_TOL` of its
-    adjoint's).
+    operator (:func:`fock.require_hermitian` on its coefficients).
     """
     notes: List[str] = []
     template = spec.template
@@ -123,8 +122,7 @@ def build_hamiltonian_expansion(spec: HamiltonianSpec
         for mask, coeff in template.relabel(subset, spec.shape).terms.items():
             terms[mask] = terms.get(mask, 0.0) + coeff
     h_exp = (1.0 / len(spec.subsets)) * OperatorExpansion(spec.shape, terms)
-    if not h_exp.is_close(h_exp.adjoint(), tol=HERMITIAN_TOL):
-        raise ValueError("assembled Hamiltonian is not Hermitian")
+    require_hermitian(h_exp, "assembled Hamiltonian")
     return h_exp, notes
 
 
@@ -178,10 +176,11 @@ def _sector_sweep(h_exp: OperatorExpansion, keep: bool
     ``(idx, stack, lows)`` of each block stack solved, largest blocks
     first, ``lows`` the lowest eigenvalue of each block.  A stack the
     Cholesky test skips, or one solved without ``keep``, is released
-    before the next is built."""
+    before the next is built.  The mode cap is checked first, then
+    Hermiticity on the coefficients (:func:`fock.require_hermitian`)."""
     ensure_within_cap(h_exp.shape)
+    require_hermitian(h_exp, "Hamiltonian")
     masks, vals = xor_terms(h_exp)
-    require_hermitian((masks, vals), "Hamiltonian block")
     blocks = diagonal_blocks((masks, real_if_exact(vals)))
     del masks, vals  # the generator holds them until its last stack
     solved = []
@@ -214,11 +213,11 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     symmetry assumed.  The terms are summed before the graph is built, so
     terms that cancel join no sectors (pair-hopping's f-dagger f-dagger
     parts cancel this way, which keeps its particle-number sectors
-    apart).  Hermiticity is checked on the summed terms
-    (:func:`fock.hermiticity_residual`), which gives the residual the
-    blocks would.  Summed values with no imaginary part are scattered
-    straight into real blocks, and a block stack with no imaginary part is
-    solved in real arithmetic (:func:`fock.real_if_exact`).
+    apart).  Hermiticity is checked on the expansion's coefficients
+    (:func:`fock.hermiticity_residual`), whose residual vanishes exactly
+    when the blocks' does.  Summed values with no imaginary part are
+    scattered straight into real blocks, and a block stack with no
+    imaginary part is solved in real arithmetic (:func:`fock.real_if_exact`).
 
     Equal-size blocks are diagonalized together, densely, by one batched
     ``eigvalsh``.  The stacks are built and taken one at a time from the

@@ -20,7 +20,8 @@ blocks of a dense matrix on the connected components that scipy finds in
 its nonzero pattern, and :func:`unpruned_ground_state` is the block
 ground solve on them with every sector diagonalized.
 :func:`fresh_process_output` runs a snippet in a new interpreter, where
-what a call leaves imported can be read from ``sys.modules``.
+what a call leaves imported can be read from ``sys.modules``, and
+:func:`mask_of` spells a word mask as its (site, index) Majoranas.
 """
 
 from __future__ import annotations
@@ -62,6 +63,14 @@ def independent_majoranas(n_modes: int):
         fd = f.conj().T
         out.append(fd + f)
         out.append(1j * (fd - f))
+    return out
+
+
+def mask_of(shape: SystemShape, *indices) -> int:
+    """The canonical word mask of the Majoranas ``(site, index)``."""
+    out = 0
+    for site, mi in indices:
+        out |= 1 << shape.bit_position(site, mi)
     return out
 
 

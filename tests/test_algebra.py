@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (independent_majoranas, random_expansion,
+from conftest import (independent_majoranas, mask_of, random_expansion,
                       word_matrix_oracle)
 from fermicert.algebra import (OperatorExpansion, SystemShape, canonicalize,
                                expansion_from_text, expansion_to_text,
@@ -32,13 +32,6 @@ RELABEL_SHAPES = (
 
 LAWS = settings(max_examples=60, deadline=None, derandomize=True,
                 database=None)
-
-
-def mask_of(shape, *indices):
-    out = 0
-    for site, mi in indices:
-        out |= 1 << shape.bit_position(site, mi)
-    return out
 
 
 def mapped_positions(mask, site_map, shape):

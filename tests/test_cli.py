@@ -683,6 +683,20 @@ class TestCliSingleCommands:
         assert ("config template line 2: word token '(2,1)': site 2 out of "
                 "range [1..1]") in capsys.readouterr().err
 
+    def test_gs_anti_hermitian_template_exit_2(self, tmp_path, capsys):
+        # The real coefficient 1 on m_1 m_2 makes the template
+        # anti-Hermitian: the builder refuses the assembled sum, naming
+        # its residual, before any claim is computed.
+        cfg = {"V": 4, "p": 1, "k": 1, "template": "1 0 (1,1)(1,2)",
+               "subsets": "all-k-subsets"}
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), "gs-bound", "--seed", "1",
+                     "--config", str(path)]) == 2
+        assert ("assembled Hamiltonian is not Hermitian (residual"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_gs_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"V\": 4}")

@@ -3,6 +3,7 @@ spectral helpers and state checks."""
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import fermicert
 from conftest import (fresh_process_output, independent_ladder,
-                      independent_majoranas, random_density_matrix,
+                      independent_majoranas, mask_of, random_density_matrix,
                       random_even_density_matrix, random_expansion,
                       scipy_blocks, word_matrix_oracle)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
@@ -38,13 +39,6 @@ from fermicert.suites import SMALL_SHAPES
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def mask_of(shape, *indices):
-    out = 0
-    for site, mi in indices:
-        out |= 1 << shape.bit_position(site, mi)
-    return out
 
 
 def moving_permutation(keep, sites):
@@ -473,40 +467,38 @@ class TestSpectral:
         with pytest.raises(ValueError, match="stack is not Hermitian"):
             require_hermitian(stack, "stack")
 
-    @pytest.mark.parametrize("n_modes", [0, 1, 3, 6])
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_xor_terms_residual_is_the_dense_one(self, rng, n_modes, dtype):
-        # Random masks and rows, written into the dense matrix entry by
-        # entry, M[b, b ^ x] = vals[t, b]: the residual of the terms is
-        # abs(M - M-dagger).max() bit for bit.
-        dim = 1 << n_modes
-        rows = np.arange(dim)
-        for n_terms in (0, 1, min(dim, 5)):
-            masks = np.sort(rng.choice(dim, n_terms, replace=False))
-            vals = rng.standard_normal((n_terms, dim)).astype(dtype)
-            if dtype == np.complex128:
-                vals += 1j * rng.standard_normal((n_terms, dim))
-            dense = np.zeros((dim, dim), dtype)
-            for x, row in zip(masks, vals):
-                dense[rows, rows ^ x] = row
-            want = float(abs(dense - dense.conj().T).max())
-            assert hermiticity_residual((masks, vals)) == want
+    def test_hermiticity_of_an_expansion(self):
+        # An expansion's residual is the largest |c - c'| between a
+        # coefficient and its adjoint's, reversal sign included: i m1 m2
+        # is Hermitian, m1 m2 anti-Hermitian, and (0.5 + i) m1 m2 is off
+        # by its real part twice over.
+        shape = SystemShape(2, 1)
+        m12 = mask_of(shape, (1, 1), (1, 2))
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_xor_terms_residual_scratch_is_about_one_row(self, rng, dtype):
-        # Hubbard-like's terms at V = 6 are 31 rows of 4096 values; the
-        # residual reads them with scratch below 1.25 rows plus one index
-        # vector, not the terms' own size.
-        masks = np.sort(rng.choice(4096, 31, replace=False))
-        vals = rng.standard_normal((31, 4096)).astype(dtype)
-        hermiticity_residual((masks, vals))
+        def residual(terms):
+            return hermiticity_residual(OperatorExpansion(shape, terms))
+
+        assert residual({}) == 0.0
+        assert residual({0: 1.0, m12: 1j}) == 0.0
+        assert residual({m12: 1.0}) == 2.0
+        assert residual({0: 1.0, m12: 0.5 + 1j}) == 1.0
+        with pytest.raises(ValueError, match=re.escape(
+                "H is not Hermitian (residual 2.000e+00 above 1e-10)")):
+            require_hermitian(OperatorExpansion(shape, {m12: 1.0}), "H")
+
+    def test_expansion_residual_reads_no_fock_array(self):
+        # Hubbard-like at V = 6 acts on 4096 basis states; its residual
+        # reads the 66 coefficients, in less scratch than one real row of
+        # the Fock dimension.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
+                                                              6))
         tracemalloc.start()
         try:
-            hermiticity_residual((masks, vals))
+            assert hermiticity_residual(h_exp) == 0.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * vals[0].nbytes + np.arange(4096).nbytes
+        assert peak < 8 * h_exp.shape.fock_dim
 
     def test_real_if_exact(self, rng):
         # Real exactly when no imaginary part is nonzero; no tolerance.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_expansion
+from conftest import mask_of, random_expansion
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                canonicalize_positions)
 from fermicert.cumulants import ladder
@@ -25,13 +25,6 @@ from fermicert.invariance import (InvarianceReport, MuFamilyParams,
 from fermicert.suites import MU_SWEEP, run_verify_lemma3
 
 TAN6 = math.tan(math.pi / 12.0)
-
-
-def mask_of(shape, *indices):
-    out = 0
-    for site, mi in indices:
-        out |= 1 << shape.bit_position(site, mi)
-    return out
 
 
 def order_preserving_reference(pi, mask, shape):

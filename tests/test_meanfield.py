@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (build_hamiltonian, fresh_process_output,
-                      random_even_density_matrix,
-                      random_expansion, unpruned_ground_state)
+from conftest import (build_hamiltonian, fresh_process_output, mask_of,
+                      random_even_density_matrix, random_expansion,
+                      unpruned_ground_state)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                               expansion_from_text, expansion_to_text,
                               reversal_sign)
-from fermicert.fock import (MODE_CAP_ENV, DenseOperator, diagonal_blocks,
-                            hermitian_word, hermiticity_residual, jw_matrix,
-                            operator_norm, permutation_unitary, to_matrix,
-                            xor_terms)
+from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
+                            diagonal_blocks, hermitian_word,
+                            hermiticity_residual, jw_matrix, operator_norm,
+                            permutation_unitary, to_matrix, xor_terms)
 from fermicert import invariance
 from fermicert.invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                                   MuFamilyParams, check_invariance,
@@ -34,13 +34,6 @@ from fermicert.meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES,
                                  min_product_energy, symmetry_report,
                                  verify_gs_bound)
 from fermicert import meanfield
-
-
-def mask_of(shape, *indices):
-    out = 0
-    for site, mi in indices:
-        out |= 1 << shape.bit_position(site, mi)
-    return out
 
 
 def site_number_template():
@@ -250,12 +243,43 @@ class TestGroundState:
         assert ground.matrix.dtype == np.complex128
 
     def test_non_hermitian_block_raises(self):
-        # m_1 m_2 alone is anti-Hermitian; every entry lies in some block,
-        # so the blockwise check sees it.
+        # m_1 m_2 alone is anti-Hermitian: its coefficient 1 against its
+        # adjoint's -1 is the residual 2 the solve reports.
         shape = SystemShape(2, 1)
         h_exp = OperatorExpansion(shape, {0b11: 1.0, 0b1100: 0.5j})
-        with pytest.raises(ValueError, match="block is not Hermitian"):
+        with pytest.raises(ValueError, match=re.escape(
+                "Hamiltonian is not Hermitian (residual 2.000e+00 above")):
             ground_state_lowdim(h_exp)
+
+    @pytest.mark.parametrize("off, ok", [(1e-12, True), (1e-8, False)])
+    def test_hermiticity_threshold(self, off, ok):
+        # (0.5 i + off) m_1 m_2 is off Hermitian by 2 off in its
+        # coefficient: 2e-12 passes both checks and 2e-8 fails both, the
+        # builder's on the assembled sum and the ground solve's on the
+        # expansion it is given.
+        shape = SystemShape(1, 1)
+        h_exp = OperatorExpansion(shape, {0b11: 0.5j + off})
+        spec = HamiltonianSpec(shape, ((1,),), h_exp)
+        if ok:
+            assert build_hamiltonian_expansion(spec)[0].is_close(h_exp, 0.0)
+            assert ground_energy(h_exp) == pytest.approx(-0.5)
+            return
+        with pytest.raises(ValueError, match=re.escape(
+                "assembled Hamiltonian is not Hermitian (residual 2.000e-08 "
+                "above 1e-10)")):
+            build_hamiltonian_expansion(spec)
+        with pytest.raises(ValueError, match=re.escape(
+                "Hamiltonian is not Hermitian (residual 2.000e-08 above "
+                "1e-10)")):
+            ground_energy(h_exp)
+
+    def test_cap_is_checked_before_hermiticity(self, monkeypatch):
+        # An expansion both over the mode cap and not Hermitian is refused
+        # for its size, before anything else is read.
+        monkeypatch.setenv(MODE_CAP_ENV, "4")
+        h_exp = OperatorExpansion(SystemShape(5, 1), {0b11: 1.0})
+        with pytest.raises(ResourceCapError):
+            ground_energy(h_exp)
 
     def test_gs_bound_imports_no_scipy(self):
         # The ground solve runs on numpy alone: a fresh process that runs
@@ -438,29 +462,24 @@ class TestPrunedGroundSolve:
     @pytest.mark.parametrize("shape", [SystemShape(2, 1), SystemShape(3, 1),
                                        SystemShape(2, 2)])
     def test_term_residual_is_the_block_residual(self, shape, rng):
-        # Random expansions with complex coefficients are not Hermitian.
-        # The residual read off the summed terms is, bit for bit, that of
-        # their dense scatter and the largest over their blocks (the
-        # check the solve made before), and it is the one the ground
-        # solve reports.  The summed terms hold to_matrix's entries bit for
-        # bit, so its residual is the same float too.
+        # The solve reads Hermiticity off the coefficients: distinct words
+        # are trace-orthogonal, so the expansion's residual is nonzero
+        # exactly when the dense matrix's is.  Random complex expansions
+        # are not Hermitian, and their Hermitian parts, (H + H-dagger) / 2,
+        # are; both solves refuse the first with the coefficient residual.
         for _ in range(20):
             h_exp = random_expansion(shape, rng, n_terms=6)
-            terms = xor_terms(h_exp)
-            res = hermiticity_residual(terms)
-            dense = np.zeros((shape.fock_dim, shape.fock_dim), dtype=complex)
-            rows = np.arange(shape.fock_dim)
-            for mask, vals in zip(*terms):
-                dense[rows, rows ^ mask] = vals
-            assert res == hermiticity_residual(dense)
-            assert res == max(hermiticity_residual(stack)
-                              for _, stack in diagonal_blocks(terms))
-            assert res == hermiticity_residual(to_matrix(h_exp).matrix)
+            for op in (h_exp, 0.5 * (h_exp + h_exp.adjoint())):
+                res = hermiticity_residual(op)
+                dense = hermiticity_residual(to_matrix(op).matrix)
+                assert (res > 0.0) == (dense > 0.0)
+            res = hermiticity_residual(h_exp)
             assert res > 1e-10
-            with pytest.raises(ValueError, match=re.escape(
-                    f"Hamiltonian block is not Hermitian (residual "
-                    f"{res:.3e} above")):
-                ground_state_lowdim(h_exp)
+            for solve in (ground_energy, ground_state_lowdim):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"Hamiltonian is not Hermitian (residual "
+                        f"{res:.3e} above")):
+                    solve(h_exp)
 
 
 class TestProductEnergy:
