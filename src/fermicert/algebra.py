@@ -338,12 +338,9 @@ class OperatorExpansion:
             return 0.0
         return coeff * reversal_sign(mask.bit_count()) * self.shape.fock_dim
 
-    def is_close(self, other: "OperatorExpansion", tol: float = 1e-12) -> bool:
-        self._check_shape(other)
-        for mask in self.terms.keys() | other.terms.keys():
-            if abs(self.terms.get(mask, 0.0) - other.terms.get(mask, 0.0)) > tol:
-                return False
-        return True
+    def is_close(self, other: "OperatorExpansion") -> bool:
+        """Whether every coefficient is within 1e-12 of ``other``'s."""
+        return self.max_coeff_diff(other) <= 1e-12
 
     def max_coeff_diff(self, other: "OperatorExpansion") -> float:
         self._check_shape(other)

@@ -34,12 +34,12 @@ lower bound above the stated bound refutes it whatever the search found.
 The lower bound is 0 when C fixes the target (a diagonal target at one
 mode per site); the search then runs its full course.
 
-The search builds only what the start it has reached reads.  The two
-structured starts come first, and the random starts are drawn from their
-generator only when the third start is reached, so a search that ends
-earlier draws none.  Components are built once per distinct parameter
-vector: a search proven at its first start, whose r components are all
-the target's one-site marginal, builds one component.
+Every command runs the search at one budget: r = 2p + 2 components and
+:data:`STARTS` starts of at most :data:`WEIGHT_STEPS` weight steps.  It
+builds only what the start it has reached reads: the random starts are
+drawn only when the third start is reached, so a search that ends earlier
+draws none, and a search proven at its first start, whose r components
+are all the target's one-site marginal, builds one component.
 """
 
 from __future__ import annotations
@@ -62,8 +62,13 @@ from .invariance import (InvarianceReport, check_invariance,
                          invariant_reduction, lemma3_bound)
 from .report import INEQUALITY, VerificationReport, make_report, vacuous_notes
 
-#: Default subgradient step scale c in c/sqrt(t).
+#: Subgradient step scale c in c/sqrt(t).
 STEP_SCALE = 0.5
+
+#: Starts of one witness search (two structured, the rest random) and the
+#: most weight steps of one start.
+STARTS = 8
+WEIGHT_STEPS = 500
 
 #: Gibbs generator coefficients are searched inside this box.
 GENERATOR_BOX = 6.0
@@ -353,13 +358,11 @@ class _MixtureOptimizer:
     within :data:`STOP_GAP` of it.
     """
 
-    def __init__(self, blocks: Sequence[np.ndarray], k: int, p: int, r: int,
-                 iters: int):
+    def __init__(self, blocks: Sequence[np.ndarray], k: int, p: int):
         self.blocks = [real_if_exact(0.5 * (b + b.conj().T)) for b in blocks]
         self.k = k
         self.p = p
-        self.r = r
-        self.iters = iters
+        self.r = 2 * p + 2
         self.sectors = parity_sectors(SystemShape(k, p))
         if p == 1:
             self.lo, self.hi = 0.0, 1.0
@@ -445,7 +448,7 @@ class _MixtureOptimizer:
         if best < EXACT_HIT or self._proven(best, sign):
             return best, best_state
         stall = 0
-        for t in range(1, self.iters + 1):
+        for t in range(1, WEIGHT_STEPS + 1):
             grad = self._gradient(sign, powers)
             weights = project_simplex(weights - (STEP_SCALE / math.sqrt(t)) * grad)
             dist, sign = self._distance_and_sign(weights, powers)
@@ -478,22 +481,20 @@ class MixtureFit(NamedTuple):
     lower_bound: float
 
 
-def _starts(p: int, seed_params: np.ndarray, r: int, restarts: int,
+def _starts(p: int, seed_params: np.ndarray, r: int,
             seed: int) -> Iterator[Tuple[np.ndarray, List[np.ndarray]]]:
-    """The starts of :func:`best_mixture_approx`, in order, as
-    ``(weights, params)``: uniform weights on r copies of ``seed_params``,
-    then on r maximally mixed components, then ``restarts - 2`` random
-    starts.  The generator ``np.random.default_rng(seed)`` is created when
-    the third start is requested, so a search that stops earlier draws
-    nothing, and the draws are those of a generator created up front."""
+    """The :data:`STARTS` starts of :func:`best_mixture_approx`, in order,
+    as ``(weights, params)``: uniform weights on r copies of
+    ``seed_params``, then on r maximally mixed components, then random
+    ones.  ``np.random.default_rng(seed)`` is created when the third start
+    is requested, so a search that stops earlier draws nothing, and the
+    draws are those of a generator created up front."""
     uniform = np.full(r, 1.0 / r)
     yield uniform, [seed_params] * r
     n_par = n_component_params(p)
     yield uniform, [np.array([0.5]) if p == 1 else np.zeros(n_par)] * r
-    if restarts <= 2:
-        return
     rng = np.random.default_rng(seed)
-    for _ in range(restarts - 2):
+    for _ in range(STARTS - 2):
         w0 = rng.random(r) + 0.1
         w0 /= w0.sum()
         if p == 1:
@@ -503,9 +504,7 @@ def _starts(p: int, seed_params: np.ndarray, r: int, restarts: int,
         yield w0, pars
 
 
-def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
-                        restarts: int = 8, iters: int = 500,
-                        seed: int = 0) -> MixtureFit:
+def best_mixture_approx(rho_k: DenseOperator, seed: int = 0) -> MixtureFit:
     """Best found convex product-power mixture with its trace-norm distance
     and the dual lower bound on the minimum distance.
 
@@ -522,10 +521,11 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
     :data:`STOP_GAP`, which proves the witness optimal, or the distance is
     below :data:`EXACT_HIT`.
 
-    ``r``, ``restarts`` and ``iters`` are the search's own, which no
-    verifier passes; the budget only matters where the bounds do not meet
-    early.  The target need not be positive: the search runs on any
-    Hermitian operator, and callers check state validity where a state
+    The budget is the module's, the one every command runs: r = 2p + 2
+    components (:class:`_MixtureOptimizer`), :data:`STARTS` starts and
+    :data:`WEIGHT_STEPS` weight steps; it only matters where the bounds do
+    not meet early.  The target need not be positive: the search runs on
+    any Hermitian operator, and callers check state validity where a state
     enters from outside.  Raises ``ValueError``, as :func:`fock.trace_norm`
     does, on a target further than :data:`fock.HERMITIAN_TOL` from
     Hermitian, or with a nonzero entry between the parity sectors.
@@ -533,15 +533,12 @@ def best_mixture_approx(rho_k: DenseOperator, r: Optional[int] = None,
     require_hermitian(rho_k.matrix, "mixture-approximation target")
     shape = rho_k.shape
     k, p = shape.sites, shape.modes_per_site
-    if r is None:
-        r = 2 * p + 2
-    opt = _MixtureOptimizer(parity_blocks(rho_k), k, p, r, iters)
+    opt = _MixtureOptimizer(parity_blocks(rho_k), k, p)
     marginal = partial_trace_sites(rho_k, 1).matrix
 
     best = math.inf
     best_state = None
-    for w0, pars in _starts(p, params_from_state(p, marginal), r, restarts,
-                            seed):
+    for w0, pars in _starts(p, params_from_state(p, marginal), opt.r, seed):
         dist, state = opt.run(w0, pars)
         if dist < best - 1e-15:
             best = dist

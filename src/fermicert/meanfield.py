@@ -55,6 +55,11 @@ from .report import INEQUALITY, VerificationReport, make_report
 #: Eigenvalues within this of the lowest belong to the ground space.
 DEGENERACY_TOL = 1e-9
 
+#: Starts of the product-energy search (the zero generator, then random)
+#: and the coordinate sweeps of each.
+PRODUCT_STARTS = 4
+PRODUCT_SWEEPS = 2
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -336,8 +341,7 @@ def _one_word_minimum(evaluator: ProductEnergyEvaluator
     return DenseOperator(SystemShape(1, p), best_xi), best
 
 
-def min_product_energy(h_exp: OperatorExpansion, restarts: int = 4,
-                       iters: int = 2, seed: int = 0
+def min_product_energy(h_exp: OperatorExpansion, seed: int = 0
                        ) -> Tuple[DenseOperator, float]:
     """Minimize tr(H xi^(x V)) over even single-site states xi, returned
     on ``SystemShape(1, p)`` with their energy.
@@ -346,8 +350,9 @@ def min_product_energy(h_exp: OperatorExpansion, restarts: int = 4,
     (every one-mode Hamiltonian) gets the exact minimum of
     :func:`_one_word_minimum`.  Otherwise: cyclic coordinate descent over
     the even Gibbs generators, an upper bound, deterministic for a fixed
-    seed; ``restarts`` starts (the zero generator first) of ``iters``
-    :func:`definetti.coordinate_sweep` passes each.
+    seed; the module's :data:`PRODUCT_STARTS` starts (the zero generator
+    first) of :data:`PRODUCT_SWEEPS` :func:`definetti.coordinate_sweep`
+    passes each, the budget every command runs.
     """
     evaluator = ProductEnergyEvaluator(h_exp)
     if len(evaluator.submasks) <= 1:
@@ -358,7 +363,7 @@ def min_product_energy(h_exp: OperatorExpansion, restarts: int = 4,
     rng = np.random.default_rng(seed)
 
     starts = [np.zeros(n_par)]
-    while len(starts) < restarts:
+    while len(starts) < PRODUCT_STARTS:
         starts.append(rng.uniform(lo, hi, n_par))
 
     def value(params: np.ndarray) -> float:
@@ -368,7 +373,7 @@ def min_product_energy(h_exp: OperatorExpansion, restarts: int = 4,
     best = math.inf
     for params in starts:
         current = value(params)
-        for _ in range(iters):
+        for _ in range(PRODUCT_SWEEPS):
             current = coordinate_sweep(value, params, lo, hi, current,
                                        golden_iters=30)
         if current < best - 1e-15:

@@ -21,7 +21,9 @@ its nonzero pattern, and :func:`unpruned_ground_state` is the block
 ground solve on them with every sector diagonalized.
 :func:`fresh_process_output` runs a snippet in a new interpreter, where
 what a call leaves imported can be read from ``sys.modules``, and
-:func:`mask_of` spells a word mask as its (site, index) Majoranas.
+:func:`mask_of` spells a word mask as its (site, index) Majoranas.  The
+:func:`search_budget` fixture runs the witness search of one test at a
+smaller budget than the one every command runs.
 """
 
 from __future__ import annotations
@@ -279,3 +281,18 @@ def random_even_density_matrix(shape: SystemShape, rng) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def search_budget(monkeypatch):
+    """``search_budget(starts, steps)`` gives every witness search of the
+    test (definetti.best_mixture_approx) ``starts`` starts of at most
+    ``steps`` weight steps, in place of the module's STARTS and
+    WEIGHT_STEPS."""
+    from fermicert import definetti
+
+    def set_budget(starts: int, steps: int):
+        monkeypatch.setattr(definetti, "STARTS", starts)
+        monkeypatch.setattr(definetti, "WEIGHT_STEPS", steps)
+
+    return set_budget

@@ -265,6 +265,37 @@ class TestCliSingleCommands:
             (claim,) = csv.DictReader(fh)
         assert claim["inputs"] == "V=6;fixture=state.txt;k=2;p=1"
 
+    def test_theorem1_urn_fixture_runs_every_start(self, tmp_path,
+                                                   monkeypatch):
+        # The urn U(6, 2), the uniform mixture of the 2-of-6 occupations,
+        # is diagonal, so its dual bound is 0 and no start is proven, and
+        # it is no product mixture: the command runs the search's whole
+        # budget, 8 starts of r = 2p + 2 = 4 components.
+        from fermicert.algebra import SystemShape, expansion_to_text
+        from fermicert.definetti import _MixtureOptimizer
+        from fermicert.fock import DenseOperator, to_expansion
+        diag = [float(bin(i).count("1") == 2) / 15 for i in range(64)]
+        fixture = tmp_path / "urn.txt"
+        fixture.write_text(expansion_to_text(to_expansion(DenseOperator(
+            SystemShape(6, 1), np.diag(diag).astype(complex)))))
+        runs = []
+        run = _MixtureOptimizer.run
+
+        def counting(self, *args):
+            runs.append(1)
+            return run(self, *args)
+
+        monkeypatch.setattr(_MixtureOptimizer, "run", counting)
+        assert main(["--out", str(tmp_path), "verify-theorem1", "--seed",
+                     "0", "--V", "6", "--k", "2", "--fixture",
+                     str(fixture)]) == 0
+        assert len(runs) == 8
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            (claim,) = csv.DictReader(fh)
+        assert claim["inputs"] == "V=6;fixture=urn.txt;k=2;p=1;r=4;seed=0"
+        assert claim["lhs"] == "0.137763223905"
+        assert "dual lower bound 0;" in claim["notes"]
+
     @pytest.mark.parametrize("argv, flags", [
         (["verify-lemma3", "--k", "2", "--V", "6", "--fixture", "x.txt",
           "--mu", "0.9"], ("--fixture", "--mu")),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (cumulant, fresh_process_output, mixture_matrix,
                       random_even_density_matrix, word_matrix_oracle)
@@ -213,62 +213,52 @@ class TestCoordinateSweep:
 
 
 class TestBestMixture:
-    def test_exact_product_any_r(self, rng):
+    def test_exact_product_any_r(self, search_budget):
+        # At the search's own r = 2p + 2 components.
+        search_budget(2, 60)
         xi = DenseOperator(SystemShape(1, 1),
                            np.diag([0.35, 0.65]).astype(complex))
         target = product_power(xi, 3)
-        for r in (1, 3):
-            mixture, dist, _ = best_mixture_approx(target, r=r, restarts=2,
-                                                   iters=60, seed=1)
-            assert dist < 1e-6
-
-    def test_maximally_mixed(self):
-        sh = SystemShape(2, 1)
-        target = DenseOperator(sh, np.eye(4, dtype=complex) / 4)
-        _, dist, _ = best_mixture_approx(target, r=1, restarts=2, iters=60,
-                                         seed=1)
+        mixture, dist, _ = best_mixture_approx(target, seed=1)
         assert dist < 1e-6
 
-    def test_mu_family_reduction_hits_optimum(self):
+    def test_maximally_mixed(self, search_budget):
+        search_budget(2, 60)
+        sh = SystemShape(2, 1)
+        target = DenseOperator(sh, np.eye(4, dtype=complex) / 4)
+        _, dist, _ = best_mixture_approx(target, seed=1)
+        assert dist < 1e-6
+
+    def test_mu_family_reduction_hits_optimum(self, search_budget):
         # Any product mixture misses the odd-odd pair term entirely, so the
         # best distance is the trace norm of that term: tan(pi/12).
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
         target = to_matrix(reduce_expansion(state, 2))
-        mixture, dist, _ = best_mixture_approx(target, restarts=3, iters=100,
-                                               seed=2)
+        search_budget(3, 100)
+        mixture, dist, _ = best_mixture_approx(target, seed=2)
         assert dist <= TAN6 + 1e-9
         assert dist == pytest.approx(TAN6, abs=1e-6)
         assert dist <= theorem1_bound(6, 1, 2) + 1e-9
 
-    def test_monotone_in_r(self):
-        state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
-        from fermicert.fock import reduce_expansion, to_matrix
-        target = to_matrix(reduce_expansion(state, 3))
-        prev = math.inf
-        for r in (1, 2, 3):
-            _, dist, _ = best_mixture_approx(target, r=r, restarts=2,
-                                             iters=60, seed=4)
-            assert dist <= prev + 1e-9
-            prev = dist
-
-    def test_non_positive_target(self):
+    def test_non_positive_target(self, search_budget):
         # The search runs on any Hermitian operator.  Against
         # diag(1.5, -0.5, 0, 0) every mixture, being diagonal and positive,
         # is at least 0.5 + (1.5 - 1) away; the vacuum power attains it.
         sh = SystemShape(2, 1)
         bad = DenseOperator(sh, np.diag([1.5, -0.5, 0, 0]).astype(complex))
-        _, dist, lower = best_mixture_approx(bad, restarts=2, iters=60,
-                                             seed=0)
+        search_budget(2, 60)
+        _, dist, lower = best_mixture_approx(bad, seed=0)
         assert dist == pytest.approx(1.0, abs=1e-9)
         assert lower == 0.0
 
-    def test_deterministic(self):
+    def test_deterministic(self, search_budget):
+        search_budget(3, 50)
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
         target = to_matrix(reduce_expansion(state, 2))
-        _, d1, _ = best_mixture_approx(target, restarts=3, iters=50, seed=9)
-        _, d2, _ = best_mixture_approx(target, restarts=3, iters=50, seed=9)
+        _, d1, _ = best_mixture_approx(target, seed=9)
+        _, d2, _ = best_mixture_approx(target, seed=9)
         assert d1 == d2
 
 
@@ -286,6 +276,7 @@ def _two_power_target() -> DenseOperator:
 NUMPY_RANDOM_LOADED_AFTER = (
     "import sys\n"
     "import numpy as np\n"
+    "from fermicert import definetti\n"
     "from fermicert.algebra import SystemShape\n"
     "from fermicert.definetti import (best_mixture_approx, product_power,\n"
     "                                 verify_theorem1)\n"
@@ -313,8 +304,8 @@ class TestStartsWhenReached:
             "xi = [DenseOperator(SystemShape(1, 1), np.diag([a, 1 - a])\n"
             "                    .astype(complex)) for a in (0.2, 0.8)]\n"
             "mat = sum(0.5 * product_power(x, 3).matrix for x in xi)\n"
-            "fit = best_mixture_approx(DenseOperator(SystemShape(3, 1), mat),\n"
-            "                          restarts=3, iters=25)\n"
+            "definetti.STARTS, definetti.WEIGHT_STEPS = 3, 25\n"
+            "fit = best_mixture_approx(DenseOperator(SystemShape(3, 1), mat))\n"
             "assert fit.lower_bound == 0.0")
         assert fresh_process_output(code) == "True"
 
@@ -373,17 +364,18 @@ class TestParityBlocks:
         return trace_norm(DenseOperator(target.shape, target.matrix - mix))
 
     @pytest.mark.parametrize("shape", [SystemShape(3, 1), SystemShape(2, 2)])
-    def test_distance_matches_dense_trace_norm(self, shape, rng):
+    def test_distance_matches_dense_trace_norm(self, shape, rng,
+                                               search_budget):
+        search_budget(2, 30)
         k, p = shape.sites, shape.modes_per_site
         for trial in range(3):
             target = DenseOperator(shape,
                                    random_even_density_matrix(shape, rng))
-            mixture, dist, _ = best_mixture_approx(target, r=2, restarts=2,
-                                                   iters=30, seed=trial)
+            mixture, dist, _ = best_mixture_approx(target, seed=trial)
             assert dist == pytest.approx(self.oracle_distance(target, mixture),
                                          abs=1e-12)
             # Any mixture, not only the returned one.
-            opt = _MixtureOptimizer(parity_blocks(target), k, p, 3, iters=1)
+            opt = _MixtureOptimizer(parity_blocks(target), k, p)
             weights = project_simplex(rng.random(3))
             if p == 1:
                 params = [rng.random(1) for _ in range(3)]
@@ -423,8 +415,7 @@ class TestParityBlocks:
         mat = random_even_density_matrix(shape, rng)
         mat[0, 1] = 1e-18  # basis states 00 (even) and 01 (odd)
         with pytest.raises(ValueError, match="parity"):
-            best_mixture_approx(DenseOperator(shape, mat), restarts=1,
-                                iters=10, seed=0)
+            best_mixture_approx(DenseOperator(shape, mat), seed=0)
 
 
 DUAL_SHAPES = (SystemShape(2, 1), SystemShape(3, 1), SystemShape(4, 1),
@@ -463,7 +454,7 @@ class TestDualLowerBound:
         mat = ((1.0 - t) * mixture_matrix(near, k).matrix
                + t * random_even_density_matrix(shape, rng))
         target = DenseOperator(shape, mat)
-        opt = _MixtureOptimizer(parity_blocks(target), k, p, 2, iters=1)
+        opt = _MixtureOptimizer(parity_blocks(target), k, p)
         weights, params = _random_mixture(p, rng)
         _, signs = opt._distance_and_sign(weights,
                                           [opt._power(q) for q in params])
@@ -550,17 +541,20 @@ class TestDualLowerBound:
         ((0, 1, 2, 4), 0.6111111111120802),
     ])
     def test_diagonal_target_runs_the_full_search(self, occupied,
-                                                  parent_distance):
+                                                  parent_distance,
+                                                  search_budget):
         # A diagonal, permutation-symmetric target that is no product
         # mixture: the twirl fixes it, so the bound is 0 and the search
         # must return what it returned before the stop rule existed.
-        fit = best_mixture_approx(_diagonal_target(3, occupied), restarts=3,
-                                  iters=120, seed=3)
+        search_budget(3, 120)
+        fit = best_mixture_approx(_diagonal_target(3, occupied), seed=3)
         assert isinstance(fit, MixtureFit)
         assert fit.lower_bound == 0.0
         assert fit.distance == pytest.approx(parent_distance, abs=1e-12)
 
-    def test_stops_at_the_first_proven_start(self, monkeypatch):
+    def test_stops_at_the_first_proven_start(self, monkeypatch,
+                                             search_budget):
+        search_budget(8, 100)
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
         from fermicert.fock import reduce_expansion, to_matrix
         target = to_matrix(reduce_expansion(state, 2))
@@ -572,8 +566,7 @@ class TestDualLowerBound:
             return original(self, *args)
 
         monkeypatch.setattr(_MixtureOptimizer, "run", counting)
-        _, dist, lower = best_mixture_approx(target, restarts=8, iters=100,
-                                             seed=2)
+        _, dist, lower = best_mixture_approx(target, seed=2)
         assert len(runs) == 1
         assert lower == pytest.approx(TAN6, abs=1e-12)
         assert dist - lower <= STOP_GAP
@@ -641,16 +634,20 @@ class TestExactArithmetic:
             assert eigh_blocks == [(4 ** k // 2, "f")] * 2
             assert eigvalsh_sizes == []
 
+    # The budget fixture is set once and holds for every example.
     @settings(max_examples=25, deadline=None, derandomize=True,
-              database=None)
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from((SystemShape(2, 1), SystemShape(3, 1),
                             SystemShape(2, 2))),
            st.integers(0, 2 ** 32 - 1), st.booleans(),
            st.sampled_from(("state", "product")))
-    def test_reported_distance_is_the_witness_residual(self, shape, seed,
-                                                       real, kind):
+    def test_reported_distance_is_the_witness_residual(self, search_budget,
+                                                       shape, seed, real,
+                                                       kind):
         # Real targets take the real-arithmetic path, complex ones the
         # complex path; exact products stop at the first distance.
+        search_budget(2, 25)
         rng = np.random.default_rng(seed)
         k, p = shape.sites, shape.modes_per_site
         if kind == "product":
@@ -662,8 +659,7 @@ class TestExactArithmetic:
             mat = mat.real.astype(np.complex128)
         elif kind == "state":
             assert mat.imag.any()
-        fit = best_mixture_approx(DenseOperator(shape, mat), r=2, restarts=2,
-                                  iters=25, seed=seed % 7)
+        fit = best_mixture_approx(DenseOperator(shape, mat), seed=seed % 7)
         residual = mat - mixture_matrix(fit.mixture, k).matrix
         assert fit.distance == pytest.approx(
             trace_norm(DenseOperator(shape, residual)), abs=1e-12)

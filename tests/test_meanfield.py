@@ -120,9 +120,9 @@ class TestBuild:
         for name, cfg in BUILTIN_CONFIGS.items():
             spec = builtin_family(name, 5)
             assert (spec.name, spec.shape) == (name, SystemShape(5, cfg["p"]))
-            assert spec.template.is_close(
+            assert spec.template.max_coeff_diff(
                 expansion_from_text(cfg["template"],
-                                    SystemShape(cfg["k"], cfg["p"])), tol=0.0)
+                                    SystemShape(cfg["k"], cfg["p"]))) == 0.0
         with pytest.raises(ValueError, match="unknown Hamiltonian family"):
             builtin_family("ising", 5)
 
@@ -261,7 +261,7 @@ class TestGroundState:
         h_exp = OperatorExpansion(shape, {0b11: 0.5j + off})
         spec = HamiltonianSpec(shape, ((1,),), h_exp)
         if ok:
-            assert build_hamiltonian_expansion(spec)[0].is_close(h_exp, 0.0)
+            assert build_hamiltonian_expansion(spec)[0].max_coeff_diff(h_exp) == 0.0
             assert ground_energy(h_exp) == pytest.approx(-0.5)
             return
         with pytest.raises(ValueError, match=re.escape(
@@ -526,7 +526,7 @@ class TestProductEnergy:
     def test_min_product_energy_site_number(self):
         spec = builtin_family("site-number", 4)
         h_exp, _ = build_hamiltonian_expansion(spec)
-        xi, energy = min_product_energy(h_exp, restarts=3, iters=2, seed=0)
+        xi, energy = min_product_energy(h_exp, seed=0)
         assert energy == pytest.approx(-1.0, abs=1e-9)
         assert xi.matrix[1, 1] == pytest.approx(1.0, abs=1e-9)
 
@@ -616,14 +616,41 @@ class TestProductEnergy:
         sh = SystemShape(2, 2)
         h_exp = OperatorExpansion(sh, {mask_of(sh, (1, 1), (1, 2)): 0.25j,
                                        mask_of(sh, (2, 1), (2, 3)): 0.25j})
-        _, energy = min_product_energy(h_exp, restarts=1, iters=1)
+        _, energy = min_product_energy(h_exp)
         assert calls
         assert energy == pytest.approx(-math.sqrt(2.0) / 4.0, abs=1e-6)
+
+    def test_product_search_budget(self, monkeypatch):
+        # On a two-word support the search runs 4 starts of 2 sweeps each:
+        # the zero generator, then three uniform draws in the generator
+        # box from default_rng(seed), in that order.
+        seed = 5
+        calls = []
+        original = meanfield.coordinate_sweep
+
+        def recording(value, params, lo, hi, current, golden_iters):
+            calls.append((params, params.copy(), lo, hi))
+            return original(value, params, lo, hi, current, golden_iters)
+
+        monkeypatch.setattr(meanfield, "coordinate_sweep", recording)
+        sh = SystemShape(2, 2)
+        h_exp = OperatorExpansion(sh, {mask_of(sh, (1, 1), (1, 2)): 0.25j,
+                                       mask_of(sh, (2, 1), (2, 3)): 0.25j})
+        min_product_energy(h_exp, seed=seed)
+        rng = np.random.default_rng(seed)
+        starts = [np.zeros(7)] + [rng.uniform(-6.0, 6.0, 7) for _ in range(3)]
+        assert len(calls) == 2 * len(starts)
+        for j, start in enumerate(starts):
+            first, second = calls[2 * j], calls[2 * j + 1]
+            assert first[1].tobytes() == start.tobytes()
+            # The second sweep goes on from where the first left the start.
+            assert second[0] is first[0]
+            assert first[2:] == second[2:] == (-6.0, 6.0)
 
     def test_min_product_energy_identity(self):
         sh = SystemShape(2, 1)
         h_exp = OperatorExpansion.identity(sh)
-        _, energy = min_product_energy(h_exp, restarts=2, iters=1, seed=0)
+        _, energy = min_product_energy(h_exp, seed=0)
         assert energy == pytest.approx(1.0)
 
     @pytest.mark.parametrize("degree", range(1, 7))
@@ -1045,7 +1072,7 @@ class TestConvexityStep:
             spec = builtin_family(name, 6)
             h_exp, _ = build_hamiltonian_expansion(spec)
             evaluator = ProductEnergyEvaluator(h_exp)
-            _, e_min = min_product_energy(h_exp, restarts=3, iters=2, seed=3)
+            _, e_min = min_product_energy(h_exp, seed=3)
             e_mix = sum(a * evaluator.energy(xi.matrix)
                         for a, xi in zip(mixture.weights, mixture.components))
             assert e_mix >= e_min - 1e-9

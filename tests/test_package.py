@@ -234,6 +234,97 @@ def test_detector_flags_write_only_locals():
                                          (10, "unused")]
 
 
+def unpassed_defaults(sources):
+    """``module.function.parameter`` (``module.Class.method.parameter``
+    for a method) of each defaulted parameter, at any nesting, that no
+    call in ``sources`` (module name -> source text) passes.
+
+    A call matches a function by name alone, as a name or an attribute,
+    and a ``Class(...)`` call matches ``Class.__init__``.  It passes a
+    parameter by keyword, through ``**``, or by position: past ``self``
+    or ``cls`` for a method that is not a ``staticmethod``, and every
+    position from a ``*`` argument on.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    found = []
+
+    def visit(module, body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(module, node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                check(module, node, owner)
+                visit(module, node.body, owner)
+
+    def check(module, func, owner):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        bound = int(owner is not None and "staticmethod" not in [
+            getattr(d, "id", None) for d in func.decorator_list])
+        first = len(positional) - len(args.defaults)
+        params = [(i - bound, a.arg) for i, a in enumerate(positional)
+                  if i >= first]
+        params += [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                 args.kw_defaults)
+                   if d is not None]
+        name = owner if func.name == "__init__" else func.name
+        matching = [call for call in calls if name in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+        for pos, param in params:
+            if not any(
+                    any(kw.arg in (param, None) for kw in call.keywords)
+                    or pos is not None and any(
+                        i >= pos or isinstance(arg, ast.Starred)
+                        for i, arg in enumerate(call.args))
+                    for call in matching):
+                found.append(".".join(filter(None, [module, owner,
+                                                    func.name, param])))
+
+    for module, tree in trees.items():
+        visit(module, tree.body, None)
+    return sorted(found)
+
+
+#: Defaulted parameters that no package call sets, each kept for the
+#: reason given.  Any other is a module constant: one setting, the one
+#: the commands run.
+UNPASSED_ALLOWED = {
+    "algebra.random_expansions.max_degree":
+        "the tests draw words of bounded degree",
+    "algebra.OperatorExpansion.identity.coeff":
+        "multiples of the identity, which the tests build",
+    "cli.main.argv": "the console script reads sys.argv; the tests pass "
+                     "their own",
+}
+
+
+def test_every_defaulted_parameter_is_passed():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert unpassed_defaults(sources) == sorted(UNPASSED_ALLOWED)
+
+
+def test_detector_flags_unpassed_defaults():
+    # Passed by keyword, by position past self, through *args or **kw,
+    # and to __init__ by a class call; f.b and the static method's c,
+    # whose one call passes nothing, are not.
+    sources = {
+        "a": ("def f(x, a=1, b=2):\n    return x\n"
+              "class C:\n"
+              "    def __init__(self, n=0):\n        self.n = n\n"
+              "    def m(self, t=1, *, u=2):\n        return t\n"
+              "    @staticmethod\n"
+              "    def s(c=3):\n        return c\n"),
+        "b": ("from a import C, f\n"
+              "def g(*args, **kw):\n"
+              "    def h(q=0):\n        return q\n"
+              "    C(1).m(5, **kw)\n    C.s()\n    h(*args)\n"
+              "    return f(1, a=2)\n"),
+    }
+    assert unpassed_defaults(sources) == ["a.C.s.c", "a.f.b"]
+
+
 #: Top-level definitions that ``cli.main`` does not reach, each kept for
 #: the reason given.
 UNREACHED_ALLOWED = {
