@@ -23,8 +23,9 @@ term of mask x (:func:`word_terms`), :func:`xor_terms` sums an
 expansion's words into one row per mask, the entries of its dense matrix
 bit for bit, and :func:`diagonal_blocks`, the one sector finder, reads a
 Hamiltonian's sectors off those rows with no dim x dim matrix and no edge
-list.  Hermiticity needs no rows: an expansion is Hermitian exactly when
-its coefficients equal its adjoint's, distinct words being
+list, in chunks of equal-size blocks no larger than the largest block or
+the rows.  Hermiticity needs no rows: an expansion is Hermitian exactly
+when its coefficients equal its adjoint's, distinct words being
 trace-orthogonal, so :func:`require_hermitian` reads an expansion's
 coefficients and a dense array's entries.  A state's blocks need no
 search: by parity superselection they are its global-parity halves
@@ -555,31 +556,33 @@ def _xor_component_labels(partner: np.ndarray, link: np.ndarray
 def diagonal_blocks(terms: XorTerms) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The diagonal blocks of the operator of :data:`XorTerms`, each mask
     once as :func:`xor_terms` returns them, on the connected components
-    of its sparsity graph, equal-size blocks batched.
+    of its sparsity graph, equal-size blocks batched in chunks.
 
     The operator is exactly block diagonal on these components, so its
     spectrum is the union of the blocks' spectra and its eigenvectors live
     inside single blocks; for a Hamiltonian they are the conserved sectors,
     found with no symmetry assumed.  Explicit zeros join no blocks.  Yields
-    ``(idx, stack)`` per block size s, from the largest size down, each
-    stack built only when it is asked for: ``idx`` is an (m, s) array
-    whose rows hold the ascending basis indices of one block each, in the
-    order of their smallest index, and ``stack`` the (m, s, s) blocks of
-    the dense matrix, M[idx[j]][:, idx[j]].
+    ``(idx, stack)`` per chunk of blocks of one size s, from the largest
+    size down and, within a size, in the order of the blocks' smallest
+    index, each stack built only when it is asked for: ``idx`` is an
+    (m, s) array whose rows hold the ascending basis indices of one block
+    each, and ``stack`` the (m, s, s) blocks of the dense matrix,
+    M[idx[j]][:, idx[j]].  A chunk holds as many blocks as fit in
+    max(s_max^2, t x dim) entries, s_max the largest block size and t the
+    number of rows (at least one): no stack is larger than the largest
+    block or the XOR rows themselves.
 
     No edge list or dense matrix is built: the components come from the
     rows themselves (:func:`_xor_component_labels`, on the partners
-    a ^ masks[t] as int32 and the nonzero pattern of the values), and each
-    stack is filled from the value columns of its blocks, vals[:, idx],
-    entry [j, i, pos(a ^ masks[t])] = vals[t, a] for a = idx[j, i], pos
-    being an index's place in its block.
+    a ^ masks[t] as int32 and the nonzero pattern of the values, both
+    released once the labels are known), and each stack is filled from
+    the value columns of its blocks (:func:`_xor_stack`).
     """
     masks, vals = terms
     dim = vals.shape[1]
     kind = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    partner = np.arange(dim, dtype=kind) ^ masks.astype(kind)[:, None]
-    link = vals != 0
-    labels = _xor_component_labels(partner, link)
+    labels = _xor_component_labels(
+        np.arange(dim, dtype=kind) ^ masks.astype(kind)[:, None], vals != 0)
     n_blocks = int(labels.max()) + 1
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=n_blocks)
@@ -588,25 +591,29 @@ def diagonal_blocks(terms: XorTerms) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     # values straight into the stacks.
     pos = np.empty_like(order)
     pos[order] = np.arange(dim) - np.repeat(starts, sizes)
+    budget = max(int(sizes.max()) ** 2, max(len(masks), 1) * dim)
     # bincount, not np.unique: unique imports numpy.ma on first use.
     for s in np.flatnonzero(np.bincount(sizes))[::-1]:
         ids = np.flatnonzero(sizes == s)
-        idx = order[starts[ids][:, None] + np.arange(s)]
-        # Yielded unnamed, so that this frame holds no stack while the
-        # caller works on it or the next one is built.
-        yield idx, _xor_stack(idx, pos, partner, link, vals)
+        per = budget // (s * s)
+        for first in range(0, len(ids), per):
+            idx = order[starts[ids[first:first + per]][:, None] + np.arange(s)]
+            # Yielded unnamed, so that this frame holds no stack while the
+            # caller works on it or the next one is built.
+            yield idx, _xor_stack(idx, pos, masks, vals)
 
 
-def _xor_stack(idx: np.ndarray, pos: np.ndarray, partner: np.ndarray,
-               link: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The (m, s, s) blocks on the rows of ``idx`` of the XOR terms whose
-    partners, nonzero pattern and values :func:`diagonal_blocks` holds:
-    entry [j, i, pos[a ^ x]] = vals[t, a] for a = idx[j, i] and every
-    term t, of mask x, with a nonzero value there."""
-    t, j, i = np.nonzero(link[:, idx])
+def _xor_stack(idx: np.ndarray, pos: np.ndarray, masks: np.ndarray,
+               vals: np.ndarray) -> np.ndarray:
+    """The (m, s, s) blocks on the rows of ``idx`` of the XOR terms
+    (masks, vals), ``pos`` being each basis index's place in its block:
+    entry [j, i, pos[a ^ masks[t]]] = vals[t, a] for a = idx[j, i] and
+    every term t with a nonzero value there, read off the value columns
+    of the blocks, vals[:, idx]."""
+    t, j, i = np.nonzero(vals[:, idx] != 0)
     a = idx[j, i]
     stack = np.zeros(idx.shape + idx.shape[-1:], dtype=vals.dtype)
-    stack[j, i, pos[partner[t, a]]] = vals[t, a]
+    stack[j, i, pos[a ^ masks[t]]] = vals[t, a]
     return stack
 
 

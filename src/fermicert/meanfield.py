@@ -151,10 +151,12 @@ def ground_state(h: DenseOperator) -> Tuple[float, DenseOperator]:
 
 def _above_cut(stack: np.ndarray, cut: float) -> bool:
     """Whether the Cholesky test of :func:`ground_state_lowdim` shows every
-    eigenvalue of every block of ``stack`` to lie strictly above ``cut``.
-    The blocks are tried one at a time, each on a copy whose diagonal is
-    shifted in place (the floats of block - sigma I), and the first
-    failure ends the test.  A complex stack is not tried."""
+    eigenvalue of every block of ``stack``, one chunk of
+    :func:`fock.diagonal_blocks`, to lie strictly above ``cut``.  F is
+    the largest Frobenius norm in this chunk.  The blocks are tried one at
+    a time, each on a copy whose diagonal is shifted in place (the floats
+    of block - sigma I), and the first failure ends the test.  A complex
+    stack is not tried."""
     if stack.dtype.kind == "c":
         return False
     n = stack.shape[-1]
@@ -178,8 +180,9 @@ def _sector_sweep(h_exp: OperatorExpansion, keep: bool
                                                np.ndarray]]]:
     """The sector sweep of :func:`ground_state_lowdim` and
     :func:`ground_energy`: the ground energy, and with ``keep`` the
-    ``(idx, stack, lows)`` of each block stack solved, largest blocks
-    first, ``lows`` the lowest eigenvalue of each block.  A stack the
+    ``(idx, stack, lows)`` of each chunk of equal-size blocks solved, in
+    the order :func:`fock.diagonal_blocks` yields them (largest blocks
+    first), ``lows`` the lowest eigenvalue of each block.  A chunk the
     Cholesky test skips, or one solved without ``keep``, is released
     before the next is built.  The mode cap is checked first, then
     Hermiticity on the coefficients (:func:`fock.require_hermitian`)."""
@@ -224,10 +227,12 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     scattered straight into real blocks, and a block stack with no
     imaginary part is solved in real arithmetic (:func:`fock.real_if_exact`).
 
-    Equal-size blocks are diagonalized together, densely, by one batched
-    ``eigvalsh``.  The stacks are built and taken one at a time from the
+    Equal-size blocks come in chunks (:func:`fock.diagonal_blocks`, each
+    at most the size of the largest block or of the XOR rows), and the
+    blocks of one chunk are diagonalized together, densely, by one batched
+    ``eigvalsh``.  The chunks are built and taken one at a time from the
     largest blocks down (:func:`_sector_sweep`); the first one's lowest
-    eigenvalue starts the running minimum e.  Every other real stack,
+    eigenvalue starts the running minimum e.  Every other real chunk,
     blocks S_j of size n, is first tested: with cut = e +
     :data:`DEGENERACY_TOL`, u the unit roundoff, gamma_k = ku / (1 - ku),
     c = n gamma_(n+1) / (1 - n gamma_(n+1)) + u, F = sqrt(2) max_j
@@ -241,25 +246,28 @@ def ground_state_lowdim(h_exp: OperatorExpansion) -> Tuple[float, Isometry]:
     adds at most u (F + |sigma|), F bounding the 2-norm of the symmetric
     matrix that LAPACK reads off the lower triangle of S_j.  So
     lambda_min(S_j) >= sigma - c (F + |sigma|) >= sigma - (1 + 2c) eps,
-    strictly above cut: no block of the stack holds a ground vector, and
-    the stack is dropped unsolved; only the solved stacks are kept.  When
-    a factorization fails the stack is solved and e updated.  The ground
-    energy is thus the minimum over the solved stacks, as it would be over
-    all of them.
+    strictly above cut: no block of the chunk holds a ground vector, and
+    the chunk is dropped unsolved; only the solved chunks are kept.  F is
+    the chunk's own, so each chunk's test is as tight as its blocks allow.
+    When a factorization fails the chunk is solved and e updated.  The
+    ground energy is thus the minimum over the solved chunks, as it would
+    be over all of them.
 
     The ground vectors come from one ``eigh`` of each block whose minimum
     lies within :data:`DEGENERACY_TOL` of the ground energy, taken in
-    increasing block size, so a degenerate ground space is resolved in
-    full.  The ground space is returned as an :class:`Isometry`
-    (dim x r), whose state F F-dagger / r is the projector
-    :func:`ground_state` returns.  The mode cap
+    increasing block size and, within a size, in block order, so a
+    degenerate ground space is resolved in full, its columns in the same
+    order however the blocks were chunked.  The ground space is returned
+    as an :class:`Isometry` (dim x r), whose state F F-dagger / r is the
+    projector :func:`ground_state` returns.  The mode cap
     (:func:`fock.ensure_within_cap`) is checked before any array of the
     Fock dimension is made.
     """
     dim = h_exp.shape.fock_dim
     e_gs, solved = _sector_sweep(h_exp, keep=True)
     columns = []
-    for idx, stack, lows in reversed(solved):
+    # Stable: sizes ascending, the chunks of one size kept in block order.
+    for idx, stack, lows in sorted(solved, key=lambda c: c[0].shape[1]):
         for j in np.flatnonzero(lows <= e_gs + DEGENERACY_TOL):
             w, v = np.linalg.eigh(stack[j])
             vecs = v[:, w <= e_gs + DEGENERACY_TOL]

@@ -300,7 +300,7 @@ class TestXorTerms:
         # components of the dense matrix: the same blocks holding the same
         # entries.
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
-        assert_same_blocks(h_exp)
+        assert_same_blocks(xor_terms(h_exp), to_matrix(h_exp).matrix)
 
     @pytest.mark.parametrize("name, V", [
         (name, V) for name in BUILTIN_FAMILIES if name != "hubbard-like"
@@ -309,23 +309,40 @@ class TestXorTerms:
         # The same at V = 6 and 8 for the one-mode families; hubbard-like's
         # dense matrix at V = 6 would be a 256 MB array.
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, V))
-        assert_same_blocks(h_exp)
+        assert_same_blocks(xor_terms(h_exp), to_matrix(h_exp).matrix)
 
 
-def assert_same_blocks(h_exp):
-    """diagonal_blocks of the summed XOR terms and the scipy-labelled
-    gather of the dense matrix (:func:`conftest.scipy_blocks`) give equal
-    ``idx`` and, bit for bit, equal stacks (real terms give the real parts
-    of the dense blocks)."""
-    from_terms = list(diagonal_blocks(xor_terms(h_exp)))
-    from_dense = scipy_blocks(to_matrix(h_exp).matrix)
+def assert_same_blocks(terms, dense):
+    """diagonal_blocks of the XOR terms and the scipy-labelled gather of
+    their dense matrix (:func:`conftest.scipy_blocks`) give the same
+    blocks in the same order, block by block: equal ``idx`` rows and, bit
+    for bit, equal blocks (real terms give the real parts of the dense
+    blocks), however diagonal_blocks chunks each size."""
+    from_terms = single_blocks(diagonal_blocks(terms))
+    from_dense = single_blocks(scipy_blocks(dense))
     assert len(from_terms) == len(from_dense)
-    for (idx_t, stack_t), (idx_d, stack_d) in zip(from_terms, from_dense):
-        assert np.array_equal(idx_t, idx_d)
-        stack_d = real_if_exact(stack_d)
-        assert (stack_t.dtype, stack_t.shape) == (stack_d.dtype,
-                                                  stack_d.shape)
-        assert stack_t.tobytes() == stack_d.tobytes()
+    for (rows_t, block_t), (rows_d, block_d) in zip(from_terms, from_dense):
+        assert np.array_equal(rows_t, rows_d)
+        block_d = real_if_exact(block_d)
+        assert (block_t.dtype, block_t.shape) == (block_d.dtype,
+                                                  block_d.shape)
+        assert block_t.tobytes() == block_d.tobytes()
+
+
+def chunk_budget(terms, shapes):
+    """The most entries a stack of :func:`fock.diagonal_blocks` may hold:
+    the square of the largest block size among the stack ``shapes``, or
+    the size of the XOR rows of ``terms`` (at least one row) if larger."""
+    masks, vals = terms
+    return max(max(shape[-1] for shape in shapes) ** 2,
+               max(len(masks), 1) * vals.shape[1])
+
+
+def single_blocks(stacks):
+    """The ``(rows, block)`` of each block of ``(idx, stack)`` pairs, in
+    order."""
+    return [(rows, block) for idx, stack in stacks
+            for rows, block in zip(idx, stack)]
 
 
 class TestConversions:
@@ -909,6 +926,46 @@ class TestDiagonalBlocks:
         for (idx_t, stack_t), (idx_d, stack_d) in zip(from_terms, from_dense):
             assert np.array_equal(idx_t, idx_d)
             assert stack_t.tobytes() == stack_d.tobytes()
+
+    def test_hubbard_like_v6_chunks(self):
+        # The budget is the largest block, 400^2 entries, above the
+        # 31 x 4096 XOR rows: each 300 x 300 block is a chunk of its own,
+        # the four 225 x 225 blocks come as 3 + 1, and every smaller size
+        # fits in one chunk.  One stack per size would hold the four
+        # 300 x 300 blocks, 360000 entries.
+        h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
+                                                              6))
+        terms = xor_terms(h_exp)
+        shapes = [stack.shape for _, stack in diagonal_blocks(terms)]
+        assert shapes == [(1, 400, 400)] + [(1, 300, 300)] * 4 + [
+            (3, 225, 225), (1, 225, 225), (4, 120, 120), (8, 90, 90),
+            (4, 36, 36), (4, 20, 20), (8, 15, 15), (8, 6, 6), (4, 1, 1)]
+        assert max(math.prod(shape) for shape in shapes) <= chunk_budget(
+            terms, shapes)
+        assert chunk_budget(terms, shapes) == 400 ** 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(2, 7), st.integers(0, 4),
+           st.sampled_from([1.0, 0.6, 0.2]), st.integers(0, 2 ** 32 - 1))
+    def test_chunks_hold_at_most_the_budget(self, n, count, density, seed):
+        # Random XOR rows, from none and fully linked cosets to sparse
+        # patterns: every stack holds at most max(s_max^2, rows x dim)
+        # entries (no rows count as one), and the chunks together are
+        # scipy's blocks of the dense matrix, in order and bit for bit.
+        g = np.random.default_rng(seed)
+        dim = 1 << n
+        masks = np.sort(g.choice(dim, size=min(count, dim), replace=False))
+        vals = np.where(g.random((len(masks), dim)) < density,
+                        g.standard_normal((len(masks), dim)), 0.0)
+        dense = np.zeros((dim, dim))
+        basis = np.arange(dim)
+        for mask, row in zip(masks, vals):
+            dense[basis, basis ^ mask] = row
+        shapes = [stack.shape for _, stack in diagonal_blocks((masks, vals))]
+        budget = chunk_budget((masks, vals), shapes)
+        assert all(math.prod(shape) <= budget for shape in shapes)
+        assert_same_blocks((masks, vals), dense)
 
     def test_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use, 10-15 ms inside a

@@ -433,8 +433,8 @@ class TestPrunedGroundSolve:
 
     def test_hubbard_like_v6_solves_one_stack(self, monkeypatch):
         # The ground sector (three up, three down: 400 states) is the
-        # largest block, and the Cholesky test skips the other nine
-        # stacks: one eigvalsh and one eigh, both real.
+        # largest block, and the Cholesky test skips the other thirteen
+        # chunks: one eigvalsh and one eigh, both real.
         h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
                                                               6))
         eigvalsh, eigh = recording_solvers(monkeypatch)
@@ -443,12 +443,13 @@ class TestPrunedGroundSolve:
         assert eigh == [("f", (400, 400))]
 
     def test_hubbard_like_v6_memory(self):
-        # No (words x dim) term stack, no edge list of the sectors' graph
-        # and no block stack the solve does not need: the traced peak of
-        # the call stays under 8 MB (7.05 MB measured; 9.8 MB with int64
-        # edge lists, 14.3 MB with the word terms stacked and every block
-        # stack kept, 31 MB with every stack solved and checked as
-        # complex).
+        # No (words x dim) term stack, no edge list of the sectors' graph,
+        # no partner table past the labelling and no block chunk the solve
+        # does not need: the traced peak of the call stays under 4.8 MB
+        # (4.36 MB measured; 7.03 MB with one stack per block size and the
+        # partner table kept, 9.8 MB with int64 edge lists, 14.3 MB with
+        # the word terms stacked and every block stack kept, 31 MB with
+        # every stack solved and checked as complex).
         h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
                                                               6))
         tracemalloc.start()
@@ -457,7 +458,7 @@ class TestPrunedGroundSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < 4.8 * 2 ** 20
 
     @pytest.mark.parametrize("shape", [SystemShape(2, 1), SystemShape(3, 1),
                                        SystemShape(2, 2)])
@@ -1047,9 +1048,10 @@ class TestSymmetricRoute:
         assert result.invariance == check_invariance(h_exp)
 
     def test_symmetric_route_memory(self):
-        # Only the block stack being solved or tested is alive: the
+        # Only the block chunk being solved or tested is alive: the
         # traced peak of the whole hubbard-like V = 6 certificate stays
-        # under 6.5 MB (5.8 MB measured; 8.0 MB when the sweep held the
+        # under 3.5 MB (3.14 MB measured; 5.8 MB with one stack per block
+        # size and the partner table kept, 8.0 MB when the sweep held the
         # previous stack while building the next, 9.8 MB on the dense
         # route with int64 edge lists).
         spec = builtin_family("hubbard-like", 6)
@@ -1059,7 +1061,7 @@ class TestSymmetricRoute:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6.5 * 2 ** 20
+        assert peak < 3.5 * 2 ** 20
 
 
 class TestConvexityStep:
