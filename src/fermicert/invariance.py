@@ -6,8 +6,10 @@ Majorana word are unchanged under site permutations that preserve the
 written order of the word, and (2) expectation values of words with even
 Majorana count on every site are unchanged under arbitrary site
 permutations.  A state is *fully* invariant when condition (1) holds for
-all permutations; the anti-commutation relations then force mixed odd-odd
-correlators to vanish, which the weaker definition deliberately avoids.
+all permutations; the anti-commutation relations then force words with
+two equal odd blocks to vanish, which the weaker definition deliberately
+avoids.  Other odd-odd correlators need not: 2^-V (1 - i m_u^1 m_u^2),
+m_u^a = V^-1/2 sum_j m_j^a, is fully invariant with <m_1^1 m_2^2> = i/V.
 
 The class checks are exact and enumerate no permutation.  A site permutation
 moves a word's nonzero per-site Majorana blocks between sites, so each
@@ -16,7 +18,7 @@ words with the same block sequence (1), the even-on-every-site words with
 the same block multiset (2), and for full invariance all words with the
 same block multiset, up to the sign of reordering the odd blocks.
 
-Every word up to a degree cap is covered, but only the words of the
+Every word, of every degree, is covered, but only the words of the
 state's support are visited: a word outside it has expectation 0.  The
 classes are sized in closed form (C(V, m) placements of a sequence of m
 blocks, V!/((V-m)! prod mult!) of a multiset), so a class that the support
@@ -29,7 +31,8 @@ product of at most C(V, 2) of them, so C(V, 2) max_i ||s_i rho s_i -
 rho||_1 bounds every word violation of every degree.  When that bound is
 below the cut the state is certified fully invariant with no word
 enumerated; otherwise the class check decides, as it does for every dense
-matrix.
+matrix, on the words up to :data:`WORD_DEGREE_CAP` only: a dense state
+has no support to read.
 
 The mu family built here is the standard witness separating the two
 notions: it is permutation invariant for every mu in [-1, 1] but fully
@@ -61,7 +64,7 @@ from .fock import (DenseOperator, Isometry, reduce_expansion,
 from .quadratic import QuadraticForm
 from .report import INEQUALITY, VerificationReport, make_report, vacuous_notes
 
-#: The checks cover every word of degree at most this.
+#: The dense class check covers every word of degree at most this.
 WORD_DEGREE_CAP = 4
 
 #: Largest invariance violation that the preconditions of Lemma 3 and
@@ -98,17 +101,18 @@ class MuFamilyParams:
 class InvarianceReport:
     """Maximum violations of the two invariance conditions.
 
-    Violations are max over (word, permutation) pairs, for every word up
-    to the degree cap and every site permutation, of
+    Violations are max over (word, permutation) pairs, for every word the
+    check covers and every site permutation, of
     |tr(rho w) - tr(rho pi(w))|, computed exactly as the largest diameter
     of a word class (see the module docstring).  ``full_max_violation``
     additionally tests condition-(1)-style equality under *all*
     permutations, which detects states that are invariant but not fully
     invariant.  ``checked_words`` is the number of words the check
-    covers, sum_{d <= cap} C(2pV, d) with cap :data:`WORD_DEGREE_CAP`, in
-    closed form: the words outside the support are covered, not visited.
-    ``sampled`` is always false: the check is exact, and the field stays
-    because ``invariance.csv`` has a column for it.
+    covers in closed form, 2^(2pV), or sum_{d <= cap} C(2pV, d) with cap
+    :data:`WORD_DEGREE_CAP` for the dense class check: the words outside
+    the support are covered, not visited.  ``sampled`` is always false:
+    the check is exact, and the field stays because ``invariance.csv``
+    has a column for it.
 
     A report that :func:`check_invariance_dense` certified from the site
     transpositions holds their bound B in all three violation fields: an
@@ -175,7 +179,8 @@ def is_order_preserving(pi: Sequence[int], mask: int,
 
 
 def words_up_to_degree(shape: SystemShape, cap: int) -> Iterable[int]:
-    """All canonical word bitmasks with degree <= cap (identity included)."""
+    """All canonical word bitmasks with degree <= cap (identity included),
+    the words of the dense class check."""
     nbits = shape.majorana_count
     for degree in range(0, min(cap, nbits) + 1):
         for combo in itertools.combinations(range(nbits), degree):
@@ -208,10 +213,10 @@ def _multiset_size(blocks: Tuple[int, ...], sites: int) -> int:
 
 
 def _class_report(shape: SystemShape, values: Dict[int, complex],
-                  tol: float) -> InvarianceReport:
-    """Invariance violations from the expectations of the words up to
-    :data:`WORD_DEGREE_CAP` (``values`` maps word mask -> tr(rho w); a word
-    it does not list has expectation 0).
+                  tol: float, checked_words: int) -> InvarianceReport:
+    """Invariance violations from the expectations of the ``checked_words``
+    words the caller covers (``values`` maps word mask -> tr(rho w); a
+    covered word it does not list has expectation 0).
 
     Permutations relabel the sites of a word's nonzero blocks, so:
 
@@ -263,13 +268,12 @@ def _class_report(shape: SystemShape, values: Dict[int, complex],
         full = max(full, diam)
         if all(b.bit_count() % 2 == 0 for b in key):
             cond2 = max(cond2, diam)
-    return InvarianceReport(cond1, cond2, _covered_words(shape), full < tol,
-                            full)
+    return InvarianceReport(cond1, cond2, checked_words, full < tol, full)
 
 
 def _covered_words(shape: SystemShape) -> int:
-    """Words of degree at most :data:`WORD_DEGREE_CAP`:
-    sum_{d <= cap} C(2pV, d)."""
+    """Words of the dense class check, those of degree at most
+    :data:`WORD_DEGREE_CAP`: sum_{d <= cap} C(2pV, d)."""
     return sum(math.comb(shape.majorana_count, d)
                for d in range(WORD_DEGREE_CAP + 1))
 
@@ -277,15 +281,15 @@ def _covered_words(shape: SystemShape) -> int:
 def check_invariance(rho: OperatorExpansion) -> InvarianceReport:
     """Exact check of both invariance conditions on an expansion.
 
-    Covers every word up to :data:`WORD_DEGREE_CAP` but visits only the
-    support words of that degree: the classes of :func:`_class_report`
-    are sized in closed form, and a word outside the support has
-    expectation 0.  :data:`INVARIANCE_TOL` is the full-invariance cut; no
-    permutation is enumerated.
+    Covers all 2^(2pV) words, of every degree, but visits only the
+    support words: the classes of :func:`_class_report` are sized in
+    closed form, and a word outside the support has expectation 0.
+    :data:`INVARIANCE_TOL` is the full-invariance cut; no permutation is
+    enumerated.
     """
-    values = {w: rho.expectation(w) for w in rho.terms
-              if w.bit_count() <= WORD_DEGREE_CAP}
-    return _class_report(rho.shape, values, INVARIANCE_TOL)
+    values = {w: rho.expectation(w) for w in rho.terms}
+    return _class_report(rho.shape, values, INVARIANCE_TOL,
+                         1 << rho.shape.majorana_count)
 
 
 def _transposition_bound(ground: Isometry) -> float:
@@ -316,31 +320,31 @@ def _transposition_bound(ground: Isometry) -> float:
 
 def check_invariance_dense(rho: Union[DenseOperator, Isometry]
                            ) -> InvarianceReport:
-    """The exact class check of :func:`check_invariance` on a dense state,
-    fully invariant below :data:`DENSE_INVARIANCE_TOL`, after a
-    generator check for an isometry.
+    """The class check of :func:`check_invariance` on a dense state's
+    words up to :data:`WORD_DEGREE_CAP`, fully invariant below
+    :data:`DENSE_INVARIANCE_TOL`, after a generator check for an isometry.
 
     Used for states only available numerically: a dense matrix, or an
     exact ground space given as an :class:`Isometry` F (the state
     F F-dagger / r, read without forming it).  An isometry whose
     :func:`_transposition_bound` B lies below the cut is certified fully
-    invariant with no word visited: the three violation fields hold B and
-    ``checked_words`` the same closed-form count.  Otherwise, and for
+    invariant at every degree with no word visited: the three violation
+    fields hold B and ``checked_words`` 2^(2pV).  Otherwise, and for
     every :class:`DenseOperator`, the word expectations come from
     :func:`word_expectations_dense`, one Walsh-Hadamard transform per X
     pattern; only the nonzero ones go to the class report.
     """
+    shape = rho.shape
     if isinstance(rho, Isometry):
         bound = _transposition_bound(rho)
         if bound < DENSE_INVARIANCE_TOL:
-            return InvarianceReport(bound, bound, _covered_words(rho.shape),
+            return InvarianceReport(bound, bound, 1 << shape.majorana_count,
                                     True, bound)
-    words = words_up_to_degree(rho.shape, WORD_DEGREE_CAP)
-    values = word_expectations_dense(rho.matrix, words, rho.shape,
+    words = words_up_to_degree(shape, WORD_DEGREE_CAP)
+    values = word_expectations_dense(rho.matrix, words, shape,
                                      factor=isinstance(rho, Isometry))
-    return _class_report(rho.shape,
-                         {w: v for w, v in values.items() if v != 0},
-                         DENSE_INVARIANCE_TOL)
+    return _class_report(shape, {w: v for w, v in values.items() if v != 0},
+                         DENSE_INVARIANCE_TOL, _covered_words(shape))
 
 
 def lemma3_bound(V: int, p: int, k: int) -> float:
@@ -352,14 +356,17 @@ def invariant_reduction(rho: OperatorExpansion, k: int,
                         inv_report: InvarianceReport) -> OperatorExpansion:
     """The first-k reduction of ``rho`` under the preconditions of Lemma 3
     and Theorem 1: V >= 6, 1 <= k < V and ``inv_report`` (the
-    :func:`check_invariance` of ``rho``) within :data:`INVARIANCE_TOL`.
-    Raises ``ValueError`` naming every unmet one."""
-    V = rho.shape.sites
+    :func:`check_invariance` of ``rho``) within :data:`INVARIANCE_TOL`
+    on all 2^(2pV) words.  Raises ``ValueError`` naming every unmet one."""
+    V, n_words = rho.shape.sites, 1 << rho.shape.majorana_count
     problems = []
     if V < 6:
         problems.append(f"V = {V} below the required 6 sites")
     if not 1 <= k < V:
         problems.append(f"k = {k} outside [1, V)")
+    if inv_report.checked_words < n_words:
+        problems.append(f"invariance checked on {inv_report.checked_words}"
+                        f" of {n_words} words")
     if problems:
         raise ValueError("; ".join(problems))
     if inv_report.max_violation() > INVARIANCE_TOL:

@@ -17,11 +17,11 @@ are summed by X pattern (:data:`fock.XorTerms`), it splits into the
 connected blocks of their sparsity graph (its conserved sectors), and each
 block is diagonalized densely, in real arithmetic when it has no imaginary
 part.  The invariance precondition comes from H's own symmetry when its
-expansion shows one (U_pi H U_pi-dagger = H for every site permutation pi
-makes the ground space invariant at every degree), and then only the
-ground energy is solved for.  Otherwise the full, possibly degenerate
-ground space is kept as a dim x r isometry rather than a dim x dim
-projector, and its invariance is checked on that.
+expansion is fully invariant (U_pi H U_pi-dagger = H for every site
+permutation pi makes the ground space invariant at every degree), and
+then only the ground energy is solved for.  Otherwise the full, possibly
+degenerate ground space is kept as a dim x r isometry rather than a
+dim x dim projector, and its invariance is checked on that.
 
 Product-state energies are evaluated symbolically: mixed-site correlations
 of even single-site states factorize site by site, so tr(H xi^(x V)) is a
@@ -35,7 +35,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -47,9 +47,8 @@ from .fock import (DenseOperator, Isometry, diagonal_blocks, ensure_within_cap,
                    hermitian_word, operator_norm, real_if_exact,
                    require_hermitian, to_matrix, word_expectations_dense,
                    xor_terms)
-from .invariance import (DENSE_INVARIANCE_TOL, WORD_DEGREE_CAP,
-                         InvarianceReport, check_invariance,
-                         check_invariance_dense)
+from .invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
+                         check_invariance, check_invariance_dense)
 from .report import INEQUALITY, VerificationReport, make_report
 
 #: Eigenvalues within this of the lowest belong to the ground space.
@@ -394,8 +393,9 @@ def min_product_energy(h_exp: OperatorExpansion, seed: int = 0
 class MeanFieldResult:
     """The numbers behind the product-state energy-gap certificate; the
     verdict and the notes are in its report.  ``invariance`` is the report
-    the precondition rests on: H's own when H is symmetric
-    (:func:`symmetry_report`), the ground space's otherwise."""
+    the precondition rests on: H's own :func:`invariance.check_invariance`
+    when it is fully invariant, the ground space's
+    :func:`invariance.check_invariance_dense` otherwise."""
 
     e_product_min: float
     e_ground: float
@@ -409,42 +409,28 @@ def gs_bound(V: int, p: int, k: int) -> float:
     return (4.0 ** p) * k ** 1.5 / V
 
 
-def symmetry_report(h_exp: OperatorExpansion) -> Optional[InvarianceReport]:
-    """H's own :func:`invariance.check_invariance` report when it shows
-    U_pi H U_pi-dagger = H for every site permutation pi, else None.
-
-    H is an expansion, so its class check is exact and symbolic, but it
-    covers only the words up to :data:`invariance.WORD_DEGREE_CAP`: the
-    report shows the symmetry when H is fully invariant and has no word
-    above the cap.  Conditions 1 and 2 alone would not do (pair-exchange
-    meets both, and its ground space is not invariant)."""
-    report = check_invariance(h_exp)
-    if report.fully_invariant and all(
-            w.bit_count() <= WORD_DEGREE_CAP for w in h_exp.terms):
-        return report
-    return None
-
-
 def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
                     ) -> Tuple[MeanFieldResult, VerificationReport]:
     """Certify the product-state energy gap of one Hamiltonian family.
 
     The ground-state permutation invariance precondition is taken from
-    H's own symmetry first (:func:`symmetry_report`): when U_pi H
-    U_pi-dagger = H for every site permutation pi, every spectral
-    projector of H commutes with every U_pi, so the uniform mixture over
-    the ground space is fully invariant, at every degree, exactly.  Then
-    the precondition holds with H's report, and the exact ground energy
-    comes from :func:`ground_energy`, the sector sweep with no ground
-    vector.  Every other H (one that is not fully invariant, or has a word
-    above :data:`invariance.WORD_DEGREE_CAP`) may still have an invariant
+    H's own symmetry first: H's :func:`check_invariance`, exact at every
+    degree, shows U_pi H U_pi-dagger = H for every site permutation pi
+    when it is fully invariant (conditions 1 and 2 alone would not do:
+    pair-exchange meets both, and its ground space is not invariant).
+    Then every spectral projector of H commutes with every U_pi, so the
+    uniform mixture over the ground space is fully invariant, at every
+    degree, exactly; the precondition holds with H's report, and the
+    exact ground energy comes from :func:`ground_energy`, the sector sweep
+    with no ground vector.  Every other H may still have an invariant
     ground space, so the state decides: the ground space comes from
     :func:`ground_state_lowdim` and :func:`check_invariance_dense` checks
     the uniform mixture over it, read from its isometry: first from the
     V - 1 adjacent site transpositions, whose bound covers words of every
     degree, and when they do not certify it, by the exact class check of
-    every word up to degree 4, within
-    :data:`invariance.DENSE_INVARIANCE_TOL`.  A violation labels the
+    the words up to degree 4, within
+    :data:`invariance.DENSE_INVARIANCE_TOL`; a precondition met that way
+    is noted as checked up to degree 4 only.  A violation labels the
     result "precondition failed" but the gap numbers are still reported.
     The product energy comes from one :func:`min_product_energy` call:
     exact for a one-word even support, otherwise the upper bound of the
@@ -456,8 +442,8 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
     ensure_within_cap(spec.shape)
     start = time.perf_counter()
     h_exp, notes = build_hamiltonian_expansion(spec)
-    inv = symmetry_report(h_exp)
-    if inv is not None:
+    inv = check_invariance(h_exp)
+    if inv.fully_invariant:
         e_gs = ground_energy(h_exp)
     else:
         e_gs, ground = ground_state_lowdim(h_exp)
@@ -468,10 +454,14 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
     V, p = spec.shape.sites, spec.shape.modes_per_site
     bound, tol = gs_bound(V, p, spec.k), 1e-6
     gap = e_prod - e_gs
+    n_words = 1 << spec.shape.majorana_count
     if not precondition_ok:
         notes.append("precondition failed: ground state is not permutation "
                      f"invariant (violation {inv.max_violation():.3e})")
         notes.append("bound is only claimed for invariant ground states")
+    elif inv.checked_words < n_words:
+        notes.append("precondition checked on the words up to degree 4 "
+                     f"only ({inv.checked_words} of {n_words})")
     result = MeanFieldResult(e_prod, e_gs, gap, bound, precondition_ok, inv)
     report = make_report("gs-bound", INEQUALITY,
                          {"family": spec.name, "V": V, "p": p, "k": spec.k,

@@ -21,7 +21,9 @@ its nonzero pattern, and :func:`unpruned_ground_state` is the block
 ground solve on them with every sector diagonalized.
 :func:`fresh_process_output` runs a snippet in a new interpreter, where
 what a call leaves imported can be read from ``sys.modules``, and
-:func:`mask_of` spells a word mask as its (site, index) Majoranas.  The
+:func:`mask_of` spells a word mask as its (site, index) Majoranas, and
+:func:`parity_state` builds a state from the package's ladders whose one
+correlation lies above degree 4.  The
 :func:`search_budget` fixture runs the witness search of one test at a
 smaller budget than the one every command runs.
 """
@@ -74,6 +76,25 @@ def mask_of(shape: SystemShape, *indices) -> int:
     for site, mi in indices:
         out |= 1 << shape.bit_position(site, mi)
     return out
+
+
+def site_parity(shape: SystemShape, site: int):
+    """P_j = 1 - 2 n_j of the first mode on ``site``, from its ladders."""
+    from fermicert.algebra import OperatorExpansion
+    from fermicert.cumulants import ladder
+    return OperatorExpansion.identity(shape) - 2 * (
+        ladder(shape, -1, site, 1) * ladder(shape, 1, site, 1))
+
+
+def parity_state(V: int, coeff: float):
+    """2^-V (1 + coeff P_1 P_2 P_3) at p = 1: a valid state for
+    |coeff| <= 1 whose only correlation is a degree-6 word, even on every
+    site, so it breaks condition 2 by |coeff| above degree 4."""
+    from fermicert.algebra import OperatorExpansion
+    shape = SystemShape(V, 1)
+    first = site_parity(shape, 1) * site_parity(shape, 2) * site_parity(
+        shape, 3)
+    return 2.0 ** -V * (OperatorExpansion.identity(shape) + coeff * first)
 
 
 def word_matrix_oracle(mask: int, shape: SystemShape) -> np.ndarray:

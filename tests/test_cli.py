@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import parity_state
 from fermicert import cli, meanfield, suites
+from fermicert.algebra import expansion_to_text
 from fermicert.cli import SINGLE, build_parser, main
 from fermicert.fock import MODE_CAP_ENV
 from fermicert.meanfield import BUILTIN_CONFIGS
@@ -243,7 +245,6 @@ class TestCliSingleCommands:
         assert not (tmp_path / "out").exists()
 
     def test_fixture_roundtrip(self, tmp_path):
-        from fermicert.algebra import expansion_to_text
         from fermicert.invariance import MuFamilyParams, mu_family_state
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         fixture = tmp_path / "state.txt"
@@ -254,7 +255,6 @@ class TestCliSingleCommands:
 
     def test_fixture_report_names_the_fixture(self, tmp_path):
         # The report names the fixture that ran, not the family's mu.
-        from fermicert.algebra import expansion_to_text
         from fermicert.invariance import MuFamilyParams, mu_family_state
         state = mu_family_state(MuFamilyParams(6, 1, 0.5), validate=False)
         fixture = tmp_path / "state.txt"
@@ -363,6 +363,16 @@ class TestCliSingleCommands:
             assert note in out
             assert "not positive" not in out
 
+    def test_theorem1_refuses_a_correlation_above_degree_4(self, tmp_path,
+                                                           capsys):
+        # 2^-6 (1 + 0.9 P_1 P_2 P_3): its one correlation has degree 6.
+        fixture = tmp_path / "state.txt"
+        fixture.write_text(expansion_to_text(parity_state(6, 0.9)))
+        assert main(["--out", str(tmp_path), "verify-theorem1", "--V", "6",
+                     "--k", "2", "--seed", "0", "--fixture",
+                     str(fixture)]) == 2
+        assert "not permutation invariant" in capsys.readouterr().err
+
     def test_parity_note(self, tmp_path, capsys):
         # Single Majorana terms, one per site, break parity
         # superselection; the Lemma-3 run goes on and says so.
@@ -439,7 +449,6 @@ class TestCliSingleCommands:
         # is: the check must read the input, family or fixture, not a
         # reduction.
         if source == "fixture":
-            from fermicert.algebra import expansion_to_text
             from fermicert.invariance import MuFamilyParams, mu_family_state
             state = mu_family_state(MuFamilyParams(6, 1, mu), validate=False)
             fixture = tmp_path / "state.txt"

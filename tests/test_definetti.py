@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (cumulant, fresh_process_output, mixture_matrix,
-                      random_even_density_matrix, word_matrix_oracle)
+                      parity_state, random_even_density_matrix,
+                      word_matrix_oracle)
 from fermicert import definetti, suites
 from fermicert.algebra import SystemShape
 from fermicert.definetti import (EXACT_HIT, GENERATOR_BOX, STOP_GAP,
@@ -709,6 +710,12 @@ class TestVerifyTheorem1:
         small = mu_family_state(MuFamilyParams(4, 1, 0.2), validate=False)
         with pytest.raises(ValueError):
             verify_theorem1(small, 2, seed=0)
+
+    def test_correlation_above_the_degree_cap_refused(self):
+        # 2^-12 (1 + P_1 P_2 P_3) correlates sites 1-3 by a degree-6 word
+        # only: not invariant, so no witness is searched for it.
+        with pytest.raises(ValueError, match="not permutation invariant"):
+            verify_theorem1(parity_state(12, 1.0), 2, seed=0)
 
     @pytest.mark.parametrize("component", [
         # Even and unit trace, but not positive.

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mask_of, random_expansion
+from conftest import mask_of, parity_state, random_expansion, site_parity
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                canonicalize_positions)
-from fermicert.cumulants import ladder
 from fermicert.fock import (DenseOperator, Isometry, check_state,
                             partial_trace_sites,
                             permutation_unitary, reduce_expansion, to_matrix,
@@ -19,9 +18,9 @@ from fermicert.fock import (DenseOperator, Isometry, check_state,
 from fermicert import invariance
 from fermicert.invariance import (InvarianceReport, MuFamilyParams,
                                   check_invariance, check_invariance_dense,
-                                  is_order_preserving, lemma3_bound,
-                                  mu_family_state, verify_lemma3,
-                                  words_up_to_degree)
+                                  invariant_reduction, is_order_preserving,
+                                  lemma3_bound, mu_family_state,
+                                  verify_lemma3, words_up_to_degree)
 from fermicert.suites import MU_SWEEP, run_verify_lemma3
 
 TAN6 = math.tan(math.pi / 12.0)
@@ -37,9 +36,9 @@ def order_preserving_reference(pi, mask, shape):
     return all(pairs[i] < pairs[i + 1] for i in range(len(pairs) - 1))
 
 
-def pairwise_violations(rho, cap=4):
-    """Independent oracle for the invariance checker: every word up to the
-    degree cap against every site permutation, comparing tr(rho w) with
+def pairwise_violations(rho, cap):
+    """Independent oracle for the invariance checker: every word up to
+    degree ``cap`` against every site permutation, comparing tr(rho w) with
     tr(rho pi(w)) pair by pair.  Returns (cond1, cond2, full)."""
     shape = rho.shape
     width = 2 * shape.modes_per_site
@@ -56,10 +55,11 @@ def pairwise_violations(rho, cap=4):
                        for s in range(shape.sites))
             for pi in perms:
                 mapped = [pi[g // width] * width + g % width for g in combo]
-                ordered = all(a < b for a, b in zip(mapped, mapped[1:]))
-                sign, mapped_mask = canonicalize_positions(mapped)
+                mapped_mask = sum(1 << g for g in mapped)
                 if e_w == 0.0 and mapped_mask not in support:
                     continue
+                ordered = all(a < b for a, b in zip(mapped, mapped[1:]))
+                sign, _ = canonicalize_positions(mapped)
                 diff = abs(e_w - sign * rho.expectation(mapped_mask))
                 full = max(full, diff)
                 if ordered:
@@ -82,9 +82,9 @@ def symmetrised(rho, ordered_only):
     return out
 
 
-def enumerating_reference(rho, cap=4):
+def enumerating_reference(rho, cap):
     """Independent reference for the support-driven checker: the class
-    diameters over every word up to the degree cap, a word outside the
+    diameters over every word up to degree ``cap``, a word outside the
     support standing for expectation 0.  The full-invariance value of a
     word is normalised with the sign of the site permutation that sorts
     its blocks (a class with two equal odd blocks holds both signs).
@@ -130,8 +130,10 @@ def enumerating_reference(rho, cap=4):
     return InvarianceReport(cond1, cond2, n_words, full < 1e-9, full)
 
 
+#: Shapes of at most 10 Majoranas, whose every word the pairwise oracle
+#: compares under every permutation within a fraction of a second.
 ORACLE_SHAPES = [SystemShape(V, p) for V, p in
-                 ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2))]
+                 ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2))]
 
 
 @st.composite
@@ -149,7 +151,7 @@ def oracle_states(draw):
 
 
 REFERENCE_SHAPES = [SystemShape(V, p) for V, p in
-                    ((6, 1), (7, 1), (8, 1), (3, 2), (4, 2))]
+                    ((6, 1), (5, 1), (4, 1), (3, 2), (2, 2))]
 
 
 def filled_class(shape, blocks, coeff):
@@ -300,8 +302,8 @@ class TestCheckInvariance:
     def test_v8_exact(self):
         state = mu_family_state(MuFamilyParams(8, 1, 1.0), validate=False)
         rep = check_invariance(state)
-        # Every word of degree <= 4 over 16 Majoranas.
-        assert rep.checked_words == 2517
+        # Every word over 16 Majoranas, of every degree.
+        assert rep.checked_words == 2 ** 16
         assert not rep.sampled
         assert rep.max_violation() < 1e-10
         assert not rep.fully_invariant
@@ -342,16 +344,23 @@ class TestCheckInvariance:
               database=None)
     @given(oracle_states())
     def test_matches_pairwise_oracle(self, rho):
-        cond1, cond2, full = pairwise_violations(rho)
+        # The expansion check against words of every degree; the dense
+        # class check against the class diameters of the words up to its
+        # cap.
+        cond1, cond2, full = pairwise_violations(rho,
+                                                 rho.shape.majorana_count)
         rep = check_invariance(rho)
         assert (rep.condition1_max_violation, rep.condition2_max_violation,
                 rep.full_max_violation) == (cond1, cond2, full)
         assert rep.fully_invariant == (full < 1e-9)
         dense = check_invariance_dense(to_matrix(rho))
+        capped = enumerating_reference(rho, invariance.WORD_DEGREE_CAP)
         assert (dense.condition1_max_violation,
                 dense.condition2_max_violation,
                 dense.full_max_violation) == pytest.approx(
-                    (cond1, cond2, full), abs=1e-12)
+                    (capped.condition1_max_violation,
+                     capped.condition2_max_violation,
+                     capped.full_max_violation), abs=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -360,7 +369,8 @@ class TestCheckInvariance:
         # Bit for bit: the support-driven report adds 0.0 to every class
         # the support fills only in part, as the enumeration does word by
         # word.
-        assert check_invariance(rho) == enumerating_reference(rho)
+        assert check_invariance(rho) == enumerating_reference(
+            rho, rho.shape.majorana_count)
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, -1.0])
     def test_large_v_covers_words_without_visiting_them(self, mu,
@@ -371,8 +381,8 @@ class TestCheckInvariance:
         monkeypatch.setattr(invariance, "words_up_to_degree", refuse)
         state = mu_family_state(MuFamilyParams(40, 1, mu), validate=False)
         rep = check_invariance(state)
-        # 1 + 80 + C(80, 2) + C(80, 3) + C(80, 4) words of degree <= 4.
-        assert rep.checked_words == 1_666_981
+        # Every word over 80 Majoranas, of every degree.
+        assert rep.checked_words == 2 ** 80
         assert rep.max_violation() == 0.0
         assert rep.full_max_violation == pytest.approx(
             2.0 * math.tan(math.pi / 80.0) * abs(mu), rel=1e-12)
@@ -389,7 +399,7 @@ class TestCheckInvariance:
         assert rep.max_violation() == 0.0
         assert rep.full_max_violation == pytest.approx(2.0 * abs(e),
                                                        rel=1e-15)
-        assert rep.full_max_violation == pairwise_violations(rho)[2]
+        assert rep.full_max_violation == pairwise_violations(rho, 4)[2]
 
     def test_odd_block_reordering_sign(self):
         # Swapping sites 1 and 2 maps m_1^1 m_2^2 to m_2^1 m_1^2
@@ -419,7 +429,7 @@ class TestCheckInvariance:
             abs(rho.expectation(ab) - rho.expectation(ba)), rel=1e-15)
         assert rep.condition2_max_violation > 0.0
         assert (rep.condition1_max_violation, rep.condition2_max_violation,
-                rep.full_max_violation) == pairwise_violations(rho)
+                rep.full_max_violation) == pairwise_violations(rho, 8)
 
     def test_channel_output_fully_invariant(self):
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
@@ -437,16 +447,13 @@ class TestCheckInvariance:
 
     @staticmethod
     def three_site_parity_state():
-        """2^-6 (1 + 0.9 P1 P2 P3) at V = 6, p = 1, with P_j = 1 - 2 n_j:
-        its only correlation is a degree-6 word, so it breaks condition 2
-        by 0.9 above the degree cap.  Returns (rho, P1 P2 P3, P4 P5 P6)."""
+        """:func:`conftest.parity_state` at V = 6 and 0.9, with P_j = 1 -
+        2 n_j.  Returns (rho, P1 P2 P3, P4 P5 P6)."""
         shape = SystemShape(6, 1)
-        one = OperatorExpansion.identity(shape)
-        parity = [one - 2 * (ladder(shape, -1, j, 1) * ladder(shape, 1, j, 1))
-                  for j in range(1, 7)]
+        parity = [site_parity(shape, j) for j in range(1, 7)]
         first = parity[0] * parity[1] * parity[2]
         last = parity[3] * parity[4] * parity[5]
-        return 2.0 ** -6 * (one + 0.9 * first), first, last
+        return parity_state(6, 0.9), first, last
 
     def test_three_site_parity_state_is_valid_and_not_invariant(self):
         rho, first, last = self.three_site_parity_state()
@@ -459,17 +466,46 @@ class TestCheckInvariance:
             pytest.approx(0.9, abs=1e-15))
         assert abs(np.trace(dense.matrix @ to_matrix(last).matrix)) < 1e-15
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 16: the checks cover words of "
-                              "degree <= 4 only, so this degree-6 violation "
-                              "reads 0 and the state is certified invariant")
     def test_condition2_violation_above_the_degree_cap(self):
+        # The expansion check covers every degree and reads the violation.
+        # The dense class check stops at degree 4, where the state shows
+        # nothing, and its word count says so: the Lemma-3 and Theorem-1
+        # precondition refuses its report.
         rho, _, _ = self.three_site_parity_state()
-        for rep in (check_invariance(rho), check_invariance_dense(
-                to_matrix(rho))):
-            assert rep.condition2_max_violation == pytest.approx(0.9,
-                                                                 rel=1e-12)
-            assert not rep.fully_invariant
+        rep = check_invariance(rho)
+        assert rep.condition2_max_violation == pytest.approx(0.9, rel=1e-12)
+        assert not rep.fully_invariant
+        assert rep.checked_words == 4096
+        dense = check_invariance_dense(to_matrix(rho))
+        assert dense.max_violation() == 0.0
+        assert dense.checked_words == 794 < 4096
+        with pytest.raises(ValueError,
+                           match="invariance checked on 794 of 4096 words"):
+            invariant_reduction(rho, 2, dense)
+        with pytest.raises(ValueError, match="not permutation invariant"):
+            invariant_reduction(rho, 2, rep)
+
+    def test_full_invariance_keeps_distinct_odd_blocks(self):
+        # The pinned uniform orbital 2^-6 (1 - i m_u^1 m_u^2), m_u^a =
+        # 6^-1/2 sum_j m_j^a, is a fully invariant state with
+        # <m_1^1 m_2^2> = i/6: full invariance pairs it with
+        # <m_1^2 m_2^1> = -i/6 and forces only the words with two equal
+        # odd blocks, such as m_1^1 m_2^1, to vanish.
+        sh = SystemShape(6, 1)
+        m_u = [OperatorExpansion(sh, {mask_of(sh, (j, a)): 6.0 ** -0.5
+                                      for j in range(1, 7)})
+               for a in (1, 2)]
+        rho = 2.0 ** -6 * (OperatorExpansion.identity(sh)
+                           - 1j * (m_u[0] * m_u[1]))
+        assert check_state(to_matrix(rho)).all_ok
+        rep = check_invariance(rho)
+        assert rep.fully_invariant
+        assert rep.full_max_violation < 1e-15
+        assert rho.expectation(mask_of(sh, (1, 1), (2, 2))) == pytest.approx(
+            1j / 6, abs=1e-15)
+        assert rho.expectation(mask_of(sh, (1, 2), (2, 1))) == pytest.approx(
+            -1j / 6, abs=1e-15)
+        assert rho.expectation(mask_of(sh, (1, 1), (2, 1))) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -590,6 +626,29 @@ class TestVerifyLemma3:
         rep = check_invariance(lopsided)
         assert rep.condition1_max_violation == pytest.approx(0.64, rel=1e-14)
         assert rep.condition2_max_violation == 0.0
+
+    @pytest.mark.parametrize("V", [35, 40])
+    def test_correlations_above_the_degree_cap_refused(self, V):
+        # (1 + A)(1 + B)/64 on three p = 2 sites, with A and B commuting
+        # Hermitian words of degree 6 that share two Majoranas, so AB has
+        # degree 8, and every other site maximally mixed: a valid state
+        # with support degrees 0, 6, 6 and 8, correlated on sites 1-3 only.
+        three = SystemShape(3, 2)
+        a = OperatorExpansion(three, {mask_of(three, (1, 1), (1, 2), (1, 3),
+                                              (2, 1), (2, 2), (2, 3)): 1j})
+        b = OperatorExpansion(three, {mask_of(three, (1, 1), (2, 1), (3, 1),
+                                              (3, 2), (3, 3), (3, 4)): 1j})
+        one = OperatorExpansion.identity(three)
+        rho3 = (1.0 / 64.0) * ((one + a) * (one + b))
+        assert sorted(w.bit_count() for w in rho3.terms) == [0, 6, 6, 8]
+        assert check_state(to_matrix(rho3)).all_ok
+        shape = SystemShape(V, 2)
+        rho = 4.0 ** (3 - V) * rho3.relabel((1, 2, 3), shape)
+        rep = check_invariance(rho)
+        assert rep.condition1_max_violation == pytest.approx(1.0, rel=1e-12)
+        assert rep.condition2_max_violation == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(ValueError, match="not permutation invariant"):
+            verify_lemma3(rho, 3)
 
     def test_reduction_site_choice_immaterial(self, mu1):
         # Permutation invariance makes the reduced-site choice irrelevant:

@@ -31,8 +31,7 @@ from fermicert.meanfield import (BUILTIN_CONFIGS, BUILTIN_FAMILIES,
                                  builtin_family, ground_energy,
                                  ground_state, ground_state_lowdim, gs_bound,
                                  hamiltonian_from_config,
-                                 min_product_energy, symmetry_report,
-                                 verify_gs_bound)
+                                 min_product_energy, verify_gs_bound)
 from fermicert import meanfield
 
 
@@ -837,20 +836,21 @@ class TestGeneratorInvariance:
     def test_agrees_with_class_check(self, name, V, monkeypatch):
         # Same verdict as the class check on every built-in ground space;
         # where the transpositions certify, their bound B is in every
-        # field and covers each exact class diameter.  H's own symmetry
-        # (the symmetric route of verify_gs_bound) gives the same verdict.
+        # field, covers each exact class diameter and every word of
+        # every degree.  H's own symmetry (the symmetric route of
+        # verify_gs_bound) gives the same verdict.
         spec = builtin_family(name, V)
         ground = ground_of(spec)
         report = check_invariance_dense(ground)
         h_exp, _ = build_hamiltonian_expansion(spec)
-        assert (symmetry_report(h_exp) is not None) == report.fully_invariant
+        assert check_invariance(h_exp).fully_invariant == (
+            report.fully_invariant)
         exact = class_check(ground, monkeypatch)
         assert verdict(report) == verdict(exact)
         bound = invariance._transposition_bound(ground)
         if bound < DENSE_INVARIANCE_TOL:
-            assert report == InvarianceReport(bound, bound,
-                                              exact.checked_words, True,
-                                              bound)
+            assert report == InvarianceReport(
+                bound, bound, 1 << spec.shape.majorana_count, True, bound)
             assert exact.condition1_max_violation <= bound
             assert exact.condition2_max_violation <= bound
             assert exact.full_max_violation <= bound
@@ -886,6 +886,31 @@ class TestGeneratorInvariance:
         assert report.max_violation() < 1e-10
         result, rep = verify_gs_bound(builtin_family(name, 6), seed=0)
         assert result.precondition_ok and rep.passed
+
+    def test_degree_capped_precondition_is_noted(self, monkeypatch):
+        # Site-number with site 4 weighted twice: H is not symmetric, but
+        # its ground state, the same vacuum on every site, is.  The
+        # transpositions certify it at every degree; the class check,
+        # reached when they are switched off, covers degree 4 only and the
+        # report says so.
+        spec = hamiltonian_from_config({
+            "V": 4, "p": 1, "k": 1, "template": BUILTIN_CONFIGS[
+                "site-number"]["template"],
+            "subsets": [[1], [2], [3], [4], [4]]})
+        h_exp, _ = build_hamiltonian_expansion(spec)
+        assert not check_invariance(h_exp).fully_invariant
+        result, rep = verify_gs_bound(spec, seed=0)
+        assert result.precondition_ok
+        assert result.invariance.checked_words == 256
+        assert not any("degree" in n for n in rep.notes)
+        monkeypatch.setattr(invariance, "_transposition_bound",
+                            lambda ground: math.inf)
+        result, rep = verify_gs_bound(spec, seed=0)
+        assert result.precondition_ok and rep.passed
+        assert result.invariance.checked_words == 163
+        assert (f"precondition checked on the words up to degree "
+                f"{invariance.WORD_DEGREE_CAP} only (163 of 256)"
+                in rep.notes)
 
     def test_memory_far_below_a_projector(self):
         # The hubbard-like V = 6 ground space (dim 4096, rank 5) is
@@ -969,11 +994,11 @@ class TestSymmetricRoute:
         h_exp, _ = build_hamiltonian_expansion(builtin_family(name, 4))
         report = check_invariance(h_exp)
         if name == "pair-exchange":
-            assert symmetry_report(h_exp) is None
+            assert not report.fully_invariant
             assert report.max_violation() == 0.0
             assert conjugation_residual(h_exp) > 0.1
         else:
-            assert symmetry_report(h_exp) == report
+            assert report.fully_invariant
             assert conjugation_residual(h_exp) < 1e-14
 
     @settings(max_examples=25, deadline=None, derandomize=True,
@@ -987,14 +1012,14 @@ class TestSymmetricRoute:
         # otherwise than the tuple's sites do, so H is not symmetric.
         spec, dropped = case
         h_exp, _ = build_hamiltonian_expansion(spec)
-        assert symmetry_report(h_exp) is not None
+        assert check_invariance(h_exp).fully_invariant
         assert conjugation_residual(h_exp) < 1e-12
         _, ground = ground_state_lowdim(h_exp)
         assert check_invariance_dense(ground).fully_invariant
         subsets = spec.subsets[:dropped] + spec.subsets[dropped + 1:]
         h_less, _ = build_hamiltonian_expansion(HamiltonianSpec(
             spec.shape, subsets, spec.template, normalize=True))
-        assert symmetry_report(h_less) is None
+        assert not check_invariance(h_less).fully_invariant
         assert conjugation_residual(h_less) > 1e-6
 
     def test_pair_exchange_takes_the_dense_route(self, monkeypatch):
@@ -1005,24 +1030,26 @@ class TestSymmetricRoute:
         assert not result.precondition_ok
         assert any("violation 6.667e-01" in n for n in rep.notes)
 
-    def test_word_above_the_degree_cap_takes_the_dense_route(self,
-                                                             monkeypatch):
+    def test_word_above_the_degree_cap_takes_the_symmetric_route(
+            self, monkeypatch):
         # P_j P_l P_m over all 3-subsets: a degree-6 word on each, even on
-        # every site, so H is symmetric, but its class check covers only
-        # degree 4 and does not see these words; the ground space decides.
+        # every site, so H is symmetric, and its class check, which
+        # covers every degree, says so.
         spec = hamiltonian_from_config({
             "V": 6, "p": 1, "k": 3,
             "template": "0 1 (1,1)(1,2)(2,1)(2,2)(3,1)(3,2)\n"})
         h_exp, _ = build_hamiltonian_expansion(spec)
         assert {w.bit_count() for w in h_exp.terms} == {6}
-        assert check_invariance(h_exp).fully_invariant
-        assert symmetry_report(h_exp) is None
         calls = route_calls(monkeypatch)
         result, rep = verify_gs_bound(spec, seed=0)
-        assert calls == DENSE_ROUTE
-        _, ground = ground_state_lowdim(h_exp)
-        assert result.invariance == check_invariance_dense(ground)
+        assert calls == ["ground_energy"]
+        assert result.invariance == check_invariance(h_exp)
+        assert result.invariance.fully_invariant
+        assert result.invariance.checked_words == 4096
+        assert result.precondition_ok
         assert result.e_ground == pytest.approx(-1.0, abs=1e-12)
+        assert result.e_ground == pytest.approx(
+            ground_state_lowdim(h_exp)[0], abs=1e-12)
 
     def test_hubbard_like_v6_solves_one_stack_and_no_vector(self,
                                                             monkeypatch):
