@@ -669,9 +669,9 @@ def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
 
 
 def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
-                            shape: SystemShape, factor: bool = False
-                            ) -> Dict[int, complex]:
-    """tr(M * word) for many canonical words at once.
+                            shape: SystemShape) -> Dict[int, complex]:
+    """tr(M * word) for many canonical words at once, M a dense dim x dim
+    matrix.
 
     A word with Pauli form i^e Z^z X^x has tr(M w) = i^e sum_b
     (-1)^(b . z) M[b ^ x, b], so every word sharing one X pattern reads
@@ -680,29 +680,19 @@ def word_expectations_dense(matrix: np.ndarray, masks: Iterable[int],
     and the X patterns from ``np.unique``.  One gathered vector is alive
     at a time.
 
-    With ``factor`` set, ``matrix`` is a dim x r matrix F standing for the
-    state M = F F-dagger / r (an :class:`Isometry`), and the gathered
-    vector is sum_i F[b ^ x, i] conj(F[b, i]) / r: no dim x dim matrix is
-    formed.
-
     Every pattern is visited: one that joins no two states of the support
     gathers an exactly-zero vector, so its words read an exact 0.
     """
     masks = np.fromiter(masks, np.int64)
     phase, z, x = pauli_strings(masks, shape)
     rows = np.arange(shape.fock_dim, dtype=np.int64)
-    if factor:
-        f_conj = matrix.conj() / matrix.shape[1]
     patterns, group = np.unique(x, return_inverse=True)
     order = np.argsort(group, kind="stable")
     counts = np.bincount(group, minlength=len(patterns))
     ends = np.cumsum(counts)
     values = np.zeros(len(masks), dtype=np.complex128)
     for j, pattern in enumerate(patterns):
-        if factor:
-            gathered = np.einsum("bi,bi->b", matrix[rows ^ pattern], f_conj)
-        else:
-            gathered = matrix[rows ^ pattern, rows]
+        gathered = matrix[rows ^ pattern, rows]
         spectrum = _walsh_hadamard(gathered)
         idx = order[ends[j] - counts[j]:ends[j]]
         values[idx] = _I4[phase[idx]] * spectrum[z[idx]]

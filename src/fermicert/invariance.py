@@ -25,14 +25,13 @@ blocks, V!/((V-m)! prod mult!) of a multiset), so a class that the support
 fills only in part also holds the value 0, and a class that it does not
 touch holds only zeros.
 
-A dense ground space, an :class:`fock.Isometry`, is first tried on the
-V - 1 adjacent site transpositions s_i = (i i+1): every permutation is a
-product of at most C(V, 2) of them, so C(V, 2) max_i ||s_i rho s_i -
-rho||_1 bounds every word violation of every degree.  When that bound is
-below the cut the state is certified fully invariant with no word
-enumerated; otherwise the class check decides, as it does for every dense
-matrix, on the words up to :data:`WORD_DEGREE_CAP` only: a dense state
-has no support to read.
+A dense ground space, an :class:`fock.Isometry`, has no support to read,
+so it is checked on the V - 1 adjacent site transpositions s_i = (i i+1)
+alone: every permutation is a product of at most C(V, 2) of them, so
+B = C(V, 2) max_i ||s_i rho s_i - rho||_1 bounds every word violation of
+every degree.  B below the cut certifies the state fully invariant with
+no word enumerated; above it the state is not certified, which is not a
+proof that it is not invariant.
 
 The mu family built here is the standard witness separating the two
 notions: it is permutation invariant for every mu in [-1, 1] but fully
@@ -47,32 +46,28 @@ odd part, one with a quartic word say, goes through the dense matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import (OperatorExpansion, SystemShape, canonicalize_positions,
                       relabel_word, site_blocks, validate_permutation)
-from .fock import (DenseOperator, Isometry, reduce_expansion,
-                   signed_permutation, to_matrix, trace_norm,
-                   word_expectations_dense)
+from .fock import (Isometry, reduce_expansion, signed_permutation,
+                   to_matrix, trace_norm)
 from .quadratic import QuadraticForm
 from .report import INEQUALITY, VerificationReport, make_report, vacuous_notes
-
-#: The dense class check covers every word of degree at most this.
-WORD_DEGREE_CAP = 4
 
 #: Largest invariance violation that the preconditions of Lemma 3 and
 #: Theorem 1 accept, and the full-invariance cut of :func:`check_invariance`.
 INVARIANCE_TOL = 1e-9
 
-#: The cut for dense states: the full-invariance flag of
-#: :func:`check_invariance_dense` and the ``verify_gs_bound`` precondition.
+#: The cut for dense states: a site-transposition bound below it is the
+#: full-invariance flag of :func:`check_invariance_dense`, and so the
+#: ``verify_gs_bound`` precondition on its dense route.
 DENSE_INVARIANCE_TOL = 1e-8
 
 
@@ -108,16 +103,13 @@ class InvarianceReport:
     additionally tests condition-(1)-style equality under *all*
     permutations, which detects states that are invariant but not fully
     invariant.  ``checked_words`` is the number of words the check
-    covers in closed form, 2^(2pV), or sum_{d <= cap} C(2pV, d) with cap
-    :data:`WORD_DEGREE_CAP` for the dense class check: the words outside
-    the support are covered, not visited.  ``sampled`` is always false:
-    the check is exact, and the field stays because ``invariance.csv``
-    has a column for it.
+    covers, 2^(2pV): the words outside the support are covered, not
+    visited.  ``sampled`` is always false: the check is exact, and the
+    field stays because ``invariance.csv`` has a column for it.
 
-    A report that :func:`check_invariance_dense` certified from the site
-    transpositions holds their bound B in all three violation fields: an
-    upper bound that covers words of every degree, not an exact class
-    diameter.
+    A report of :func:`check_invariance_dense` holds the site-transposition
+    bound B in all three violation fields: an upper bound that covers words
+    of every degree, not an exact class diameter.
     """
 
     condition1_max_violation: float
@@ -178,18 +170,6 @@ def is_order_preserving(pi: Sequence[int], mask: int,
     return relabel_word(mask, validate_permutation(pi, shape.sites), shape)[2]
 
 
-def words_up_to_degree(shape: SystemShape, cap: int) -> Iterable[int]:
-    """All canonical word bitmasks with degree <= cap (identity included),
-    the words of the dense class check."""
-    nbits = shape.majorana_count
-    for degree in range(0, min(cap, nbits) + 1):
-        for combo in itertools.combinations(range(nbits), degree):
-            mask = 0
-            for pos in combo:
-                mask |= 1 << pos
-            yield mask
-
-
 def _diameter(values: Iterable[complex]) -> float:
     """max |a - b| over all pairs of the given values (0 for fewer than 2).
 
@@ -212,13 +192,13 @@ def _multiset_size(blocks: Tuple[int, ...], sites: int) -> int:
     return size
 
 
-def _class_report(shape: SystemShape, values: Dict[int, complex],
-                  tol: float, checked_words: int) -> InvarianceReport:
-    """Invariance violations from the expectations of the ``checked_words``
-    words the caller covers (``values`` maps word mask -> tr(rho w); a
-    covered word it does not list has expectation 0).
+def check_invariance(rho: OperatorExpansion) -> InvarianceReport:
+    """Exact check of both invariance conditions on an expansion.
 
-    Permutations relabel the sites of a word's nonzero blocks, so:
+    Covers all 2^(2pV) words, of every degree, but visits only the
+    support words (a word outside the support has expectation 0), and
+    enumerates no permutation.  Permutations relabel the sites of a word's
+    nonzero blocks, so:
 
     * condition (1): order-preserving maps carry no sign and reach exactly
       the words with the same block sequence, C(V, m) of them for m
@@ -232,17 +212,20 @@ def _class_report(shape: SystemShape, values: Dict[int, complex],
       block-sorted order; a class with two equal odd blocks has a
       stabilizer of sign -1, so it holds both signs of every value.
 
-    A class with fewer listed words than members also holds 0.0; a class
-    with no listed word holds only zeros and has diameter 0.  Each
+    A class with fewer support words than members also holds 0.0; a class
+    with no support word holds only zeros and has diameter 0.  Each
     violation is the largest class diameter, which equals the maximum of
     |tr(rho w) - tr(rho pi(w))| over all (word, permutation) pairs.
+    :data:`INVARIANCE_TOL` is the full-invariance cut.
     """
+    shape = rho.shape
     width = 2 * shape.modes_per_site
     by_sequence: Dict[Tuple[int, ...], set] = {}
     by_multiset: Dict[Tuple[int, ...], set] = {}
     listed_sequence: Counter = Counter()
     listed_multiset: Counter = Counter()
-    for mask, val in values.items():
+    for mask in rho.terms:
+        val = rho.expectation(mask)
         blocks = site_blocks(mask, width)
         by_sequence.setdefault(blocks, set()).add(val)
         listed_sequence[blocks] += 1
@@ -268,42 +251,26 @@ def _class_report(shape: SystemShape, values: Dict[int, complex],
         full = max(full, diam)
         if all(b.bit_count() % 2 == 0 for b in key):
             cond2 = max(cond2, diam)
-    return InvarianceReport(cond1, cond2, checked_words, full < tol, full)
+    return InvarianceReport(cond1, cond2, 1 << shape.majorana_count,
+                            full < INVARIANCE_TOL, full)
 
 
-def _covered_words(shape: SystemShape) -> int:
-    """Words of the dense class check, those of degree at most
-    :data:`WORD_DEGREE_CAP`: sum_{d <= cap} C(2pV, d)."""
-    return sum(math.comb(shape.majorana_count, d)
-               for d in range(WORD_DEGREE_CAP + 1))
+def check_invariance_dense(ground: Isometry) -> InvarianceReport:
+    """The site-transposition bound B of a dense ground space F, the state
+    F F-dagger / r read without forming it, in all three violation fields.
 
-
-def check_invariance(rho: OperatorExpansion) -> InvarianceReport:
-    """Exact check of both invariance conditions on an expansion.
-
-    Covers all 2^(2pV) words, of every degree, but visits only the
-    support words: the classes of :func:`_class_report` are sized in
-    closed form, and a word outside the support has expectation 0.
-    :data:`INVARIANCE_TOL` is the full-invariance cut; no permutation is
-    enumerated.
-    """
-    values = {w: rho.expectation(w) for w in rho.terms}
-    return _class_report(rho.shape, values, INVARIANCE_TOL,
-                         1 << rho.shape.majorana_count)
-
-
-def _transposition_bound(ground: Isometry) -> float:
-    """C(V, 2) max_i ||s_i rho s_i - rho||_1 over the adjacent site
-    transpositions s_i = (i i+1), for rho = F F-dagger / r.
-
-    With G = U_(s_i) F (a gather, :func:`fock.signed_permutation`), the
-    singular values of R = G - F (F-dagger G) are the sines of the
-    principal angles between the ranges of F and G, so
-    ||s_i rho s_i - rho||_1 is exactly 2/r times their sum: one dim x r
-    gather and one r-column SVD per transposition, no dim x dim array.  Any
-    permutation is a product of at most C(V, 2) of them, and
-    U w U-dagger = s canon(pi w), so the bound covers every condition-1,
-    condition-2 and full-invariance violation, of every degree.
+    B = C(V, 2) max_i ||s_i rho s_i - rho||_1 over the adjacent site
+    transpositions s_i = (i i+1).  With G = U_(s_i) F (a gather,
+    :func:`fock.signed_permutation`), the singular values of R = G - F
+    (F-dagger G) are the sines of the principal angles between the ranges
+    of F and G, so ||s_i rho s_i - rho||_1 is exactly 2/r times their sum:
+    one dim x r gather and one r-column SVD per transposition, no dim x dim
+    array.  Any permutation is a product of at most C(V, 2) of them, and
+    U w U-dagger = s canon(pi w), so B bounds every condition-1,
+    condition-2 and full-invariance violation, of every degree:
+    ``checked_words`` is 2^(2pV), and the state is fully invariant when B
+    lies below :data:`DENSE_INVARIANCE_TOL`.  A larger B certifies
+    nothing; it does not show the state to be non-invariant.
     """
     shape, f = ground.shape, ground.matrix
     worst = 0.0
@@ -315,36 +282,9 @@ def _transposition_bound(ground: Isometry) -> float:
         g[image] = sign[:, None] * f
         sines = np.linalg.svd(g - f @ (f.conj().T @ g), compute_uv=False)
         worst = max(worst, 2.0 * float(sines.sum()) / f.shape[1])
-    return math.comb(shape.sites, 2) * worst
-
-
-def check_invariance_dense(rho: Union[DenseOperator, Isometry]
-                           ) -> InvarianceReport:
-    """The class check of :func:`check_invariance` on a dense state's
-    words up to :data:`WORD_DEGREE_CAP`, fully invariant below
-    :data:`DENSE_INVARIANCE_TOL`, after a generator check for an isometry.
-
-    Used for states only available numerically: a dense matrix, or an
-    exact ground space given as an :class:`Isometry` F (the state
-    F F-dagger / r, read without forming it).  An isometry whose
-    :func:`_transposition_bound` B lies below the cut is certified fully
-    invariant at every degree with no word visited: the three violation
-    fields hold B and ``checked_words`` 2^(2pV).  Otherwise, and for
-    every :class:`DenseOperator`, the word expectations come from
-    :func:`word_expectations_dense`, one Walsh-Hadamard transform per X
-    pattern; only the nonzero ones go to the class report.
-    """
-    shape = rho.shape
-    if isinstance(rho, Isometry):
-        bound = _transposition_bound(rho)
-        if bound < DENSE_INVARIANCE_TOL:
-            return InvarianceReport(bound, bound, 1 << shape.majorana_count,
-                                    True, bound)
-    words = words_up_to_degree(shape, WORD_DEGREE_CAP)
-    values = word_expectations_dense(rho.matrix, words, shape,
-                                     factor=isinstance(rho, Isometry))
-    return _class_report(shape, {w: v for w, v in values.items() if v != 0},
-                         DENSE_INVARIANCE_TOL, _covered_words(shape))
+    bound = math.comb(shape.sites, 2) * worst
+    return InvarianceReport(bound, bound, 1 << shape.majorana_count,
+                            bound < DENSE_INVARIANCE_TOL, bound)
 
 
 def lemma3_bound(V: int, p: int, k: int) -> float:

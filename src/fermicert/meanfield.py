@@ -21,7 +21,8 @@ expansion is fully invariant (U_pi H U_pi-dagger = H for every site
 permutation pi makes the ground space invariant at every degree), and
 then only the ground energy is solved for.  Otherwise the full, possibly
 degenerate ground space is kept as a dim x r isometry rather than a
-dim x dim projector, and its invariance is checked on that.
+dim x dim projector, and its invariance is certified on that by the
+site-transposition bound, which covers every degree, or not at all.
 
 Product-state energies are evaluated symbolically: mixed-site correlations
 of even single-site states factorize site by site, so tr(H xi^(x V)) is a
@@ -47,8 +48,8 @@ from .fock import (DenseOperator, Isometry, diagonal_blocks, ensure_within_cap,
                    hermitian_word, operator_norm, real_if_exact,
                    require_hermitian, to_matrix, word_expectations_dense,
                    xor_terms)
-from .invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
-                         check_invariance, check_invariance_dense)
+from .invariance import (InvarianceReport, check_invariance,
+                         check_invariance_dense)
 from .report import INEQUALITY, VerificationReport, make_report
 
 #: Eigenvalues within this of the lowest belong to the ground space.
@@ -394,8 +395,9 @@ class MeanFieldResult:
     """The numbers behind the product-state energy-gap certificate; the
     verdict and the notes are in its report.  ``invariance`` is the report
     the precondition rests on: H's own :func:`invariance.check_invariance`
-    when it is fully invariant, the ground space's
-    :func:`invariance.check_invariance_dense` otherwise."""
+    when it is fully invariant, the ground space's site-transposition
+    bound, :func:`invariance.check_invariance_dense`, otherwise.
+    ``precondition_ok`` is that report's ``fully_invariant``."""
 
     e_product_min: float
     e_ground: float
@@ -424,14 +426,13 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
     exact ground energy comes from :func:`ground_energy`, the sector sweep
     with no ground vector.  Every other H may still have an invariant
     ground space, so the state decides: the ground space comes from
-    :func:`ground_state_lowdim` and :func:`check_invariance_dense` checks
-    the uniform mixture over it, read from its isometry: first from the
-    V - 1 adjacent site transpositions, whose bound covers words of every
-    degree, and when they do not certify it, by the exact class check of
-    the words up to degree 4, within
-    :data:`invariance.DENSE_INVARIANCE_TOL`; a precondition met that way
-    is noted as checked up to degree 4 only.  A violation labels the
-    result "precondition failed" but the gap numbers are still reported.
+    :func:`ground_state_lowdim` and :func:`check_invariance_dense` bounds
+    the violations of the uniform mixture over it, read from its isometry,
+    by the V - 1 adjacent site transpositions: a bound B below
+    :data:`invariance.DENSE_INVARIANCE_TOL` covers words of every degree
+    and meets the precondition.  A larger B labels the result
+    "precondition failed", naming B, but the gap numbers are still
+    reported.
     The product energy comes from one :func:`min_product_energy` call:
     exact for a one-word even support, otherwise the upper bound of the
     coordinate sweeps the witness search shares, so the gap is an upper
@@ -448,20 +449,17 @@ def verify_gs_bound(spec: HamiltonianSpec, seed: int = 0
     else:
         e_gs, ground = ground_state_lowdim(h_exp)
         inv = check_invariance_dense(ground)
-    precondition_ok = inv.max_violation() <= DENSE_INVARIANCE_TOL
+    precondition_ok = inv.fully_invariant
 
     _, e_prod = min_product_energy(h_exp, seed=seed)
     V, p = spec.shape.sites, spec.shape.modes_per_site
     bound, tol = gs_bound(V, p, spec.k), 1e-6
     gap = e_prod - e_gs
-    n_words = 1 << spec.shape.majorana_count
     if not precondition_ok:
-        notes.append("precondition failed: ground state is not permutation "
-                     f"invariant (violation {inv.max_violation():.3e})")
+        notes.append("precondition failed: ground space not certified "
+                     "permutation invariant (site-transposition bound "
+                     f"{inv.max_violation():.3e})")
         notes.append("bound is only claimed for invariant ground states")
-    elif inv.checked_words < n_words:
-        notes.append("precondition checked on the words up to degree 4 "
-                     f"only ({inv.checked_words} of {n_words})")
     result = MeanFieldResult(e_prod, e_gs, gap, bound, precondition_ok, inv)
     report = make_report("gs-bound", INEQUALITY,
                          {"family": spec.name, "V": V, "p": p, "k": spec.k,

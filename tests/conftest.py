@@ -21,15 +21,20 @@ its nonzero pattern, and :func:`unpruned_ground_state` is the block
 ground solve on them with every sector diagonalized.
 :func:`fresh_process_output` runs a snippet in a new interpreter, where
 what a call leaves imported can be read from ``sys.modules``, and
-:func:`mask_of` spells a word mask as its (site, index) Majoranas, and
+:func:`mask_of` spells a word mask as its (site, index) Majoranas,
+:func:`words_up_to_degree` lists the word masks of low degree, and
 :func:`parity_state` builds a state from the package's ladders whose one
-correlation lies above degree 4.  The
+correlation lies above degree 4.  :func:`assert_bound_covers_exact`
+holds a ground space's site-transposition report to the exact invariance
+oracle, the class check of the full expansion of its projector, at every
+degree.  The
 :func:`search_budget` fixture runs the witness search of one test at a
 smaller budget than the one every command runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -76,6 +81,35 @@ def mask_of(shape: SystemShape, *indices) -> int:
     for site, mi in indices:
         out |= 1 << shape.bit_position(site, mi)
     return out
+
+
+def words_up_to_degree(shape: SystemShape, cap: int):
+    """Every canonical word mask of degree at most ``cap``, identity
+    included, by degree."""
+    return [sum(1 << g for g in combo) for degree in range(cap + 1)
+            for combo in itertools.combinations(range(shape.majorana_count),
+                                                degree)]
+
+
+def assert_bound_covers_exact(report, ground):
+    """Hold the :func:`invariance.check_invariance_dense` report of a
+    ground space F to the every-degree oracle, the
+    :func:`invariance.check_invariance` of the full expansion of F F-dagger
+    / r (:func:`fock.to_expansion`, within half the mode cap): each exact
+    class diameter is at most the bound B, and a B that does not certify
+    meets a state that the oracle refutes too.  Returns the oracle's
+    report."""
+    from fermicert.fock import DenseOperator, to_expansion
+    from fermicert.invariance import INVARIANCE_TOL, check_invariance
+    f = ground.matrix
+    exact = check_invariance(to_expansion(
+        DenseOperator(ground.shape, f @ f.conj().T / f.shape[1])))
+    assert exact.condition1_max_violation <= report.condition1_max_violation
+    assert exact.condition2_max_violation <= report.condition2_max_violation
+    assert exact.full_max_violation <= report.full_max_violation
+    if not report.fully_invariant:
+        assert exact.max_violation() > INVARIANCE_TOL
+    return exact
 
 
 def site_parity(shape: SystemShape, site: int):

@@ -667,6 +667,21 @@ class TestCliSingleCommands:
         assert code == 0
         assert "gs-bound" in capsys.readouterr().out
 
+    def test_gs_pair_exchange_names_the_transposition_bound(self, tmp_path):
+        # pair-exchange's H is not site symmetric and the site
+        # transpositions do not certify its ground space: the row says the
+        # precondition failed, and the note names the bound that decided.
+        assert main(["--out", str(tmp_path), "gs-bound", "--hamiltonian",
+                     "pair-exchange", "--V", "6", "--seed", "0"]) == 0
+        with open(tmp_path / "gsbound.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["precondition_ok"] == "0"
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            (summary,) = list(csv.DictReader(fh))
+        assert ("precondition failed: ground space not certified permutation"
+                " invariant (site-transposition bound 3.000e+01)"
+                in summary["notes"])
+
     def test_gs_config_file(self, tmp_path):
         cfg = {
             "V": 4, "p": 1, "k": 1, "name": "site-number-custom",

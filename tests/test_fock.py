@@ -14,7 +14,8 @@ import fermicert
 from conftest import (fresh_process_output, independent_ladder,
                       independent_majoranas, mask_of, random_density_matrix,
                       random_even_density_matrix, random_expansion,
-                      scipy_blocks, word_matrix_oracle)
+                      scipy_blocks, word_matrix_oracle,
+                      words_up_to_degree)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                expansion_from_text, expansion_to_text)
 from fermicert import fock
@@ -30,8 +31,7 @@ from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             trace_norm,
                             word_expectations_dense, word_terms,
                             xor_terms)
-from fermicert.invariance import (MuFamilyParams, mu_family_state,
-                                  words_up_to_degree)
+from fermicert.invariance import MuFamilyParams, mu_family_state
 from fermicert.meanfield import (BUILTIN_FAMILIES,
                                  build_hamiltonian_expansion, builtin_family,
                                  ground_state_lowdim)
@@ -795,19 +795,15 @@ class TestExpectationDense:
     def test_unreachable_patterns_are_exact_zeros(self):
         # The hubbard-like V = 4 ground space lives in one number sector,
         # so many X patterns join no two support states.  Their gathered
-        # vectors are exactly zero, so those words read exactly 0, and the
-        # factor and dense routes agree on the rest.
+        # vectors are exactly zero, so those words read exactly 0.
         h_exp, _ = build_hamiltonian_expansion(builtin_family("hubbard-like",
                                                               4))
         _, ground = ground_state_lowdim(h_exp)
-        shape, factor = ground.shape, ground.matrix
-        rho = factor @ factor.conj().T / factor.shape[1]
-        masks = list(words_up_to_degree(shape, 4))
-        from_factor = word_expectations_dense(factor, masks, shape,
-                                              factor=True)
+        shape, f = ground.shape, ground.matrix
+        rho = f @ f.conj().T / f.shape[1]
+        masks = words_up_to_degree(shape, 4)
         from_matrix = word_expectations_dense(rho, masks, shape)
-        assert max(abs(from_factor[m] - from_matrix[m]) for m in masks) < 1e-15
-        support = set(np.flatnonzero(np.abs(factor).sum(axis=1)).tolist())
+        support = set(np.flatnonzero(np.abs(f).sum(axis=1)).tolist())
         majoranas = independent_majoranas(shape.total_modes)
         unreachable = 0
         for mask in masks:
@@ -819,7 +815,7 @@ class TestExpectationDense:
             x = int(np.flatnonzero(row)[0])
             if not any(b ^ x in support for b in support):
                 unreachable += 1
-                assert from_factor[mask] == 0 and from_matrix[mask] == 0
+                assert from_matrix[mask] == 0
         assert 0 < unreachable < len(masks)
 
     def test_dense_matrices_with_zero_rows_and_columns(self, rng):
@@ -978,40 +974,6 @@ class TestDiagonalBlocks:
                 "sizes = [idx.shape[1] for idx, _ in diagonal_blocks(terms)]\n"
                 "print(sizes, 'numpy.ma' in sys.modules)\n")
         assert fresh_process_output(code) == "[2, 1] False"
-
-
-@st.composite
-def factored_states(draw):
-    """(shape, F): an orthonormal dim x r factor of a random rank-r state.
-    Half the draws zero most entries first, so that F has zero rows and
-    its columns differ in support."""
-    shape = SystemShape(*draw(st.sampled_from([(3, 1), (2, 2), (4, 1)])))
-    r = draw(st.integers(1, 4))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    zeroed = draw(st.sampled_from([0.0, 0.7]))
-    g = np.random.default_rng(seed)
-    a = (g.standard_normal((shape.fock_dim, r))
-         + 1j * g.standard_normal((shape.fock_dim, r)))
-    a[g.random(a.shape) < zeroed] = 0.0
-    return shape, np.linalg.qr(a)[0]
-
-
-class TestWordExpectationsFactor:
-    @settings(max_examples=30, deadline=None, derandomize=True,
-              database=None)
-    @given(factored_states())
-    def test_factor_matches_dense_matrix(self, case):
-        # A factor F gives the expectations of F F-dagger / r, word for
-        # word, without the dim x dim matrix.
-        shape, factor = case
-        rho = factor @ factor.conj().T / factor.shape[1]
-        masks = range(1 << shape.majorana_count)
-        from_factor = word_expectations_dense(factor, masks, shape,
-                                              factor=True)
-        from_matrix = word_expectations_dense(rho, masks, shape)
-        assert from_factor.keys() == from_matrix.keys()
-        assert max(abs(from_factor[m] - from_matrix[m])
-                   for m in masks) < 1e-12
 
 
 class TestIndependentOracleAgreement:

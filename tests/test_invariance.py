@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mask_of, parity_state, random_expansion, site_parity
+from conftest import (assert_bound_covers_exact, mask_of, parity_state,
+                      random_expansion, site_parity, words_up_to_degree)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                                canonicalize_positions)
 from fermicert.fock import (DenseOperator, Isometry, check_state,
                             partial_trace_sites,
-                            permutation_unitary, reduce_expansion, to_matrix,
-                            trace_norm)
+                            permutation_unitary, reduce_expansion,
+                            to_expansion, to_matrix, trace_norm)
 from fermicert import invariance
-from fermicert.invariance import (InvarianceReport, MuFamilyParams,
-                                  check_invariance, check_invariance_dense,
+from fermicert.invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
+                                  MuFamilyParams, check_invariance,
+                                  check_invariance_dense,
                                   invariant_reduction, is_order_preserving,
                                   lemma3_bound, mu_family_state,
-                                  verify_lemma3, words_up_to_degree)
+                                  verify_lemma3)
 from fermicert.suites import MU_SWEEP, run_verify_lemma3
 
 TAN6 = math.tan(math.pi / 12.0)
@@ -44,23 +46,30 @@ def pairwise_violations(rho, cap):
     width = 2 * shape.modes_per_site
     site_mask = (1 << width) - 1
     perms = list(itertools.permutations(range(shape.sites)))
-    support = rho.terms.keys()
+    perm_array = np.array(perms, dtype=np.int64)
+    support = np.fromiter(rho.terms, np.int64)
     cond1 = cond2 = full = 0.0
     for degree in range(cap + 1):
         for combo in itertools.combinations(range(shape.majorana_count),
                                             degree):
             w = sum(1 << g for g in combo)
             e_w = rho.expectation(w)
-            even = all(((w >> (s * width)) & site_mask).bit_count() % 2 == 0
-                       for s in range(shape.sites))
-            for pi in perms:
+            sites = [s for s in range(shape.sites) if (w >> (s * width))
+                     & site_mask]
+            blocks = np.array([(w >> (s * width)) & site_mask for s in sites],
+                              dtype=np.int64)
+            even = all(int(b).bit_count() % 2 == 0 for b in blocks)
+            # Site s's block moves whole to site pi[s].
+            images = (blocks << (perm_array[:, sites] * width)).sum(axis=1)
+            # A pair of two zero expectations differs by nothing.
+            hits = (np.flatnonzero(np.isin(images, support)) if e_w == 0.0
+                    else range(len(perms)))
+            for i in hits:
+                pi = perms[i]
                 mapped = [pi[g // width] * width + g % width for g in combo]
-                mapped_mask = sum(1 << g for g in mapped)
-                if e_w == 0.0 and mapped_mask not in support:
-                    continue
                 ordered = all(a < b for a, b in zip(mapped, mapped[1:]))
                 sign, _ = canonicalize_positions(mapped)
-                diff = abs(e_w - sign * rho.expectation(mapped_mask))
+                diff = abs(e_w - sign * rho.expectation(int(images[i])))
                 full = max(full, diff)
                 if ordered:
                     cond1 = max(cond1, diff)
@@ -311,11 +320,13 @@ class TestCheckInvariance:
             2.0 * math.tan(math.pi / 16.0), abs=1e-12)
 
     def test_dense_checker_matches(self):
+        # The every-degree oracle, the class check of a dense matrix's full
+        # expansion, reads what the check of the expansion itself reads.
         state = mu_family_state(MuFamilyParams(6, 1, 1.0), validate=False)
-        rep = check_invariance_dense(to_matrix(state))
+        rep = check_invariance(to_expansion(to_matrix(state)))
         assert rep.max_violation() < 1e-10
         assert not rep.fully_invariant
-        assert rep.checked_words == 794
+        assert rep.checked_words == 4096
         assert rep.full_max_violation == pytest.approx(2.0 * TAN6, abs=1e-12)
 
     def test_bosonic_symmetry_is_not_certified(self):
@@ -326,41 +337,37 @@ class TestCheckInvariance:
         shape = SystemShape(4, 1)
         pairs = np.bitwise_count(np.arange(shape.fock_dim)) == 2
         f = pairs.astype(np.complex128)[:, None] / math.sqrt(6.0)
-        rep = check_invariance_dense(Isometry(shape, f))
-        exact = check_invariance_dense(DenseOperator(shape, f @ f.conj().T))
+        ground = Isometry(shape, f)
+        rep = check_invariance_dense(ground)
         # Each swap flips one of the six amplitudes: cos = 2/3, so every
         # generator moves the state by 2 sin = 2 sqrt(5)/3.
-        assert invariance._transposition_bound(Isometry(shape, f)) == (
-            pytest.approx(6 * 2 * math.sqrt(5.0) / 3.0, abs=1e-12))
-        assert not rep.fully_invariant
-        assert rep.max_violation() > 1.0
+        bound = 6 * 2 * math.sqrt(5.0) / 3.0
         assert (rep.condition1_max_violation, rep.condition2_max_violation,
-                rep.full_max_violation) == pytest.approx(
-                    (exact.condition1_max_violation,
-                     exact.condition2_max_violation,
-                     exact.full_max_violation), abs=1e-12)
+                rep.full_max_violation) == pytest.approx((bound,) * 3,
+                                                         abs=1e-12)
+        assert rep.checked_words == 256
+        assert not rep.fully_invariant
+        # The state is refuted at every degree.
+        exact = assert_bound_covers_exact(rep, ground)
+        assert exact.max_violation() > 1.0
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(oracle_states())
     def test_matches_pairwise_oracle(self, rho):
-        # The expansion check against words of every degree; the dense
-        # class check against the class diameters of the words up to its
-        # cap.
+        # The expansion check against words of every degree, on the
+        # expansion and on the full expansion of its dense matrix.
         cond1, cond2, full = pairwise_violations(rho,
                                                  rho.shape.majorana_count)
         rep = check_invariance(rho)
         assert (rep.condition1_max_violation, rep.condition2_max_violation,
                 rep.full_max_violation) == (cond1, cond2, full)
         assert rep.fully_invariant == (full < 1e-9)
-        dense = check_invariance_dense(to_matrix(rho))
-        capped = enumerating_reference(rho, invariance.WORD_DEGREE_CAP)
+        dense = check_invariance(to_expansion(to_matrix(rho)))
         assert (dense.condition1_max_violation,
                 dense.condition2_max_violation,
                 dense.full_max_violation) == pytest.approx(
-                    (capped.condition1_max_violation,
-                     capped.condition2_max_violation,
-                     capped.full_max_violation), abs=1e-12)
+                    (cond1, cond2, full), abs=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -375,12 +382,19 @@ class TestCheckInvariance:
     @pytest.mark.parametrize("mu", [0.0, 0.3, -1.0])
     def test_large_v_covers_words_without_visiting_them(self, mu,
                                                         monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the support-driven check enumerated words")
+        visited = []
+        expectation = OperatorExpansion.expectation
 
-        monkeypatch.setattr(invariance, "words_up_to_degree", refuse)
+        def record(self, mask):
+            visited.append(mask)
+            return expectation(self, mask)
+
         state = mu_family_state(MuFamilyParams(40, 1, mu), validate=False)
+        monkeypatch.setattr(OperatorExpansion, "expectation", record)
         rep = check_invariance(state)
+        # One expectation per support word: 1 + C(40, 2) at mu != 0.
+        assert sorted(visited) == sorted(state.terms)
+        assert len(visited) == (1 if mu == 0.0 else 1 + math.comb(40, 2))
         # Every word over 80 Majoranas, of every degree.
         assert rep.checked_words == 2 ** 80
         assert rep.max_violation() == 0.0
@@ -467,23 +481,22 @@ class TestCheckInvariance:
         assert abs(np.trace(dense.matrix @ to_matrix(last).matrix)) < 1e-15
 
     def test_condition2_violation_above_the_degree_cap(self):
-        # The expansion check covers every degree and reads the violation.
-        # The dense class check stops at degree 4, where the state shows
-        # nothing, and its word count says so: the Lemma-3 and Theorem-1
-        # precondition refuses its report.
+        # The expansion check covers every degree and reads the violation
+        # of the degree-6 word, so the Lemma-3 and Theorem-1 precondition
+        # refuses the state.  A report that covers fewer words than the
+        # state has, one from a smaller system, is refused as well.
         rho, _, _ = self.three_site_parity_state()
         rep = check_invariance(rho)
         assert rep.condition2_max_violation == pytest.approx(0.9, rel=1e-12)
         assert not rep.fully_invariant
         assert rep.checked_words == 4096
-        dense = check_invariance_dense(to_matrix(rho))
-        assert dense.max_violation() == 0.0
-        assert dense.checked_words == 794 < 4096
-        with pytest.raises(ValueError,
-                           match="invariance checked on 794 of 4096 words"):
-            invariant_reduction(rho, 2, dense)
         with pytest.raises(ValueError, match="not permutation invariant"):
             invariant_reduction(rho, 2, rep)
+        wider = mu_family_state(MuFamilyParams(8, 1, 0.0))
+        assert check_invariance(wider).max_violation() == 0.0
+        with pytest.raises(ValueError,
+                           match="invariance checked on 4096 of 65536 words"):
+            invariant_reduction(wider, 2, rep)
 
     def test_full_invariance_keeps_distinct_odd_blocks(self):
         # The pinned uniform orbital 2^-6 (1 - i m_u^1 m_u^2), m_u^a =
@@ -535,9 +548,13 @@ class TestTranspositionBound:
                 u = permutation_unitary(pi, shape).matrix
                 worst = max(worst, trace_norm(
                     DenseOperator(shape, u @ rho @ u.conj().T - rho)))
-            assert invariance._transposition_bound(
-                Isometry(shape, f)) == pytest.approx(
-                    math.comb(V, 2) * worst, abs=1e-10)
+            report = check_invariance_dense(Isometry(shape, f))
+            bound = report.full_max_violation
+            assert bound == pytest.approx(math.comb(V, 2) * worst,
+                                          abs=1e-10)
+            assert report == InvarianceReport(
+                bound, bound, 1 << shape.majorana_count,
+                bound < DENSE_INVARIANCE_TOL, bound)
 
 
 class TestVerifyLemma3:

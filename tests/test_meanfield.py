@@ -10,17 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (build_hamiltonian, fresh_process_output, mask_of,
+from conftest import (assert_bound_covers_exact, build_hamiltonian,
+                      fresh_process_output, mask_of,
                       random_even_density_matrix, random_expansion,
                       unpruned_ground_state)
 from fermicert.algebra import (OperatorExpansion, SystemShape,
                               expansion_from_text, expansion_to_text,
                               reversal_sign)
+from fermicert import fock
 from fermicert.fock import (MODE_CAP_ENV, DenseOperator, ResourceCapError,
                             diagonal_blocks, hermitian_word,
-                            hermiticity_residual, jw_matrix, operator_norm,
-                            permutation_unitary, to_matrix, xor_terms)
-from fermicert import invariance
+                            hermiticity_residual, jw_matrix, mode_cap,
+                            operator_norm, permutation_unitary, to_matrix,
+                            xor_terms)
 from fermicert.invariance import (DENSE_INVARIANCE_TOL, InvarianceReport,
                                   MuFamilyParams, check_invariance,
                                   check_invariance_dense, mu_family_state)
@@ -787,39 +789,6 @@ def ground_of(spec):
     return ground_state_lowdim(h_exp)[1]
 
 
-def class_check(ground, monkeypatch):
-    """The exact class check of a ground space: on its dense projector
-    F F-dagger / r up to Fock dimension 1024, above that (hubbard-like,
-    V = 6, where the projector is a 256 MB array) on the isometry with the
-    generator path switched off."""
-    f = ground.matrix
-    if ground.shape.fock_dim <= 1024:
-        return check_invariance_dense(
-            DenseOperator(ground.shape, f @ f.conj().T / f.shape[1]))
-    with monkeypatch.context() as patch:
-        patch.setattr(invariance, "_transposition_bound",
-                      lambda ground: math.inf)
-        return check_invariance_dense(ground)
-
-
-def verdict(report):
-    return (report.fully_invariant,
-            report.max_violation() <= DENSE_INVARIANCE_TOL)
-
-
-def assert_same_report(report, exact):
-    """Equal up to the rounding of reading the words from F instead of
-    F F-dagger / r."""
-    assert (report.condition1_max_violation,
-            report.condition2_max_violation,
-            report.full_max_violation) == pytest.approx(
-                (exact.condition1_max_violation,
-                 exact.condition2_max_violation,
-                 exact.full_max_violation), abs=1e-12)
-    assert (report.checked_words, report.fully_invariant) == (
-        exact.checked_words, exact.fully_invariant)
-
-
 def site_number_cut(V):
     """Site-number on sites 1..V-1 only: site V is left free, so the ground
     space is invariant under every adjacent transposition but (V-1 V)."""
@@ -832,67 +801,63 @@ def site_number_cut(V):
 class TestGeneratorInvariance:
     @pytest.mark.parametrize("name, V", [
         (name, V) for name in BUILTIN_FAMILIES for V in (
-            range(4, 7) if name == "hubbard-like" else range(4, 9))])
-    def test_agrees_with_class_check(self, name, V, monkeypatch):
-        # Same verdict as the class check on every built-in ground space;
-        # where the transpositions certify, their bound B is in every
-        # field, covers each exact class diameter and every word of
-        # every degree.  H's own symmetry (the symmetric route of
-        # verify_gs_bound) gives the same verdict.
+            range(3, 7) if name == "hubbard-like" else range(4, 9))])
+    def test_agrees_with_class_check(self, name, V):
+        # The site-transposition bound B is in every field, and its verdict
+        # is that of H's own symmetry (the symmetric route of
+        # verify_gs_bound) on every built-in ground space.  Where the full
+        # expansion fits (p = 1 up to V = 6, hubbard-like at V = 3) B
+        # bounds each exact class diameter, of every degree.
         spec = builtin_family(name, V)
         ground = ground_of(spec)
         report = check_invariance_dense(ground)
+        bound = report.full_max_violation
+        assert report == InvarianceReport(
+            bound, bound, 1 << spec.shape.majorana_count,
+            bound < DENSE_INVARIANCE_TOL, bound)
         h_exp, _ = build_hamiltonian_expansion(spec)
         assert check_invariance(h_exp).fully_invariant == (
             report.fully_invariant)
-        exact = class_check(ground, monkeypatch)
-        assert verdict(report) == verdict(exact)
-        bound = invariance._transposition_bound(ground)
-        if bound < DENSE_INVARIANCE_TOL:
-            assert report == InvarianceReport(
-                bound, bound, 1 << spec.shape.majorana_count, True, bound)
-            assert exact.condition1_max_violation <= bound
-            assert exact.condition2_max_violation <= bound
-            assert exact.full_max_violation <= bound
-        else:
-            assert_same_report(report, exact)
+        if spec.shape.total_modes <= mode_cap() // 2:
+            assert_bound_covers_exact(report, ground)
         # pair-exchange's template i m_j m_l flips sign under a swap.
-        assert verdict(report) == ((False, False) if name == "pair-exchange"
-                                   else (True, True))
+        assert report.fully_invariant == (name != "pair-exchange")
 
     @pytest.mark.parametrize("V", [4, 5, 6])
-    def test_last_transposition_counts(self, V, monkeypatch):
+    def test_last_transposition_counts(self, V):
         # Every transposition but (V-1 V) fixes the ground space, so a
-        # loop that skips the last one would certify it.
+        # loop that skips the last one would certify it.  Sites V-1
+        # (occupied) and V (half filled) swap: the two rank-2 projectors
+        # share one vector and the other pair is orthogonal, so the
+        # distance is 1 and B = C(V, 2).
         ground = ground_of(site_number_cut(V))
         report = check_invariance_dense(ground)
         assert not report.fully_invariant
-        assert_same_report(report, class_check(ground, monkeypatch))
-        # Sites V-1 (occupied) and V (half filled) swap: the two rank-2
-        # projectors share one vector and the other pair is orthogonal,
-        # so the distance is 1 and B = C(V, 2).
-        assert invariance._transposition_bound(ground) == pytest.approx(
-            math.comb(V, 2), abs=1e-12)
+        assert report.max_violation() == pytest.approx(math.comb(V, 2),
+                                                       abs=1e-12)
+        exact = assert_bound_covers_exact(report, ground)
+        assert exact.max_violation() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["site-number", "pair-hopping",
                                       "hubbard-like"])
     def test_certified_without_words(self, name, monkeypatch):
         def no_words(*args, **kwargs):
-            raise AssertionError("class check reached")
+            raise AssertionError("a word expectation was read")
 
-        monkeypatch.setattr(invariance, "word_expectations_dense", no_words)
-        report = check_invariance_dense(ground_of(builtin_family(name, 6)))
+        ground = ground_of(builtin_family(name, 6))
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "pauli_strings", no_words)
+            patch.setattr(OperatorExpansion, "expectation", no_words)
+            report = check_invariance_dense(ground)
         assert report.fully_invariant
         assert report.max_violation() < 1e-10
         result, rep = verify_gs_bound(builtin_family(name, 6), seed=0)
         assert result.precondition_ok and rep.passed
 
-    def test_degree_capped_precondition_is_noted(self, monkeypatch):
+    def test_weighted_site_ground_space_is_certified(self):
         # Site-number with site 4 weighted twice: H is not symmetric, but
-        # its ground state, the same vacuum on every site, is.  The
-        # transpositions certify it at every degree; the class check,
-        # reached when they are switched off, covers degree 4 only and the
-        # report says so.
+        # its ground state, the same vacuum on every site, is, and the
+        # transpositions certify it at every degree.
         spec = hamiltonian_from_config({
             "V": 4, "p": 1, "k": 1, "template": BUILTIN_CONFIGS[
                 "site-number"]["template"],
@@ -900,17 +865,10 @@ class TestGeneratorInvariance:
         h_exp, _ = build_hamiltonian_expansion(spec)
         assert not check_invariance(h_exp).fully_invariant
         result, rep = verify_gs_bound(spec, seed=0)
-        assert result.precondition_ok
-        assert result.invariance.checked_words == 256
-        assert not any("degree" in n for n in rep.notes)
-        monkeypatch.setattr(invariance, "_transposition_bound",
-                            lambda ground: math.inf)
-        result, rep = verify_gs_bound(spec, seed=0)
         assert result.precondition_ok and rep.passed
-        assert result.invariance.checked_words == 163
-        assert (f"precondition checked on the words up to degree "
-                f"{invariance.WORD_DEGREE_CAP} only (163 of 256)"
-                in rep.notes)
+        assert result.invariance.checked_words == 256
+        assert not any("precondition" in n for n in rep.notes)
+        assert_bound_covers_exact(result.invariance, ground_of(spec))
 
     def test_memory_far_below_a_projector(self):
         # The hubbard-like V = 6 ground space (dim 4096, rank 5) is
@@ -1028,7 +986,11 @@ class TestSymmetricRoute:
                                       seed=1)
         assert calls == DENSE_ROUTE
         assert not result.precondition_ok
-        assert any("violation 6.667e-01" in n for n in rep.notes)
+        assert result.invariance.max_violation() == pytest.approx(30.0,
+                                                                  abs=1e-9)
+        assert ("precondition failed: ground space not certified "
+                "permutation invariant (site-transposition bound 3.000e+01)"
+                in rep.notes)
 
     def test_word_above_the_degree_cap_takes_the_symmetric_route(
             self, monkeypatch):
